@@ -4,21 +4,18 @@
 //
 // The package is deliberately split along a narrow seam:
 //
-//   - A Source owns the transfer *protocol* — which peers to ask, for what,
+//   - Pool owns the transfer *protocol* — which peers to ask, for what,
 //     in which order, and what to do when a donor stalls, dies, or lies.
 //   - A Fetcher (implemented by core.Node) owns the *mechanism* — sending
 //     requests on the real transport, verifying fetched blocks against
 //     consensus decision proofs, and installing state into the ledger,
 //     application, and stores.
 //
-// Two Sources ship. Pool is the collaborative, Tendermint-blocksync-shaped
-// protocol: a height-keyed request pool that round-robins snapshot-chunk
-// and block-range requests across all live donors under per-peer in-flight
+// Pool is a collaborative, Tendermint-blocksync-shaped protocol: a
+// height-keyed request pool that round-robins snapshot-chunk and
+// block-range requests across all live donors under per-peer in-flight
 // caps, demotes peers that time out, permanently bans peers that serve
 // chunks failing their quorum-agreed digests, and reassigns their work.
-// Legacy is the original single-donor fetch (one peer ships snapshot +
-// tail in one message), kept as the A/B baseline behind
-// core.Config.LegacyStateTransfer.
 //
 // Trust model: the envelope describing the snapshot (height, block hash,
 // chunk digest chain) is accepted only when f+1 of the asked peers offer
@@ -30,7 +27,6 @@
 package catchup
 
 import (
-	"context"
 	"time"
 
 	"smartchain/internal/blockchain"
@@ -64,7 +60,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts what a Source did. Cumulative across rounds except
+// Stats counts what a Pool did. Cumulative across rounds except
 // PeersUsed and BytesPerSec, which describe the most recent round.
 type Stats struct {
 	// Rounds is the number of Sync invocations that found work to do.
@@ -157,16 +153,15 @@ const (
 	KindEnvelope Kind = iota + 1
 	KindChunk
 	KindRange
-	KindLegacy
 )
 
 // Response is one donor reply, already decoded from the wire by the
-// Fetcher owner and routed to the active Source via Deliver.
+// Fetcher owner and routed to the Pool via Deliver.
 type Response struct {
 	Peer int32
 	Kind Kind
 
-	// KindEnvelope and KindLegacy carry the donor's snapshot offer.
+	// KindEnvelope carries the donor's snapshot offer.
 	Envelope *Envelope
 
 	// KindChunk: chunk Index of the snapshot covering block Height.
@@ -174,20 +169,17 @@ type Response struct {
 	Index  int
 	Data   []byte
 
-	// KindRange: blocks From..(From+len(Blocks)-1). KindLegacy reuses
-	// Blocks for the donor's cached tail.
+	// KindRange: blocks From..(From+len(Blocks)-1).
 	From   int64
 	Blocks []blockchain.Block
-
-	// KindLegacy: the full snapshot state, inline.
-	State []byte
 }
 
-// Fetcher is the mechanism a Source drives: transport sends, verification
-// against the committed chain, and installation. core.Node implements it.
+// Fetcher is the mechanism the Pool drives: transport sends, verification
+// against the committed chain, and installation. core.Node implements it;
+// the pool tests substitute a simulated cluster.
 //
 // Verification contract: InstallSnapshot must reject state that fails the
-// envelope's chunk digest chain, and must not be called by a Source before
+// envelope's chunk digest chain, and must not be called by the Pool before
 // the envelope is bound to a committed block header (an f+1 envelope
 // quorum plus, when blocks beyond the snapshot exist, VerifyBlocks over a
 // range extending the envelope). ApplyBlocks verifies decision proofs
@@ -204,8 +196,6 @@ type Fetcher interface {
 	RequestChunk(peer int32, height int64, index int) error
 	// RequestRange asks peer for blocks from..to inclusive.
 	RequestRange(peer int32, from, to int64) error
-	// RequestLegacy asks peer for a monolithic snapshot + tail offer.
-	RequestLegacy(peer int32, have int64) error
 
 	// VerifyBlocks checks that blocks extend the envelope's block (hash
 	// linkage from env.BlockHash at env.Height) with valid consensus
@@ -218,16 +208,4 @@ type Fetcher interface {
 	ApplyBlocks(blocks []blockchain.Block) error
 	// ReplayBlocks replays blocks whose proofs were already verified.
 	ReplayBlocks(blocks []blockchain.Block) error
-}
-
-// Source is a state-transfer protocol. Sync drives one round against the
-// given peers and reports whether any state was installed or applied.
-// Deliver routes an incoming donor reply to the round in progress (replies
-// arriving between rounds are dropped). Implementations serialize Sync
-// calls internally; Deliver is safe to call from any goroutine and never
-// blocks.
-type Source interface {
-	Sync(ctx context.Context, f Fetcher, peers []int32) (progressed bool, err error)
-	Deliver(r Response)
-	Stats() Stats
 }

@@ -14,14 +14,14 @@ import (
 	"smartchain/internal/storage"
 )
 
-// fakeWorld is a simulated cluster for driving a Source without transport
+// fakeWorld is a simulated cluster for driving a Pool without transport
 // or consensus: a canonical snapshot + chain, per-donor behaviors, and a
 // Fetcher whose verification methods check fetched material against the
 // canonical truth (standing in for real decision-proof verification).
 type fakeWorld struct {
 	mu sync.Mutex
 
-	src Source
+	src *Pool
 
 	// canonical truth
 	env    *Envelope
@@ -95,7 +95,7 @@ func (w *fakeWorld) donorEnv(d *fakeDonor) (*Envelope, []byte) {
 }
 
 // Fetcher implementation. Replies are delivered synchronously: Deliver
-// never blocks, and the Source buffers generously.
+// never blocks, and the Pool buffers generously.
 
 func (w *fakeWorld) Height() int64 {
 	w.mu.Lock()
@@ -157,26 +157,6 @@ func (w *fakeWorld) RequestRange(peer int32, from, to int64) error {
 	return nil
 }
 
-func (w *fakeWorld) RequestLegacy(peer int32, have int64) error {
-	d := w.donors[peer]
-	if d == nil || d.silent {
-		return nil
-	}
-	env, state := w.donorEnv(d)
-	e := *env
-	var tail []blockchain.Block
-	if env == w.env {
-		tail = append(tail, w.blocks...)
-	} else {
-		tail = fakeChain(env.Height+1, env.Tip)
-	}
-	w.src.Deliver(Response{
-		Peer: peer, Kind: KindLegacy, Envelope: &e,
-		State: append([]byte(nil), state...), Blocks: tail,
-	})
-	return nil
-}
-
 // VerifyBlocks stands in for decision-proof verification: blocks bind to
 // the envelope only when both match the canonical truth.
 func (w *fakeWorld) VerifyBlocks(env *Envelope, blocks []blockchain.Block) error {
@@ -234,7 +214,7 @@ func (w *fakeWorld) ReplayBlocks(blocks []blockchain.Block) error { return w.app
 
 var _ Fetcher = (*fakeWorld)(nil)
 
-func runSync(t *testing.T, src Source, w *fakeWorld) (bool, error) {
+func runSync(t *testing.T, src *Pool, w *fakeWorld) (bool, error) {
 	t.Helper()
 	w.src = src
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -394,65 +374,19 @@ func TestPoolAlreadyCaughtUp(t *testing.T) {
 	}
 }
 
-func TestLegacyHappyPath(t *testing.T) {
-	w := newFakeWorld(100, 160, 4)
-	l := NewLegacy()
-	progressed, err := runSync(t, l, w)
-	if err != nil || !progressed {
-		t.Fatalf("sync: progressed=%v err=%v", progressed, err)
-	}
-	if w.installed != 1 || !bytes.Equal(w.restored, w.state) || w.height != 160 {
-		t.Fatalf("installs=%d height=%d", w.installed, w.height)
-	}
-}
-
-// Regression for the forged-height hole: a quorum of colluding donors
-// offers an internally-consistent envelope whose height/state were never
-// committed. Verification of the binding blocks must run BEFORE Restore,
-// so the forged state never touches the application.
-func TestLegacyForgedHeightEnvelopeRejected(t *testing.T) {
-	w := newFakeWorld(100, 160, 4)
-	forgedState := make([]byte, 2048)
-	forged := &Envelope{
-		Height:    500,
-		BlockHash: crypto.HashBytes([]byte("forged")),
-		Snap:      storage.BuildEnvelope(500, []byte("meta"), forgedState, 1024),
-		Tip:       560,
-	}
-	for _, d := range w.donors {
-		d.forgedEnv = forged
-		d.forgedState = forgedState
-	}
-	l := NewLegacy()
-	progressed, err := runSync(t, l, w)
-	if err == nil || progressed {
-		t.Fatalf("forged offer accepted: progressed=%v err=%v", progressed, err)
-	}
-	if w.installed != 0 {
-		t.Fatal("forged snapshot reached Restore")
-	}
-}
-
 // A lone donor offering a bare snapshot (no tail blocks to verify against)
-// has nothing binding the claimed height to the committed chain: both
-// Sources must refuse it rather than trust one peer.
+// has nothing binding the claimed height to the committed chain: the pool
+// must refuse it rather than trust one peer.
 func TestSingleDonorSnapshotOnlyRefused(t *testing.T) {
 	w := newFakeWorld(100, 100, 1) // tip == snapshot height: no tail
 	w.blocks = nil
 	w.env.Tip = 100
 
-	for name, src := range map[string]Source{"pool": NewPool(testConfig()), "legacy": NewLegacy()} {
-		w.src = src
-		w.installed = 0
-		w.height = 0
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_, err := src.Sync(ctx, w, w.peers())
-		cancel()
-		if err == nil || !strings.Contains(err.Error(), "unverifiable") {
-			t.Fatalf("%s: err = %v, want unverifiable-offer refusal", name, err)
-		}
-		if w.installed != 0 {
-			t.Fatalf("%s: installed a snapshot nothing vouches for", name)
-		}
+	_, err := runSync(t, NewPool(testConfig()), w)
+	if err == nil || !strings.Contains(err.Error(), "unverifiable") {
+		t.Fatalf("err = %v, want unverifiable-offer refusal", err)
+	}
+	if w.installed != 0 {
+		t.Fatal("installed a snapshot nothing vouches for")
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"smartchain/internal/crypto"
 )
 
-// Pool is the collaborative catch-up Source: a height-keyed request pool
+// Pool is the collaborative catch-up protocol: a height-keyed request pool
 // in the shape of Tendermint's blocksync. One Sync round discovers an
 // envelope quorum, then round-robins chunk and block-range requests across
 // every agreeing donor under per-peer in-flight caps. Donors that time out
@@ -27,13 +27,14 @@ type Pool struct {
 	banned map[int32]bool // persists across rounds
 }
 
-// NewPool returns a collaborative Source with the given tuning.
+// NewPool returns a Pool with the given tuning.
 func NewPool(cfg Config) *Pool {
 	return &Pool{cfg: cfg.withDefaults(), banned: make(map[int32]bool)}
 }
 
-// Deliver implements Source. Never blocks: a full round buffer or an idle
-// source drops the reply (the pool re-requests on timeout anyway).
+// Deliver routes an incoming donor reply to the round in progress. Safe
+// from any goroutine and never blocks: a full round buffer or an idle pool
+// drops the reply (the pool re-requests on timeout anyway).
 func (p *Pool) Deliver(r Response) {
 	p.mu.Lock()
 	ch := p.ch
@@ -47,7 +48,7 @@ func (p *Pool) Deliver(r Response) {
 	}
 }
 
-// Stats implements Source.
+// Stats returns a snapshot of the pool's counters.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -105,7 +106,9 @@ type poolRound struct {
 	bytes       int64
 }
 
-// Sync implements Source: one collaborative catch-up round.
+// Sync drives one collaborative catch-up round against peers and reports
+// whether any state was installed or applied. Rounds do not overlap: a
+// Sync while another is in progress fails.
 func (p *Pool) Sync(ctx context.Context, f Fetcher, peers []int32) (bool, error) {
 	if len(peers) == 0 {
 		return false, nil
@@ -691,5 +694,3 @@ func (p *Pool) isBanned(id int32) bool {
 	defer p.mu.Unlock()
 	return p.banned[id]
 }
-
-var _ Source = (*Pool)(nil)

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"smartchain/internal/codec"
+	"smartchain/internal/consensus"
 	"smartchain/internal/transport"
 )
 
@@ -207,5 +209,56 @@ func TestCheckerAnalyze(t *testing.T) {
 	errEvents := []Event{{T: 1 * time.Second, Kind: EventError, Name: "join(4)", Err: "timed out"}}
 	if v := mk(healthy).Analyze(errEvents, Budgets{}); len(v) != 1 {
 		t.Fatalf("action error not surfaced as a violation: %v", v)
+	}
+}
+
+// TestByzantineEquivocateForksProposal: an equivocating replica's PROPOSE
+// (wire format instance|epoch|value) reaches odd-numbered peers with the
+// same instance and epoch but an empty value, even-numbered peers
+// unchanged, and the fork is counted.
+func TestByzantineEquivocateForksProposal(t *testing.T) {
+	net := transport.NewMemNetwork()
+	byz := NewByzantine()
+	leader := byz.Endpoint(0, net.Endpoint(0))
+	odd, even := net.Endpoint(1), net.Endpoint(2)
+	defer leader.Close()
+	defer odd.Close()
+	defer even.Close()
+
+	enc := codec.NewEncoder(32)
+	enc.Int64(9)
+	enc.Int64(0)
+	enc.WriteBytes([]byte("batch"))
+	propose := enc.Bytes()
+
+	byz.SetMode(0, ByzEquivocate)
+	for _, to := range []int32{1, 2} {
+		if err := leader.Send(to, consensus.MsgPropose, propose); err != nil {
+			t.Fatalf("send to %d: %v", to, err)
+		}
+	}
+	valueAt := func(ep transport.Endpoint) string {
+		t.Helper()
+		select {
+		case m := <-ep.Receive():
+			d := codec.NewDecoder(m.Payload)
+			inst, epoch, value := d.Int64(), d.Int64(), d.ReadBytesCopy()
+			if err := d.Finish(); err != nil || inst != 9 || epoch != 0 {
+				t.Fatalf("replica %d got a malformed PROPOSE (instance %d, epoch %d): %v", ep.ID(), inst, epoch, err)
+			}
+			return string(value)
+		case <-time.After(time.Second):
+			t.Fatalf("replica %d never received the PROPOSE", ep.ID())
+			return ""
+		}
+	}
+	if v := valueAt(odd); v != "" {
+		t.Fatalf("odd peer received value %q, want the forked empty value", v)
+	}
+	if v := valueAt(even); v != "batch" {
+		t.Fatalf("even peer received value %q, want the original", v)
+	}
+	if n := byz.Equivocations(); n != 1 {
+		t.Fatalf("Equivocations() = %d, want 1", n)
 	}
 }

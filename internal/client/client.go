@@ -65,9 +65,6 @@ type Proxy struct {
 	ep      transport.Endpoint
 	timeout time.Duration
 	retry   time.Duration
-	// sessionReads enables the read floor on unordered requests (default
-	// true; WithQuorumReads reverts to quorum-fresh reads).
-	sessionReads bool
 
 	mu        sync.Mutex
 	members   []int32
@@ -142,15 +139,6 @@ func WithRetry(d time.Duration) Option {
 	return func(p *Proxy) { p.retry = d }
 }
 
-// WithQuorumReads disables the session read floor: unordered reads revert
-// to quorum-freshness (any replica state a Byzantine quorum agrees on),
-// the pre-read-your-writes behavior. Kept as the A/B baseline for the
-// reads experiment and for workloads that prefer latency over session
-// consistency.
-func WithQuorumReads() Option {
-	return func(p *Proxy) { p.sessionReads = false }
-}
-
 // New creates a proxy and starts its receive demultiplexer. The endpoint's
 // ID doubles as the client ID; members is the current view membership (a
 // bootstrap hint — the proxy tracks reconfigurations on its own from reply
@@ -158,18 +146,17 @@ func WithQuorumReads() Option {
 // to release it.
 func New(ep transport.Endpoint, key *crypto.KeyPair, members []int32, opts ...Option) *Proxy {
 	p := &Proxy{
-		id:           int64(ep.ID()),
-		key:          key,
-		ep:           ep,
-		timeout:      10 * time.Second,
-		retry:        time.Second,
-		sessionReads: true,
-		viewID:       -1,
-		mismatch:     make(map[int32]bool),
-		viewVotes:    make(map[int32]crypto.Hash),
-		calls:        make(map[uint64]*call),
-		stop:         make(chan struct{}),
-		recvDone:     make(chan struct{}),
+		id:        int64(ep.ID()),
+		key:       key,
+		ep:        ep,
+		timeout:   10 * time.Second,
+		retry:     time.Second,
+		viewID:    -1,
+		mismatch:  make(map[int32]bool),
+		viewVotes: make(map[int32]crypto.Hash),
+		calls:     make(map[uint64]*call),
+		stop:      make(chan struct{}),
+		recvDone:  make(chan struct{}),
 	}
 	p.SetMembers(members)
 	for _, o := range opts {
@@ -599,10 +586,7 @@ func (p *Proxy) register(op []byte, unordered bool) (*call, error) {
 		p.useq++
 		useq := p.useq
 		seq = useq | smr.UnorderedSeqBit
-		floor := int64(0)
-		if p.sessionReads {
-			floor = p.readFloor
-		}
+		floor := p.readFloor
 		p.mu.Unlock()
 		req, err = smr.NewSignedUnordered(p.id, useq, floor, op, p.key)
 	} else {

@@ -185,47 +185,3 @@ func TestReadFloorFromReplyTagsAndBehindFallback(t *testing.T) {
 		t.Fatal("behind quorum did not trigger an ordered fallback read")
 	}
 }
-
-// TestQuorumReadsSkipFloor: WithQuorumReads pins ReadFloor to zero — the
-// quorum-fresh A/B baseline must not inherit session floors.
-func TestQuorumReadsSkipFloor(t *testing.T) {
-	net := transport.NewMemNetwork()
-	var mu sync.Mutex
-	var floors []int64
-	result := func(req smr.Request) []byte {
-		if req.Unordered() {
-			mu.Lock()
-			floors = append(floors, req.ReadFloor)
-			mu.Unlock()
-		}
-		return []byte("bal")
-	}
-	var replicas []*fakeReplica
-	for i := int32(0); i < 4; i++ {
-		r := startFakeReplica(net, i, result)
-		r.SetHeight(17)
-		replicas = append(replicas, r)
-	}
-	defer func() {
-		for _, r := range replicas {
-			r.Stop()
-		}
-	}()
-
-	p := New(net.Endpoint(transport.ClientIDBase), crypto.SeededKeyPair("cl", 23),
-		[]int32{0, 1, 2, 3}, WithTimeout(5*time.Second), WithQuorumReads())
-	defer p.Close()
-	if _, err := p.Invoke(context.Background(), []byte("w")); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if _, err := p.InvokeUnordered(context.Background(), []byte("r")); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, f := range floors {
-		if f != 0 {
-			t.Fatalf("quorum-fresh read carried floor %d", f)
-		}
-	}
-}

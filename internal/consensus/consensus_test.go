@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"smartchain/internal/codec"
 	"smartchain/internal/crypto"
 	"smartchain/internal/transport"
 	"smartchain/internal/view"
@@ -23,12 +24,6 @@ type harness struct {
 }
 
 func newHarness(t *testing.T, n int, timeout time.Duration, validate func(int64, []byte) bool) *harness {
-	return newHarnessCfg(t, n, timeout, validate, nil)
-}
-
-// newHarnessCfg is newHarness with a config hook (e.g. to flip
-// SequentialSync for the per-slot-drain baseline).
-func newHarnessCfg(t *testing.T, n int, timeout time.Duration, validate func(int64, []byte) bool, mutate func(*Config)) *harness {
 	t.Helper()
 	h := &harness{t: t, net: transport.NewMemNetwork()}
 	members := make([]int32, n)
@@ -56,9 +51,6 @@ func newHarnessCfg(t *testing.T, n int, timeout time.Duration, validate func(int
 			RequestValue: func(int64) []byte {
 				return []byte("fallback")
 			},
-		}
-		if mutate != nil {
-			mutate(&cfg)
 		}
 		eng := New(cfg)
 		h.engines[i] = eng
@@ -337,88 +329,75 @@ func TestMessageEncodingRoundTrips(t *testing.T) {
 		t.Fatalf("vote round trip: %+v", got)
 	}
 
-	cert := writeCert{Instance: 7, Epoch: 2, Digest: digest, Sigs: []crypto.Signature{{Signer: 1, Sig: vm.Sig}}}
-	sm := stopMsg{Instance: 7, NextEpoch: 3, Voter: 1, HasCert: true, Cert: cert, Value: []byte("v")}
-	sm.Sig = key.MustSign(ctxStop, sm.signedPortion())
-	gotStop, err := decodeStop(sm.encode())
-	if err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	if gotStop.Instance != 7 || gotStop.NextEpoch != 3 || !gotStop.HasCert ||
-		gotStop.Cert.Digest != digest || !bytes.Equal(gotStop.Value, []byte("v")) {
-		t.Fatalf("stop round trip: %+v", gotStop)
-	}
-
-	pm := proposeMsg{Instance: 7, Epoch: 3, Value: []byte("value"), Justif: []stopMsg{sm}}
+	pm := proposeMsg{Instance: 7, Epoch: 3, Value: []byte("value")}
 	gotProp, err := decodePropose(pm.encode())
 	if err != nil {
 		t.Fatalf("propose: %v", err)
 	}
-	if gotProp.Instance != 7 || gotProp.Epoch != 3 || !bytes.Equal(gotProp.Value, []byte("value")) || len(gotProp.Justif) != 1 {
+	if gotProp.Instance != 7 || gotProp.Epoch != 3 || !bytes.Equal(gotProp.Value, []byte("value")) {
 		t.Fatalf("propose round trip: %+v", gotProp)
 	}
 
+	// The retired format appended a justification (count + per-slot STOPs)
+	// after the value; such trailing bytes must be rejected, not skipped.
+	old := codec.NewEncoder(64)
+	old.Int64(7)
+	old.Int64(3)
+	old.WriteBytes([]byte("value"))
+	old.Uint32(0)
+	if _, err := decodePropose(old.Bytes()); err == nil {
+		t.Fatal("PROPOSE with trailing justification bytes must be rejected")
+	}
+
 	// Truncations must fail, not panic.
-	for _, enc := range [][]byte{vm.encode(), sm.encode(), pm.encode()} {
+	for _, enc := range [][]byte{vm.encode(), pm.encode()} {
 		for cut := 1; cut < len(enc); cut += 7 {
 			_, _ = decodeVote(enc[:cut])
-			_, _ = decodeStop(enc[:cut])
 			_, _ = decodePropose(enc[:cut])
 		}
 	}
 }
 
-func TestStopMsgVerifyRejectsInconsistencies(t *testing.T) {
-	n := 4
-	keys := make([]*crypto.KeyPair, n)
-	pubs := make(map[int32]crypto.PublicKey, n)
-	for i := range keys {
-		keys[i] = crypto.SeededKeyPair("sv", int64(i))
-		pubs[int32(i)] = keys[i].Public()
+// TestRetiredStopFrameIsDropped delivers frames of the retired per-slot
+// STOP type (number 103, reserved) to running engines, from a member and
+// with member-shaped payloads: they must be dropped without a panic, a
+// synchronization round or a regency change, and ordering carries on.
+func TestRetiredStopFrameIsDropped(t *testing.T) {
+	const retiredMsgStop uint16 = 103
+	if MsgAccept != 102 || MsgEpochStop != 104 || MsgDecided != 106 {
+		t.Fatalf("surviving message numbers moved: ACCEPT %d, EPOCH-STOP %d, DECIDED %d", MsgAccept, MsgEpochStop, MsgDecided)
 	}
-	v := view.New(0, []int32{0, 1, 2, 3}, pubs)
-	value := []byte("v")
-	digest := crypto.HashBytes(value)
+	h := newHarness(t, 4, time.Second, nil)
+	h.decideAll(1, []byte("first"), nil)
 
-	// Build a valid write cert for epoch 0.
-	cert := writeCert{Instance: 1, Epoch: 0, Digest: digest}
-	for i := 0; i < 3; i++ {
-		sig := keys[i].MustSign(ctxWrite, voteMessage(1, 0, digest))
-		cert.Sigs = append(cert.Sigs, crypto.Signature{Signer: int32(i), Sig: sig})
-	}
-	mkStop := func(mutate func(*stopMsg)) stopMsg {
-		sm := stopMsg{Instance: 1, NextEpoch: 1, Voter: 0, HasCert: true, Cert: cert, Value: value}
-		if mutate != nil {
-			mutate(&sm)
+	// An old-format STOP body for the live instance 2: length-prefixed
+	// (instance, nextEpoch, voter, hasCert=false), then a signature.
+	body := codec.NewEncoder(32)
+	body.Int64(2)
+	body.Int64(1)
+	body.Int32(1)
+	body.Bool(false)
+	frame := codec.NewEncoder(128)
+	frame.WriteBytes(body.Bytes())
+	frame.WriteBytes(h.keys[1].MustSign("smartchain/consensus/stop/v1", body.Bytes()))
+	for _, eng := range h.engines {
+		for from := int32(1); from <= 3; from++ {
+			eng.HandleMessage(transport.Message{From: from, Type: retiredMsgStop, Payload: frame.Bytes()})
 		}
-		sm.Sig = keys[0].MustSign(ctxStop, sm.signedPortion())
-		return sm
+		eng.HandleMessage(transport.Message{From: 1, Type: retiredMsgStop, Payload: nil})
 	}
 
-	good := mkStop(nil)
-	if err := good.verify(v, v.Quorum()); err != nil {
-		t.Fatalf("good stop must verify: %v", err)
+	decisions := h.decideAll(2, []byte("second"), nil)
+	for i, d := range decisions {
+		if !bytes.Equal(d.Value, []byte("second")) || d.Epoch != 0 {
+			t.Fatalf("replica %d decided %q in epoch %d, want \"second\" in epoch 0", i, d.Value, d.Epoch)
+		}
 	}
-	// Value not matching cert digest.
-	badValue := mkStop(func(s *stopMsg) { s.Value = []byte("other") })
-	if err := badValue.verify(v, v.Quorum()); err == nil {
-		t.Fatal("stop with mismatched value must fail")
-	}
-	// Cert epoch not below next epoch.
-	badEpoch := mkStop(func(s *stopMsg) { s.Cert.Epoch = 1 })
-	if err := badEpoch.verify(v, v.Quorum()); err == nil {
-		t.Fatal("stop with cert epoch ≥ next epoch must fail")
-	}
-	// Forged signature.
-	forged := good
-	forged.Sig = make([]byte, crypto.SignatureSize)
-	if err := forged.verify(v, v.Quorum()); err == nil {
-		t.Fatal("forged stop signature must fail")
-	}
-	// Cert with too few signatures.
-	weak := mkStop(func(s *stopMsg) { s.Cert.Sigs = s.Cert.Sigs[:2] })
-	if err := weak.verify(v, v.Quorum()); err == nil {
-		t.Fatal("sub-quorum cert must fail")
+	for i, eng := range h.engines {
+		if eng.SyncRounds() != 0 || eng.Regency() != 0 {
+			t.Fatalf("replica %d: retired STOP frames moved it to regency %d after %d rounds",
+				i, eng.Regency(), eng.SyncRounds())
+		}
 	}
 }
 

@@ -52,12 +52,6 @@ type Config struct {
 	// idle system does not churn through leader changes. Nil means
 	// "always pending" (timeouts always escalate).
 	HasPending func() bool
-	// SequentialSync reverts to per-slot synchronization phases (one STOP
-	// campaign per open instance — the pre-epoch-change behavior) instead
-	// of the default regency-wide epoch change, which re-proposes the whole
-	// open window in a single round. Kept for A/B measurement
-	// (benchrunner -exp failover) and as a safety valve.
-	SequentialSync bool
 	// OnEpochChange, when non-nil, is called from the engine loop each time
 	// a synchronization round installs a new epoch (once per round, however
 	// many slots it drains).
@@ -140,8 +134,6 @@ type instState struct {
 	// votes: epoch → digest → voter → signature.
 	writes  map[int64]map[crypto.Hash]map[int32][]byte
 	accepts map[int64]map[crypto.Hash]map[int32][]byte
-	// stops: nextEpoch → voter → message.
-	stops map[int64]map[int32]stopMsg
 	// myWriteCert is the strongest write certificate this replica
 	// assembled (evidence a value may have been decided).
 	myWriteCert *writeCert
@@ -160,7 +152,6 @@ func newInstState(epoch int64) *instState {
 		epoch:     epoch,
 		writes:    make(map[int64]map[crypto.Hash]map[int32][]byte),
 		accepts:   make(map[int64]map[crypto.Hash]map[int32][]byte),
-		stops:     make(map[int64]map[int32]stopMsg),
 	}
 }
 
@@ -278,10 +269,9 @@ func (e *Engine) ProposeValue(i int64, value []byte) {
 	e.enqueue(event{kind: evPropose, inst: i, value: value})
 }
 
-// SyncRounds returns how many synchronization rounds this engine has run.
-// With the regency-wide protocol one leader failure costs exactly one round
-// regardless of the window depth; the sequential mode pays one per open
-// slot. Safe from any goroutine.
+// SyncRounds returns how many synchronization rounds this engine has run:
+// one leader failure costs exactly one round regardless of the window
+// depth. Safe from any goroutine.
 func (e *Engine) SyncRounds() int64 { return e.syncRounds.Load() }
 
 // Regency returns the currently installed epoch (a snapshot; safe from any
@@ -599,91 +589,7 @@ func (e *Engine) loop() {
 		maybeProgress(i, s)
 	}
 
-	// startSync broadcasts this replica's STOP for next epoch.
-	startSync := func(i int64, s *instState, next int64) {
-		if next <= s.epoch {
-			return
-		}
-		if _, voted := s.stops[next][e.cfg.Self]; voted {
-			return
-		}
-		sm := stopMsg{Instance: i, NextEpoch: next, Voter: e.cfg.Self}
-		if s.myWriteCert != nil {
-			sm.HasCert = true
-			sm.Cert = *s.myWriteCert
-			sm.Value = s.myCertValue
-		}
-		sig := e.cfg.Signer.MustSign(ctxStop, sm.signedPortion())
-		if sig == nil {
-			return
-		}
-		sm.Sig = sig
-		if s.stops[next] == nil {
-			s.stops[next] = make(map[int32]stopMsg)
-		}
-		s.stops[next][e.cfg.Self] = sm
-		payload := sm.encode()
-		for _, peer := range e.cfg.View.Others(e.cfg.Self) {
-			e.cfg.Send(peer, MsgStop, payload)
-		}
-	}
-
-	// enterEpoch moves the instance into epoch next after a stop quorum.
-	// The regency mirror is monotonic: a later slot's stop quorum forming
-	// at a lower epoch than one an earlier slot already escalated to must
-	// not rewind the leader hint new slots inherit.
-	enterEpoch := func(i int64, s *instState, next int64) {
-		stops := s.stops[next]
-		if next > regency {
-			regency = next
-			e.regency.Store(next)
-		}
-		e.syncRounds.Add(1)
-		if e.cfg.OnEpochChange != nil {
-			e.cfg.OnEpochChange(next)
-		}
-		s.epoch = next
-		s.sentWrite = false
-		s.sentAccept = false
-		s.proposal = nil
-		s.digest = crypto.ZeroHash
-		// Back off: the network may still be asynchronous. Capped, or a
-		// slot surviving several changes (each fault in a bursty run adds
-		// one) ends up re-campaigning on a horizon longer than any outage.
-		if s.timeout < 4*e.cfg.Timeout {
-			s.timeout *= 2
-		}
-		armTimer(i, next)
-
-		if e.cfg.View.Leader(next) != e.cfg.Self {
-			return
-		}
-		// New leader: re-propose the value of the highest-epoch write
-		// certificate among the stop quorum; otherwise propose fresh.
-		var best *stopMsg
-		justif := make([]stopMsg, 0, len(stops))
-		for voter := range stops {
-			sm := stops[voter]
-			justif = append(justif, sm)
-			if sm.HasCert && (best == nil || sm.Cert.Epoch > best.Cert.Epoch) {
-				best = &sm
-			}
-		}
-		var value []byte
-		if best != nil {
-			value = best.Value
-		} else if e.cfg.RequestValue != nil {
-			value = e.cfg.RequestValue(i)
-		}
-		pm := proposeMsg{Instance: i, Epoch: next, Value: value, Justif: justif}
-		payload := pm.encode()
-		for _, peer := range e.cfg.View.Others(e.cfg.Self) {
-			e.cfg.Send(peer, MsgPropose, payload)
-		}
-		adoptProposal(i, s, value)
-	}
-
-	// ---- Regency-wide epoch change (the default synchronization path) ----
+	// ---- Regency-wide epoch change (the synchronization path) ----
 
 	// ensureStarted extends the live window up to inst: the EPOCH-SYNC may
 	// re-propose slots this replica's driver has not opened yet (its commit
@@ -705,8 +611,7 @@ func (e *Engine) loop() {
 	}
 
 	// installRegency moves every live undecided slot into epoch next in one
-	// step — the regency-wide replacement for W per-slot synchronization
-	// phases. Slots keep their write certificates (the evidence the next
+	// step. Slots keep their write certificates (the evidence the next
 	// campaign would carry); proposals and votes reset for the new epoch.
 	installRegency := func(next int64) {
 		if next <= regency {
@@ -731,7 +636,10 @@ func (e *Engine) loop() {
 			s.sentAccept = false
 			s.proposal = nil
 			s.digest = crypto.ZeroHash
-			if s.timeout < 4*e.cfg.Timeout { // capped backoff, as in enterEpoch
+			// Back off: the network may still be asynchronous. Capped, or a
+			// slot surviving several changes (each fault in a bursty run adds
+			// one) ends up re-campaigning on a horizon longer than any outage.
+			if s.timeout < 4*e.cfg.Timeout {
 				s.timeout *= 2
 			}
 			armTimer(i, next)
@@ -835,7 +743,7 @@ func (e *Engine) loop() {
 	// install the regency and, if this replica leads the new epoch, assemble
 	// the SYNC certificate and re-propose the whole window at once — the
 	// certified (or decided) value where one is provably locked, the empty
-	// batch elsewhere (the same safety rule the per-slot path applies).
+	// batch elsewhere.
 	maybeInstall := func(next int64) {
 		stops := epochStops[next]
 		if len(stops) < e.quorum || next <= regency {
@@ -1081,19 +989,11 @@ func (e *Engine) loop() {
 		m := ev.msg
 		switch m.Type {
 		case MsgEpochStop:
-			if !e.cfg.SequentialSync {
-				onEpochStop(m)
-			}
+			onEpochStop(m)
 			return
 		case MsgEpochSync:
-			if !e.cfg.SequentialSync {
-				onEpochSync(m)
-			}
+			onEpochSync(m)
 			return
-		case MsgStop:
-			if !e.cfg.SequentialSync {
-				return // per-slot campaigns are disabled under the wide protocol
-			}
 		}
 		inst, ok := peekInstance(m)
 		if !ok {
@@ -1134,8 +1034,6 @@ func (e *Engine) loop() {
 			e.onAccept(m, ev.vote, ev.votePub, s, inst, maybeProgress)
 		case MsgDecided:
 			onDecided(m, s, inst)
-		case MsgStop:
-			e.onStop(m, s, inst, startSync, enterEpoch)
 		}
 	}
 
@@ -1193,9 +1091,8 @@ func (e *Engine) loop() {
 					continue
 				}
 				if s.epoch > s.baseEpoch {
-					// A justification is required after a synchronization
-					// phase; enterEpoch handles that path. Late external
-					// proposals are ignored there.
+					// After a synchronization round values arrive only
+					// through the EPOCH-SYNC certificate.
 					continue
 				}
 				pm := proposeMsg{Instance: ev.inst, Epoch: s.epoch, Value: ev.value}
@@ -1221,8 +1118,7 @@ func (e *Engine) loop() {
 				// Idle system: no proposal, no votes, no stop campaign, and
 				// nothing pending locally — re-arm instead of churning
 				// through leader changes.
-				idle := s.proposal == nil && len(s.writes) == 0 && len(s.stops) == 0 &&
-					len(epochStops) == 0
+				idle := s.proposal == nil && len(s.writes) == 0 && len(epochStops) == 0
 				if idle && e.cfg.HasPending != nil && !e.cfg.HasPending() {
 					armTimer(ev.inst, s.epoch)
 					continue
@@ -1234,13 +1130,8 @@ func (e *Engine) loop() {
 					armTimer(ev.inst, s.epoch)
 					continue
 				}
-				if e.cfg.SequentialSync {
-					startSync(ev.inst, s, s.epoch+1)
-				} else {
-					// Regency-wide: ONE campaign re-proposes the whole
-					// window instead of a STOP phase per open slot.
-					startEpochChange(regency + 1)
-				}
+				// ONE campaign re-proposes the whole window.
+				startEpochChange(regency + 1)
 				armTimer(ev.inst, s.epoch)
 			}
 		}
@@ -1256,13 +1147,6 @@ func peekInstance(m transport.Message) (int64, bool) {
 			return 0, false
 		}
 		return int64(beUint64(m.Payload)), true
-	case MsgStop:
-		// stopMsg is framed: 4-byte body length, then body starting with
-		// the instance.
-		if len(m.Payload) < 12 {
-			return 0, false
-		}
-		return int64(beUint64(m.Payload[4:])), true
 	default:
 		return 0, false
 	}
@@ -1285,33 +1169,11 @@ func (e *Engine) onPropose(m transport.Message, s *instState, inst int64, adopt 
 	if pm.Epoch < s.epoch || s.decided {
 		return
 	}
-	switch {
-	case pm.Epoch > s.epoch:
-		// The leader is ahead of us. Under the regency-wide protocol,
-		// post-synchronization values arrive only through the EPOCH-SYNC
-		// certificate; under the sequential one, the proposal's own
-		// justification (a quorum of valid STOPs) both advances our epoch
-		// and proves the value is safe.
-		if !e.cfg.SequentialSync {
-			return
-		}
-		if !e.validSyncProposal(&pm, s) {
-			return
-		}
-		s.epoch = pm.Epoch
-		s.sentWrite = false
-		s.sentAccept = false
-		s.proposal = nil
-	case pm.Epoch > s.baseEpoch:
-		// Same epoch, but the instance went through a synchronization
-		// phase: still demand the justification before endorsing (wide
-		// mode: the justification is the EPOCH-SYNC, not a bare proposal).
-		if !e.cfg.SequentialSync {
-			return
-		}
-		if !e.validSyncProposal(&pm, s) {
-			return
-		}
+	if pm.Epoch > s.baseEpoch {
+		// The instance went through (or the leader is ahead by) a
+		// synchronization round: its value arrives only through the
+		// justified EPOCH-SYNC certificate, never a bare proposal.
+		return
 	}
 	if s.proposal != nil {
 		return // already have a proposal for this epoch
@@ -1320,37 +1182,6 @@ func (e *Engine) onPropose(m transport.Message, s *instState, inst int64, adopt 
 		return
 	}
 	adopt(inst, s, pm.Value)
-}
-
-// validSyncProposal checks the justification of a post-synchronization
-// proposal: ≥ quorum distinct valid STOPs for (instance, epoch), and the
-// proposed value honors the strongest write certificate among them.
-func (e *Engine) validSyncProposal(pm *proposeMsg, s *instState) bool {
-	voters := make(map[int32]bool, len(pm.Justif))
-	var best *stopMsg
-	for i := range pm.Justif {
-		sm := &pm.Justif[i]
-		if sm.Instance != pm.Instance || sm.NextEpoch != pm.Epoch {
-			return false
-		}
-		if voters[sm.Voter] || !e.cfg.View.Contains(sm.Voter) {
-			return false
-		}
-		if err := sm.verify(e.cfg.View, e.quorum); err != nil {
-			return false
-		}
-		voters[sm.Voter] = true
-		if sm.HasCert && (best == nil || sm.Cert.Epoch > best.Cert.Epoch) {
-			best = sm
-		}
-	}
-	if len(voters) < e.quorum {
-		return false
-	}
-	if best != nil && crypto.HashBytes(pm.Value) != best.Cert.Digest {
-		return false
-	}
-	return true
 }
 
 // validEpochSync checks an EPOCH-SYNC certificate: at least a quorum of
@@ -1497,37 +1328,6 @@ func (e *Engine) onAccept(m transport.Message, pre *voteMsg, prePub crypto.Publi
 	}
 	e.recordAccept(s, inst, vm)
 	progress(inst, s)
-}
-
-// onStop records a STOP vote and drives the synchronization phase: join on
-// f+1, switch epochs on quorum.
-func (e *Engine) onStop(m transport.Message, s *instState, inst int64,
-	join func(int64, *instState, int64), enter func(int64, *instState, int64)) {
-	sm, err := decodeStop(m.Payload)
-	if err != nil || sm.Voter != m.From || !e.cfg.View.Contains(sm.Voter) {
-		return
-	}
-	if sm.NextEpoch <= s.epoch || s.decided {
-		return
-	}
-	if err := sm.verify(e.cfg.View, e.quorum); err != nil {
-		return
-	}
-	if s.stops[sm.NextEpoch] == nil {
-		s.stops[sm.NextEpoch] = make(map[int32]stopMsg)
-	}
-	if _, dup := s.stops[sm.NextEpoch][sm.Voter]; dup {
-		return
-	}
-	s.stops[sm.NextEpoch][sm.Voter] = sm
-
-	count := len(s.stops[sm.NextEpoch])
-	if count >= e.cfg.View.F()+1 {
-		join(inst, s, sm.NextEpoch) // echo our own STOP (no-op if done)
-	}
-	if len(s.stops[sm.NextEpoch]) >= e.quorum {
-		enter(inst, s, sm.NextEpoch)
-	}
 }
 
 func (e *Engine) recordWrite(s *instState, inst int64, vm voteMsg) {

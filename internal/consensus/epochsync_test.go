@@ -12,8 +12,7 @@ import (
 
 // TestEpochChangeDrainsWindowInOneRound kills the epoch-0 leader with a
 // full window of instances open: the regency-wide protocol must decide
-// every slot after exactly ONE synchronization round (the sequential
-// baseline pays one round per slot).
+// every slot after exactly ONE synchronization round.
 func TestEpochChangeDrainsWindowInOneRound(t *testing.T) {
 	h := newHarness(t, 4, 150*time.Millisecond, nil)
 	h.kill(0)
@@ -46,42 +45,10 @@ func TestEpochChangeDrainsWindowInOneRound(t *testing.T) {
 	}
 }
 
-// TestSequentialSyncDrainsSlotBySlot pins the A/B baseline: with
-// SequentialSync the same dead-leader window drains through one
-// synchronization phase per slot.
-func TestSequentialSyncDrainsSlotBySlot(t *testing.T) {
-	h := newHarnessCfg(t, 4, 150*time.Millisecond, nil, func(c *Config) {
-		c.SequentialSync = true
-	})
-	h.kill(0)
-	const W = 3
-	for inst := int64(1); inst <= W; inst++ {
-		for i, eng := range h.engines {
-			if i == 0 {
-				continue
-			}
-			eng.StartInstance(inst, nil)
-		}
-	}
-	for i, eng := range h.engines {
-		if i == 0 {
-			continue
-		}
-		decisions := collectWindow(t, fmt.Sprintf("replica %d", i), eng, W)
-		if len(decisions) != W {
-			t.Fatalf("replica %d: %d decisions", i, len(decisions))
-		}
-		if rounds := eng.SyncRounds(); rounds < W {
-			t.Fatalf("replica %d used %d synchronization rounds, want ≥ %d (one per slot)", i, rounds, W)
-		}
-	}
-}
-
 // TestEpochChangeKeepsCertifiedValueAcrossWindow spreads a proposal for the
 // FIRST window slot, kills the leader, and checks the single
 // synchronization round re-proposes the certified value for that slot while
-// the rest of the window decides filler — the per-slot safety rule applied
-// window-wide.
+// the rest of the window decides filler.
 func TestEpochChangeKeepsCertifiedValueAcrossWindow(t *testing.T) {
 	h := newHarness(t, 4, 300*time.Millisecond, nil)
 	value := []byte("must-survive")
@@ -164,6 +131,25 @@ func TestEpochStopMessageRoundTripAndVerify(t *testing.T) {
 	bad.Sig = h.keys[2].MustSign(ctxEpochStop, bad.signedPortion())
 	if err := bad.verify(h.view, h.view.Quorum()); err == nil {
 		t.Fatal("claim with mismatched value must fail")
+	}
+
+	// A write certificate from the campaigned-for epoch (or later) proves
+	// nothing about earlier epochs and must fail.
+	late := sm
+	late.Claims = append([]slotClaim(nil), sm.Claims...)
+	late.Claims[1].Epoch, late.Claims[1].WCert.Epoch = 1, 1
+	late.Sig = h.keys[2].MustSign(ctxEpochStop, late.signedPortion())
+	if err := late.verify(h.view, h.view.Quorum()); err == nil {
+		t.Fatal("claim with cert epoch ≥ next epoch must fail")
+	}
+
+	// A write certificate short of a quorum must fail.
+	weak := sm
+	weak.Claims = append([]slotClaim(nil), sm.Claims...)
+	weak.Claims[1].WCert.Sigs = wc.Sigs[:2]
+	weak.Sig = h.keys[2].MustSign(ctxEpochStop, weak.signedPortion())
+	if err := weak.verify(h.view, h.view.Quorum()); err == nil {
+		t.Fatal("claim with a sub-quorum cert must fail")
 	}
 
 	// Forged signature must fail.

@@ -22,7 +22,7 @@ const (
 	MsgPropose uint16 = 100 + iota
 	MsgWrite
 	MsgAccept
-	MsgStop
+	_            // 103: the retired per-slot STOP; its number stays reserved
 	MsgEpochStop // regency-wide synchronization vote with per-slot claims
 	MsgEpochSync // new leader's certificate + whole-window re-proposal
 	MsgDecided   // decision-certificate retransmission for settled instances
@@ -32,7 +32,6 @@ const (
 const (
 	ctxWrite     = "smartchain/consensus/write/v1"
 	ctxAccept    = "smartchain/consensus/accept/v1"
-	ctxStop      = "smartchain/consensus/stop/v1"
 	ctxEpochStop = "smartchain/consensus/epochstop/v1"
 )
 
@@ -100,15 +99,13 @@ func VerifyDecisionProof(keys crypto.KeyResolver, instance, epoch int64, digest 
 	return nil
 }
 
-// proposeMsg is the leader's proposal for (instance, epoch). For epoch > the
-// starting epoch of the instance it carries a justification: the quorum of
-// signed STOP messages that elected this epoch, proving the value choice is
-// safe.
+// proposeMsg is the leader's proposal for (instance, epoch) in the epoch
+// the instance started in. After a synchronization round values arrive
+// only through the justified EPOCH-SYNC certificate.
 type proposeMsg struct {
 	Instance int64
 	Epoch    int64
 	Value    []byte
-	Justif   []stopMsg
 }
 
 func (m *proposeMsg) encode() []byte {
@@ -116,10 +113,6 @@ func (m *proposeMsg) encode() []byte {
 	e.Int64(m.Instance)
 	e.Int64(m.Epoch)
 	e.WriteBytes(m.Value)
-	e.Uint32(uint32(len(m.Justif)))
-	for i := range m.Justif {
-		e.WriteBytes(m.Justif[i].encode())
-	}
 	return e.Bytes()
 }
 
@@ -129,20 +122,6 @@ func decodePropose(data []byte) (proposeMsg, error) {
 	m.Instance = d.Int64()
 	m.Epoch = d.Int64()
 	m.Value = d.ReadBytesCopy()
-	n := d.Uint32()
-	if d.Err() != nil {
-		return proposeMsg{}, fmt.Errorf("decode propose: %w", d.Err())
-	}
-	if n > 4096 {
-		return proposeMsg{}, fmt.Errorf("decode propose: implausible justification size %d", n)
-	}
-	for i := uint32(0); i < n; i++ {
-		sm, err := decodeStop(d.ReadBytes())
-		if err != nil {
-			return proposeMsg{}, fmt.Errorf("decode propose justification: %w", err)
-		}
-		m.Justif = append(m.Justif, sm)
-	}
 	if err := d.Finish(); err != nil {
 		return proposeMsg{}, fmt.Errorf("decode propose: %w", err)
 	}
@@ -150,7 +129,7 @@ func decodePropose(data []byte) (proposeMsg, error) {
 }
 
 // ForkProposalValue re-encodes a leader PROPOSE with a different value,
-// keeping instance, epoch, and justification intact. Proposals carry no
+// keeping instance and epoch intact. Proposals carry no
 // leader signature — their authenticity rests on the authenticated link —
 // so only the leader itself can equivocate, which is exactly what the
 // chaos subsystem's Byzantine engine wrapper models: the same (instance,
@@ -314,71 +293,6 @@ func (c *writeCert) verify(keys crypto.KeyResolver, quorum int) error {
 	return nil
 }
 
-// stopMsg is a replica's signed vote to move instance to nextEpoch,
-// carrying its strongest write certificate (if any) and, when it holds one,
-// the corresponding proposed value so the next leader can re-propose it.
-type stopMsg struct {
-	Instance  int64
-	NextEpoch int64
-	Voter     int32
-	HasCert   bool
-	Cert      writeCert
-	Value     []byte // the value matching Cert.Digest, empty if HasCert is false
-	Sig       []byte // over signedPortion
-}
-
-func (m *stopMsg) signedPortion() []byte {
-	e := codec.NewEncoder(96 + len(m.Value))
-	e.Int64(m.Instance)
-	e.Int64(m.NextEpoch)
-	e.Int32(m.Voter)
-	e.Bool(m.HasCert)
-	if m.HasCert {
-		e.WriteBytes(m.Cert.encode())
-		e.WriteBytes(m.Value)
-	}
-	return e.Bytes()
-}
-
-func (m *stopMsg) encode() []byte {
-	e := codec.NewEncoder(128 + len(m.Value))
-	e.WriteBytes(m.signedPortion())
-	e.WriteBytes(m.Sig)
-	return e.Bytes()
-}
-
-func decodeStop(data []byte) (stopMsg, error) {
-	outer := codec.NewDecoder(data)
-	body := outer.ReadBytes()
-	sig := outer.ReadBytesCopy()
-	if err := outer.Finish(); err != nil {
-		return stopMsg{}, fmt.Errorf("decode stop: %w", err)
-	}
-	d := codec.NewDecoder(body)
-	var m stopMsg
-	m.Instance = d.Int64()
-	m.NextEpoch = d.Int64()
-	m.Voter = d.Int32()
-	m.HasCert = d.Bool()
-	if m.HasCert {
-		cd := codec.NewDecoder(d.ReadBytes())
-		cert, err := decodeWriteCert(cd)
-		if err != nil {
-			return stopMsg{}, fmt.Errorf("decode stop cert: %w", err)
-		}
-		if err := cd.Finish(); err != nil {
-			return stopMsg{}, fmt.Errorf("decode stop cert: %w", err)
-		}
-		m.Cert = cert
-		m.Value = d.ReadBytesCopy()
-	}
-	if err := d.Finish(); err != nil {
-		return stopMsg{}, fmt.Errorf("decode stop: %w", err)
-	}
-	m.Sig = sig
-	return m, nil
-}
-
 // Claim kinds inside an EPOCH-STOP: the strongest evidence a replica holds
 // for one window slot. Absence of a claim means "nothing locked here".
 const (
@@ -469,9 +383,8 @@ func (c *slotClaim) verify(keys crypto.KeyResolver, quorum int, nextEpoch int64)
 
 // epochStopMsg is one replica's signed vote to install nextEpoch as the
 // regency for the WHOLE ordering window: it carries the replica's strongest
-// claim for every open slot, so a single quorum of these messages gives the
-// new leader everything a per-slot STOP quorum would have — in one round
-// instead of W.
+// claim for every open slot, so a single quorum of these messages lets the
+// new leader re-propose the whole window in one round.
 type epochStopMsg struct {
 	NextEpoch int64
 	Voter     int32
@@ -626,9 +539,9 @@ func decodeEpochSync(data []byte) (epochSyncMsg, error) {
 
 // attestedUnlocked counts the stops attesting "slot inst is live and
 // nothing is locked there": Floor ≤ inst and no claim for inst. Settled
-// voters (Floor > inst) abstain, exactly like they abstain from a per-slot
-// STOP campaign — so for a decided slot the attestor pool can never reach
-// a quorum (≥ f+1 correct cert-holders either claim or have settled).
+// voters (Floor > inst) abstain, so for a decided slot the attestor pool
+// can never reach a quorum (≥ f+1 correct cert-holders either claim or have
+// settled).
 func attestedUnlocked(stops []epochStopMsg, inst int64) int {
 	count := 0
 	for i := range stops {
@@ -672,31 +585,4 @@ func bestClaims(stops []epochStopMsg) map[int64]*slotClaim {
 		}
 	}
 	return best
-}
-
-// verify checks the stop signature and, if present, the carried write
-// certificate and value consistency.
-func (m *stopMsg) verify(keys crypto.KeyResolver, quorum int) error {
-	pub, ok := keys.PublicKeyOf(m.Voter)
-	if !ok {
-		return fmt.Errorf("consensus: stop voter %d unknown", m.Voter)
-	}
-	if !crypto.Verify(pub, ctxStop, m.signedPortion(), m.Sig) {
-		return fmt.Errorf("consensus: stop signature of %d invalid", m.Voter)
-	}
-	if m.HasCert {
-		if m.Cert.Instance != m.Instance {
-			return fmt.Errorf("consensus: stop cert instance mismatch")
-		}
-		if m.Cert.Epoch >= m.NextEpoch {
-			return fmt.Errorf("consensus: stop cert epoch %d not below next epoch %d", m.Cert.Epoch, m.NextEpoch)
-		}
-		if crypto.HashBytes(m.Value) != m.Cert.Digest {
-			return fmt.Errorf("consensus: stop value does not match cert digest")
-		}
-		if err := m.Cert.verify(keys, quorum); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -190,29 +190,6 @@ func TestClusterCatchupUnderDonorFaults(t *testing.T) {
 	}
 }
 
-// TestClusterCatchupLegacyBaseline wires the A/B baseline end to end: with
-// Config.LegacyStateTransfer set, a deferred replica catches up through the
-// single-donor protocol and converges to identical state.
-func TestClusterCatchupLegacyBaseline(t *testing.T) {
-	const blocks, snapAt = 120, 100
-	c, _ := catchupCluster(t, blocks, snapAt, func(cfg *ClusterConfig) {
-		cfg.LegacyStateTransfer = true
-	})
-	if err := c.StartDeferred(4, nil); err != nil {
-		t.Fatalf("start deferred: %v", err)
-	}
-	n4 := c.Nodes[4].Node
-	syncUntil(t, n4, []int32{0, 1, 2, 3}, blocks, 60*time.Second)
-
-	st := n4.Stats().Catchup
-	if st.Installs < 1 {
-		t.Fatalf("legacy path never installed a snapshot: %+v", st)
-	}
-	if got, want := c.Nodes[4].App.Snapshot(), c.Nodes[0].App.Snapshot(); !bytes.Equal(got, want) {
-		t.Fatalf("legacy-synced application state diverges (%d vs %d bytes)", len(got), len(want))
-	}
-}
-
 // TestClusterCatchupMultiDonorSpread: with healthy donors the pool must
 // actually spread accepted payloads across multiple peers — the whole point
 // of collaborative transfer.
@@ -233,5 +210,51 @@ func TestClusterCatchupMultiDonorSpread(t *testing.T) {
 	}
 	if got, want := c.Nodes[4].App.Snapshot(), c.Nodes[0].App.Snapshot(); !bytes.Equal(got, want) {
 		t.Fatalf("synced application state diverges (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestRetiredStateTransferFramesDropped: frames of the retired single-donor
+// state-transfer types (220 request, 221 reply; the numbers stay reserved)
+// reach a running replica from a client and from a fellow member. They
+// must be dropped: no reply, no catch-up activity, no state change, and
+// ordering carries on.
+func TestRetiredStateTransferFramesDropped(t *testing.T) {
+	c, minter := testCluster(t, 4, nil)
+	p := registeredClient(t, c, minter)
+	mint(t, p, 1, 100)
+	if err := c.WaitHeight(1, 5*time.Second); err != nil {
+		t.Fatalf("height: %v", err)
+	}
+	before := c.Nodes[0].Node.Stats()
+
+	oldReq := make([]byte, 8) // the retired request body: HaveBlock int64
+	outsider := c.ClientEndpoint()
+	defer outsider.Close()
+	if err := c.Crash(3); err != nil { // free replica 3's address (f = 1 allows it)
+		t.Fatalf("crash: %v", err)
+	}
+	member := c.Net.Endpoint(3) // speaks to replica 0 as its peer 3
+	defer member.Close()
+	for _, typ := range []uint16{220, 221} {
+		for _, payload := range [][]byte{oldReq, nil, bytes.Repeat([]byte{0xff}, 64)} {
+			if err := outsider.Send(0, typ, payload); err != nil {
+				t.Fatalf("send type %d: %v", typ, err)
+			}
+			if err := member.Send(0, typ, payload); err != nil {
+				t.Fatalf("send type %d as member: %v", typ, err)
+			}
+		}
+	}
+	select {
+	case m := <-outsider.Receive():
+		t.Fatalf("replica answered a retired frame with type %d", m.Type)
+	case <-time.After(300 * time.Millisecond):
+	}
+
+	mint(t, p, 2, 50) // the dispatch loop survived and ordering carries on
+	after := c.Nodes[0].Node.Stats()
+	if after.StateTransfers != before.StateTransfers || after.Catchup != before.Catchup ||
+		after.ViewChanges != before.ViewChanges || after.EpochChanges != before.EpochChanges {
+		t.Fatalf("retired frames changed replica state: before %+v after %+v", before, after)
 	}
 }

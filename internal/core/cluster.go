@@ -31,9 +31,6 @@ type ClusterConfig struct {
 	Pipeline    bool
 	// PipelineDepth is the consensus ordering window W (0 = default).
 	PipelineDepth int
-	// SequentialSync reverts leader replacement to one synchronization
-	// phase per open slot (A/B baseline for the regency-wide epoch change).
-	SequentialSync bool
 	// SessionGCBlocks is the per-client executed-record GC horizon in
 	// blocks (0 disables), identical on every replica.
 	SessionGCBlocks int64
@@ -71,13 +68,9 @@ type ClusterConfig struct {
 	ChainID string
 	// Policy admits join candidates (nil = admit all).
 	Policy reconfig.Policy
-	// LegacyStateTransfer selects the single-donor baseline on every node.
-	LegacyStateTransfer bool
-	// CatchupInFlightPerPeer / CatchupChunkBytes / CatchupPeerTimeout mirror
-	// Config (0 = defaults).
-	CatchupInFlightPerPeer int
-	CatchupChunkBytes      int
-	CatchupPeerTimeout     time.Duration
+	// CatchupChunkBytes / CatchupPeerTimeout mirror Config (0 = defaults).
+	CatchupChunkBytes  int
+	CatchupPeerTimeout time.Duration
 	// Prime fabricates a pre-committed chain and installs it into every
 	// non-deferred replica's storage before start, so catch-up scenarios
 	// measure transfer, not the time to order thousands of live blocks.
@@ -102,9 +95,6 @@ type ClusterConfig struct {
 	// TCPOptions tunes every TCPNetwork the fabric creates (queue depth,
 	// backpressure policy, TLS, backoff).
 	TCPOptions []transport.TCPOption
-	// VerifyWorkers sizes each replica's signature-verification pool
-	// (Config.VerifyWorkers; 0 = GOMAXPROCS).
-	VerifyWorkers int
 }
 
 // ChainSpec describes a fabricated pre-committed chain: Blocks application
@@ -424,34 +414,30 @@ func (c *Cluster) startNode(cn *ClusterNode, initialKey *crypto.KeyPair, syncPee
 		ep = c.cfg.WrapEndpoint(cn.ID, ep)
 	}
 	node, err := NewNode(Config{
-		Self:                   cn.ID,
-		Genesis:                c.Genesis,
-		Permanent:              cn.Permanent,
-		InitialConsensusKey:    initialKey,
-		Transport:              ep,
-		Log:                    cn.Log,
-		Snapshots:              cn.Snapshots,
-		KeyFile:                cn.KeyFile,
-		App:                    cn.App,
-		Policy:                 c.cfg.Policy,
-		Persistence:            c.cfg.Persistence,
-		Storage:                c.cfg.Storage,
-		Verify:                 c.cfg.Verify,
-		Pipeline:               c.cfg.Pipeline,
-		PipelineDepth:          c.cfg.PipelineDepth,
-		SequentialSync:         c.cfg.SequentialSync,
-		SessionGCBlocks:        c.cfg.SessionGCBlocks,
-		ExecWorkers:            execWorkers,
-		VerifyWorkers:          c.cfg.VerifyWorkers,
-		ReadParkTimeout:        c.cfg.ReadParkTimeout,
-		ReadParkLimit:          c.cfg.ReadParkLimit,
-		MaxBatch:               c.cfg.MaxBatch,
-		ConsensusTimeout:       c.cfg.ConsensusTimeout,
-		SyncPeers:              syncPeers,
-		LegacyStateTransfer:    c.cfg.LegacyStateTransfer,
-		CatchupInFlightPerPeer: c.cfg.CatchupInFlightPerPeer,
-		CatchupChunkBytes:      c.cfg.CatchupChunkBytes,
-		CatchupPeerTimeout:     c.cfg.CatchupPeerTimeout,
+		Self:                cn.ID,
+		Genesis:             c.Genesis,
+		Permanent:           cn.Permanent,
+		InitialConsensusKey: initialKey,
+		Transport:           ep,
+		Log:                 cn.Log,
+		Snapshots:           cn.Snapshots,
+		KeyFile:             cn.KeyFile,
+		App:                 cn.App,
+		Policy:              c.cfg.Policy,
+		Persistence:         c.cfg.Persistence,
+		Storage:             c.cfg.Storage,
+		Verify:              c.cfg.Verify,
+		Pipeline:            c.cfg.Pipeline,
+		PipelineDepth:       c.cfg.PipelineDepth,
+		SessionGCBlocks:     c.cfg.SessionGCBlocks,
+		ExecWorkers:         execWorkers,
+		ReadParkTimeout:     c.cfg.ReadParkTimeout,
+		ReadParkLimit:       c.cfg.ReadParkLimit,
+		MaxBatch:            c.cfg.MaxBatch,
+		ConsensusTimeout:    c.cfg.ConsensusTimeout,
+		SyncPeers:           syncPeers,
+		CatchupChunkBytes:   c.cfg.CatchupChunkBytes,
+		CatchupPeerTimeout:  c.cfg.CatchupPeerTimeout,
 	})
 	if err != nil {
 		return err
@@ -475,23 +461,33 @@ func (c *Cluster) Members() []int32 {
 	return nil
 }
 
-// Leader reports the consensus leader as seen by the lowest-id live
-// replica, or -1 when none is running.
+// Leader reports the consensus leader as seen by the most advanced live
+// replica — highest view, then highest regency, then lowest id — or -1
+// when none is running. A replica cut off before an epoch change (often
+// the deposed leader itself) still reports the old regency, so asking any
+// fixed replica can name a leader the rest of the view already replaced.
 func (c *Cluster) Leader() int32 {
-	best := int32(-1)
-	var bestNode *ClusterNode
+	var (
+		bestNode            *Node
+		bestID              int32
+		bestView, bestEpoch int64
+	)
 	for id, cn := range c.Nodes {
 		if cn.crashed || cn.Node == nil || cn.Node.Retired() {
 			continue
 		}
-		if bestNode == nil || id < best {
-			best, bestNode = id, cn
+		v, r := cn.Node.View().ID, cn.Node.Regency()
+		if r < 0 {
+			continue // no engine right now (mid-reconfiguration)
+		}
+		if bestNode == nil || v > bestView || (v == bestView && (r > bestEpoch || (r == bestEpoch && id < bestID))) {
+			bestNode, bestID, bestView, bestEpoch = cn.Node, id, v, r
 		}
 	}
 	if bestNode == nil {
 		return -1
 	}
-	return bestNode.Node.Leader()
+	return bestNode.Leader()
 }
 
 // Crash stops replica id abruptly: the process dies, unsynced storage is

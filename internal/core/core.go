@@ -27,13 +27,12 @@ import (
 // Core-layer transport message types (consensus owns 100–119). The
 // request/reply pair is the client⇄replica wire contract and is defined
 // once, in the smr package; the aliases keep core's message-type namespace
-// complete in one place.
+// complete in one place. 220 and 221 carried the retired single-donor state
+// transfer and stay reserved.
 const (
 	MsgRequest              = smr.MsgRequest // client → replicas: encoded smr.Request
 	MsgReply                = smr.MsgReply   // replica → client: encoded smr.Reply
 	MsgPersist       uint16 = 210            // PERSIST phase signature share
-	MsgStateReq      uint16 = 220            // legacy state transfer request
-	MsgStateRep      uint16 = 221            // legacy state transfer response
 	MsgEnvelopeReq   uint16 = 222            // catch-up: snapshot envelope + tip query
 	MsgEnvelopeRep   uint16 = 223            // catch-up: encoded catchup.Envelope
 	MsgChunkReq      uint16 = 224            // catch-up: one snapshot chunk by (height, index)
@@ -145,44 +144,6 @@ type ParallelApplication interface {
 	SetExecWorkers(workers int)
 }
 
-// LegacyApplication is the pre-BatchContext service contract. Existing
-// applications written against it keep working through AdaptApplication.
-type LegacyApplication interface {
-	ExecuteBatch(reqs []smr.Request) [][]byte
-	Snapshot() []byte
-	Restore(snapshot []byte) error
-	VerifyOp(req *smr.Request) bool
-}
-
-// AdaptApplication wraps a LegacyApplication as an Application, discarding
-// the BatchContext. If the legacy service also implements
-// UnorderedApplication, the capability is preserved.
-func AdaptApplication(app LegacyApplication) Application {
-	base := legacyAdapter{app: app}
-	if u, ok := app.(UnorderedApplication); ok {
-		return &legacyUnorderedAdapter{legacyAdapter: base, unordered: u}
-	}
-	return &base
-}
-
-type legacyAdapter struct{ app LegacyApplication }
-
-func (a *legacyAdapter) ExecuteBatch(_ smr.BatchContext, reqs []smr.Request) [][]byte {
-	return a.app.ExecuteBatch(reqs)
-}
-func (a *legacyAdapter) Snapshot() []byte               { return a.app.Snapshot() }
-func (a *legacyAdapter) Restore(snapshot []byte) error  { return a.app.Restore(snapshot) }
-func (a *legacyAdapter) VerifyOp(req *smr.Request) bool { return a.app.VerifyOp(req) }
-
-type legacyUnorderedAdapter struct {
-	legacyAdapter
-	unordered UnorderedApplication
-}
-
-func (a *legacyUnorderedAdapter) ExecuteUnordered(req smr.Request) []byte {
-	return a.unordered.ExecuteUnordered(req)
-}
-
 // Config parameterizes a node.
 type Config struct {
 	// Self is this replica's process ID.
@@ -223,12 +184,6 @@ type Config struct {
 	// strictly sequential ordering. Pipeline=false (the naive baseline)
 	// forces W=1 so the baseline keeps its fully serial semantics.
 	PipelineDepth int
-	// SequentialSync reverts leader replacement to one synchronization
-	// phase per open window slot (the pre-epoch-change behavior, W
-	// sequential STOP campaigns after a leader failure). Default false:
-	// a single regency-wide epoch change re-proposes the whole window in
-	// one round. Kept for A/B measurement (benchrunner -exp failover).
-	SequentialSync bool
 	// SessionGCBlocks is the per-client session GC horizon, in blocks: a
 	// client whose executed-sequence record has not been touched for this
 	// many committed blocks is evicted from the batcher's dedupe state
@@ -247,18 +202,10 @@ type Config struct {
 	// ParallelApplication. 0 or 1 keeps the exact legacy sequential
 	// execution path (the A/B baseline and the bisection anchor).
 	ExecWorkers int
-	// VerifyWorkers sizes the signature-verification worker pools: the
-	// request VerifierPool and the consensus vote pre-verification pool
-	// that takes WRITE/ACCEPT signature checks off the engine's event loop.
-	// 0 defaults to GOMAXPROCS (sequential Verify mode still pins the
-	// request pool to one worker).
-	VerifyWorkers int
 	// MaxBatch caps requests per block; 0 uses the genesis value.
 	MaxBatch int
 	// ConsensusTimeout is the leader-progress timeout.
 	ConsensusTimeout time.Duration
-	// KeyGen generates fresh consensus keys on view changes (nil = random).
-	KeyGen func() (*crypto.KeyPair, error)
 	// KeyFile persists this replica's current consensus private key across
 	// recoverable crashes. It must be local-only storage, never shared.
 	KeyFile storage.SnapshotStore
@@ -266,13 +213,6 @@ type Config struct {
 	// against these peers before ordering begins (recovering replicas and
 	// join candidates catching up).
 	SyncPeers []int32
-	// LegacyStateTransfer selects the original single-donor state transfer
-	// (one peer ships snapshot + tail in one message) instead of the
-	// collaborative multi-peer pool. Kept as the A/B baseline.
-	LegacyStateTransfer bool
-	// CatchupInFlightPerPeer caps outstanding catch-up requests per donor
-	// (0 = catchup default, 4).
-	CatchupInFlightPerPeer int
 	// CatchupChunkBytes is the snapshot chunk size for checkpoints taken by
 	// this node (0 = storage.DefaultChunkBytes). All replicas must agree, or
 	// their envelopes fingerprint differently and chunks do not compose.
@@ -308,9 +248,9 @@ type Node struct {
 	// (guarded by mu).
 	joinVotes func(reconfig.Vote)
 
-	// source is the pluggable catch-up protocol (immutable after NewNode);
-	// catchupCh queues donor-side work off the dispatch goroutine.
-	source    catchup.Source
+	// source is the catch-up protocol (immutable after NewNode); catchupCh
+	// queues donor-side work off the dispatch goroutine.
+	source    *catchup.Pool
 	catchupCh chan transport.Message
 
 	decisions chan engineDecision // forwarded from the live engine
@@ -430,22 +370,17 @@ func NewNode(cfg Config) (*Node, error) {
 		removeTracker: reconfig.NewRemoveTracker(),
 		ledger:        blockchain.NewLedger(cfg.Genesis),
 		batcher:       smr.NewBatcher(cfg.MaxBatch),
-		verifier:      smr.NewVerifierPool(cfg.Verify, cfg.VerifyWorkers),
-		votePool:      crypto.NewVerifyPool(cfg.VerifyWorkers, 0),
+		// 0 workers = GOMAXPROCS (VerifySequential still pins the request
+		// pool to one).
+		verifier:      smr.NewVerifierPool(cfg.Verify, 0),
+		votePool:      crypto.NewVerifyPool(0, 0),
+		source:        catchup.NewPool(catchup.Config{PeerTimeout: cfg.CatchupPeerTimeout}),
 		decisions:     make(chan engineDecision, decisionChanCap(depth)),
 		pipelineDepth: depth,
 		stop:          make(chan struct{}),
 		done:          make(chan struct{}),
 		recvDone:      make(chan struct{}),
 		catchupCh:     make(chan transport.Message, 64),
-	}
-	if cfg.LegacyStateTransfer {
-		n.source = catchup.NewLegacy()
-	} else {
-		n.source = catchup.NewPool(catchup.Config{
-			InFlightPerPeer: cfg.CatchupInFlightPerPeer,
-			PeerTimeout:     cfg.CatchupPeerTimeout,
-		})
 	}
 	n.nextInstance.Store(1)
 	if pa, ok := cfg.App.(ParallelApplication); ok {
@@ -456,7 +391,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.replies = newReplyCache()
 	n.batcher.SetSessionGC(cfg.SessionGCBlocks)
 	n.persist = newPersistCollector(n)
-	n.keys = reconfig.NewKeyStore(cfg.Self, cfg.Permanent, 0, cfg.InitialConsensusKey, cfg.KeyGen)
+	n.keys = reconfig.NewKeyStore(cfg.Self, cfg.Permanent, 0, cfg.InitialConsensusKey, nil)
 	return n, nil
 }
 
@@ -528,8 +463,7 @@ func (n *Node) startEngineLocked() {
 		// drain, state transfer). A new leader elected mid-instance
 		// proposes the empty filler value instead; the pending work goes
 		// into the next window slots through the driver.
-		HasPending:     func() bool { return n.batcher.Pending() > 0 },
-		SequentialSync: n.cfg.SequentialSync,
+		HasPending: func() bool { return n.batcher.Pending() > 0 },
 		// Epoch changes accumulate across engines (one engine per view) so
 		// the stats survive reconfigurations.
 		OnEpochChange: func(int64) { n.epochChanges.Add(1) },
@@ -629,10 +563,9 @@ type Stats struct {
 	Blocks      int64
 	ViewChanges int64
 	// EpochChanges counts consensus synchronization rounds (regency
-	// installs) across all engines this node has run. With the
-	// regency-wide protocol one leader failure costs exactly one round
-	// regardless of the window depth; the sequential mode pays one per
-	// open slot — the accounting that lets tests prove the difference.
+	// installs) across all engines this node has run. One leader failure
+	// costs exactly one round regardless of the window depth — the
+	// accounting that lets tests prove it.
 	EpochChanges int64
 	Height       int64
 	// UnorderedReads counts read-only requests served from local state.
@@ -650,7 +583,7 @@ type Stats struct {
 	// non-contributor to every reply quorum — this counter is what makes
 	// that failure observable instead of invisible.
 	TagSignFailures int64
-	// Catchup reports what the state-transfer Source did: chunks and ranges
+	// Catchup reports what the state-transfer pool did: chunks and ranges
 	// fetched, donors used and banned, work reassigned, bytes moved.
 	Catchup catchup.Stats
 }
@@ -796,8 +729,7 @@ func (n *Node) dispatch(m transport.Message) {
 		n.onViewQuery(m.From)
 	case m.Type == MsgPersist:
 		n.persist.onMessage(m)
-	case m.Type == MsgStateReq || m.Type == MsgEnvelopeReq ||
-		m.Type == MsgChunkReq || m.Type == MsgBlockRangeReq:
+	case m.Type == MsgEnvelopeReq || m.Type == MsgChunkReq || m.Type == MsgBlockRangeReq:
 		// Donor-side work: queue it for the catch-up server so a giant
 		// snapshot never blocks the dispatch goroutine. Overflow drops the
 		// request; the requester times out and reassigns the work.
@@ -805,8 +737,7 @@ func (n *Node) dispatch(m transport.Message) {
 		case n.catchupCh <- m:
 		default:
 		}
-	case m.Type == MsgStateRep || m.Type == MsgEnvelopeRep ||
-		m.Type == MsgChunkRep || m.Type == MsgBlockRangeRep:
+	case m.Type == MsgEnvelopeRep || m.Type == MsgChunkRep || m.Type == MsgBlockRangeRep:
 		n.onCatchupReply(m)
 	case m.Type == MsgJoinAsk:
 		n.onJoinAsk(m)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -427,6 +428,25 @@ func TestClusterRejectsForgedClientRequests(t *testing.T) {
 		svc := cn.App.(*coin.Service)
 		if got := svc.State().TotalSupply(); got != 10 {
 			t.Fatalf("supply: %d (forged mint executed?)", got)
+		}
+	}
+}
+
+// TestConfigFieldBudget pins the number of independently settable knobs.
+// Every field doubles the configurations tests and benchmarks must cover,
+// so the count may shrink freely but never grow silently.
+func TestConfigFieldBudget(t *testing.T) {
+	for _, c := range []struct {
+		typ    reflect.Type
+		budget int
+	}{
+		{reflect.TypeOf(Config{}), 24},
+		{reflect.TypeOf(ClusterConfig{}), 28},
+	} {
+		if n := c.typ.NumField(); n > c.budget {
+			t.Errorf("%s has %d fields, budget %d: justify the new field in DESIGN.md \"Knobs\" "+
+				"(which two existing callers need different values?) and raise the budget in the same change",
+				c.typ.Name(), n, c.budget)
 		}
 	}
 }

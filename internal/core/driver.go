@@ -206,6 +206,16 @@ func (n *Node) runWindow(eng *consensus.Engine) {
 			}
 		}
 
+		// Offer work to slots opened empty BEFORE opening new ones: covers
+		// batches that arrived since the slot opened and leadership
+		// acquired mid-window (after a synchronization phase the new leader
+		// proposes filler for the contested instance; the real work flows
+		// here). Lowest slot first is load-bearing: commits are in instance
+		// order, so a batch handed to a freshly opened slot while lower
+		// slots sit empty could not commit until those decide — and with
+		// every client blocked on that batch nothing would ever fill them
+		// short of a progress timeout.
+		n.fillSlots(eng, win)
 		// Open slots up to the window. The leader proposes a batch per
 		// slot as long as it has requests; slots opened empty receive a
 		// proposal later (fillSlots) when work arrives. If we are wrong
@@ -226,11 +236,6 @@ func (n *Node) runWindow(eng *consensus.Engine) {
 			}
 			nextStart++
 		}
-		// Offer work to slots opened empty: covers batches that arrived
-		// since the slot opened and leadership acquired mid-window (after
-		// a synchronization phase the new leader proposes filler for the
-		// contested instance; the real work flows here).
-		n.fillSlots(eng, win)
 
 		select {
 		case <-n.stop:

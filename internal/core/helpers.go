@@ -15,6 +15,6 @@ func viewFromUpdate(u *blockchain.ViewUpdate, keys map[int32]crypto.PublicKey) v
 
 // newRecoveredKeyStore rebuilds a key store around a consensus key loaded
 // from local storage after a recoverable crash.
-func newRecoveredKeyStore(self int32, permanent *crypto.KeyPair, viewID int64, key *crypto.KeyPair, gen func() (*crypto.KeyPair, error)) *reconfig.KeyStore {
-	return reconfig.NewKeyStore(self, permanent, viewID, key, gen)
+func newRecoveredKeyStore(self int32, permanent *crypto.KeyPair, viewID int64, key *crypto.KeyPair) *reconfig.KeyStore {
+	return reconfig.NewKeyStore(self, permanent, viewID, key, nil)
 }

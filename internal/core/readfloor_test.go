@@ -41,10 +41,18 @@ func (r *rawReadClient) send(t *testing.T, to int32, floor int64, addr crypto.Pu
 	return req
 }
 
-// await returns the next reply matching the request digest, or ok=false
-// after the timeout.
-func (r *rawReadClient) await(t *testing.T, req smr.Request, timeout time.Duration) (smr.Reply, bool) {
+// await returns the next reply matching one of the requests' digests, or
+// ok=false after the timeout.
+func (r *rawReadClient) await(t *testing.T, timeout time.Duration, reqs ...smr.Request) (smr.Reply, bool) {
 	t.Helper()
+	wanted := func(rep smr.Reply) bool {
+		for i := range reqs {
+			if rep.Digest == reqs[i].Digest() {
+				return true
+			}
+		}
+		return false
+	}
 	deadline := time.After(timeout)
 	for {
 		select {
@@ -56,7 +64,7 @@ func (r *rawReadClient) await(t *testing.T, req smr.Request, timeout time.Durati
 				continue
 			}
 			rep, err := smr.DecodeReply(m.Payload)
-			if err != nil || rep.Digest != req.Digest() {
+			if err != nil || !wanted(rep) {
 				continue
 			}
 			return rep, true
@@ -85,14 +93,14 @@ func TestReadFloorParksUntilCommit(t *testing.T) {
 
 	raw := newRawReadClient(t, c)
 	req := raw.send(t, 0, h+1, minter.Public())
-	if rep, ok := raw.await(t, req, 400*time.Millisecond); ok {
+	if rep, ok := raw.await(t, 400*time.Millisecond, req); ok {
 		t.Fatalf("read at floor %d answered while replica is at height %d: %+v", h+1, h, rep)
 	}
 
 	// The next write advances the height past the floor: the parked read
 	// must now be served, and from the NEW state (both mints visible).
 	mint(t, p, 2, 50)
-	rep, ok := raw.await(t, req, 5*time.Second)
+	rep, ok := raw.await(t, 5*time.Second, req)
 	if !ok {
 		t.Fatal("parked read never served after commit reached the floor")
 	}
@@ -125,7 +133,7 @@ func TestReadFloorParkTimeoutAnswersBehind(t *testing.T) {
 
 	raw := newRawReadClient(t, c)
 	req := raw.send(t, 0, 1_000_000, minter.Public())
-	rep, ok := raw.await(t, req, 5*time.Second)
+	rep, ok := raw.await(t, 5*time.Second, req)
 	if !ok {
 		t.Fatal("no reply to an unserveable floor")
 	}
@@ -153,14 +161,18 @@ func TestReadFloorParkOverflowAnswersBehind(t *testing.T) {
 	r1 := raw.send(t, 0, 1_000_000, minter.Public())
 	r2 := raw.send(t, 0, 1_000_000, minter.Public())
 	r3 := raw.send(t, 0, 1_000_000, minter.Public())
-	// The first two park (no reply); the third overflows and answers
-	// behind promptly.
-	rep, ok := raw.await(t, r3, 2*time.Second)
+	// Requests are verified asynchronously, so WHICH read finds the queue
+	// full is not send order. The protocol fact: two park (no reply) and
+	// exactly one overflows and is answered behind promptly.
+	rep, ok := raw.await(t, 2*time.Second, r1, r2, r3)
 	if !ok || rep.Flags&smr.ReplyFlagBehind == 0 {
 		t.Fatalf("overflowing read not answered behind: ok=%v rep=%+v", ok, rep)
 	}
-	if rep.Digest == r1.Digest() || rep.Digest == r2.Digest() {
-		t.Fatal("wrong read answered")
+	if len(rep.Result) != 0 {
+		t.Fatalf("behind reply carries a result: %q", rep.Result)
+	}
+	if extra, ok := raw.await(t, 400*time.Millisecond, r1, r2, r3); ok {
+		t.Fatalf("a second read was answered while the park queue holds two: %+v", extra)
 	}
 }
 
@@ -175,22 +187,32 @@ func TestUnorderedReadYourWrites(t *testing.T) {
 	ctx := context.Background()
 
 	for round := uint64(1); round <= 5; round++ {
-		mint(t, p, round, 10)
-		if p.ReadFloor() == 0 {
-			t.Fatal("proxy learned no read floor from the write's reply tags")
-		}
 		instances := make(map[int32]int64)
 		for id, cn := range c.Nodes {
 			instances[id] = cn.Node.Stats().Instances
+		}
+		mint(t, p, round, 10)
+		if p.ReadFloor() == 0 {
+			t.Fatal("proxy learned no read floor from the write's reply tags")
 		}
 		// Immediately read back: the floor forces every counted reply to a
 		// state that includes the write just acknowledged.
 		if bal := balanceOf(t, ctx, p, minter.Public()); bal != 10*round {
 			t.Fatalf("read-your-writes violated: balance %d after %d writes of 10", bal, round)
 		}
+		// The write costs each replica exactly one instance — the slowest
+		// may still be committing it when the write's reply quorum forms —
+		// and the read none: an ordered fallback would have been committed
+		// by a quorum before the read returned.
 		for id, cn := range c.Nodes {
-			if got := cn.Node.Stats().Instances; got != instances[id] {
-				t.Fatalf("replica %d consumed %d instances for a session read", id, got-instances[id])
+			want := instances[id] + 1
+			deadline := time.Now().Add(5 * time.Second)
+			for cn.Node.Stats().Instances < want && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := cn.Node.Stats().Instances; got != want {
+				t.Fatalf("replica %d consumed %d instances for one write and one session read, want 1",
+					id, got-instances[id])
 			}
 		}
 	}

@@ -238,7 +238,7 @@ func (n *Node) persistConsensusKey() {
 	e := codec.NewEncoder(80)
 	e.Int64(viewID)
 	e.WriteBytes(priv)
-	_ = storage.SaveBlob(n.cfg.KeyFile, viewID, e.Bytes()) //smartlint:allow errdrop best-effort key cache; the key is re-certified after restart
+	_ = storage.SaveSnapshot(n.cfg.KeyFile, viewID, nil, e.Bytes(), 0) //smartlint:allow errdrop best-effort key cache; the key is re-certified after restart
 }
 
 // loadConsensusKey restores a persisted consensus key, replacing the key
@@ -247,7 +247,7 @@ func (n *Node) loadConsensusKey() {
 	if n.cfg.KeyFile == nil {
 		return
 	}
-	_, data, err := storage.LoadBlob(n.cfg.KeyFile)
+	_, _, data, err := storage.LoadSnapshot(n.cfg.KeyFile)
 	if err != nil {
 		return
 	}
@@ -261,13 +261,13 @@ func (n *Node) loadConsensusKey() {
 	if err != nil {
 		return
 	}
-	n.keys = newRecoveredKeyStore(n.cfg.Self, n.cfg.Permanent, viewID, kp, n.cfg.KeyGen)
+	n.keys = newRecoveredKeyStore(n.cfg.Self, n.cfg.Permanent, viewID, kp)
 }
 
 // ---------------------------------------------------------------------------
 // Donor side: serving catch-up requests.
 //
-// All four request kinds are answered off the dispatch goroutine by the
+// All three request kinds are answered off the dispatch goroutine by the
 // catchupServer loop, so a donor streaming a multi-megabyte snapshot never
 // head-of-line-blocks consensus messages behind it.
 // ---------------------------------------------------------------------------
@@ -280,8 +280,6 @@ func (n *Node) catchupServer() {
 			return
 		case m := <-n.catchupCh:
 			switch m.Type {
-			case MsgStateReq:
-				n.serveLegacyState(m)
 			case MsgEnvelopeReq:
 				n.serveEnvelope(m)
 			case MsgChunkReq:
@@ -293,16 +291,10 @@ func (n *Node) catchupServer() {
 	}
 }
 
-// donorSnapshot loads this replica's stored checkpoint (metadata plus the
-// digest-verified assembled state), or a synthetic genesis-level envelope
-// when no checkpoint was taken yet (receiver replays from block 1; empty
-// state means "start from the initial application state").
-func (n *Node) donorSnapshot() (snapshotEnvelope, []byte) {
-	if _, meta, state, err := storage.LoadSnapshot(n.cfg.Snapshots); err == nil {
-		if env, err := decodeSnapshotEnvelope(meta); err == nil {
-			return env, state
-		}
-	}
+// genesisEnvelope is the synthetic genesis-level recovery envelope a donor
+// offers when it holds no usable checkpoint: the receiver replays from
+// block 1 on the initial application state.
+func (n *Node) genesisEnvelope() snapshotEnvelope {
 	gb := blockchain.GenesisBlock(&n.cfg.Genesis)
 	return snapshotEnvelope{
 		Height:       0,
@@ -311,18 +303,7 @@ func (n *Node) donorSnapshot() (snapshotEnvelope, []byte) {
 		LastReconfig: 0,
 		View:         n.cfg.Genesis.InitialView(),
 		PermKeys:     n.cfg.Genesis.PermanentKeys(),
-	}, nil
-}
-
-// serveLegacyState answers a legacy single-donor request with the full
-// snapshot + cached tail in one message (Algorithm 1 lines 55-57).
-func (n *Node) serveLegacyState(m transport.Message) {
-	if _, err := decodeStateReq(m.Payload); err != nil {
-		return
 	}
-	env, state := n.donorSnapshot()
-	rep := stateRep{Snapshot: env, State: state, Blocks: n.ledger.CachedBlocks()}
-	_ = n.cfg.Transport.Send(m.From, MsgStateRep, rep.encode()) //smartlint:allow errdrop donor reply; the requester re-requests on timeout
 }
 
 // serveEnvelope answers with this donor's snapshot envelope and chain tip —
@@ -335,7 +316,7 @@ func (n *Node) serveEnvelope(m transport.Message) {
 		}
 	}
 	if env.Snap.Meta == nil {
-		me, _ := n.donorSnapshot() // genesis-level synthetic envelope
+		me := n.genesisEnvelope()
 		cb := n.cfg.CatchupChunkBytes
 		if cb <= 0 {
 			cb = storage.DefaultChunkBytes
@@ -386,20 +367,10 @@ func (n *Node) serveRange(m transport.Message) {
 	_ = n.cfg.Transport.Send(m.From, MsgBlockRangeRep, rep.encode()) //smartlint:allow errdrop donor reply; the requester re-requests on timeout
 }
 
-// onCatchupReply decodes a donor reply and routes it to the active Source.
+// onCatchupReply decodes a donor reply and routes it to the catch-up pool.
 // Runs on the dispatch goroutine; Deliver never blocks.
 func (n *Node) onCatchupReply(m transport.Message) {
 	switch m.Type {
-	case MsgStateRep:
-		rep, err := decodeStateRep(m.Payload)
-		if err != nil {
-			return
-		}
-		env := legacyEnvelope(&rep, n.cfg.CatchupChunkBytes)
-		n.source.Deliver(catchup.Response{
-			Peer: m.From, Kind: catchup.KindLegacy,
-			Envelope: env, State: rep.State, Blocks: rep.Blocks,
-		})
 	case MsgEnvelopeRep:
 		env, err := catchup.DecodeEnvelope(m.Payload)
 		if err != nil {
@@ -427,27 +398,6 @@ func (n *Node) onCatchupReply(m transport.Message) {
 	}
 }
 
-// legacyEnvelope reconstructs a catchup.Envelope from a monolithic legacy
-// offer. The chunk digests are computed locally over the received state, so
-// the envelope fingerprint commits to metadata AND state bytes — exactly
-// what the legacy f+1 agreement must cover.
-func legacyEnvelope(rep *stateRep, chunkBytes int) *catchup.Envelope {
-	if chunkBytes <= 0 {
-		chunkBytes = storage.DefaultChunkBytes
-	}
-	snap := storage.BuildEnvelope(rep.Snapshot.Height, rep.Snapshot.encode(), rep.State, chunkBytes)
-	env := &catchup.Envelope{
-		Height:    rep.Snapshot.Height,
-		BlockHash: rep.Snapshot.BlockHash,
-		Snap:      snap,
-		Tip:       rep.Snapshot.Height,
-	}
-	if nb := len(rep.Blocks); nb > 0 {
-		env.Tip = rep.Blocks[nb-1].Header.Number
-	}
-	return env
-}
-
 // ---------------------------------------------------------------------------
 // Receiver side: the catchup.Fetcher mechanism.
 // ---------------------------------------------------------------------------
@@ -471,11 +421,6 @@ func (f nodeFetcher) RequestChunk(peer int32, height int64, index int) error {
 func (f nodeFetcher) RequestRange(peer int32, from, to int64) error {
 	req := rangeReq{From: from, To: to}
 	return f.n.cfg.Transport.Send(peer, MsgBlockRangeReq, req.encode())
-}
-
-func (f nodeFetcher) RequestLegacy(peer int32, have int64) error {
-	req := stateReq{HaveBlock: have}
-	return f.n.cfg.Transport.Send(peer, MsgStateReq, req.encode())
 }
 
 // fetchedMeta decodes and cross-checks the core metadata embedded in a
@@ -603,9 +548,8 @@ func (f nodeFetcher) ReplayBlocks(blocks []blockchain.Block) error {
 
 var _ catchup.Fetcher = nodeFetcher{}
 
-// SyncFromPeers runs one catch-up round through the configured Source (the
-// collaborative pool, or the legacy single-donor protocol when
-// Config.LegacyStateTransfer is set). syncMu excludes the driver's commit
+// SyncFromPeers runs one catch-up round through the collaborative pool.
+// syncMu excludes the driver's commit
 // loop for the whole round: replayed blocks and the commit floor must move
 // together, or a decision committing concurrently could rewind the floor
 // and re-execute replayed batches.

@@ -9,7 +9,6 @@ import (
 
 	"smartchain/internal/coin"
 	"smartchain/internal/crypto"
-	"smartchain/internal/smr"
 )
 
 // balanceOf runs one unordered balance query through the proxy.
@@ -152,66 +151,5 @@ func TestConcurrentOrderedInvokesOneProxy(t *testing.T) {
 	defer cancel()
 	if bal := balanceOf(t, rctx, p, minter.Public()); bal != inflight*10 {
 		t.Fatalf("balance: got %d want %d", bal, inflight*10)
-	}
-}
-
-// legacyCoinApp exposes coin.Service through the PRE-BatchContext contract,
-// standing in for an application written against the old API.
-type legacyCoinApp struct{ *coin.Service }
-
-func (l legacyCoinApp) ExecuteBatch(reqs []smr.Request) [][]byte {
-	return l.Service.ExecuteBatch(smr.BatchContext{}, reqs)
-}
-
-// TestLegacyAdapterEquivalence: a legacy application wrapped with
-// AdaptApplication behaves identically — ordered mint and spend, snapshot
-// determinism across replicas, and (because coin.Service implements the
-// capability) unordered reads still work through the adapter.
-func TestLegacyAdapterEquivalence(t *testing.T) {
-	minter := crypto.SeededKeyPair("legacy-minter", 0)
-	c, _ := testCluster(t, 4, func(cfg *ClusterConfig) {
-		cfg.AppFactory = func() Application {
-			return AdaptApplication(legacyCoinApp{coin.NewService([]crypto.PublicKey{minter.Public()})})
-		}
-		cfg.Minters = []crypto.PublicKey{minter.Public()}
-	})
-	p := registeredClient(t, c, minter)
-	defer p.Close()
-	ctx := context.Background()
-
-	coins := mint(t, p, 1, 100)
-	alice := crypto.SeededKeyPair("legacy-alice", 1)
-	spend, err := coin.NewSpend(minter, 2, coins, []coin.Output{{Owner: alice.Public(), Value: 100}})
-	if err != nil {
-		t.Fatalf("spend tx: %v", err)
-	}
-	res, err := p.Invoke(ctx, WrapAppOp(spend.Encode()))
-	if err != nil {
-		t.Fatalf("invoke spend: %v", err)
-	}
-	if code, _, err := coin.ParseResult(res); err != nil || code != coin.ResultOK {
-		t.Fatalf("spend via adapter: code=%d err=%v", code, err)
-	}
-
-	rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if bal := balanceOf(t, rctx, p, alice.Public()); bal != 100 {
-		t.Fatalf("alice balance via adapter: got %d want 100", bal)
-	}
-
-	// All replicas independently reached the same state.
-	if err := c.WaitHeight(2, 5*time.Second); err != nil {
-		t.Fatalf("height: %v", err)
-	}
-	var snap []byte
-	for id, cn := range c.Nodes {
-		s := cn.Node.cfg.App.Snapshot()
-		if snap == nil {
-			snap = s
-			continue
-		}
-		if string(s) != string(snap) {
-			t.Fatalf("replica %d snapshot diverges under the adapter", id)
-		}
 	}
 }

@@ -207,75 +207,6 @@ func sortedKeys(m map[int32]crypto.PublicKey) []int32 {
 	return out
 }
 
-// stateReq asks for everything needed to catch up past haveBlock.
-type stateReq struct {
-	HaveBlock int64
-}
-
-func (r *stateReq) encode() []byte {
-	e := codec.NewEncoder(8)
-	e.Int64(r.HaveBlock)
-	return e.Bytes()
-}
-
-func decodeStateReq(data []byte) (stateReq, error) {
-	d := codec.NewDecoder(data)
-	var r stateReq
-	r.HaveBlock = d.Int64()
-	if err := d.Finish(); err != nil {
-		return stateReq{}, fmt.Errorf("decode state req: %w", err)
-	}
-	return r, nil
-}
-
-// stateRep carries a snapshot envelope, the monolithic application state it
-// covers, and the blocks after it (Algorithm 1 lines 55-57: last snapshot +
-// cached transactions). This is the legacy single-donor wire format; the
-// collaborative pool ships the same information as an envelope plus
-// individually fetched chunks and ranges.
-type stateRep struct {
-	Snapshot snapshotEnvelope
-	State    []byte
-	Blocks   []blockchain.Block
-}
-
-func (r *stateRep) encode() []byte {
-	snap := r.Snapshot.encode()
-	e := codec.NewEncoder(64 + len(snap) + len(r.State))
-	e.WriteBytes(snap)
-	e.WriteBytes(r.State)
-	e.Uint32(uint32(len(r.Blocks)))
-	for i := range r.Blocks {
-		e.WriteBytes(r.Blocks[i].Encode())
-	}
-	return e.Bytes()
-}
-
-func decodeStateRep(data []byte) (stateRep, error) {
-	d := codec.NewDecoder(data)
-	snap, err := decodeSnapshotEnvelope(d.ReadBytes())
-	if err != nil {
-		return stateRep{}, err
-	}
-	r := stateRep{Snapshot: snap}
-	r.State = d.ReadBytesCopy()
-	nb := d.Uint32()
-	if d.Err() != nil || nb > 1<<20 {
-		return stateRep{}, fmt.Errorf("decode state rep: bad block count")
-	}
-	for i := uint32(0); i < nb; i++ {
-		b, err := blockchain.DecodeBlock(d.ReadBytes())
-		if err != nil {
-			return stateRep{}, err
-		}
-		r.Blocks = append(r.Blocks, b)
-	}
-	if err := d.Finish(); err != nil {
-		return stateRep{}, fmt.Errorf("decode state rep: %w", err)
-	}
-	return r, nil
-}
-
 // chunkReq asks a donor for one chunk of the snapshot covering Height.
 type chunkReq struct {
 	Height int64

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"smartchain/internal/chaos"
@@ -15,13 +14,11 @@ import (
 )
 
 // CatchupPoint is one time-to-sync measurement: a fresh replica joining a
-// cluster that holds a fabricated pre-committed chain, through either the
-// collaborative multi-peer pool or the legacy single-donor protocol,
-// optionally under fault injection.
+// cluster that holds a fabricated pre-committed chain through the
+// collaborative multi-peer pool, optionally under fault injection.
 type CatchupPoint struct {
 	Label  string
 	Blocks int64
-	Legacy bool
 	// Fault names the injected fault: "", "donor-death" (two of four
 	// donors partitioned mid-transfer), "corrupt-chunk" (one donor serves
 	// chunks failing their digests).
@@ -37,7 +34,6 @@ type CatchupPoint struct {
 	// Diverged reports whether the synced replica's application state
 	// differs from the donors' — must always be false.
 	Diverged bool
-	NumCPU   int
 }
 
 func (p CatchupPoint) String() string {
@@ -49,9 +45,8 @@ func (p CatchupPoint) String() string {
 		p.Label, p.SyncMS, p.MBPerSec, p.PeersUsed, p.ChunksFetched, p.BlocksFetched, p.Redos, p.Banned)
 }
 
-// catchupBandwidth models each donor's uplink. It is the experiment's
-// pivot: a single donor shipping snapshot + tail serializes on its own
-// link, while four donors shipping chunks and ranges in parallel add up.
+// catchupBandwidth models each donor's uplink: one donor serializes on its
+// own link, while four donors shipping chunks and ranges in parallel add up.
 const catchupBandwidth = 16 << 20 // 16 MB/s per process
 
 // catchupSpec fabricates minter-issued MINT traffic. The transactions are
@@ -86,25 +81,24 @@ func catchupSpec(minter *crypto.KeyPair, blocks int64) *core.ChainSpec {
 
 // catchupScenario measures one join: 4 donors with a fabricated chain, a
 // deferred fifth replica that syncs via explicit rounds.
-func catchupScenario(label string, blocks int64, legacy bool, fault string) (CatchupPoint, error) {
-	p := CatchupPoint{Label: label, Blocks: blocks, Legacy: legacy, Fault: fault, NumCPU: runtime.NumCPU()}
+func catchupScenario(label string, blocks int64, fault string) (CatchupPoint, error) {
+	p := CatchupPoint{Label: label, Blocks: blocks, Fault: fault}
 	minter := crypto.SeededKeyPair(label+"/minter", 0)
 	cluster, err := core.NewCluster(core.ClusterConfig{
-		N:                   5,
-		AppFactory:          func() core.Application { return coin.NewService([]crypto.PublicKey{minter.Public()}) },
-		Persistence:         core.PersistenceWeak,
-		Storage:             smr.StorageMemory,
-		Verify:              smr.VerifyNone,
-		Pipeline:            true,
-		MaxBatch:            64,
-		Minters:             []crypto.PublicKey{minter.Public()},
-		ConsensusTimeout:    time.Second,
-		NetBandwidth:        catchupBandwidth,
-		ChainID:             label,
-		LegacyStateTransfer: legacy,
-		Prime:               catchupSpec(minter, blocks),
-		Deferred:            []int32{4},
-		CatchupPeerTimeout:  2 * time.Second,
+		N:                  5,
+		AppFactory:         func() core.Application { return coin.NewService([]crypto.PublicKey{minter.Public()}) },
+		Persistence:        core.PersistenceWeak,
+		Storage:            smr.StorageMemory,
+		Verify:             smr.VerifyNone,
+		Pipeline:           true,
+		MaxBatch:           64,
+		Minters:            []crypto.PublicKey{minter.Public()},
+		ConsensusTimeout:   time.Second,
+		NetBandwidth:       catchupBandwidth,
+		ChainID:            label,
+		Prime:              catchupSpec(minter, blocks),
+		Deferred:           []int32{4},
+		CatchupPeerTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		return p, err
@@ -183,30 +177,37 @@ func catchupScenario(label string, blocks int64, legacy bool, fault string) (Cat
 	return p, nil
 }
 
-// Catchup runs the state-transfer experiment: multi-peer vs legacy A/B on
-// the same fabricated chain, then the two fault scenarios against the
-// multi-peer pool. blocks ≤ 0 selects the paper-scale 10k-block chain.
+// Catchup runs the state-transfer experiment on one fabricated chain: the
+// healthy four-donor join, then the two fault scenarios. blocks ≤ 0
+// selects the paper-scale 10k-block chain. Every scenario must complete
+// (a stall is an error) with the synced replica bit-identical to the
+// donors; the healthy join must spread accepted work over ≥ 2 donors, and
+// a donor serving corrupt chunks must be banned — a violation fails the
+// run, which is what the CI smoke gate keys on.
 func Catchup(blocks int64) ([]CatchupPoint, error) {
 	if blocks <= 0 {
 		blocks = 10_000
 	}
-	scenarios := []struct {
-		label  string
-		legacy bool
-		fault  string
-	}{
-		{"multi-peer/4-donors", false, ""},
-		{"legacy/single-donor", true, ""},
-		{"multi-peer/donor-death", false, "donor-death"},
-		{"multi-peer/corrupt-chunk", false, "corrupt-chunk"},
+	scenarios := []struct{ label, fault string }{
+		{"multi-peer/4-donors", ""},
+		{"multi-peer/donor-death", "donor-death"},
+		{"multi-peer/corrupt-chunk", "corrupt-chunk"},
 	}
 	points := make([]CatchupPoint, 0, len(scenarios))
 	for _, s := range scenarios {
-		pt, err := catchupScenario(s.label, blocks, s.legacy, s.fault)
+		pt, err := catchupScenario(s.label, blocks, s.fault)
 		if err != nil {
 			return points, err
 		}
 		points = append(points, pt)
+		switch {
+		case pt.Diverged:
+			return points, fmt.Errorf("catchup: %s diverged from the donor state", pt.Label)
+		case pt.Fault == "" && pt.PeersUsed < 2:
+			return points, fmt.Errorf("catchup: %s used %d donor(s), want the work spread over ≥ 2", pt.Label, pt.PeersUsed)
+		case pt.Fault == "corrupt-chunk" && pt.Banned < 1:
+			return points, fmt.Errorf("catchup: %s accepted corrupt chunks without banning the donor", pt.Label)
+		}
 	}
 	return points, nil
 }

@@ -4,34 +4,17 @@ import "testing"
 
 // TestFailoverExperiment is the harness-level regression gate for the
 // regency-wide epoch change: the experiment itself errors on decided-
-// instance loss, unbounded recovery, or a wide-vs-sequential regression at
-// the deepest window.
+// instance loss, on more than one synchronization round at the deepest
+// window, or on a recovery slower than 4 progress timeouts.
 func TestFailoverExperiment(t *testing.T) {
 	points, err := Failover(ExpOptions{Depths: []int{1, 8}})
+	for _, p := range points {
+		t.Log(p)
+	}
 	if err != nil {
 		t.Fatalf("failover: %v", err)
 	}
-	if len(points) != 4 {
-		t.Fatalf("expected 4 points, got %d", len(points))
-	}
-	var wide8, seq8 *FailoverPoint
-	for i := range points {
-		t.Log(points[i])
-		if points[i].Depth == 8 {
-			if points[i].Sequential {
-				seq8 = &points[i]
-			} else {
-				wide8 = &points[i]
-			}
-		}
-	}
-	if wide8 == nil || seq8 == nil {
-		t.Fatal("missing W=8 points")
-	}
-	if wide8.SyncRounds != 1 {
-		t.Fatalf("wide W=8 used %d sync rounds, want 1", wide8.SyncRounds)
-	}
-	if seq8.SyncRounds < 4 {
-		t.Fatalf("sequential W=8 used %d sync rounds, expected one per slot", seq8.SyncRounds)
+	if len(points) != 2 {
+		t.Fatalf("expected 2 points, got %d", len(points))
 	}
 }

@@ -248,22 +248,6 @@ func LoadSnapshot(s SnapshotStore) (lastBlock int64, meta, state []byte, err err
 	return env.LastBlock, env.Meta, state, nil
 }
 
-// SaveBlob stores an opaque blob as a single-chunk snapshot. Compatibility
-// shim for callers that used the old monolithic Save (consensus key files).
-func SaveBlob(s SnapshotStore, lastBlock int64, blob []byte) error {
-	cb := len(blob)
-	if cb == 0 {
-		cb = 1
-	}
-	return SaveSnapshot(s, lastBlock, nil, blob, cb)
-}
-
-// LoadBlob reads back a blob stored with SaveBlob.
-func LoadBlob(s SnapshotStore) (int64, []byte, error) {
-	lastBlock, _, blob, err := LoadSnapshot(s)
-	return lastBlock, blob, err
-}
-
 // MemSnapshotStore keeps the snapshot in memory (used with MemLog/SimLog).
 type MemSnapshotStore struct {
 	mu     sync.Mutex

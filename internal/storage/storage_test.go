@@ -402,20 +402,6 @@ func TestSnapshotTornSaveLoadsAsCorrupt(t *testing.T) {
 	}
 }
 
-func TestSnapshotBlobShim(t *testing.T) {
-	s := NewMemSnapshotStore(nil)
-	if err := SaveBlob(s, 3, []byte("key-material")); err != nil {
-		t.Fatalf("save blob: %v", err)
-	}
-	blk, blob, err := LoadBlob(s)
-	if err != nil {
-		t.Fatalf("load blob: %v", err)
-	}
-	if blk != 3 || string(blob) != "key-material" {
-		t.Fatalf("blob: %d %q", blk, blob)
-	}
-}
-
 func TestSnapEnvelopeRoundTrip(t *testing.T) {
 	env := BuildEnvelope(77, []byte("meta"), make([]byte, 1024+3), 256)
 	dec, err := DecodeSnapEnvelope(env.Encode())

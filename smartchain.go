@@ -75,9 +75,6 @@ type (
 	// UnorderedApplication is the optional capability for consensus-free
 	// read-only requests served from local replica state.
 	UnorderedApplication = core.UnorderedApplication
-	// LegacyApplication is the pre-BatchContext service contract; wrap it
-	// with AdaptApplication.
-	LegacyApplication = core.LegacyApplication
 	// BatchContext carries a batch's ordering coordinates (block number,
 	// consensus instance, epoch) and its decided timestamp.
 	BatchContext = smr.BatchContext
@@ -88,10 +85,6 @@ type (
 	// Persistence selects the durability variant.
 	Persistence = core.Persistence
 )
-
-// AdaptApplication wraps a LegacyApplication (no BatchContext) as an
-// Application, preserving an ExecuteUnordered capability if present.
-func AdaptApplication(app LegacyApplication) Application { return core.AdaptApplication(app) }
 
 // Durability variants (paper §V-C).
 const (
@@ -157,12 +150,6 @@ type (
 	// requests, banned donors, and accepted-payload throughput. Returned
 	// as part of Node.Stats().
 	CatchupStats = catchup.Stats
-	// CatchupConfig tunes the collaborative pool protocol (per-peer
-	// in-flight cap, peer timeout, blocks per range request). Node-level
-	// knobs live on Config: CatchupInFlightPerPeer, CatchupChunkBytes,
-	// CatchupPeerTimeout, and LegacyStateTransfer for the single-donor
-	// baseline.
-	CatchupConfig = catchup.Config
 )
 
 // Client access.
@@ -186,11 +173,6 @@ func WithInvokeTimeout(d time.Duration) ClientOption { return client.WithTimeout
 
 // WithRetryInterval sets a Client's retransmission interval.
 func WithRetryInterval(d time.Duration) ClientOption { return client.WithRetry(d) }
-
-// WithQuorumReads disables the session read floor on a Client's unordered
-// reads, reverting them to quorum-freshness (the pre-read-your-writes
-// behavior; lowest latency, no session consistency).
-func WithQuorumReads() ClientOption { return client.WithQuorumReads() }
 
 // Coin is the bundled SMaRtCoin application (paper §IV-A).
 type Coin = coin.Service

@@ -33,7 +33,7 @@ var Analyzer = &analysis.Analyzer{
 
 // verbs are the sensitive callee-name prefixes. A name matches when it
 // starts with a verb at an exported or unexported capitalization boundary
-// (Send, sendX, RequestLegacy, ...).
+// (Send, sendX, RequestChunk, ...).
 var verbs = []string{
 	"send", "broadcast", "publish", "request", // message egress
 	"persist", "save", "store", "append", "flush", "sync", "commit", "write", "attach", // durability

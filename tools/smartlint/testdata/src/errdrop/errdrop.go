@@ -13,7 +13,7 @@ func (transportT) Close() error                  { return nil }
 
 type storeT struct{}
 
-func (storeT) SaveBlob(b []byte) error           { return nil }
+func (storeT) SaveSnapshot(b []byte) error       { return nil }
 func (storeT) VerifyProof(b []byte) (int, error) { return 0, nil }
 func (storeT) Height() (int64, error)            { return 0, nil }
 
@@ -22,11 +22,11 @@ func drops(tr transportT, st storeT) {
 	tr.Send(2, nil)             // want `error result of Send is silently dropped on a send path`
 	n, _ := st.VerifyProof(nil) // want `error result of VerifyProof is assigned to _ on a verify path`
 	_ = n
-	_ = st.SaveBlob(nil) // want `error result of SaveBlob is assigned to _ on a persist path`
+	_ = st.SaveSnapshot(nil) // want `error result of SaveSnapshot is assigned to _ on a persist path`
 }
 
 func deferredDrop(st storeT) {
-	defer st.SaveBlob(nil) // want `error result of SaveBlob is silently dropped on a persist path`
+	defer st.SaveSnapshot(nil) // want `error result of SaveSnapshot is silently dropped on a persist path`
 }
 
 func clean(tr transportT, st storeT) error {
@@ -57,5 +57,5 @@ func alwaysNilWriters() {
 func suppressed(tr transportT, st storeT) {
 	//smartlint:allow errdrop transport counts the drop; retransmit timer recovers
 	_ = tr.Send(1, nil)
-	_ = st.SaveBlob(nil) //smartlint:allow errdrop best-effort cache, rebuilt on restart
+	_ = st.SaveSnapshot(nil) //smartlint:allow errdrop best-effort cache, rebuilt on restart
 }
