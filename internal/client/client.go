@@ -22,8 +22,10 @@
 // with a view-query message, adopts it, and re-targets every in-flight
 // call — reconfigurations need no manual SetMembers call. Unordered reads
 // are session-consistent: the proxy tracks its highest reply-observed
-// height as a read floor, replicas park a read until they reach it, and a
-// quorum of "behind" replies makes the proxy fall back to an ordered read.
+// height as a read floor, replicas park a read until they reach it, and the
+// moment a quorum of matching replies can no longer form — replicas answered
+// from different block boundaries, or too many are behind the floor — the
+// proxy falls back to an ordered read.
 //
 // Context deadlines are authoritative: a deadline on ctx bounds the call
 // exactly; when ctx carries none, the proxy's WithTimeout default applies.
@@ -47,11 +49,11 @@ import (
 var (
 	ErrTimeout = errors.New("client: quorum of matching replies not reached")
 	ErrClosed  = errors.New("client: proxy closed")
-	// ErrReadBehind reports that a quorum of replicas could not serve an
-	// unordered read at the session read floor within their park window.
-	// InvokeUnordered handles it internally by falling back to an ordered
-	// read; it only escapes through InvokeUnorderedNoFallback-style uses of
-	// the raw future API.
+	// ErrReadBehind reports that an unordered read can no longer gather a
+	// quorum of matching replies: the replicas answered from different block
+	// boundaries, or could not reach the session read floor within their
+	// park window. InvokeUnordered handles it internally by falling back to
+	// an ordered read.
 	ErrReadBehind = errors.New("client: read floor not reached at a quorum")
 )
 
@@ -109,9 +111,11 @@ type call struct {
 	digest    crypto.Hash // of the signed request; replies must echo it
 	unordered bool
 	quorum    int
-	counts    map[string]map[int32]bool  // result bytes → replica set
-	heights   map[string]map[int32]int64 // result bytes → replica → tag height
-	behind    map[int32]bool             // replicas reporting a read-floor miss
+	// votes holds ONE vote per replica, its latest word: a replica that
+	// re-answers (a retransmitted read served from a newer block, a behind
+	// report after a park expired) moves its vote, so it can never count
+	// toward two candidate quorums at once.
+	votes map[int32]vote
 
 	// result/err are written once, under Proxy.mu, before done closes.
 	done   chan struct{}
@@ -119,10 +123,26 @@ type call struct {
 	err    error
 }
 
-func (c *call) reset() {
-	c.counts = make(map[string]map[int32]bool)
-	c.heights = make(map[string]map[int32]int64)
-	c.behind = make(map[int32]bool)
+// vote is one replica's latest reply to a call.
+type vote struct {
+	behind bool   // a read-floor miss: heard from, but no result to count
+	result string // result bytes
+	height int64  // executed height from the reply's view tag
+}
+
+// tally returns the result with the most votes and its vote count.
+func (c *call) tally() (best string, n int) {
+	counts := make(map[string]int, 1)
+	for _, v := range c.votes {
+		if v.behind {
+			continue
+		}
+		counts[v.result]++
+		if counts[v.result] > n {
+			best, n = v.result, counts[v.result]
+		}
+	}
+	return best, n
 }
 
 // Option configures a Proxy.
@@ -224,32 +244,24 @@ func (p *Proxy) installMembersLocked(id int64, members []int32) [][]byte {
 
 	payloads := make([][]byte, 0, len(p.calls))
 	for _, c := range p.calls {
+		c.quorum = p.quorum
 		if c.unordered {
-			c.reset()
-			c.quorum = p.quorum
+			c.votes = make(map[int32]vote)
 			payloads = append(payloads, c.payload)
 			continue
 		}
-		c.quorum = p.quorum
-		completed := false
-		for k, voters := range c.counts {
-			for voter := range voters {
-				if !p.memberSet[voter] {
-					delete(voters, voter)
-					// Prune the height too: the floor's (f+1)-th-highest
-					// Byzantine bound holds per view, and an ex-member's
-					// retained height would let Byzantine entries from two
-					// views stack up inside the top f+1.
-					delete(c.heights[k], voter)
-				}
-			}
-			if len(voters) >= c.quorum {
-				p.completeLocked(c, k)
-				completed = true
-				break
+		// Pruning a vote prunes its height too: the floor's (f+1)-th-highest
+		// Byzantine bound holds per view, and an ex-member's retained height
+		// would let Byzantine entries from two views stack up inside the top
+		// f+1.
+		for voter := range c.votes {
+			if !p.memberSet[voter] {
+				delete(c.votes, voter)
 			}
 		}
-		if !completed {
+		if best, n := c.tally(); n >= c.quorum {
+			p.completeLocked(c, best)
+		} else {
 			payloads = append(payloads, c.payload)
 		}
 	}
@@ -269,9 +281,11 @@ func (p *Proxy) completeLocked(c *call, k string) {
 	// occupy at most f of the top f+1 heights, cannot inflate it to an
 	// unreachable value that would park every future session read into the
 	// ordered fallback.
-	hs := make([]int64, 0, len(c.heights[k]))
-	for _, h := range c.heights[k] {
-		hs = append(hs, h)
+	hs := make([]int64, 0, len(c.votes))
+	for _, v := range c.votes {
+		if !v.behind && v.result == k {
+			hs = append(hs, v.height)
+		}
 	}
 	sort.Slice(hs, func(i, j int) bool { return hs[i] > hs[j] })
 	if len(hs) > p.f {
@@ -427,51 +441,35 @@ func (p *Proxy) onReply(m transport.Message) {
 		}
 	}
 
-	if rep.Flags&smr.ReplyFlagBehind != 0 {
-		// A read-floor miss: no result to count, but a quorum of them
-		// proves the floor is unserveable right now — fail the call so
-		// InvokeUnordered falls back to an ordered read.
-		if c.unordered && same {
-			c.behind[m.From] = true
-			if len(c.behind) >= c.quorum {
-				delete(p.calls, c.seq)
-				c.err = ErrReadBehind
-				close(c.done)
-			}
-		}
+	// A behind report (read-floor miss) only means something for an
+	// unordered call, and unordered calls only hear replies tagged with our
+	// exact membership: the read quorum must be a quorum of the CURRENT
+	// view, not of whatever configuration the replier last saw. (Ordered
+	// calls keep counting — their result was committed by consensus; the tag
+	// mismatch already armed the view refresh above.)
+	behind := rep.Flags&smr.ReplyFlagBehind != 0
+	if (c.unordered && !same) || (behind && !c.unordered) {
 		p.mu.Unlock()
 		p.sendViewQuery(query)
 		return
 	}
 
-	// Unordered reads only count replies tagged with our exact membership:
-	// the read quorum must be a quorum of the CURRENT view, not of whatever
-	// configuration the replier last saw. (Ordered calls keep counting —
-	// their result was committed by consensus; the tag mismatch already
-	// armed the view refresh above.)
-	if c.unordered && !same {
-		p.mu.Unlock()
-		p.sendViewQuery(query)
-		return
-	}
-
-	k := string(rep.Result)
-	if c.counts[k] == nil {
-		c.counts[k] = make(map[int32]bool)
-		c.heights[k] = make(map[int32]int64)
-	}
-	c.counts[k][rep.ReplicaID] = true
-	if rep.Tag.Height > c.heights[k][rep.ReplicaID] {
-		c.heights[k][rep.ReplicaID] = rep.Tag.Height
-	}
-	// A served result supersedes this replica's earlier behind report (it
-	// may have expired a park, then caught up and answered the
-	// retransmission): the behind quorum must count only replicas whose
-	// LAST word was "behind", or a spurious ordered fallback fires with
-	// the unordered quorum one reply from completing.
-	delete(c.behind, rep.ReplicaID)
-	if len(c.counts[k]) >= c.quorum {
-		p.completeLocked(c, k)
+	c.votes[m.From] = vote{behind: behind, result: string(rep.Result), height: rep.Tag.Height}
+	best, n := c.tally()
+	switch {
+	case n >= c.quorum:
+		p.completeLocked(c, best)
+	case c.unordered && n+len(p.members)-len(c.votes) < c.quorum:
+		// Even if every member not yet heard from sided with the largest
+		// group, no quorum of matching replies would form: the replicas
+		// answered from different block boundaries (or are behind the
+		// floor). Waiting cannot help — fail the call now so
+		// InvokeUnordered re-issues the read as an ordered request. With
+		// one vote per replica, f liars cannot force this while 2f+1
+		// correct replies can still match.
+		delete(p.calls, c.seq)
+		c.err = ErrReadBehind
+		close(c.done)
 	}
 	p.mu.Unlock()
 	p.sendViewQuery(query)
@@ -541,7 +539,9 @@ func (p *Proxy) onViewInfo(m transport.Message) {
 // its rate limiter can swallow the edge — and replicas never re-reply to
 // an executed request, so without this level-triggered retry a call whose
 // replies all arrived inside one rate-limit window would never learn the
-// new view.
+// new view. The tick is for lost messages and silent members only: an
+// unordered read whose replies diverged does not wait for it (onReply fails
+// it into the ordered fallback as soon as a quorum is out of reach).
 func (p *Proxy) retransmitLoop() {
 	t := time.NewTicker(p.retry)
 	defer t.Stop()
@@ -604,8 +604,8 @@ func (p *Proxy) register(op []byte, unordered bool) (*call, error) {
 		digest:    req.Digest(),
 		unordered: unordered,
 		done:      make(chan struct{}),
+		votes:     make(map[int32]vote),
 	}
-	c.reset()
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

@@ -217,6 +217,12 @@ type stateShard struct {
 	utxos map[CoinID]Coin
 }
 
+// balanceShard is one slice of the per-owner balance index.
+type balanceShard struct {
+	mu   sync.RWMutex
+	sums map[string]uint64 // key: string(owner); owners summing to 0 have no entry
+}
+
 // State is the SMaRtCoin service state: the UTXO set plus the minter list
 // (paper: "a table with the coins assigned to each address in memory and a
 // list of addresses authorized to create new coins"). The UTXO set is
@@ -224,6 +230,12 @@ type stateShard struct {
 // key-disjoint transactions concurrently; execMu gates whole-batch
 // execution against readers, so queries and snapshots observe only
 // block-boundary states — never a half-applied transaction.
+//
+// balances is the paper's per-address table: the sum (mod 2^64, exactly what
+// a scan of the set would add up) of every unspent coin of an owner,
+// maintained by putCoin/deleteCoin. It is derived from the UTXO set and never
+// serialised — Restore rebuilds it — so snapshots and checkpoint hashes do
+// not know it exists.
 type State struct {
 	// execMu is held exclusively for the duration of one batch application
 	// and shared by every reader entry point (queries, snapshots). Within a
@@ -231,7 +243,8 @@ type State struct {
 	// executor's strata guarantee they never race a conflicting writer.
 	execMu sync.RWMutex
 
-	shards [stateShards]stateShard
+	shards   [stateShards]stateShard
+	balances [stateShards]balanceShard
 
 	mintersMu sync.RWMutex
 	minters   map[string]bool // key: string(PublicKey)
@@ -242,6 +255,7 @@ func NewState(minters []crypto.PublicKey) *State {
 	s := &State{minters: make(map[string]bool, len(minters))}
 	for i := range s.shards {
 		s.shards[i].utxos = make(map[CoinID]Coin)
+		s.balances[i].sums = make(map[string]uint64)
 	}
 	for _, m := range minters {
 		s.minters[string(m)] = true
@@ -249,9 +263,9 @@ func NewState(minters []crypto.PublicKey) *State {
 	return s
 }
 
-func (s *State) shardOf(id CoinID) *stateShard {
-	return &s.shards[id[0]&(stateShards-1)]
-}
+func shardIndex(id CoinID) int { return int(id[0] & (stateShards - 1)) }
+
+func (s *State) shardOf(id CoinID) *stateShard { return &s.shards[shardIndex(id)] }
 
 func (s *State) getCoin(id CoinID) (Coin, bool) {
 	sh := s.shardOf(id)
@@ -261,18 +275,63 @@ func (s *State) getCoin(id CoinID) (Coin, bool) {
 	return c, ok
 }
 
+// putCoin installs c and credits its owner. A coin ID that is already
+// unspent (a replayed MINT re-creates its outputs) is replaced, so its
+// previous owner is debited first.
 func (s *State) putCoin(c Coin) {
 	sh := s.shardOf(c.ID)
 	sh.mu.Lock()
+	old, replaced := sh.utxos[c.ID]
 	sh.utxos[c.ID] = c
 	sh.mu.Unlock()
+	if replaced {
+		s.adjustBalance(old.Owner, -old.Value)
+	}
+	s.adjustBalance(c.Owner, c.Value)
 }
 
+// deleteCoin removes the coin and debits its owner.
 func (s *State) deleteCoin(id CoinID) {
 	sh := s.shardOf(id)
 	sh.mu.Lock()
+	c, ok := sh.utxos[id]
 	delete(sh.utxos, id)
 	sh.mu.Unlock()
+	if ok {
+		s.adjustBalance(c.Owner, -c.Value)
+	}
+}
+
+// balanceShardIndex selects an owner's index shard by its first key byte
+// (Ed25519 keys are uniformly distributed; the empty owner a malformed
+// output can name lands in shard 0).
+func balanceShardIndex(owner crypto.PublicKey) int {
+	if len(owner) == 0 {
+		return 0
+	}
+	return int(owner[0] & (stateShards - 1))
+}
+
+// addBalance adds delta (two's complement: pass -v to debit) to owner's
+// entry of one index shard map, dropping the entry when it reaches zero so
+// drained owners do not accumulate.
+func addBalance(sums map[string]uint64, owner crypto.PublicKey, delta uint64) {
+	if sum := sums[string(owner)] + delta; sum != 0 {
+		sums[string(owner)] = sum
+	} else {
+		delete(sums, string(owner))
+	}
+}
+
+// adjustBalance is addBalance on the live index. Concurrent callers are the
+// executor's key-disjoint transactions: they never touch the same owner —
+// every owner whose coin set changes is a declared account-key write — but
+// may share a shard, hence the shard lock.
+func (s *State) adjustBalance(owner crypto.PublicKey, delta uint64) {
+	bs := &s.balances[balanceShardIndex(owner)]
+	bs.mu.Lock()
+	addBalance(bs.sums, owner, delta)
+	bs.mu.Unlock()
 }
 
 // isMinter reports whether addr is authorized to mint. The minter set is
@@ -362,7 +421,8 @@ func (s *State) createOutputs(tx *Tx) []byte {
 	return out
 }
 
-// Balance sums the values of coins owned by addr.
+// Balance returns the total value of the coins owned by addr: one lookup in
+// the balance index, independent of the size of the UTXO set.
 func (s *State) Balance(addr crypto.PublicKey) uint64 {
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
@@ -373,17 +433,10 @@ func (s *State) Balance(addr crypto.PublicKey) uint64 {
 // batch executor) already holds execMu exclusively, and the strata schedule
 // guarantees no concurrently-running transaction touches addr's account.
 func (s *State) balanceLocked(addr crypto.PublicKey) uint64 {
-	var sum uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, c := range sh.utxos {
-			if c.Owner.Equal(addr) {
-				sum += c.Value
-			}
-		}
-		sh.mu.RUnlock()
-	}
+	bs := &s.balances[balanceShardIndex(addr)]
+	bs.mu.RLock()
+	sum := bs.sums[string(addr)]
+	bs.mu.RUnlock()
 	return sum
 }
 

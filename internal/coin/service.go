@@ -336,18 +336,33 @@ func (s *Service) Restore(snapshot []byte) error {
 	if int(nCoins) > d.Remaining()/minSnapshotCoinSize {
 		return fmt.Errorf("coin restore: coin count %d exceeds snapshot size", nCoins)
 	}
-	utxos := make(map[CoinID]Coin, nCoins)
+	// Decode straight into fresh shard maps and a fresh balance index; the
+	// live state is untouched until the whole snapshot has parsed.
+	var utxos [stateShards]map[CoinID]Coin
+	var sums [stateShards]map[string]uint64
+	for i := range utxos {
+		utxos[i] = make(map[CoinID]Coin, int(nCoins)/stateShards)
+		sums[i] = make(map[string]uint64)
+	}
 	for i := uint32(0); i < nCoins; i++ {
 		var c Coin
 		c.ID = d.Bytes32()
 		c.Owner = crypto.PublicKey(d.ReadBytesCopy())
 		c.Value = d.Uint64()
-		utxos[c.ID] = c
+		m := utxos[shardIndex(c.ID)]
+		if old, dup := m[c.ID]; dup {
+			// A repeated ID in a corrupt snapshot: the last entry wins.
+			addBalance(sums[balanceShardIndex(old.Owner)], old.Owner, -old.Value)
+		}
+		m[c.ID] = c
+		addBalance(sums[balanceShardIndex(c.Owner)], c.Owner, c.Value)
 	}
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("coin restore: %w", err)
 	}
 
+	// Nothing else reaches the shards while execMu is held exclusively, so
+	// the maps are swapped in without the per-shard locks.
 	st := s.state
 	st.execMu.Lock()
 	defer st.execMu.Unlock()
@@ -355,13 +370,8 @@ func (s *Service) Restore(snapshot []byte) error {
 	st.minters = minters
 	st.mintersMu.Unlock()
 	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		sh.utxos = make(map[CoinID]Coin)
-		sh.mu.Unlock()
-	}
-	for _, c := range utxos {
-		st.putCoin(c)
+		st.shards[i].utxos = utxos[i]
+		st.balances[i].sums = sums[i]
 	}
 	return nil
 }
@@ -369,21 +379,28 @@ func (s *Service) Restore(snapshot []byte) error {
 // Prepopulate injects synthetic UTXOs directly into the state. The Fig. 7
 // experiment preloads millions of UTXOs to give the service a realistic
 // state size; doing that through MINT transactions would dominate setup
-// time without changing behaviour.
+// time without changing behaviour. It holds execMu exclusively, so it writes
+// the shard maps without their locks and credits the owner once.
 func (s *Service) Prepopulate(owner crypto.PublicKey, count int, value uint64) []CoinID {
 	st := s.state
 	st.execMu.Lock()
 	defer st.execMu.Unlock()
 	ids := make([]CoinID, 0, count)
+	var credit uint64
 	for i := 0; i < count; i++ {
-		e := codec.NewEncoder(12)
+		e := codec.NewEncoder(4 + len("prepop") + 4 + 4 + len(owner))
 		e.String("prepop")
 		e.Uint32(uint32(i))
 		e.WriteBytes(owner)
 		id := crypto.HashBytes(e.Bytes())
-		st.putCoin(Coin{ID: id, Owner: owner, Value: value})
+		m := st.shards[shardIndex(id)].utxos
+		// The ID commits to the owner, so a coin already under it (the same
+		// owner prepopulated twice) is this owner's; a missing one reads 0.
+		credit += value - m[id].Value
+		m[id] = Coin{ID: id, Owner: owner, Value: value}
 		ids = append(ids, id)
 	}
+	addBalance(st.balances[balanceShardIndex(owner)].sums, owner, credit)
 	return ids
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"smartchain/internal/client"
 	"smartchain/internal/coin"
 	"smartchain/internal/crypto"
 )
@@ -152,4 +153,89 @@ func TestConcurrentOrderedInvokesOneProxy(t *testing.T) {
 	if bal := balanceOf(t, rctx, p, minter.Public()); bal != inflight*10 {
 		t.Fatalf("balance: got %d want %d", bal, inflight*10)
 	}
+}
+
+// TestDivergedSessionReadsNeedNoRetransmission hammers session balance reads
+// of an account that is being spent from, 64 ops in flight on one proxy, so
+// replicas regularly answer a read from different block boundaries and no
+// quorum of matching replies forms. The proxy's retransmission tick is an hour
+// away: every read must complete anyway — the proxy falls back to an ordered
+// read the moment a quorum is out of reach — and inside the audit range: it
+// shows every spend acknowledged before it was issued and none that was not
+// yet submitted when it completed.
+func TestDivergedSessionReadsNeedNoRetransmission(t *testing.T) {
+	const (
+		spends   = 400
+		inFlight = 64
+	)
+	spender := crypto.SeededKeyPair("read-audit-spender", 1)
+	sink := crypto.SeededKeyPair("read-audit-sink", 1)
+	ids := coin.NewService(nil).Prepopulate(spender.Public(), spends, 1)
+	c, _ := testCluster(t, 4, func(cfg *ClusterConfig) {
+		cfg.Persistence = PersistenceWeak
+		cfg.ConsensusTimeout = 2 * time.Second // a loaded race build must not look like a dead leader
+		cfg.AppFactory = func() Application {
+			svc := coin.NewService(nil)
+			svc.Prepopulate(spender.Public(), spends, 1)
+			return svc
+		}
+	})
+	p := client.New(c.ClientEndpoint(), spender, c.Members(),
+		client.WithRetry(time.Hour), client.WithTimeout(30*time.Second))
+	defer p.Close()
+	ctx := context.Background()
+	readOp := WrapAppOp(coin.EncodeBalanceQuery(spender.Public()))
+
+	var (
+		mu               sync.Mutex
+		submitted, acked uint64
+		wg               sync.WaitGroup
+	)
+	slots := make(chan struct{}, inFlight)
+	for i := 0; i < 2*spends; i++ {
+		slots <- struct{}{}
+		isRead := i%2 == 1
+		var fut *client.Future
+		mu.Lock()
+		ackedBefore := acked
+		if !isRead {
+			submitted++
+		}
+		mu.Unlock()
+		if isRead {
+			fut = p.InvokeUnorderedAsync(ctx, readOp)
+		} else {
+			tx, err := coin.NewSpend(spender, uint64(i), []coin.CoinID{ids[i/2]},
+				[]coin.Output{{Owner: sink.Public(), Value: 1}})
+			if err != nil {
+				t.Fatalf("spend tx: %v", err)
+			}
+			fut = p.InvokeAsync(ctx, WrapAppOp(tx.Encode()))
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-slots }()
+			res, err := fut.Result()
+			if err != nil {
+				t.Errorf("op %d (read=%v): %v", i, isRead, err)
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if !isRead {
+				if code, _, perr := coin.ParseResult(res); perr != nil || code != coin.ResultOK {
+					t.Errorf("spend %d: code %d err %v", i, code, perr)
+				}
+				acked++
+				return
+			}
+			balance, perr := coin.ParseUint64Result(res)
+			lo, hi := spends-submitted, spends-ackedBefore
+			if perr != nil || balance < lo || balance > hi {
+				t.Errorf("read %d: balance %d (err %v) outside [%d, %d]", i, balance, perr, lo, hi)
+			}
+		}(i)
+	}
+	wg.Wait()
 }
