@@ -1,0 +1,143 @@
+package consensus
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"smartchain/internal/crypto"
+	"smartchain/internal/transport"
+)
+
+// fuzzSeeds are valid messages of every wire type, built with the test
+// view's real keys. The decided certificate carries only f signatures and
+// the votes come from one member, so no single frame can decide an instance.
+func fuzzSeeds() (propose proposeMsg, vote voteMsg, decided decidedMsg, stop epochStopMsg, sync epochSyncMsg) {
+	keys, _ := testView(4)
+	value := []byte("fuzz-value")
+	digest := crypto.HashBytes(value)
+	propose = proposeMsg{Instance: 2, Epoch: 0, Value: value}
+	vote = voteMsg{Instance: 2, Epoch: 0, Digest: digest, Voter: 2,
+		Sig: keys[2].MustSign(ctxWrite, voteMessage(2, 0, digest))}
+	proof := crypto.Certificate{Digest: digest}
+	proof.Add(crypto.Signature{Signer: 3, Sig: keys[3].MustSign(ctxAccept, voteMessage(2, 0, digest))})
+	decided = decidedMsg{Instance: 2, Epoch: 0, Value: value, Proof: proof}
+	cert := writeCert{Instance: 2, Epoch: 0, Digest: digest}
+	for _, k := range []int32{0, 2, 3} {
+		cert.Sigs = append(cert.Sigs, crypto.Signature{Signer: k, Sig: keys[k].MustSign(ctxWrite, voteMessage(2, 0, digest))})
+	}
+	stop = epochStopMsg{NextEpoch: 1, Voter: 2, Floor: 1, Claims: []slotClaim{
+		{Instance: 2, Kind: claimWrite, Epoch: 0, Value: value, WCert: cert},
+		{Instance: 3, Kind: claimDecided, Epoch: 0, Value: value, DProof: proof},
+	}}
+	stop.Sig = keys[2].MustSign(ctxEpochStop, stop.signedPortion())
+	sync = epochSyncMsg{NextEpoch: 1, Justif: []epochStopMsg{stop}, Slots: []slotProposal{{Instance: 2, Value: value}}}
+	return
+}
+
+// fuzzDecoder checks one decoder on arbitrary bytes: it must not panic, must
+// not allocate more than a small multiple of the input, and whatever it
+// accepts must survive an encode/decode round trip unchanged.
+func fuzzDecoder[M any](t *testing.T, data []byte, decode func([]byte) (M, error), encode func(*M) []byte) {
+	// TotalAlloc is process-wide and the fuzz worker's own goroutines
+	// allocate too: a decoder blow-up repeats, their noise does not.
+	limit := uint64(64*len(data) + 16<<10)
+	var m M
+	var err error
+	for try, grew := 0, limit+1; grew > limit; try++ {
+		if try == 3 {
+			t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), grew, limit)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err = decode(data)
+		runtime.ReadMemStats(&after)
+		grew = after.TotalAlloc - before.TotalAlloc
+	}
+	if err != nil {
+		return
+	}
+	again, err := decode(encode(&m))
+	if err != nil {
+		t.Fatalf("re-decoding an accepted message: %v", err)
+	}
+	if !reflect.DeepEqual(m, again) {
+		t.Fatalf("round trip changed the message:\n%+v\n%+v", m, again)
+	}
+}
+
+func FuzzDecodePropose(f *testing.F) {
+	seed, _, _, _, _ := fuzzSeeds()
+	f.Add(seed.encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzDecoder(t, data, decodePropose, (*proposeMsg).encode)
+	})
+}
+
+func FuzzDecodeVote(f *testing.F) {
+	_, seed, _, _, _ := fuzzSeeds()
+	f.Add(seed.encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzDecoder(t, data, decodeVote, (*voteMsg).encode)
+	})
+}
+
+func FuzzDecodeDecided(f *testing.F) {
+	_, _, seed, _, _ := fuzzSeeds()
+	f.Add(seed.encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzDecoder(t, data, decodeDecided, (*decidedMsg).encode)
+	})
+}
+
+func FuzzDecodeEpochStop(f *testing.F) {
+	_, _, _, seed, _ := fuzzSeeds()
+	f.Add(seed.encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzDecoder(t, data, decodeEpochStop, (*epochStopMsg).encode)
+	})
+}
+
+func FuzzDecodeEpochSync(f *testing.F) {
+	_, _, _, _, seed := fuzzSeeds()
+	f.Add(seed.encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzDecoder(t, data, decodeEpochSync, (*epochSyncMsg).encode)
+	})
+}
+
+// FuzzMachineStep feeds one arbitrary frame (twice: the replay takes the
+// dedup paths) to a follower with eight open slots. Without a quorum of
+// keys no frame may decide anything, and the state an outsider can make
+// the machine hold stays inside the started window plus futureWindow.
+func FuzzMachineStep(f *testing.F) {
+	propose, vote, decided, stop, sync := fuzzSeeds()
+	f.Add(uint8(0), uint8(0), propose.encode())
+	f.Add(uint8(2), uint8(1), vote.encode())
+	f.Add(uint8(2), uint8(2), vote.encode())
+	f.Add(uint8(3), uint8(6), decided.encode())
+	f.Add(uint8(2), uint8(4), stop.encode())
+	f.Add(uint8(1), uint8(5), sync.encode())
+	f.Add(uint8(0), uint8(3), []byte("the retired per-slot STOP"))
+	keys, v := testView(4)
+	const started = 8
+	f.Fuzz(func(t *testing.T, from, typ uint8, payload []byte) {
+		m := newMachine(Config{Self: 1, View: v, Signer: keys[1], Timeout: time.Second})
+		now := time.Unix(1_000_000, 0)
+		for inst := int64(0); inst < started; inst++ {
+			m.step(now, event{kind: evStart, inst: inst})
+		}
+		msg := transport.Message{From: int32(from % 5), To: 1, Type: MsgPropose + uint16(typ%8), Payload: payload}
+		for replay := 0; replay < 2; replay++ {
+			for _, fx := range m.step(now, event{kind: evMessage, msg: msg}) {
+				if fx.kind == fxDecide {
+					t.Fatalf("frame type %d from %d decided instance %d", msg.Type, msg.From, fx.decision.Instance)
+				}
+			}
+		}
+		if len(m.states) > started || len(m.buffered) > futureWindow {
+			t.Fatalf("one frame grew the machine to %d states and %d buffered instances", len(m.states), len(m.buffered))
+		}
+	})
+}

@@ -256,7 +256,7 @@ func decodeWriteCert(d *codec.Decoder) (writeCert, error) {
 	if n > 4096 {
 		return writeCert{}, fmt.Errorf("implausible write cert size %d", n)
 	}
-	for i := uint32(0); i < n; i++ {
+	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		var s crypto.Signature
 		s.Signer = d.Int32()
 		s.Sig = d.ReadBytesCopy()
@@ -525,7 +525,7 @@ func decodeEpochSync(data []byte) (epochSyncMsg, error) {
 	if d.Err() != nil || ns > 4096 {
 		return epochSyncMsg{}, fmt.Errorf("decode epoch sync: bad slot count")
 	}
-	for i := uint32(0); i < ns; i++ {
+	for i := uint32(0); i < ns && d.Err() == nil; i++ {
 		var sp slotProposal
 		sp.Instance = d.Int64()
 		sp.Value = d.ReadBytesCopy()

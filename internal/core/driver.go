@@ -614,6 +614,7 @@ func (n *Node) takeCheckpoint(number int64) {
 	n.mu.Lock()
 	v := n.curView
 	permKeys := clonePermKeys(n.permanentKeys)
+	tracker := n.removeTracker
 	n.mu.Unlock()
 
 	env := snapshotEnvelope{
@@ -627,6 +628,7 @@ func (n *Node) takeCheckpoint(number int64) {
 		View:         v,
 		PermKeys:     permKeys,
 		Watermarks:   n.batcher.Watermarks(),
+		RemoveVotes:  tracker.Votes(),
 	}
 	// Chunked store write: the metadata envelope plus the application state
 	// split at CatchupChunkBytes, each chunk digest-addressed so catch-up

@@ -121,9 +121,14 @@ func (n *Node) installEnvelope(env *snapshotEnvelope) {
 	if env.Instance > n.nextInstance.Load() {
 		n.nextInstance.Store(env.Instance)
 	}
+	tracker := reconfig.NewRemoveTracker()
+	for _, v := range env.RemoveVotes {
+		_, _ = tracker.Observe(env.View, env.PermKeys, v) // re-verified; a vote that fails counts for nothing
+	}
 	n.mu.Lock()
 	n.curView = env.View
 	n.permanentKeys = clonePermKeys(env.PermKeys)
+	n.removeTracker = tracker
 	n.mu.Unlock()
 }
 
@@ -148,14 +153,27 @@ func (n *Node) replayBlock(b *blockchain.Block) error {
 	appReqs := make([]smr.Request, 0, len(batch.Requests))
 	appIdx := make([]int, 0, len(batch.Requests))
 	for i := range batch.Requests {
-		if !fresh[i] {
+		if !fresh[i] || len(batch.Requests[i].Op) == 0 {
 			continue
 		}
-		if len(batch.Requests[i].Op) > 0 && batch.Requests[i].Op[0] == OpApp {
+		switch op := batch.Requests[i].Op; op[0] {
+		case OpApp:
 			r := batch.Requests[i]
-			r.Op = r.Op[1:]
+			r.Op = op[1:]
 			appReqs = append(appReqs, r)
 			appIdx = append(appIdx, i)
+		case OpRemoveVote:
+			// Pending remove votes are replicated state: count them exactly
+			// as live execution did, or this replica misses the quorum the
+			// rest of the view reaches on a later vote. Only the count
+			// matters here — when a vote completes the quorum, the block's
+			// recorded Update (applied below) is authoritative.
+			if vote, err := reconfig.DecodeRemoveVote(op[1:]); err == nil {
+				n.mu.Lock()
+				cur, permKeys, tracker := n.curView, clonePermKeys(n.permanentKeys), n.removeTracker
+				n.mu.Unlock()
+				_, _ = tracker.Observe(cur, permKeys, vote) // invalid votes were ignored live too
+			}
 		}
 	}
 	if len(appReqs) > 0 {

@@ -42,9 +42,20 @@ func TestUnorderedReadSkipsConsensus(t *testing.T) {
 		t.Fatalf("height: %v", err)
 	}
 
+	// WaitHeight returns once every ledger holds the mint's block, but a
+	// replica counts the block's instance only after its commit returns:
+	// let each reach it before sampling, or a slow replica's counter still
+	// ticks for the mint during the reads.
+	minted, ok := c.Nodes[0].Node.Ledger().CachedBlock(1)
+	if !ok {
+		t.Fatal("block 1 not cached")
+	}
 	instancesBefore := make(map[int32]int64)
 	readsBefore := make(map[int32]int64)
 	for id, cn := range c.Nodes {
+		for deadline := time.Now().Add(5 * time.Second); cn.Node.Stats().Instances < minted.Body.ConsensusID && time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+		}
 		st := cn.Node.Stats()
 		instancesBefore[id] = st.Instances
 		readsBefore[id] = st.UnorderedReads

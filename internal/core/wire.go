@@ -6,6 +6,7 @@ import (
 	"smartchain/internal/blockchain"
 	"smartchain/internal/codec"
 	"smartchain/internal/crypto"
+	"smartchain/internal/reconfig"
 	"smartchain/internal/smr"
 	"smartchain/internal/view"
 )
@@ -105,6 +106,10 @@ type snapshotEnvelope struct {
 	// replaying blocks after the snapshot must skip exactly the duplicate
 	// ordered requests the live execution skipped.
 	Watermarks map[int64]smr.Watermark
+	// RemoveVotes is the view's pending exclusion votes at Height, sorted by
+	// (target, voter): replicated state like Watermarks — a replica resuming
+	// here must reach the remove quorum on the same later vote as the rest.
+	RemoveVotes []reconfig.RemoveVote
 }
 
 func (s *snapshotEnvelope) encode() []byte {
@@ -129,6 +134,10 @@ func (s *snapshotEnvelope) encode() []byte {
 		for _, seq := range w.Executed {
 			e.Uint64(seq)
 		}
+	}
+	e.Uint32(uint32(len(s.RemoveVotes)))
+	for i := range s.RemoveVotes {
+		e.WriteBytes(s.RemoveVotes[i].Encode())
 	}
 	return e.Bytes()
 }
@@ -172,6 +181,17 @@ func decodeSnapshotEnvelope(data []byte) (snapshotEnvelope, error) {
 			w.Executed = append(w.Executed, d.Uint64())
 		}
 		s.Watermarks[c] = w
+	}
+	nv := d.Uint32()
+	if d.Err() != nil || nv > 1<<16 {
+		return snapshotEnvelope{}, fmt.Errorf("decode snapshot: bad remove-vote count")
+	}
+	for i := uint32(0); i < nv; i++ {
+		v, err := reconfig.DecodeRemoveVote(d.ReadBytes())
+		if err != nil {
+			return snapshotEnvelope{}, err
+		}
+		s.RemoveVotes = append(s.RemoveVotes, v)
 	}
 	if err := d.Finish(); err != nil {
 		return snapshotEnvelope{}, fmt.Errorf("decode snapshot: %w", err)

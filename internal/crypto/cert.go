@@ -177,7 +177,7 @@ func DecodeCertificateFrom(d *codec.Decoder) (Certificate, error) {
 	if d.Err() != nil || n > MaxCertSigs {
 		return Certificate{}, fmt.Errorf("crypto: decode certificate: bad signature count")
 	}
-	for i := uint32(0); i < n; i++ {
+	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		var s Signature
 		s.Signer = d.Int32()
 		s.Sig = d.ReadBytesCopy()

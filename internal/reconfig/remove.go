@@ -2,6 +2,7 @@ package reconfig
 
 import (
 	"fmt"
+	"sort"
 
 	"smartchain/internal/blockchain"
 	"smartchain/internal/codec"
@@ -148,6 +149,25 @@ func (t *RemoveTracker) Observe(cur view.View, permanent map[int32]crypto.Public
 		Members:   members,
 		Keys:      keys,
 	}, nil
+}
+
+// Votes returns every recorded vote sorted by (target, voter): the
+// tracker's replicated state, in the one order every replica checkpoints it.
+// Observing them into a fresh tracker under the same view rebuilds it.
+func (t *RemoveTracker) Votes() []RemoveVote {
+	var out []RemoveVote
+	for _, byVoter := range t.votes {
+		for _, v := range byVoter {
+			out = append(out, v)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Target != out[j].Target {
+			return out[i].Target < out[j].Target
+		}
+		return out[i].Voter < out[j].Voter
+	})
+	return out
 }
 
 // Pending returns the number of distinct voters advocating target's

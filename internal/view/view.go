@@ -131,8 +131,8 @@ func (v View) Contains(id int32) bool {
 // Leader returns the member that leads consensus epoch e (regency r in
 // Mod-SMaRt terms): round-robin over the sorted membership.
 func (v View) Leader(epoch int64) int32 {
-	if len(v.Members) == 0 {
-		return -1
+	if len(v.Members) == 0 || epoch < 0 {
+		return -1 // epochs off the wire may be negative; nobody leads those
 	}
 	return v.Members[int(epoch%int64(len(v.Members)))]
 }

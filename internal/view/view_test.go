@@ -145,6 +145,11 @@ func TestLeaderRotation(t *testing.T) {
 	if empty.Leader(0) != -1 {
 		t.Fatal("empty view leader must be -1")
 	}
+	// Epochs arrive off the wire: a negative one must not index the
+	// membership (it used to panic the consensus loop).
+	if v.Leader(-3) != -1 {
+		t.Fatal("a negative epoch has no leader")
+	}
 }
 
 func TestWithKey(t *testing.T) {

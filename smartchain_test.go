@@ -182,8 +182,17 @@ func TestFacadeAsyncAndUnordered(t *testing.T) {
 	if err := cluster.WaitHeight(tip, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	// A ledger at the tip is not yet a counted instance: the counter moves
+	// only once the commit of that block returns.
+	tipBlock, ok := cluster.Nodes[0].Node.Ledger().CachedBlock(tip)
+	if !ok {
+		t.Fatalf("block %d not cached", tip)
+	}
 	before := make(map[int32]int64)
 	for id, cn := range cluster.Nodes {
+		for deadline := time.Now().Add(10 * time.Second); cn.Node.Stats().Instances < tipBlock.Body.ConsensusID && time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+		}
 		before[id] = cn.Node.Stats().Instances
 	}
 	res, err := proxy.InvokeUnordered(ctx, WrapAppOp(coin.EncodeBalanceQuery(minter.Public())))

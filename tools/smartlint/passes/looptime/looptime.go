@@ -7,7 +7,8 @@
 //
 // The loop goroutines are found by call-graph reachability from methods
 // named run or loop in the scoped packages (internal/consensus:
-// (*Engine).loop). The graph covers direct calls and method calls resolved
+// (*Engine).loop, which steps the protocol state machine and performs the
+// effects it returns). The graph covers direct calls and method calls resolved
 // by static type within the package, plus function literals defined in
 // reachable bodies — except literals handed to `go` statements or passed as
 // call arguments (timer callbacks, pool callbacks), which execute on other
@@ -23,6 +24,15 @@
 //     and the matching .Unlock() on the same receiver (or under a deferred
 //     Unlock): transport sends can block on the peer queue, and holding a
 //     lock across one turns backpressure into a pile-up.
+//
+// A second, stricter rule holds the protocol state machine the loop steps
+// to its contract. Everything reachable from (*machine).step — function
+// literals passed as arguments included, they run inside the step — must
+// be pure: no go statement, no channel operation (send, receive, range,
+// close) or select, no call into package sync, and no clock or timer
+// (time.Now/Since/Until/Sleep/After/AfterFunc/NewTimer/NewTicker/Tick).
+// That is what lets a test or simulator drive any number of machines in
+// one goroutine under virtual time.
 package looptime
 
 import (
@@ -39,7 +49,7 @@ import (
 // Analyzer flags blocking operations reachable from consensus event loops.
 var Analyzer = &analysis.Analyzer{
 	Name: "looptime",
-	Doc:  "flags blocking calls (time.Sleep, bare channel sends, locks held across Send) reachable from consensus event-loop goroutines (run/loop methods)",
+	Doc:  "flags blocking calls (time.Sleep, bare channel sends, locks held across Send) reachable from consensus event-loop goroutines (run/loop methods), and any goroutine, channel, lock or clock use reachable from (*machine).step",
 	Run:  run,
 }
 
@@ -50,7 +60,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 	// Map every package-level function object to its declaration.
 	decls := make(map[*types.Func]*ast.FuncDecl)
-	var roots []*types.Func
+	var roots, pureRoots []*types.Func
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -62,16 +72,43 @@ func run(pass *analysis.Pass) (any, error) {
 				continue
 			}
 			decls[fn] = fd
-			if fd.Recv != nil && (fd.Name.Name == "run" || fd.Name.Name == "loop") {
+			switch {
+			case fd.Recv == nil:
+			case fd.Name.Name == "run" || fd.Name.Name == "loop":
 				roots = append(roots, fn)
+			case fd.Name.Name == "step" && recvNamed(fd) == "machine":
+				pureRoots = append(pureRoots, fn)
 			}
 		}
 	}
-	if len(roots) == 0 {
-		return nil, nil
-	}
 
-	// Breadth-first reachability over same-package static calls.
+	for fn := range reachable(pass, decls, roots, walkLoopCode) {
+		checkBody(pass, fn, decls[fn].Body)
+	}
+	for fn := range reachable(pass, decls, pureRoots, walkAll) {
+		checkPure(pass, fn, decls[fn].Body)
+	}
+	return nil, nil
+}
+
+// recvNamed returns the name of a method's receiver type, pointer or not.
+func recvNamed(fd *ast.FuncDecl) string {
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// walker visits the nodes of a body that belong to the analysed goroutine.
+type walker func(body ast.Node, visit func(ast.Node))
+
+// reachable is the set of package functions reachable from roots by
+// breadth-first search over same-package static calls found by walk.
+func reachable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, roots []*types.Func, walk walker) map[*types.Func]bool {
 	reached := make(map[*types.Func]bool)
 	queue := append([]*types.Func(nil), roots...)
 	for len(queue) > 0 {
@@ -81,45 +118,38 @@ func run(pass *analysis.Pass) (any, error) {
 			continue
 		}
 		reached[fn] = true
-		fd := decls[fn]
-		if fd == nil {
-			continue
-		}
-		for callee := range callees(pass, fd.Body) {
+		for callee := range callees(pass, decls[fn].Body, walk) {
 			if _, local := decls[callee]; local && !reached[callee] {
 				queue = append(queue, callee)
 			}
 		}
 	}
-
-	for fn := range reached {
-		checkBody(pass, fn, decls[fn].Body)
-	}
-	return nil, nil
+	return reached
 }
 
-// callees collects the *types.Func targets of calls in body, skipping
-// function literals that escape to other goroutines (go statements, call
-// arguments).
-func callees(pass *analysis.Pass, body ast.Node) map[*types.Func]bool {
+// callees collects the *types.Func targets of the calls walk visits in body.
+func callees(pass *analysis.Pass, body ast.Node, walk walker) map[*types.Func]bool {
 	out := make(map[*types.Func]bool)
-	walkLoopCode(body, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		var obj types.Object
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			obj = pass.TypesInfo.Uses[fun]
-		case *ast.SelectorExpr:
-			obj = pass.TypesInfo.Uses[fun.Sel]
-		}
-		if fn, ok := obj.(*types.Func); ok {
-			out[fn] = true
+	walk(body, func(n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn, ok := calleeObject(pass, call).(*types.Func); ok {
+				out[fn] = true
+			}
 		}
 	})
 	return out
+}
+
+// calleeObject resolves the function, method or builtin a call names (nil
+// for calls through function values and conversions).
+func calleeObject(pass *analysis.Pass, call *ast.CallExpr) types.Object {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return pass.TypesInfo.Uses[fun]
+	case *ast.SelectorExpr:
+		return pass.TypesInfo.Uses[fun.Sel]
+	}
+	return nil
 }
 
 // walkLoopCode visits the nodes of body that execute on the same goroutine:
@@ -222,6 +252,67 @@ func checkBody(pass *analysis.Pass, fn *types.Func, body *ast.BlockStmt) {
 				if len(locks) > 0 {
 					pass.Reportf(n.Pos(),
 						"%s called in %s while %s is locked (reachable from the consensus event loop): a transport send can block on the peer queue; release the lock first", name, fn.Name(), locks[len(locks)-1].recv)
+				}
+			}
+		}
+	})
+}
+
+// walkAll visits every node of body: inside a pure step, a function literal
+// handed to a call (a sort comparator, say) runs in the step itself.
+func walkAll(body ast.Node, visit func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n != nil {
+			visit(n)
+		}
+		return n != nil
+	})
+}
+
+// impureTimeFuncs are the package-level time functions that read the wall
+// clock or start a timer. Methods (Time.After, Time.Sub, ...) are pure.
+var impureTimeFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true, "After": true,
+	"AfterFunc": true, "NewTimer": true, "NewTicker": true, "Tick": true,
+}
+
+// checkPure flags everything the state machine's contract rules out.
+func checkPure(pass *analysis.Pass, fn *types.Func, body *ast.BlockStmt) {
+	report := func(pos token.Pos, what string) {
+		pass.Reportf(pos, "%s in %s, reachable from (*machine).step: the consensus state machine must stay goroutine-free, channel-free, lock-free and clock-free; return an effect and let the runtime do it", what, fn.Name())
+	}
+	walkAll(body, func(n ast.Node) {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			report(n.Pos(), "go statement")
+		case *ast.SelectStmt:
+			report(n.Pos(), "select")
+		case *ast.SendStmt:
+			report(n.Pos(), "channel send")
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				report(n.Pos(), "channel receive")
+			}
+		case *ast.RangeStmt:
+			if _, ok := pass.TypesInfo.TypeOf(n.X).Underlying().(*types.Chan); ok {
+				report(n.Pos(), "range over a channel")
+			}
+		case *ast.CallExpr:
+			switch obj := calleeObject(pass, n).(type) {
+			case *types.Builtin:
+				if obj.Name() == "close" {
+					report(n.Pos(), "channel close")
+				}
+			case *types.Func:
+				if obj.Pkg() == nil {
+					return
+				}
+				method := obj.Type().(*types.Signature).Recv() != nil
+				switch {
+				case obj.Pkg().Path() == "sync":
+					report(n.Pos(), "sync."+obj.Name())
+				case obj.Pkg().Path() == "time" && !method && impureTimeFuncs[obj.Name()]:
+					report(n.Pos(), "time."+obj.Name())
 				}
 			}
 		}

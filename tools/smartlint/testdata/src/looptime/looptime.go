@@ -66,3 +66,88 @@ func (e *Engine) suppressedSleep() {
 func (e *Engine) notReachable() {
 	time.Sleep(time.Hour) // never called from loop: fine
 }
+
+// ---- The purity rule: everything reachable from (*machine).step ----
+
+type machine struct {
+	mu       sync.Mutex
+	now      time.Time
+	deadline time.Time
+	out      chan int
+	pending  []int
+}
+
+func (m *machine) step(now time.Time, ev int) []int {
+	m.now = now
+	m.spawns()
+	m.talks()
+	m.locks()
+	m.readsClock()
+	m.pureTime()
+	m.suppressed()
+	sortInts(m.pending, func(a, b int) bool {
+		<-m.out // want `channel receive in step`
+		return a < b
+	})
+	return m.pending
+}
+
+func sortInts(xs []int, less func(a, b int) bool) {}
+
+func (m *machine) spawns() {
+	go m.spawned() // want `go statement in spawns`
+}
+
+func (m *machine) talks() {
+	m.out <- 1 // want `channel send in talks`
+	select {   // want `select in talks`
+	default:
+	}
+	for range m.out { // want `range over a channel in talks`
+	}
+	close(m.out) // want `channel close in talks`
+}
+
+func (m *machine) locks() {
+	m.mu.Lock()   // want `sync\.Lock in locks`
+	m.mu.Unlock() // want `sync\.Unlock in locks`
+	var once sync.Once
+	once.Do(func() {}) // want `sync\.Do in locks`
+}
+
+func (m *machine) readsClock() {
+	m.now = time.Now()                     // want `time\.Now in readsClock`
+	_ = time.Since(m.now)                  // want `time\.Since in readsClock`
+	time.Sleep(time.Millisecond)           // want `time\.Sleep in readsClock`
+	_ = time.After(time.Second)            // want `time\.After in readsClock`
+	time.AfterFunc(time.Second, func() {}) // want `time\.AfterFunc in readsClock`
+	_ = time.NewTimer(time.Second)         // want `time\.NewTimer in readsClock`
+}
+
+// pureTime uses only values and methods of package time: arithmetic on the
+// instant handed to step is the deadline model, not a clock read.
+func (m *machine) pureTime() {
+	m.deadline = m.now.Add(time.Second)
+	if m.deadline.After(m.now) && m.now.Sub(m.deadline) < time.Second/2 {
+		m.deadline = time.Time{}
+	}
+}
+
+func (m *machine) suppressed() {
+	//smartlint:allow looptime golden case for the directive: one reviewed clock read
+	_ = time.Now()
+}
+
+// spawned is only ever started by a go statement. The rule does not model
+// which goroutine a callee runs on — the go statement is already a finding,
+// and removing it removes this one.
+func (m *machine) spawned() {
+	time.Sleep(time.Hour) // want `time\.Sleep in spawned`
+}
+
+// runtimeOnly is called by nobody the machine reaches.
+func (m *machine) runtimeOnly() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_ = time.Now()
+}
