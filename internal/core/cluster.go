@@ -585,8 +585,7 @@ func (c *Cluster) Leave(id int32, timeout time.Duration) error {
 // Exclude drives the removal of target: every other member submits its
 // remove vote.
 func (c *Cluster) Exclude(target int32, timeout time.Duration) error {
-	tn, ok := c.Nodes[target]
-	if !ok {
+	if _, ok := c.Nodes[target]; !ok {
 		return fmt.Errorf("core: unknown replica %d", target)
 	}
 	for id, cn := range c.Nodes {
@@ -597,7 +596,6 @@ func (c *Cluster) Exclude(target int32, timeout time.Duration) error {
 			return err
 		}
 	}
-	_ = tn
 	deadline := time.Now().Add(timeout)
 	for {
 		// The target may be crashed/Byzantine and never observe its own

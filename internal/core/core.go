@@ -262,6 +262,10 @@ type Node struct {
 	// commit-and-advance sequences on both sides.
 	nextInstance atomic.Int64
 	syncMu       sync.Mutex
+	// lastApplied is what applyBatch produced for the newest block it
+	// executed; applying that block again returns it instead of executing
+	// twice. Guarded by syncMu like the rest of the commit path.
+	lastApplied appliedBatch
 	// pipelineDepth is the effective ordering window W (≥ 1).
 	pipelineDepth int
 	// carryover hands decisions observed by an exiting window to the next
@@ -423,23 +427,16 @@ func (n *Node) Start() error {
 		}
 	}
 
-	n.mu.Lock()
-	isMember := n.curView.Contains(n.cfg.Self) && !n.retired
-	eng := n.engine
-	n.mu.Unlock()
-	if isMember && eng == nil {
-		n.startEngineLocked()
-	}
+	n.reconcileEngine()
 
 	go n.driverLoop()
 	go n.parkSweeper()
 	return nil
 }
 
-// startEngineLocked builds and starts a consensus engine for the current
-// view. Caller must NOT hold n.mu (the name refers to engine state being
-// re-entered under mu internally).
-func (n *Node) startEngineLocked() {
+// startEngine builds and starts a consensus engine for the current view,
+// replacing (and stopping) any running one. The caller must not hold n.mu.
+func (n *Node) startEngine() {
 	n.mu.Lock()
 	v := n.curView
 	signer, _ := n.keys.Current()
@@ -524,9 +521,6 @@ func (n *Node) View() view.View {
 // Ledger exposes the chain tracker (height, cached blocks, …).
 func (n *Node) Ledger() *blockchain.Ledger { return n.ledger }
 
-// Leader reports the consensus leader of this node's current regency, or
-// -1 when no engine is running (stopped, retired, or mid-reconfiguration).
-// Leader-targeted chaos actions resolve their victim through it.
 // Regency returns the consensus engine's installed regency (epoch), or -1
 // when no engine is running.
 func (n *Node) Regency() int64 {
@@ -539,6 +533,9 @@ func (n *Node) Regency() int64 {
 	return eng.Regency()
 }
 
+// Leader reports the consensus leader of this node's current regency, or
+// -1 when no engine is running (stopped, retired, or mid-reconfiguration).
+// Leader-targeted chaos actions resolve their victim through it.
 func (n *Node) Leader() int32 {
 	n.mu.Lock()
 	eng := n.engine
@@ -614,11 +611,9 @@ func (n *Node) SubmitLocal(req smr.Request) {
 // request for ordering.
 func (n *Node) enqueueRequest(req smr.Request) {
 	switch n.cfg.Verify {
-	case smr.VerifyNone:
-		n.batcher.Add(req)
-	case smr.VerifySequential:
+	case smr.VerifyNone, smr.VerifySequential:
 		// Sequential strategy: verification happens inside the execution
-		// path (see executeBatch); queue as-is.
+		// path (see applyBatch); queue as-is.
 		n.batcher.Add(req)
 	default:
 		n.verifier.Submit(req, func(r smr.Request, ok bool) {

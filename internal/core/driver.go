@@ -360,7 +360,7 @@ func (n *Node) processDecision(win *window, d consensus.Decision) bool {
 		}
 		viewChanged := n.commitDecision(dec)
 		floor = dec.Instance + 1
-		n.nextInstance.Store(floor)
+		n.nextInstance.Store(floor) // a filler decision has no block to close
 		win.dropBelow(floor, n.batcher)
 		if viewChanged {
 			return true
@@ -368,9 +368,11 @@ func (n *Node) processDecision(win *window, d consensus.Decision) bool {
 	}
 }
 
-// commitDecision runs Algorithm 1 for one decided batch: execute, build the
-// block, persist (inline or decoupled per the Pipeline flag), reply, and
-// apply any view update. Returns true when a view update was applied.
+// commitDecision runs Algorithm 1 for one decided batch: apply it (the
+// transition shared with replay), then what only the live path does — build
+// the block, persist it (inline or decoupled per the Pipeline flag), send
+// the replies, and, after a view update, reconcile keys and engine. Returns
+// true when the block carried a view update.
 func (n *Node) commitDecision(d consensus.Decision) bool {
 	if len(d.Value) == 0 {
 		return false // leader-change filler decision: no block
@@ -379,19 +381,7 @@ func (n *Node) commitDecision(d consensus.Decision) bool {
 	if err != nil {
 		return false // validated at proposal time; cannot happen with correct quorum
 	}
-	// With a pipelined window a request can be ordered twice (a
-	// leader-change re-proposal plus a fresh slot); the executed watermark
-	// — a deterministic function of the committed prefix — filters the
-	// second execution identically on every replica. The committing height
-	// also drives the per-client session GC (idle executed records evict
-	// after Config.SessionGCBlocks), so eviction is block-driven and
-	// identical everywhere too.
-	number := n.ledger.Height() + 1
-	fresh := n.batcher.Fresh(batch.Requests)
-	n.batcher.MarkDeliveredAt(number, batch.Requests)
-
-	bc := smr.NewBatchContext(number, d.Instance, d.Epoch, &batch)
-	results, update := n.executeBatch(bc, batch.Requests, fresh)
+	results, update, replies := n.applyBatch(n.ledger.Height()+1, d.Instance, d.Epoch, &batch)
 	n.executedTxs.Add(int64(len(batch.Requests)))
 
 	kind := blockchain.KindTransactions
@@ -406,25 +396,6 @@ func (n *Node) commitDecision(d consensus.Decision) bool {
 		return false
 	}
 	n.blocksBuilt.Add(1)
-
-	// One signed view tag covers every reply of the block: the tag is a
-	// function of (view, deciding epoch, height) only, so the per-reply
-	// marginal cost is a copy, not a signature. The view captured here is
-	// the one the block was created in — a view update the block itself
-	// carries applies below, after the replies are built.
-	tag, tagSig := n.replyTag(d.Epoch, number)
-	replies := make([]smr.Reply, len(batch.Requests))
-	for i := range batch.Requests {
-		replies[i] = smr.Reply{
-			ReplicaID: n.cfg.Self,
-			ClientID:  batch.Requests[i].ClientID,
-			Seq:       batch.Requests[i].Seq,
-			Digest:    batch.Requests[i].Digest(),
-			Tag:       tag,
-			TagSig:    tagSig,
-			Result:    results[i],
-		}
-	}
 
 	record := blockchain.EncodeBlockRecord(&blk)
 	strong := n.cfg.Persistence == PersistenceStrong
@@ -441,13 +412,12 @@ func (n *Node) commitDecision(d consensus.Decision) bool {
 		// logger and continue immediately; the logger group-commits and
 		// the callback triggers replies (weak) or the PERSIST round
 		// (strong). Ordering of the next instance overlaps storage.
-		b := blk
 		n.logger.Append(record, func(err error) {
 			if err != nil {
 				return
 			}
 			if strong {
-				n.persist.localDurable(&b, replies, nil)
+				n.persist.localDurable(&blk, replies, nil)
 			} else {
 				n.sendReplies(replies)
 			}
@@ -472,27 +442,55 @@ func (n *Node) commitDecision(d consensus.Decision) bool {
 		}
 	}
 
+	n.closeBlock(&blk)
 	if update != nil {
-		n.applyViewUpdate(update)
+		n.viewChanges.Add(1)
+		n.reconcileEngine()
 	}
 	// The executed height just advanced: serve any unordered reads parked
 	// on a ReadFloor this block reached.
 	n.releaseParked()
-	n.maybeCheckpoint(blk.Header.Number)
+	if n.ledger.LastCheckpoint() == blk.Header.Number {
+		n.writeCheckpoint(&blk)
+	}
 	return update != nil
 }
 
-// executeBatch routes each ordered request: application operations go to
-// the service (in one bulk ExecuteBatch call with the ordering context,
-// preserving order), and reconfiguration operations run the membership
-// logic (paper §V-D). At most one view change takes effect per block;
-// competing changes in the same batch fail deterministically. Requests
-// whose fresh flag is false were already executed in an earlier block and
-// are skipped with a deterministic duplicate result.
-func (n *Node) executeBatch(bc smr.BatchContext, reqs []smr.Request, fresh []bool) ([][]byte, *blockchain.ViewUpdate) {
+// applyBatch is the one transition of the replicated state above the
+// application, run identically for a live decision, a block replayed from
+// the local log and a block fetched by catch-up: filter the requests an
+// earlier block already executed, route the rest — application operations
+// to the service in one bulk ExecuteBatch call (preserving order),
+// reconfiguration operations to the membership logic (paper §V-D) — and
+// build this replica's reply to each. It returns what the block records
+// (results, view update) plus the replies; the caller turns them into a new
+// block or checks them against a recorded one. At most one view change
+// takes effect per block; competing changes in a batch fail
+// deterministically.
+//
+// Applying is idempotent per block: a recorded block that replay executed
+// and then refused (the record contradicted the execution) leaves the
+// application one batch ahead of the ledger, so whoever supplies that block
+// next — another donor, or the live decision — gets the first execution's
+// outcome back, not a second execution the duplicate filter would turn
+// into all-duplicate results.
+func (n *Node) applyBatch(number, instance, epoch int64, batch *smr.Batch) ([][]byte, *blockchain.ViewUpdate, []smr.Reply) {
+	if a := &n.lastApplied; a.number == number && a.instance == instance {
+		return a.results, a.update, a.replies
+	}
+	reqs := batch.Requests
+	// With a pipelined window a request can be ordered twice (a
+	// leader-change re-proposal plus a fresh slot); the executed watermark
+	// — a deterministic function of the committed prefix — filters the
+	// second execution identically on every replica. The block height also
+	// drives the per-client session GC (idle executed records evict after
+	// Config.SessionGCBlocks), so eviction is block-driven and identical
+	// everywhere too.
+	fresh := n.batcher.Fresh(reqs)
+	n.batcher.MarkDeliveredAt(number, reqs)
+
 	results := make([][]byte, len(reqs))
 	sequential := n.cfg.Verify == smr.VerifySequential
-
 	appReqs := make([]smr.Request, 0, len(reqs))
 	appIdx := make([]int, 0, len(reqs))
 	var update *blockchain.ViewUpdate
@@ -505,17 +503,16 @@ func (n *Node) executeBatch(bc smr.BatchContext, reqs []smr.Request, fresh []boo
 
 	for i := range reqs {
 		req := &reqs[i]
-		if fresh != nil && !fresh[i] {
+		if !fresh[i] {
 			results[i] = resultDuplicate
 			continue
 		}
-		if sequential {
-			// Sequential strategy (Table I left half): verify inside the
-			// execution path, one at a time.
-			if req.VerifySig() != nil {
-				results[i] = resultBadSignature
-				continue
-			}
+		// Sequential strategy (Table I left half): verify inside the
+		// execution path, one at a time. The verdict is part of the block's
+		// results, so replay repeats it.
+		if sequential && req.VerifySig() != nil {
+			results[i] = resultBadSignature
+			continue
 		}
 		if len(req.Op) == 0 {
 			results[i] = resultBadOperation
@@ -523,16 +520,12 @@ func (n *Node) executeBatch(bc smr.BatchContext, reqs []smr.Request, fresh []boo
 		}
 		switch req.Op[0] {
 		case OpApp:
-			if sequential {
-				unwrapped := *req
-				unwrapped.Op = req.Op[1:]
-				if !n.app.VerifyOp(&unwrapped) {
-					results[i] = resultBadSignature
-					continue
-				}
-			}
 			r := *req
 			r.Op = req.Op[1:]
+			if sequential && !n.app.VerifyOp(&r) {
+				results[i] = resultBadSignature
+				continue
+			}
 			appReqs = append(appReqs, r)
 			appIdx = append(appIdx, i)
 		case OpReconfig:
@@ -553,6 +546,9 @@ func (n *Node) executeBatch(bc smr.BatchContext, reqs []smr.Request, fresh []boo
 			update = u
 			results[i] = resultReconfigOK
 		case OpRemoveVote:
+			// Pending remove votes are replicated state: every replica
+			// counts the same ordered votes, so all reach the quorum on the
+			// same one.
 			vote, err := reconfig.DecodeRemoveVote(req.Op[1:])
 			if err != nil {
 				results[i] = resultReconfigError
@@ -573,12 +569,51 @@ func (n *Node) executeBatch(bc smr.BatchContext, reqs []smr.Request, fresh []boo
 	}
 
 	if len(appReqs) > 0 {
+		// The ordering context is the same wherever the block is applied, so
+		// any timestamp-derived state is bit-identical too.
+		bc := smr.NewBatchContext(number, instance, epoch, batch)
 		appResults := n.app.ExecuteBatch(bc, appReqs)
 		for j, idx := range appIdx {
 			results[idx] = appResults[j]
 		}
 	}
-	return results, update
+
+	// One signed view tag covers every reply of the block: the tag is a
+	// function of (view, deciding epoch, height) only, so the per-reply
+	// marginal cost is a copy, not a signature. The view is the one the
+	// block was created in — a view update the block itself carries is
+	// installed by closeBlock, after the replies are built.
+	tag, tagSig := n.replyTag(epoch, number)
+	replies := make([]smr.Reply, len(reqs))
+	for i := range reqs {
+		replies[i] = n.newReply(&reqs[i], tag, tagSig, 0, results[i])
+	}
+	n.lastApplied = appliedBatch{number, instance, results, update, replies}
+	return results, update, replies
+}
+
+// appliedBatch is one block's outcome of applyBatch, keyed by its ordering
+// coordinates.
+type appliedBatch struct {
+	number, instance int64
+	results          [][]byte
+	update           *blockchain.ViewUpdate
+	replies          []smr.Reply
+}
+
+// closeBlock is the second half of the transition, run once the block is
+// in the ledger (live: durable and certified under the view that created
+// it): install the view the block carries, mark a due checkpoint — the mark
+// is replicated state, it is the LastCheckpoint link of every later header
+// — and advance the commit floor past the block's instance.
+func (n *Node) closeBlock(b *blockchain.Block) {
+	if b.Body.Update != nil {
+		n.installView(b.Body.Update)
+	}
+	if n.ledger.ShouldCheckpoint(b.Header.Number) {
+		n.ledger.MarkCheckpoint(b.Header.Number)
+	}
+	n.nextInstance.Store(b.Body.ConsensusID + 1)
 }
 
 // sendReplies transmits one reply per executed request to its client and
@@ -596,48 +631,38 @@ func (n *Node) sendReplies(replies []smr.Reply) {
 	}
 }
 
-// maybeCheckpoint takes a service snapshot every z blocks (Algorithm 1
-// lines 49-54). The snapshot runs synchronously in the driver: the paper's
-// Fig. 7 shows exactly this throughput dip during checkpoints.
-func (n *Node) maybeCheckpoint(number int64) {
-	if !n.ledger.ShouldCheckpoint(number) {
-		return
-	}
-	n.takeCheckpoint(number)
+// writeCheckpoint stores the service snapshot for the checkpoint closeBlock
+// just marked at b (Algorithm 1 lines 49-54). It runs synchronously in the
+// driver: the paper's Fig. 7 shows exactly this throughput dip during
+// checkpoints. The store write is chunked: the metadata envelope plus the
+// application state split at CatchupChunkBytes, each chunk digest-addressed
+// so catch-up peers can fetch and verify them independently. All replicas
+// chunk at the same configured size, so their stored envelopes (and
+// therefore catch-up fingerprints) are byte-identical.
+func (n *Node) writeCheckpoint(b *blockchain.Block) {
+	env := n.envelopeAt(b)
+	_ = storage.SaveSnapshot(n.cfg.Snapshots, env.Height, env.encode(), n.app.Snapshot(), n.cfg.CatchupChunkBytes) //smartlint:allow errdrop best-effort checkpoint; recovery and donors fall back to the previous one plus the log
 }
 
-func (n *Node) takeCheckpoint(number int64) {
-	blk, ok := n.ledger.CachedBlock(number)
-	if !ok {
-		return
-	}
+// envelopeAt captures the replicated state above the application as of
+// block b, the newest applied block.
+func (n *Node) envelopeAt(b *blockchain.Block) snapshotEnvelope {
 	n.mu.Lock()
 	v := n.curView
 	permKeys := clonePermKeys(n.permanentKeys)
 	tracker := n.removeTracker
 	n.mu.Unlock()
-
-	env := snapshotEnvelope{
-		Height: number,
+	return snapshotEnvelope{
+		Height: b.Header.Number,
 		// The checkpointed block's consensus coordinate, NOT the live
 		// floor: every replica checkpointing this height writes the same
 		// instance, keeping envelopes a pure function of the chain prefix.
-		Instance:     blk.Body.ConsensusID + 1,
-		BlockHash:    blk.Header.Hash(),
+		Instance:     b.Body.ConsensusID + 1,
+		BlockHash:    b.Header.Hash(),
 		LastReconfig: n.ledger.LastReconfig(),
 		View:         v,
 		PermKeys:     permKeys,
 		Watermarks:   n.batcher.Watermarks(),
 		RemoveVotes:  tracker.Votes(),
 	}
-	// Chunked store write: the metadata envelope plus the application state
-	// split at CatchupChunkBytes, each chunk digest-addressed so catch-up
-	// peers can fetch and verify them independently. All replicas chunk at
-	// the same configured size, so their stored envelopes (and therefore
-	// catch-up fingerprints) are byte-identical.
-	state := n.app.Snapshot()
-	if err := storage.SaveSnapshot(n.cfg.Snapshots, number, env.encode(), state, n.cfg.CatchupChunkBytes); err != nil {
-		return // snapshot failure is non-fatal: the chain still has everything
-	}
-	n.ledger.MarkCheckpoint(number)
 }

@@ -67,6 +67,23 @@ func (n *Node) replyTag(epoch, height int64) (smr.ViewTag, []byte) {
 	return tag, sig
 }
 
+// newReply assembles this replica's reply to req under a signed view tag:
+// the one site that fills smr.Reply, for ordered, replayed and unordered
+// answers alike.
+func (n *Node) newReply(req *smr.Request, tag smr.ViewTag, tagSig []byte, flags uint8, result []byte) smr.Reply {
+	return smr.Reply{ReplicaID: n.cfg.Self, ClientID: req.ClientID, Seq: req.Seq,
+		Digest: req.Digest(), Flags: flags, Tag: tag, TagSig: tagSig, Result: result}
+}
+
+// sendReadReply answers an unordered read at the replica's current view,
+// regency and executed height. Loss is tolerated: the client falls back to
+// an ordered read.
+func (n *Node) sendReadReply(r *smr.Request, flags uint8, result []byte) {
+	tag, sig := n.replyTag(n.engineEpoch(), n.ledger.Height())
+	rep := n.newReply(r, tag, sig, flags, result)
+	_ = n.cfg.Transport.Send(int32(r.ClientID), MsgReply, rep.Encode()) //smartlint:allow errdrop unordered-read reply; client falls back to an ordered read
+}
+
 // engineEpoch reports the regency of the live engine (0 when none runs).
 func (n *Node) engineEpoch() int64 {
 	n.mu.Lock()
@@ -98,20 +115,14 @@ func (n *Node) answerUnordered(r smr.Request) {
 		result = resultBadOperation
 	}
 	n.unorderedReads.Add(1)
-	tag, sig := n.replyTag(n.engineEpoch(), n.ledger.Height())
-	rep := smr.Reply{ReplicaID: n.cfg.Self, ClientID: r.ClientID, Seq: r.Seq,
-		Digest: r.Digest(), Tag: tag, TagSig: sig, Result: result}
-	_ = n.cfg.Transport.Send(int32(r.ClientID), MsgReply, rep.Encode()) //smartlint:allow errdrop unordered-read reply; client falls back to an ordered read
+	n.sendReadReply(&r, 0, result)
 }
 
 // replyBehind answers a read-floor miss: no result, just the flag and the
 // replica's current view tag, so the client can fall back to an ordered
 // read once a quorum reports the floor unserveable.
 func (n *Node) replyBehind(r smr.Request) {
-	tag, sig := n.replyTag(n.engineEpoch(), n.ledger.Height())
-	rep := smr.Reply{ReplicaID: n.cfg.Self, ClientID: r.ClientID, Seq: r.Seq,
-		Digest: r.Digest(), Flags: smr.ReplyFlagBehind, Tag: tag, TagSig: sig}
-	_ = n.cfg.Transport.Send(int32(r.ClientID), MsgReply, rep.Encode()) //smartlint:allow errdrop advisory behind flag; client falls back to an ordered read
+	n.sendReadReply(&r, smr.ReplyFlagBehind, nil)
 }
 
 // parkRead enqueues a verified read whose floor is ahead of the executed

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"smartchain/internal/blockchain"
+	"smartchain/internal/consensus"
 	"smartchain/internal/crypto"
 	"smartchain/internal/reconfig"
 	"smartchain/internal/smr"
@@ -20,61 +21,86 @@ func clonePermKeys(m map[int32]crypto.PublicKey) map[int32]crypto.PublicKey {
 	return out
 }
 
-// applyViewUpdate installs the new view after a reconfiguration block was
-// committed: rotate consensus keys (erasing the old ones — the forgetting
-// protocol), swap the consensus engine, and if this replica is no longer a
-// member, retire it (paper §V-D).
-func (n *Node) applyViewUpdate(u *blockchain.ViewUpdate) {
+// installView is the replicated half of a view change, run by closeBlock
+// for every reconfiguration block wherever it is applied: the joiners'
+// permanent keys, the new view, a fresh remove tracker (votes target a view
+// that no longer exists; keeping them would let a later vote complete a
+// quorum no other replica sees), and — when the change excludes this
+// member — retirement (paper §V-D): its engine stops and it stays only to
+// serve state transfer. A joiner replaying history it was never part of is
+// not a member of the prior view and is left alone.
+func (n *Node) installView(u *blockchain.ViewUpdate) {
 	keys := make(map[int32]crypto.PublicKey, len(u.Keys))
 	for _, ck := range u.Keys {
 		keys[ck.Signer] = ck.ConsensusPub
 	}
 	next := view.New(u.NewViewID, u.Members, keys)
 
+	var excluded *consensus.Engine
 	n.mu.Lock()
 	for i := range u.Joining {
 		n.permanentKeys[u.Joining[i].ID] = u.Joining[i].PermanentPub
 	}
+	wasMember := n.curView.Contains(n.cfg.Self) && !n.retired
 	n.curView = next
 	n.removeTracker = reconfig.NewRemoveTracker()
-	selfIn := next.Contains(n.cfg.Self)
-	oldEngine := n.engine
-	if !selfIn {
-		n.engine = nil
+	if wasMember && !next.Contains(n.cfg.Self) {
+		excluded, n.engine = n.engine, nil
 		n.retired = true
 	}
 	n.mu.Unlock()
-	n.viewChanges.Add(1)
-
-	// Stop the old engine before rotating keys: it must not sign anything
-	// in the old view after the new one is installed.
-	if oldEngine != nil {
-		oldEngine.Stop()
+	if excluded != nil {
+		excluded.Stop()
 	}
+}
 
-	if !selfIn {
-		return // retired: stays only to serve state transfer
-	}
-
-	fresh, err := n.keys.Install(u.NewViewID)
-	if err != nil {
+// reconcileEngine is the local half: bring this member's consensus key and
+// engine in line with the installed view. It runs at start, right after a
+// live reconfiguration block (the block's durability and PERSIST
+// certificate are complete under the old keys by then) and once per
+// state-transfer round — not per replayed block: only the last view of a
+// replayed range ever orders anything, and each rotation erases a key (the
+// forgetting protocol) and costs an engine start. A member whose key is
+// not in the view record — it was not part of the reconfiguration quorum,
+// or slept through the change — announces the fresh one (paper §V-D).
+func (n *Node) reconcileEngine() {
+	n.mu.Lock()
+	v := n.curView
+	member := v.Contains(n.cfg.Self) && !n.retired
+	eng := n.engine
+	n.mu.Unlock()
+	if !member {
 		return
 	}
-	// If our key was not part of the reconfiguration quorum, announce the
-	// fresh one in our first messages of the new view (paper §V-D).
-	if existing, ok := next.ConsensusKeys[n.cfg.Self]; !ok || !existing.Equal(fresh.Public()) {
+	cur, viewID := n.keys.Current()
+	if viewID != v.ID || cur == nil || cur.Erased() {
+		// Stop the old engine before rotating keys: it must not sign
+		// anything in the old view after the new one is installed.
+		if eng != nil {
+			eng.Stop()
+		}
+		fresh, err := n.keys.Install(v.ID)
+		if err != nil {
+			return
+		}
+		cur = fresh
+	}
+	n.persistConsensusKey()
+	if rec, ok := v.ConsensusKeys[n.cfg.Self]; !ok || !rec.Equal(cur.Public()) {
 		n.mu.Lock()
-		n.curView = n.curView.WithKey(n.cfg.Self, fresh.Public())
+		n.curView = n.curView.WithKey(n.cfg.Self, cur.Public())
 		n.mu.Unlock()
 		if ck, err := n.keys.CertifyCurrent(); err == nil {
 			ann := keyAnnounce{Key: ck}
 			payload := ann.encode()
-			for _, peer := range next.Others(n.cfg.Self) {
-				_ = n.cfg.Transport.Send(peer, MsgKeyAnnounce, payload) //smartlint:allow errdrop key announce is repeated on the next view install
+			for _, peer := range v.Others(n.cfg.Self) {
+				_ = n.cfg.Transport.Send(peer, MsgKeyAnnounce, payload) //smartlint:allow errdrop key announce is repeated on the next view install or membership sync
 			}
 		}
 	}
-	n.startEngineLocked()
+	if eng == nil || viewID != v.ID {
+		n.startEngine()
+	}
 }
 
 // onJoinAsk is a member's side of Fig. 5a step 1-2: evaluate the candidate

@@ -6,6 +6,7 @@ import (
 
 	"smartchain/internal/coin"
 	"smartchain/internal/crypto"
+	"smartchain/internal/reconfig"
 	"smartchain/internal/smr"
 )
 
@@ -32,6 +33,7 @@ func TestRetransmissionAnsweredFromReplyCache(t *testing.T) {
 	}
 
 	awaitReplies := func(want int) map[int32]smr.Reply {
+		t.Helper()
 		got := make(map[int32]smr.Reply)
 		deadline := time.After(10 * time.Second)
 		for len(got) < want {
@@ -97,5 +99,40 @@ func TestRetransmissionAnsweredFromReplyCache(t *testing.T) {
 	case <-time.After(400 * time.Millisecond):
 		// Silence is the expected outcome (the forged request fails the
 		// coin-signature check in verification and is dropped).
+	}
+
+	// A replica that caught up over a block by replay answers
+	// retransmissions of every request in it, reconfiguration transactions
+	// included — its live executors can number fewer than a reply quorum.
+	// Replica 3 sleeps through member 0's remove vote against it.
+	if err := c.Crash(3); err != nil {
+		t.Fatal(err)
+	}
+	key, err := crypto.CertifyConsensusKey(c.Nodes[0].Permanent, 0, 1, crypto.SeededKeyPair("next-view-key", 0).Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vote, err := reconfig.NewRemoveVote(0, c.Nodes[0].Permanent, 3, 1, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err = smr.NewSignedRequest(int64(ep.ID()), 2, append([]byte{OpRemoveVote}, vote.Encode()...), c.Nodes[0].Permanent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = req.Encode()
+	for _, m := range []int32{0, 1, 2} {
+		_ = ep.Send(m, smr.MsgRequest, payload)
+	}
+	awaitReplies(3)
+	if err := c.Recover(3); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if err := c.WaitHeight(2, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	_ = ep.Send(3, smr.MsgRequest, payload)
+	if rep := awaitReplies(1)[3]; string(rep.Result) != string(resultReconfigOK) {
+		t.Fatalf("replica 3 answered the retransmitted remove vote with %x", rep.Result)
 	}
 }

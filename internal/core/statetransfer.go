@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"smartchain/internal/blockchain"
@@ -41,13 +43,10 @@ func (n *Node) recoverLocal() error {
 		}
 		base = &env
 		baseState = state
-	case errors.Is(err, storage.ErrNoSnapshot):
-		// No checkpoint yet: the log is the whole story.
-	case errors.Is(err, storage.ErrCorrupted):
-		// A torn or bit-rotted snapshot is treated as absent: the block log
-		// is the durability anchor and replays the full history. (If the log
-		// does not start at genesis either, recovery fails below.)
-		base = nil
+	case errors.Is(err, storage.ErrNoSnapshot), errors.Is(err, storage.ErrCorrupted):
+		// No checkpoint yet, or a torn or bit-rotted one, which is treated as
+		// absent: the block log is the durability anchor and replays the full
+		// history. (If the log does not start at genesis, recovery fails below.)
 	default:
 		return err
 	}
@@ -85,26 +84,22 @@ func (n *Node) recoverLocal() error {
 			}
 		}
 		n.installEnvelope(base)
-		for i := range blocks {
-			if blocks[i].Header.Number <= base.Height {
-				continue
-			}
-			if err := n.replayBlock(&blocks[i]); err != nil {
-				break // torn/unlinked tail: stop at the durable prefix
-			}
+	} else {
+		// No snapshot: the log must start at genesis.
+		if len(blocks) == 0 || blocks[0].Header.Number != 0 {
+			return fmt.Errorf("core: log does not begin with genesis")
 		}
-		return nil
+		if _, err := blockchain.ParseGenesisBlock(&blocks[0]); err != nil {
+			return err
+		}
 	}
-
-	// No snapshot: the log must start at genesis.
-	if len(blocks) == 0 || blocks[0].Header.Number != 0 {
-		return fmt.Errorf("core: log does not begin with genesis")
-	}
-	if _, err := blockchain.ParseGenesisBlock(&blocks[0]); err != nil {
-		return err
-	}
-	for i := 1; i < len(blocks); i++ {
+	for i := range blocks {
+		if blocks[i].Header.Number <= n.ledger.Height() {
+			continue
+		}
 		if err := n.replayBlock(&blocks[i]); err != nil {
+			// A torn or unlinked tail, or a record re-execution contradicts:
+			// stop at the durable prefix before it.
 			break
 		}
 	}
@@ -132,111 +127,45 @@ func (n *Node) installEnvelope(env *snapshotEnvelope) {
 	n.mu.Unlock()
 }
 
-// replayBlock re-commits and re-executes one block during recovery: the
-// application re-runs its transactions (deterministically reproducing the
-// recorded results) and reconfiguration blocks re-install their view
-// updates (without engine churn — no engine is running during recovery).
+// replayBlock applies one recorded block — from the local log at recovery,
+// or fetched by catch-up — through the same transition as a live decision
+// and holds the record to what re-execution produced: the header commits
+// to the results, but nothing signs the header of an uncertified tip and
+// no hash covers Body.Update, so a donor (or a log written by a differently
+// configured application) can record either wrongly. A mismatch is an error
+// naming the block, and the block stays out of the ledger and the log.
 func (n *Node) replayBlock(b *blockchain.Block) error {
-	if err := n.ledger.Commit(b); err != nil {
-		return err
+	// Linkage before anything executes: a torn or unlinked tail stops here.
+	if n.ledger.NextHeader(b.Header.TxRoot, b.Header.ResultsRoot) != b.Header {
+		return fmt.Errorf("%w: block %d after height %d", blockchain.ErrBadLinkage, b.Header.Number, n.ledger.Height())
 	}
 	batch, err := b.Body.Batch()
 	if err != nil {
+		return fmt.Errorf("core: block %d: %w", b.Header.Number, err)
+	}
+	results, update, replies := n.applyBatch(b.Header.Number, b.Body.ConsensusID, b.Body.Epoch, &batch)
+	if blockchain.ResultsRootOf(results) != b.Header.ResultsRoot || !slices.EqualFunc(results, b.Body.Results, bytes.Equal) {
+		return fmt.Errorf("core: block %d: recorded results do not match re-execution", b.Header.Number)
+	}
+	rec := b.Body.Update
+	if (rec != nil) != (b.Body.Kind == blockchain.KindReconfig) || (rec != nil) != (update != nil) ||
+		(rec != nil && !bytes.Equal(rec.Encode(), update.Encode())) {
+		return fmt.Errorf("core: block %d: recorded view update does not match re-execution", b.Header.Number)
+	}
+	if err := n.ledger.Commit(b); err != nil {
 		return err
 	}
-	// Same duplicate filter as the live commit path: a request ordered
-	// twice by a pipelined window executed only once live, so replay must
-	// skip the same second occurrence. The block height drives the session
-	// GC identically to live execution.
-	fresh := n.batcher.Fresh(batch.Requests)
-	n.batcher.MarkDeliveredAt(b.Header.Number, batch.Requests)
-	appReqs := make([]smr.Request, 0, len(batch.Requests))
-	appIdx := make([]int, 0, len(batch.Requests))
-	for i := range batch.Requests {
-		if !fresh[i] || len(batch.Requests[i].Op) == 0 {
-			continue
-		}
-		switch op := batch.Requests[i].Op; op[0] {
-		case OpApp:
-			r := batch.Requests[i]
-			r.Op = op[1:]
-			appReqs = append(appReqs, r)
-			appIdx = append(appIdx, i)
-		case OpRemoveVote:
-			// Pending remove votes are replicated state: count them exactly
-			// as live execution did, or this replica misses the quorum the
-			// rest of the view reaches on a later vote. Only the count
-			// matters here — when a vote completes the quorum, the block's
-			// recorded Update (applied below) is authoritative.
-			if vote, err := reconfig.DecodeRemoveVote(op[1:]); err == nil {
-				n.mu.Lock()
-				cur, permKeys, tracker := n.curView, clonePermKeys(n.permanentKeys), n.removeTracker
-				n.mu.Unlock()
-				_, _ = tracker.Observe(cur, permKeys, vote) // invalid votes were ignored live too
-			}
-		}
+	// Feed the reply cache (not the wire): a replica that catches up by
+	// replay never sent these replies live, yet its clients' quorums may
+	// NEED it — the live executors of a post-reconfiguration block can
+	// number fewer than a reply quorum. Retransmissions hit the cache and
+	// get answered as if this replica had executed the block live
+	// (BFT-SMaRt keeps its reply store inside transferred state for exactly
+	// this reason; we rebuild it from the blocks instead).
+	for i := range replies {
+		n.replies.store(&replies[i], replies[i].Encode())
 	}
-	if len(appReqs) > 0 {
-		// Same ordering context as the live execution: replay must be
-		// bit-identical, including any timestamp-derived state.
-		bc := smr.NewBatchContext(b.Header.Number, b.Body.ConsensusID, b.Body.Epoch, &batch)
-		results := n.app.ExecuteBatch(bc, appReqs)
-		// Feed the reply cache (not the wire): a replica that catches up by
-		// replay never sent these replies live, yet its clients' quorums may
-		// NEED it — the live executors of a post-reconfiguration block can
-		// number fewer than a reply quorum. Retransmissions hit the cache
-		// and get answered as if this replica had executed the block live
-		// (BFT-SMaRt keeps its reply store inside transferred state for
-		// exactly this reason; we rebuild it from the blocks instead).
-		tag, sig := n.replyTag(b.Body.Epoch, b.Header.Number)
-		for j, idx := range appIdx {
-			orig := &batch.Requests[idx]
-			rep := smr.Reply{ReplicaID: n.cfg.Self, ClientID: orig.ClientID, Seq: orig.Seq,
-				Digest: orig.Digest(), Tag: tag, TagSig: sig, Result: results[j]}
-			n.replies.store(&rep, rep.Encode())
-		}
-	}
-	if b.Body.Kind == blockchain.KindReconfig && b.Body.Update != nil {
-		u := b.Body.Update
-		keys := make(map[int32]crypto.PublicKey, len(u.Keys))
-		for _, ck := range u.Keys {
-			keys[ck.Signer] = ck.ConsensusPub
-		}
-		var stopEngine func()
-		n.mu.Lock()
-		for i := range u.Joining {
-			n.permanentKeys[u.Joining[i].ID] = u.Joining[i].PermanentPub
-		}
-		wasMember := n.curView.Contains(n.cfg.Self) && !n.retired
-		next := viewFromUpdate(u, keys)
-		n.curView = next
-		// The tracker is per-view on the live path (applyViewUpdate); replay
-		// must reset it identically or a caught-up replica could later
-		// combine old-view remove votes into an update no live replica
-		// builds — a state divergence, not just stale memory.
-		n.removeTracker = reconfig.NewRemoveTracker()
-		if wasMember && !next.Contains(n.cfg.Self) {
-			// This replica left (or was removed) in a view change it slept
-			// through: retire exactly as live execution would have. Without
-			// this, a leaver that catches up over its own leave block keeps
-			// its old-view engine campaigning forever and Retired() never
-			// turns true. A joiner syncing before membership (WaitMembership)
-			// never hits this branch: it was not a member of the prior view.
-			if e := n.engine; e != nil {
-				stopEngine = e.Stop
-			}
-			n.engine = nil
-			n.retired = true
-		}
-		n.mu.Unlock()
-		if stopEngine != nil {
-			stopEngine()
-		}
-	}
-	if b.Header.Number > 0 && n.ledger.ShouldCheckpoint(b.Header.Number) {
-		n.ledger.MarkCheckpoint(b.Header.Number)
-	}
-	n.nextInstance.Store(b.Body.ConsensusID + 1)
+	n.closeBlock(b)
 	return nil
 }
 
@@ -279,7 +208,7 @@ func (n *Node) loadConsensusKey() {
 	if err != nil {
 		return
 	}
-	n.keys = newRecoveredKeyStore(n.cfg.Self, n.cfg.Permanent, viewID, kp)
+	n.keys = reconfig.NewKeyStore(n.cfg.Self, n.cfg.Permanent, viewID, kp, nil)
 }
 
 // ---------------------------------------------------------------------------
@@ -508,11 +437,7 @@ func (f nodeFetcher) InstallSnapshot(env *catchup.Envelope, state []byte) error 
 		}
 	}
 	n.installEnvelope(&me)
-	cb := int(env.Snap.ChunkBytes)
-	if err := storage.SaveSnapshot(n.cfg.Snapshots, env.Height, env.Snap.Meta, state, cb); err != nil {
-		return err
-	}
-	return nil
+	return storage.SaveSnapshot(n.cfg.Snapshots, env.Height, env.Snap.Meta, state, int(env.Snap.ChunkBytes))
 }
 
 // ApplyBlocks verifies a fetched range against this replica's own tip
@@ -555,11 +480,7 @@ func (f nodeFetcher) ReplayBlocks(blocks []blockchain.Block) error {
 		if err := n.replayBlock(b); err != nil {
 			return fmt.Errorf("replay fetched block %d: %w", b.Header.Number, err)
 		}
-		if n.logger != nil {
-			n.logger.Append(blockchain.EncodeBlockRecord(b), nil)
-		} else {
-			_ = n.cfg.Log.Append(blockchain.EncodeBlockRecord(b)) //smartlint:allow errdrop mirrors the async logger path; recovery re-fetches from peers
-		}
+		n.logger.Append(blockchain.EncodeBlockRecord(b), nil)
 	}
 	return nil
 }
@@ -594,48 +515,10 @@ func (n *Node) syncRound(peers []int32, timeout time.Duration) (bool, error) {
 	progressed, err := n.source.Sync(ctx, nodeFetcher{n}, peers)
 	if progressed {
 		n.stateTransfers.Add(1)
-		n.afterInstall()
+		n.reconcileEngine()
 	}
 	n.syncMu.Unlock()
 	return progressed, err
-}
-
-// afterInstall reconciles membership after new state arrived: a member
-// whose consensus key does not match the view record announces a fresh one
-// (e.g. it slept through a view change), and members ensure an engine runs.
-func (n *Node) afterInstall() {
-	n.mu.Lock()
-	v := n.curView
-	selfIn := v.Contains(n.cfg.Self) && !n.retired
-	eng := n.engine
-	n.mu.Unlock()
-	if !selfIn {
-		return
-	}
-	cur, viewID := n.keys.Current()
-	if viewID != v.ID || cur == nil || cur.Erased() {
-		fresh, err := n.keys.Install(v.ID)
-		if err != nil {
-			return
-		}
-		cur = fresh
-	}
-	n.persistConsensusKey()
-	if rec, ok := v.ConsensusKeys[n.cfg.Self]; !ok || !rec.Equal(cur.Public()) {
-		n.mu.Lock()
-		n.curView = n.curView.WithKey(n.cfg.Self, cur.Public())
-		n.mu.Unlock()
-		if ck, err := n.keys.CertifyCurrent(); err == nil {
-			ann := keyAnnounce{Key: ck}
-			payload := ann.encode()
-			for _, peer := range v.Others(n.cfg.Self) {
-				_ = n.cfg.Transport.Send(peer, MsgKeyAnnounce, payload) //smartlint:allow errdrop key announce is repeated on the next membership sync
-			}
-		}
-	}
-	if eng == nil || viewID != v.ID {
-		n.startEngineLocked()
-	}
 }
 
 // WaitMembership loops state-transfer rounds until this node is a member of

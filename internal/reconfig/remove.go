@@ -140,10 +140,13 @@ func (t *RemoveTracker) Observe(cur view.View, permanent map[int32]crypto.Public
 			members = append(members, m)
 		}
 	}
+	// Voter order, not map order: the update is recorded in the block and
+	// every replica (and every replay) must build the same bytes.
 	keys := make([]crypto.CertifiedKey, 0, len(t.votes[v.Target]))
 	for _, vote := range t.votes[v.Target] {
 		keys = append(keys, vote.NewKey)
 	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Signer < keys[j].Signer })
 	return &blockchain.ViewUpdate{
 		NewViewID: v.NextViewID,
 		Members:   members,

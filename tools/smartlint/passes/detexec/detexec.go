@@ -4,10 +4,13 @@
 // or let map iteration order leak into its outputs.
 //
 // The rules apply package-wide inside the deterministic packages
-// (internal/exec, internal/coin) and, everywhere else, inside any
-// ExecuteBatch / ExecuteOne method body — the application execution paths
-// that feed replicated state. PR 6's determinism fuzzing can only sample
-// these properties; this pass enforces them at compile time.
+// (internal/exec, internal/coin) and, everywhere else, inside the method
+// bodies that feed replicated state: the application execution paths
+// (ExecuteBatch / ExecuteOne) and the node's block transition (applyBatch,
+// closeBlock, installView in internal/core), which live commit,
+// crash-recovery replay and catch-up replay all run and must run to the
+// same result. PR 6's determinism fuzzing can only sample these
+// properties; this pass enforces them at compile time.
 package detexec
 
 import (
@@ -28,9 +31,13 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// execMethods are the application execution entry points checked even
-// outside the deterministic packages.
-var execMethods = map[string]bool{"ExecuteBatch": true, "ExecuteOne": true}
+// execMethods are the methods checked even outside the deterministic
+// packages: the application execution entry points and the node's block
+// transition.
+var execMethods = map[string]bool{
+	"ExecuteBatch": true, "ExecuteOne": true,
+	"applyBatch": true, "closeBlock": true, "installView": true,
+}
 
 func run(pass *analysis.Pass) (any, error) {
 	wholePkg := scopes.Deterministic(pass.Pkg.Path())

@@ -8,5 +8,5 @@ import (
 )
 
 func TestDetexec(t *testing.T) {
-	analysistest.Run(t, "../../testdata/src", detexec.Analyzer, "./detexec")
+	analysistest.Run(t, "../../testdata/src", detexec.Analyzer, "./detexec", "./detexec/node")
 }
