@@ -1,175 +1,19 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (§VI). Each benchmark prints the same rows/series the paper reports; the
-// absolute numbers depend on this machine and the SimDisk device model
-// (HDD-profile by default), but the shape — which configuration wins, by
-// roughly what factor — reproduces the paper's findings. EXPERIMENTS.md
-// records a paper-vs-measured comparison.
+// Micro-benchmarks for primitives no other instrument times: the per-block
+// commitment (Merkle root vs flat hash), batch serialization, and the
+// group-commit effect on the HDD device model. The paper's tables and
+// figures are regenerated by cmd/benchrunner; signing and verification cost
+// is the crypto.sign_us / crypto.verify_us probe of bench/.
 //
-// The full sweep takes several minutes; run a single experiment with e.g.
-//
-//	go test -bench=BenchmarkTableII -benchtime=1x
+//	go test -run '^$' -bench . -benchtime 100x .
 package smartchain
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"smartchain/internal/crypto"
-	"smartchain/internal/harness"
 	"smartchain/internal/smr"
 	"smartchain/internal/storage"
 )
-
-// benchOpts keeps benchmark wall-clock reasonable while preserving shape.
-func benchOpts() harness.ExpOptions {
-	return harness.ExpOptions{
-		Clients: 240,
-		Warmup:  400 * time.Millisecond,
-		Measure: 1500 * time.Millisecond,
-		Disk:    storage.HDDProfile,
-	}
-}
-
-func reportRows(b *testing.B, rows []harness.Row) {
-	b.Helper()
-	for _, r := range rows {
-		b.Logf("%s", r)
-	}
-	if len(rows) > 0 {
-		b.ReportMetric(rows[0].Throughput, "tx/s")
-	}
-}
-
-// BenchmarkTableI regenerates Table I: SMaRtCoin throughput under
-// sequential vs parallel signature verification × sync vs async storage,
-// plus the Dura-SMaRt durability layer.
-func BenchmarkTableI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.TableI(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRows(b, rows)
-	}
-}
-
-// BenchmarkFig6 regenerates Figure 6: throughput for consortium sizes 4, 7,
-// and 10 across persistence guarantees and the Si/Sy configuration axes.
-func BenchmarkFig6(b *testing.B) {
-	for _, n := range []int{4, 7, 10} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := benchOpts()
-				opts.Measure = time.Second
-				rows, err := harness.Fig6([]int{n}, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportRows(b, rows)
-			}
-		})
-	}
-}
-
-// BenchmarkTableII regenerates Table II: SMARTCHAIN strong/weak vs the
-// Tendermint-style and Fabric-style baselines (throughput and latency).
-func BenchmarkTableII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.TableII(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRows(b, rows)
-	}
-}
-
-// BenchmarkFig8 regenerates Figure 8: time to update (state-transfer
-// replay) a replica for different chain lengths and checkpoint periods.
-func BenchmarkFig8(b *testing.B) {
-	const txPerBlock = 64
-	for _, ckpt := range []int{0, 500, 1000, 2000} {
-		name := "no-ckpt"
-		if ckpt > 0 {
-			name = fmt.Sprintf("ckpt=%d", ckpt)
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, blocks := range []int{1000, 4000} {
-					d, err := harness.Fig8Point(blocks, ckpt, txPerBlock)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.Logf("blocks=%d ckpt=%d update=%v", blocks, ckpt, d)
-					if blocks == 4000 {
-						b.ReportMetric(d.Seconds(), "s/update-4k")
-					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPipeline isolates Algorithm 1's pipeline decoupling —
-// the design choice behind the paper's 8× application-level speedup.
-func BenchmarkAblationPipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationPipeline(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRows(b, rows)
-	}
-}
-
-// BenchmarkPipelineWindow isolates the consensus ordering window: W = 1
-// (the seed's strictly sequential ordering, network idle between PROPOSE
-// rounds) against W = 8 (pipelined instances, in-order commit). Reported
-// x-speedup is W=8 over W=1.
-func BenchmarkPipelineWindow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.PipelineWindow([]int{1, 8}, 5*time.Millisecond, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRows(b, rows)
-		if len(rows) == 2 && rows[0].Throughput > 0 {
-			b.ReportMetric(rows[1].Throughput/rows[0].Throughput, "x-speedup")
-		}
-	}
-}
-
-// --- Microbenchmarks for the primitives the macro results rest on. ---
-
-// BenchmarkEd25519Verify measures one signature verification: the unit cost
-// behind the sequential-vs-parallel verification gap of Table I.
-func BenchmarkEd25519Verify(b *testing.B) {
-	kp := crypto.SeededKeyPair("bench", 1)
-	msg := make([]byte, 310) // a SPEND-sized request
-	sig, err := kp.Sign("bench", msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !crypto.Verify(kp.Public(), "bench", msg, sig) {
-			b.Fatal("verify failed")
-		}
-	}
-}
-
-// BenchmarkEd25519Sign measures signing (consensus votes, replies, persist
-// shares).
-func BenchmarkEd25519Sign(b *testing.B) {
-	kp := crypto.SeededKeyPair("bench", 1)
-	msg := make([]byte, 48)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := kp.Sign("bench", msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkMerkleRoot512 measures the per-block commitment cost at the
 // paper's batch size.

@@ -383,8 +383,8 @@ func (c *Cluster) endpoint(id int32) (transport.Endpoint, error) {
 }
 
 // WireStats aggregates the TCP fabric's per-process counters (nil off the
-// TCP wire). The wire experiment's gates read this: a healthy loopback
-// sweep must show zero drops and zero authentication failures.
+// TCP wire). TestClusterTCPWireMintAndSpend and bench/ read this: a healthy
+// loopback run must show zero drops and zero authentication failures.
 func (c *Cluster) WireStats() map[int32]transport.TCPStats {
 	if c.Fabric == nil {
 		return nil

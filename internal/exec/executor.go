@@ -52,7 +52,7 @@ type Application interface {
 	ExecuteOne(bc smr.BatchContext, req *smr.Request) []byte
 }
 
-// Stats are cumulative executor counters (atomics: the harness reads them
+// Stats are cumulative executor counters (atomics: readers snapshot them
 // while the executor runs).
 type Stats struct {
 	// Batches counts Execute calls that took the parallel path.
@@ -152,7 +152,6 @@ func (e *Executor) runStratum(bc smr.BatchContext, app Application, reqs []smr.R
 // key it reads or writes, reader of a key it writes, or a barrier), and in
 // stratum 0 when it conflicts with nothing earlier. The assignment is a
 // deterministic function of the request order and declared key sets.
-// Exported for tests and for the benchmark harness's strata accounting.
 func Strata(app Application, reqs []smr.Request) [][]int {
 	// lastWrite[k] / lastRead[k]: highest stratum that writes / reads key k
 	// so far. maxWrite / maxRead: the running maxima over ALL keys, which is

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -118,51 +117,19 @@ func Chaos(opts ChaosOptions) (ChaosReport, error) {
 	// Closed-loop client fleet. Timeouts are short so a client blocked on a
 	// stalled instance abandons it and probes again — goodput then reflects
 	// the cluster, not the fleet's patience.
-	var (
-		confirmed atomic.Int64
-		failures  atomic.Int64
-		stop      = make(chan struct{})
-		wg        sync.WaitGroup
-	)
-	for i := 0; i < opts.Clients; i++ {
-		script := workload.NewCoinScript(label, int64(i))
-		proxy := client.New(cluster.ClientEndpoint(), script.Key(), cluster.Members(),
-			client.WithTimeout(4*time.Second))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer proxy.Close()
-			var prev []byte
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				op, ok := script.NextOp(prev)
-				if !ok {
-					return
-				}
-				res, err := proxy.Invoke(context.Background(), core.WrapAppOp(op))
-				if err != nil {
-					prev = nil
-					failures.Add(1)
-					proxy.SetMembers(cluster.Members()) // membership may have churned
-					continue
-				}
-				prev = res
-				confirmed.Add(1)
+	var confirmed, failures atomic.Int64
+	stop := startClients(cluster, opts.Clients, 4*time.Second,
+		func(i int) workload.Script { return workload.NewCoinScript(label, int64(i)) },
+		core.WrapAppOp,
+		func(p *client.Proxy, _ time.Time, err error) {
+			if err != nil {
+				failures.Add(1)
+				p.SetMembers(cluster.Members()) // membership may have churned
+				return
 			}
-		}()
-	}
-	defer func() {
-		select {
-		case <-stop:
-		default:
-			close(stop)
-		}
-		wg.Wait()
-	}()
+			confirmed.Add(1)
+		})
+	defer stop()
 
 	// Warm up: the schedule clock starts only once traffic demonstrably
 	// flows, so t=0 of the timeline means "healthy cluster under load".
@@ -192,8 +159,7 @@ func Chaos(opts ChaosOptions) (ChaosReport, error) {
 	time.Sleep(opts.Budgets.RecoveryDeadline() + 2*time.Second)
 	checker.StopSampling()
 	rep.Timeline = checker.Timeline()
-	close(stop)
-	wg.Wait()
+	stop()
 	rep.Confirmed = confirmed.Load()
 	rep.Errors = failures.Load()
 	rep.Violations = checker.Analyze(rep.Events, opts.Budgets)

@@ -38,15 +38,18 @@ func TestChaosEquivocatingLeaderSurvived(t *testing.T) {
 }
 
 // TestChaosChurnUnderLoad holds sustained client load while membership
-// churns — joins and leaves every 3 s for ~15 s, at least two of each —
-// and gates on the full invariant contract: no decided instance lost,
-// bit-identical survivor state, bounded recovery, no flatline.
+// churns — two joins and two leaves over ~20 s — and gates on the full
+// invariant contract: no decided instance lost, bit-identical survivor
+// state, bounded recovery, no flatline. A replica is told to leave 6 s after
+// it was told to join: the steps are asynchronous, a join takes 2–5 s under
+// -race on two cores, and a leave that overtakes it is refused ("not a
+// member of the current view"), which says nothing about churn.
 func TestChaosChurnUnderLoad(t *testing.T) {
 	sched := &chaos.Schedule{Steps: []chaos.Step{
 		{At: 3 * time.Second, Action: &chaos.JoinAction{ID: 4}},
-		{At: 6 * time.Second, Action: &chaos.LeaveAction{ID: 4}},
-		{At: 9 * time.Second, Action: &chaos.JoinAction{ID: 5}},
-		{At: 12 * time.Second, Action: &chaos.LeaveAction{ID: 5}},
+		{At: 9 * time.Second, Action: &chaos.LeaveAction{ID: 4}},
+		{At: 12 * time.Second, Action: &chaos.JoinAction{ID: 5}},
+		{At: 18 * time.Second, Action: &chaos.LeaveAction{ID: 5}},
 	}}
 	rep, err := Chaos(ChaosOptions{Schedule: sched, Clients: 4})
 	if err != nil {

@@ -5,14 +5,11 @@ import (
 	"time"
 
 	"smartchain/internal/baselines"
-	"smartchain/internal/blockchain"
 	"smartchain/internal/coin"
-	"smartchain/internal/consensus"
 	"smartchain/internal/core"
 	"smartchain/internal/crypto"
 	"smartchain/internal/smr"
 	"smartchain/internal/storage"
-	"smartchain/internal/view"
 	"smartchain/internal/workload"
 )
 
@@ -25,10 +22,9 @@ type ExpOptions struct {
 	MaxBatch int
 	// Disk selects the storage device model (nil = HDD profile).
 	Disk func() *storage.SimDisk
-	// Depths is the set of consensus ordering windows W the Fig. 6-style
-	// sweeps cover (ROADMAP follow-up from PR 1: the window is an axis of
-	// the evaluation, not a fixed constant). Empty means {0}, i.e. the
-	// node default.
+	// Depths is the set of consensus ordering windows W that Fig6 sweeps
+	// its SMARTCHAIN rows over (the window is an axis of the evaluation,
+	// not a fixed constant). Empty means {0}, i.e. the node default.
 	Depths []int
 }
 
@@ -329,149 +325,16 @@ func AblationPipeline(o ExpOptions) ([]Row, error) {
 	return rows, nil
 }
 
-// PipelineWindow is the consensus ordering-window A/B: identical
-// deployments except the pipeline depth W (the number of concurrently
-// ordered instances; decisions still commit strictly in instance order).
-// In-memory ledger writes and disabled signature verification isolate the
-// ordering pipeline from the storage and crypto axes that Table I and
-// Fig. 6 already measure, and a small per-link latency makes the consensus
-// round trips visible the way a real network would: with W = 1 the network
-// idles between PROPOSE rounds, with W > 1 the rounds of consecutive
-// instances overlap. A small block cap keeps several batches outstanding
-// under a closed-loop client fleet.
-func PipelineWindow(depths []int, latency time.Duration, o ExpOptions) ([]Row, error) {
-	o = o.Defaults()
-	var rows []Row
-	for _, w := range depths {
-		label := fmt.Sprintf("window/W=%d", w)
-		appFactory, _ := coinAppFactory(label, o.Clients)
-		cluster, err := core.NewCluster(core.ClusterConfig{
-			N:                4,
-			AppFactory:       appFactory,
-			Persistence:      core.PersistenceWeak,
-			Storage:          smr.StorageMemory,
-			Verify:           smr.VerifyNone,
-			Pipeline:         true,
-			PipelineDepth:    w,
-			MaxBatch:         32,
-			ConsensusTimeout: 2 * time.Second,
-			NetLatency:       latency,
-			ChainID:          label,
-		})
-		if err != nil {
-			return rows, err
-		}
-		res := Run(cluster, Options{
-			Clients:  o.Clients,
-			Warmup:   o.Warmup,
-			Duration: o.Measure,
-			Scripts: func(i int) workload.Script {
-				return workload.NewCoinScript(label, int64(i))
-			},
-			WrapOp: core.WrapAppOp,
-		})
-		cluster.Stop()
-		rows = append(rows, Row{Label: label, Throughput: res.Throughput, Std: res.ThroughputStd,
-			MeanLat: res.MeanLatency, P99Lat: res.P99Latency})
-	}
-	return rows, nil
-}
-
-// OpenLoop isolates the invocation-API axis: the same W=8 deployment under
-// (a) closed-loop clients (one in-flight op each — the load shape that
-// starved PR 1's ordering window), (b) the same number of asynchronous
-// open-loop clients each keeping `inflight` invocations outstanding via
-// InvokeAsync, and (c) the same fleet issuing unordered balance reads that
-// skip consensus entirely. Mint-only and query scripts keep the workloads
-// prev-independent so the async pipeline is exercised honestly.
-func OpenLoop(inflight int, latency time.Duration, o ExpOptions) ([]Row, error) {
-	o = o.Defaults()
-	if inflight <= 0 {
-		inflight = 16
-	}
-	type mode struct {
-		name        string
-		concurrency int
-		unordered   bool
-	}
-	modes := []mode{
-		{"closed-loop", 1, false},
-		{fmt.Sprintf("async/K=%d", inflight), inflight, false},
-		{"unordered-reads", 1, true},
-	}
-	var rows []Row
-	for _, m := range modes {
-		label := "openloop/" + m.name
-		appFactory, _ := coinAppFactory(label, o.Clients)
-		cluster, err := core.NewCluster(core.ClusterConfig{
-			N:                4,
-			AppFactory:       appFactory,
-			Persistence:      core.PersistenceWeak,
-			Storage:          smr.StorageMemory,
-			Verify:           smr.VerifyNone,
-			Pipeline:         true,
-			PipelineDepth:    8,
-			MaxBatch:         64,
-			ConsensusTimeout: 2 * time.Second,
-			NetLatency:       latency,
-			ChainID:          label,
-		})
-		if err != nil {
-			return rows, err
-		}
-		instancesBefore := clusterInstances(cluster)
-		res := Run(cluster, Options{
-			Clients:     o.Clients,
-			Warmup:      o.Warmup,
-			Duration:    o.Measure,
-			Concurrency: m.concurrency,
-			Unordered:   m.unordered,
-			Scripts: func(i int) workload.Script {
-				if m.unordered {
-					return workload.NewBalanceQueryScript(label, int64(i))
-				}
-				return workload.NewMintOnlyScript(label, int64(i))
-			},
-			WrapOp: core.WrapAppOp,
-		})
-		row := Row{Label: label, Throughput: res.Throughput, Std: res.ThroughputStd,
-			MeanLat: res.MeanLatency, P99Lat: res.P99Latency}
-		if m.unordered {
-			// The consensus-free claim, checked by accounting: reads
-			// completed while the instance counter stood still (empty-batch
-			// noise aside, a quiet cluster commits no instances).
-			if used := clusterInstances(cluster) - instancesBefore; used > 0 {
-				row.Label += fmt.Sprintf(" (+%d consensus instances!)", used)
-			} else {
-				row.Label += " (0 consensus instances)"
-			}
-		}
-		cluster.Stop()
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// clusterInstances sums committed consensus instances across live replicas.
-func clusterInstances(c *core.Cluster) int64 {
-	var total int64
-	for _, cn := range c.Nodes {
-		if cn.Node != nil {
-			total += cn.Node.Stats().Instances
-		}
-	}
-	return total
-}
-
 // Fig8Point measures the replica-update (state transfer replay) time for a
 // chain of `blocks` blocks with a checkpoint every `ckptPeriod` blocks
 // (0 = no checkpoints): the receiving replica restores the latest snapshot
-// and re-executes only the blocks after it (paper Fig. 8).
-func Fig8Point(blocks int, ckptPeriod int, txPerBlock int) (time.Duration, error) {
+// and re-executes only the blocks after it (paper Fig. 8). replayed is how
+// many blocks that was.
+func Fig8Point(blocks int, ckptPeriod int, txPerBlock int) (elapsed time.Duration, replayed int, err error) {
 	label := fmt.Sprintf("f8/%d/%d", blocks, ckptPeriod)
 	chain, snapshots, err := buildChain(label, blocks, ckptPeriod, txPerBlock)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 
 	// The joining replica's work: restore the newest snapshot, then decode
@@ -483,7 +346,7 @@ func Fig8Point(blocks int, ckptPeriod int, txPerBlock int) (time.Duration, error
 		last := (blocks / ckptPeriod) * ckptPeriod
 		if last > 0 {
 			if err := fresh.Restore(snapshots[last]); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			from = last
 		}
@@ -491,11 +354,11 @@ func Fig8Point(blocks int, ckptPeriod int, txPerBlock int) (time.Duration, error
 	for i := from; i < blocks; i++ {
 		batch, err := smr.DecodeBatch(chain[i])
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		fresh.ExecuteBatch(smr.BatchContext{}, batch.Requests)
 	}
-	return time.Since(start), nil
+	return time.Since(start), blocks - from, nil
 }
 
 // buildChain fabricates `blocks` encoded batches of txPerBlock MINT
@@ -532,56 +395,4 @@ func buildChain(label string, blocks, ckptPeriod, txPerBlock int) ([][]byte, map
 		}
 	}
 	return chain, snapshots, nil
-}
-
-// VerifyChainAfterLoad runs a short strong-variant load and then fully
-// verifies replica 0's chain — used as an end-to-end self-check by the
-// benchmark harness (every experiment's artifact is a verifiable chain).
-func VerifyChainAfterLoad(o ExpOptions) (blockchain.Summary, error) {
-	o = o.Defaults()
-	label := "verify/e2e"
-	appFactory, _ := coinAppFactory(label, o.Clients)
-	cluster, err := core.NewCluster(core.ClusterConfig{
-		N:                4,
-		AppFactory:       appFactory,
-		Persistence:      core.PersistenceStrong,
-		Storage:          smr.StorageSync,
-		Verify:           smr.VerifyParallel,
-		Pipeline:         true,
-		MaxBatch:         o.MaxBatch,
-		ConsensusTimeout: 2 * time.Second,
-		ChainID:          label,
-	})
-	if err != nil {
-		return blockchain.Summary{}, err
-	}
-	defer cluster.Stop()
-	Run(cluster, Options{
-		Clients:  o.Clients,
-		Warmup:   o.Warmup,
-		Duration: o.Measure,
-		Scripts: func(i int) workload.Script {
-			return workload.NewCoinScript(label, int64(i))
-		},
-		WrapOp: core.WrapAppOp,
-	})
-	time.Sleep(300 * time.Millisecond) // let the tip's PERSIST settle
-	gb := blockchain.GenesisBlock(&cluster.Genesis)
-	blocks := append([]blockchain.Block{gb}, cluster.Nodes[0].Node.Ledger().CachedBlocks()...)
-	return blockchain.VerifyChain(blocks, blockchain.VerifyOptions{
-		RequireCerts:         true,
-		AllowUncertifiedTail: 2,
-	})
-}
-
-// quorumSanity double-checks the quorum arithmetic used across experiments
-// (kept here so a bad refactor of the view package fails loudly in the
-// harness too).
-func quorumSanity(n int) error {
-	f := view.FaultTolerance(n)
-	if q := view.ByzantineQuorum(n, f); 2*q <= n+f {
-		return fmt.Errorf("quorum intersection broken for n=%d", n)
-	}
-	_ = consensus.AcceptSignedMessage // keep the dependency explicit
-	return nil
 }

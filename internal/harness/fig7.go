@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -89,42 +87,18 @@ func Fig7(opts Fig7Options) ([]Fig7Point, error) {
 	}
 	defer cluster.Stop()
 
-	var (
-		completed atomic.Int64
-		stop      = make(chan struct{})
-		wg        sync.WaitGroup
-	)
-	for i := 0; i < opts.Clients; i++ {
-		script := workload.NewCoinScript(label, int64(i))
-		proxy := client.New(cluster.ClientEndpoint(), script.Key(), cluster.Members(),
-			client.WithTimeout(30*time.Second))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer proxy.Close()
-			var prev []byte
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				op, ok := script.NextOp(prev)
-				if !ok {
-					return
-				}
-				res, err := proxy.Invoke(context.Background(), core.WrapAppOp(op))
-				if err != nil {
-					prev = nil
-					// Membership may have changed under us.
-					proxy.SetMembers(cluster.Members())
-					continue
-				}
-				prev = res
-				completed.Add(1)
+	var completed atomic.Int64
+	stop := startClients(cluster, opts.Clients, invokeTimeout,
+		func(i int) workload.Script { return workload.NewCoinScript(label, int64(i)) },
+		core.WrapAppOp,
+		func(p *client.Proxy, _ time.Time, err error) {
+			if err != nil {
+				p.SetMembers(cluster.Members()) // membership may have changed under us
+				return
 			}
-		}()
-	}
+			completed.Add(1)
+		})
+	defer stop()
 
 	// Event schedule, proportional to the paper's 600-second run.
 	events := make(chan string, 8)
@@ -183,7 +157,5 @@ loop:
 			break loop
 		}
 	}
-	close(stop)
-	wg.Wait()
 	return points, nil
 }

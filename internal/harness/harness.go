@@ -1,7 +1,10 @@
-// Package harness drives load experiments: closed-loop and open-loop
-// (asynchronous, capped in-flight) client fleets over an in-process
-// deployment, interval throughput measurement, and the paper's methodology
-// (§VI-A) of discarding the highest-variance intervals before averaging.
+// Package harness reproduces the paper's evaluation (§VI: Tables I–II,
+// Figs. 6–8) and runs the seeded chaos campaign: closed-loop client fleets
+// over an in-process deployment, interval throughput measurement, and the
+// paper's methodology (§VI-A) of discarding the highest-variance intervals
+// before averaging. Protocol facts are asserted by the packages' own tests
+// and regressions are measured by bench/; see DESIGN.md "Which instrument
+// answers what".
 package harness
 
 import (
@@ -17,9 +20,9 @@ import (
 	"smartchain/internal/workload"
 )
 
-// System is the deployment under test: anything that can hand out client
-// endpoints and name its replicas. core.Cluster and baselines.Cluster
-// satisfy it.
+// System is the deployment under test, as far as its clients need to know
+// it: something that hands out client endpoints and names its replicas.
+// core.Cluster and baselines.Cluster satisfy it.
 type System interface {
 	Members() []int32
 	ClientEndpoint() transport.Endpoint
@@ -39,22 +42,14 @@ type Options struct {
 	// WrapOp frames application payloads (core.WrapAppOp for SMARTCHAIN
 	// nodes, identity for baselines). Nil = identity.
 	WrapOp func([]byte) []byte
-	// SampleEvery sets the throughput sampling interval (default 250 ms).
-	SampleEvery time.Duration
-	// InvokeTimeout bounds one invocation when the context carries no
-	// deadline (default 30 s); it is installed as the proxy's WithTimeout
-	// fallback, so a caller-supplied context deadline always wins.
-	InvokeTimeout time.Duration
-	// Concurrency caps the in-flight invocations per client. 0 or 1 is the
-	// classic closed loop (each NextOp feeds on the previous result);
-	// K > 1 is an open-loop pipeline of up to K outstanding InvokeAsync
-	// calls per client — scripts must then be prev-independent (mint-only,
-	// queries), since results complete out of submission order.
-	Concurrency int
-	// Unordered routes every operation through InvokeUnordered: the
-	// consensus-free read path answered directly from replica state.
-	Unordered bool
 }
+
+// sampleEvery is the throughput sampling interval of Run; invokeTimeout
+// bounds one invocation of its clients (and of Fig7's).
+const (
+	sampleEvery   = 250 * time.Millisecond
+	invokeTimeout = 30 * time.Second
+)
 
 // Result summarizes one run.
 type Result struct {
@@ -79,12 +74,6 @@ func Run(sys System, opts Options) Result {
 	if opts.Clients <= 0 {
 		opts.Clients = 100
 	}
-	if opts.SampleEvery <= 0 {
-		opts.SampleEvery = 250 * time.Millisecond
-	}
-	if opts.InvokeTimeout <= 0 {
-		opts.InvokeTimeout = 30 * time.Second
-	}
 	wrap := opts.WrapOp
 	if wrap == nil {
 		wrap = func(b []byte) []byte { return b }
@@ -94,79 +83,33 @@ func Run(sys System, opts Options) Result {
 		completed atomic.Int64
 		errs      atomic.Int64
 		measuring atomic.Bool
-		stop      = make(chan struct{})
-		wg        sync.WaitGroup
 
 		latMu     sync.Mutex
 		latencies []time.Duration
 	)
-	record := func(start time.Time, err error) {
-		if err != nil {
-			errs.Add(1)
-			return
-		}
-		if measuring.Load() {
-			completed.Add(1)
-			d := time.Since(start)
-			latMu.Lock()
-			if len(latencies) < 1<<20 {
-				latencies = append(latencies, d)
+	stop := startClients(sys, opts.Clients, invokeTimeout, opts.Scripts, wrap,
+		func(_ *client.Proxy, start time.Time, err error) {
+			if err != nil {
+				errs.Add(1)
+				return
 			}
-			latMu.Unlock()
-		}
-	}
-
-	ctx := context.Background()
-	members := sys.Members()
-	proxies := make([]*client.Proxy, 0, opts.Clients)
-	for i := 0; i < opts.Clients; i++ {
-		script := opts.Scripts(i)
-		proxy := client.New(sys.ClientEndpoint(), script.Key(), members,
-			client.WithTimeout(opts.InvokeTimeout))
-		proxies = append(proxies, proxy)
-		wg.Add(1)
-		if opts.Concurrency > 1 {
-			go openLoopClient(ctx, &wg, stop, proxy, script, wrap, opts, record)
-			continue
-		}
-		go func() {
-			defer wg.Done()
-			var prev []byte
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+			if measuring.Load() {
+				completed.Add(1)
+				d := time.Since(start)
+				latMu.Lock()
+				if len(latencies) < 1<<20 {
+					latencies = append(latencies, d)
 				}
-				op, ok := script.NextOp(prev)
-				if !ok {
-					return
-				}
-				start := time.Now()
-				var res []byte
-				var err error
-				if opts.Unordered {
-					res, err = proxy.InvokeUnordered(ctx, wrap(op))
-				} else {
-					res, err = proxy.Invoke(ctx, wrap(op))
-				}
-				if err != nil {
-					record(start, err)
-					prev = nil
-					continue
-				}
-				prev = res
-				record(start, nil)
+				latMu.Unlock()
 			}
-		}()
-	}
+		})
 
 	time.Sleep(opts.Warmup)
 	measuring.Store(true)
 
 	// Sample the completion counter at a fixed cadence.
 	var samples []float64
-	ticker := time.NewTicker(opts.SampleEvery)
+	ticker := time.NewTicker(sampleEvery)
 	lastCount := int64(0)
 	lastAt := time.Now()
 	deadline := time.After(opts.Duration)
@@ -187,11 +130,7 @@ sampling:
 	}
 	ticker.Stop()
 	measuring.Store(false)
-	close(stop)
-	wg.Wait()
-	for _, p := range proxies {
-		p.Close()
-	}
+	stop()
 
 	res := Result{
 		Completed: completed.Load(),
@@ -203,43 +142,50 @@ sampling:
 	return res
 }
 
-// openLoopClient pumps up to opts.Concurrency asynchronous invocations per
-// client: it submits through InvokeAsync without waiting for the previous
-// result (the open-loop load PR 1's ordering window was starved of by
-// closed-loop clients), bounded by an in-flight cap so a slow system
-// applies backpressure instead of accumulating unbounded futures.
-func openLoopClient(ctx context.Context, wg *sync.WaitGroup, stop <-chan struct{},
-	proxy *client.Proxy, script workload.Script, wrap func([]byte) []byte,
-	opts Options, record func(time.Time, error)) {
-	defer wg.Done()
-	inflight := make(chan struct{}, opts.Concurrency)
-	var futures sync.WaitGroup
-	defer futures.Wait()
-	for {
-		select {
-		case <-stop:
-			return
-		case inflight <- struct{}{}:
-		}
-		op, ok := script.NextOp(nil)
-		if !ok {
-			<-inflight
-			return
-		}
-		start := time.Now()
-		var fut *client.Future
-		if opts.Unordered {
-			fut = proxy.InvokeUnorderedAsync(ctx, wrap(op))
-		} else {
-			fut = proxy.InvokeAsync(ctx, wrap(op))
-		}
-		futures.Add(1)
+// startClients launches n closed-loop clients against sys — each operation
+// of a client feeds on the result of its previous one — and returns the
+// function that stops them and waits for them. after runs on the client's
+// goroutine once per invocation, with its start time and outcome; timeout
+// bounds one invocation.
+func startClients(sys System, n int, timeout time.Duration, scripts func(i int) workload.Script,
+	wrap func([]byte) []byte, after func(p *client.Proxy, start time.Time, err error)) (stop func()) {
+	var (
+		done    = make(chan struct{})
+		once    sync.Once
+		wg      sync.WaitGroup
+		members = sys.Members()
+	)
+	for i := 0; i < n; i++ {
+		script := scripts(i)
+		proxy := client.New(sys.ClientEndpoint(), script.Key(), members, client.WithTimeout(timeout))
+		wg.Add(1)
 		go func() {
-			defer futures.Done()
-			_, err := fut.Result()
-			record(start, err)
-			<-inflight
+			defer wg.Done()
+			defer proxy.Close()
+			var prev []byte
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				op, ok := script.NextOp(prev)
+				if !ok {
+					return
+				}
+				start := time.Now()
+				res, err := proxy.Invoke(context.Background(), wrap(op))
+				if err != nil {
+					res = nil
+				}
+				prev = res
+				after(proxy, start, err)
+			}
 		}()
+	}
+	return func() {
+		once.Do(func() { close(done) })
+		wg.Wait()
 	}
 }
 
@@ -299,37 +245,4 @@ func latencyStats(lat []time.Duration) (mean, p99 time.Duration) {
 	}
 	p99 = sorted[idx]
 	return mean, p99
-}
-
-// Timeline samples a counter over time (the Fig. 7 throughput-evolution
-// experiment): Track launches a sampler that records the delta of count()
-// every interval until stop is closed; the samples channel yields tx/s
-// points.
-func Timeline(count func() int64, interval time.Duration, stop <-chan struct{}) <-chan float64 {
-	out := make(chan float64, 1024)
-	go func() {
-		defer close(out)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		last := count()
-		lastAt := time.Now()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				now := time.Now()
-				cur := count()
-				dt := now.Sub(lastAt).Seconds()
-				if dt > 0 {
-					select {
-					case out <- float64(cur-last) / dt:
-					default:
-					}
-				}
-				last, lastAt = cur, now
-			}
-		}
-	}()
-	return out
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 )
@@ -52,43 +51,23 @@ func TestLatencyStats(t *testing.T) {
 	}
 }
 
-func TestTimelineSamples(t *testing.T) {
-	var n int64
-	stop := make(chan struct{})
-	out := Timeline(func() int64 { n += 50; return n }, 20*time.Millisecond, stop)
-	var got []float64
-	deadline := time.After(500 * time.Millisecond)
-	for len(got) < 3 {
-		select {
-		case v := <-out:
-			got = append(got, v)
-		case <-deadline:
-			t.Fatalf("only %d samples", len(got))
-		}
-	}
-	close(stop)
-	// 50 ops per 20ms tick ≈ 2500/s; allow broad scheduling noise.
-	for _, v := range got {
-		if v < 500 || v > 20_000 {
-			t.Fatalf("sample out of plausible range: %f", v)
-		}
-	}
-}
-
 func TestFig8PointCheckpointsReduceReplay(t *testing.T) {
-	// 200 blocks, 8 txs each: replaying everything must take longer than
-	// replaying only past the last checkpoint at block 150 (period 50).
-	full, err := Fig8Point(200, 0, 8)
+	// 200 blocks, 8 txs each: without checkpoints the joiner re-executes all
+	// 200; with one at block 150 it restores that and re-executes 50. The
+	// durations are for the log only — two ~2 ms replays are not a fact.
+	full, fullBlocks, err := Fig8Point(200, 0, 8)
 	if err != nil {
 		t.Fatalf("full replay: %v", err)
 	}
-	ckpt, err := Fig8Point(200, 50, 8)
+	ckpt, ckptBlocks, err := Fig8Point(200, 150, 8)
 	if err != nil {
 		t.Fatalf("ckpt replay: %v", err)
 	}
-	if ckpt >= full {
-		t.Fatalf("checkpointed update (%v) must be faster than full replay (%v)", ckpt, full)
+	if fullBlocks != 200 || ckptBlocks != 50 {
+		t.Fatalf("replayed %d blocks without checkpoints and %d after the block-150 checkpoint, want 200 and 50",
+			fullBlocks, ckptBlocks)
 	}
+	t.Logf("full replay %v, checkpointed update %v", full, ckpt)
 }
 
 func TestExpOptionsDefaults(t *testing.T) {
@@ -100,36 +79,5 @@ func TestExpOptionsDefaults(t *testing.T) {
 	o2 := ExpOptions{Clients: 7}.Defaults()
 	if o2.Clients != 7 {
 		t.Fatalf("explicit clients overridden: %d", o2.Clients)
-	}
-}
-
-// TestOpenLoopAsyncBeatsClosedLoop is a scaled-down regression of the
-// openloop experiment: equal client counts at W=8, async pipelining must
-// out-deliver the closed loop, and the unordered-read row must report zero
-// consensus instances consumed.
-func TestOpenLoopAsyncBeatsClosedLoop(t *testing.T) {
-	rows, err := OpenLoop(16, 2*time.Millisecond, ExpOptions{
-		Clients: 16,
-		Warmup:  300 * time.Millisecond,
-		Measure: 1200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows: %d", len(rows))
-	}
-	for _, r := range rows {
-		t.Logf("%s", r)
-		if r.Throughput <= 0 {
-			t.Fatalf("%s: zero throughput", r.Label)
-		}
-	}
-	if rows[1].Throughput < 1.5*rows[0].Throughput {
-		t.Fatalf("async (%.0f tx/s) does not beat closed-loop (%.0f tx/s)",
-			rows[1].Throughput, rows[0].Throughput)
-	}
-	if !strings.Contains(rows[2].Label, "(0 consensus instances)") {
-		t.Fatalf("unordered reads consumed consensus instances: %s", rows[2].Label)
 	}
 }

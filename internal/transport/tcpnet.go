@@ -195,6 +195,12 @@ func (s TCPStats) TotalDrops() int64 {
 // (flush-on-idle write coalescing), and reconnect loop with jittered
 // exponential backoff.
 //
+// A client (ID ≥ ClientIDBase) need not be in anyone's directory: it dials
+// the replicas it knows, and a replica answers it over the connection its
+// authenticated frames arrive on (a return link, see answerOver). Such a
+// client is reachable behind a NAT and costs no configuration; directory
+// entries always win, so a return link can never re-point a known peer.
+//
 // Frame layout: 4-byte big-endian length, then body =
 // from(4) | to(4) | type(2) | payload, then mac(32) over the body.
 type TCPNetwork struct {
@@ -206,8 +212,8 @@ type TCPNetwork struct {
 	mu      sync.Mutex
 	peers   map[int32]string    // directory: ID → address
 	links   map[int32]*peerLink // outbound links, one per destination
-	inbound map[net.Conn]bool   // accepted connections, closed on shutdown
-	done    bool
+	inbound map[net.Conn]bool   // connections with a reader, closed on shutdown
+	quit    chan struct{}       // closed (under mu) by Close
 
 	// Fault-injection hooks (guarded by mu): per-destination delivery
 	// delay and loss, plus network-wide defaults, so the chaos and harness
@@ -265,6 +271,7 @@ func NewTCPNetwork(id int32, addr string, secret []byte, peers map[int32]string,
 		linkDelay: make(map[int32]DelayDist),
 		linkLoss:  make(map[int32]float64),
 		lossRng:   rand.New(rand.NewSource(int64(id)*7919 + 1)),
+		quit:      make(chan struct{}),
 		out:       make(chan Message, 1024),
 	}
 	for pid, a := range peers {
@@ -341,23 +348,24 @@ func (t *TCPNetwork) SetLinkLoss(to int32, p float64) {
 
 // Send implements Endpoint: the frame is queued on the destination's link
 // and written by the link's writer goroutine. Send never blocks on the
-// network (QueueDropOldest) — backpressure shows up in Stats instead. An
-// unknown destination is the only hard error; everything downstream
+// network (QueueDropOldest) — backpressure shows up in Stats instead. A
+// destination with neither a directory entry nor a live return link is the
+// only hard error; everything downstream
 // (dial failures, dead connections) is the link's business: frames queue
 // across reconnects and the drop counters account for what was lost.
 func (t *TCPNetwork) Send(to int32, typ uint16, payload []byte) error {
 	t.mu.Lock()
-	if t.done {
+	if t.closed() {
 		t.mu.Unlock()
 		return ErrClosed
 	}
-	if _, ok := t.peers[to]; !ok {
-		t.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrUnknownDest, to)
-	}
 	link := t.links[to]
 	if link == nil {
-		link = newPeerLink(t, to)
+		if _, ok := t.peers[to]; !ok {
+			t.mu.Unlock()
+			return fmt.Errorf("%w: %d", ErrUnknownDest, to)
+		}
+		link = newPeerLink(t, to, nil)
 		t.links[to] = link
 	}
 	// Resolve injection hooks under the same lock.
@@ -421,11 +429,11 @@ func (t *TCPNetwork) Stats() TCPStats {
 // Close implements Endpoint.
 func (t *TCPNetwork) Close() error {
 	t.mu.Lock()
-	if t.done {
+	if t.closed() {
 		t.mu.Unlock()
 		return nil
 	}
-	t.done = true
+	close(t.quit)
 	links := make([]*peerLink, 0, len(t.links))
 	for _, l := range t.links {
 		links = append(links, l)
@@ -452,10 +460,15 @@ func (t *TCPNetwork) Close() error {
 	return err
 }
 
+// closed reports whether Close has begun. Close closes quit under mu, so a
+// caller that holds mu sees a value that cannot change under it.
 func (t *TCPNetwork) closed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.done
+	select {
+	case <-t.quit:
+		return true
+	default:
+		return false
+	}
 }
 
 // addrOf resolves the current directory entry for a peer.
@@ -473,16 +486,58 @@ func (t *TCPNetwork) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		t.mu.Lock()
-		if t.done {
-			t.mu.Unlock()
-			_ = c.Close()
+		if !t.serve(c) {
 			return
 		}
-		t.inbound[c] = true
+	}
+}
+
+// serve starts the reader of one connection, accepted or dialed. It reports
+// false (and closes c) when the network is shutting down; the reader is
+// registered under mu so Close never waits on a WaitGroup still being added
+// to.
+func (t *TCPNetwork) serve(c net.Conn) bool {
+	t.mu.Lock()
+	if t.closed() {
 		t.mu.Unlock()
-		t.wg.Add(1)
-		go t.readLoop(c)
+		_ = c.Close()
+		return false
+	}
+	t.inbound[c] = true
+	t.wg.Add(1)
+	t.mu.Unlock()
+	go t.readLoop(c)
+	return true
+}
+
+// answerOver makes c the way back to a client the directory does not list.
+// The newest connection wins, so a client that reconnects (or a CLI re-run
+// under the same ID) takes its replies with it, and the link on the
+// connection it abandoned is retired.
+func (t *TCPNetwork) answerOver(c net.Conn, client int32) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, listed := t.peers[client]; listed || t.closed() {
+		return
+	}
+	if old := t.links[client]; old != nil {
+		old.close()
+	}
+	t.links[client] = newPeerLink(t, client, c)
+}
+
+// forget unregisters a connection whose reader is gone, together with the
+// return links that answered over it: their destinations are reachable
+// again only by connecting anew.
+func (t *TCPNetwork) forget(c net.Conn) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.inbound, c)
+	for id, l := range t.links {
+		if l.back == c {
+			l.close()
+			delete(t.links, id)
+		}
 	}
 }
 
@@ -494,14 +549,15 @@ func (t *TCPNetwork) acceptLoop() {
 func (t *TCPNetwork) readLoop(c net.Conn) {
 	defer t.wg.Done()
 	defer func() {
-		t.mu.Lock()
-		delete(t.inbound, c)
-		t.mu.Unlock()
+		t.forget(c)
 		_ = c.Close()
 	}()
 	br := bufio.NewReaderSize(c, readBufSize)
 	mac := hmac.New(sha256.New, t.secret)
 	var lenBuf [4]byte
+	// A connection is the way back to at most one client, the first to speak
+	// on it: frames claiming further IDs are delivered but open no link.
+	claimed := false
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return
@@ -522,10 +578,15 @@ func (t *TCPNetwork) readLoop(c net.Conn) {
 		}
 		t.framesIn.Add(1)
 		t.bytesIn.Add(int64(4 + n))
-		if t.closed() {
+		if !claimed && m.From >= ClientIDBase {
+			claimed = true
+			t.answerOver(c, m.From)
+		}
+		select {
+		case t.out <- m:
+		case <-t.quit:
 			return
 		}
-		t.out <- m
 	}
 }
 
@@ -565,10 +626,13 @@ func (t *TCPNetwork) decodeFrame(buf []byte, mac hash.Hash) (Message, error) {
 }
 
 // peerLink is one outbound link: a bounded frame queue drained by a writer
-// goroutine through a buffered writer, with automatic reconnect.
+// goroutine through a buffered writer, with automatic reconnect. A return
+// link (back != nil) writes to a connection the peer opened instead of
+// dialing, and lives exactly as long as that connection.
 type peerLink struct {
-	net *TCPNetwork
-	id  int32
+	net  *TCPNetwork
+	id   int32
+	back net.Conn
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -591,8 +655,8 @@ type peerLink struct {
 	flushes       atomic.Int64
 }
 
-func newPeerLink(t *TCPNetwork, id int32) *peerLink {
-	l := &peerLink{net: t, id: id, writerDone: make(chan struct{})}
+func newPeerLink(t *TCPNetwork, id int32, back net.Conn) *peerLink {
+	l := &peerLink{net: t, id: id, back: back, up: back != nil, writerDone: make(chan struct{})}
 	l.cond = sync.NewCond(&l.mu)
 	go l.writerLoop()
 	return l
@@ -717,8 +781,11 @@ func (l *peerLink) setUp(up bool, cause error) {
 // queued frames survive the outage (up to the queue policy).
 func (l *peerLink) writerLoop() {
 	defer close(l.writerDone)
-	var conn net.Conn
+	conn := l.back
 	var bw *bufio.Writer
+	if conn != nil {
+		bw = bufio.NewWriterSize(conn, writeBufSize)
+	}
 	backoff := l.net.opts.backoffMin
 	defer func() {
 		if conn != nil {
@@ -733,8 +800,8 @@ func (l *peerLink) writerLoop() {
 		// Ensure a live connection; while down, frames keep arriving and
 		// the queue policy bounds them.
 		for conn == nil {
-			if l.net.closed() {
-				return
+			if l.back != nil || l.net.closed() {
+				return // a return link does not outlive its connection
 			}
 			c, err := l.dial()
 			if err != nil {
@@ -751,6 +818,10 @@ func (l *peerLink) writerLoop() {
 			conn, bw = c, bufio.NewWriterSize(c, writeBufSize)
 			backoff = l.net.opts.backoffMin
 			l.setUp(true, nil)
+			if l.net.id >= ClientIDBase {
+				// A client's replies come back on the connections it dials.
+				l.net.serve(c)
+			}
 		}
 		for {
 			if _, err := bw.Write(frame); err != nil {

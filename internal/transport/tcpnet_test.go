@@ -179,6 +179,45 @@ func TestTCPSendAfterCloseReturnsErrClosed(t *testing.T) {
 	}
 }
 
+// TestTCPCloseWithUndrainedReceiver: Close must return even when nobody
+// reads Receive any more and the readers sit on a full delivery channel (a
+// stopped node whose peers keep sending).
+func TestTCPCloseWithUndrainedReceiver(t *testing.T) {
+	secret := []byte("undrained-secret")
+	rcv, err := NewTCPNetwork(1, "127.0.0.1:0", secret, nil, withLogf(func(string, ...any) {}))
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	snd, err := NewTCPNetwork(2, "127.0.0.1:0", secret, map[int32]string{1: rcv.Addr()}, withLogf(func(string, ...any) {}))
+	if err != nil {
+		t.Fatalf("listen sender: %v", err)
+	}
+	defer snd.Close()
+	const frames = 2 * 1024 // twice the delivery channel
+	for i := 0; i < frames; i++ {
+		if err := snd.Send(1, 50, []byte("unread")); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for rcv.Stats().FramesIn <= 1024 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d frames arrived", rcv.Stats().FramesIn)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		rcv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung behind a reader blocked on the undrained delivery channel")
+	}
+}
+
 // deadAddr returns a loopback address that refuses connections (a listener
 // that was bound and immediately closed).
 func deadAddr(t *testing.T) string {
@@ -502,6 +541,94 @@ func TestTCPTLSRoundTrip(t *testing.T) {
 	m = recvOne(t, a, 5*time.Second)
 	if m.From != 2 || m.Type != 22 || string(m.Payload) != "tls pong" {
 		t.Fatalf("bad reply: %+v", m)
+	}
+}
+
+// TestTCPClientOutsideDirectoryGetsReplies is the deployment shape of
+// cmd/smartchaind + cmd/smartcoin: replicas hold a static directory of each
+// other, a client knows the replicas and appears in nobody's directory. The
+// replica must answer it over the connection its authenticated request came
+// in on — also when the client process is re-run under the same ID on a fresh
+// port — while a directory entry is never re-pointed and an unknown replica
+// ID stays unknown.
+func TestTCPClientOutsideDirectoryGetsReplies(t *testing.T) {
+	secret := []byte("return-path-secret")
+	quiet := withLogf(func(string, ...any) {})
+	replica, err := NewTCPNetwork(0, "127.0.0.1:0", secret, nil, quiet)
+	if err != nil {
+		t.Fatalf("listen replica: %v", err)
+	}
+	defer replica.Close()
+	directory := map[int32]string{0: replica.Addr()}
+	const clientID = ClientIDBase + 1
+
+	if err := replica.Send(clientID, 1, nil); err == nil {
+		t.Fatal("a client that never connected must be an unknown destination")
+	}
+	for run := 1; run <= 2; run++ {
+		client, err := NewTCPNetwork(clientID, "127.0.0.1:0", secret, directory, quiet)
+		if err != nil {
+			t.Fatalf("run %d: listen client: %v", run, err)
+		}
+		if err := client.Send(0, 40, []byte("request")); err != nil {
+			t.Fatalf("run %d: request: %v", run, err)
+		}
+		if m := recvOne(t, replica, 5*time.Second); m.From != clientID || m.Type != 40 {
+			t.Fatalf("run %d: bad request: %+v", run, m)
+		}
+		// Several replies, as a replica answers a burst of invocations.
+		for i := 0; i < 3; i++ {
+			if err := replica.Send(clientID, 41, []byte{byte(run), byte(i)}); err != nil {
+				t.Fatalf("run %d: reply %d: %v", run, i, err)
+			}
+			m := recvOne(t, client, 5*time.Second)
+			if m.From != 0 || m.Type != 41 || len(m.Payload) != 2 || m.Payload[0] != byte(run) || m.Payload[1] != byte(i) {
+				t.Fatalf("run %d: bad reply %d: %+v", run, i, m)
+			}
+		}
+		client.Close()
+	}
+	if s := replica.Stats(); s.TotalDrops() != 0 || s.AuthFailures != 0 || s.ProtocolViolations != 0 {
+		t.Fatalf("return path lost frames: %+v", s)
+	}
+
+	// A directory entry wins over the connection a frame arrives on: replies
+	// to a listed client go to its listed address, whoever claims its ID.
+	listed, err := NewTCPNetwork(ClientIDBase+2, "127.0.0.1:0", secret, nil, quiet)
+	if err != nil {
+		t.Fatalf("listen listed: %v", err)
+	}
+	defer listed.Close()
+	replica.AddPeer(ClientIDBase+2, listed.Addr())
+	claimant, err := NewTCPNetwork(ClientIDBase+2, "127.0.0.1:0", secret, directory, quiet)
+	if err != nil {
+		t.Fatalf("listen claimant: %v", err)
+	}
+	defer claimant.Close()
+	if err := claimant.Send(0, 42, nil); err != nil {
+		t.Fatalf("claimant request: %v", err)
+	}
+	recvOne(t, replica, 5*time.Second)
+	if err := replica.Send(ClientIDBase+2, 43, []byte("to the directory")); err != nil {
+		t.Fatalf("reply to listed client: %v", err)
+	}
+	if m := recvOne(t, listed, 5*time.Second); m.Type != 43 {
+		t.Fatalf("listed client got %+v", m)
+	}
+	expectNone(t, claimant, 100*time.Millisecond)
+
+	// Replica IDs never get a return link: an unlisted one stays unknown.
+	stranger, err := NewTCPNetwork(9, "127.0.0.1:0", secret, directory, quiet)
+	if err != nil {
+		t.Fatalf("listen stranger: %v", err)
+	}
+	defer stranger.Close()
+	if err := stranger.Send(0, 44, nil); err != nil {
+		t.Fatalf("stranger request: %v", err)
+	}
+	recvOne(t, replica, 5*time.Second)
+	if err := replica.Send(9, 45, nil); err == nil {
+		t.Fatal("an unlisted replica ID must stay an unknown destination")
 	}
 }
 

@@ -5,7 +5,6 @@
 package workload
 
 import (
-	"math/rand"
 	"sync"
 
 	"smartchain/internal/coin"
@@ -27,85 +26,30 @@ type Script interface {
 // CoinScript is the paper's two-phase workload for one client: mint a pool
 // of coins, then spend them to fresh addresses one at a time. When the pool
 // runs dry it re-mints, so the script never exhausts (closed-loop load for
-// a fixed duration) — unless WithSpendOnly makes exhaustion the signal that
-// the pure-SPEND phase is over.
+// a fixed duration).
 type CoinScript struct {
-	key     *crypto.KeyPair
-	sink    crypto.PublicKey // spend recipient (a distinct per-client address)
-	mu      sync.Mutex
-	nonce   uint64
-	pool    []coin.CoinID
-	value   uint64
-	phase   byte // 1 = minting, 2 = spending
-	mintQty int
-	// spendOnly stops the script (NextOp ok=false) instead of re-minting
-	// when the pool runs dry: phase experiments that measure SPEND alone
-	// after the seeded MINT, e.g. the execpar contention sweeps.
-	spendOnly bool
-	// recipients, when non-nil, draws each SPEND's recipient from a shared
-	// address universe instead of the private per-client sink — the
-	// contention knob: skewed draws concentrate writes on hot accounts.
-	recipients func() crypto.PublicKey
+	key   *crypto.KeyPair
+	sink  crypto.PublicKey // spend recipient (a distinct per-client address)
+	mu    sync.Mutex
+	nonce uint64
+	pool  []coin.CoinID
+	value uint64
+	phase byte // 1 = minting, 2 = spending
 }
 
-// Option configures a CoinScript.
-type Option func(*CoinScript)
-
-// WithMintBatch sets how many coins one MINT creates (default 16).
-func WithMintBatch(q int) Option {
-	return func(s *CoinScript) { s.mintQty = q }
-}
-
-// WithSpendOnly makes the script exhaust (NextOp returns ok=false) when the
-// minted pool runs dry instead of re-minting: after the seeded MINT phase
-// every remaining operation is a SPEND, which is what contention sweeps
-// want to measure in isolation.
-func WithSpendOnly() Option {
-	return func(s *CoinScript) { s.spendOnly = true }
-}
-
-// WithRecipientSkew draws each SPEND's recipient from a shared universe of
-// `universe` sink addresses (derived from label, so every client of an
-// experiment shares them) instead of the client's private sink. skew
-// selects the distribution: 0 draws uniformly — cross-client conflicts stay
-// rare, the low-contention baseline; skew > 1 draws Zipf-distributed with
-// that exponent, concentrating spends on a few hot accounts so write-write
-// conflicts (and thus execution strata) climb with the skew. Draws are
-// deterministic per (label, client), keeping runs reproducible.
-func WithRecipientSkew(label string, client int64, universe int, skew float64) Option {
-	return func(s *CoinScript) {
-		if universe < 1 {
-			universe = 1
-		}
-		addrs := make([]crypto.PublicKey, universe)
-		for i := range addrs {
-			addrs[i] = crypto.SeededKeyPair(label+"/hot", int64(i)).Public()
-		}
-		rng := rand.New(rand.NewSource(client*2654435761 + 1))
-		if skew > 1 {
-			z := rand.NewZipf(rng, skew, 1, uint64(universe-1))
-			s.recipients = func() crypto.PublicKey { return addrs[z.Uint64()] }
-			return
-		}
-		s.recipients = func() crypto.PublicKey { return addrs[rng.Intn(universe)] }
-	}
-}
+// mintBatch is how many coins one MINT of a CoinScript creates.
+const mintBatch = 16
 
 // NewCoinScript builds the script for client i. Clients derive their keys
 // from (label, i) so the workload is reproducible; all clients are
 // authorized minters in the experiments (their keys go into genesis).
-func NewCoinScript(label string, i int64, opts ...Option) *CoinScript {
-	s := &CoinScript{
-		key:     crypto.SeededKeyPair(label+"/client", i),
-		sink:    crypto.SeededKeyPair(label+"/sink", i).Public(),
-		value:   100,
-		phase:   1,
-		mintQty: 16,
+func NewCoinScript(label string, i int64) *CoinScript {
+	return &CoinScript{
+		key:   crypto.SeededKeyPair(label+"/client", i),
+		sink:  crypto.SeededKeyPair(label+"/sink", i).Public(),
+		value: 100,
+		phase: 1,
 	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
 }
 
 // Key implements Script.
@@ -134,7 +78,7 @@ func (s *CoinScript) NextOp(prev []byte) ([]byte, bool) {
 	s.nonce++
 	if s.phase == 1 {
 		s.phase = 2
-		values := make([]uint64, s.mintQty)
+		values := make([]uint64, mintBatch)
 		for i := range values {
 			values[i] = s.value
 		}
@@ -145,11 +89,6 @@ func (s *CoinScript) NextOp(prev []byte) ([]byte, bool) {
 		return tx.Encode(), true
 	}
 	if len(s.pool) == 0 {
-		if s.spendOnly {
-			// Pure-SPEND phase over: exhaust instead of re-minting.
-			s.nonce--
-			return nil, false
-		}
 		// Pool dry: mint again.
 		s.phase = 1
 		s.nonce--
@@ -160,37 +99,12 @@ func (s *CoinScript) NextOp(prev []byte) ([]byte, bool) {
 	}
 	in := s.pool[0]
 	s.pool = s.pool[1:]
-	sink := s.sink
-	if s.recipients != nil {
-		sink = s.recipients()
-	}
-	tx, err := coin.NewSpend(s.key, s.nonce, []coin.CoinID{in}, []coin.Output{{Owner: sink, Value: s.value}})
+	tx, err := coin.NewSpend(s.key, s.nonce, []coin.CoinID{in}, []coin.Output{{Owner: s.sink, Value: s.value}})
 	if err != nil {
 		return nil, false
 	}
 	return tx.Encode(), true
 }
-
-// BalanceQueryScript issues only read-only balance queries for the
-// client's own address — the unordered (consensus-free) read workload.
-// Queries are prev-independent, so the script also suits open-loop async
-// pipelines.
-type BalanceQueryScript struct {
-	key *crypto.KeyPair
-	op  []byte
-}
-
-// NewBalanceQueryScript builds a query script for client i.
-func NewBalanceQueryScript(label string, i int64) *BalanceQueryScript {
-	key := crypto.SeededKeyPair(label+"/client", i)
-	return &BalanceQueryScript{key: key, op: coin.EncodeBalanceQuery(key.Public())}
-}
-
-// Key implements Script.
-func (s *BalanceQueryScript) Key() *crypto.KeyPair { return s.key }
-
-// NextOp implements Script.
-func (s *BalanceQueryScript) NextOp(prev []byte) ([]byte, bool) { return s.op, true }
 
 // MintOnlyScript issues only MINT transactions (the MINT rows of Table I).
 type MintOnlyScript struct {

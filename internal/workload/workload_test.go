@@ -8,10 +8,10 @@ import (
 )
 
 func TestCoinScriptMintThenSpend(t *testing.T) {
-	s := NewCoinScript("wl-test", 1, WithMintBatch(4))
+	s := NewCoinScript("wl-test", 1)
 	svc := coin.NewService(MinterKeys("wl-test", 2))
 
-	// First op is a MINT of 4 coins.
+	// First op is a MINT of mintBatch coins.
 	op, ok := s.NextOp(nil)
 	if !ok {
 		t.Fatal("script exhausted immediately")
@@ -20,7 +20,7 @@ func TestCoinScriptMintThenSpend(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if tx.Type != coin.TxMint || len(tx.Outputs) != 4 {
+	if tx.Type != coin.TxMint || len(tx.Outputs) != mintBatch {
 		t.Fatalf("first op: type=%d outputs=%d", tx.Type, len(tx.Outputs))
 	}
 	res := svc.State().Apply(&tx)
@@ -29,7 +29,7 @@ func TestCoinScriptMintThenSpend(t *testing.T) {
 	}
 
 	// Next ops are single-input single-output SPENDs consuming the pool.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < mintBatch; i++ {
 		op, ok = s.NextOp(res)
 		if !ok {
 			t.Fatalf("script exhausted at spend %d", i)
@@ -106,127 +106,5 @@ func TestMinterKeysMatchScriptKeys(t *testing.T) {
 		if !s.Key().Public().Equal(crypto.PublicKey(keys[i])) {
 			t.Fatalf("minter key %d does not match script identity", i)
 		}
-	}
-}
-
-func TestCoinScriptSpendOnlyExhausts(t *testing.T) {
-	s := NewCoinScript("wl-spendonly", 1, WithMintBatch(3), WithSpendOnly())
-	svc := coin.NewService(MinterKeys("wl-spendonly", 2))
-
-	op, ok := s.NextOp(nil)
-	if !ok {
-		t.Fatal("script exhausted before the seed mint")
-	}
-	tx, err := coin.Decode(op)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	res := svc.State().Apply(&tx)
-	if res[0] != coin.ResultOK {
-		t.Fatalf("mint result: %d", res[0])
-	}
-
-	spends := 0
-	for {
-		op, ok = s.NextOp(res)
-		if !ok {
-			break
-		}
-		res = nil
-		stx, err := coin.Decode(op)
-		if err != nil {
-			t.Fatalf("decode spend %d: %v", spends, err)
-		}
-		if stx.Type != coin.TxSpend {
-			t.Fatalf("spend-only script emitted a re-mint at op %d", spends)
-		}
-		spends++
-		if spends > 3 {
-			t.Fatal("more spends than minted coins")
-		}
-	}
-	if spends != 3 {
-		t.Fatalf("spends: %d, want 3", spends)
-	}
-	// Exhaustion is sticky.
-	if _, ok := s.NextOp(nil); ok {
-		t.Fatal("exhausted script must stay exhausted")
-	}
-}
-
-func TestRecipientSkewDeterministicAndShared(t *testing.T) {
-	recipientsOf := func(s *CoinScript, svc *coin.Service, n int) []string {
-		t.Helper()
-		op, ok := s.NextOp(nil)
-		if !ok {
-			t.Fatal("exhausted at mint")
-		}
-		tx, err := coin.Decode(op)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		res := svc.State().Apply(&tx)
-		if res[0] != coin.ResultOK {
-			t.Fatalf("mint: %d", res[0])
-		}
-		var out []string
-		for i := 0; i < n; i++ {
-			op, ok = s.NextOp(res)
-			if !ok {
-				t.Fatalf("exhausted at spend %d", i)
-			}
-			res = nil
-			stx, err := coin.Decode(op)
-			if err != nil {
-				t.Fatalf("decode spend %d: %v", i, err)
-			}
-			out = append(out, string(stx.Outputs[0].Owner))
-		}
-		return out
-	}
-
-	// Identical (label, client, universe, skew) ⇒ identical recipient draws.
-	mk := func() (*CoinScript, *coin.Service) {
-		return NewCoinScript("wl-skew", 2, WithMintBatch(8), WithRecipientSkew("wl-skew", 2, 16, 1.2)),
-			coin.NewService(MinterKeys("wl-skew", 3))
-	}
-	sa, va := mk()
-	sb, vb := mk()
-	a := recipientsOf(sa, va, 8)
-	b := recipientsOf(sb, vb, 8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("skewed draws differ at %d across identical scripts", i)
-		}
-	}
-
-	// Different clients share the recipient universe (that is the point:
-	// cross-client write-write conflicts on the hot accounts).
-	s2 := NewCoinScript("wl-skew", 3, WithMintBatch(8), WithRecipientSkew("wl-skew", 3, 1, 0))
-	v2 := coin.NewService(MinterKeys("wl-skew", 4))
-	s3 := NewCoinScript("wl-skew", 4, WithMintBatch(8), WithRecipientSkew("wl-skew", 4, 1, 0))
-	v3 := coin.NewService(MinterKeys("wl-skew", 5))
-	r2 := recipientsOf(s2, v2, 1)
-	r3 := recipientsOf(s3, v3, 1)
-	if r2[0] != r3[0] {
-		t.Fatal("universe of size 1 must send every client to the same hot account")
-	}
-
-	// Skewed draws concentrate: with skew 1.5 over 64 addresses the top
-	// recipient must take a clearly super-uniform share.
-	sk := NewCoinScript("wl-skew", 5, WithMintBatch(64), WithRecipientSkew("wl-skew", 5, 64, 1.5))
-	vk := coin.NewService(MinterKeys("wl-skew", 6))
-	counts := map[string]int{}
-	for _, r := range recipientsOf(sk, vk, 64) {
-		counts[r]++
-	}
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	if max < 8 { // uniform expectation is 1 per address
-		t.Fatalf("skew 1.5 concentration too weak: top recipient got %d of 64", max)
 	}
 }
