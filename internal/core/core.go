@@ -63,23 +63,6 @@ func WrapAppOp(payload []byte) []byte {
 // view-boundary drain stay cheap.
 const DefaultPipelineDepth = 8
 
-// engineDecision tags a decision with the engine that produced it, so the
-// driver can discard decisions a replaced engine (old view) left in flight.
-type engineDecision struct {
-	eng *consensus.Engine
-	dec consensus.Decision
-}
-
-// decisionChanCap sizes the decision stream so a full window from the live
-// engine plus leftovers from a replaced one fit without blocking — the
-// window-restart redelivery path must never have to drop a live decision.
-func decisionChanCap(depth int) int {
-	if c := 4 * depth; c > 64 {
-		return c
-	}
-	return 64
-}
-
 // Persistence selects the blockchain durability variant (paper §V-C).
 type Persistence int
 
@@ -233,6 +216,9 @@ type Node struct {
 	curView       view.View
 	permanentKeys map[int32]crypto.PublicKey
 	engine        *consensus.Engine
+	// engineGen numbers the engines started: the ordering driver tells the
+	// live engine's decisions from a replaced one's by generation.
+	engineGen     uint64
 	keys          *reconfig.KeyStore
 	removeTracker *reconfig.RemoveTracker
 	retired       bool
@@ -253,7 +239,9 @@ type Node struct {
 	source    *catchup.Pool
 	catchupCh chan transport.Message
 
-	decisions chan engineDecision // forwarded from the live engine
+	// engineLive wakes the ordering driver when an engine starts where none
+	// ran (a replaced one wakes it by closing its decision channel).
+	engineLive chan struct{}
 
 	// nextInstance is the commit floor: the lowest instance not yet
 	// released from the reorder buffer. Atomic because state transfer
@@ -266,12 +254,6 @@ type Node struct {
 	// executed; applying that block again returns it instead of executing
 	// twice. Guarded by syncMu like the rest of the commit path.
 	lastApplied appliedBatch
-	// pipelineDepth is the effective ordering window W (≥ 1).
-	pipelineDepth int
-	// carryover hands decisions observed by an exiting window to the next
-	// one losslessly (a new engine's decision can arrive while the old
-	// window is still draining). Driver-goroutine only.
-	carryover []engineDecision
 
 	// Reply view-tag cache (one signature per block, not per reply) and
 	// the read-floor park queue; see readserve.go.
@@ -358,12 +340,11 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.PipelineDepth <= 0 {
 		cfg.PipelineDepth = DefaultPipelineDepth
 	}
-	depth := cfg.PipelineDepth
 	if !cfg.Pipeline {
 		// The naive baseline orders, writes, syncs, and replies strictly
 		// one instance at a time (Table I); a window would overlap its
 		// consensus rounds and change what the baseline measures.
-		depth = 1
+		cfg.PipelineDepth = 1
 	}
 	n := &Node{
 		cfg:           cfg,
@@ -376,15 +357,14 @@ func NewNode(cfg Config) (*Node, error) {
 		batcher:       smr.NewBatcher(cfg.MaxBatch),
 		// 0 workers = GOMAXPROCS (VerifySequential still pins the request
 		// pool to one).
-		verifier:      smr.NewVerifierPool(cfg.Verify, 0),
-		votePool:      crypto.NewVerifyPool(0, 0),
-		source:        catchup.NewPool(catchup.Config{PeerTimeout: cfg.CatchupPeerTimeout}),
-		decisions:     make(chan engineDecision, decisionChanCap(depth)),
-		pipelineDepth: depth,
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
-		recvDone:      make(chan struct{}),
-		catchupCh:     make(chan transport.Message, 64),
+		verifier:   smr.NewVerifierPool(cfg.Verify, 0),
+		votePool:   crypto.NewVerifyPool(0, 0),
+		source:     catchup.NewPool(catchup.Config{PeerTimeout: cfg.CatchupPeerTimeout}),
+		engineLive: make(chan struct{}, 1),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
+		recvDone:   make(chan struct{}),
+		catchupCh:  make(chan transport.Message, 64),
 	}
 	n.nextInstance.Store(1)
 	if pa, ok := cfg.App.(ParallelApplication); ok {
@@ -469,24 +449,17 @@ func (n *Node) startEngine() {
 		Verifier: n.votePool,
 	})
 	n.engine = eng
+	n.engineGen++
 	n.mu.Unlock()
 
 	if old != nil {
 		old.Stop()
 	}
 	eng.Start()
-	// Forward decisions from this engine into the node's decision stream,
-	// tagged with their engine: after a view change the driver must be able
-	// to tell a fresh decision from one the replaced engine left in flight.
-	go func() {
-		for d := range eng.Decisions() {
-			select {
-			case n.decisions <- engineDecision{eng: eng, dec: d}:
-			case <-n.stop:
-				return
-			}
-		}
-	}()
+	select {
+	case n.engineLive <- struct{}{}:
+	default: // a wake-up is already pending
+	}
 }
 
 // Stop shuts the node down, draining the logger so durable state is

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"sort"
 	"time"
 
 	"smartchain/internal/blockchain"
@@ -25,294 +23,115 @@ var (
 	resultUnorderedUnsupported = []byte{0xF4}
 )
 
-// driverLoop is the ordering driver: it keeps a window of up to
-// W = PipelineDepth consensus instances live at once and releases their
-// decisions to the commit path (Algorithm 1: block append + durability +
-// reply) strictly in instance order through a reorder buffer. W = 1
-// reproduces the strictly sequential seed behavior.
+// driverLoop is the ordering driver's runtime. Which slots are open, which
+// batch goes where and which decision commits next is the window machine's
+// business (window.go); the loop turns what happens around it into events
+// and performs the effects each step returns. It alone owns the clock and
+// the one timer, the live engine's decision channel, and the commit path
+// with its lock (syncMu).
 func (n *Node) driverLoop() {
 	defer close(n.done)
+	period := max(4*n.cfg.ConsensusTimeout, 2*time.Second)
+	w := newWindow(n.cfg.PipelineDepth, period, n.batcher.TryNext, n.batcher.Requeue, n.batcherOrPeersBusy)
+
+	// The resync instant only moves later and an early tick is harmless, so
+	// the timer is re-armed once it has fired, never reset under load.
+	timer, armed := time.NewTimer(period), true
+	defer timer.Stop()
+	var stopped *consensus.Engine // its decision channel is closed
 	for {
+		// Look before waiting: engine replacement, leadership and the floor
+		// under state transfer change on other goroutines, unannounced.
+		eng, st := n.engineStatus()
+		switch {
+		case st.gen != w.gen || st.member != w.live || st.leads != w.leads:
+			n.drive(w, eng, st)
+		case st.floor != w.floor:
+			st.kind = evFloor
+			n.drive(w, eng, st)
+		}
+		if next := w.nextDeadline(); !armed && !next.IsZero() {
+			timer.Reset(time.Until(next))
+			armed = true
+		}
+		var decisions <-chan consensus.Decision
+		if eng != nil && eng != stopped {
+			decisions = eng.Decisions()
+		}
+
+		var ev event
 		select {
 		case <-n.stop:
 			return
-		default:
-		}
-		n.mu.Lock()
-		eng := n.engine
-		member := n.curView.Contains(n.cfg.Self) && !n.retired
-		n.mu.Unlock()
-		if !member || eng == nil {
-			// Not (yet) a participant: candidates wait to be joined,
-			// retired nodes only serve state transfer.
-			select {
-			case <-n.stop:
-				return
-			case <-time.After(50 * time.Millisecond):
-			}
-			continue
-		}
-		n.runWindow(eng)
-	}
-}
-
-// proposal is a batch this replica offered to one instance, with its wire
-// encoding kept so the commit path can cheaply tell whether the decided
-// value is this batch.
-type proposal struct {
-	batch smr.Batch
-	enc   []byte
-}
-
-// window is the driver's pipeline bookkeeping for one engine (one view):
-// decided-but-not-yet-committable instances (the reorder buffer), the
-// batches this replica proposed per instance (returned to the batcher if
-// the window drains before they commit), and started slots awaiting a
-// proposal.
-type window struct {
-	pending    map[int64]consensus.Decision
-	proposed   map[int64]proposal
-	unproposed []int64
-}
-
-// dropBelow forgets bookkeeping for instances below the commit floor.
-// Proposed batches below the floor are requeued: if their requests were
-// committed meanwhile (typically via state-transfer replay) the batcher's
-// executed watermark filters them; anything genuinely unordered goes back
-// to the front of the queue.
-func (w *window) dropBelow(floor int64, b *smr.Batcher) {
-	var requeue []smr.Request
-	for inst := range w.proposed {
-		if inst < floor {
-			requeue = append(requeue, w.proposed[inst].batch.Requests...)
-			delete(w.proposed, inst)
-		}
-	}
-	if len(requeue) > 0 {
-		b.Requeue(requeue)
-	}
-	for inst := range w.pending {
-		if inst < floor {
-			delete(w.pending, inst)
-		}
-	}
-	kept := w.unproposed[:0]
-	for _, inst := range w.unproposed {
-		if inst >= floor {
-			kept = append(kept, inst)
-		}
-	}
-	w.unproposed = kept
-}
-
-// drain returns every proposed-but-uncommitted batch to the batcher (in
-// instance order) when the window is abandoned at a view boundary: the
-// instances restart under the new view and the requests must be re-ordered
-// there (they are also queued at every other replica, so this is a liveness
-// optimization, not a safety requirement).
-func (w *window) drain(b *smr.Batcher) {
-	insts := make([]int64, 0, len(w.proposed))
-	for inst := range w.proposed {
-		insts = append(insts, inst)
-	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
-	var requeue []smr.Request
-	for _, inst := range insts {
-		requeue = append(requeue, w.proposed[inst].batch.Requests...)
-	}
-	if len(requeue) > 0 {
-		b.Requeue(requeue)
-	}
-}
-
-// runWindow drives the ordering pipeline for one engine. It returns when
-// the engine is replaced (view change or state-transfer reconciliation) or
-// the node stops; the outer driverLoop then re-acquires the live engine.
-func (n *Node) runWindow(eng *consensus.Engine) {
-	resync := 4 * n.cfg.ConsensusTimeout
-	if resync < 2*time.Second {
-		resync = 2 * time.Second
-	}
-
-	// The resync timer must NOT be a per-iteration time.After: under
-	// sustained client load the batcher's Ready channel fires more often
-	// than the resync period, and a fresh timer every loop iteration would
-	// never expire — a behind replica would then wait forever while its
-	// clients keep retrying (the starvation is precisely worst when traffic
-	// is heaviest). A persistent timer, reset only when a decision actually
-	// arrives, measures what it means to measure: time since last progress.
-	resyncTimer := time.NewTimer(resync)
-	defer resyncTimer.Stop()
-	resetResync := func() {
-		if !resyncTimer.Stop() {
-			select {
-			case <-resyncTimer.C:
-			default:
-			}
-		}
-		resyncTimer.Reset(resync)
-	}
-
-	win := &window{
-		pending:  make(map[int64]consensus.Decision),
-		proposed: make(map[int64]proposal),
-	}
-	startFloor := n.nextInstance.Load()
-	eng.AdvanceTo(startFloor)
-	nextStart := startFloor
-	advanced := startFloor // floor the engine has been advanced to
-
-	// Decisions the previous window observed after this engine went live
-	// land here first; entries from engines replaced since are stale.
-	if len(n.carryover) > 0 {
-		carried := n.carryover
-		n.carryover = nil
-		for _, ed := range carried {
-			if ed.eng != eng {
+		case <-n.engineLive:
+			continue // the look above picks the new engine up
+		case d, ok := <-decisions:
+			if !ok {
+				stopped = eng // replaced or retired; the look above finds out which
 				continue
 			}
-			if n.processDecision(win, ed.dec) {
-				win.drain(n.batcher)
-				return
-			}
-		}
-	}
-
-	for {
-		// The engine may have been replaced outside the commit path (a
-		// state-transfer round installed a newer view): hand control back
-		// so the outer loop binds to the live engine.
-		n.mu.Lock()
-		live := n.engine
-		member := n.curView.Contains(n.cfg.Self) && !n.retired
-		n.mu.Unlock()
-		if live != eng || !member {
-			win.drain(n.batcher)
-			return
-		}
-
-		// State transfer (or the commit loop) may have advanced the
-		// floor while we waited: abandon every overtaken slot — also
-		// when the catch-up lands inside the open window, where stale
-		// engine instances below the floor could otherwise never decide
-		// yet keep gating the lowest-undecided timeout rule.
-		floor := n.nextInstance.Load()
-		if floor > advanced {
-			win.dropBelow(floor, n.batcher)
-			eng.AdvanceTo(floor)
-			advanced = floor
-			if nextStart < floor {
-				nextStart = floor
-			}
-		}
-
-		// Offer work to slots opened empty BEFORE opening new ones: covers
-		// batches that arrived since the slot opened and leadership
-		// acquired mid-window (after a synchronization phase the new leader
-		// proposes filler for the contested instance; the real work flows
-		// here). Lowest slot first is load-bearing: commits are in instance
-		// order, so a batch handed to a freshly opened slot while lower
-		// slots sit empty could not commit until those decide — and with
-		// every client blocked on that batch nothing would ever fill them
-		// short of a progress timeout.
-		n.fillSlots(eng, win)
-		// Open slots up to the window. The leader proposes a batch per
-		// slot as long as it has requests; slots opened empty receive a
-		// proposal later (fillSlots) when work arrives. If we are wrong
-		// about leadership the engine ignores the value; the requests are
-		// also queued at the real leader (clients broadcast requests to
-		// the whole view).
-		for nextStart < floor+int64(n.pipelineDepth) {
-			var value []byte
-			if eng.Leader() == n.cfg.Self {
-				if batch, ok := n.batcher.TryNext(); ok {
-					value = batch.Encode()
-					win.proposed[nextStart] = proposal{batch: batch, enc: value}
-				}
-			}
-			eng.StartInstance(nextStart, value)
-			if value == nil {
-				win.unproposed = append(win.unproposed, nextStart)
-			}
-			nextStart++
-		}
-
-		select {
-		case <-n.stop:
-			return
-		case ed := <-n.decisions:
-			if ed.eng != eng {
-				n.mu.Lock()
-				live := n.engine
-				n.mu.Unlock()
-				if ed.eng == live {
-					// A new engine is already running: carry the decision
-					// to the next window losslessly (the reorder buffer
-					// makes delivery order irrelevant) and restart.
-					n.carryover = append(n.carryover, ed)
-					win.drain(n.batcher)
-					return
-				}
-				continue // in-flight decision from a replaced engine
-			}
-			floorBefore := n.nextInstance.Load()
-			viewChanged := n.processDecision(win, ed.dec)
-			if n.nextInstance.Load() > floorBefore {
-				// Only a committed decision counts as progress for the
-				// resync clock: decisions parked in the reorder buffer
-				// behind a gap must not hold off the state transfer that
-				// would close the gap.
-				resetResync()
-			}
-			if viewChanged {
-				// A reconfiguration committed: the view changed, the
-				// engine was replaced, and instances beyond the
-				// reconfiguration point restart under the new view.
-				win.drain(n.batcher)
-				return
-			}
+			ev = event{kind: evDecision, gen: st.gen, decision: d}
 		case <-n.batcher.Ready():
-			n.fillSlots(eng, win)
-		case <-resyncTimer.C:
-			// A replica that fell behind (e.g. just recovered while the
-			// rest of the view moved on) sees no decisions for instances
-			// the others already closed; after a quiet period it re-syncs
-			// via state transfer instead of waiting forever.
-			resyncTimer.Reset(resync)
-			n.mu.Lock()
-			peers := n.curView.Others(n.cfg.Self)
-			n.mu.Unlock()
-			if len(peers) > 0 && n.batcherOrPeersBusy() {
-				_ = n.SyncFromPeers(peers, time.Second) //smartlint:allow errdrop opportunistic resync; the timer fires again next period
+			ev.kind = evWork
+		case <-timer.C:
+			armed = false
+			ev.kind = evTick
+		}
+		n.drive(w, eng, ev)
+	}
+}
+
+// engineStatus snapshots which engine is live (its generation), whether
+// this replica orders through it and leads it, and where the commit floor
+// stands. Candidates waiting to be joined and retired nodes have no seat:
+// they only serve state transfer.
+func (n *Node) engineStatus() (*consensus.Engine, event) {
+	n.mu.Lock()
+	eng := n.engine
+	st := event{kind: evEngine, gen: n.engineGen, floor: n.nextInstance.Load()}
+	st.member = eng != nil && n.curView.Contains(n.cfg.Self) && !n.retired
+	n.mu.Unlock()
+	st.leads = st.member && eng.Leader() == n.cfg.Self
+	return eng, st
+}
+
+// drive steps the machine and performs the effects on eng, the engine the
+// machine was last told about. A commit is answered with its outcome before
+// anything else reaches the machine.
+func (n *Node) drive(w *window, eng *consensus.Engine, ev event) {
+	for again := true; again; {
+		again = false
+		for _, fx := range w.step(time.Now(), ev) {
+			switch fx.kind {
+			case fxAdvance:
+				eng.AdvanceTo(fx.inst)
+			case fxStart:
+				eng.StartInstance(fx.inst, nil)
+			case fxPropose:
+				eng.ProposeValue(fx.inst, fx.value)
+			case fxCommit:
+				ev, again = n.commit(fx.decision), true
+			case fxSync:
+				_ = n.SyncFromPeers(n.View().Others(n.cfg.Self), time.Second) //smartlint:allow errdrop opportunistic resync; the timer fires again next period
 			}
 		}
 	}
 }
 
-// fillSlots offers batches to started-but-unproposed slots, lowest instance
-// first, while this replica believes it leads. Slots that already decided
-// (their decision is waiting in the reorder buffer) are retired instead of
-// fed: the engine would ignore the proposal and the batch would sit parked
-// until that slot's turn in the commit order.
-func (n *Node) fillSlots(eng *consensus.Engine, win *window) {
-	if eng.Leader() != n.cfg.Self {
-		return
+// commit releases one decision to Algorithm 1 and reports what became of
+// it. syncMu serializes the floor's read-commit-advance against a state
+// transfer on a caller's goroutine (SyncFromPeers is exported): if one
+// moved the floor past d since the machine released it, d is in the chain
+// already and is skipped, so the floor never rewinds over replayed blocks.
+func (n *Node) commit(d consensus.Decision) event {
+	n.syncMu.Lock()
+	defer n.syncMu.Unlock()
+	viewChanged := false
+	if d.Instance == n.nextInstance.Load() {
+		viewChanged = n.commitDecision(d)
+		n.nextInstance.Store(d.Instance + 1) // a filler decision has no block to close
 	}
-	kept := win.unproposed[:0]
-	for i, inst := range win.unproposed {
-		if _, decided := win.pending[inst]; decided {
-			continue
-		}
-		batch, ok := n.batcher.TryNext()
-		if !ok {
-			kept = append(kept, win.unproposed[i:]...)
-			break
-		}
-		enc := batch.Encode()
-		eng.ProposeValue(inst, enc)
-		win.proposed[inst] = proposal{batch: batch, enc: enc}
-	}
-	win.unproposed = kept
+	return event{kind: evCommitted, floor: n.nextInstance.Load(), viewChanged: viewChanged}
 }
 
 // batcherOrPeersBusy gates re-sync: an idle system with nothing pending has
@@ -323,49 +142,6 @@ func (n *Node) fillSlots(eng *consensus.Engine, win *window) {
 func (n *Node) batcherOrPeersBusy() bool {
 	return n.batcher.Pending() > 0 || n.batcher.Outstanding() > 0 ||
 		n.ledger.Height() > n.lastReplyBlock.Load()
-}
-
-// processDecision lands one decision in the reorder buffer and releases the
-// in-order prefix to the commit path. Returns true when a committed block
-// carried a view update: the caller must drain the window, because the
-// engine was replaced and every later instance restarts under the new view.
-// syncMu serializes the floor's read-commit-advance against a state
-// transfer running on a caller's goroutine (SyncFromPeers is exported), so
-// the floor can never rewind over replayed blocks.
-func (n *Node) processDecision(win *window, d consensus.Decision) bool {
-	n.syncMu.Lock()
-	defer n.syncMu.Unlock()
-	floor := n.nextInstance.Load()
-	if d.Instance < floor {
-		return false // already committed (stale redelivery)
-	}
-	win.pending[d.Instance] = d
-	for {
-		dec, ok := win.pending[floor]
-		if !ok {
-			return false
-		}
-		delete(win.pending, floor)
-		if p, ok := win.proposed[floor]; ok {
-			delete(win.proposed, floor)
-			if !bytes.Equal(dec.Value, p.enc) {
-				// The instance decided something other than our batch (a
-				// leader change decided the empty filler or a
-				// re-proposed value): return the requests to the queue
-				// so they reach a later slot instead of leaking in the
-				// handed-out state. The batcher's executed watermark
-				// filters any that the decided value also carried.
-				n.batcher.Requeue(p.batch.Requests)
-			}
-		}
-		viewChanged := n.commitDecision(dec)
-		floor = dec.Instance + 1
-		n.nextInstance.Store(floor) // a filler decision has no block to close
-		win.dropBelow(floor, n.batcher)
-		if viewChanged {
-			return true
-		}
-	}
 }
 
 // commitDecision runs Algorithm 1 for one decided batch: apply it (the

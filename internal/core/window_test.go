@@ -1,0 +1,526 @@
+package core
+
+import (
+	"bytes"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"smartchain/internal/consensus"
+	"smartchain/internal/smr"
+)
+
+// The window machine under virtual time: one goroutine, no sleeps. A fake
+// queue stands in for smr.Batcher, and the rig plays runtime and engine —
+// it performs every effect the way Node.drive does (a commit is answered
+// with evCommitted before anything else) and checks on each one what must
+// hold for every path: no slot starts below the floor or twice, no batch
+// lands above an empty slot, and a commit is for the floor, alone and last.
+
+// fakeQueue is the injected request queue.
+type fakeQueue struct {
+	ready    []smr.Batch
+	requeued []smr.Request // everything ever given back, in order
+	busy     bool
+	calls    int // next() calls in the current step
+	asked    int // next() calls ever
+	// blind makes the first blind calls of a step find the queue empty: the
+	// work arrives while the step is running.
+	blind int
+}
+
+func (q *fakeQueue) next() (smr.Batch, bool) {
+	q.calls++
+	q.asked++
+	if q.calls <= q.blind || len(q.ready) == 0 {
+		return smr.Batch{}, false
+	}
+	b := q.ready[0]
+	q.ready = q.ready[1:]
+	return b, true
+}
+
+// requeue puts the requests back at the front as one batch, as the
+// batcher's front-of-queue merge would hand them out again.
+func (q *fakeQueue) requeue(reqs []smr.Request) {
+	q.requeued = append(q.requeued, reqs...)
+	q.ready = append([]smr.Batch{{Timestamp: 1, Requests: slices.Clone(reqs)}}, q.ready...)
+}
+
+// testBatch is n requests of one client, sequence numbers from seq.
+func testBatch(client int64, seq uint64, n int) smr.Batch {
+	b := smr.Batch{Timestamp: 1}
+	for i := 0; i < n; i++ {
+		b.Requests = append(b.Requests, smr.Request{ClientID: client, Seq: seq + uint64(i), Op: []byte{OpApp}})
+	}
+	return b
+}
+
+const testPeriod = 2 * time.Second
+
+type slotRef struct {
+	gen  uint64
+	inst int64
+}
+
+type rig struct {
+	t     *testing.T
+	w     *window
+	q     *fakeQueue
+	now   time.Time
+	floor int64 // the runtime's commit floor (Node.nextInstance)
+	// viewChangeAt: committing this instance installs a new view.
+	viewChangeAt int64
+
+	started  map[slotRef]bool
+	placed   map[slotRef][]byte // the value offered to each slot
+	starts   []slotRef
+	offers   []slotRef
+	advances []slotRef
+	commits  []int64
+	syncs    int
+}
+
+func newRig(t *testing.T, depth int) *rig {
+	q := &fakeQueue{}
+	return &rig{
+		t: t, q: q, now: time.Unix(1_000_000, 0), floor: 1,
+		w:       newWindow(depth, testPeriod, q.next, q.requeue, func() bool { return q.busy }),
+		started: make(map[slotRef]bool),
+		placed:  make(map[slotRef][]byte),
+	}
+}
+
+// step is one machine step with its effects performed; it returns the
+// evCommitted that answers a commit, if the step asked for one.
+func (r *rig) step(ev event) (event, bool) {
+	r.t.Helper()
+	r.q.calls = 0
+	var follow event
+	committed := false
+	for _, fx := range r.w.step(r.now, ev) {
+		if committed {
+			r.t.Fatalf("effect %d after the commit of one step", fx.kind)
+		}
+		at := slotRef{r.w.gen, fx.inst}
+		switch fx.kind {
+		case fxAdvance:
+			r.advances = append(r.advances, at)
+		case fxStart:
+			if fx.inst < r.w.floor || r.started[at] {
+				r.t.Fatalf("slot %d started below floor %d or twice", fx.inst, r.w.floor)
+			}
+			r.started[at] = true
+			r.starts = append(r.starts, at)
+		case fxPropose:
+			r.checkOffer(at)
+			r.placed[at] = fx.value
+			r.offers = append(r.offers, at)
+		case fxCommit:
+			d := fx.decision
+			if d.Instance != r.w.floor {
+				r.t.Fatalf("commit of %d released at floor %d", d.Instance, r.w.floor)
+			}
+			follow, committed = event{kind: evCommitted}, true
+			if d.Instance == r.floor { // else a state transfer got there first
+				r.commits = append(r.commits, d.Instance)
+				r.floor++
+				follow.viewChanged = d.Instance == r.viewChangeAt
+			}
+			follow.floor = r.floor
+		case fxSync:
+			r.syncs++
+		}
+	}
+	return follow, committed
+}
+
+// checkOffer: a batch may only go to a started, still empty slot with no
+// empty slot below it.
+func (r *rig) checkOffer(at slotRef) {
+	r.t.Helper()
+	if _, taken := r.placed[at]; !r.started[at] || taken {
+		r.t.Fatalf("batch offered to slot %d, which is not started or already holds one", at.inst)
+	}
+	for inst := r.w.floor; inst < at.inst; inst++ {
+		lower := slotRef{at.gen, inst}
+		_, decided := r.w.parked[inst]
+		if _, taken := r.placed[lower]; r.started[lower] && !taken && !decided {
+			r.t.Fatalf("batch placed in slot %d above empty slot %d", at.inst, inst)
+		}
+	}
+}
+
+// run steps ev and every evCommitted it leads to, as Node.drive does.
+func (r *rig) run(ev event) {
+	r.t.Helper()
+	for more := true; more; {
+		ev, more = r.step(ev)
+	}
+}
+
+func (r *rig) engine(gen uint64, member, leads bool) {
+	r.t.Helper()
+	r.run(event{kind: evEngine, gen: gen, floor: r.floor, member: member, leads: leads})
+}
+
+func (r *rig) work(batches ...smr.Batch) {
+	r.t.Helper()
+	r.q.ready = append(r.q.ready, batches...)
+	r.run(event{kind: evWork})
+}
+
+func (r *rig) decide(gen uint64, inst int64, value []byte) {
+	r.t.Helper()
+	r.run(event{kind: evDecision, gen: gen, decision: consensus.Decision{Instance: inst, Value: value}})
+}
+
+// decideOwn decides slot inst on the value this replica offered it.
+func (r *rig) decideOwn(gen uint64, inst int64) {
+	r.t.Helper()
+	v, ok := r.placed[slotRef{gen, inst}]
+	if !ok {
+		r.t.Fatalf("slot %d holds no batch to decide", inst)
+	}
+	r.decide(gen, inst, v)
+}
+
+// ofGen picks the slots of one generation out of an effect record.
+func ofGen(refs []slotRef, gen uint64) []int64 {
+	var insts []int64
+	for _, ref := range refs {
+		if ref.gen == gen {
+			insts = append(insts, ref.inst)
+		}
+	}
+	return insts
+}
+
+func (r *rig) wantOffers(want ...int64) {
+	r.t.Helper()
+	got := make([]int64, len(r.offers))
+	for i, o := range r.offers {
+		got[i] = o.inst
+	}
+	if !slices.Equal(got, want) {
+		r.t.Fatalf("batches went to slots %v, want %v", got, want)
+	}
+}
+
+func (r *rig) wantCommits(want ...int64) {
+	r.t.Helper()
+	if !slices.Equal(r.commits, want) {
+		r.t.Fatalf("commits %v, want %v", r.commits, want)
+	}
+}
+
+func (r *rig) wantRequeued(want ...smr.Batch) {
+	r.t.Helper()
+	var reqs []smr.Request
+	for _, b := range want {
+		reqs = append(reqs, b.Requests...)
+	}
+	same := func(a, b smr.Request) bool { return a.ClientID == b.ClientID && a.Seq == b.Seq }
+	if !slices.EqualFunc(r.q.requeued, reqs, same) {
+		r.t.Fatalf("requeued %d requests %v, want %d in instance order", len(r.q.requeued), r.q.requeued, len(reqs))
+	}
+}
+
+// (a) A W=8 leader whose work arrives in bursts: every batch goes to the
+// lowest empty slot (checkOffer), and whatever order the decisions come
+// back in, they commit in instance order, each exactly once.
+func TestWindowLeaderCommitsInOrderUnderAnyDecisionOrder(t *testing.T) {
+	const batches = 24
+	for seed := int64(0); seed < 64; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := newRig(t, 8)
+		r.engine(1, true, true)
+		added := 0
+		for len(r.commits) < batches {
+			var undecided []int64
+			for inst := r.floor; inst < r.w.nextStart; inst++ {
+				_, offered := r.placed[slotRef{1, inst}]
+				if _, parked := r.w.parked[inst]; offered && !parked {
+					undecided = append(undecided, inst)
+				}
+			}
+			if added < batches && (len(undecided) == 0 || rng.Intn(3) == 0) {
+				n := 1 + rng.Intn(3)
+				for i := 0; i < n && added < batches; i++ {
+					added++
+					r.work(testBatch(int64(added), 1, 2))
+				}
+				continue
+			}
+			if len(undecided) == 0 {
+				t.Fatalf("seed %d: stalled at floor %d with every offered batch decided", seed, r.floor)
+			}
+			r.decideOwn(1, undecided[rng.Intn(len(undecided))])
+			if r.w.floor != r.floor || int(r.w.nextStart-r.w.floor) != 8 {
+				t.Fatalf("seed %d: window [%d,%d) at runtime floor %d, want 8 open slots", seed, r.w.floor, r.w.nextStart, r.floor)
+			}
+		}
+		want := make([]int64, batches)
+		for i := range want {
+			want[i] = int64(i + 1)
+		}
+		r.wantCommits(want...)
+		if len(r.q.requeued) != 0 {
+			t.Fatalf("seed %d: %d requests requeued though every slot decided its own batch", seed, len(r.q.requeued))
+		}
+	}
+}
+
+// (b) The stall behind TestLeaderFillsLowestOpenSlotFirst: the closed-loop
+// clients' requests arrive while the step that slides the window is already
+// past its first look at the queue. A driver with a second proposal site in
+// its slot-opening loop finds them there and puts them in the slot it has
+// just opened — above seven empty ones that nothing is left to fill. The
+// batch must go to the lowest empty slot and never to the new one.
+func TestWindowWorkArrivingMidStepGoesToLowestEmptySlot(t *testing.T) {
+	r := newRig(t, 8)
+	r.engine(1, true, true)
+	r.work(testBatch(1, 1, 1))
+	r.wantOffers(1) // slots 2..8 are open and empty
+
+	commit, ok := r.step(event{kind: evDecision, gen: 1, decision: consensus.Decision{Instance: 1, Value: r.placed[slotRef{1, 1}]}})
+	if !ok {
+		t.Fatal("the decision at the floor was not released")
+	}
+	// The racing step: the commit slides the window and slot 9 opens.
+	r.q.blind = 1
+	r.q.ready = append(r.q.ready, testBatch(2, 1, 4))
+	if _, again := r.step(commit); again {
+		t.Fatal("nothing else is decided")
+	}
+	r.q.blind = 0
+	if !r.started[slotRef{1, 9}] {
+		t.Fatal("slot 9 did not open")
+	}
+	r.run(event{kind: evWork}) // the batcher's Ready token
+	r.wantOffers(1, 2)
+	if n := len(r.w.proposed[2].batch.Requests); n != 4 {
+		t.Fatalf("slot 2 holds %d requests, want the 4 that arrived mid-step", n)
+	}
+	r.decideOwn(1, 2)
+	r.wantCommits(1, 2)
+}
+
+// (c) A slot that decided something other than this replica's batch gives
+// the requests back exactly once; a slot that decided the batch never does.
+func TestWindowRequeuesOnlyWhatWasNotDecided(t *testing.T) {
+	r := newRig(t, 4)
+	r.engine(1, true, true)
+	a, b := testBatch(1, 1, 2), testBatch(2, 1, 3)
+	r.work(a, b)
+	r.wantOffers(1, 2)
+
+	r.decideOwn(1, 1)
+	r.decide(1, 2, nil) // a leader change decided the empty filler
+	r.wantCommits(1, 2)
+	r.wantRequeued(b)
+	// The requests went back to the front of the queue and into the next
+	// empty slot; decided there, they stay decided.
+	r.wantOffers(1, 2, 3)
+	r.decideOwn(1, 3)
+	r.wantCommits(1, 2, 3)
+	r.wantRequeued(b) // b once, a never
+}
+
+// (d) A commit that changes the view ends the window: what the old engine
+// decided beyond it is void, what this replica offered beyond it returns to
+// the queue in instance order, and the slots restart at the new floor under
+// the next generation. A straggler of the old generation is ignored; a
+// decision of the new one that overtakes its evEngine is kept.
+func TestWindowViewChangeHandsOverByGeneration(t *testing.T) {
+	r := newRig(t, 4)
+	r.engine(1, true, true)
+	a, b, c, d := testBatch(1, 1, 1), testBatch(2, 1, 1), testBatch(3, 1, 2), testBatch(4, 1, 2)
+	r.work(a, b, c, d)
+	r.wantOffers(1, 2, 3, 4)
+
+	r.viewChangeAt = 2
+	r.decideOwn(1, 3) // parks behind 1 and 2
+	r.decideOwn(1, 2)
+	r.decideOwn(1, 1) // releases 1, then 2 — the reconfiguration
+	r.wantCommits(1, 2)
+	r.wantRequeued(c, d)
+	if r.w.live || len(r.w.parked) != 0 || len(r.w.proposed) != 0 {
+		t.Fatalf("window survived the view change: live=%v parked=%d proposed=%d", r.w.live, len(r.w.parked), len(r.w.proposed))
+	}
+
+	effects := len(r.starts) + len(r.offers) + len(r.advances)
+	r.decideOwn(1, 4)           // in flight from the replaced engine
+	r.decide(2, 3, []byte("x")) // the new engine is faster than its evEngine
+	r.run(event{kind: evWork})
+	if len(r.starts)+len(r.offers)+len(r.advances) != effects {
+		t.Fatal("effects without a live engine")
+	}
+	r.wantCommits(1, 2)
+
+	r.engine(2, true, true)
+	r.wantCommits(1, 2, 3)
+	// Slots 3..6 open at the new floor; committing 3 slides the window to 7.
+	if got := ofGen(r.starts, 2); !slices.Equal(got, []int64{3, 4, 5, 6, 7}) {
+		t.Fatalf("new generation started %v, want 3..7", got)
+	}
+	if got := ofGen(r.advances, 2); !slices.Equal(got, []int64{3, 4}) {
+		t.Fatalf("new engine advanced to %v, want 3 then 4", got)
+	}
+	// c and d come back as one front-of-queue batch; slot 3 was decided
+	// before anything could be offered to it.
+	if got := ofGen(r.offers, 2); !slices.Equal(got, []int64{4}) {
+		t.Fatalf("requeued work offered to slots %v of the new generation, want 4", got)
+	}
+	r.wantRequeued(c, d)
+}
+
+// (e) A state transfer moves the floor to a point inside the open window:
+// overtaken slots are abandoned and their batches given back, the engine is
+// advanced once, and nothing starts below the floor (rig.step checks). A
+// transfer that overtakes a decision already released for commit is the
+// same case seen from evCommitted: the machine takes the floor it is told.
+func TestWindowFloorMovedFromOutside(t *testing.T) {
+	r := newRig(t, 8)
+	r.engine(1, true, true)
+	a, b, c := testBatch(1, 1, 1), testBatch(2, 1, 1), testBatch(3, 1, 1)
+	r.work(a, b, c)
+	r.wantOffers(1, 2, 3)
+	r.decideOwn(1, 2) // parked behind 1; the transfer replays it as decided
+
+	advances := len(r.advances)
+	r.floor = 3
+	r.run(event{kind: evFloor, floor: 3})
+	r.wantRequeued(a)
+	if got := r.advances[advances:]; !slices.Equal(got, []slotRef{{1, 3}}) {
+		t.Fatalf("advance effects %v, want one, to 3", got)
+	}
+	if r.w.nextStart != 11 {
+		t.Fatalf("window open up to %d, want 11", r.w.nextStart)
+	}
+	r.wantOffers(1, 2, 3, 4) // a, given back, goes to the lowest empty slot
+	r.wantCommits()
+
+	// Slot 3 decides and is released, but a transfer reached 6 first.
+	r.floor = 6
+	r.decideOwn(1, 3)
+	r.wantCommits()
+	r.wantRequeued(a, a) // slot 4's batch; c was decided as proposed
+	if r.w.floor != 6 || r.w.nextStart != 14 || r.advances[len(r.advances)-1] != (slotRef{1, 6}) {
+		t.Fatalf("window [%d,%d) after the transfer, want [6,14) and the engine advanced to 6", r.w.floor, r.w.nextStart)
+	}
+}
+
+// (f) The resync clock measures time since the last commit: a decision
+// parked behind a gap does not push it back, a commit does, and when it
+// runs out an idle replica does nothing while a busy one asks for exactly
+// one state transfer per period.
+func TestWindowResyncClock(t *testing.T) {
+	r := newRig(t, 4)
+	t0 := r.now
+	at := func(d time.Duration) { r.now = t0.Add(d) }
+	r.engine(1, true, false)
+	if got := r.w.nextDeadline(); !got.Equal(t0.Add(testPeriod)) {
+		t.Fatalf("first resync instant %v, want one period after the engine went live", got.Sub(t0))
+	}
+
+	at(time.Second)
+	r.decide(1, 2, nil) // parked: instance 1 is missing
+	if got := r.w.nextDeadline(); !got.Equal(t0.Add(testPeriod)) {
+		t.Fatalf("a parked decision moved the resync instant to %v", got.Sub(t0))
+	}
+	at(testPeriod - time.Millisecond)
+	r.run(event{kind: evTick})
+	at(testPeriod)
+	r.run(event{kind: evTick}) // due, but nothing is owed
+	if r.syncs != 0 {
+		t.Fatalf("%d state transfers on an idle replica", r.syncs)
+	}
+
+	r.q.busy = true
+	at(2*testPeriod - time.Millisecond)
+	r.run(event{kind: evTick})
+	if r.syncs != 0 {
+		t.Fatal("state transfer before the period ran out")
+	}
+	at(2 * testPeriod)
+	r.run(event{kind: evTick})
+	r.run(event{kind: evTick})
+	at(3*testPeriod - time.Millisecond)
+	r.run(event{kind: evTick})
+	if r.syncs != 1 {
+		t.Fatalf("%d state transfers in one period, want 1", r.syncs)
+	}
+	at(3 * testPeriod)
+	r.run(event{kind: evTick})
+	if r.syncs != 2 {
+		t.Fatalf("%d state transfers after two busy periods, want 2", r.syncs)
+	}
+
+	at(3*testPeriod + time.Second)
+	r.decide(1, 1, nil) // closes the gap: 1 and 2 commit
+	r.wantCommits(1, 2)
+	if got, want := r.w.nextDeadline(), r.now.Add(testPeriod); !got.Equal(want) {
+		t.Fatalf("resync instant %v after a commit, want %v", got.Sub(t0), want.Sub(t0))
+	}
+}
+
+// (g) A follower never takes a batch from the queue. When leadership
+// arrives mid-window, the next event fills the empty slots lowest first,
+// skipping one that has already decided.
+func TestWindowLeadershipGainedMidWindow(t *testing.T) {
+	r := newRig(t, 4)
+	r.engine(1, true, false)
+	r.q.ready = append(r.q.ready, testBatch(1, 1, 1), testBatch(2, 1, 1), testBatch(3, 1, 1), testBatch(4, 1, 1))
+	for _, ev := range []event{{kind: evWork}, {kind: evTick}, {kind: evDecision, gen: 1, decision: consensus.Decision{Instance: 3}}} {
+		r.run(ev)
+	}
+	if r.q.asked != 0 || len(r.offers) != 0 {
+		t.Fatalf("a follower asked the queue %d times and offered %d batches", r.q.asked, len(r.offers))
+	}
+
+	starts, advances := len(r.starts), len(r.advances)
+	r.engine(1, true, true) // a synchronization round made this replica leader
+	r.wantOffers(1, 2, 4)
+	if len(r.starts) != starts || len(r.advances) != advances {
+		t.Fatal("a leadership change restarted the window")
+	}
+}
+
+// (h) Without a seat — no engine yet, or not a member — the machine does
+// nothing, whatever arrives; the evEngine that brings the seat opens the
+// whole window in the same step.
+func TestWindowIdleWithoutEngine(t *testing.T) {
+	r := newRig(t, 4)
+	r.q.busy = true
+	r.q.ready = append(r.q.ready, testBatch(1, 1, 1))
+	idle := []event{
+		{kind: evWork},
+		{kind: evEngine, gen: 0, floor: 1},
+		{kind: evDecision, gen: 0, decision: consensus.Decision{Instance: 1}},
+		{kind: evFloor, floor: 5},
+		{kind: evEngine, gen: 1, floor: 5, leads: true}, // an engine, but no seat
+		{kind: evDecision, gen: 1, decision: consensus.Decision{Instance: 5}},
+		{kind: evTick},
+	}
+	r.floor = 5
+	for _, ev := range idle {
+		r.now = r.now.Add(testPeriod)
+		if fx := r.w.step(r.now, ev); len(fx) != 0 {
+			t.Fatalf("event %d without a seat caused %d effects", ev.kind, len(fx))
+		}
+		if !r.w.nextDeadline().IsZero() {
+			t.Fatal("a deadline without a window")
+		}
+	}
+
+	r.engine(2, true, true)
+	if want := []slotRef{{2, 5}, {2, 6}, {2, 7}, {2, 8}}; !slices.Equal(r.starts, want) || !slices.Equal(r.advances, []slotRef{{2, 5}}) {
+		t.Fatalf("going live started %v after advancing %v, want %v after one advance to 5", r.starts, r.advances, want)
+	}
+	r.wantOffers(5)
+	if !bytes.Equal(r.placed[slotRef{2, 5}], r.w.proposed[5].enc) || r.w.nextDeadline().IsZero() {
+		t.Fatal("live window holds no proposal for slot 5 or no resync instant")
+	}
+}

@@ -31,7 +31,6 @@ import (
 // every replica judges freshness identically.
 type Batcher struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
 	pending  []Request
 	inFlight map[dedupeKey]bool
 	handed   map[dedupeKey]bool       // handed out in a batch, not yet delivered
@@ -127,15 +126,13 @@ func NewBatcher(maxBatch int) *Batcher {
 	if maxBatch <= 0 {
 		maxBatch = 512
 	}
-	b := &Batcher{
+	return &Batcher{
 		inFlight: make(map[dedupeKey]bool),
 		handed:   make(map[dedupeKey]bool),
 		executed: make(map[int64]*executedMarks),
 		maxBatch: maxBatch,
 		ready:    make(chan struct{}, 1),
 	}
-	b.cond = sync.NewCond(&b.mu)
-	return b
 }
 
 // marksFor returns (creating on demand) the executed record for a sender
@@ -170,7 +167,6 @@ func (b *Batcher) Add(req Request) bool {
 	}
 	b.inFlight[k] = true
 	b.pending = append(b.pending, req)
-	b.cond.Signal()
 	b.mu.Unlock()
 	b.signalReady()
 	return true
@@ -186,20 +182,6 @@ func (b *Batcher) signalReady() {
 // Ready returns a channel that receives a token when requests may be
 // pending. Consumers re-check with TryNext; spurious wakeups are possible.
 func (b *Batcher) Ready() <-chan struct{} { return b.ready }
-
-// Next blocks until at least one request is pending (or the batcher is
-// closed), then returns up to maxBatch requests. Returns false when closed.
-func (b *Batcher) Next() (Batch, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for len(b.pending) == 0 && !b.closed {
-		b.cond.Wait()
-	}
-	if b.closed {
-		return Batch{}, false
-	}
-	return b.takeLocked(), true
-}
 
 // TryNext returns a batch if any requests are pending, without blocking.
 func (b *Batcher) TryNext() (Batch, bool) {
@@ -334,9 +316,6 @@ func (b *Batcher) Requeue(reqs []Request) {
 	}
 	merged = append(merged, b.pending...)
 	b.pending = merged
-	if len(b.pending) > 0 {
-		b.cond.Signal()
-	}
 	b.mu.Unlock()
 	b.signalReady()
 }
@@ -423,11 +402,10 @@ func (b *Batcher) RestoreWatermarks(w map[int64]Watermark) {
 	}
 }
 
-// Close unblocks Next and rejects further adds.
+// Close rejects further adds and hand-outs and wakes whoever waits on Ready.
 func (b *Batcher) Close() {
 	b.mu.Lock()
 	b.closed = true
-	b.cond.Broadcast()
 	b.mu.Unlock()
 	b.signalReady()
 }

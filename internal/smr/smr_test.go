@@ -235,7 +235,7 @@ func TestBatcherBasics(t *testing.T) {
 	}
 	b.Add(signedReq(t, 1, 2, "b"))
 	b.Add(signedReq(t, 1, 3, "c"))
-	batch, ok := b.Next()
+	batch, ok := b.TryNext()
 	if !ok || len(batch.Requests) != 2 {
 		t.Fatalf("first batch: ok=%v len=%d", ok, len(batch.Requests))
 	}
@@ -298,6 +298,20 @@ func TestBatcherReadySignal(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("ready token missing after Add")
 	}
+	// Close wakes a driver waiting on Ready, and nothing enters or leaves
+	// the queue afterwards.
+	b.Close()
+	select {
+	case <-b.Ready():
+	case <-time.After(time.Second):
+		t.Fatal("ready token missing after Close")
+	}
+	if _, ok := b.TryNext(); ok {
+		t.Fatal("TryNext after Close must fail")
+	}
+	if b.Add(signedReq(t, 1, 2, "y")) {
+		t.Fatal("Add after Close must fail")
+	}
 }
 
 func TestBatcherRequeueDropsExecuted(t *testing.T) {
@@ -332,50 +346,6 @@ func TestBatcherRequeuePreservesOrder(t *testing.T) {
 	got, _ := b.TryNext()
 	if len(got.Requests) != 3 || got.Requests[0].Seq != 1 || got.Requests[1].Seq != 2 || got.Requests[2].Seq != 3 {
 		t.Fatalf("requeue order wrong: %+v", got.Requests)
-	}
-}
-
-func TestBatcherNextBlocksUntilAdd(t *testing.T) {
-	b := NewBatcher(10)
-	defer b.Close()
-	got := make(chan Batch, 1)
-	go func() {
-		batch, ok := b.Next()
-		if ok {
-			got <- batch
-		}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	b.Add(signedReq(t, 1, 1, "late"))
-	select {
-	case batch := <-got:
-		if len(batch.Requests) != 1 {
-			t.Fatalf("got %d requests", len(batch.Requests))
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Next did not wake on Add")
-	}
-}
-
-func TestBatcherCloseUnblocksNext(t *testing.T) {
-	b := NewBatcher(10)
-	done := make(chan bool, 1)
-	go func() {
-		_, ok := b.Next()
-		done <- ok
-	}()
-	time.Sleep(10 * time.Millisecond)
-	b.Close()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("Next after close must report not-ok")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Close did not unblock Next")
-	}
-	if b.Add(signedReq(t, 1, 1, "x")) {
-		t.Fatal("Add after close must fail")
 	}
 }
 

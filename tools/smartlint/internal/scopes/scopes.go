@@ -42,6 +42,31 @@ func MessageHandling(path string) bool {
 
 // EventLoop reports whether path hosts consensus event-loop goroutines
 // whose call graphs must stay free of blocking operations (looptime).
+// internal/core is not one: its loops (the ordering driver's runtime, the
+// receive loop) block legitimately — on a commit, on a state transfer.
 func EventLoop(path string) bool {
-	return path == "smartchain/internal/consensus" || testbed(path)
+	switch path {
+	case "smartchain/internal/consensus":
+		return true
+	case "smartlint.test/looptime/driver":
+		// The fixture standing in for internal/core.
+		return false
+	}
+	return testbed(path)
+}
+
+// StepMachine names the type in path whose step method is the entry point
+// of a pure state machine (looptime's purity rule): consensus.machine, and
+// core.window, the ordering driver under the engine. Empty means none.
+func StepMachine(path string) string {
+	switch path {
+	case "smartchain/internal/consensus":
+		return "machine"
+	case "smartchain/internal/core", "smartlint.test/looptime/driver":
+		return "window"
+	}
+	if testbed(path) {
+		return "machine"
+	}
+	return ""
 }

@@ -25,11 +25,14 @@
 //     Unlock): transport sends can block on the peer queue, and holding a
 //     lock across one turns backpressure into a pile-up.
 //
-// A second, stricter rule holds the protocol state machine the loop steps
-// to its contract. Everything reachable from (*machine).step — function
-// literals passed as arguments included, they run inside the step — must
-// be pure: no go statement, no channel operation (send, receive, range,
-// close) or select, no call into package sync, and no clock or timer
+// A second, stricter rule holds the state machines the runtimes step to
+// their contract: (*machine).step in internal/consensus, the protocol, and
+// (*window).step in internal/core, the ordering driver above it (the
+// blocking rule does not extend to core, whose loops block legitimately).
+// Everything reachable from such a step — function literals passed as
+// arguments included, they run inside the step — must be pure: no go
+// statement, no channel operation (send, receive, range, close) or select,
+// no call into package sync, and no clock or timer
 // (time.Now/Since/Until/Sleep/After/AfterFunc/NewTimer/NewTicker/Tick).
 // That is what lets a test or simulator drive any number of machines in
 // one goroutine under virtual time.
@@ -49,12 +52,13 @@ import (
 // Analyzer flags blocking operations reachable from consensus event loops.
 var Analyzer = &analysis.Analyzer{
 	Name: "looptime",
-	Doc:  "flags blocking calls (time.Sleep, bare channel sends, locks held across Send) reachable from consensus event-loop goroutines (run/loop methods), and any goroutine, channel, lock or clock use reachable from (*machine).step",
+	Doc:  "flags blocking calls (time.Sleep, bare channel sends, locks held across Send) reachable from consensus event-loop goroutines (run/loop methods), and any goroutine, channel, lock or clock use reachable from a state machine's step ((*machine).step in consensus, (*window).step in core)",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !scopes.EventLoop(pass.Pkg.Path()) {
+	loops, machine := scopes.EventLoop(pass.Pkg.Path()), scopes.StepMachine(pass.Pkg.Path())
+	if !loops && machine == "" {
 		return nil, nil
 	}
 
@@ -74,9 +78,9 @@ func run(pass *analysis.Pass) (any, error) {
 			decls[fn] = fd
 			switch {
 			case fd.Recv == nil:
-			case fd.Name.Name == "run" || fd.Name.Name == "loop":
+			case loops && (fd.Name.Name == "run" || fd.Name.Name == "loop"):
 				roots = append(roots, fn)
-			case fd.Name.Name == "step" && recvNamed(fd) == "machine":
+			case fd.Name.Name == "step" && recvNamed(fd) == machine:
 				pureRoots = append(pureRoots, fn)
 			}
 		}
@@ -86,7 +90,7 @@ func run(pass *analysis.Pass) (any, error) {
 		checkBody(pass, fn, decls[fn].Body)
 	}
 	for fn := range reachable(pass, decls, pureRoots, walkAll) {
-		checkPure(pass, fn, decls[fn].Body)
+		checkPure(pass, machine, fn, decls[fn].Body)
 	}
 	return nil, nil
 }
@@ -277,9 +281,9 @@ var impureTimeFuncs = map[string]bool{
 }
 
 // checkPure flags everything the state machine's contract rules out.
-func checkPure(pass *analysis.Pass, fn *types.Func, body *ast.BlockStmt) {
+func checkPure(pass *analysis.Pass, machine string, fn *types.Func, body *ast.BlockStmt) {
 	report := func(pos token.Pos, what string) {
-		pass.Reportf(pos, "%s in %s, reachable from (*machine).step: the consensus state machine must stay goroutine-free, channel-free, lock-free and clock-free; return an effect and let the runtime do it", what, fn.Name())
+		pass.Reportf(pos, "%s in %s, reachable from (*%s).step: the state machine must stay goroutine-free, channel-free, lock-free and clock-free; return an effect and let the runtime do it", what, fn.Name(), machine)
 	}
 	walkAll(body, func(n ast.Node) {
 		switch n := n.(type) {

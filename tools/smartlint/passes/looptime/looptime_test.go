@@ -8,5 +8,5 @@ import (
 )
 
 func TestLooptime(t *testing.T) {
-	analysistest.Run(t, "../../testdata/src", looptime.Analyzer, "./looptime")
+	analysistest.Run(t, "../../testdata/src", looptime.Analyzer, "./looptime", "./looptime/driver")
 }
