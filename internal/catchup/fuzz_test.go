@@ -1,0 +1,158 @@
+package catchup
+
+import (
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"smartchain/internal/codec"
+	"smartchain/internal/crypto"
+	"smartchain/internal/storage"
+)
+
+// fuzzDecoder holds one decoder to the contract of the consensus decoders:
+// on arbitrary bytes it must not panic, must not allocate more than a small
+// multiple of the input, and whatever it accepts must survive an
+// encode/decode round trip unchanged.
+func fuzzDecoder[M any](t *testing.T, data []byte, decode func([]byte) (M, error), encode func(M) []byte) {
+	// TotalAlloc is process-wide and the fuzz worker's own goroutines
+	// allocate too: a decoder blow-up repeats, their noise does not.
+	limit := uint64(64*len(data) + 16<<10)
+	var m M
+	var err error
+	for try, grew := 0, limit+1; grew > limit; try++ {
+		if try == 3 {
+			t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), grew, limit)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err = decode(data)
+		runtime.ReadMemStats(&after)
+		grew = after.TotalAlloc - before.TotalAlloc
+	}
+	if err != nil {
+		return
+	}
+	again, err := decode(encode(m))
+	if err != nil {
+		t.Fatalf("re-decoding an accepted message: %v", err)
+	}
+	if !reflect.DeepEqual(m, again) {
+		t.Fatalf("round trip changed the message:\n%+v\n%+v", m, again)
+	}
+}
+
+// envelopeBomb is a 76-byte MsgEnvelopeRep whose 24-byte snapshot-envelope
+// header declares 2^20 chunk digests and carries none: 32 MiB to any
+// decoder that allocates before it reads.
+func envelopeBomb() []byte {
+	snap := codec.NewEncoder(24)
+	snap.Int64(7)
+	snap.Int32(1)
+	snap.Int64(1 << 20)
+	snap.Uint32(1 << 20)
+	e := codec.NewEncoder(76)
+	e.Int64(7)
+	e.Bytes32([32]byte{})
+	e.WriteBytes(snap.Bytes())
+	e.Int64(9)
+	return e.Bytes()
+}
+
+// FuzzDecodeEnvelope covers the two decoders a MsgEnvelopeRep from any
+// sender reaches: the catch-up envelope and the snapshot envelope inside.
+func FuzzDecodeEnvelope(f *testing.F) {
+	f.Add(newFakeWorld(100, 160, 4).env.Encode())
+	f.Add(envelopeBomb())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzDecoder(t, data, DecodeEnvelope, (*Envelope).Encode)
+		fuzzDecoder(t, data, storage.DecodeSnapEnvelope, func(e storage.SnapEnvelope) []byte { return e.Encode() })
+	})
+}
+
+// FuzzCatchupStep plays a scripted runtime against the machine: each script
+// byte pair is one event — an offer, a chunk or range reply in an honest or
+// hostile variant, a refused send, a wait — from any of four peers, and the
+// local effects are judged against the canonical world. Whatever the
+// script, the machine must not panic, must keep the one-local-effect rule,
+// must not emit an install before the binding range verified, and must not
+// grow its work list past what the quorum envelope and target define.
+func FuzzCatchupStep(f *testing.F) {
+	// Four offers at tip 128, then honest replies all round.
+	f.Add([]byte{0, 112, 0, 113, 0, 114, 0, 115, 1, 0, 1, 1, 1, 2, 2, 3, 2, 0, 2, 1, 2, 2, 2, 3, 2, 0, 2, 1, 2, 2})
+	// A corrupt chunk, a forged binding range, an empty answer, a refusal, waits.
+	f.Add([]byte{0, 112, 0, 113, 0, 114, 0, 115, 1, 9, 1, 0, 1, 2, 1, 3, 2, 11, 2, 4, 3, 2, 4, 50, 2, 0, 4, 50, 5, 0})
+	// Two forged offers reach quorum first; bare snapshot, nothing to bind it to.
+	f.Add([]byte{0, 4, 0, 5, 4, 20, 1, 0, 1, 1, 1, 0})
+	forged := newFakeWorld(100, 160, 4)
+	forged.env.BlockHash = crypto.HashBytes([]byte("forged"))
+	f.Fuzz(func(t *testing.T, script []byte) {
+		r := newRig(t, newFakeWorld(100, 160, 4), testConfig())
+		r.start(0)
+		bound, binding, planned, seen := false, false, 0, 0
+		for ; len(script) >= 2 && r.fin == nil; script = script[2:] {
+			op, arg := script[0]%6, script[1]
+			peer, variant := int32(arg%4), arg/4%4
+			switch op {
+			case 0: // an offer: the canonical envelope or a forged one, at some tip
+				env := r.w.env
+				if variant == 1 {
+					env = forged.env
+				}
+				e := *env
+				e.Tip = 100 + int64(arg/16)*4
+				r.reply(Response{Peer: peer, Kind: KindEnvelope, Envelope: &e})
+			case 1, 2: // a reply to the oldest request peer holds, if any
+				kind := Kind(op + 1) // KindChunk, KindRange
+				i := slices.IndexFunc(r.reqs, func(fx effect) bool { return fx.peer == peer && fx.what == kind })
+				if i < 0 {
+					r.reply(Response{Peer: peer, Kind: kind, Height: 100, Index: int(arg), From: int64(arg)})
+					break
+				}
+				resp := r.honest(r.reqs[i])
+				r.reqs = slices.Delete(r.reqs, i, i+1)
+				switch {
+				case variant == 1:
+					resp.Data, resp.Blocks = nil, nil
+				case variant == 2 && kind == KindChunk:
+					resp.Data[0] ^= 0xff
+				case variant == 2:
+					resp.Blocks = slices.Clone(resp.Blocks)
+					resp.Blocks[0].Header.TxRoot = crypto.HashBytes([]byte("forged"))
+				case variant == 3:
+					resp.Height++
+					resp.From++
+				}
+				r.reply(resp)
+			case 3:
+				r.step(event{kind: evSendRefused, peer: peer})
+			case 4:
+				r.at(r.now.Sub(r.t0) + time.Duration(arg)*time.Millisecond)
+			case 5:
+				r.step(event{kind: evTick})
+			}
+			for _, fx := range r.log[seen:] {
+				bound = bound || (fx.kind == fxVerify && strictWorld{r.w}.VerifyBlocks(fx.env, fx.blocks) == nil)
+				if fx.kind == fxInstall && binding && !bound {
+					t.Fatal("install emitted before the binding range verified")
+				}
+			}
+			seen = len(r.log)
+			if r.m.phase != phaseFetch {
+				continue
+			}
+			if planned == 0 {
+				// Tips are at most 100+15*4: at most 3 chunks and 8 ranges.
+				if planned = len(r.m.items); planned > 3+8 {
+					t.Fatalf("the plan holds %d items", planned)
+				}
+				binding = r.m.itemAt(KindRange, r.m.env.Height+1) != nil
+			}
+			if len(r.m.items) != planned {
+				t.Fatalf("work list grew from %d to %d items", planned, len(r.m.items))
+			}
+		}
+	})
+}

@@ -238,6 +238,14 @@ type Node struct {
 	// queues donor-side work off the dispatch goroutine.
 	source    *catchup.Pool
 	catchupCh chan transport.Message
+	// snapMu makes a save into cfg.Snapshots (the envelope, then every
+	// chunk) one step to serveChunk: saveSnapshot holds it, and serveChunk
+	// checks the stored height and reads the chunk under it. A chunk request
+	// therefore never meets a chunk that is not written yet, nor a chunk of
+	// one snapshot under the height of another. Envelope requests do not
+	// wait: an envelope is published whole, and offering one whose chunks are
+	// still being written only means its chunk requests wait out the save.
+	snapMu sync.Mutex
 
 	// engineLive wakes the ordering driver when an engine starts where none
 	// ran (a replaced one wakes it by closing its decision channel).

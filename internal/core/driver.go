@@ -417,7 +417,15 @@ func (n *Node) sendReplies(replies []smr.Reply) {
 // therefore catch-up fingerprints) are byte-identical.
 func (n *Node) writeCheckpoint(b *blockchain.Block) {
 	env := n.envelopeAt(b)
-	_ = storage.SaveSnapshot(n.cfg.Snapshots, env.Height, env.encode(), n.app.Snapshot(), n.cfg.CatchupChunkBytes) //smartlint:allow errdrop best-effort checkpoint; recovery and donors fall back to the previous one plus the log
+	_ = n.saveSnapshot(env.Height, env.encode(), n.app.Snapshot(), n.cfg.CatchupChunkBytes) //smartlint:allow errdrop best-effort checkpoint; recovery and donors fall back to the previous one plus the log
+}
+
+// saveSnapshot replaces the stored service snapshot, whole: donor reads
+// wait out the save instead of seeing it half-written (see snapMu).
+func (n *Node) saveSnapshot(height int64, meta, state []byte, chunkBytes int) error {
+	n.snapMu.Lock()
+	defer n.snapMu.Unlock()
+	return storage.SaveSnapshot(n.cfg.Snapshots, height, meta, state, chunkBytes)
 }
 
 // envelopeAt captures the replicated state above the application as of

@@ -282,18 +282,24 @@ func (n *Node) serveEnvelope(m transport.Message) {
 // store. Empty data tells the requester to look elsewhere; the bytes are
 // NOT re-verified here — the receiver checks them against the
 // quorum-agreed envelope digests, which is what lets it catch (and ban) a
-// donor whose store rotted or who lies.
+// donor whose store rotted or who lies. The height check and the read are
+// one step under snapMu: a checkpoint landing between them would put the
+// new snapshot's chunk under the old height, and a save under way would
+// put unwritten bytes under the new one — either gets an honest donor
+// banned for good.
 func (n *Node) serveChunk(m transport.Message) {
 	req, err := decodeChunkReq(m.Payload)
 	if err != nil {
 		return
 	}
 	rep := chunkRep{Height: req.Height, Index: req.Index}
+	n.snapMu.Lock()
 	if env, err := n.cfg.Snapshots.LoadEnvelope(); err == nil && env.LastBlock == req.Height {
 		if data, err := n.cfg.Snapshots.ReadChunk(int(req.Index)); err == nil {
 			rep.Data = data
 		}
 	}
+	n.snapMu.Unlock()
 	_ = n.cfg.Transport.Send(m.From, MsgChunkRep, rep.encode()) //smartlint:allow errdrop donor reply; the requester re-requests on timeout
 }
 
@@ -437,7 +443,7 @@ func (f nodeFetcher) InstallSnapshot(env *catchup.Envelope, state []byte) error 
 		}
 	}
 	n.installEnvelope(&me)
-	return storage.SaveSnapshot(n.cfg.Snapshots, env.Height, env.Snap.Meta, state, int(env.Snap.ChunkBytes))
+	return n.saveSnapshot(env.Height, env.Snap.Meta, state, int(env.Snap.ChunkBytes))
 }
 
 // ApplyBlocks verifies a fetched range against this replica's own tip

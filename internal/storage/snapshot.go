@@ -121,7 +121,9 @@ func DecodeSnapEnvelopeFrom(d *codec.Decoder) (SnapEnvelope, error) {
 	if d.Err() != nil {
 		return SnapEnvelope{}, d.Err()
 	}
-	if n > maxSnapChunks {
+	// Every declared chunk costs 32 bytes of input: a count the rest of the
+	// buffer cannot back is refused before anything is allocated for it.
+	if n > maxSnapChunks || int(n) > d.Remaining()/32 {
 		return SnapEnvelope{}, fmt.Errorf("snapshot envelope: %d chunks: %w", n, ErrCorrupted)
 	}
 	e.Chunks = make([][32]byte, n)

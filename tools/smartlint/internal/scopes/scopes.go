@@ -48,19 +48,20 @@ func EventLoop(path string) bool {
 	switch path {
 	case "smartchain/internal/consensus":
 		return true
-	case "smartlint.test/looptime/driver":
-		// The fixture standing in for internal/core.
+	case "smartlint.test/looptime/driver", "smartlint.test/looptime/pool":
+		// The fixtures standing in for internal/core and internal/catchup.
 		return false
 	}
 	return testbed(path)
 }
 
 // StepMachine names the type in path whose step method is the entry point
-// of a pure state machine (looptime's purity rule): consensus.machine, and
-// core.window, the ordering driver under the engine. Empty means none.
+// of a pure state machine (looptime's purity rule): consensus.machine,
+// core.window, the ordering driver under the engine, and catchup.machine,
+// the state-transfer round under Pool.Sync. Empty means none.
 func StepMachine(path string) string {
 	switch path {
-	case "smartchain/internal/consensus":
+	case "smartchain/internal/consensus", "smartchain/internal/catchup":
 		return "machine"
 	case "smartchain/internal/core", "smartlint.test/looptime/driver":
 		return "window"

@@ -26,9 +26,11 @@
 //     lock across one turns backpressure into a pile-up.
 //
 // A second, stricter rule holds the state machines the runtimes step to
-// their contract: (*machine).step in internal/consensus, the protocol, and
-// (*window).step in internal/core, the ordering driver above it (the
-// blocking rule does not extend to core, whose loops block legitimately).
+// their contract: (*machine).step in internal/consensus, the protocol,
+// (*window).step in internal/core, the ordering driver above it, and
+// (*machine).step in internal/catchup, the state-transfer round (the
+// blocking rule extends to neither core nor catchup, whose runtimes block
+// legitimately: on a commit, on a Fetcher call).
 // Everything reachable from such a step — function literals passed as
 // arguments included, they run inside the step — must be pure: no go
 // statement, no channel operation (send, receive, range, close) or select,
@@ -52,7 +54,7 @@ import (
 // Analyzer flags blocking operations reachable from consensus event loops.
 var Analyzer = &analysis.Analyzer{
 	Name: "looptime",
-	Doc:  "flags blocking calls (time.Sleep, bare channel sends, locks held across Send) reachable from consensus event-loop goroutines (run/loop methods), and any goroutine, channel, lock or clock use reachable from a state machine's step ((*machine).step in consensus, (*window).step in core)",
+	Doc:  "flags blocking calls (time.Sleep, bare channel sends, locks held across Send) reachable from consensus event-loop goroutines (run/loop methods), and any goroutine, channel, lock or clock use reachable from a state machine's step ((*machine).step in consensus and catchup, (*window).step in core)",
 	Run:  run,
 }
 
