@@ -122,14 +122,23 @@ func NewReplica(cfg ChassisConfig) *Replica {
 			return smr.ValidBatchValue(value)
 		},
 		RequestValue: func(int64) []byte {
-			if b, ok := r.batcher.TryNext(); ok {
-				return b.Encode()
-			}
-			return nil
+			value, _ := r.nextValue()
+			return value
 		},
 		HasPending: func() bool { return r.batcher.Pending() > 0 },
 	})
 	return r
+}
+
+// nextValue encodes the next batch, if one is ready, stamped with this
+// (proposing) replica's clock.
+func (r *Replica) nextValue() ([]byte, bool) {
+	batch, ok := r.batcher.TryNext()
+	if !ok {
+		return nil, false
+	}
+	batch.Timestamp = time.Now().UnixNano()
+	return batch.Encode(), true
 }
 
 // Start launches the replica's loops.
@@ -232,8 +241,8 @@ func (r *Replica) driverLoop() {
 			if r.engine.Leader() != r.cfg.Self {
 				break
 			}
-			if batch, ok := r.batcher.TryNext(); ok {
-				r.engine.ProposeValue(inst, batch.Encode())
+			if value, ok := r.nextValue(); ok {
+				r.engine.ProposeValue(inst, value)
 				proposed = true
 				break
 			}

@@ -228,7 +228,6 @@ type Node struct {
 	batcher  *smr.Batcher
 	verifier *smr.VerifierPool
 	votePool *crypto.VerifyPool
-	persist  *persistCollector
 
 	// joinVotes intercepts protocol replies for in-flight join/leave flows
 	// (guarded by mu).
@@ -263,16 +262,19 @@ type Node struct {
 	// twice. Guarded by syncMu like the rest of the commit path.
 	lastApplied appliedBatch
 
-	// Reply view-tag cache (one signature per block, not per reply) and
-	// the read-floor park queue; see readserve.go.
+	// The commit tail: the machine is tailLoop's alone, everyone else posts
+	// to tailCh; released wakes the one commit that can be waiting inline.
+	tail     *tail
+	tailCh   chan tailEvent
+	released chan struct{}
+
+	// Reply view-tag cache (one signature per block, not per reply): readserve.go.
 	tagMu       sync.Mutex
 	tagHashView int64
 	tagHash     crypto.Hash
 	tagLast     smr.ViewTag
 	tagLastSig  []byte
 	tagSignWarn sync.Once
-	parkMu      sync.Mutex
-	parked      []parkedRead
 	// replies is the BFT-SMaRt-style reply cache: retransmissions of
 	// executed requests are answered from it (replicas never re-order an
 	// executed request), fed by the live commit path and state-transfer
@@ -280,8 +282,7 @@ type Node struct {
 	replies *replyCache
 
 	stop      chan struct{}
-	done      chan struct{}
-	recvDone  chan struct{}
+	loops     sync.WaitGroup // driverLoop, receiveLoop, tailLoop
 	stopOnce  sync.Once
 	startedAt time.Time
 
@@ -370,9 +371,11 @@ func NewNode(cfg Config) (*Node, error) {
 		source:     catchup.NewPool(catchup.Config{PeerTimeout: cfg.CatchupPeerTimeout}),
 		engineLive: make(chan struct{}, 1),
 		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-		recvDone:   make(chan struct{}),
 		catchupCh:  make(chan transport.Message, 64),
+		// Room for a window of blocks in flight (closed, durable and n−1 shares
+		// each) and a burst of reads; full, it pushes back on whoever posts.
+		tailCh:   make(chan tailEvent, 256),
+		released: make(chan struct{}, 1),
 	}
 	n.nextInstance.Store(1)
 	if pa, ok := cfg.App.(ParallelApplication); ok {
@@ -382,7 +385,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	n.replies = newReplyCache()
 	n.batcher.SetSessionGC(cfg.SessionGCBlocks)
-	n.persist = newPersistCollector(n)
 	n.keys = reconfig.NewKeyStore(cfg.Self, cfg.Permanent, 0, cfg.InitialConsensusKey, nil)
 	return n, nil
 }
@@ -397,7 +399,11 @@ func (n *Node) Start() error {
 		return fmt.Errorf("recover: %w", err)
 	}
 	n.logger = smr.NewDurableLogger(n.cfg.Log, n.cfg.Storage)
+	n.tail = newTail(n.cfg.Persistence == PersistenceStrong, n.cfg.Self,
+		n.cfg.ReadParkTimeout, n.cfg.ReadParkLimit, n.ledger.Height(), n.View())
 
+	n.loops.Add(3)
+	go n.tailLoop()
 	go n.receiveLoop()
 	go n.catchupServer()
 
@@ -418,7 +424,6 @@ func (n *Node) Start() error {
 	n.reconcileEngine()
 
 	go n.driverLoop()
-	go n.parkSweeper()
 	return nil
 }
 
@@ -482,8 +487,7 @@ func (n *Node) Stop() {
 		if eng != nil {
 			eng.Stop()
 		}
-		<-n.done
-		<-n.recvDone
+		n.loops.Wait() // tailLoop before the logger: its last callbacks find nobody to post to
 		n.verifier.Close()
 		n.votePool.Close()
 		if n.logger != nil {
@@ -620,10 +624,10 @@ func (n *Node) enqueueRequest(req smr.Request) {
 // involved, so the read consumes no consensus instance and costs no
 // ordering latency. Any reachable replica answers; the client's matching-
 // reply quorum is what makes the result trustworthy. A request whose
-// ReadFloor is above the executed height is parked until the replica
-// catches up (read-your-writes), bounded by the park queue and timeout —
-// overflow and expiry answer "behind" so the client can fall back to an
-// ordered read.
+// ReadFloor is above the executed height is parked by the tail until the
+// replica catches up (read-your-writes), bounded by the park queue and
+// timeout — overflow, expiry and a full tail queue answer "behind" so the
+// client can fall back to an ordered read.
 func (n *Node) serveUnordered(req smr.Request) {
 	n.mu.Lock()
 	retired := n.retired
@@ -635,13 +639,15 @@ func (n *Node) serveUnordered(req smr.Request) {
 		if !ok {
 			return
 		}
-		if r.ReadFloor > n.ledger.Height() {
-			if !n.parkRead(r) {
-				n.replyBehind(r)
-			}
+		if r.ReadFloor <= n.ledger.Height() {
+			n.answerUnordered(r)
 			return
 		}
-		n.answerUnordered(r)
+		select {
+		case n.tailCh <- tailEvent{kind: tevRead, req: r}:
+		default:
+			n.sendReadReply(&r, smr.ReplyFlagBehind, nil)
+		}
 	}
 	// Every mode goes through the verifier pool, whose workers implement
 	// the mode's semantics (VerifyNone passes, VerifySequential is one
@@ -653,7 +659,7 @@ func (n *Node) serveUnordered(req smr.Request) {
 
 // receiveLoop dispatches transport messages to the right handler.
 func (n *Node) receiveLoop() {
-	defer close(n.recvDone)
+	defer n.loops.Done()
 	for {
 		select {
 		case <-n.stop:
@@ -704,7 +710,10 @@ func (n *Node) dispatch(m transport.Message) {
 	case m.Type == smr.MsgViewQuery:
 		n.onViewQuery(m.From)
 	case m.Type == MsgPersist:
-		n.persist.onMessage(m)
+		// Verified in the tail's step: not ahead of the next consensus message.
+		if pm, err := decodePersistMsg(m.Payload); err == nil && pm.Signer == m.From {
+			n.post(tailEvent{kind: tevShare, share: pm})
+		}
 	case m.Type == MsgEnvelopeReq || m.Type == MsgChunkReq || m.Type == MsgBlockRangeReq:
 		// Donor-side work: queue it for the catch-up server so a giant
 		// snapshot never blocks the dispatch goroutine. Overflow drops the

@@ -30,7 +30,7 @@ var (
 // the one timer, the live engine's decision channel, and the commit path
 // with its lock (syncMu).
 func (n *Node) driverLoop() {
-	defer close(n.done)
+	defer n.loops.Done()
 	period := max(4*n.cfg.ConsensusTimeout, 2*time.Second)
 	w := newWindow(n.cfg.PipelineDepth, period, n.batcher.TryNext, n.batcher.Requeue, n.batcherOrPeersBusy)
 
@@ -146,9 +146,9 @@ func (n *Node) batcherOrPeersBusy() bool {
 
 // commitDecision runs Algorithm 1 for one decided batch: apply it (the
 // transition shared with replay), then what only the live path does — build
-// the block, persist it (inline or decoupled per the Pipeline flag), send
-// the replies, and, after a view update, reconcile keys and engine. Returns
-// true when the block carried a view update.
+// the block, hand it to the logger and the tail (which owes the replies),
+// and, after a view update, reconcile keys and engine. Returns true when the
+// block carried a view update.
 func (n *Node) commitDecision(d consensus.Decision) bool {
 	if len(d.Value) == 0 {
 		return false // leader-change filler decision: no block
@@ -173,48 +173,23 @@ func (n *Node) commitDecision(d consensus.Decision) bool {
 	}
 	n.blocksBuilt.Add(1)
 
-	record := blockchain.EncodeBlockRecord(&blk)
-	strong := n.cfg.Persistence == PersistenceStrong
-
-	// Reconfiguration blocks are a barrier: their durability and PERSIST
-	// certificate must complete under the OLD view's keys before the key
-	// rotation erases them. The durable logger is FIFO, so waiting here
-	// also drains every earlier block's callback (and thus its PERSIST
-	// signing) under the correct keys.
-	syncInline := !n.cfg.Pipeline || update != nil
-
-	if !syncInline {
-		// SMARTCHAIN path (Algorithm 1): hand the block to the durability
-		// logger and continue immediately; the logger group-commits and
-		// the callback triggers replies (weak) or the PERSIST round
-		// (strong). Ordering of the next instance overlaps storage.
-		n.logger.Append(record, func(err error) {
-			if err != nil {
-				return
-			}
-			if strong {
-				n.persist.localDurable(&blk, replies, nil)
-			} else {
-				n.sendReplies(replies)
-			}
-		})
-	} else {
-		// Naive SMaRtCoin-on-BFT-SMaRt path (Table I): everything inline —
-		// write, sync, (persist round,) reply — before the next instance.
-		done := make(chan error, 1)
-		n.logger.Append(record, func(err error) { done <- err })
-		if err := <-done; err == nil {
-			if strong {
-				certDone := make(chan struct{})
-				n.persist.localDurable(&blk, replies, certDone)
-				select {
-				case <-certDone:
-				case <-n.stop:
-					return false
-				}
-			} else {
-				n.sendReplies(replies)
-			}
+	// Tell the tail what the block owes, hand the record to the logger and
+	// carry on: ordering overlaps storage (Algorithm 1). Two cases wait for
+	// the tail to settle the block first: the naive SMaRtCoin-on-BFT-SMaRt
+	// path (Table I) does everything inline — write, sync, (persist round,)
+	// reply — before the next instance; and a reconfiguration block is a
+	// barrier, certified under the OLD view's keys before the rotation erases
+	// them (logger and tail queue are FIFO: every earlier block is, too).
+	number, wait := blk.Header.Number, !n.cfg.Pipeline || update != nil
+	n.post(tailEvent{kind: tevClosed, number: number, hash: blk.Header.Hash(), view: n.View(), replies: replies, wait: wait})
+	n.logger.Append(blockchain.EncodeBlockRecord(&blk), func(err error) {
+		n.post(tailEvent{kind: tevDurable, number: number, err: err})
+	})
+	if wait {
+		select {
+		case <-n.released:
+		case <-n.stop:
+			return false
 		}
 	}
 
@@ -222,10 +197,8 @@ func (n *Node) commitDecision(d consensus.Decision) bool {
 	if update != nil {
 		n.viewChanges.Add(1)
 		n.reconcileEngine()
+		n.post(tailEvent{kind: tevView, view: n.View()})
 	}
-	// The executed height just advanced: serve any unordered reads parked
-	// on a ReadFloor this block reached.
-	n.releaseParked()
 	if n.ledger.LastCheckpoint() == blk.Header.Number {
 		n.writeCheckpoint(&blk)
 	}
@@ -392,18 +365,19 @@ func (n *Node) closeBlock(b *blockchain.Block) {
 	n.nextInstance.Store(b.Body.ConsensusID + 1)
 }
 
-// sendReplies transmits one reply per executed request to its client and
-// feeds the reply cache — this is the single egress for ordered replies
-// (weak path and post-PERSIST strong path alike), so a reply enters the
-// cache exactly when it becomes externally sendable.
-func (n *Node) sendReplies(replies []smr.Reply) {
+// sendReplies transmits one reply per executed request of block number to
+// its client and feeds the reply cache — this is the single egress for
+// ordered replies (tend's, weak and post-PERSIST strong path alike), so a
+// reply enters the cache exactly when it becomes externally sendable.
+func (n *Node) sendReplies(number int64, replies []smr.Reply) {
 	for i := range replies {
 		payload := replies[i].Encode()
 		n.replies.store(&replies[i], payload)
 		_ = n.cfg.Transport.Send(int32(replies[i].ClientID), MsgReply, payload) //smartlint:allow errdrop reply is cached first; client retransmission triggers a resend
 	}
-	if len(replies) > 0 {
-		n.lastReplyBlock.Store(n.ledger.Height())
+	// Certificates can complete out of block order; the mark only rises.
+	if number > n.lastReplyBlock.Load() {
+		n.lastReplyBlock.Store(number)
 	}
 }
 

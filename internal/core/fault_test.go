@@ -445,8 +445,14 @@ func TestReconfigurationAcrossEpochChangeBoundary(t *testing.T) {
 	// its epoch-0 leader is the isolated one, forcing a fresh epoch change
 	// under the new membership before anything commits.
 	mint(t, p, 6, 10)
+	// The mint returns at a reply quorum of the client's view; the slowest of
+	// the four may still be committing the block.
 	for _, id := range []int32{1, 2, 3, 4} {
 		svc := c.Nodes[id].App.(*coin.Service)
+		deadline := time.Now().Add(10 * time.Second)
+		for svc.State().Balance(minter.Public()) != 60 && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
 		if got := svc.State().Balance(minter.Public()); got != 60 {
 			t.Fatalf("replica %d balance after boundary reconfig: %d, want 60", id, got)
 		}

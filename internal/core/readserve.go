@@ -5,7 +5,6 @@ import (
 	"os"
 	"time"
 
-	"smartchain/internal/crypto"
 	"smartchain/internal/smr"
 )
 
@@ -17,15 +16,6 @@ const (
 	DefaultReadParkTimeout = time.Second
 	DefaultReadParkLimit   = 256
 )
-
-// parkedRead is one verified unordered request waiting for the replica's
-// executed height to reach its ReadFloor. The digest is computed once at
-// insert so the dedup scan compares cached hashes.
-type parkedRead struct {
-	req    smr.Request
-	digest crypto.Hash
-	expiry time.Time
-}
 
 // replyTag assembles this replica's signed view tag for a reply at the
 // given (epoch, height). The signature covers only the tag (bound to the
@@ -76,23 +66,13 @@ func (n *Node) newReply(req *smr.Request, tag smr.ViewTag, tagSig []byte, flags 
 }
 
 // sendReadReply answers an unordered read at the replica's current view,
-// regency and executed height. Loss is tolerated: the client falls back to
-// an ordered read.
+// regency and executed height — with a result, or on a read-floor miss with
+// ReplyFlagBehind and none. Loss is tolerated: a client that hears nothing,
+// or behind from a quorum, falls back to an ordered read.
 func (n *Node) sendReadReply(r *smr.Request, flags uint8, result []byte) {
-	tag, sig := n.replyTag(n.engineEpoch(), n.ledger.Height())
+	tag, sig := n.replyTag(max(n.Regency(), 0), n.ledger.Height()) // regency 0 while no engine runs
 	rep := n.newReply(r, tag, sig, flags, result)
 	_ = n.cfg.Transport.Send(int32(r.ClientID), MsgReply, rep.Encode()) //smartlint:allow errdrop unordered-read reply; client falls back to an ordered read
-}
-
-// engineEpoch reports the regency of the live engine (0 when none runs).
-func (n *Node) engineEpoch() int64 {
-	n.mu.Lock()
-	eng := n.engine
-	n.mu.Unlock()
-	if eng == nil {
-		return 0
-	}
-	return eng.Regency()
 }
 
 // answerUnordered executes one VERIFIED read-only request against local
@@ -116,90 +96,6 @@ func (n *Node) answerUnordered(r smr.Request) {
 	}
 	n.unorderedReads.Add(1)
 	n.sendReadReply(&r, 0, result)
-}
-
-// replyBehind answers a read-floor miss: no result, just the flag and the
-// replica's current view tag, so the client can fall back to an ordered
-// read once a quorum reports the floor unserveable.
-func (n *Node) replyBehind(r smr.Request) {
-	n.sendReadReply(&r, smr.ReplyFlagBehind, nil)
-}
-
-// parkRead enqueues a verified read whose floor is ahead of the executed
-// height. A retransmission of an already-parked read is absorbed without
-// consuming a second slot — the client's retry interval and the park
-// timeout are of the same order, so without the dedup every slow catch-up
-// would double-fill the queue and push unrelated reads into the ordered
-// fallback. The ORIGINAL expiry is deliberately kept: the retry interval
-// can match the park timeout, and a refreshed deadline would let each
-// retransmission outrun the sweeper forever, starving the behind reply
-// the client's ordered fallback waits for. Returns false when the
-// (bounded) queue is full.
-func (n *Node) parkRead(r smr.Request) bool {
-	d := r.Digest()
-	n.parkMu.Lock()
-	defer n.parkMu.Unlock()
-	for i := range n.parked {
-		p := &n.parked[i]
-		if p.req.ClientID == r.ClientID && p.req.Seq == r.Seq && p.digest == d {
-			return true
-		}
-	}
-	if len(n.parked) >= n.cfg.ReadParkLimit {
-		return false
-	}
-	n.parked = append(n.parked, parkedRead{req: r, digest: d, expiry: time.Now().Add(n.cfg.ReadParkTimeout)})
-	return true
-}
-
-// releaseParked serves every parked read whose floor the executed height
-// has reached and expires the overdue rest with a "behind" reply. Called
-// from the commit path after each block (latency path) and from the park
-// sweeper (catch-up after state transfer, timeout expiry).
-func (n *Node) releaseParked() {
-	n.parkMu.Lock()
-	if len(n.parked) == 0 {
-		n.parkMu.Unlock()
-		return
-	}
-	h := n.ledger.Height()
-	now := time.Now()
-	var serve, expire []smr.Request
-	kept := n.parked[:0]
-	for _, pr := range n.parked {
-		switch {
-		case pr.req.ReadFloor <= h:
-			serve = append(serve, pr.req)
-		case now.After(pr.expiry):
-			expire = append(expire, pr.req)
-		default:
-			kept = append(kept, pr)
-		}
-	}
-	n.parked = kept
-	n.parkMu.Unlock()
-	for i := range serve {
-		n.answerUnordered(serve[i])
-	}
-	for i := range expire {
-		n.replyBehind(expire[i])
-	}
-}
-
-// parkSweeper periodically drains the park queue: reads become serveable
-// when state transfer (rather than the commit path) advances the height,
-// and overdue reads must answer "behind" even on a quiet replica.
-func (n *Node) parkSweeper() {
-	t := time.NewTicker(50 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-t.C:
-			n.releaseParked()
-		}
-	}
 }
 
 // onViewQuery answers a client's view query with the installed view. A

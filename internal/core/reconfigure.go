@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"smartchain/internal/blockchain"
@@ -190,33 +191,9 @@ func (n *Node) RequestJoin(members []int32, payload []byte, timeout time.Duratio
 	if err != nil {
 		return fmt.Errorf("join request: %w", err)
 	}
-	// Fan the request out; votes come back through the receive loop, which
-	// does not know about this flow — so collect them here directly from a
-	// dedicated wait on the vote channel.
-	votes := make(chan reconfig.Vote, len(members))
-	n.setJoinVoteSink(func(v reconfig.Vote) {
-		select {
-		case votes <- v:
-		default:
-		}
-	})
-	defer n.setJoinVoteSink(nil)
-
-	reqPayload := req.Encode()
-	for _, m := range members {
-		_ = n.cfg.Transport.Send(m, MsgJoinAsk, reqPayload) //smartlint:allow errdrop initial ask; collectVotes re-asks unanswered members
-	}
-
 	needed := view.ReconfigQuorum(len(members), view.FaultTolerance(len(members)))
 	cert := reconfig.Certificate{Kind: reconfig.ChangeJoin, Request: req}
-	reAsk := func(seen map[int32]bool) {
-		for _, m := range members {
-			if !seen[m] {
-				_ = n.cfg.Transport.Send(m, MsgJoinAsk, reqPayload) //smartlint:allow errdrop re-ask path; repeated until quorum or timeout
-			}
-		}
-	}
-	if err := n.collectVotes(votes, &cert, req.Hash(), needed, len(members), timeout, 0, reAsk); err != nil {
+	if err := n.collectVotes(members, &cert, needed, timeout); err != nil {
 		return err
 	}
 
@@ -233,27 +210,45 @@ func (n *Node) RequestJoin(members []int32, payload []byte, timeout time.Duratio
 	return nil
 }
 
-// collectVotes gathers votes binding reqHash until `needed` distinct voters
-// are in. After the quorum is met it keeps collecting stragglers for a
-// short grace window (up to `all` voters): every extra vote puts one more
-// certified consensus key into the reconfiguration block, which keeps the
-// new view's decision proofs and block certificates verifiable by third
-// parties even when the quorum members alone would not suffice (paper §V-D
-// records "at most v.n − v.f" keys as the liveness bound, not a target).
-// resend, when non-nil, is invoked periodically with the voters heard so
-// far so the caller can re-broadcast the ask to the silent ones: a member
-// that was mid-catch-up when the first ask arrived declines it (view
-// mismatch) but votes happily once it installs the current view — without
-// the retry its vote is lost and the quorum can miss by exactly the
-// replicas that were behind, which under churn is the common case.
-func (n *Node) collectVotes(votes <-chan reconfig.Vote, cert *reconfig.Certificate, reqHash crypto.Hash, needed, all int, timeout time.Duration, exclude int32, resend func(seen map[int32]bool)) error {
+// collectVotes asks targets to vote on cert's request and gathers the votes
+// binding it until `needed` distinct voters are in. Votes come back through
+// the receive loop, which does not know about this flow, so they are
+// collected here from a dedicated sink. After the quorum is met it keeps
+// collecting stragglers for a short grace window (up to every target):
+// every extra vote puts one more certified consensus key into the
+// reconfiguration block, which keeps the new view's decision proofs and
+// block certificates verifiable by third parties even when the quorum
+// members alone would not suffice (paper §V-D records "at most v.n − v.f"
+// keys as the liveness bound, not a target). The ask is repeated
+// periodically to the targets not heard yet: a member that was mid-catch-up
+// when the first ask arrived declines it (view mismatch) but votes happily
+// once it installs the current view — without the retry its vote is lost
+// and the quorum can miss by exactly the replicas that were behind, which
+// under churn is the common case.
+func (n *Node) collectVotes(targets []int32, cert *reconfig.Certificate, needed int, timeout time.Duration) error {
+	votes := make(chan reconfig.Vote, len(targets))
+	n.setJoinVoteSink(func(v reconfig.Vote) {
+		select {
+		case votes <- v:
+		default:
+		}
+	})
+	defer n.setJoinVoteSink(nil)
+
 	seen := make(map[int32]bool)
-	deadline := time.After(timeout)
+	reqHash, payload := cert.Request.Hash(), cert.Request.Encode()
+	ask := func() <-chan time.Time {
+		for _, m := range targets {
+			if !seen[m] {
+				_ = n.cfg.Transport.Send(m, MsgJoinAsk, payload) //smartlint:allow errdrop repeated to the silent targets until quorum or timeout
+			}
+		}
+		return time.After(500 * time.Millisecond)
+	}
+	deadline, retry := time.After(timeout), ask()
 	var grace <-chan time.Time
-	retry := time.NewTicker(500 * time.Millisecond)
-	defer retry.Stop()
 	for {
-		if len(seen) >= all {
+		if len(seen) >= len(targets) {
 			return nil
 		}
 		if len(seen) >= needed && grace == nil {
@@ -261,15 +256,13 @@ func (n *Node) collectVotes(votes <-chan reconfig.Vote, cert *reconfig.Certifica
 		}
 		select {
 		case v := <-votes:
-			if v.RequestHash != reqHash || seen[v.Voter] || (exclude != 0 && v.Voter == exclude) {
+			if v.RequestHash != reqHash || seen[v.Voter] || !slices.Contains(targets, v.Voter) {
 				continue
 			}
 			seen[v.Voter] = true
 			cert.Votes = append(cert.Votes, v)
-		case <-retry.C:
-			if resend != nil {
-				resend(seen)
-			}
+		case <-retry:
+			retry = ask()
 		case <-grace:
 			return nil
 		case <-deadline:
@@ -330,29 +323,8 @@ func (n *Node) RequestLeave(timeout time.Duration) error {
 		return fmt.Errorf("leave request: %w", err)
 	}
 
-	votes := make(chan reconfig.Vote, cur.N())
-	n.setJoinVoteSink(func(v reconfig.Vote) {
-		select {
-		case votes <- v:
-		default:
-		}
-	})
-	defer n.setJoinVoteSink(nil)
-
-	payload := req.Encode()
-	for _, m := range cur.Others(n.cfg.Self) {
-		_ = n.cfg.Transport.Send(m, MsgJoinAsk, payload) //smartlint:allow errdrop initial ask; collectVotes re-asks unanswered members
-	}
-
 	cert := reconfig.Certificate{Kind: reconfig.ChangeLeave, Request: req}
-	reAsk := func(seen map[int32]bool) {
-		for _, m := range cur.Others(n.cfg.Self) {
-			if !seen[m] {
-				_ = n.cfg.Transport.Send(m, MsgJoinAsk, payload) //smartlint:allow errdrop re-ask path; repeated until quorum or timeout
-			}
-		}
-	}
-	if err := n.collectVotes(votes, &cert, req.Hash(), cur.JoinQuorum(), cur.N()-1, timeout, n.cfg.Self, reAsk); err != nil {
+	if err := n.collectVotes(cur.Others(n.cfg.Self), &cert, cur.JoinQuorum(), timeout); err != nil {
 		return err
 	}
 

@@ -522,6 +522,9 @@ func (n *Node) syncRound(peers []int32, timeout time.Duration) (bool, error) {
 	if progressed {
 		n.stateTransfers.Add(1)
 		n.reconcileEngine()
+		// Parked reads may be serveable now, a new view's members no strangers.
+		n.post(tailEvent{kind: tevView, view: n.View()})
+		n.post(tailEvent{kind: tevHeight, number: n.ledger.Height()})
 	}
 	n.syncMu.Unlock()
 	return progressed, err

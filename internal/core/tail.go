@@ -1,0 +1,248 @@
+package core
+
+import (
+	"maps"
+	"slices"
+	"time"
+
+	"smartchain/internal/blockchain"
+	"smartchain/internal/crypto"
+	"smartchain/internal/smr"
+	"smartchain/internal/view"
+)
+
+// tailEvent is one input to the tail machine; DESIGN.md "The commit tail" says who posts which.
+type tailEvent struct {
+	kind    tailEventKind
+	number  int64       // tevClosed, tevDurable: the block; tevHeight: the height reached
+	hash    crypto.Hash // tevClosed: the block's header hash
+	view    view.View   // tevClosed: the view that created the block; tevView: the one installed
+	replies []smr.Reply // tevClosed
+	wait    bool        // tevClosed: the commit blocks until tfxRelease
+	err     error       // tevDurable: the append or its sync failed
+	share   persistMsg  // tevShare: Signer is the authenticated sender
+	req     smr.Request // tevRead: verified, its floor above the height the verifier saw
+}
+
+type tailEventKind uint8
+
+const (
+	tevClosed  tailEventKind = iota + 1 // a live commit put block number in the ledger
+	tevDurable                          // the logger is done with block number's record
+	tevShare                            // a PERSIST share: a peer's, or the one tfxSign produced
+	tevView                             // a view was installed
+	tevHeight                           // state transfer moved the executed height
+	tevRead                             // an unordered read whose floor is not reached
+	tevTick                             // time passed: a parked read may be overdue
+)
+
+// tailEffect is one output of a step, performed by the runtime in order.
+type tailEffect struct {
+	kind    tailEffectKind
+	number  int64
+	hash    crypto.Hash        // tfxSign
+	cert    crypto.Certificate // tfxCertify
+	replies []smr.Reply        // tfxReply
+	req     smr.Request        // tfxAnswer, tfxBehind
+}
+
+type tailEffectKind uint8
+
+const (
+	tfxSign    tailEffectKind = iota + 1 // sign hash, send the share to the view, step it as tevShare
+	tfxCertify                           // attach cert to block number and log its record
+	tfxReply                             // block number's replies may leave
+	tfxRelease                           // wake the commit waiting on block number
+	tfxAnswer                            // serve req from local state
+	tfxBehind                            // tell req's client this replica is behind its floor
+)
+
+// Shares for a block not closed here yet are kept shareWindow blocks ahead
+// (the consensus machine's futureWindow), and per block only shareGuests from
+// outside the latest known view: room for a view not installed here yet.
+const shareWindow, shareGuests = 64, 4
+
+// tailBlock is a closed block whose replies are still owed.
+type tailBlock struct {
+	tailEvent // the tevClosed that opened it: its view is whose shares certify it
+	cert      crypto.Certificate
+	durable   bool // its own record is synced: this replica's share may count
+	own       bool // this replica's share is in cert
+}
+
+// parkedRead is a verified read waiting for its ReadFloor; the dedup scan compares cached digests.
+type parkedRead struct {
+	req    smr.Request
+	digest crypto.Hash
+	expiry time.Time
+}
+
+// tail is what a block is owed after it is decided and executed (paper
+// §V-C, Algorithm 1 lines 20-36), as a deterministic state machine: replies
+// wait for the block's durable record (weak) and then for a certificate of
+// ⌈(n+f+1)/2⌉ PERSIST signatures, this replica's among them (strong);
+// unordered reads wait for the block their ReadFloor names. Like window it
+// is pure — no goroutine, clock, queue or lock: smartlint's looptime checks.
+type tail struct {
+	strong      bool
+	self        int32
+	parkTimeout time.Duration
+	parkLimit   int
+	out         []tailEffect // effects of the step in progress; reused across steps
+
+	// height is the highest block closed here or reached by state transfer:
+	// reads park against it, shares are held for (height, height+shareWindow].
+	height int64
+	view   view.View // the latest installed view: its members' early shares always fit
+	open   map[int64]*tailBlock
+	early  map[int64][]persistMsg // per block not closed yet, one share per claimed signer
+	reads  []parkedRead           // in arrival order, which is expiry order
+}
+
+func newTail(strong bool, self int32, parkTimeout time.Duration, parkLimit int, height int64, v view.View) *tail {
+	return &tail{strong: strong, self: self, parkTimeout: parkTimeout, parkLimit: parkLimit, height: height, view: v,
+		open: make(map[int64]*tailBlock), early: make(map[int64][]persistMsg)}
+}
+
+// step applies one event at instant now. The returned effects alias a
+// buffer the next step overwrites: perform them before stepping again.
+func (t *tail) step(now time.Time, ev tailEvent) []tailEffect {
+	clear(t.out) // drop the previous step's reply and request references
+	t.out = t.out[:0]
+	switch ev.kind {
+	case tevClosed:
+		b := &tailBlock{tailEvent: ev, cert: crypto.Certificate{Digest: ev.hash}}
+		t.open[ev.number] = b
+		early := t.early[ev.number]
+		t.raise(ev.number)
+		for i := range early {
+			t.count(ev.number, b, &early[i])
+		}
+	case tevDurable:
+		// A failed write owes the clients nothing: only a waiting commit hears.
+		if b := t.open[ev.number]; b != nil && (ev.err != nil || !t.strong) {
+			t.settle(ev.number, b, ev.err == nil)
+		} else if b != nil {
+			b.durable = true
+			t.out = append(t.out, tailEffect{kind: tfxSign, number: ev.number, hash: b.hash})
+		}
+	case tevShare:
+		if b := t.open[ev.share.Number]; b != nil {
+			t.count(ev.share.Number, b, &ev.share)
+		} else {
+			t.hold(ev.share)
+		}
+	case tevView:
+		t.view = ev.view
+	case tevHeight:
+		t.raise(ev.number)
+	case tevRead:
+		t.onRead(now, ev.req)
+	}
+	due := 0
+	for ; due < len(t.reads) && !now.Before(t.reads[due].expiry); due++ {
+		t.out = append(t.out, tailEffect{kind: tfxBehind, req: t.reads[due].req})
+	}
+	t.reads = slices.Delete(t.reads, 0, due)
+	return t.out
+}
+
+// nextDeadline is the earliest park expiry (zero while nothing is parked):
+// the runtime must deliver a tevTick no later.
+func (t *tail) nextDeadline() (expiry time.Time) {
+	if len(t.reads) > 0 {
+		expiry = t.reads[0].expiry
+	}
+	return expiry
+}
+
+// raise moves the height: shares held for blocks at or below it are too late
+// to count, and the reads whose floor it reached are served.
+func (t *tail) raise(height int64) {
+	if height <= t.height {
+		return
+	}
+	t.height = height
+	maps.DeleteFunc(t.early, func(number int64, _ []persistMsg) bool { return number <= height })
+	t.reads = slices.DeleteFunc(t.reads, func(p parkedRead) bool {
+		if p.req.ReadFloor <= height {
+			t.out = append(t.out, tailEffect{kind: tfxAnswer, req: p.req})
+		}
+		return p.req.ReadFloor <= height
+	})
+}
+
+// count validates a share and completes the certificate at the quorum, this
+// replica's share included — and that is only taken once the block is durable.
+func (t *tail) count(number int64, b *tailBlock, pm *persistMsg) {
+	if !t.strong || pm.HeaderHash != b.hash || (pm.Signer == t.self && !b.durable) {
+		return // (a peer that built a different block: impossible for correct ones)
+	}
+	pub, member := b.view.PublicKeyOf(pm.Signer)
+	if !member || !crypto.Verify(pub, blockchain.ContextPersist, blockchain.PersistDigest(b.hash), pm.Sig) {
+		return
+	}
+	b.cert.Add(crypto.Signature{Signer: pm.Signer, Sig: pm.Sig})
+	b.own = b.own || pm.Signer == t.self
+	if b.own && b.cert.Count() >= b.view.CertQuorum() {
+		t.out = append(t.out, tailEffect{kind: tfxCertify, number: number, cert: b.cert})
+		t.settle(number, b, true)
+	}
+}
+
+// settle is the one exit of a block: its replies leave, or are dropped with
+// the write that failed, and a commit waiting on it carries on.
+func (t *tail) settle(number int64, b *tailBlock, reply bool) {
+	delete(t.open, number)
+	if reply {
+		t.out = append(t.out, tailEffect{kind: tfxReply, number: number, replies: b.replies})
+	}
+	if b.wait {
+		t.out = append(t.out, tailEffect{kind: tfxRelease, number: number})
+	}
+}
+
+// hold keeps a share whose block has not closed here. Nothing about it can
+// be verified yet, so what is kept is bounded instead, one share per claimed
+// signer: a member is never crowded out, by a duplicate or by a stranger.
+func (t *tail) hold(pm persistMsg) {
+	if !t.strong || pm.Number <= t.height || pm.Number > t.height+shareWindow || len(pm.Sig) != crypto.SignatureSize {
+		return
+	}
+	held, guests := t.early[pm.Number], 0
+	for i := range held {
+		if held[i].Signer == pm.Signer {
+			return
+		}
+		if !t.view.Contains(held[i].Signer) {
+			guests++
+		}
+	}
+	if t.view.Contains(pm.Signer) || guests < shareGuests {
+		t.early[pm.Number] = append(held, pm)
+	}
+}
+
+// onRead parks a read until its floor is reached — which it may be by now:
+// the verifier compared it with a height it read earlier. A retransmission
+// takes no second slot (retry interval and park timeout are of one order:
+// every slow catch-up would double-fill the queue) and keeps the ORIGINAL
+// expiry: a refreshed one would put off, forever, the behind reply the
+// client's ordered fallback waits for. A full queue answers behind at once.
+func (t *tail) onRead(now time.Time, r smr.Request) {
+	if r.ReadFloor <= t.height {
+		t.out = append(t.out, tailEffect{kind: tfxAnswer, req: r})
+		return
+	}
+	d := r.Digest()
+	for i := range t.reads {
+		if p := &t.reads[i]; p.req.ClientID == r.ClientID && p.req.Seq == r.Seq && p.digest == d {
+			return
+		}
+	}
+	if len(t.reads) >= t.parkLimit {
+		t.out = append(t.out, tailEffect{kind: tfxBehind, req: r})
+		return
+	}
+	t.reads = append(t.reads, parkedRead{req: r, digest: d, expiry: now.Add(t.parkTimeout)})
+}

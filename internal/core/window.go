@@ -141,7 +141,7 @@ func (w *window) step(now time.Time, ev event) []effect {
 	}
 	if w.live {
 		w.open()
-		w.fill()
+		w.fill(now)
 		if d, ok := w.parked[w.floor]; ok {
 			// One at a time, assuming no outcome: evCommitted brings it.
 			w.out = append(w.out, effect{kind: fxCommit, decision: d})
@@ -255,8 +255,9 @@ func (w *window) open() {
 // blocked on the batch, nothing fills the slot short of a progress timeout
 // deposing a healthy leader. The engine ignores a value for a slot that has
 // decided (skipped here) or that this replica does not lead after all;
-// giveBack returns those requests once the slot settles.
-func (w *window) fill() {
+// giveBack returns those requests once the slot settles. The batch is stamped
+// with the step's instant: the proposing leader's clock.
+func (w *window) fill(now time.Time) {
 	for inst := w.floor; w.leads && inst < w.nextStart; inst++ {
 		_, taken := w.proposed[inst]
 		if _, decided := w.parked[inst]; taken || decided {
@@ -266,6 +267,7 @@ func (w *window) fill() {
 		if !ok {
 			return
 		}
+		batch.Timestamp = now.UnixNano()
 		enc := batch.Encode()
 		w.proposed[inst] = proposal{batch: batch, enc: enc}
 		w.out = append(w.out, effect{kind: fxPropose, inst: inst, value: enc})

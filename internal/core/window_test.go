@@ -524,3 +524,35 @@ func TestWindowIdleWithoutEngine(t *testing.T) {
 		t.Fatal("live window holds no proposal for slot 5 or no resync instant")
 	}
 }
+
+// (i) A decided value carries no byte the script did not put there: the
+// queue hands batches out unstamped and fill stamps each with the instant
+// its step was given, so the same script proposes the same bytes.
+func TestWindowSameScriptSameProposals(t *testing.T) {
+	script := func() [][]byte {
+		r := newRig(t, 4)
+		r.engine(1, true, true)
+		var values [][]byte
+		for i := 1; i <= 6; i++ {
+			r.now = r.now.Add(time.Duration(i) * time.Millisecond)
+			b := testBatch(int64(i), 1, 2)
+			b.Timestamp = 0 // as smr.Batcher hands it out
+			r.work(b)
+			if i%2 == 0 {
+				r.decideOwn(1, r.floor)
+			}
+		}
+		for _, at := range r.offers {
+			values = append(values, r.placed[at])
+		}
+		last, err := smr.DecodeBatch(values[len(values)-1])
+		if err != nil || last.Timestamp != r.now.UnixNano() {
+			t.Fatalf("the last batch is stamped %d (err %v), want its step's instant %d", last.Timestamp, err, r.now.UnixNano())
+		}
+		return values
+	}
+	first, second := script(), script()
+	if len(first) != 6 || !slices.EqualFunc(first, second, bytes.Equal) {
+		t.Fatalf("two runs of one script proposed different values:\n%x\n%x", first, second)
+	}
+}

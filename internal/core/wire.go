@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"smartchain/internal/blockchain"
 	"smartchain/internal/codec"
@@ -125,7 +127,7 @@ func (s *snapshotEnvelope) encode() []byte {
 		e.WriteBytes(s.PermKeys[m])
 	}
 	e.Uint32(uint32(len(s.Watermarks)))
-	for _, c := range sortedClients(s.Watermarks) {
+	for _, c := range sortedKeys(s.Watermarks) {
 		w := s.Watermarks[c]
 		e.Int64(c)
 		e.Uint64(w.Low)
@@ -199,31 +201,14 @@ func decodeSnapshotEnvelope(data []byte) (snapshotEnvelope, error) {
 	return s, nil
 }
 
-// sortedClients orders watermark client IDs so snapshot bytes are
-// deterministic across replicas.
-func sortedClients(m map[int64]smr.Watermark) []int64 {
-	out := make([]int64, 0, len(m))
-	for c := range m {
-		out = append(out, c)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func sortedKeys(m map[int32]crypto.PublicKey) []int32 {
-	out := make([]int32, 0, len(m))
+// sortedKeys orders a map's keys so snapshot bytes are deterministic across
+// replicas.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

@@ -3,7 +3,6 @@ package smr
 import (
 	"sort"
 	"sync"
-	"time"
 )
 
 // Batcher accumulates verified client requests and hands out batches of at
@@ -190,12 +189,8 @@ func (b *Batcher) TryNext() (Batch, bool) {
 	if b.closed || len(b.pending) == 0 {
 		return Batch{}, false
 	}
-	return b.takeLocked(), true
-}
-
-func (b *Batcher) takeLocked() Batch {
 	n := min(len(b.pending), b.maxBatch)
-	batch := Batch{Timestamp: time.Now().UnixNano(), Requests: make([]Request, n)}
+	batch := Batch{Requests: make([]Request, n)} // whoever proposes it stamps it
 	copy(batch.Requests, b.pending[:n])
 	for i := 0; i < n; i++ {
 		b.handed[dedupeKey{batch.Requests[i].Ident(), batch.Requests[i].Seq}] = true
@@ -209,7 +204,7 @@ func (b *Batcher) takeLocked() Batch {
 	if rest > 0 {
 		b.signalReady()
 	}
-	return batch
+	return batch, true
 }
 
 // MarkDelivered records that the given requests were ordered and executed:

@@ -48,26 +48,31 @@ func EventLoop(path string) bool {
 	switch path {
 	case "smartchain/internal/consensus":
 		return true
-	case "smartlint.test/looptime/driver", "smartlint.test/looptime/pool":
+	case "smartlint.test/looptime/driver", "smartlint.test/looptime/tail", "smartlint.test/looptime/pool":
 		// The fixtures standing in for internal/core and internal/catchup.
 		return false
 	}
 	return testbed(path)
 }
 
-// StepMachine names the type in path whose step method is the entry point
-// of a pure state machine (looptime's purity rule): consensus.machine,
-// core.window, the ordering driver under the engine, and catchup.machine,
-// the state-transfer round under Pool.Sync. Empty means none.
-func StepMachine(path string) string {
+// StepMachine names the types in path whose step method is the entry point
+// of a pure state machine (looptime's purity rule): consensus.machine;
+// core.window, the ordering driver under the engine, and core.tail, what a
+// block is owed after it; and catchup.machine, the state-transfer round
+// under Pool.Sync. Empty means none.
+func StepMachine(path string) []string {
 	switch path {
 	case "smartchain/internal/consensus", "smartchain/internal/catchup":
-		return "machine"
-	case "smartchain/internal/core", "smartlint.test/looptime/driver":
-		return "window"
+		return []string{"machine"}
+	case "smartchain/internal/core":
+		return []string{"window", "tail"}
+	case "smartlint.test/looptime/driver":
+		return []string{"window"}
+	case "smartlint.test/looptime/tail":
+		return []string{"tail"}
 	}
 	if testbed(path) {
-		return "machine"
+		return []string{"machine"}
 	}
-	return ""
+	return nil
 }

@@ -27,10 +27,11 @@
 //
 // A second, stricter rule holds the state machines the runtimes step to
 // their contract: (*machine).step in internal/consensus, the protocol,
-// (*window).step in internal/core, the ordering driver above it, and
+// (*window).step in internal/core, the ordering driver above it,
+// (*tail).step beside it, what a block is owed once it is executed, and
 // (*machine).step in internal/catchup, the state-transfer round (the
 // blocking rule extends to neither core nor catchup, whose runtimes block
-// legitimately: on a commit, on a Fetcher call).
+// legitimately: on a commit, on a full queue, on a Fetcher call).
 // Everything reachable from such a step — function literals passed as
 // arguments included, they run inside the step — must be pure: no go
 // statement, no channel operation (send, receive, range, close) or select,
@@ -45,6 +46,7 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"smartchain/tools/smartlint/analysis"
@@ -54,19 +56,20 @@ import (
 // Analyzer flags blocking operations reachable from consensus event loops.
 var Analyzer = &analysis.Analyzer{
 	Name: "looptime",
-	Doc:  "flags blocking calls (time.Sleep, bare channel sends, locks held across Send) reachable from consensus event-loop goroutines (run/loop methods), and any goroutine, channel, lock or clock use reachable from a state machine's step ((*machine).step in consensus and catchup, (*window).step in core)",
+	Doc:  "flags blocking calls (time.Sleep, bare channel sends, locks held across Send) reachable from consensus event-loop goroutines (run/loop methods), and any goroutine, channel, lock or clock use reachable from a state machine's step ((*machine).step in consensus and catchup, (*window).step and (*tail).step in core)",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	loops, machine := scopes.EventLoop(pass.Pkg.Path()), scopes.StepMachine(pass.Pkg.Path())
-	if !loops && machine == "" {
+	loops, machines := scopes.EventLoop(pass.Pkg.Path()), scopes.StepMachine(pass.Pkg.Path())
+	if !loops && len(machines) == 0 {
 		return nil, nil
 	}
 
 	// Map every package-level function object to its declaration.
 	decls := make(map[*types.Func]*ast.FuncDecl)
-	var roots, pureRoots []*types.Func
+	var roots []*types.Func
+	pureRoots := make(map[string][]*types.Func) // by machine type
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -82,8 +85,8 @@ func run(pass *analysis.Pass) (any, error) {
 			case fd.Recv == nil:
 			case loops && (fd.Name.Name == "run" || fd.Name.Name == "loop"):
 				roots = append(roots, fn)
-			case fd.Name.Name == "step" && recvNamed(fd) == machine:
-				pureRoots = append(pureRoots, fn)
+			case fd.Name.Name == "step" && slices.Contains(machines, recvNamed(fd)):
+				pureRoots[recvNamed(fd)] = append(pureRoots[recvNamed(fd)], fn)
 			}
 		}
 	}
@@ -91,8 +94,10 @@ func run(pass *analysis.Pass) (any, error) {
 	for fn := range reachable(pass, decls, roots, walkLoopCode) {
 		checkBody(pass, fn, decls[fn].Body)
 	}
-	for fn := range reachable(pass, decls, pureRoots, walkAll) {
-		checkPure(pass, machine, fn, decls[fn].Body)
+	for _, machine := range machines {
+		for fn := range reachable(pass, decls, pureRoots[machine], walkAll) {
+			checkPure(pass, machine, fn, decls[fn].Body)
+		}
 	}
 	return nil, nil
 }

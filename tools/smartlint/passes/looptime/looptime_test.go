@@ -8,5 +8,5 @@ import (
 )
 
 func TestLooptime(t *testing.T) {
-	analysistest.Run(t, "../../testdata/src", looptime.Analyzer, "./looptime", "./looptime/driver", "./looptime/pool")
+	analysistest.Run(t, "../../testdata/src", looptime.Analyzer, "./looptime", "./looptime/driver", "./looptime/tail", "./looptime/pool")
 }

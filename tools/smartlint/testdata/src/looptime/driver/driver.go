@@ -69,7 +69,7 @@ func (w *window) reviewed() {
 	_ = time.Since(w.now)
 }
 
-// machine is no root in this package: the scope names one type per package.
+// machine is no root in this package: the scope names each package's machine types.
 type machine struct{}
 
 func (machine) step() { _ = time.Now() }
