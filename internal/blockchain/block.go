@@ -147,21 +147,21 @@ func decodeViewUpdateFrom(d *codec.Decoder) (ViewUpdate, error) {
 	if d.Err() != nil || nm > 1<<16 {
 		return ViewUpdate{}, fmt.Errorf("decode view update: bad member count")
 	}
-	for i := uint32(0); i < nm; i++ {
+	for i := uint32(0); i < nm && d.Err() == nil; i++ {
 		u.Members = append(u.Members, d.Int32())
 	}
 	nj := d.Uint32()
 	if d.Err() != nil || nj > 1<<16 {
 		return ViewUpdate{}, fmt.Errorf("decode view update: bad joining count")
 	}
-	for i := uint32(0); i < nj; i++ {
+	for i := uint32(0); i < nj && d.Err() == nil; i++ {
 		u.Joining = append(u.Joining, decodeReplicaInfoFrom(d))
 	}
 	nk := d.Uint32()
 	if d.Err() != nil || nk > 1<<16 {
 		return ViewUpdate{}, fmt.Errorf("decode view update: bad key count")
 	}
-	for i := uint32(0); i < nk; i++ {
+	for i := uint32(0); i < nk && d.Err() == nil; i++ {
 		var k crypto.CertifiedKey
 		k.ViewID = d.Int64()
 		k.Signer = d.Int32()
@@ -230,7 +230,7 @@ func decodeBodyFrom(d *codec.Decoder) (Body, error) {
 	if d.Err() != nil || nr > 1<<20 {
 		return Body{}, fmt.Errorf("decode body: bad result count")
 	}
-	for i := uint32(0); i < nr; i++ {
+	for i := uint32(0); i < nr && d.Err() == nil; i++ {
 		b.Results = append(b.Results, d.ReadBytesCopy())
 	}
 	if d.Bool() {

@@ -63,7 +63,7 @@ func (c Config) withDefaults() Config {
 // Stats counts what a Pool did. Cumulative across rounds except
 // PeersUsed and BytesPerSec, which describe the most recent round.
 type Stats struct {
-	// Rounds is the number of Sync invocations that found work to do.
+	// Rounds is the number of rounds that found work to do.
 	Rounds int64
 	// PeersUsed is the number of distinct donors that contributed accepted
 	// payloads in the most recent round.
@@ -156,7 +156,7 @@ const (
 )
 
 // Response is one donor reply, already decoded from the wire by the
-// Fetcher owner and routed to the Pool via Deliver.
+// Fetcher owner and handed to the Pool's Handle.
 type Response struct {
 	Peer int32
 	Kind Kind

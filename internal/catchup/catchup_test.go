@@ -2,7 +2,6 @@ package catchup
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -21,7 +20,7 @@ import (
 type fakeWorld struct {
 	mu sync.Mutex
 
-	src *Pool
+	inbox []Response // donor replies runSync has not handed to the Pool yet
 
 	// canonical truth
 	env    *Envelope
@@ -94,8 +93,14 @@ func (w *fakeWorld) donorEnv(d *fakeDonor) (*Envelope, []byte) {
 	return w.env, w.state
 }
 
-// Fetcher implementation. Replies are delivered synchronously: Deliver
-// never blocks, and the Pool buffers generously.
+// Fetcher implementation. A reply is queued while the request is being
+// performed and handed to the Pool by runSync, as a transport would.
+
+func (w *fakeWorld) deliver(r Response) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.inbox = append(w.inbox, r)
+}
 
 func (w *fakeWorld) Height() int64 {
 	w.mu.Lock()
@@ -113,7 +118,7 @@ func (w *fakeWorld) RequestEnvelope(peer int32) error {
 	}
 	env, _ := w.donorEnv(d)
 	e := *env
-	w.src.Deliver(Response{Peer: peer, Kind: KindEnvelope, Envelope: &e})
+	w.deliver(Response{Peer: peer, Kind: KindEnvelope, Envelope: &e})
 	return nil
 }
 
@@ -134,7 +139,7 @@ func (w *fakeWorld) RequestChunk(peer int32, height int64, index int) error {
 			data[0] ^= 0xff
 		}
 	}
-	w.src.Deliver(Response{Peer: peer, Kind: KindChunk, Height: height, Index: index, Data: data})
+	w.deliver(Response{Peer: peer, Kind: KindChunk, Height: height, Index: index, Data: data})
 	return nil
 }
 
@@ -153,7 +158,7 @@ func (w *fakeWorld) RequestRange(peer int32, from, to int64) error {
 	if env != w.env {
 		out = fakeChain(from, to) // forged continuation of the forged envelope
 	}
-	w.src.Deliver(Response{Peer: peer, Kind: KindRange, From: from, Blocks: out})
+	w.deliver(Response{Peer: peer, Kind: KindRange, From: from, Blocks: out})
 	return nil
 }
 
@@ -214,12 +219,30 @@ func (w *fakeWorld) ReplayBlocks(blocks []blockchain.Block) error { return w.app
 
 var _ Fetcher = (*fakeWorld)(nil)
 
+// runSync plays a round's owner under virtual time: every queued reply is
+// handed over at once, and when none is left the clock jumps to the Pool's
+// next deadline.
 func runSync(t *testing.T, src *Pool, w *fakeWorld) (bool, error) {
 	t.Helper()
-	w.src = src
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	return src.Sync(ctx, w, w.peers())
+	now := time.Unix(1_000_000, 0)
+	done, progressed, err := src.Begin(now, w, w.peers(), 10*time.Second)
+	for !done {
+		if len(w.inbox) > 0 {
+			resp := w.inbox[0]
+			w.inbox = w.inbox[1:]
+			done, progressed, err = src.Handle(now, resp)
+			continue
+		}
+		now = src.NextDeadline() // at the latest the instant the round is given up
+		done, progressed, err = src.Tick(now)
+	}
+	return progressed, err
+}
+
+func (p *Pool) isBanned(id int32) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.m.banned[id]
 }
 
 func testConfig() Config {

@@ -55,7 +55,7 @@ const (
 	fxVerify                        // Fetcher.VerifyBlocks(env, blocks), then step evLocalDone
 	fxInstall                       // Fetcher.InstallSnapshot(env, state), then step evLocalDone
 	fxApply                         // Fetcher.ReplayBlocks if verified, else ApplyBlocks; then evLocalDone
-	fxFinish                        // the round is over: Sync returns (progressed, err)
+	fxFinish                        // the round is over: the runtime reports (progressed, err)
 )
 
 type phase uint8
@@ -114,7 +114,7 @@ type machine struct {
 	round
 }
 
-// round is the state of the Sync in progress, zero while idle.
+// round is the state of the round in flight, zero while idle.
 type round struct {
 	phase   phase
 	started time.Time

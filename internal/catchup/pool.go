@@ -1,26 +1,30 @@
 package catchup
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"time"
 )
 
 // Pool is the collaborative catch-up protocol: a height-keyed request pool
-// in the shape of Tendermint's blocksync. One Sync round discovers an
-// envelope quorum, then round-robins chunk and block-range requests across
-// every agreeing donor under per-peer in-flight caps. Donors that time out
-// are demoted and eventually dropped for the round; donors whose payloads
-// fail verification are banned outright. All their work is requeued to the
+// in the shape of Tendermint's blocksync. One round discovers an envelope
+// quorum, then round-robins chunk and block-range requests across every
+// agreeing donor under per-peer in-flight caps. Donors that time out are
+// demoted and eventually dropped for the round; donors whose payloads fail
+// verification are banned outright. All their work is requeued to the
 // survivors, so a single correct reachable donor suffices to finish.
+//
+// Pool is only the runtime around the protocol (m), and it has no loop: the
+// round's owner — one goroutine: in a node the ordering driver — opens it with
+// Begin and hands it every donor reply (Handle) and an instant no later than
+// NextDeadline (Tick). No call blocks on anything but the Fetcher.
 type Pool struct {
-	mu sync.Mutex    // guards ch and every step of m, for Stats and isBanned
-	ch chan Response // non-nil while a round is active
-	// m is the protocol; Pool is only the runtime around it, and Sync the only
-	// one to step it. The runtime alone owns the reply channel, the caller's
-	// context, the clock and its one timer, and the calls into the Fetcher.
-	m *machine // bans and stats persist across rounds
+	mu sync.Mutex // guards every step of m, for Stats
+	m  *machine   // bans and stats persist across rounds
+	// The round in flight, nil and zero between rounds: the mechanism its
+	// effects are performed on, and the instant it is given up.
+	f      Fetcher
+	giveUp time.Time
 }
 
 // NewPool returns a Pool with the given tuning.
@@ -28,99 +32,68 @@ func NewPool(cfg Config) *Pool {
 	return &Pool{m: &machine{cfg: cfg.withDefaults(), banned: make(map[int32]bool)}}
 }
 
-// Deliver routes an incoming donor reply to the round in progress. Safe
-// from any goroutine and never blocks: a full round buffer or an idle pool
-// drops the reply (the pool re-requests on timeout anyway).
-func (p *Pool) Deliver(r Response) {
-	p.mu.Lock()
-	ch := p.ch
-	p.mu.Unlock()
-	if ch == nil {
-		return
-	}
-	select {
-	case ch <- r:
-	default:
-	}
-}
-
-// Stats returns a snapshot of the pool's counters.
+// Stats returns a snapshot of the pool's counters. Safe from any goroutine.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.m.stats
 }
 
-func (p *Pool) isBanned(id int32) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.m.banned[id]
+// Begin opens one collaborative catch-up round against peers, to be given up
+// at now+timeout. Like Handle and Tick it reports whether the round is over
+// and, if so, whether any state was installed or applied and why it ended.
+// Rounds do not overlap: the owner begins none while one is in flight.
+func (p *Pool) Begin(now time.Time, f Fetcher, peers []int32, timeout time.Duration) (done, progressed bool, err error) {
+	p.f, p.giveUp = f, now.Add(timeout)
+	return p.run(now, event{kind: evStart, peers: peers, height: f.Height()})
 }
 
-// Sync drives one collaborative catch-up round against peers and reports
-// whether any state was installed or applied. Rounds do not overlap: a
-// Sync while another is in progress fails.
-func (p *Pool) Sync(ctx context.Context, f Fetcher, peers []int32) (bool, error) {
-	if len(peers) == 0 {
-		return false, nil
+// Handle takes one donor reply. Between rounds it is ignored.
+func (p *Pool) Handle(now time.Time, resp Response) (done, progressed bool, err error) {
+	return p.run(now, event{kind: evResponse, resp: resp})
+}
+
+// Tick says time has passed: a request deadline, the grace window or the
+// round's own timeout may be due.
+func (p *Pool) Tick(now time.Time) (done, progressed bool, err error) {
+	if p.f != nil && !now.Before(p.giveUp) {
+		return p.run(now, event{kind: evCancel, err: errors.New("catchup: round timed out")})
 	}
-	// Room for every reply a full wave can draw, with slack for duplicates.
-	ch := make(chan Response, 4*len(peers)*p.m.cfg.InFlightPerPeer+64)
-	p.mu.Lock()
-	if p.ch != nil {
-		p.mu.Unlock()
-		return false, errors.New("catchup: sync already in progress")
+	return p.run(now, event{kind: evTick})
+}
+
+// NextDeadline is the instant the round in flight needs a Tick by; zero
+// between rounds.
+func (p *Pool) NextDeadline() time.Time {
+	if next := p.m.nextDeadline(); !next.IsZero() && next.Before(p.giveUp) {
+		return next
 	}
-	p.ch = ch
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		p.ch = nil
-		p.mu.Unlock()
-	}()
-	// While armed, the earliest deadline only moves later (what is assigned later
-	// expires later) and an early tick is harmless: re-arm only once it has fired.
-	timer, armed := time.NewTimer(time.Hour), false
-	defer timer.Stop()
-	timer.Stop()
-	// A refused request comes back as an event; the one local effect a step may
-	// end with runs here, on the caller's goroutine, and is answered first.
-	queue := []event{{kind: evStart, peers: peers, height: f.Height()}}
-	for {
-		var ev event
-		if len(queue) > 0 {
-			ev, queue = queue[0], queue[1:]
-		} else {
-			select {
-			case <-ctx.Done():
-				ev = event{kind: evCancel, err: ctx.Err()}
-			case resp := <-ch:
-				ev = event{kind: evResponse, resp: resp}
-			case <-timer.C:
-				armed = false
-				ev = event{kind: evTick}
-			}
-		}
-		now := time.Now()
+	return p.giveUp
+}
+
+// run steps the machine with ev and then with what performing the effects
+// feeds back — a refused request, and first the verdict on the one local
+// effect a step may end with. Between rounds the machine ignores every event.
+func (p *Pool) run(now time.Time, ev event) (done, progressed bool, err error) {
+	for queue := []event{ev}; len(queue) > 0; {
+		ev, queue = queue[0], queue[1:]
 		p.mu.Lock()
 		fxs := p.m.step(now, ev)
 		p.mu.Unlock()
 		for _, fx := range fxs {
 			if fx.kind == fxFinish {
-				return fx.progressed, fx.err
+				p.f, p.giveUp = nil, time.Time{}
+				return true, fx.progressed, fx.err
 			}
-			switch err := perform(f, fx); {
+			switch verdict := perform(p.f, fx); {
 			case fx.kind != fxRequest:
-				queue = append([]event{{kind: evLocalDone, err: err}}, queue...)
-			case err != nil:
+				queue = append([]event{{kind: evLocalDone, err: verdict}}, queue...)
+			case verdict != nil:
 				queue = append(queue, event{kind: evSendRefused, peer: fx.peer})
 			}
 		}
-		if next := p.m.nextDeadline(); !armed && !next.IsZero() {
-			timer.Reset(next.Sub(now))
-			armed = true
-		}
 	}
+	return false, false, nil
 }
 
 // perform carries out one request or local effect against the Fetcher.

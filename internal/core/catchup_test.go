@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"smartchain/internal/blockchain"
+	"smartchain/internal/codec"
 	"smartchain/internal/coin"
 	"smartchain/internal/crypto"
 	"smartchain/internal/smr"
@@ -257,4 +259,48 @@ func TestRetiredStateTransferFramesDropped(t *testing.T) {
 		after.ViewChanges != before.ViewChanges || after.EpochChanges != before.EpochChanges {
 		t.Fatalf("retired frames changed replica state: before %+v after %+v", before, after)
 	}
+}
+
+// FuzzDecodeCatchupWire covers the four catch-up frames core decodes itself
+// (the envelope reply is catchup.FuzzDecodeEnvelope's): the two requests the
+// donor side reads off any sender, and the two replies the dispatch goroutine
+// decodes for the ordering driver. Each under the contract of fuzzDecoder.
+func FuzzDecodeCatchupWire(f *testing.F) {
+	blocks := make([]blockchain.Block, 3)
+	for i := range blocks {
+		batch := testBatch(7, uint64(4*i+1), 4)
+		blocks[i] = blockchain.Block{
+			Header: blockchain.Header{Number: int64(i + 1), LastReconfig: 0, TxRoot: blockchain.TxRootOf(&batch)},
+			Body: blockchain.Body{Kind: blockchain.KindTransactions, ConsensusID: int64(i + 1), BatchData: batch.Encode(),
+				Results: [][]byte{{1}, {1}, {1}, {1}}},
+		}
+	}
+	f.Add((&chunkReq{Height: 240, Index: 3}).encode())
+	f.Add((&rangeReq{From: 241, To: 304}).encode())
+	f.Add((&chunkRep{Height: 240, Index: 3, Data: bytes.Repeat([]byte{7}, 300)}).encode())
+	f.Add((&rangeRep{From: 1, Blocks: blocks}).encode())
+	f.Add((&rangeRep{From: 1}).encode())
+	// 2^20 blocks declared, none carried; and one block whose body declares
+	// 2^20 results and carries none (24 MiB to a loop that reads on past the
+	// end of its input — what this target found in blockchain's body decoder).
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 16, 0, 0})
+	bomb := blocks[0]
+	bomb.Body.Results = nil
+	body := bomb.Body.Encode()
+	body = append(body[:len(body)-5], 0, 16, 0, 0) // the result count, then nothing
+	blk := codec.NewEncoder(256)
+	blk.Raw(bomb.Header.Encode())
+	blk.WriteBytes(body)
+	bomb.Cert.EncodeInto(blk)
+	rep := codec.NewEncoder(256)
+	rep.Int64(1)
+	rep.Uint32(1)
+	rep.WriteBytes(blk.Bytes())
+	f.Add(rep.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzDecoder(t, data, decodeChunkReq, (*chunkReq).encode)
+		fuzzDecoder(t, data, decodeRangeReq, (*rangeReq).encode)
+		fuzzDecoder(t, data, decodeChunkRep, (*chunkRep).encode)
+		fuzzDecoder(t, data, decodeRangeRep, (*rangeRep).encode)
+	})
 }

@@ -362,8 +362,8 @@ func (c *Cluster) primeStorage(cn *ClusterNode, pc *primedChain) error {
 }
 
 // StartDeferred brings a deferred replica online. With syncPeers set, Start
-// runs catch-up rounds before ordering begins; passing nil lets the caller
-// drive (and measure) SyncFromPeers explicitly after Start returns.
+// asks its ordering driver for state transfer from them and waits; passing nil
+// lets the caller ask (and measure) with SyncFromPeers after Start returns.
 func (c *Cluster) StartDeferred(id int32, syncPeers []int32) error {
 	cn, ok := c.Nodes[id]
 	if !ok || !cn.deferred {

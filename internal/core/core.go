@@ -192,9 +192,9 @@ type Config struct {
 	// KeyFile persists this replica's current consensus private key across
 	// recoverable crashes. It must be local-only storage, never shared.
 	KeyFile storage.SnapshotStore
-	// SyncPeers, when non-empty, makes Start run state-transfer rounds
-	// against these peers before ordering begins (recovering replicas and
-	// join candidates catching up).
+	// SyncPeers, when non-empty, makes Start ask the ordering driver — a
+	// member's engine is live by then — for state transfer from these peers and
+	// wait for the outcome (recovering replicas and join candidates).
 	SyncPeers []int32
 	// CatchupChunkBytes is the snapshot chunk size for checkpoints taken by
 	// this node (0 = storage.DefaultChunkBytes). All replicas must agree, or
@@ -233,10 +233,16 @@ type Node struct {
 	// (guarded by mu).
 	joinVotes func(reconfig.Vote)
 
-	// source is the catch-up protocol (immutable after NewNode); catchupCh
-	// queues donor-side work off the dispatch goroutine.
-	source    *catchup.Pool
-	catchupCh chan transport.Message
+	// source is the catch-up protocol, stepped by the ordering driver alone: donor
+	// replies reach it through syncReplies, callers who want a round through
+	// syncAsks; waiting are those owed the outcome of the round in flight, syncErr
+	// how the last one ended. catchupCh queues donor-side work off dispatch.
+	source      *catchup.Pool
+	syncReplies chan catchup.Response
+	syncAsks    chan syncAsk
+	waiting     []chan<- error
+	syncErr     error
+	catchupCh   chan transport.Message
 	// snapMu makes a save into cfg.Snapshots (the envelope, then every
 	// chunk) one step to serveChunk: saveSnapshot holds it, and serveChunk
 	// checks the stored height and reads the chunk under it. A chunk request
@@ -246,20 +252,14 @@ type Node struct {
 	// still being written only means its chunk requests wait out the save.
 	snapMu sync.Mutex
 
-	// engineLive wakes the ordering driver when an engine starts where none
-	// ran (a replaced one wakes it by closing its decision channel).
-	engineLive chan struct{}
-
 	// nextInstance is the commit floor: the lowest instance not yet
-	// released from the reorder buffer. Atomic because state transfer
-	// (which may run on a caller's goroutine) advances it while the
-	// ordering driver reads it; syncMu serializes the multi-step
-	// commit-and-advance sequences on both sides.
+	// released from the reorder buffer. Only the ordering driver moves it —
+	// a commit, or a block a state-transfer round replays — and it is atomic
+	// only because Stats reads it from other goroutines.
 	nextInstance atomic.Int64
-	syncMu       sync.Mutex
 	// lastApplied is what applyBatch produced for the newest block it
 	// executed; applying that block again returns it instead of executing
-	// twice. Guarded by syncMu like the rest of the commit path.
+	// twice. The driver's alone, like the rest of the commit path.
 	lastApplied appliedBatch
 
 	// The commit tail: the machine is tailLoop's alone, everyone else posts
@@ -282,7 +282,7 @@ type Node struct {
 	replies *replyCache
 
 	stop      chan struct{}
-	loops     sync.WaitGroup // driverLoop, receiveLoop, tailLoop
+	loops     sync.WaitGroup // driverLoop, receiveLoop, tailLoop, catchupServer
 	stopOnce  sync.Once
 	startedAt time.Time
 
@@ -300,7 +300,7 @@ type Node struct {
 // Errors returned by node operations.
 var (
 	ErrNotMember = errors.New("core: replica is not a member of the current view")
-	ErrRetired   = errors.New("core: replica has left the consortium")
+	ErrStopped   = errors.New("core: replica stopped")
 )
 
 // NewNode creates a node positioned at the genesis block. Recovery from an
@@ -366,12 +366,13 @@ func NewNode(cfg Config) (*Node, error) {
 		batcher:       smr.NewBatcher(cfg.MaxBatch),
 		// 0 workers = GOMAXPROCS (VerifySequential still pins the request
 		// pool to one).
-		verifier:   smr.NewVerifierPool(cfg.Verify, 0),
-		votePool:   crypto.NewVerifyPool(0, 0),
-		source:     catchup.NewPool(catchup.Config{PeerTimeout: cfg.CatchupPeerTimeout}),
-		engineLive: make(chan struct{}, 1),
-		stop:       make(chan struct{}),
-		catchupCh:  make(chan transport.Message, 64),
+		verifier:    smr.NewVerifierPool(cfg.Verify, 0),
+		votePool:    crypto.NewVerifyPool(0, 0),
+		source:      catchup.NewPool(catchup.Config{PeerTimeout: cfg.CatchupPeerTimeout}),
+		syncReplies: make(chan catchup.Response, 256), // a full wave's replies from a few dozen donors
+		syncAsks:    make(chan syncAsk, 0),
+		stop:        make(chan struct{}),
+		catchupCh:   make(chan transport.Message, 64),
 		// Room for a window of blocks in flight (closed, durable and n−1 shares
 		// each) and a burst of reads; full, it pushes back on whoever posts.
 		tailCh:   make(chan tailEvent, 256),
@@ -390,9 +391,9 @@ func NewNode(cfg Config) (*Node, error) {
 }
 
 // Start brings the node online: recover local state (snapshot + chain log),
-// start the verification pool, logger, consensus engine, and the receive
-// and ordering loops. When SyncPeers is set, a state-transfer round runs
-// before ordering begins.
+// start the logger and the node's loops — the ordering driver among them,
+// whose first act starts a member's consensus engine. When SyncPeers is set,
+// Start then asks it for state transfer and returns once that has run its course.
 func (n *Node) Start() error {
 	n.startedAt = time.Now()
 	if err := n.recoverLocal(); err != nil {
@@ -402,33 +403,22 @@ func (n *Node) Start() error {
 	n.tail = newTail(n.cfg.Persistence == PersistenceStrong, n.cfg.Self,
 		n.cfg.ReadParkTimeout, n.cfg.ReadParkLimit, n.ledger.Height(), n.View())
 
-	n.loops.Add(3)
+	n.loops.Add(4)
 	go n.tailLoop()
 	go n.receiveLoop()
 	go n.catchupServer()
+	up := make(chan struct{})
+	go n.driverLoop(up)
+	<-up // a member's engine is live: no consensus message finds it absent
 
 	if len(n.cfg.SyncPeers) > 0 {
-		// Best effort: a lone recovering replica must still come up. Rounds
-		// repeat while they make progress, so a fresh replica lands at (or
-		// near) the live tip before ordering begins; the first round that
-		// installs nothing — donors unreachable, or already caught up —
-		// ends the loop.
-		for {
-			progressed, _ := n.syncRound(n.cfg.SyncPeers, 2*time.Second) //smartlint:allow errdrop best-effort startup sync; the loop ends on the first non-progress round
-			if !progressed {
-				break
-			}
-		}
+		_ = n.SyncFromPeers(n.cfg.SyncPeers, 2*time.Second) //smartlint:allow errdrop best effort: a lone recovering replica must still come up
 	}
-
-	n.reconcileEngine()
-
-	go n.driverLoop()
 	return nil
 }
 
 // startEngine builds and starts a consensus engine for the current view,
-// replacing (and stopping) any running one. The caller must not hold n.mu.
+// replacing (and stopping) any running one. reconcileEngine calls it, without n.mu.
 func (n *Node) startEngine() {
 	n.mu.Lock()
 	v := n.curView
@@ -469,10 +459,6 @@ func (n *Node) startEngine() {
 		old.Stop()
 	}
 	eng.Start()
-	select {
-	case n.engineLive <- struct{}{}:
-	default: // a wake-up is already pending
-	}
 }
 
 // Stop shuts the node down, draining the logger so durable state is

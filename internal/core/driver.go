@@ -23,36 +23,43 @@ var (
 	resultUnorderedUnsupported = []byte{0xF4}
 )
 
-// driverLoop is the ordering driver's runtime. Which slots are open, which
-// batch goes where and which decision commits next is the window machine's
-// business (window.go); the loop turns what happens around it into events
-// and performs the effects each step returns. It alone owns the clock and
-// the one timer, the live engine's decision channel, and the commit path
-// with its lock (syncMu).
-func (n *Node) driverLoop() {
-	defer n.loops.Done()
-	period := max(4*n.cfg.ConsensusTimeout, 2*time.Second)
-	w := newWindow(n.cfg.PipelineDepth, period, n.batcher.TryNext, n.batcher.Requeue, n.batcherOrPeersBusy)
+// syncAsk is a caller's request for state transfer: the evSyncAsk to step and where the outcome goes.
+type syncAsk struct {
+	ev   event
+	done chan error
+}
 
-	// The resync instant only moves later and an early tick is harmless, so
-	// the timer is re-armed once it has fired, never reset under load.
-	timer, armed := time.NewTimer(period), true
+// driverLoop is the ordering driver's runtime. Which slots are open, which
+// batch goes where, which decision commits next and when a state-transfer
+// round begins is the window machine's business (window.go); the loop turns
+// what happens around it into events and performs the effects each step
+// returns. It alone owns the clock and the one timer, the live engine's
+// decision channel, every engine start, the commit path and the catch-up round.
+func (n *Node) driverLoop(up chan<- struct{}) {
+	defer n.loops.Done()
+	n.reconcileEngine() // a member orders — and buffers what it cannot order yet — from the start
+	close(up)
+	period := max(4*n.cfg.ConsensusTimeout, 2*time.Second)
+	w := newWindow(n.cfg.PipelineDepth, period, n.nextInstance.Load(), n.batcher.TryNext, n.batcher.Requeue, n.batcherOrPeersBusy)
+
+	// A tick that finds nothing due is harmless, so the timer is re-armed only
+	// for an instant earlier than the armed one (a fire that overtakes is one
+	// early tick): a commit pushes the resync instant back at no timer operation.
+	armed, timer := time.Now().Add(period), time.NewTimer(period) // armed: when it fires; zero once it has
 	defer timer.Stop()
 	var stopped *consensus.Engine // its decision channel is closed
 	for {
-		// Look before waiting: engine replacement, leadership and the floor
-		// under state transfer change on other goroutines, unannounced.
+		// Look before waiting: a commit or a round may have replaced the engine,
+		// and leadership changes on the engine's goroutine, unannounced.
 		eng, st := n.engineStatus()
-		switch {
-		case st.gen != w.gen || st.member != w.live || st.leads != w.leads:
-			n.drive(w, eng, st)
-		case st.floor != w.floor:
-			st.kind = evFloor
+		if st.gen != w.gen || st.member != w.live || st.leads != w.leads {
 			n.drive(w, eng, st)
 		}
-		if next := w.nextDeadline(); !armed && !next.IsZero() {
-			timer.Reset(time.Until(next))
-			armed = true
+		for _, next := range []time.Time{w.nextDeadline(), n.source.NextDeadline()} {
+			if !next.IsZero() && (armed.IsZero() || next.Before(armed)) {
+				timer.Reset(time.Until(next))
+				armed = next
+			}
 		}
 		var decisions <-chan consensus.Decision
 		if eng != nil && eng != stopped {
@@ -63,8 +70,6 @@ func (n *Node) driverLoop() {
 		select {
 		case <-n.stop:
 			return
-		case <-n.engineLive:
-			continue // the look above picks the new engine up
 		case d, ok := <-decisions:
 			if !ok {
 				stopped = eng // replaced or retired; the look above finds out which
@@ -73,22 +78,32 @@ func (n *Node) driverLoop() {
 			ev = event{kind: evDecision, gen: st.gen, decision: d}
 		case <-n.batcher.Ready():
 			ev.kind = evWork
+		case ask := <-n.syncAsks:
+			n.waiting, ev = append(n.waiting, ask.done), ask.ev
+		case resp := <-n.syncReplies:
+			done, progressed, err := n.source.Handle(time.Now(), resp)
+			if !done {
+				continue
+			}
+			ev = n.synced(eng, progressed, err)
 		case <-timer.C:
-			armed = false
+			armed = time.Time{}
+			if done, progressed, err := n.source.Tick(time.Now()); done {
+				n.drive(w, eng, n.synced(eng, progressed, err))
+			}
 			ev.kind = evTick
 		}
 		n.drive(w, eng, ev)
 	}
 }
 
-// engineStatus snapshots which engine is live (its generation), whether
-// this replica orders through it and leads it, and where the commit floor
-// stands. Candidates waiting to be joined and retired nodes have no seat:
-// they only serve state transfer.
+// engineStatus snapshots which engine is live (its generation) and whether
+// this replica orders through it and leads it. Candidates waiting to be
+// joined and retired nodes have no seat: they only serve state transfer.
 func (n *Node) engineStatus() (*consensus.Engine, event) {
 	n.mu.Lock()
 	eng := n.engine
-	st := event{kind: evEngine, gen: n.engineGen, floor: n.nextInstance.Load()}
+	st := event{kind: evEngine, gen: n.engineGen}
 	st.member = eng != nil && n.curView.Contains(n.cfg.Self) && !n.retired
 	n.mu.Unlock()
 	st.leads = st.member && eng.Leader() == n.cfg.Self
@@ -96,12 +111,14 @@ func (n *Node) engineStatus() (*consensus.Engine, event) {
 }
 
 // drive steps the machine and performs the effects on eng, the engine the
-// machine was last told about. A commit is answered with its outcome before
-// anything else reaches the machine.
+// machine was last told about. A commit — and a round over as soon as it
+// began — is answered with its outcome before anything else reaches the
+// machine. Callers waiting for a round are told once none is in flight.
 func (n *Node) drive(w *window, eng *consensus.Engine, ev event) {
 	for again := true; again; {
 		again = false
-		for _, fx := range w.step(time.Now(), ev) {
+		now := time.Now()
+		for _, fx := range w.step(now, ev) {
 			switch fx.kind {
 			case fxAdvance:
 				eng.AdvanceTo(fx.inst)
@@ -112,26 +129,46 @@ func (n *Node) drive(w *window, eng *consensus.Engine, ev event) {
 			case fxCommit:
 				ev, again = n.commit(fx.decision), true
 			case fxSync:
-				_ = n.SyncFromPeers(n.View().Others(n.cfg.Self), time.Second) //smartlint:allow errdrop opportunistic resync; the timer fires again next period
+				if fx.peers == nil {
+					fx.peers = n.View().Others(n.cfg.Self)
+				}
+				if done, progressed, err := n.source.Begin(now, nodeFetcher{n}, fx.peers, fx.timeout); done {
+					ev, again = n.synced(eng, progressed, err), true
+				}
 			}
 		}
 	}
+	if !w.syncing {
+		for _, done := range n.waiting {
+			done <- n.syncErr // buffered: the caller may have left with the node stopping
+		}
+		n.waiting = n.waiting[:0]
+	}
 }
 
-// commit releases one decision to Algorithm 1 and reports what became of
-// it. syncMu serializes the floor's read-commit-advance against a state
-// transfer on a caller's goroutine (SyncFromPeers is exported): if one
-// moved the floor past d since the machine released it, d is in the chain
-// already and is skipped, so the floor never rewinds over replayed blocks.
+// commit releases one decision to Algorithm 1 and reports what became of it.
 func (n *Node) commit(d consensus.Decision) event {
-	n.syncMu.Lock()
-	defer n.syncMu.Unlock()
-	viewChanged := false
-	if d.Instance == n.nextInstance.Load() {
-		viewChanged = n.commitDecision(d)
-		n.nextInstance.Store(d.Instance + 1) // a filler decision has no block to close
+	viewChanged := n.commitDecision(d)
+	n.nextInstance.Store(d.Instance + 1) // a filler decision has no block to close
+	return event{kind: evCommitted, floor: d.Instance + 1, viewChanged: viewChanged}
+}
+
+// synced closes a round on the node's side and reports it to the machine.
+// Like a live reconfiguration block, a round that installed something is
+// followed by reconcileEngine: once per round, not per replayed block.
+func (n *Node) synced(eng *consensus.Engine, progressed bool, err error) event {
+	if progressed {
+		n.stateTransfers.Add(1)
+		n.reconcileEngine()
+		// Parked reads may be serveable now, a new view's members no strangers.
+		n.post(tailEvent{kind: tevView, view: n.View()})
+		n.post(tailEvent{kind: tevHeight, number: n.ledger.Height()})
 	}
-	return event{kind: evCommitted, floor: n.nextInstance.Load(), viewChanged: viewChanged}
+	n.syncErr = err
+	n.mu.Lock()
+	replaced := n.engine != eng
+	n.mu.Unlock()
+	return event{kind: evSynced, floor: n.nextInstance.Load(), progressed: progressed, viewChanged: replaced}
 }
 
 // batcherOrPeersBusy gates re-sync: an idle system with nothing pending has

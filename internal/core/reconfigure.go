@@ -56,14 +56,15 @@ func (n *Node) installView(u *blockchain.ViewUpdate) {
 }
 
 // reconcileEngine is the local half: bring this member's consensus key and
-// engine in line with the installed view. It runs at start, right after a
-// live reconfiguration block (the block's durability and PERSIST
-// certificate are complete under the old keys by then) and once per
-// state-transfer round — not per replayed block: only the last view of a
-// replayed range ever orders anything, and each rotation erases a key (the
-// forgetting protocol) and costs an engine start. A member whose key is
-// not in the view record — it was not part of the reconfiguration quorum,
-// or slept through the change — announces the fresh one (paper §V-D).
+// engine in line with the installed view. It runs on the ordering driver's
+// goroutine only: as its first act, right after a live reconfiguration block
+// (durable and PERSIST-certified under the old keys by then) and once per
+// state-transfer round that installed something — not per replayed block:
+// only the last view of a replayed range ever orders anything, and each
+// rotation erases a key (the forgetting protocol) and costs an engine start.
+// A member whose key is not in the view record — it was not part of the
+// reconfiguration quorum, or slept through the change — announces the fresh
+// one (paper §V-D).
 func (n *Node) reconcileEngine() {
 	n.mu.Lock()
 	v := n.curView
@@ -271,7 +272,7 @@ func (n *Node) collectVotes(targets []int32, cert *reconfig.Certificate, needed 
 			}
 			return fmt.Errorf("core: vote quorum not reached (%d/%d)", len(seen), needed)
 		case <-n.stop:
-			return ErrRetired
+			return ErrStopped
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -221,6 +220,7 @@ func (n *Node) loadConsensusKey() {
 
 // catchupServer drains queued donor work until the node stops.
 func (n *Node) catchupServer() {
+	defer n.loops.Done()
 	for {
 		select {
 		case <-n.stop:
@@ -264,14 +264,9 @@ func (n *Node) serveEnvelope(m transport.Message) {
 	}
 	if env.Snap.Meta == nil {
 		me := n.genesisEnvelope()
-		cb := n.cfg.CatchupChunkBytes
-		if cb <= 0 {
-			cb = storage.DefaultChunkBytes
-		}
-		env = catchup.Envelope{
-			Height:    0,
+		env = catchup.Envelope{ // at height 0
 			BlockHash: me.BlockHash,
-			Snap:      storage.SnapEnvelope{LastBlock: 0, ChunkBytes: int32(cb), Meta: me.encode()},
+			Snap:      storage.SnapEnvelope{ChunkBytes: int32(n.cfg.CatchupChunkBytes), Meta: me.encode()},
 		}
 	}
 	env.Tip = n.ledger.Height()
@@ -320,34 +315,29 @@ func (n *Node) serveRange(m transport.Message) {
 	_ = n.cfg.Transport.Send(m.From, MsgBlockRangeRep, rep.encode()) //smartlint:allow errdrop donor reply; the requester re-requests on timeout
 }
 
-// onCatchupReply decodes a donor reply and routes it to the catch-up pool.
-// Runs on the dispatch goroutine; Deliver never blocks.
+// onCatchupReply decodes a donor reply and posts it to the ordering driver,
+// which steps the round. Runs on the dispatch goroutine and never blocks.
 func (n *Node) onCatchupReply(m transport.Message) {
+	resp, err := catchup.Response{Peer: m.From}, error(nil)
 	switch m.Type {
 	case MsgEnvelopeRep:
-		env, err := catchup.DecodeEnvelope(m.Payload)
-		if err != nil {
-			return
-		}
-		n.source.Deliver(catchup.Response{Peer: m.From, Kind: catchup.KindEnvelope, Envelope: env})
+		resp.Kind = catchup.KindEnvelope
+		resp.Envelope, err = catchup.DecodeEnvelope(m.Payload)
 	case MsgChunkRep:
-		rep, err := decodeChunkRep(m.Payload)
-		if err != nil {
-			return
-		}
-		n.source.Deliver(catchup.Response{
-			Peer: m.From, Kind: catchup.KindChunk,
-			Height: rep.Height, Index: int(rep.Index), Data: rep.Data,
-		})
+		var rep chunkRep
+		rep, err = decodeChunkRep(m.Payload)
+		resp.Kind, resp.Height, resp.Index, resp.Data = catchup.KindChunk, rep.Height, int(rep.Index), rep.Data
 	case MsgBlockRangeRep:
-		rep, err := decodeRangeRep(m.Payload)
-		if err != nil {
-			return
-		}
-		n.source.Deliver(catchup.Response{
-			Peer: m.From, Kind: catchup.KindRange,
-			From: rep.From, Blocks: rep.Blocks,
-		})
+		var rep rangeRep
+		rep, err = decodeRangeRep(m.Payload)
+		resp.Kind, resp.From, resp.Blocks = catchup.KindRange, rep.From, rep.Blocks
+	}
+	if err != nil {
+		return
+	}
+	select {
+	case n.syncReplies <- resp:
+	default: // full: the round re-requests on timeout
 	}
 }
 
@@ -356,8 +346,8 @@ func (n *Node) onCatchupReply(m transport.Message) {
 // ---------------------------------------------------------------------------
 
 // nodeFetcher implements catchup.Fetcher over the node's transport, ledger,
-// and application. All verification/installation methods run on the
-// Sync caller's goroutine, under syncMu.
+// and application. Every method runs on the ordering driver's goroutine,
+// inside the pool call that steps the round: between two commits.
 type nodeFetcher struct{ n *Node }
 
 func (f nodeFetcher) Height() int64 { return f.n.ledger.Height() }
@@ -493,62 +483,38 @@ func (f nodeFetcher) ReplayBlocks(blocks []blockchain.Block) error {
 
 var _ catchup.Fetcher = nodeFetcher{}
 
-// SyncFromPeers runs one catch-up round through the collaborative pool.
-// syncMu excludes the driver's commit
-// loop for the whole round: replayed blocks and the commit floor must move
-// together, or a decision committing concurrently could rewind the floor
-// and re-execute replayed batches.
+// SyncFromPeers asks the ordering driver for state transfer from peers, in
+// rounds of at most timeout, and waits for the outcome: how the last round
+// ended. No caller steps the catch-up pool itself; an ask that finds a round
+// in flight waits for that round instead.
 func (n *Node) SyncFromPeers(peers []int32, timeout time.Duration) error {
-	_, err := n.syncRound(peers, timeout)
-	return err
-}
-
-func (n *Node) syncRound(peers []int32, timeout time.Duration) (bool, error) {
 	if len(peers) == 0 {
-		return false, errors.New("core: no peers to sync from")
+		return errors.New("core: no peers to sync from")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	go func() {
-		select {
-		case <-n.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-
-	n.syncMu.Lock()
-	progressed, err := n.source.Sync(ctx, nodeFetcher{n}, peers)
-	if progressed {
-		n.stateTransfers.Add(1)
-		n.reconcileEngine()
-		// Parked reads may be serveable now, a new view's members no strangers.
-		n.post(tailEvent{kind: tevView, view: n.View()})
-		n.post(tailEvent{kind: tevHeight, number: n.ledger.Height()})
+	ask := syncAsk{event{kind: evSyncAsk, peers: peers, timeout: timeout}, make(chan error, 1)}
+	select {
+	case n.syncAsks <- ask:
+	case <-n.stop:
+		return ErrStopped
 	}
-	n.syncMu.Unlock()
-	return progressed, err
+	select {
+	case err := <-ask.done:
+		return err
+	case <-n.stop:
+		return ErrStopped
+	}
 }
 
-// WaitMembership loops state-transfer rounds until this node is a member of
-// the installed view (used by joiners after RequestJoin).
+// WaitMembership asks for state transfer until this node is a member of the
+// installed view (used by joiners after RequestJoin).
 func (n *Node) WaitMembership(peers []int32, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		n.mu.Lock()
-		member := n.curView.Contains(n.cfg.Self)
-		n.mu.Unlock()
-		if member {
-			return nil
-		}
+	for deadline := time.Now().Add(timeout); !n.View().Contains(n.cfg.Self); time.Sleep(50 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("core: membership not reached within %v", timeout)
 		}
-		_ = n.SyncFromPeers(peers, 500*time.Millisecond) //smartlint:allow errdrop best-effort attempt inside a retry loop with a deadline
-		select {
-		case <-n.stop:
-			return ErrRetired
-		case <-time.After(50 * time.Millisecond):
+		if err := n.SyncFromPeers(peers, 500*time.Millisecond); errors.Is(err, ErrStopped) {
+			return err // any other failure is one attempt lost
 		}
 	}
+	return nil
 }

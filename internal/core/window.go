@@ -16,14 +16,17 @@ type event struct {
 	// view it orders in), so a decision is matched to its window by number,
 	// not by pointer. evEngine, evDecision.
 	gen uint64
-	// floor is the commit floor as the runtime read it. evEngine,
-	// evCommitted, evFloor.
+	// floor is the commit floor the commit or round left behind. evCommitted,
+	// evSynced.
 	floor int64
 	// member: this replica orders through engine gen; leads: it leads that
 	// engine's regency — a hint, as old as the runtime's last look. evEngine.
 	member, leads bool
 	decision      consensus.Decision // evDecision
-	viewChanged   bool               // evCommitted: the commit installed a new view
+	viewChanged   bool               // evCommitted, evSynced: it installed a new view: the engine is gone
+	progressed    bool               // evSynced: the round installed or applied something
+	peers         []int32            // evSyncAsk: the donors to ask,
+	timeout       time.Duration      // and how long a round may take
 }
 
 type eventKind uint8
@@ -33,7 +36,8 @@ const (
 	evDecision                       // engine gen decided an instance
 	evWork                           // the request queue may hold work
 	evCommitted                      // the runtime finished the fxCommit in flight
-	evFloor                          // state transfer moved the commit floor
+	evSyncAsk                        // a caller wants a state-transfer round (Start, SyncFromPeers)
+	evSynced                         // the round in flight is over
 	evTick                           // time passed: the resync instant may be due
 )
 
@@ -43,6 +47,8 @@ type effect struct {
 	inst     int64              // fxAdvance: the floor; fxStart, fxPropose: the slot
 	value    []byte             // fxPropose: the encoded batch
 	decision consensus.Decision // fxCommit
+	peers    []int32            // fxSync: the donors to ask; nil means the view's other members
+	timeout  time.Duration      // fxSync: the round is given up after this long
 }
 
 type effectKind uint8
@@ -52,7 +58,7 @@ const (
 	fxStart                         // the live engine starts slot inst, empty
 	fxPropose                       // offer value to the started slot inst
 	fxCommit                        // run Algorithm 1 for decision, then step evCommitted
-	fxSync                          // one state-transfer round against the view's peers
+	fxSync                          // begin one state-transfer round; evSynced ends it
 )
 
 // proposal is a batch this replica offered to one instance, with its wire
@@ -93,11 +99,18 @@ type window struct {
 	proposed map[int64]proposal
 	early    []event   // decisions of a generation no evEngine has named yet
 	resyncAt time.Time // zero while no window is open
+	// syncing: an fxSync (round) is out and its evSynced is not in. Until then
+	// decisions only park and no second round begins: the one fact that keeps
+	// commits and state transfer out of each other's way.
+	syncing bool
+	round   effect
 }
 
-func newWindow(depth int, period time.Duration, next func() (smr.Batch, bool), requeue func([]smr.Request), busy func() bool) *window {
+// newWindow returns the machine for a replica that recovered up to floor.
+func newWindow(depth int, period time.Duration, floor int64, next func() (smr.Batch, bool), requeue func([]smr.Request), busy func() bool) *window {
 	return &window{
 		depth: depth, period: period, next: next, requeue: requeue, busy: busy,
+		floor: floor, nextStart: floor,
 		parked:   make(map[int64]consensus.Decision),
 		proposed: make(map[int64]proposal),
 	}
@@ -105,18 +118,25 @@ func newWindow(depth int, period time.Duration, next func() (smr.Batch, bool), r
 
 // step applies one event at instant now. The returned effects alias a
 // buffer the next step overwrites: perform them before stepping again. At
-// most one is an fxCommit, always the last; the runtime answers it with
-// evCommitted before any other event.
+// most one is an fxCommit or an fxSync, always the last. The runtime answers
+// an fxCommit with evCommitted before any other event; an fxSync it answers
+// with evSynced whenever the round ends, and until then no step emits either.
 func (w *window) step(now time.Time, ev event) []effect {
 	clear(w.out) // drop the previous step's batch and decision references
 	w.out = w.out[:0]
+	begin := false // this step begins a round
 	switch ev.kind {
 	case evEngine:
 		w.onEngine(now, ev)
 	case evDecision:
 		w.onDecision(ev)
-	case evCommitted:
-		if ev.floor > w.floor {
+	case evSyncAsk:
+		// One that finds a round in flight waits for that round's outcome.
+		if !w.syncing {
+			w.round, begin = effect{kind: fxSync, peers: ev.peers, timeout: ev.timeout}, true
+		}
+	case evCommitted, evSynced:
+		if ev.kind == evCommitted && ev.floor > w.floor {
 			// Only a commit is progress: a decision parked behind a gap
 			// must not hold off the state transfer that would close it.
 			w.resyncAt = now.Add(w.period)
@@ -128,20 +148,38 @@ func (w *window) step(now time.Time, ev event) []effect {
 			// everywhere) and restarts under the next generation.
 			w.halt()
 		}
-	case evFloor:
-		w.moveFloor(ev.floor)
+		if ev.kind == evCommitted {
+			break
+		}
+		// Rounds repeat while they make progress — the view moved on meanwhile —
+		// until the engine kept running holds the decision to commit next. One
+		// parked higher up is no exit: proposals sent before the engine could
+		// buffer them leave a hole under it that only a round closes. A window
+		// without a seat has no engine to hand over to: it never chains.
+		_, handedOver := w.parked[w.floor]
+		w.syncing, begin = false, w.live && ev.progressed && !handedOver
+		if w.live && !begin {
+			w.resyncAt = now.Add(w.period)
+		}
 	case evTick:
 		if w.live && !now.Before(w.resyncAt) {
 			// The view may have moved on without this replica — or be idle.
 			w.resyncAt = now.Add(w.period)
-			if w.busy() {
-				w.out = append(w.out, effect{kind: fxSync})
+			if !w.syncing && w.busy() {
+				w.round, begin = effect{kind: fxSync, timeout: time.Second}, true
 			}
 		}
 	}
 	if w.live {
 		w.open()
 		w.fill(now)
+	}
+	switch {
+	case begin:
+		w.syncing = true
+		w.out = append(w.out, w.round)
+	case w.syncing: // decisions park (at most W: only started slots decide)
+	case w.live:
 		if d, ok := w.parked[w.floor]; ok {
 			// One at a time, assuming no outcome: evCommitted brings it.
 			w.out = append(w.out, effect{kind: fxCommit, decision: d})
@@ -162,7 +200,6 @@ func (w *window) onEngine(now time.Time, ev event) {
 		w.halt()
 	}
 	w.gen, w.leads = ev.gen, ev.leads
-	w.moveFloor(ev.floor)
 	if ev.member && !w.live {
 		w.live, w.nextStart, w.advanced = true, w.floor, 0
 		w.resyncAt = now.Add(w.period)
@@ -186,10 +223,10 @@ func (w *window) onDecision(ev event) {
 	}
 }
 
-// moveFloor settles every slot below floor, whoever moved it there: this
-// replica's commit, or a state transfer — which can land anywhere, also
-// inside the open window, where stale engine instances below the floor
-// could never decide yet would keep gating the lowest-undecided timeout.
+// moveFloor settles every slot below floor, whatever moved it there: a
+// commit, or a state-transfer round — which can land anywhere, also inside
+// the open window, where stale engine instances below the floor could never
+// decide yet would keep gating the lowest-undecided timeout.
 func (w *window) moveFloor(floor int64) {
 	if floor <= w.floor {
 		return

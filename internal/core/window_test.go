@@ -14,9 +14,12 @@ import (
 // The window machine under virtual time: one goroutine, no sleeps. A fake
 // queue stands in for smr.Batcher, and the rig plays runtime and engine —
 // it performs every effect the way Node.drive does (a commit is answered
-// with evCommitted before anything else) and checks on each one what must
-// hold for every path: no slot starts below the floor or twice, no batch
-// lands above an empty slot, and a commit is for the floor, alone and last.
+// with evCommitted before anything else; a state-transfer round stays in
+// flight until the script ends it with synced) and checks on each one what
+// must hold for every path: no slot starts below the floor or twice, no
+// batch lands above an empty slot, a commit or a round's beginning is alone
+// and last, a commit is for the floor, and while a round is in flight
+// nothing commits and no second round begins.
 
 // fakeQueue is the injected request queue.
 type fakeQueue struct {
@@ -80,13 +83,16 @@ type rig struct {
 	advances []slotRef
 	commits  []int64
 	syncs    int
+	syncing  bool         // an fxSync is out and the script has not ended it
+	lastSync effect       // the newest fxSync
+	kinds    []effectKind // the effects of the newest step
 }
 
 func newRig(t *testing.T, depth int) *rig {
 	q := &fakeQueue{}
 	return &rig{
 		t: t, q: q, now: time.Unix(1_000_000, 0), floor: 1,
-		w:       newWindow(depth, testPeriod, q.next, q.requeue, func() bool { return q.busy }),
+		w:       newWindow(depth, testPeriod, 1, q.next, q.requeue, func() bool { return q.busy }),
 		started: make(map[slotRef]bool),
 		placed:  make(map[slotRef][]byte),
 	}
@@ -98,10 +104,15 @@ func (r *rig) step(ev event) (event, bool) {
 	r.t.Helper()
 	r.q.calls = 0
 	var follow event
-	committed := false
+	committed, last := false, false
+	r.kinds = r.kinds[:0]
 	for _, fx := range r.w.step(r.now, ev) {
-		if committed {
-			r.t.Fatalf("effect %d after the commit of one step", fx.kind)
+		if last {
+			r.t.Fatalf("effect %d after the commit or sync of one step", fx.kind)
+		}
+		r.kinds = append(r.kinds, fx.kind)
+		if r.syncing && (fx.kind == fxCommit || fx.kind == fxSync) {
+			r.t.Fatalf("effect %d while a state-transfer round is in flight", fx.kind)
 		}
 		at := slotRef{r.w.gen, fx.inst}
 		switch fx.kind {
@@ -122,7 +133,7 @@ func (r *rig) step(ev event) (event, bool) {
 			if d.Instance != r.w.floor {
 				r.t.Fatalf("commit of %d released at floor %d", d.Instance, r.w.floor)
 			}
-			follow, committed = event{kind: evCommitted}, true
+			follow, committed, last = event{kind: evCommitted}, true, true
 			if d.Instance == r.floor { // else a state transfer got there first
 				r.commits = append(r.commits, d.Instance)
 				r.floor++
@@ -131,9 +142,18 @@ func (r *rig) step(ev event) (event, bool) {
 			follow.floor = r.floor
 		case fxSync:
 			r.syncs++
+			r.syncing, r.lastSync, last = true, fx, true
 		}
 	}
 	return follow, committed
+}
+
+// synced ends the round in flight the way Node.synced does: the transfer
+// left the runtime's floor at floor.
+func (r *rig) synced(floor int64, progressed bool) {
+	r.t.Helper()
+	r.floor, r.syncing = max(r.floor, floor), false
+	r.run(event{kind: evSynced, floor: r.floor, progressed: progressed})
 }
 
 // checkOffer: a batch may only go to a started, still empty slot with no
@@ -162,7 +182,7 @@ func (r *rig) run(ev event) {
 
 func (r *rig) engine(gen uint64, member, leads bool) {
 	r.t.Helper()
-	r.run(event{kind: evEngine, gen: gen, floor: r.floor, member: member, leads: leads})
+	r.run(event{kind: evEngine, gen: gen, member: member, leads: leads})
 }
 
 func (r *rig) work(batches ...smr.Batch) {
@@ -378,9 +398,10 @@ func TestWindowViewChangeHandsOverByGeneration(t *testing.T) {
 
 // (e) A state transfer moves the floor to a point inside the open window:
 // overtaken slots are abandoned and their batches given back, the engine is
-// advanced once, and nothing starts below the floor (rig.step checks). A
-// transfer that overtakes a decision already released for commit is the
-// same case seen from evCommitted: the machine takes the floor it is told.
+// advanced once, and nothing starts below the floor (rig.step checks). The
+// machine takes whatever floor it is told, by evSynced or by evCommitted —
+// the runtime no longer lets a transfer overtake a commit it has released,
+// but the machine assumes no outcome.
 func TestWindowFloorMovedFromOutside(t *testing.T) {
 	r := newRig(t, 8)
 	r.engine(1, true, true)
@@ -390,8 +411,7 @@ func TestWindowFloorMovedFromOutside(t *testing.T) {
 	r.decideOwn(1, 2) // parked behind 1; the transfer replays it as decided
 
 	advances := len(r.advances)
-	r.floor = 3
-	r.run(event{kind: evFloor, floor: 3})
+	r.synced(3, false)
 	r.wantRequeued(a)
 	if got := r.advances[advances:]; !slices.Equal(got, []slotRef{{1, 3}}) {
 		t.Fatalf("advance effects %v, want one, to 3", got)
@@ -446,6 +466,7 @@ func TestWindowResyncClock(t *testing.T) {
 	}
 	at(2 * testPeriod)
 	r.run(event{kind: evTick})
+	r.synced(r.floor, false) // the donors had nothing new
 	r.run(event{kind: evTick})
 	at(3*testPeriod - time.Millisecond)
 	r.run(event{kind: evTick})
@@ -457,6 +478,7 @@ func TestWindowResyncClock(t *testing.T) {
 	if r.syncs != 2 {
 		t.Fatalf("%d state transfers after two busy periods, want 2", r.syncs)
 	}
+	r.synced(r.floor, false)
 
 	at(3*testPeriod + time.Second)
 	r.decide(1, 1, nil) // closes the gap: 1 and 2 commit
@@ -497,10 +519,10 @@ func TestWindowIdleWithoutEngine(t *testing.T) {
 	r.q.ready = append(r.q.ready, testBatch(1, 1, 1))
 	idle := []event{
 		{kind: evWork},
-		{kind: evEngine, gen: 0, floor: 1},
+		{kind: evEngine, gen: 0},
 		{kind: evDecision, gen: 0, decision: consensus.Decision{Instance: 1}},
-		{kind: evFloor, floor: 5},
-		{kind: evEngine, gen: 1, floor: 5, leads: true}, // an engine, but no seat
+		{kind: evSynced, floor: 5},
+		{kind: evEngine, gen: 1, leads: true}, // an engine, but no seat
 		{kind: evDecision, gen: 1, decision: consensus.Decision{Instance: 5}},
 		{kind: evTick},
 	}
@@ -555,4 +577,252 @@ func TestWindowSameScriptSameProposals(t *testing.T) {
 	if len(first) != 6 || !slices.EqualFunc(first, second, bytes.Equal) {
 		t.Fatalf("two runs of one script proposed different values:\n%x\n%x", first, second)
 	}
+}
+
+var testDonors = []int32{1, 2, 3}
+
+func (r *rig) ask() {
+	r.t.Helper()
+	r.run(event{kind: evSyncAsk, peers: testDonors, timeout: 3 * time.Second})
+}
+
+func (r *rig) wantKinds(what string, want ...effectKind) {
+	r.t.Helper()
+	if !slices.Equal(r.kinds, want) {
+		r.t.Fatalf("%s: effects %v, want %v", what, r.kinds, want)
+	}
+}
+
+// (j) A window without a seat — a candidate waiting to be joined, a retired
+// member — still transfers state when asked: exactly one round per ask, with
+// the ask's donors and timeout, and however much it installs nothing follows
+// it. An ask that finds the round in flight begins no second one.
+func TestWindowAskWithoutSeatRunsOneRound(t *testing.T) {
+	r := newRig(t, 4)
+	r.q.busy = true
+	r.ask()
+	r.wantKinds("the ask", fxSync)
+	if !slices.Equal(r.lastSync.peers, testDonors) || r.lastSync.timeout != 3*time.Second {
+		t.Fatalf("round against %v for %v, want the ask's donors and timeout", r.lastSync.peers, r.lastSync.timeout)
+	}
+	r.ask()
+	r.wantKinds("an ask during the round")
+	r.synced(40, true)
+	r.wantKinds("the end of a round that installed 39 instances")
+	if r.w.floor != 40 || r.syncs != 1 || !r.w.nextDeadline().IsZero() {
+		t.Fatalf("floor %d after %d rounds, deadline %v; want 40, 1, none", r.w.floor, r.syncs, r.w.nextDeadline())
+	}
+	r.ask()
+	r.wantKinds("the next ask", fxSync)
+}
+
+// (k) Between fxSync and evSynced the commit path is closed: decisions keep
+// landing in the reorder buffer — at the floor too — and whatever ticks and
+// asks arrive, nothing commits and no second round begins (rig.step fails
+// the test on either). The round's end releases what is parked.
+func TestWindowRoundInFlightHoldsCommitsAndRounds(t *testing.T) {
+	r := newRig(t, 4)
+	r.engine(1, true, true)
+	r.q.busy = true
+	r.work(testBatch(1, 1, 1), testBatch(2, 1, 1))
+	r.ask()
+	for i, ev := range []event{
+		{kind: evDecision, gen: 1, decision: consensus.Decision{Instance: 2, Value: r.placed[slotRef{1, 2}]}},
+		{kind: evDecision, gen: 1, decision: consensus.Decision{Instance: 1, Value: r.placed[slotRef{1, 1}]}},
+		{kind: evTick},
+		{kind: evSyncAsk, peers: []int32{2}, timeout: time.Second},
+		{kind: evWork},
+		{kind: evEngine, gen: 1, member: true},
+		{kind: evTick},
+	} {
+		r.now = r.now.Add(testPeriod) // every tick is past the resync instant
+		if _, commit := r.step(ev); commit {
+			t.Fatalf("event %d released a commit", i)
+		}
+	}
+	if len(r.w.parked) != 2 || r.syncs != 1 {
+		t.Fatalf("%d decisions parked and %d rounds begun, want 2 and 1", len(r.w.parked), r.syncs)
+	}
+	if next := r.w.nextDeadline(); !next.After(r.now) {
+		t.Fatalf("resync instant %v is not ahead of the last tick: the runtime's timer would spin", next.Sub(r.now))
+	}
+	r.synced(r.floor, false)
+	r.wantCommits(1, 2)
+	if len(r.q.requeued) != 0 {
+		t.Fatal("batches decided as proposed were given back")
+	}
+}
+
+// (l) Rounds repeat while they make progress, as one rule of the machine: a
+// live window told that its round installed something goes again in the same
+// step — after sliding the engine's window to the new floor, against the
+// donors and with the timeout of the round it follows — unless the engine it
+// kept running already holds the decision the commit path needs next. One
+// parked above a hole is no such hand-over.
+func TestWindowChainsRoundsUntilEngineHandsOver(t *testing.T) {
+	r := newRig(t, 4)
+	r.engine(1, true, false)
+	r.ask()
+	r.synced(10, true) // slots 1..4 overtaken, nothing decided
+	r.wantKinds("a round that made progress, nothing parked", fxAdvance, fxStart, fxStart, fxStart, fxStart, fxSync)
+	if r.syncs != 2 || !slices.Equal(r.lastSync.peers, testDonors) || r.lastSync.timeout != 3*time.Second {
+		t.Fatalf("%d rounds, the last against %v for %v; want 2, the second like the first", r.syncs, r.lastSync.peers, r.lastSync.timeout)
+	}
+	if got := ofGen(r.starts, 1); !slices.Equal(got, []int64{1, 2, 3, 4, 10, 11, 12, 13}) {
+		t.Fatalf("slots started %v, want the window reopened at 10", got)
+	}
+
+	r.decide(1, 13, nil) // the engine is live: it decides above the prefix being fetched
+	r.synced(12, true)
+	r.wantKinds("a hole under the parked decision", fxAdvance, fxStart, fxStart, fxSync)
+	r.decide(1, 12, nil)
+	r.synced(12, false)
+	r.wantCommits(12, 13)
+	if r.syncs != 3 {
+		t.Fatalf("%d rounds, want 3", r.syncs)
+	}
+
+	// The same outcome with the floor's decision in hand: commit, no round.
+	r.ask()
+	r.decide(1, 16, nil)
+	r.decide(1, 17, nil)
+	syncs := r.syncs
+	r.floor, r.syncing = 16, false // r.synced, one step at a time
+	follow, commit := r.step(event{kind: evSynced, floor: 16, progressed: true})
+	r.wantKinds("a round that reached the parked decision", fxAdvance, fxStart, fxStart, fxCommit)
+	if !commit || r.syncs != syncs {
+		t.Fatalf("commit released: %v, rounds begun: %d; want the commit and none", commit, r.syncs-syncs)
+	}
+	if got, want := r.w.nextDeadline(), r.now.Add(testPeriod); !got.Equal(want) {
+		t.Fatalf("resync instant %v after the chain ended, want one period on", got.Sub(r.now))
+	}
+	r.run(follow)
+	r.wantCommits(12, 13, 16, 17)
+}
+
+// (m) A round that installed nothing never chains, live window or not, and
+// pushes the resync instant one period on: the next round is the clock's.
+func TestWindowRoundWithoutProgressNeverChains(t *testing.T) {
+	r := newRig(t, 4)
+	r.engine(1, true, false)
+	r.now = r.now.Add(time.Second)
+	r.ask()
+	r.now = r.now.Add(time.Second)
+	r.synced(r.floor, false)
+	r.wantKinds("a round that found nothing")
+	if got, want := r.w.nextDeadline(), r.now.Add(testPeriod); r.syncs != 1 || !got.Equal(want) {
+		t.Fatalf("%d rounds, resync instant %v; want 1 and one period after the round ended", r.syncs, got.Sub(r.now))
+	}
+	// A failed round can still have applied a prefix: that one chains.
+	r.ask()
+	r.synced(3, true)
+	if r.syncs != 3 {
+		t.Fatalf("%d rounds after one that made progress, want 3", r.syncs)
+	}
+}
+
+// (n) What this replica offered to slots a round overtook returns to the
+// queue exactly once, in instance order — also when the batches it took back
+// are offered again and overtaken again.
+func TestWindowRoundGivesOvertakenBatchesBackOnce(t *testing.T) {
+	r := newRig(t, 4)
+	r.engine(1, true, true)
+	a, b, c := testBatch(1, 1, 1), testBatch(2, 1, 2), testBatch(3, 1, 1)
+	r.work(a, b, c)
+	r.wantOffers(1, 2, 3)
+	r.ask()
+	r.synced(3, true) // a and b were decided without this replica
+	r.wantRequeued(a, b)
+	r.wantOffers(1, 2, 3, 4) // one front-of-queue batch, to the lowest empty slot
+	r.synced(3, false)
+	r.wantRequeued(a, b)
+	r.ask()
+	r.synced(5, true)
+	r.wantRequeued(a, b, c, a, b)
+	r.synced(5, true)
+	r.wantRequeued(a, b, c, a, b)
+}
+
+// FuzzWindowStep plays an arbitrary runtime against the machine: each script
+// byte pair is one thing that can happen around it — an engine replaced or
+// retired and the evEngine that says so (whenever the script gets to it), a
+// decision of the live engine for a slot it may hold, work, a tick, an ask,
+// the end of a round (asked for or not) anywhere at or above the floor, a
+// commit that changes the view. Whatever the script, the rig's checks hold
+// (a commit is for the floor and a commit or fxSync ends its step; none of
+// either while a round is in flight; no slot below the floor or twice; no
+// batch above an empty slot), commits are in instance order and once each,
+// and the buffers stay bounded: W parked, W proposed, W early per generation
+// the machine has not been told about.
+func FuzzWindowStep(f *testing.F) {
+	// A leader fills its window, decides out of order, commits across a view change.
+	f.Add([]byte{1, 3, 0, 0, 3, 5, 3, 5, 3, 5, 2, 129, 2, 128, 8, 2, 2, 130, 0, 0, 2, 0, 3, 1})
+	// A round with decisions parked under it, chained, handed over.
+	f.Add([]byte{1, 1, 0, 0, 5, 0, 2, 1, 2, 0, 4, 30, 5, 0, 6, 66, 2, 0, 6, 64, 6, 2, 4, 30, 7, 0, 4, 30})
+	// A candidate: rounds without a seat, then an engine.
+	f.Add([]byte{5, 0, 6, 75, 5, 0, 6, 11, 1, 1, 2, 0, 0, 0, 2, 0, 9, 0, 0, 0, 5, 0, 6, 65})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		const depth = 4
+		r := newRig(t, depth)
+		var (
+			gen     uint64 // the runtime's live engine; the machine may not know yet
+			member  bool
+			decided = make(map[slotRef]bool)
+			unnamed = make(map[uint64]int) // decisions of a generation before its evEngine
+			nextSeq uint64
+		)
+		replace := func(seat bool) { gen, member = gen+1, seat }
+		for ; len(script) >= 2; script = script[2:] {
+			op, arg := script[0]%10, script[1]
+			commits := len(r.commits)
+			switch op {
+			case 0:
+				r.run(event{kind: evEngine, gen: gen, member: member, leads: member && arg&1 == 1})
+			case 1:
+				replace(arg&1 == 1)
+			case 2:
+				at := slotRef{gen, r.floor + int64(arg)%depth}
+				if !member || decided[at] || unnamed[gen] == depth {
+					break // an engine holds W slots, and decides each once
+				}
+				decided[at] = true
+				if gen != r.w.gen {
+					unnamed[gen]++
+				}
+				var value []byte
+				if arg&0x80 != 0 && gen == r.w.gen {
+					value = r.placed[at] // decided as proposed, if this replica proposed
+				}
+				r.decide(gen, at.inst, value)
+			case 3:
+				nextSeq++
+				r.work(testBatch(int64(arg%3), nextSeq, 1+int(arg)%3))
+			case 4:
+				r.now = r.now.Add(time.Duration(arg) * 100 * time.Millisecond)
+				r.run(event{kind: evTick})
+			case 5:
+				r.ask()
+			case 6:
+				r.synced(r.floor+int64(arg)%12, arg&0x40 != 0)
+			case 7:
+				r.q.busy = !r.q.busy
+			case 8:
+				r.viewChangeAt = r.floor + int64(arg)%depth
+			case 9:
+				member = false // retired: the engine stops, its number stays
+			}
+			if n := len(r.commits); n > commits && r.commits[n-1] == r.viewChangeAt {
+				replace(arg&2 == 0)
+			}
+			if !slices.IsSorted(r.commits) || len(slices.Compact(slices.Clone(r.commits))) != len(r.commits) {
+				t.Fatalf("commits out of order or twice: %v", r.commits)
+			}
+			if r.w.floor != r.floor {
+				t.Fatalf("the machine's floor is %d, the runtime's %d", r.w.floor, r.floor)
+			}
+			if p, o, e := len(r.w.parked), len(r.w.proposed), len(r.w.early); p > depth || o > depth || e > depth*int(gen-r.w.gen) {
+				t.Fatalf("buffers grew past the window: %d parked, %d proposed, %d early (W=%d, %d generations ahead)", p, o, e, depth, gen-r.w.gen)
+			}
+		}
+	})
 }

@@ -43,7 +43,8 @@ func MessageHandling(path string) bool {
 // EventLoop reports whether path hosts consensus event-loop goroutines
 // whose call graphs must stay free of blocking operations (looptime).
 // internal/core is not one: its loops (the ordering driver's runtime, the
-// receive loop) block legitimately — on a commit, on a state transfer.
+// receive loop) block legitimately — on a commit, on a catch-up round's
+// Fetcher call.
 func EventLoop(path string) bool {
 	switch path {
 	case "smartchain/internal/consensus":
@@ -58,8 +59,9 @@ func EventLoop(path string) bool {
 // StepMachine names the types in path whose step method is the entry point
 // of a pure state machine (looptime's purity rule): consensus.machine;
 // core.window, the ordering driver under the engine, and core.tail, what a
-// block is owed after it; and catchup.machine, the state-transfer round
-// under Pool.Sync. Empty means none.
+// block is owed after it; and catchup.machine, the state-transfer round,
+// which Pool steps under its lock on the ordering driver's goroutine (Begin,
+// Handle, Tick: no loop, channel or clock of its own). Empty means none.
 func StepMachine(path string) []string {
 	switch path {
 	case "smartchain/internal/consensus", "smartchain/internal/catchup":

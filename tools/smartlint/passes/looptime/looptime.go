@@ -30,8 +30,9 @@
 // (*window).step in internal/core, the ordering driver above it,
 // (*tail).step beside it, what a block is owed once it is executed, and
 // (*machine).step in internal/catchup, the state-transfer round (the
-// blocking rule extends to neither core nor catchup, whose runtimes block
-// legitimately: on a commit, on a full queue, on a Fetcher call).
+// blocking rule extends to neither core nor catchup: core's loops block
+// legitimately — on a commit, on a full queue, on a Fetcher call — and
+// catchup has no loop, the ordering driver steps its machine).
 // Everything reachable from such a step — function literals passed as
 // arguments included, they run inside the step — must be pure: no go
 // statement, no channel operation (send, receive, range, close) or select,

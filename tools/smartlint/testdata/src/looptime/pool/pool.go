@@ -1,6 +1,8 @@
 // Package pool stands in for internal/catchup: looptime's purity rule roots
-// at (*machine).step here, under a runtime (Sync) that blocks on purpose
-// and owns the lock, the channel, the clock and the one timer.
+// at (*machine).step here. The runtime around it (Pool) has no loop of its
+// own: its owner — in a node the ordering driver, whose loop blocks on
+// purpose and owns the channels, the clock and the one timer — calls Handle
+// and Tick, and Pool keeps the lock Stats needs.
 package pool
 
 import (
@@ -10,29 +12,37 @@ import (
 
 type Pool struct {
 	mu sync.Mutex
-	ch chan int
 	m  *machine
 }
 
-// Sync is the runtime: none of what it does is a finding.
-func (p *Pool) Sync(stop <-chan struct{}) int {
+// Handle is the runtime: it steps once under the lock and reports whether
+// the round ended. None of what it does is a finding.
+func (p *Pool) Handle(now time.Time, ev int) bool {
+	p.mu.Lock()
+	fxs := p.m.step(now, ev)
+	p.mu.Unlock()
+	return len(fxs) > 0
+}
+
+func (p *Pool) NextDeadline() time.Time { return p.m.nextDeadline() }
+
+// driverLoop is the owner: it blocks, reads the clock and runs the timer,
+// and none of that is a finding either.
+func driverLoop(p *Pool, replies <-chan int, stop <-chan struct{}) {
 	timer := time.NewTimer(time.Second)
 	defer timer.Stop()
 	for {
 		ev := 0
 		select {
 		case <-stop:
-			return 0
-		case ev = <-p.ch:
+			return
+		case ev = <-replies:
 		case <-timer.C:
 		}
-		p.mu.Lock()
-		fxs := p.m.step(time.Now(), ev)
-		p.mu.Unlock()
-		if len(fxs) > 0 {
-			return fxs[0]
+		if p.Handle(time.Now(), ev) {
+			return
 		}
-		if next := p.m.nextDeadline(); !next.IsZero() {
+		if next := p.NextDeadline(); !next.IsZero() {
 			timer.Reset(time.Until(next))
 		}
 	}
