@@ -141,23 +141,10 @@ func DecodeEndorsedTx(data []byte) (EndorsedTx, error) {
 	d := codec.NewDecoder(data)
 	var tx EndorsedTx
 	tx.Payload = d.ReadBytesCopy()
-	nr := d.Uint32()
-	if d.Err() != nil || nr > 1<<16 {
-		return EndorsedTx{}, codec.ErrTruncated
-	}
-	for i := uint32(0); i < nr; i++ {
-		tx.ReadSet = append(tx.ReadSet, d.Bytes32())
-	}
-	ne := d.Uint32()
-	if d.Err() != nil || ne > 1<<8 {
-		return EndorsedTx{}, codec.ErrTruncated
-	}
-	for i := uint32(0); i < ne; i++ {
-		var s crypto.Signature
-		s.Signer = d.Int32()
-		s.Sig = d.ReadBytesCopy()
-		tx.Endorsements = append(tx.Endorsements, s)
-	}
+	tx.ReadSet = codec.List(d, 32, func(d *codec.Decoder) crypto.Hash { return d.Bytes32() })
+	tx.Endorsements = codec.List(d, 4+4, func(d *codec.Decoder) crypto.Signature {
+		return crypto.Signature{Signer: d.Int32(), Sig: d.ReadBytesCopy()}
+	})
 	if err := d.Finish(); err != nil {
 		return EndorsedTx{}, err
 	}

@@ -97,6 +97,10 @@ func (r *ReplicaInfo) encodeInto(e *codec.Encoder) {
 	e.WriteBytes(r.ConsensusPub)
 }
 
+// minReplicaInfoSize is the smallest encoding of one ReplicaInfo: the ID
+// and two empty length-prefixed keys.
+const minReplicaInfoSize = 4 + 4 + 4
+
 func decodeReplicaInfoFrom(d *codec.Decoder) ReplicaInfo {
 	var r ReplicaInfo
 	r.ID = d.Int32()
@@ -143,32 +147,16 @@ func DecodeViewUpdate(data []byte) (ViewUpdate, error) {
 func decodeViewUpdateFrom(d *codec.Decoder) (ViewUpdate, error) {
 	var u ViewUpdate
 	u.NewViewID = d.Int64()
-	nm := d.Uint32()
-	if d.Err() != nil || nm > 1<<16 {
-		return ViewUpdate{}, fmt.Errorf("decode view update: bad member count")
-	}
-	for i := uint32(0); i < nm && d.Err() == nil; i++ {
-		u.Members = append(u.Members, d.Int32())
-	}
-	nj := d.Uint32()
-	if d.Err() != nil || nj > 1<<16 {
-		return ViewUpdate{}, fmt.Errorf("decode view update: bad joining count")
-	}
-	for i := uint32(0); i < nj && d.Err() == nil; i++ {
-		u.Joining = append(u.Joining, decodeReplicaInfoFrom(d))
-	}
-	nk := d.Uint32()
-	if d.Err() != nil || nk > 1<<16 {
-		return ViewUpdate{}, fmt.Errorf("decode view update: bad key count")
-	}
-	for i := uint32(0); i < nk && d.Err() == nil; i++ {
+	u.Members = codec.List(d, 4, (*codec.Decoder).Int32)
+	u.Joining = codec.List(d, minReplicaInfoSize, decodeReplicaInfoFrom)
+	u.Keys = codec.List(d, 8+4+4+4, func(d *codec.Decoder) crypto.CertifiedKey {
 		var k crypto.CertifiedKey
 		k.ViewID = d.Int64()
 		k.Signer = d.Int32()
 		k.ConsensusPub = crypto.PublicKey(d.ReadBytesCopy())
 		k.PermanentSig = d.ReadBytesCopy()
-		u.Keys = append(u.Keys, k)
-	}
+		return k
+	})
 	if d.Err() != nil {
 		return ViewUpdate{}, fmt.Errorf("decode view update: %w", d.Err())
 	}
@@ -226,13 +214,7 @@ func decodeBodyFrom(d *codec.Decoder) (Body, error) {
 		return Body{}, err
 	}
 	b.Proof = proof
-	nr := d.Uint32()
-	if d.Err() != nil || nr > 1<<20 {
-		return Body{}, fmt.Errorf("decode body: bad result count")
-	}
-	for i := uint32(0); i < nr && d.Err() == nil; i++ {
-		b.Results = append(b.Results, d.ReadBytesCopy())
-	}
+	b.Results = codec.List(d, 4, (*codec.Decoder).ReadBytesCopy)
 	if d.Bool() {
 		u, err := decodeViewUpdateFrom(codec.NewDecoder(d.ReadBytes()))
 		if err != nil {

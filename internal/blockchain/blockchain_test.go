@@ -15,7 +15,7 @@ import (
 // permanent and per-view consensus keys and can sign proofs, certificates,
 // and view updates like a full consortium would.
 type chainBuilder struct {
-	t             *testing.T
+	t             testing.TB
 	genesis       Genesis
 	ledger        *Ledger
 	blocks        []Block
@@ -25,7 +25,7 @@ type chainBuilder struct {
 	cid           int64
 }
 
-func newChainBuilder(t *testing.T, n int) *chainBuilder {
+func newChainBuilder(t testing.TB, n int) *chainBuilder {
 	t.Helper()
 	b := &chainBuilder{
 		t:             t,

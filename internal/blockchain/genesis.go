@@ -49,20 +49,10 @@ func DecodeGenesis(data []byte) (Genesis, error) {
 	d := codec.NewDecoder(data)
 	var g Genesis
 	g.ChainID = d.String()
-	nr := d.Uint32()
-	if d.Err() != nil || nr > 1<<12 {
-		return Genesis{}, fmt.Errorf("decode genesis: bad replica count")
-	}
-	for i := uint32(0); i < nr; i++ {
-		g.Replicas = append(g.Replicas, decodeReplicaInfoFrom(d))
-	}
-	nm := d.Uint32()
-	if d.Err() != nil || nm > 1<<16 {
-		return Genesis{}, fmt.Errorf("decode genesis: bad minter count")
-	}
-	for i := uint32(0); i < nm; i++ {
-		g.Minters = append(g.Minters, crypto.PublicKey(d.ReadBytesCopy()))
-	}
+	g.Replicas = codec.List(d, minReplicaInfoSize, decodeReplicaInfoFrom)
+	g.Minters = codec.List(d, 4, func(d *codec.Decoder) crypto.PublicKey {
+		return crypto.PublicKey(d.ReadBytesCopy())
+	})
 	g.CheckpointPeriod = d.Int64()
 	g.MaxBatchSize = int(d.Int64())
 	if err := d.Finish(); err != nil {

@@ -1,48 +1,15 @@
 package catchup
 
 import (
-	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
 
 	"smartchain/internal/codec"
+	"smartchain/internal/codec/codectest"
 	"smartchain/internal/crypto"
 	"smartchain/internal/storage"
 )
-
-// fuzzDecoder holds one decoder to the contract of the consensus decoders:
-// on arbitrary bytes it must not panic, must not allocate more than a small
-// multiple of the input, and whatever it accepts must survive an
-// encode/decode round trip unchanged.
-func fuzzDecoder[M any](t *testing.T, data []byte, decode func([]byte) (M, error), encode func(M) []byte) {
-	// TotalAlloc is process-wide and the fuzz worker's own goroutines
-	// allocate too: a decoder blow-up repeats, their noise does not.
-	limit := uint64(64*len(data) + 16<<10)
-	var m M
-	var err error
-	for try, grew := 0, limit+1; grew > limit; try++ {
-		if try == 3 {
-			t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), grew, limit)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m, err = decode(data)
-		runtime.ReadMemStats(&after)
-		grew = after.TotalAlloc - before.TotalAlloc
-	}
-	if err != nil {
-		return
-	}
-	again, err := decode(encode(m))
-	if err != nil {
-		t.Fatalf("re-decoding an accepted message: %v", err)
-	}
-	if !reflect.DeepEqual(m, again) {
-		t.Fatalf("round trip changed the message:\n%+v\n%+v", m, again)
-	}
-}
 
 // envelopeBomb is a 76-byte MsgEnvelopeRep whose 24-byte snapshot-envelope
 // header declares 2^20 chunk digests and carries none: 32 MiB to any
@@ -66,9 +33,11 @@ func envelopeBomb() []byte {
 func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add(newFakeWorld(100, 160, 4).env.Encode())
 	f.Add(envelopeBomb())
+	outer := codectest.Of("DecodeEnvelope", DecodeEnvelope, func(e **Envelope) []byte { return (*e).Encode() })
+	inner := codectest.Of("DecodeSnapEnvelope", storage.DecodeSnapEnvelope, (*storage.SnapEnvelope).Encode)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzDecoder(t, data, DecodeEnvelope, (*Envelope).Encode)
-		fuzzDecoder(t, data, storage.DecodeSnapEnvelope, func(e storage.SnapEnvelope) []byte { return e.Encode() })
+		outer.Check(t, data)
+		inner.Check(t, data)
 	})
 }
 

@@ -10,7 +10,11 @@
 // uint32-length-prefixed byte strings. Decoders are sticky-error: after the
 // first malformed field every subsequent read returns zero values, and Err
 // reports the failure, so callers can decode an entire struct and check the
-// error once.
+// error once. A list is a uint32 element count followed by the elements;
+// Count (and List on top of it) is the one way to read that count: a count
+// the unread input cannot back sets the sticky error before anything is
+// allocated for it, so no decoder sizes memory from a number it has not
+// checked against the bytes it was actually given.
 package codec
 
 import (
@@ -28,7 +32,7 @@ const MaxBytesLen = 64 << 20
 // and storage layers to distinguish torn records from corruption.
 var (
 	ErrTruncated = errors.New("codec: truncated input")
-	ErrOversized = errors.New("codec: field exceeds maximum length")
+	ErrOversized = errors.New("codec: declared length exceeds its bound")
 	ErrTrailing  = errors.New("codec: trailing bytes after decode")
 )
 
@@ -227,4 +231,40 @@ func (d *Decoder) ReadBytesCopy() []byte {
 func (d *Decoder) String() string {
 	b := d.ReadBytes()
 	return string(b)
+}
+
+// Count reads the uint32 element count of a list whose elements each take at
+// least minElem bytes of input (4 for a length-prefixed field, 32 for a hash;
+// never 0). A count the unread input cannot back — count × minElem >
+// Remaining — sets the sticky error to ErrOversized and reads as 0, so
+// callers may size a slice or map from the result.
+func (d *Decoder) Count(minElem int) int {
+	if minElem <= 0 {
+		panic("codec: Count needs a positive minimum element size")
+	}
+	n := d.Uint32()
+	if d.err != nil {
+		return 0
+	}
+	if uint64(n)*uint64(minElem) > uint64(d.Remaining()) {
+		d.err = fmt.Errorf("%w: %d elements of at least %d bytes in %d", ErrOversized, n, minElem, d.Remaining())
+		return 0
+	}
+	return int(n)
+}
+
+// List reads a Count-bounded list into a slice sized from the count, calling
+// elem once per element and stopping at the first error; the result is nil
+// for an empty list. Callers check Err (or Finish) afterwards as for any
+// other field.
+func List[T any](d *Decoder, minElem int, elem func(*Decoder) T) []T {
+	n := d.Count(minElem)
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for ; n > 0 && d.err == nil; n-- {
+		out = append(out, elem(d))
+	}
+	return out
 }

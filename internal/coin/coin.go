@@ -176,23 +176,10 @@ func Decode(data []byte) (Tx, error) {
 	var tx Tx
 	tx.Type = TxType(d.Byte())
 	tx.Issuer = crypto.PublicKey(d.ReadBytesCopy())
-	nIn := d.Uint32()
-	if d.Err() != nil || nIn > 1<<16 {
-		return Tx{}, fmt.Errorf("%w: inputs", ErrMalformedTx)
-	}
-	for i := uint32(0); i < nIn; i++ {
-		tx.Inputs = append(tx.Inputs, d.Bytes32())
-	}
-	nOut := d.Uint32()
-	if d.Err() != nil || nOut > 1<<16 {
-		return Tx{}, fmt.Errorf("%w: outputs", ErrMalformedTx)
-	}
-	for i := uint32(0); i < nOut; i++ {
-		var o Output
-		o.Owner = crypto.PublicKey(d.ReadBytesCopy())
-		o.Value = d.Uint64()
-		tx.Outputs = append(tx.Outputs, o)
-	}
+	tx.Inputs = codec.List(d, 32, func(d *codec.Decoder) CoinID { return d.Bytes32() })
+	tx.Outputs = codec.List(d, 4+8, func(d *codec.Decoder) Output {
+		return Output{Owner: crypto.PublicKey(d.ReadBytesCopy()), Value: d.Uint64()}
+	})
 	tx.Nonce = d.Uint64()
 	if err := d.Finish(); err != nil {
 		return Tx{}, fmt.Errorf("%w: %v", ErrMalformedTx, err)

@@ -307,44 +307,30 @@ func (s *Service) Snapshot() []byte {
 	return e.Bytes()
 }
 
-// minSnapshotCoinSize is the smallest possible encoding of one coin in a
-// snapshot: a 32-byte ID, a 4-byte owner length prefix, and an 8-byte
-// value. Used to bound declared counts against the actual buffer before
-// allocating.
-const minSnapshotCoinSize = 32 + 4 + 8
-
 // Restore replaces the service state with a snapshot produced by Snapshot.
-// Declared element counts are validated against the remaining buffer length
-// BEFORE any allocation sized by them: a corrupt or Byzantine state-transfer
-// snapshot must not be able to force a multi-gigabyte pre-allocation that
-// decoding would only reject afterwards.
+// Both element counts go through codec.Count, so a corrupt or Byzantine
+// state-transfer snapshot cannot force a pre-allocation its own length does
+// not back.
 func (s *Service) Restore(snapshot []byte) error {
 	d := codec.NewDecoder(snapshot)
-	nMinters := d.Uint32()
-	// Each minter costs at least its 4-byte length prefix.
-	if d.Err() != nil || nMinters > 1<<20 || int(nMinters) > d.Remaining()/4 {
-		return fmt.Errorf("coin restore: bad minter count")
-	}
+	nMinters := d.Count(4) // a length-prefixed key
 	minters := make(map[string]bool, nMinters)
-	for i := uint32(0); i < nMinters; i++ {
+	for ; nMinters > 0 && d.Err() == nil; nMinters-- {
 		minters[string(d.ReadBytes())] = true
 	}
-	nCoins := d.Uint32()
+	nCoins := d.Count(32 + 4 + 8) // ID, owner length prefix, value
 	if d.Err() != nil {
 		return fmt.Errorf("coin restore: %w", d.Err())
-	}
-	if int(nCoins) > d.Remaining()/minSnapshotCoinSize {
-		return fmt.Errorf("coin restore: coin count %d exceeds snapshot size", nCoins)
 	}
 	// Decode straight into fresh shard maps and a fresh balance index; the
 	// live state is untouched until the whole snapshot has parsed.
 	var utxos [stateShards]map[CoinID]Coin
 	var sums [stateShards]map[string]uint64
 	for i := range utxos {
-		utxos[i] = make(map[CoinID]Coin, int(nCoins)/stateShards)
+		utxos[i] = make(map[CoinID]Coin, nCoins/stateShards)
 		sums[i] = make(map[string]uint64)
 	}
-	for i := uint32(0); i < nCoins; i++ {
+	for ; nCoins > 0 && d.Err() == nil; nCoins-- {
 		var c Coin
 		c.ID = d.Bytes32()
 		c.Owner = crypto.PublicKey(d.ReadBytesCopy())

@@ -1,11 +1,10 @@
 package consensus
 
 import (
-	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
+	"smartchain/internal/codec/codectest"
 	"smartchain/internal/crypto"
 	"smartchain/internal/transport"
 )
@@ -36,75 +35,39 @@ func fuzzSeeds() (propose proposeMsg, vote voteMsg, decided decidedMsg, stop epo
 	return
 }
 
-// fuzzDecoder checks one decoder on arbitrary bytes: it must not panic, must
-// not allocate more than a small multiple of the input, and whatever it
-// accepts must survive an encode/decode round trip unchanged.
-func fuzzDecoder[M any](t *testing.T, data []byte, decode func([]byte) (M, error), encode func(*M) []byte) {
-	// TotalAlloc is process-wide and the fuzz worker's own goroutines
-	// allocate too: a decoder blow-up repeats, their noise does not.
-	limit := uint64(64*len(data) + 16<<10)
-	var m M
-	var err error
-	for try, grew := 0, limit+1; grew > limit; try++ {
-		if try == 3 {
-			t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), grew, limit)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m, err = decode(data)
-		runtime.ReadMemStats(&after)
-		grew = after.TotalAlloc - before.TotalAlloc
-	}
-	if err != nil {
-		return
-	}
-	again, err := decode(encode(&m))
-	if err != nil {
-		t.Fatalf("re-decoding an accepted message: %v", err)
-	}
-	if !reflect.DeepEqual(m, again) {
-		t.Fatalf("round trip changed the message:\n%+v\n%+v", m, again)
-	}
-}
-
 func FuzzDecodePropose(f *testing.F) {
 	seed, _, _, _, _ := fuzzSeeds()
 	f.Add(seed.encode())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzDecoder(t, data, decodePropose, (*proposeMsg).encode)
-	})
+	row := codectest.Of("decodePropose", decodePropose, (*proposeMsg).encode)
+	f.Fuzz(func(t *testing.T, data []byte) { row.Check(t, data) })
 }
 
 func FuzzDecodeVote(f *testing.F) {
 	_, seed, _, _, _ := fuzzSeeds()
 	f.Add(seed.encode())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzDecoder(t, data, decodeVote, (*voteMsg).encode)
-	})
+	row := codectest.Of("decodeVote", decodeVote, (*voteMsg).encode)
+	f.Fuzz(func(t *testing.T, data []byte) { row.Check(t, data) })
 }
 
 func FuzzDecodeDecided(f *testing.F) {
 	_, _, seed, _, _ := fuzzSeeds()
 	f.Add(seed.encode())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzDecoder(t, data, decodeDecided, (*decidedMsg).encode)
-	})
+	row := codectest.Of("decodeDecided", decodeDecided, (*decidedMsg).encode)
+	f.Fuzz(func(t *testing.T, data []byte) { row.Check(t, data) })
 }
 
 func FuzzDecodeEpochStop(f *testing.F) {
 	_, _, _, seed, _ := fuzzSeeds()
 	f.Add(seed.encode())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzDecoder(t, data, decodeEpochStop, (*epochStopMsg).encode)
-	})
+	row := codectest.Of("decodeEpochStop", decodeEpochStop, (*epochStopMsg).encode)
+	f.Fuzz(func(t *testing.T, data []byte) { row.Check(t, data) })
 }
 
 func FuzzDecodeEpochSync(f *testing.F) {
 	_, _, _, _, seed := fuzzSeeds()
 	f.Add(seed.encode())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzDecoder(t, data, decodeEpochSync, (*epochSyncMsg).encode)
-	})
+	row := codectest.Of("decodeEpochSync", decodeEpochSync, (*epochSyncMsg).encode)
+	f.Fuzz(func(t *testing.T, data []byte) { row.Check(t, data) })
 }
 
 // FuzzMachineStep feeds one arbitrary frame (twice: the replay takes the

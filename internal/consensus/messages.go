@@ -249,19 +249,9 @@ func decodeWriteCert(d *codec.Decoder) (writeCert, error) {
 	c.Instance = d.Int64()
 	c.Epoch = d.Int64()
 	c.Digest = d.Bytes32()
-	n := d.Uint32()
-	if d.Err() != nil {
-		return writeCert{}, d.Err()
-	}
-	if n > 4096 {
-		return writeCert{}, fmt.Errorf("implausible write cert size %d", n)
-	}
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		var s crypto.Signature
-		s.Signer = d.Int32()
-		s.Sig = d.ReadBytesCopy()
-		c.Sigs = append(c.Sigs, s)
-	}
+	c.Sigs = codec.List(d, 4+4, func(d *codec.Decoder) crypto.Signature {
+		return crypto.Signature{Signer: d.Int32(), Sig: d.ReadBytesCopy()}
+	})
 	if err := d.Err(); err != nil {
 		return writeCert{}, err
 	}
@@ -326,6 +316,11 @@ func (c *slotClaim) encodeInto(e *codec.Encoder) {
 		c.DProof.EncodeInto(e)
 	}
 }
+
+// minSlotClaimSize is the smallest encoding of one claim: instance, kind,
+// epoch, an empty value, and the lighter of the two kinds of evidence (a
+// decision proof with no signatures: digest plus count).
+const minSlotClaimSize = 8 + 1 + 8 + 4 + 32 + 4
 
 func decodeSlotClaimFrom(d *codec.Decoder) (slotClaim, error) {
 	var c slotClaim
@@ -433,11 +428,7 @@ func decodeEpochStop(data []byte) (epochStopMsg, error) {
 	m.NextEpoch = d.Int64()
 	m.Voter = d.Int32()
 	m.Floor = d.Int64()
-	n := d.Uint32()
-	if d.Err() != nil || n > 1024 {
-		return epochStopMsg{}, fmt.Errorf("decode epoch stop: bad claim count")
-	}
-	for i := uint32(0); i < n; i++ {
+	for n := d.Count(minSlotClaimSize); n > 0; n-- {
 		c, err := decodeSlotClaimFrom(d)
 		if err != nil {
 			return epochStopMsg{}, fmt.Errorf("decode epoch stop claim: %w", err)
@@ -510,27 +501,16 @@ func decodeEpochSync(data []byte) (epochSyncMsg, error) {
 	d := codec.NewDecoder(data)
 	var m epochSyncMsg
 	m.NextEpoch = d.Int64()
-	nj := d.Uint32()
-	if d.Err() != nil || nj > 4096 {
-		return epochSyncMsg{}, fmt.Errorf("decode epoch sync: bad justification count")
-	}
-	for i := uint32(0); i < nj; i++ {
+	for n := d.Count(4); n > 0; n-- { // each a length-prefixed EPOCH-STOP
 		sm, err := decodeEpochStop(d.ReadBytes())
 		if err != nil {
 			return epochSyncMsg{}, fmt.Errorf("decode epoch sync justification: %w", err)
 		}
 		m.Justif = append(m.Justif, sm)
 	}
-	ns := d.Uint32()
-	if d.Err() != nil || ns > 4096 {
-		return epochSyncMsg{}, fmt.Errorf("decode epoch sync: bad slot count")
-	}
-	for i := uint32(0); i < ns && d.Err() == nil; i++ {
-		var sp slotProposal
-		sp.Instance = d.Int64()
-		sp.Value = d.ReadBytesCopy()
-		m.Slots = append(m.Slots, sp)
-	}
+	m.Slots = codec.List(d, 8+4, func(d *codec.Decoder) slotProposal {
+		return slotProposal{Instance: d.Int64(), Value: d.ReadBytesCopy()}
+	})
 	if err := d.Finish(); err != nil {
 		return epochSyncMsg{}, fmt.Errorf("decode epoch sync: %w", err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"smartchain/internal/blockchain"
 	"smartchain/internal/codec"
+	"smartchain/internal/codec/codectest"
 	"smartchain/internal/coin"
 	"smartchain/internal/crypto"
 	"smartchain/internal/smr"
@@ -264,7 +265,7 @@ func TestRetiredStateTransferFramesDropped(t *testing.T) {
 // FuzzDecodeCatchupWire covers the four catch-up frames core decodes itself
 // (the envelope reply is catchup.FuzzDecodeEnvelope's): the two requests the
 // donor side reads off any sender, and the two replies the dispatch goroutine
-// decodes for the ordering driver. Each under the contract of fuzzDecoder.
+// decodes for the ordering driver. Each under the contract of codectest.
 func FuzzDecodeCatchupWire(f *testing.F) {
 	blocks := make([]blockchain.Block, 3)
 	for i := range blocks {
@@ -297,10 +298,15 @@ func FuzzDecodeCatchupWire(f *testing.F) {
 	rep.Uint32(1)
 	rep.WriteBytes(blk.Bytes())
 	f.Add(rep.Bytes())
+	rows := []codectest.Row{
+		codectest.Of("decodeChunkReq", decodeChunkReq, (*chunkReq).encode),
+		codectest.Of("decodeRangeReq", decodeRangeReq, (*rangeReq).encode),
+		codectest.Of("decodeChunkRep", decodeChunkRep, (*chunkRep).encode),
+		codectest.Of("decodeRangeRep", decodeRangeRep, (*rangeRep).encode),
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzDecoder(t, data, decodeChunkReq, (*chunkReq).encode)
-		fuzzDecoder(t, data, decodeRangeReq, (*rangeReq).encode)
-		fuzzDecoder(t, data, decodeChunkRep, (*chunkRep).encode)
-		fuzzDecoder(t, data, decodeRangeRep, (*rangeRep).encode)
+		for _, row := range rows {
+			row.Check(t, data)
+		}
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"smartchain/internal/blockchain"
 	"smartchain/internal/consensus"
 	"smartchain/internal/crypto"
-	"smartchain/internal/reconfig"
 	"smartchain/internal/smr"
 	"smartchain/internal/storage"
 	"smartchain/internal/transport"
@@ -66,8 +65,6 @@ type ClusterConfig struct {
 	NetBandwidth float64
 	// ChainID names the deployment.
 	ChainID string
-	// Policy admits join candidates (nil = admit all).
-	Policy reconfig.Policy
 	// CatchupChunkBytes / CatchupPeerTimeout mirror Config (0 = defaults).
 	CatchupChunkBytes  int
 	CatchupPeerTimeout time.Duration
@@ -92,9 +89,6 @@ type ClusterConfig struct {
 	// to per-frame delivery delay; NetBandwidth and MemNetwork-based fault
 	// filters are not modeled over TCP.
 	TCPWire bool
-	// TCPOptions tunes every TCPNetwork the fabric creates (queue depth,
-	// backpressure policy, TLS, backoff).
-	TCPOptions []transport.TCPOption
 }
 
 // ChainSpec describes a fabricated pre-committed chain: Blocks application
@@ -187,7 +181,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		nextClientID: transport.ClientIDBase,
 	}
 	if cfg.TCPWire {
-		c.Fabric = transport.NewTCPFabric([]byte("smartchain/"+cfg.ChainID), cfg.TCPOptions...)
+		c.Fabric = transport.NewTCPFabric([]byte("smartchain/" + cfg.ChainID))
 		if cfg.NetLatency > 0 {
 			c.Fabric.SetDelay(&transport.DelayDist{Base: cfg.NetLatency})
 		}
@@ -423,7 +417,6 @@ func (c *Cluster) startNode(cn *ClusterNode, initialKey *crypto.KeyPair, syncPee
 		Snapshots:           cn.Snapshots,
 		KeyFile:             cn.KeyFile,
 		App:                 cn.App,
-		Policy:              c.cfg.Policy,
 		Persistence:         c.cfg.Persistence,
 		Storage:             c.cfg.Storage,
 		Verify:              c.cfg.Verify,

@@ -441,7 +441,7 @@ func TestConfigFieldBudget(t *testing.T) {
 		budget int
 	}{
 		{reflect.TypeOf(Config{}), 24},
-		{reflect.TypeOf(ClusterConfig{}), 28},
+		{reflect.TypeOf(ClusterConfig{}), 26},
 	} {
 		if n := c.typ.NumField(); n > c.budget {
 			t.Errorf("%s has %d fields, budget %d: justify the new field in DESIGN.md \"Knobs\" "+

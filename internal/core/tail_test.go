@@ -2,13 +2,12 @@ package core
 
 import (
 	"fmt"
-	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
 
 	"smartchain/internal/blockchain"
+	"smartchain/internal/codec/codectest"
 	"smartchain/internal/coin"
 	"smartchain/internal/crypto"
 	"smartchain/internal/smr"
@@ -474,44 +473,12 @@ func TestTailShareFloodIsBounded(t *testing.T) {
 	}
 }
 
-// fuzzDecoder checks one decoder on arbitrary bytes: it must not panic, must
-// not allocate more than a small multiple of the input, and whatever it
-// accepts must survive an encode/decode round trip unchanged.
-func fuzzDecoder[M any](t *testing.T, data []byte, decode func([]byte) (M, error), encode func(*M) []byte) {
-	// TotalAlloc is process-wide and the fuzz worker's own goroutines
-	// allocate too: a decoder blow-up repeats, their noise does not.
-	limit := uint64(64*len(data) + 16<<10)
-	var m M
-	var err error
-	for try, grew := 0, limit+1; grew > limit; try++ {
-		if try == 3 {
-			t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), grew, limit)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m, err = decode(data)
-		runtime.ReadMemStats(&after)
-		grew = after.TotalAlloc - before.TotalAlloc
-	}
-	if err != nil {
-		return
-	}
-	again, err := decode(encode(&m))
-	if err != nil {
-		t.Fatalf("re-decoding an accepted message: %v", err)
-	}
-	if !reflect.DeepEqual(m, again) {
-		t.Fatalf("round trip changed the message:\n%+v\n%+v", m, again)
-	}
-}
-
 func FuzzDecodePersistMsg(f *testing.F) {
 	seed := newTailRig(f, true).shareOf(1, 11, tailHash(11))
 	f.Add(seed.encode())
 	f.Add([]byte("not a share"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzDecoder(t, data, decodePersistMsg, (*persistMsg).encode)
-	})
+	row := codectest.Of("decodePersistMsg", decodePersistMsg, (*persistMsg).encode)
+	f.Fuzz(func(t *testing.T, data []byte) { row.Check(t, data) })
 }
 
 // FuzzTailStep plays a script of arbitrary shares, reads and ticks around

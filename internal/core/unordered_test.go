@@ -3,13 +3,16 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"smartchain/internal/client"
+	"smartchain/internal/codec"
 	"smartchain/internal/coin"
 	"smartchain/internal/crypto"
+	"smartchain/internal/smr"
 )
 
 // balanceOf runs one unordered balance query through the proxy.
@@ -83,6 +86,65 @@ func TestUnorderedReadSkipsConsensus(t *testing.T) {
 	}
 	if served < 3*reads {
 		t.Fatalf("cluster served %d unordered reads, want ≥ %d", served, 3*reads)
+	}
+}
+
+// TestMalformedTxFloodCostsNoMemory: anyone may sign a request with a key
+// generated a moment ago, and every replica that receives it decodes the
+// operation (app.VerifyOp) before ordering. 100 requests carrying the 17-byte
+// transaction that declares 2^16 inputs, sent to each of 4 in-process
+// replicas, cost 400 × 10 MB ≈ 4 GB of allocation when the decoder appended
+// a zero coin ID per declared input; refused at the count they cost nothing
+// to speak of, and an honest client's transfer commits behind them.
+func TestMalformedTxFloodCostsNoMemory(t *testing.T) {
+	c, minter := testCluster(t, 4, nil)
+	p := registeredClient(t, c, minter)
+	defer p.Close()
+	mint(t, p, 1, 100) // the cluster is warm before allocation is sampled
+
+	body := codec.NewEncoder(9)
+	body.Byte(byte(coin.TxSpend))
+	body.WriteBytes(nil)
+	body.Uint32(1 << 16)
+	tx := codec.NewEncoder(17)
+	tx.WriteBytes(body.Bytes())
+	tx.WriteBytes(nil)
+
+	stranger, err := crypto.GenerateKeyPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := c.ClientEndpoint()
+	defer ep.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for seq := uint64(1); seq <= 100; seq++ {
+		req, err := smr.NewSignedRequest(int64(ep.ID()), seq, WrapAppOp(tx.Bytes()), stranger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range c.Members() {
+			if err := ep.Send(m, MsgRequest, req.Encode()); err != nil {
+				t.Fatalf("send to %d: %v", m, err)
+			}
+		}
+	}
+	coins := mint(t, p, 2, 50)
+	alice := crypto.SeededKeyPair("alice", 1)
+	spend, err := coin.NewSpend(minter, 3, coins, []coin.Output{{Owner: alice.Public(), Value: 50}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Invoke(context.Background(), WrapAppOp(spend.Encode()))
+	if err != nil {
+		t.Fatalf("transfer behind the flood: %v", err)
+	}
+	if code, _, err := coin.ParseResult(res); err != nil || code != coin.ResultOK {
+		t.Fatalf("transfer behind the flood: code=%d err=%v", code, err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("400 malformed 17-byte transactions made the process allocate %d MiB", grew>>20)
 	}
 }
 

@@ -64,13 +64,10 @@ func encodeView(v view.View) []byte {
 func decodeView(data []byte) (view.View, error) {
 	d := codec.NewDecoder(data)
 	id := d.Int64()
-	nm := d.Uint32()
-	if d.Err() != nil || nm > 1<<16 {
-		return view.View{}, fmt.Errorf("decode view: bad member count")
-	}
+	nm := d.Count(4 + 4) // member ID and a length-prefixed key
 	members := make([]int32, 0, nm)
 	keys := make(map[int32]crypto.PublicKey, nm)
-	for i := uint32(0); i < nm; i++ {
+	for ; nm > 0 && d.Err() == nil; nm-- {
 		m := d.Int32()
 		key := d.ReadBytesCopy()
 		members = append(members, m)
@@ -156,39 +153,23 @@ func decodeSnapshotEnvelope(data []byte) (snapshotEnvelope, error) {
 		return snapshotEnvelope{}, err
 	}
 	s.View = v
-	nk := d.Uint32()
-	if d.Err() != nil || nk > 1<<16 {
-		return snapshotEnvelope{}, fmt.Errorf("decode snapshot: bad key count")
-	}
+	nk := d.Count(4 + 4) // member ID and a length-prefixed key
 	s.PermKeys = make(map[int32]crypto.PublicKey, nk)
-	for i := uint32(0); i < nk; i++ {
+	for ; nk > 0 && d.Err() == nil; nk-- {
 		id := d.Int32()
 		s.PermKeys[id] = crypto.PublicKey(d.ReadBytesCopy())
 	}
-	nw := d.Uint32()
-	if d.Err() != nil || nw > 1<<24 {
-		return snapshotEnvelope{}, fmt.Errorf("decode snapshot: bad watermark count")
-	}
+	nw := d.Count(8 + 8 + 8 + 4) // client, low, last seen, executed-set count
 	s.Watermarks = make(map[int64]smr.Watermark, nw)
-	for i := uint32(0); i < nw; i++ {
+	for ; nw > 0 && d.Err() == nil; nw-- {
 		c := d.Int64()
 		var w smr.Watermark
 		w.Low = d.Uint64()
 		w.LastSeen = d.Int64()
-		ne := d.Uint32()
-		if d.Err() != nil || ne > 1<<24 {
-			return snapshotEnvelope{}, fmt.Errorf("decode snapshot: bad executed-set count")
-		}
-		for j := uint32(0); j < ne; j++ {
-			w.Executed = append(w.Executed, d.Uint64())
-		}
+		w.Executed = codec.List(d, 8, (*codec.Decoder).Uint64)
 		s.Watermarks[c] = w
 	}
-	nv := d.Uint32()
-	if d.Err() != nil || nv > 1<<16 {
-		return snapshotEnvelope{}, fmt.Errorf("decode snapshot: bad remove-vote count")
-	}
-	for i := uint32(0); i < nv; i++ {
+	for nv := d.Count(4); nv > 0; nv-- { // each a length-prefixed vote
 		v, err := reconfig.DecodeRemoveVote(d.ReadBytes())
 		if err != nil {
 			return snapshotEnvelope{}, err
@@ -309,11 +290,7 @@ func decodeRangeRep(data []byte) (rangeRep, error) {
 	d := codec.NewDecoder(data)
 	var r rangeRep
 	r.From = d.Int64()
-	nb := d.Uint32()
-	if d.Err() != nil || nb > 1<<20 {
-		return rangeRep{}, fmt.Errorf("decode range rep: bad block count")
-	}
-	for i := uint32(0); i < nb; i++ {
+	for nb := d.Count(4); nb > 0; nb-- { // each a length-prefixed block
 		b, err := blockchain.DecodeBlock(d.ReadBytes())
 		if err != nil {
 			return rangeRep{}, err

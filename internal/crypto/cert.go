@@ -151,12 +151,6 @@ func (r *KeyRing) Len() int { return len(r.keys) }
 
 var _ KeyResolver = (*KeyRing)(nil)
 
-// MaxCertSigs bounds the signature count a decoded certificate may claim —
-// a plausibility cap far above any real view size, shared by every wire
-// format that embeds a Certificate (consensus proofs, block certificates,
-// epoch-change claims) so the codecs cannot drift apart.
-const MaxCertSigs = 1 << 16
-
 // EncodeInto serializes the certificate (digest, then signer/signature
 // pairs) into e. The format is shared by all certificate-bearing wire
 // messages; DecodeCertificateFrom is the inverse.
@@ -173,16 +167,9 @@ func (c *Certificate) EncodeInto(e *codec.Encoder) {
 func DecodeCertificateFrom(d *codec.Decoder) (Certificate, error) {
 	var c Certificate
 	c.Digest = d.Bytes32()
-	n := d.Uint32()
-	if d.Err() != nil || n > MaxCertSigs {
-		return Certificate{}, fmt.Errorf("crypto: decode certificate: bad signature count")
-	}
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		var s Signature
-		s.Signer = d.Int32()
-		s.Sig = d.ReadBytesCopy()
-		c.Sigs = append(c.Sigs, s)
-	}
+	c.Sigs = codec.List(d, 4+4, func(d *codec.Decoder) Signature {
+		return Signature{Signer: d.Int32(), Sig: d.ReadBytesCopy()}
+	})
 	if err := d.Err(); err != nil {
 		return Certificate{}, fmt.Errorf("crypto: decode certificate: %w", err)
 	}

@@ -286,11 +286,7 @@ func DecodeCertificate(data []byte) (Certificate, error) {
 		return Certificate{}, err
 	}
 	c.Request = req
-	n := d.Uint32()
-	if d.Err() != nil || n > 4096 {
-		return Certificate{}, fmt.Errorf("decode certificate: bad vote count")
-	}
-	for i := uint32(0); i < n; i++ {
+	for n := d.Count(4 + 4); n > 0; n-- { // a vote is two length-prefixed fields
 		v, err := decodeVoteFrom(d)
 		if err != nil {
 			return Certificate{}, err

@@ -10,7 +10,7 @@ import (
 
 // fixture builds a 4-member view with permanent keys and key stores.
 type fixture struct {
-	t         *testing.T
+	t         testing.TB
 	view      view.View
 	permanent map[int32]*crypto.KeyPair
 	permPubs  map[int32]crypto.PublicKey
@@ -25,7 +25,7 @@ func seqGen(label string, id int32) func() (*crypto.KeyPair, error) {
 	}
 }
 
-func newFixture(t *testing.T, n int) *fixture {
+func newFixture(t testing.TB, n int) *fixture {
 	t.Helper()
 	f := &fixture{
 		t:         t,

@@ -54,11 +54,8 @@ const (
 // client.
 const UnorderedSeqBit uint64 = 1 << 63
 
-// Errors for request validation.
-var (
-	ErrBadRequestSig = errors.New("smr: invalid request signature")
-	ErrMalformed     = errors.New("smr: malformed message")
-)
+// ErrBadRequestSig is returned by request validation.
+var ErrBadRequestSig = errors.New("smr: invalid request signature")
 
 // Request is one signed client operation. The client's public key travels
 // with the request (as in UTXO systems, the key *is* the identity) so any
@@ -203,6 +200,10 @@ func (r *Request) Encode() []byte {
 	return e.Bytes()
 }
 
+// minRequestSize is the smallest encoding of one request: client, sequence,
+// flags, read floor and three empty length-prefixed fields.
+const minRequestSize = 8 + 8 + 1 + 8 + 4 + 4 + 4
+
 // DecodeRequestFrom reads a request from d.
 func DecodeRequestFrom(d *codec.Decoder) Request {
 	var r Request
@@ -254,18 +255,7 @@ func (b *Batch) Encode() []byte {
 // DecodeBatch parses an encoded batch.
 func DecodeBatch(data []byte) (Batch, error) {
 	d := codec.NewDecoder(data)
-	ts := d.Int64()
-	n := d.Uint32()
-	if d.Err() != nil {
-		return Batch{}, fmt.Errorf("decode batch: %w", d.Err())
-	}
-	if int(n) > len(data)/8+1 {
-		return Batch{}, fmt.Errorf("decode batch: %w: implausible count %d", ErrMalformed, n)
-	}
-	b := Batch{Timestamp: ts, Requests: make([]Request, 0, n)}
-	for i := uint32(0); i < n; i++ {
-		b.Requests = append(b.Requests, DecodeRequestFrom(d))
-	}
+	b := Batch{Timestamp: d.Int64(), Requests: codec.List(d, minRequestSize, DecodeRequestFrom)}
 	if err := d.Finish(); err != nil {
 		return Batch{}, fmt.Errorf("decode batch: %w", err)
 	}
@@ -444,16 +434,7 @@ func DecodeViewInfo(data []byte) (ViewInfo, error) {
 	d := codec.NewDecoder(data)
 	var v ViewInfo
 	v.ViewID = d.Int64()
-	n := d.Uint32()
-	// Bound the pre-allocation by what the payload can actually hold, so a
-	// tiny message with a huge count field cannot force large allocations.
-	if d.Err() != nil || n > 1<<16 || int(n) > len(data)/4 {
-		return ViewInfo{}, fmt.Errorf("decode view info: %w", ErrMalformed)
-	}
-	v.Members = make([]int32, 0, n)
-	for i := uint32(0); i < n; i++ {
-		v.Members = append(v.Members, d.Int32())
-	}
+	v.Members = codec.List(d, 4, (*codec.Decoder).Int32)
 	if err := d.Finish(); err != nil {
 		return ViewInfo{}, fmt.Errorf("decode view info: %w", err)
 	}

@@ -19,10 +19,6 @@ var ErrNoSnapshot = errors.New("storage: no snapshot")
 // spreads across several donors during collaborative catch-up.
 const DefaultChunkBytes = 256 << 10
 
-// maxSnapChunks bounds the number of chunks a decoded envelope may declare
-// (protects LoadEnvelope and wire decoders from hostile counts).
-const maxSnapChunks = 1 << 20
-
 // SnapEnvelope describes a chunked snapshot (paper §V-B3, Algorithm 1 line
 // 54, extended for collaborative state transfer): the number of the last
 // block the state covers, how the state bytes are split into fixed-size
@@ -117,19 +113,7 @@ func DecodeSnapEnvelopeFrom(d *codec.Decoder) (SnapEnvelope, error) {
 	e.LastBlock = d.Int64()
 	e.ChunkBytes = d.Int32()
 	e.TotalBytes = d.Int64()
-	n := d.Uint32()
-	if d.Err() != nil {
-		return SnapEnvelope{}, d.Err()
-	}
-	// Every declared chunk costs 32 bytes of input: a count the rest of the
-	// buffer cannot back is refused before anything is allocated for it.
-	if n > maxSnapChunks || int(n) > d.Remaining()/32 {
-		return SnapEnvelope{}, fmt.Errorf("snapshot envelope: %d chunks: %w", n, ErrCorrupted)
-	}
-	e.Chunks = make([][32]byte, n)
-	for i := range e.Chunks {
-		e.Chunks[i] = d.Bytes32()
-	}
+	e.Chunks = codec.List(d, 32, (*codec.Decoder).Bytes32)
 	e.Meta = d.ReadBytesCopy()
 	if err := d.Err(); err != nil {
 		return SnapEnvelope{}, err

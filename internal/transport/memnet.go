@@ -15,7 +15,6 @@ type MemNetwork struct {
 	endpoints map[int32]*memEndpoint
 
 	latency   time.Duration
-	jitter    DelayDist
 	dropRate  float64
 	rng       *rand.Rand
 	rngMu     sync.Mutex
@@ -99,14 +98,6 @@ func WithLatency(d time.Duration) MemOption {
 	return func(n *MemNetwork) { n.latency = d }
 }
 
-// WithJitter spreads every delivery delay around the base latency: kind
-// selects the distribution, jitter its width (uniform half-range or normal
-// standard deviation). Per-link rules installed with SetLinkDelay take
-// precedence.
-func WithJitter(kind JitterKind, jitter time.Duration) MemOption {
-	return func(n *MemNetwork) { n.jitter = DelayDist{Kind: kind, Jitter: jitter} }
-}
-
 // WithDropRate drops each message independently with probability p, using a
 // deterministic seed so failing tests replay.
 func WithDropRate(p float64, seed int64) MemOption {
@@ -170,13 +161,6 @@ func (n *MemNetwork) Detach(id int32) {
 func (n *MemNetwork) SetLatency(d time.Duration) {
 	n.mu.Lock()
 	n.latency = d
-	n.mu.Unlock()
-}
-
-// SetBandwidth changes the per-sender uplink model at runtime (0 disables).
-func (n *MemNetwork) SetBandwidth(bytesPerSec float64) {
-	n.mu.Lock()
-	n.bandwidth = bytesPerSec
 	n.mu.Unlock()
 }
 
@@ -266,9 +250,7 @@ func (n *MemNetwork) delayFor(from, to int32) DelayDist {
 			}
 		}
 	}
-	d := n.jitter
-	d.Base += n.latency
-	return d
+	return DelayDist{Base: n.latency}
 }
 
 // Heal removes all partitions and isolations.

@@ -20,8 +20,6 @@ type TCPFabric struct {
 	nets  map[int32]*TCPNetwork
 	addrs map[int32]string
 	delay *DelayDist
-	loss  float64
-	seed  int64
 }
 
 // NewTCPFabric creates an empty fabric. opts apply to every endpoint it
@@ -55,9 +53,6 @@ func (f *TCPFabric) Endpoint(id int32) (*TCPNetwork, error) {
 	if f.delay != nil {
 		n.SetDelay(f.delay)
 	}
-	if f.loss > 0 {
-		n.SetLoss(f.loss, f.seed+int64(id))
-	}
 	addr := n.Addr()
 	for _, other := range f.nets {
 		other.AddPeer(id, addr)
@@ -80,17 +75,6 @@ func (f *TCPFabric) SetDelay(d *DelayDist) {
 	}
 	for _, n := range f.nets {
 		n.SetDelay(d)
-	}
-}
-
-// SetLoss applies a frame-loss probability to every current and future
-// endpoint, seeded per process for replayability.
-func (f *TCPFabric) SetLoss(p float64, seed int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.loss, f.seed = p, seed
-	for id, n := range f.nets {
-		n.SetLoss(p, seed+int64(id))
 	}
 }
 

@@ -39,32 +39,9 @@ const (
 	readBufSize  = 64 << 10
 )
 
-// QueuePolicy selects what a full per-peer send queue does with new frames.
-type QueuePolicy int
-
-const (
-	// QueueDropOldest evicts the oldest queued frame to admit the new one
-	// (the default). Matches the fair-links model: the protocols above
-	// tolerate loss, and fresher messages are worth more than stale ones.
-	QueueDropOldest QueuePolicy = iota
-	// QueueBlock makes Send block until the queue has room — backpressure
-	// propagates to the producer instead of dropping. Risky under a peer
-	// outage (senders stall); intended for bulk transfers.
-	QueueBlock
-)
-
-// String implements fmt.Stringer for stats and experiment labels.
-func (p QueuePolicy) String() string {
-	if p == QueueBlock {
-		return "block"
-	}
-	return "drop-oldest"
-}
-
 // tcpOptions carries the tunables of a TCPNetwork.
 type tcpOptions struct {
 	queueDepth  int
-	policy      QueuePolicy
 	dialTimeout time.Duration
 	backoffMin  time.Duration
 	backoffMax  time.Duration
@@ -84,11 +61,6 @@ func WithQueueDepth(depth int) TCPOption {
 			o.queueDepth = depth
 		}
 	}
-}
-
-// WithQueuePolicy selects the full-queue behavior.
-func WithQueuePolicy(p QueuePolicy) TCPOption {
-	return func(o *tcpOptions) { o.policy = p }
 }
 
 // WithDialTimeout bounds one dial attempt.
@@ -240,7 +212,6 @@ type TCPNetwork struct {
 func NewTCPNetwork(id int32, addr string, secret []byte, peers map[int32]string, opts ...TCPOption) (*TCPNetwork, error) {
 	o := tcpOptions{
 		queueDepth:  DefaultQueueDepth,
-		policy:      QueueDropOldest,
 		dialTimeout: defaultDialTimeout,
 		backoffMin:  defaultBackoffInitial,
 		backoffMax:  defaultBackoffMax,
@@ -348,7 +319,7 @@ func (t *TCPNetwork) SetLinkLoss(to int32, p float64) {
 
 // Send implements Endpoint: the frame is queued on the destination's link
 // and written by the link's writer goroutine. Send never blocks on the
-// network (QueueDropOldest) — backpressure shows up in Stats instead. A
+// network — backpressure shows up in Stats instead. A
 // destination with neither a directory entry nor a live return link is the
 // only hard error; everything downstream
 // (dial failures, dead connections) is the link's business: frames queue
@@ -541,11 +512,31 @@ func (t *TCPNetwork) forget(c net.Conn) {
 	}
 }
 
+// readBody reads an n-byte frame body into a buffer of its own. The length
+// header is unauthenticated, so the buffer grows with the bytes that arrive
+// (doubling from readBufSize): a sender holds at most twice what it has
+// actually sent, not the 96 MiB four bytes can claim. A body that fits the
+// first buffer — nearly every frame — is still one exact-size allocation.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, readBufSize))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, buf[got:])
+		if got += m; err != nil {
+			return nil, err
+		}
+		if got == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(n, 2*len(buf)))
+		copy(grown, buf)
+		buf = grown
+	}
+}
+
 // readLoop authenticates and decodes frames off one inbound connection. The
 // length header is read into a reused buffer and the frame body into a
-// single exact-size allocation whose payload section is handed to the
-// receiver without another copy (the body buffer is not reused, so aliasing
-// is safe).
+// buffer whose payload section is handed to the receiver without another
+// copy (the body buffer is not reused, so aliasing is safe).
 func (t *TCPNetwork) readLoop(c net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -567,8 +558,8 @@ func (t *TCPNetwork) readLoop(c net.Conn) {
 			t.protoFails.Add(1)
 			return // protocol violation: drop the link
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
+		buf, err := readBody(br, int(n))
+		if err != nil {
 			return
 		}
 		m, err := t.decodeFrame(buf, mac)
@@ -682,30 +673,20 @@ func (l *peerLink) stats() TCPPeerStats {
 	}
 }
 
-// enqueue admits one encoded frame, applying the queue policy.
+// enqueue admits one encoded frame; a full queue evicts its oldest.
 func (l *peerLink) enqueue(frame []byte) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return
 	}
-	depth := l.net.opts.queueDepth
-	if len(l.queue) >= depth {
-		if l.net.opts.policy == QueueBlock {
-			for len(l.queue) >= depth && !l.closed {
-				l.cond.Wait()
-			}
-			if l.closed {
-				l.mu.Unlock()
-				return
-			}
-		} else {
-			// Drop-oldest: evict from the front so the freshest protocol
-			// state still goes out.
-			drop := 1 + len(l.queue) - depth
-			l.queue = l.queue[drop:]
-			l.dropsFull.Add(int64(drop))
-		}
+	if depth := l.net.opts.queueDepth; len(l.queue) >= depth {
+		// Drop-oldest: evict from the front so the freshest protocol state
+		// still goes out. The protocols above tolerate loss (fair links),
+		// and fresher messages are worth more than stale ones.
+		drop := 1 + len(l.queue) - depth
+		l.queue = l.queue[drop:]
+		l.dropsFull.Add(int64(drop))
 	}
 	l.queue = append(l.queue, frame)
 	l.enqueued.Add(1)
@@ -726,7 +707,6 @@ func (l *peerLink) dequeue() (frame []byte, ok bool) {
 	}
 	frame = l.queue[0]
 	l.queue = l.queue[1:]
-	l.cond.Broadcast() // wake a QueueBlock producer
 	return frame, true
 }
 
@@ -739,7 +719,6 @@ func (l *peerLink) tryDequeue() (frame []byte, ok bool) {
 	}
 	frame = l.queue[0]
 	l.queue = l.queue[1:]
-	l.cond.Broadcast()
 	return frame, true
 }
 

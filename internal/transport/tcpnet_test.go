@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/hmac"
@@ -14,6 +15,7 @@ import (
 	"hash"
 	"math/big"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -115,6 +117,13 @@ func TestTCPWireMalformedFrames(t *testing.T) {
 	enc := codecNet(2, string(secret))
 
 	goodFrame := enc.encodeFrame(Message{From: 2, To: 1, Type: 4, Payload: []byte("ok")})
+	// Larger than four read buffers: the body is assembled across several
+	// growth steps of readBody and must arrive intact.
+	big := make([]byte, 300<<10)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	bigFrame := enc.encodeFrame(Message{From: 2, To: 1, Type: 4, Payload: big})
 	badMAC := enc.encodeFrame(Message{From: 2, To: 1, Type: 4, Payload: []byte("bad")})
 	badMAC[len(badMAC)-1] ^= 0xff
 
@@ -128,9 +137,10 @@ func TestTCPWireMalformedFrames(t *testing.T) {
 		raw       []byte
 		wantProto int64
 		wantAuth  int64
-		delivered bool
+		delivered []byte // the payload that must arrive, nil = none
 	}{
-		{name: "good frame", raw: goodFrame, delivered: true},
+		{name: "good frame", raw: goodFrame, delivered: []byte("ok")},
+		{name: "good frame of several buffers", raw: bigFrame, delivered: big},
 		{name: "oversized length", raw: oversized, wantProto: 1},
 		{name: "truncated header", raw: truncated, wantProto: 1},
 		{name: "bad mac", raw: badMAC, wantAuth: 1},
@@ -146,10 +156,10 @@ func TestTCPWireMalformedFrames(t *testing.T) {
 			if _, err := c.Write(tc.raw); err != nil {
 				t.Fatalf("write: %v", err)
 			}
-			if tc.delivered {
+			if tc.delivered != nil {
 				m := recvOne(t, rcv, 2*time.Second)
-				if m.Type != 4 || string(m.Payload) != "ok" {
-					t.Fatalf("bad delivery: %+v", m)
+				if m.Type != 4 || !bytes.Equal(m.Payload, tc.delivered) {
+					t.Fatalf("bad delivery: type %d, %d payload bytes", m.Type, len(m.Payload))
 				}
 				return
 			}
@@ -272,35 +282,58 @@ func TestTCPQueueDropOldestAccounting(t *testing.T) {
 	}
 }
 
-func TestTCPQueueBlockPolicyBlocksAndReleasesOnClose(t *testing.T) {
-	a, err := NewTCPNetwork(1, "127.0.0.1:0", []byte("s"),
-		map[int32]string{2: deadAddr(t)},
-		WithQueueDepth(2),
-		WithQueuePolicy(QueueBlock),
-		WithBackoff(time.Second, time.Second),
-		WithDialTimeout(50*time.Millisecond),
-		withLogf(func(string, ...any) {}))
+// TestTCPLengthHeaderAlonePinsNothing: the length header is unauthenticated,
+// so a peer in nobody's directory must not be able to pin a frame's worth of
+// memory with four bytes. Two connections each claim a maxFrameSize frame and
+// stall; the receiver may hold a read buffer and a first body buffer for
+// each, nothing near the 2 × 96 MiB claimed (what make([]byte, n) cost
+// before the body was read as it arrives).
+func TestTCPLengthHeaderAlonePinsNothing(t *testing.T) {
+	rcv, err := NewTCPNetwork(1, "127.0.0.1:0", []byte("wire-secret"), nil, withLogf(func(string, ...any) {}))
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 6; i++ {
-			_ = a.Send(2, uint16(i), []byte("frame"))
-		}
-	}()
-	select {
-	case <-done:
-		t.Fatal("QueueBlock never applied backpressure (6 sends into depth-2 queue on a dead peer)")
-	case <-time.After(150 * time.Millisecond):
+	defer rcv.Close()
+	readers := func() int {
+		rcv.mu.Lock()
+		defer rcv.mu.Unlock()
+		return len(rcv.inbound)
 	}
-	a.Close()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Close did not release a blocked sender")
+	waitReaders := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); readers() != want; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d readers, want %d", readers(), want)
+			}
+		}
+	}
+	header := binary.BigEndian.AppendUint32(nil, maxFrameSize)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var conns []net.Conn
+	for i := 0; i < 2; i++ {
+		c, err := net.Dial("tcp", rcv.Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer c.Close()
+		if _, err := c.Write(header); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		conns = append(conns, c)
+	}
+	waitReaders(len(conns))
+	time.Sleep(100 * time.Millisecond) // the readers are parked on the missing bodies
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("two stalled 4-byte headers made the receiver allocate %d bytes", grew)
+	}
+	for _, c := range conns {
+		c.Close()
+	}
+	waitReaders(0)
+	if s := rcv.Stats(); s.FramesIn != 0 || s.AuthFailures != 0 || s.ProtocolViolations != 0 {
+		t.Fatalf("a stalled, then closed, connection was accounted as a frame or a violation: %+v", s)
 	}
 }
 
