@@ -21,13 +21,13 @@ type Decision struct {
 	Proof    crypto.Certificate
 }
 
-// Config parameterizes an Engine for one view. Reconfiguration replaces the
-// whole engine rather than mutating it: views are immutable, and so are the
-// consensus keys bound to them.
+// Config parameterizes a Machine (or an Engine) for one view.
+// Reconfiguration replaces the whole machine rather than mutating it: views
+// are immutable, and so are the consensus keys bound to them.
 type Config struct {
 	// Self is this replica's ID.
 	Self int32
-	// View is the membership the engine operates in.
+	// View is the membership the machine operates in.
 	View view.View
 	// Signer is this replica's consensus key for the view.
 	Signer *crypto.KeyPair
@@ -51,34 +51,130 @@ type Config struct {
 	// idle system does not churn through leader changes. Nil means
 	// "always pending" (timeouts always escalate).
 	HasPending func() bool
-	// OnEpochChange, when non-nil, is called from the engine loop each time
-	// a synchronization round installs a new epoch (once per round, however
-	// many slots it drains).
-	OnEpochChange func(epoch int64)
-	// Verifier, when non-nil, is a shared worker pool that checks
-	// WRITE/ACCEPT vote signatures before they enter the event loop, so
-	// signature verification no longer serializes consensus. Correctness
-	// never depends on it: the loop re-verifies inline whenever a vote was
-	// not positively pre-verified against the key currently installed for
-	// its voter, and the pool spilling over merely falls back to the inline
-	// path. The pool is owned by the caller (it outlives engine
-	// replacements at view changes) and must not be closed while the engine
-	// runs.
-	Verifier *crypto.VerifyPool
 }
 
-// Engine runs consensus for a single view. It is the runtime around a
-// machine: the loop goroutine owns the machine and is the only one to step
-// it; the public methods communicate with the loop via the event channel.
-// What the runtime alone owns: that channel, the wall clock and the one
-// timer that turns the machine's earliest deadline into a tick, the
-// VerifyPool hand-off, and the mirrors other goroutines read.
+// Machine is the consensus protocol for one view as a synchronous handle:
+// each method steps the machine once at the given instant, sends what the
+// step sends through Config.Send, and returns the instances it decided
+// (aliasing a buffer the next call overwrites) and the regency it installed
+// (0: none). It starts no goroutine, reads no clock and is not safe for
+// concurrent use; a runtime that drops it never calls it again.
+type Machine struct {
+	m       *machine
+	others  []int32 // the recipients of a broadcast
+	decided []Decision
+}
+
+// NewMachine returns the machine for cfg.View, no instance started.
+func NewMachine(cfg Config) *Machine {
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 500 * time.Millisecond
+	}
+	return &Machine{m: newMachine(cfg), others: cfg.View.Others(cfg.Self)}
+}
+
+// Input is a wire message made ready for Machine.Message by PreVerify.
+type Input struct{ ev event }
+
+// PreVerify makes a consensus wire message an Input and hands it to
+// deliver. A WRITE or ACCEPT vote is decoded first (a malformed one, or one
+// not its sender's, is dropped) and, with a pool, its signature checked
+// there against v's key for the voter, deliver running on a pool worker.
+// The machine honors the result only while that key is still installed and
+// verifies inline otherwise (v may be stale; a nil or saturated pool saw
+// nothing). Votes overtaking other traffic is network reordering.
+func PreVerify(m transport.Message, v view.View, pool *crypto.VerifyPool, deliver func(Input)) {
+	ph, ok := votePhase(m.Type)
+	if !ok {
+		deliver(Input{event{kind: evMessage, msg: m}})
+		return
+	}
+	vm, err := decodeVote(m.Payload)
+	if err != nil || vm.Voter != m.From {
+		return // malformed either way; drop without burning a verify
+	}
+	if pub, ok := v.PublicKeyOf(vm.Voter); ok {
+		submitted := pool.TrySubmit(pub, phaseWire[ph].ctx, voteMessage(vm.Instance, vm.Epoch, vm.Digest), vm.Sig, func(ok bool) {
+			in := Input{event{kind: evMessage, msg: m, vote: &vm}}
+			if ok {
+				in.ev.votePub = pub
+			}
+			deliver(in)
+		})
+		if submitted {
+			return
+		}
+	}
+	deliver(Input{event{kind: evMessage, msg: m, vote: &vm}})
+}
+
+// Message feeds one wire message, made ready by PreVerify.
+func (h *Machine) Message(now time.Time, in Input) ([]Decision, int64) {
+	return h.apply(now, in.ev)
+}
+
+// Start begins instance i, proposing value if this replica leads (nil on
+// followers). Several instances may be live at once; the settled prefix
+// (decided instances below the lowest undecided one) is garbage-collected.
+func (h *Machine) Start(now time.Time, i int64, value []byte) ([]Decision, int64) {
+	return h.apply(now, event{kind: evStart, inst: i, value: value})
+}
+
+// Propose offers a value for the started instance i: ignored unless this
+// replica leads the instance's epoch and no proposal was adopted yet.
+func (h *Machine) Propose(now time.Time, i int64, value []byte) ([]Decision, int64) {
+	return h.apply(now, event{kind: evPropose, inst: i, value: value})
+}
+
+// Advance abandons every instance below i — state, buffered messages,
+// deadlines, and later messages for them (a state transfer overtook them).
+func (h *Machine) Advance(now time.Time, i int64) ([]Decision, int64) {
+	return h.apply(now, event{kind: evAdvance, inst: i})
+}
+
+// UpdateKey installs a member's late-announced consensus key (paper §V-D).
+func (h *Machine) UpdateKey(now time.Time, id int32, key crypto.PublicKey) ([]Decision, int64) {
+	return h.apply(now, event{kind: evUpdateKey, keyID: id, key: key})
+}
+
+// Tick says time passed: every slot whose progress deadline is due expires.
+func (h *Machine) Tick(now time.Time) ([]Decision, int64) {
+	return h.apply(now, event{kind: evTick})
+}
+
+// NextDeadline is the earliest progress deadline among the live slots (zero
+// when none is waiting): the runtime must call Tick no later.
+func (h *Machine) NextDeadline() time.Time { return h.m.nextDeadline() }
+
+// apply steps the machine once and performs its effects: the one place
+// consensus traffic leaves a replica.
+func (h *Machine) apply(now time.Time, ev event) ([]Decision, int64) {
+	clear(h.decided) // drop the previous step's value references
+	h.decided = h.decided[:0]
+	var installed int64
+	for _, fx := range h.m.step(now, ev) {
+		switch fx.kind {
+		case fxSend:
+			h.m.cfg.Send(fx.to, fx.typ, fx.payload)
+		case fxBroadcast:
+			for _, peer := range h.others {
+				h.m.cfg.Send(peer, fx.typ, fx.payload)
+			}
+		case fxDecide:
+			h.decided = append(h.decided, fx.decision)
+		case fxEpochInstalled:
+			installed = fx.epoch
+		}
+	}
+	return h.decided, installed
+}
+
+// Engine is a Machine under a goroutine (the baselines' chassis and the
+// benchmark's probe use one): its methods post over a bounded channel, the
+// loop owns the clock and one timer, decisions come back on a channel, and
+// Leader, Regency and SyncRounds are mirrored for any goroutine.
 type Engine struct {
-	// cfg is immutable, View included (late-announced keys are installed
-	// into the machine's own copy), so any goroutine may read it.
-	cfg    Config
-	m      *machine
-	others []int32 // the recipients of a broadcast effect
+	h *Machine // its View is never updated: Leader reads it from any goroutine
 
 	regency    atomic.Int64 // current epoch, mirrored for Leader()
 	syncRounds atomic.Int64 // synchronization rounds performed
@@ -87,54 +183,17 @@ type Engine struct {
 	stop       chan struct{}
 	stopOnce   sync.Once
 	done       chan struct{}
-
-	// keys mirrors the view's consensus keys for reading outside the loop
-	// (HandleMessage pre-verifies votes against it). The loop is the only
-	// writer: it installs a late-announced key here when the machine
-	// reports it installed.
-	keys keyMirror
 }
 
 // New creates an engine. Start must be called to run it.
 func New(cfg Config) *Engine {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 500 * time.Millisecond
-	}
-	e := &Engine{
-		cfg:       cfg,
-		m:         newMachine(cfg),
-		others:    cfg.View.Others(cfg.Self),
+	return &Engine{
+		h:         NewMachine(cfg),
 		events:    make(chan event, 4096),
 		decisions: make(chan Decision, 16),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	e.keys.keys = make(map[int32]crypto.PublicKey, cfg.View.N())
-	for _, id := range cfg.View.Members {
-		if pub, ok := cfg.View.PublicKeyOf(id); ok {
-			e.keys.keys[id] = pub
-		}
-	}
-	return e
-}
-
-// keyMirror is a concurrently readable copy of the view's consensus keys.
-type keyMirror struct {
-	mu   sync.RWMutex
-	keys map[int32]crypto.PublicKey
-}
-
-func (k *keyMirror) get(id int32) (crypto.PublicKey, bool) {
-	k.mu.RLock()
-	pub, ok := k.keys[id]
-	k.mu.RUnlock()
-	return pub, ok
-}
-
-func (k *keyMirror) set(id int32, pub crypto.PublicKey) {
-	k.mu.Lock()
-	k.keys[id] = pub
-	k.mu.Unlock()
 }
 
 // Start launches the event loop.
@@ -155,29 +214,17 @@ func (e *Engine) Stop() {
 // the consumer is responsible for reordering before commit.
 func (e *Engine) Decisions() <-chan Decision { return e.decisions }
 
-// StartInstance begins instance i. If this replica is the current leader,
-// value is its proposal (nil on followers). Several instances may be live at
-// once: the engine keeps per-instance protocol state and a per-instance
-// progress deadline, and garbage-collects the settled prefix (every decided
-// instance below the lowest undecided one) automatically.
+// StartInstance posts Machine.Start.
 func (e *Engine) StartInstance(i int64, value []byte) {
 	e.enqueue(event{kind: evStart, inst: i, value: value})
 }
 
-// AdvanceTo abandons every instance below i: protocol state, buffered
-// messages, and deadlines are discarded and future messages for those
-// instances are ignored. The ordering driver calls this after a state
-// transfer (the skipped instances were decided by the rest of the view) and
-// when draining the pipeline window at a view boundary.
+// AdvanceTo posts Machine.Advance.
 func (e *Engine) AdvanceTo(i int64) {
 	e.enqueue(event{kind: evAdvance, inst: i})
 }
 
-// ProposeValue offers a value for instance i after it has started. It takes
-// effect only if this replica currently leads the instance's epoch and no
-// proposal has been adopted yet; otherwise it is ignored (the requests it
-// contains are also queued at the real leader, which proposes its own
-// copy).
+// ProposeValue posts Machine.Propose.
 func (e *Engine) ProposeValue(i int64, value []byte) {
 	e.enqueue(event{kind: evPropose, inst: i, value: value})
 }
@@ -196,48 +243,12 @@ func (e *Engine) Regency() int64 { return e.regency.Load() }
 // may have moved leadership on — callers use it only as a hint. Safe from
 // any goroutine: it reads only the immutable membership and the mirrored
 // regency.
-func (e *Engine) Leader() int32 { return e.cfg.View.Leader(e.regency.Load()) }
-
-// UpdateKey installs a late-announced consensus key for a view member
-// (paper §V-D: members outside the reconfiguration quorum announce fresh
-// keys in their first messages of the new view).
-func (e *Engine) UpdateKey(id int32, key crypto.PublicKey) {
-	e.enqueue(event{kind: evUpdateKey, keyID: id, key: key})
-}
+func (e *Engine) Leader() int32 { return e.h.m.cfg.View.Leader(e.regency.Load()) }
 
 // HandleMessage feeds a consensus wire message into the engine. It is safe
 // to call from any goroutine.
-//
-// With a Verifier configured, WRITE/ACCEPT votes are decoded and their
-// signatures checked on the pool before the event is enqueued, off the
-// loop goroutine. The loop treats the result as a hint: it honors the
-// pre-verification only when the key it was checked against is still the
-// voter's installed key, and re-verifies inline otherwise (including votes
-// that failed here — the mirror key may have been stale). The protocols
-// above tolerate the message reordering this introduces between votes and
-// other traffic, exactly as they tolerate network reordering.
 func (e *Engine) HandleMessage(m transport.Message) {
-	if ph, ok := votePhase(m.Type); ok && e.cfg.Verifier != nil {
-		vm, err := decodeVote(m.Payload)
-		if err != nil || vm.Voter != m.From {
-			return // malformed either way; drop without burning a verify
-		}
-		if pub, ok := e.keys.get(vm.Voter); ok {
-			submitted := e.cfg.Verifier.TrySubmit(pub, phaseWire[ph].ctx, voteMessage(vm.Instance, vm.Epoch, vm.Digest), vm.Sig, func(ok bool) {
-				ev := event{kind: evMessage, msg: m, vote: &vm}
-				if ok {
-					ev.votePub = pub
-				}
-				e.enqueue(ev)
-			})
-			if submitted {
-				return
-			}
-		}
-		e.enqueue(event{kind: evMessage, msg: m, vote: &vm})
-		return
-	}
-	e.enqueue(event{kind: evMessage, msg: m})
+	PreVerify(m, e.h.m.cfg.View, nil, func(in Input) { e.enqueue(in.ev) })
 }
 
 func (e *Engine) enqueue(ev event) {
@@ -247,16 +258,17 @@ func (e *Engine) enqueue(ev event) {
 	}
 }
 
-// loop steps the machine: one event in, its effects performed in order, and
-// the timer re-armed when a slot deadline earlier than the armed one
-// appeared. A tick that finds nothing due is harmless, so the timer is left
-// alone when deadlines only move later (every decision does that).
+// loop steps the machine one event at a time and delivers the decisions.
+// A tick that finds nothing due is harmless, so the timer is re-armed only
+// for a deadline earlier than the armed one (decisions only move them later),
+// and a fire that overtakes the re-arm is one early tick.
 func (e *Engine) loop() {
 	defer close(e.done)
 	defer close(e.decisions)
 
-	armed := time.Now().Add(e.cfg.Timeout) // when the timer fires; zero once it has
-	timer := time.NewTimer(e.cfg.Timeout)
+	timeout := e.h.m.cfg.Timeout
+	armed := time.Now().Add(timeout) // when the timer fires; zero once it has
+	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	for {
 		var ev event
@@ -269,48 +281,21 @@ func (e *Engine) loop() {
 			ev = event{kind: evTick}
 		}
 		now := time.Now()
-		for _, fx := range e.m.step(now, ev) {
-			if !e.perform(fx) {
+		decided, installed := e.h.apply(now, ev)
+		if installed > 0 {
+			e.regency.Store(installed)
+			e.syncRounds.Add(1)
+		}
+		for _, d := range decided {
+			select {
+			case e.decisions <- d:
+			case <-e.stop:
 				return
 			}
 		}
-		if next := e.m.nextDeadline(); !next.IsZero() && (armed.IsZero() || next.Before(armed)) {
-			if !armed.IsZero() && !timer.Stop() {
-				select { // fired since the wait above: drain it
-				case <-timer.C:
-				default:
-				}
-			}
+		if next := e.h.NextDeadline(); !next.IsZero() && (armed.IsZero() || next.Before(armed)) {
 			timer.Reset(next.Sub(now))
 			armed = next
 		}
 	}
-}
-
-// perform carries out one effect; false means the engine was stopped while
-// the decision channel was full.
-func (e *Engine) perform(fx effect) bool {
-	switch fx.kind {
-	case fxSend:
-		e.cfg.Send(fx.to, fx.typ, fx.payload)
-	case fxBroadcast:
-		for _, peer := range e.others {
-			e.cfg.Send(peer, fx.typ, fx.payload)
-		}
-	case fxDecide:
-		select {
-		case e.decisions <- fx.decision:
-		case <-e.stop:
-			return false
-		}
-	case fxEpochInstalled:
-		e.regency.Store(fx.epoch)
-		e.syncRounds.Add(1)
-		if e.cfg.OnEpochChange != nil {
-			e.cfg.OnEpochChange(fx.epoch)
-		}
-	case fxKeyInstalled:
-		e.keys.set(fx.to, fx.key)
-	}
-	return true
 }

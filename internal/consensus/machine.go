@@ -38,12 +38,11 @@ const (
 // effect is one output of a step, performed by the runtime in order.
 type effect struct {
 	kind     effectKind
-	to       int32            // fxSend: the peer; fxKeyInstalled: the member
-	typ      uint16           // fxSend, fxBroadcast
-	payload  []byte           // fxSend, fxBroadcast
-	decision Decision         // fxDecide
-	epoch    int64            // fxEpochInstalled
-	key      crypto.PublicKey // fxKeyInstalled
+	to       int32    // fxSend: the peer
+	typ      uint16   // fxSend, fxBroadcast
+	payload  []byte   // fxSend, fxBroadcast
+	decision Decision // fxDecide
+	epoch    int64    // fxEpochInstalled
 }
 
 type effectKind uint8
@@ -53,7 +52,6 @@ const (
 	fxBroadcast                            // payload to every other member
 	fxDecide                               // deliver a decision
 	fxEpochInstalled                       // a synchronization round installed epoch
-	fxKeyInstalled                         // a late-announced consensus key took effect
 )
 
 // phase indexes the two voting rounds, which share one cast/record/receive
@@ -150,7 +148,7 @@ const decidedTailLen = 64
 // garbage-collected as the window slides.
 type machine struct {
 	// cfg.View is the machine's own: late-announced keys are installed into
-	// it. Send, Verifier and OnEpochChange belong to the runtime.
+	// it. Send belongs to the runtime.
 	cfg    Config
 	quorum int
 	now    time.Time // the instant of the step in progress
@@ -223,10 +221,7 @@ func (m *machine) step(now time.Time, ev event) []effect {
 	case evAdvance:
 		m.advanceTo(ev.inst)
 	case evUpdateKey:
-		if m.cfg.View.Contains(ev.keyID) {
-			m.cfg.View = m.cfg.View.WithKey(ev.keyID, ev.key)
-			m.out = append(m.out, effect{kind: fxKeyInstalled, to: ev.keyID, key: ev.key})
-		}
+		m.cfg.View = m.cfg.View.WithKey(ev.keyID, ev.key) // a non-member's key changes nothing
 	case evTick:
 		m.expire()
 	}
@@ -606,7 +601,7 @@ func (m *machine) onVote(ev event, s *instState, inst int64, ph phase) {
 // voteVerified settles one vote's signature: a vote positively pre-verified
 // (prePub non-nil) against the key still installed for its voter — and
 // covering the instance it was dispatched to — is accepted as-is; anything
-// else (no Verifier, pool spill-over, stale mirror key, failed
+// else (no pool, pool spill-over, a key rotated since, failed
 // pre-verification) is verified inline. Safety therefore never rests on the
 // pre-verification pool.
 func (m *machine) voteVerified(vm *voteMsg, prePub crypto.PublicKey, ph phase, inst int64) bool {

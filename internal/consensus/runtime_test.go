@@ -9,12 +9,11 @@ import (
 // validEpochSync lets the engine-level tests reach the machine's
 // certificate check the way they did when it was an Engine method.
 func (e *Engine) validEpochSync(msg *epochSyncMsg) (map[int64]*slotClaim, bool) {
-	return e.m.validEpochSync(msg)
+	return e.h.m.validEpochSync(msg)
 }
 
-// TestStopConcurrently stops one engine from four goroutines at once, as
-// Node.Stop and the driver's view-change engine swap can: every call must
-// return once the loop has exited, and none may panic.
+// TestStopConcurrently stops one engine from four goroutines at once: every
+// call must return once the loop has exited, and none may panic.
 func TestStopConcurrently(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		keys, v := testView(4)

@@ -215,10 +215,6 @@ type Node struct {
 	mu            sync.Mutex
 	curView       view.View
 	permanentKeys map[int32]crypto.PublicKey
-	engine        *consensus.Engine
-	// engineGen numbers the engines started: the ordering driver tells the
-	// live engine's decisions from a replaced one's by generation.
-	engineGen     uint64
 	keys          *reconfig.KeyStore
 	removeTracker *reconfig.RemoveTracker
 	retired       bool
@@ -232,6 +228,16 @@ type Node struct {
 	// joinVotes intercepts protocol replies for in-flight join/leave flows
 	// (guarded by mu).
 	joinVotes func(reconfig.Vote)
+
+	// The ordering driver's (driver.go): the window, the consensus machine
+	// (nil: no seat) and whether it changed unannounced, the window's queue,
+	// the inbox others queue consensus steps in; regency mirrors cons's (-1).
+	w        *window
+	cons     *consensus.Machine
+	reseated bool
+	pending  []event
+	inbox    chan consInput
+	regency  atomic.Int64
 
 	// source is the catch-up protocol, stepped by the ordering driver alone: donor
 	// replies reach it through syncReplies, callers who want a round through
@@ -371,6 +377,7 @@ func NewNode(cfg Config) (*Node, error) {
 		source:      catchup.NewPool(catchup.Config{PeerTimeout: cfg.CatchupPeerTimeout}),
 		syncReplies: make(chan catchup.Response, 256), // a full wave's replies from a few dozen donors
 		syncAsks:    make(chan syncAsk, 0),
+		inbox:       make(chan consInput, 4096), // Engine's queue size: many windows of every peer's votes before dispatch waits
 		stop:        make(chan struct{}),
 		catchupCh:   make(chan transport.Message, 64),
 		// Room for a window of blocks in flight (closed, durable and n−1 shares
@@ -379,6 +386,7 @@ func NewNode(cfg Config) (*Node, error) {
 		released: make(chan struct{}, 1),
 	}
 	n.nextInstance.Store(1)
+	n.regency.Store(-1)
 	if pa, ok := cfg.App.(ParallelApplication); ok {
 		// Also called for ExecWorkers ≤ 1 so a reused application instance
 		// (cluster restarts in tests) is reset to the sequential path.
@@ -392,8 +400,9 @@ func NewNode(cfg Config) (*Node, error) {
 
 // Start brings the node online: recover local state (snapshot + chain log),
 // start the logger and the node's loops — the ordering driver among them,
-// whose first act starts a member's consensus engine. When SyncPeers is set,
-// Start then asks it for state transfer and returns once that has run its course.
+// whose first act seats a member's consensus machine (consensus messages
+// that arrive before it wait in the inbox). When SyncPeers is set, Start
+// then asks it for state transfer and returns once that has run its course.
 func (n *Node) Start() error {
 	n.startedAt = time.Now()
 	if err := n.recoverLocal(); err != nil {
@@ -407,58 +416,12 @@ func (n *Node) Start() error {
 	go n.tailLoop()
 	go n.receiveLoop()
 	go n.catchupServer()
-	up := make(chan struct{})
-	go n.driverLoop(up)
-	<-up // a member's engine is live: no consensus message finds it absent
+	go n.driverLoop()
 
 	if len(n.cfg.SyncPeers) > 0 {
 		_ = n.SyncFromPeers(n.cfg.SyncPeers, 2*time.Second) //smartlint:allow errdrop best effort: a lone recovering replica must still come up
 	}
 	return nil
-}
-
-// startEngine builds and starts a consensus engine for the current view,
-// replacing (and stopping) any running one. reconcileEngine calls it, without n.mu.
-func (n *Node) startEngine() {
-	n.mu.Lock()
-	v := n.curView
-	signer, _ := n.keys.Current()
-	old := n.engine
-	ep := n.cfg.Transport
-	eng := consensus.New(consensus.Config{
-		Self:    n.cfg.Self,
-		View:    v,
-		Signer:  signer,
-		Send:    func(to int32, typ uint16, p []byte) { _ = ep.Send(to, typ, p) }, //smartlint:allow errdrop consensus tolerates loss via retransmit and epoch change
-		Timeout: n.cfg.ConsensusTimeout,
-		Validate: func(inst int64, value []byte) bool {
-			if len(value) == 0 {
-				return true
-			}
-			return smr.ValidBatchValue(value)
-		},
-		// RequestValue is deliberately absent: batch handout stays with
-		// the ordering driver, which tracks every handed-out batch per
-		// instance and requeues it if the instance is abandoned (view
-		// drain, state transfer). A new leader elected mid-instance
-		// proposes the empty filler value instead; the pending work goes
-		// into the next window slots through the driver.
-		HasPending: func() bool { return n.batcher.Pending() > 0 },
-		// Epoch changes accumulate across engines (one engine per view) so
-		// the stats survive reconfigurations.
-		OnEpochChange: func(int64) { n.epochChanges.Add(1) },
-		// The vote pool outlives individual engines (one per view); Stop
-		// closes it after the last engine is down.
-		Verifier: n.votePool,
-	})
-	n.engine = eng
-	n.engineGen++
-	n.mu.Unlock()
-
-	if old != nil {
-		old.Stop()
-	}
-	eng.Start()
 }
 
 // Stop shuts the node down, draining the logger so durable state is
@@ -467,12 +430,6 @@ func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		close(n.stop)
 		n.batcher.Close()
-		n.mu.Lock()
-		eng := n.engine
-		n.mu.Unlock()
-		if eng != nil {
-			eng.Stop()
-		}
 		n.loops.Wait() // tailLoop before the logger: its last callbacks find nobody to post to
 		n.verifier.Close()
 		n.votePool.Close()
@@ -492,30 +449,14 @@ func (n *Node) View() view.View {
 // Ledger exposes the chain tracker (height, cached blocks, …).
 func (n *Node) Ledger() *blockchain.Ledger { return n.ledger }
 
-// Regency returns the consensus engine's installed regency (epoch), or -1
-// when no engine is running.
-func (n *Node) Regency() int64 {
-	n.mu.Lock()
-	eng := n.engine
-	n.mu.Unlock()
-	if eng == nil {
-		return -1
-	}
-	return eng.Regency()
-}
+// Regency returns the consensus machine's installed regency (epoch), or -1
+// when this replica has no seat (not started yet, a candidate, retired).
+func (n *Node) Regency() int64 { return n.regency.Load() }
 
 // Leader reports the consensus leader of this node's current regency, or
-// -1 when no engine is running (stopped, retired, or mid-reconfiguration).
-// Leader-targeted chaos actions resolve their victim through it.
-func (n *Node) Leader() int32 {
-	n.mu.Lock()
-	eng := n.engine
-	n.mu.Unlock()
-	if eng == nil {
-		return -1
-	}
-	return eng.Leader()
-}
+// -1 without a seat. Leader-targeted chaos actions resolve their victim
+// through it.
+func (n *Node) Leader() int32 { return n.View().Leader(n.regency.Load()) }
 
 // Retired reports whether the node has been reconfigured out of the
 // consortium.
@@ -663,11 +604,10 @@ func (n *Node) dispatch(m transport.Message) {
 	switch {
 	case m.Type >= 100 && m.Type < 120:
 		n.mu.Lock()
-		eng := n.engine
-		member := n.curView.Contains(m.From)
+		v := n.curView
 		n.mu.Unlock()
-		if eng != nil && member {
-			eng.HandleMessage(m)
+		if v.Contains(m.From) {
+			consensus.PreVerify(m, v, n.votePool, func(in consensus.Input) { n.postMessage(v.ID, in) })
 		}
 	case m.Type == MsgRequest:
 		req, err := smr.DecodeRequest(m.Payload)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"smartchain/internal/blockchain"
+	"smartchain/internal/catchup"
 	"smartchain/internal/consensus"
 	"smartchain/internal/reconfig"
 	"smartchain/internal/smr"
@@ -29,116 +31,164 @@ type syncAsk struct {
 	done chan error
 }
 
-// driverLoop is the ordering driver's runtime. Which slots are open, which
-// batch goes where, which decision commits next and when a state-transfer
-// round begins is the window machine's business (window.go); the loop turns
-// what happens around it into events and performs the effects each step
-// returns. It alone owns the clock and the one timer, the live engine's
-// decision channel, every engine start, the commit path and the catch-up round.
-func (n *Node) driverLoop(up chan<- struct{}) {
-	defer n.loops.Done()
-	n.reconcileEngine() // a member orders — and buffers what it cannot order yet — from the start
-	close(up)
-	period := max(4*n.cfg.ConsensusTimeout, 2*time.Second)
-	w := newWindow(n.cfg.PipelineDepth, period, n.nextInstance.Load(), n.batcher.TryNext, n.batcher.Requeue, n.batcherOrPeersBusy)
+// consInput is a consensus step another goroutine queues for the driver — a
+// wire message, a late-announced key — for the machine of the view it came in.
+type consInput struct {
+	view int64
+	step func(now time.Time, m *consensus.Machine) ([]consensus.Decision, int64)
+}
 
+// driverLoop is the ordering driver's runtime: the window machine
+// (window.go) orders, the consensus machine agrees, and the loop turns what
+// happens around them into steps, one plain method per case. It alone owns
+// both machines, the clock and the one timer, every machine start, the
+// commit path and the catch-up round.
+func (n *Node) driverLoop() {
+	defer n.loops.Done()
+	n.beginOrdering()
 	// A tick that finds nothing due is harmless, so the timer is re-armed only
-	// for an instant earlier than the armed one (a fire that overtakes is one
-	// early tick): a commit pushes the resync instant back at no timer operation.
-	armed, timer := time.Now().Add(period), time.NewTimer(period) // armed: when it fires; zero once it has
+	// for an instant earlier than the armed one: deadlines moving later cost nothing.
+	armed, timer := time.Now().Add(time.Hour), time.NewTimer(time.Hour) // armed: when it fires; zero once it has
 	defer timer.Stop()
-	var stopped *consensus.Engine // its decision channel is closed
 	for {
-		// Look before waiting: a commit or a round may have replaced the engine,
-		// and leadership changes on the engine's goroutine, unannounced.
-		eng, st := n.engineStatus()
-		if st.gen != w.gen || st.member != w.live || st.leads != w.leads {
-			n.drive(w, eng, st)
-		}
-		for _, next := range []time.Time{w.nextDeadline(), n.source.NextDeadline()} {
+		for _, next := range n.deadlines() {
 			if !next.IsZero() && (armed.IsZero() || next.Before(armed)) {
 				timer.Reset(time.Until(next))
 				armed = next
 			}
 		}
-		var decisions <-chan consensus.Decision
-		if eng != nil && eng != stopped {
-			decisions = eng.Decisions()
-		}
-
-		var ev event
 		select {
 		case <-n.stop:
 			return
-		case d, ok := <-decisions:
-			if !ok {
-				stopped = eng // replaced or retired; the look above finds out which
-				continue
-			}
-			ev = event{kind: evDecision, gen: st.gen, decision: d}
+		case in := <-n.inbox:
+			n.onInput(in)
 		case <-n.batcher.Ready():
-			ev.kind = evWork
+			n.drive(event{kind: evWork})
 		case ask := <-n.syncAsks:
-			n.waiting, ev = append(n.waiting, ask.done), ask.ev
+			n.onAsk(ask)
 		case resp := <-n.syncReplies:
-			done, progressed, err := n.source.Handle(time.Now(), resp)
-			if !done {
-				continue
-			}
-			ev = n.synced(eng, progressed, err)
+			n.onReply(resp)
 		case <-timer.C:
 			armed = time.Time{}
-			if done, progressed, err := n.source.Tick(time.Now()); done {
-				n.drive(w, eng, n.synced(eng, progressed, err))
-			}
-			ev.kind = evTick
+			n.onTimer()
 		}
-		n.drive(w, eng, ev)
 	}
 }
 
-// engineStatus snapshots which engine is live (its generation) and whether
-// this replica orders through it and leads it. Candidates waiting to be
-// joined and retired nodes have no seat: they only serve state transfer.
-func (n *Node) engineStatus() (*consensus.Engine, event) {
-	n.mu.Lock()
-	eng := n.engine
-	st := event{kind: evEngine, gen: n.engineGen}
-	st.member = eng != nil && n.curView.Contains(n.cfg.Self) && !n.retired
-	n.mu.Unlock()
-	st.leads = st.member && eng.Leader() == n.cfg.Self
-	return eng, st
+// beginOrdering is the driver's first act: the window at the floor recovery
+// left, and a member's consensus machine (what arrived earlier waits in the inbox).
+func (n *Node) beginOrdering() {
+	period := max(4*n.cfg.ConsensusTimeout, 2*time.Second)
+	n.w = newWindow(n.cfg.PipelineDepth, period, n.nextInstance.Load(), n.batcher.TryNext, n.batcher.Requeue, n.batcherOrPeersBusy)
+	n.reconcileEngine()
+	n.reseated = false // no outcome to settle: the engine event goes alone
+	n.drive(n.engineEvent())
 }
 
-// drive steps the machine and performs the effects on eng, the engine the
-// machine was last told about. A commit — and a round over as soon as it
-// began — is answered with its outcome before anything else reaches the
-// machine. Callers waiting for a round are told once none is in flight.
-func (n *Node) drive(w *window, eng *consensus.Engine, ev event) {
-	for again := true; again; {
-		again = false
+// deadlines are the instants the machines the driver steps want a tick at (zero: none).
+func (n *Node) deadlines() []time.Time {
+	if n.cons == nil {
+		return []time.Time{n.w.nextDeadline(), n.source.NextDeadline()}
+	}
+	return []time.Time{n.w.nextDeadline(), n.source.NextDeadline(), n.cons.NextDeadline()}
+}
+
+// onInput steps the consensus machine for another goroutine, then the window.
+func (n *Node) onInput(in consInput) {
+	n.take(in)
+	n.drive()
+}
+
+// take steps the consensus machine with a queued input; its outputs join the
+// pending queue. Without a seat, or with the view it came in gone with its
+// machine, the input goes.
+func (n *Node) take(in consInput) {
+	if n.cons != nil && in.view == n.View().ID {
+		n.stepped(in.step(time.Now(), n.cons))
+	}
+}
+
+// postInput queues a consensus step, waiting for room; after Stop a no-op.
+func (n *Node) postInput(in consInput) {
+	select {
+	case n.inbox <- in:
+	case <-n.stop:
+	}
+}
+
+// postMessage queues a wire message PreVerify made ready, received in view.
+func (n *Node) postMessage(view int64, in consensus.Input) {
+	n.postInput(consInput{view, func(now time.Time, m *consensus.Machine) ([]consensus.Decision, int64) {
+		return m.Message(now, in)
+	}})
+}
+
+// onAsk takes an ask for state transfer, answered once no round is in flight.
+func (n *Node) onAsk(ask syncAsk) {
+	n.waiting = append(n.waiting, ask.done)
+	n.drive(ask.ev)
+}
+
+// onReply feeds a donor's reply to the catch-up round.
+func (n *Node) onReply(resp catchup.Response) {
+	if done, progressed, err := n.source.Handle(time.Now(), resp); done {
+		n.settle(n.synced(progressed, err))
+		n.drive()
+	}
+}
+
+// onTimer steps every consensus input already queued before the tick: a
+// commit can hold the driver past a progress deadline, and votes that
+// arrived meanwhile must count first, or the stall becomes a campaign.
+func (n *Node) onTimer() {
+	for range len(n.inbox) {
+		n.onInput(<-n.inbox)
+	}
+	now := time.Now()
+	if done, progressed, err := n.source.Tick(now); done {
+		n.settle(n.synced(progressed, err))
+	}
+	if n.cons != nil {
+		n.stepped(n.cons.Tick(now))
+	}
+	n.drive(event{kind: evTick})
+}
+
+// drive steps the window through the pending events, evs last, performing
+// the effects. Window effects step the consensus machine and its outputs are
+// window events, so neither runs inside the other's effect list: an outcome
+// goes to the queue's front (settle), consensus outputs to its back
+// (stepped). Callers waiting for a round are told once none is in flight.
+func (n *Node) drive(evs ...event) {
+	n.pending = append(n.pending, evs...)
+	for len(n.pending) > 0 {
+		ev := n.pending[0]
+		n.pending = append(n.pending[:0], n.pending[1:]...)
 		now := time.Now()
-		for _, fx := range w.step(now, ev) {
+		for _, fx := range n.w.step(now, ev) {
+			if n.cons == nil && fx.kind != fxCommit && fx.kind != fxSync {
+				continue // a round replayed this replica's removal; its outcome tells the window
+			}
 			switch fx.kind {
 			case fxAdvance:
-				eng.AdvanceTo(fx.inst)
+				n.stepped(n.cons.Advance(now, fx.inst))
 			case fxStart:
-				eng.StartInstance(fx.inst, nil)
+				n.stepped(n.cons.Start(now, fx.inst, nil))
 			case fxPropose:
-				eng.ProposeValue(fx.inst, fx.value)
+				n.stepped(n.cons.Propose(now, fx.inst, fx.value))
 			case fxCommit:
-				ev, again = n.commit(fx.decision), true
+				n.settle(n.commit(fx.decision))
 			case fxSync:
 				if fx.peers == nil {
 					fx.peers = n.View().Others(n.cfg.Self)
 				}
 				if done, progressed, err := n.source.Begin(now, nodeFetcher{n}, fx.peers, fx.timeout); done {
-					ev, again = n.synced(eng, progressed, err), true
+					n.settle(n.synced(progressed, err))
 				}
 			}
 		}
 	}
-	if !w.syncing {
+	if !n.w.syncing {
 		for _, done := range n.waiting {
 			done <- n.syncErr // buffered: the caller may have left with the node stopping
 		}
@@ -146,17 +196,58 @@ func (n *Node) drive(w *window, eng *consensus.Engine, ev event) {
 	}
 }
 
+// stepped queues a consensus step's decisions and the leadership of a regency it installed.
+func (n *Node) stepped(decided []consensus.Decision, installed int64) {
+	for _, d := range decided {
+		n.pending = append(n.pending, event{kind: evDecision, decision: d})
+	}
+	if installed > 0 {
+		n.regency.Store(installed)
+		n.epochChanges.Add(1) // across machines: one per view, the count survives them
+		n.pending = append(n.pending, event{kind: evLeader, leads: n.View().Leader(installed) == n.cfg.Self})
+	}
+}
+
+// settle queues the outcome of a commit or a round first. One that replaced
+// the machine voids the queue — all of it came from the old one — and the
+// engine event announcing the new seat follows it.
+func (n *Node) settle(ev event) {
+	if !n.reseated {
+		n.pending = slices.Insert(n.pending, 0, ev)
+		return
+	}
+	n.reseated, ev.replaced = false, true
+	n.pending = append(n.pending[:0], ev, n.engineEvent())
+}
+
+// seat makes m this replica's consensus machine (nil: no seat). The old one
+// is never stepped again: it cannot sign after a key rotation.
+func (n *Node) seat(m *consensus.Machine) {
+	n.cons, n.reseated = m, true
+	regency := int64(0)
+	if m == nil {
+		regency = -1
+	}
+	n.regency.Store(regency)
+}
+
+// engineEvent announces the seat, and whether it leads its first regency.
+func (n *Node) engineEvent() event {
+	member := n.cons != nil
+	return event{kind: evEngine, member: member, leads: member && n.View().Leader(0) == n.cfg.Self}
+}
+
 // commit releases one decision to Algorithm 1 and reports what became of it.
 func (n *Node) commit(d consensus.Decision) event {
-	viewChanged := n.commitDecision(d)
+	n.commitDecision(d)
 	n.nextInstance.Store(d.Instance + 1) // a filler decision has no block to close
-	return event{kind: evCommitted, floor: d.Instance + 1, viewChanged: viewChanged}
+	return event{kind: evCommitted, floor: d.Instance + 1}
 }
 
 // synced closes a round on the node's side and reports it to the machine.
 // Like a live reconfiguration block, a round that installed something is
 // followed by reconcileEngine: once per round, not per replayed block.
-func (n *Node) synced(eng *consensus.Engine, progressed bool, err error) event {
+func (n *Node) synced(progressed bool, err error) event {
 	if progressed {
 		n.stateTransfers.Add(1)
 		n.reconcileEngine()
@@ -165,10 +256,7 @@ func (n *Node) synced(eng *consensus.Engine, progressed bool, err error) event {
 		n.post(tailEvent{kind: tevHeight, number: n.ledger.Height()})
 	}
 	n.syncErr = err
-	n.mu.Lock()
-	replaced := n.engine != eng
-	n.mu.Unlock()
-	return event{kind: evSynced, floor: n.nextInstance.Load(), progressed: progressed, viewChanged: replaced}
+	return event{kind: evSynced, floor: n.nextInstance.Load(), progressed: progressed}
 }
 
 // batcherOrPeersBusy gates re-sync: an idle system with nothing pending has
@@ -184,15 +272,14 @@ func (n *Node) batcherOrPeersBusy() bool {
 // commitDecision runs Algorithm 1 for one decided batch: apply it (the
 // transition shared with replay), then what only the live path does — build
 // the block, hand it to the logger and the tail (which owes the replies),
-// and, after a view update, reconcile keys and engine. Returns true when the
-// block carried a view update.
-func (n *Node) commitDecision(d consensus.Decision) bool {
+// and, after a view update, reconcile keys and machine.
+func (n *Node) commitDecision(d consensus.Decision) {
 	if len(d.Value) == 0 {
-		return false // leader-change filler decision: no block
+		return // leader-change filler decision: no block
 	}
 	batch, err := smr.DecodeBatch(d.Value)
 	if err != nil {
-		return false // validated at proposal time; cannot happen with correct quorum
+		return // validated at proposal time; cannot happen with correct quorum
 	}
 	results, update, replies := n.applyBatch(n.ledger.Height()+1, d.Instance, d.Epoch, &batch)
 	n.executedTxs.Add(int64(len(batch.Requests)))
@@ -203,10 +290,10 @@ func (n *Node) commitDecision(d consensus.Decision) bool {
 	}
 	blk, err := n.ledger.BuildBlock(kind, d.Instance, d.Epoch, d.Value, d.Proof, results, update)
 	if err != nil {
-		return false
+		return
 	}
 	if err := n.ledger.Commit(&blk); err != nil {
-		return false
+		return
 	}
 	n.blocksBuilt.Add(1)
 
@@ -222,11 +309,16 @@ func (n *Node) commitDecision(d consensus.Decision) bool {
 	n.logger.Append(blockchain.EncodeBlockRecord(&blk), func(err error) {
 		n.post(tailEvent{kind: tevDurable, number: number, err: err})
 	})
-	if wait {
+	// The inbox drains meanwhile (outputs queue behind this commit's outcome):
+	// the shares this waits for come through dispatch, which a full one blocks.
+	for wait {
 		select {
 		case <-n.released:
+			wait = false
+		case in := <-n.inbox:
+			n.take(in)
 		case <-n.stop:
-			return false
+			return
 		}
 	}
 
@@ -239,7 +331,6 @@ func (n *Node) commitDecision(d consensus.Decision) bool {
 	if n.ledger.LastCheckpoint() == blk.Header.Number {
 		n.writeCheckpoint(&blk)
 	}
-	return update != nil
 }
 
 // applyBatch is the one transition of the replicated state above the

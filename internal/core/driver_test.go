@@ -1,0 +1,281 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"testing"
+	"time"
+
+	"smartchain/internal/blockchain"
+	"smartchain/internal/coin"
+	"smartchain/internal/consensus"
+	"smartchain/internal/crypto"
+	"smartchain/internal/smr"
+	"smartchain/internal/storage"
+	"smartchain/internal/transport"
+	"smartchain/internal/view"
+)
+
+// sendLog is a transport endpoint that only records what is sent: the
+// driver rig runs in the test goroutine and delivers by hand.
+type sendLog struct {
+	id   int32
+	sent []transport.Message
+}
+
+func (e *sendLog) ID() int32 { return e.id }
+func (e *sendLog) Send(to int32, typ uint16, payload []byte) error {
+	e.sent = append(e.sent, transport.Message{From: e.id, To: to, Type: typ, Payload: payload})
+	return nil
+}
+func (e *sendLog) Receive() <-chan transport.Message { return nil }
+func (e *sendLog) Close() error                      { return nil }
+
+// driverRig is one un-started replica of a four-member view whose ordering
+// driver the test steps through its plain methods — no goroutine of its
+// own — and the other three members as bare consensus machines that talk to
+// each other in the test goroutine and to the replica only when the test
+// hands it what they sent.
+type driverRig struct {
+	n      *Node
+	ep     *sendLog
+	view   view.View
+	peers  map[int32]*consensus.Machine
+	flight []transport.Message
+	toNode []transport.Message // what the peers sent the replica, in order
+}
+
+func newDriverRig(t *testing.T, self int32, timeout time.Duration) *driverRig {
+	t.Helper()
+	var replicas []blockchain.ReplicaInfo
+	perms, cons := map[int32]*crypto.KeyPair{}, map[int32]*crypto.KeyPair{}
+	for id := int32(0); id < 4; id++ {
+		perms[id], cons[id] = crypto.SeededKeyPair("driver-rig/perm", int64(id)), crypto.SeededKeyPair("driver-rig/cons", int64(id))
+		replicas = append(replicas, blockchain.ReplicaInfo{ID: id, PermanentPub: perms[id].Public(), ConsensusPub: cons[id].Public()})
+	}
+	r := &driverRig{ep: &sendLog{id: self}, peers: map[int32]*consensus.Machine{}}
+	n, err := NewNode(Config{
+		Self: self, Genesis: blockchain.Genesis{ChainID: "driver-rig", MaxBatchSize: 8, Replicas: replicas},
+		Permanent: perms[self], InitialConsensusKey: cons[self], Transport: r.ep,
+		App: coin.NewService(nil), Storage: smr.StorageMemory, Pipeline: true, ConsensusTimeout: timeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Stop)
+	r.n, r.view = n, n.View()
+	for id := range cons {
+		if id == self {
+			continue
+		}
+		from := id
+		r.peers[id] = consensus.NewMachine(consensus.Config{Self: id, View: r.view, Signer: cons[id], Timeout: time.Minute,
+			Send: func(to int32, typ uint16, p []byte) {
+				r.flight = append(r.flight, transport.Message{From: from, To: to, Type: typ, Payload: p})
+			}})
+	}
+	n.beginOrdering()
+	return r
+}
+
+// settlePeers delivers what the peers send each other until nothing is in
+// flight, keeping what they send the replica.
+func (r *driverRig) settlePeers(now time.Time) {
+	for len(r.flight) > 0 {
+		m := r.flight[0]
+		r.flight = r.flight[1:]
+		if m.To == r.n.cfg.Self {
+			r.toNode = append(r.toNode, m)
+			continue
+		}
+		consensus.PreVerify(m, r.view, nil, func(in consensus.Input) { r.peers[m.To].Message(now, in) })
+	}
+}
+
+// queue puts the peers' messages to the replica of type typ in its inbox —
+// as dispatch does, minus the vote pool, so they are there on return — and
+// reports how many.
+func (r *driverRig) queue(typ uint16) int {
+	queued := 0
+	for _, m := range r.toNode {
+		if m.Type == typ {
+			consensus.PreVerify(m, r.view, nil, func(in consensus.Input) { r.n.postMessage(r.view.ID, in) })
+			queued++
+		}
+	}
+	return queued
+}
+
+// The inbox-before-tick rule. A commit can hold the driver past a slot's
+// progress deadline; the votes that arrived meanwhile wait in the inbox, and
+// when the timer fires they are stepped before the tick: the slot decides
+// and nothing campaigns. Stepping the tick first finds slot 1 due with a
+// proposal and broadcasts an EPOCH-STOP against a healthy leader.
+func TestDriverStepsQueuedVotesBeforeTick(t *testing.T) {
+	r := newDriverRig(t, 1, time.Nanosecond) // every deadline is due by the next step
+	now := time.Now()
+	r.peers[0].Start(now, 1, []byte{}) // the leader proposes an empty batch
+	r.peers[2].Start(now, 1, nil)
+	r.peers[3].Start(now, 1, nil)
+	r.settlePeers(now)
+
+	if r.queue(consensus.MsgPropose) != 1 {
+		t.Fatalf("the leader sent the replica no proposal: %v", r.toNode)
+	}
+	r.n.onInput(<-r.n.inbox) // adopted: the replica votes WRITE
+	if w, a := r.queue(consensus.MsgWrite), r.queue(consensus.MsgAccept); w != 3 || a != 3 {
+		t.Fatalf("%d WRITEs and %d ACCEPTs queued, want the three peers' each", w, a)
+	}
+	if r.n.nextInstance.Load() != 1 {
+		t.Fatal("slot 1 decided before the timer fired")
+	}
+
+	r.n.onTimer()
+	for _, m := range r.ep.sent {
+		if m.Type == consensus.MsgEpochStop {
+			t.Fatal("an EPOCH-STOP left the replica: the tick was stepped before the queued votes")
+		}
+	}
+	if got := r.n.nextInstance.Load(); got != 2 {
+		t.Fatalf("commit floor %d after the timer fired, want 2: the queued ACCEPT quorum decides slot 1", got)
+	}
+	if got := r.n.Stats().EpochChanges; got != 0 {
+		t.Fatalf("%d regencies installed, want 0", got)
+	}
+}
+
+// A catch-up round can replay this replica's own removal: installView drops
+// the seat mid-round, and the window hears only at the round's outcome. Work
+// arriving meanwhile reaches a window that still believes it leads — replica
+// 0 leads regency 0 — and its effects must go nowhere, not into a machine
+// that is gone; the outcome then halts the window and gives the batch back.
+func TestDriverSeatDroppedMidRoundStepsNoMachine(t *testing.T) {
+	r := newDriverRig(t, 0, time.Minute)
+	r.n.drive(event{kind: evSyncAsk, peers: []int32{1}, timeout: time.Minute})
+	if !r.n.w.syncing {
+		t.Fatal("no round in flight")
+	}
+	r.n.installView(&blockchain.ViewUpdate{NewViewID: 1, Members: []int32{1, 2, 3}})
+	if !r.n.batcher.Add(smr.Request{ClientID: 7, Seq: 1, Op: []byte{OpApp}}) {
+		t.Fatal("request refused")
+	}
+	r.n.drive(event{kind: evWork})
+	for _, m := range r.ep.sent {
+		if m.Type >= consensus.MsgPropose && m.Type < 120 {
+			t.Fatalf("consensus message %d left a replica without a seat", m.Type)
+		}
+	}
+
+	r.n.settle(r.n.synced(false, nil)) // the round ends
+	r.n.drive()
+	if r.n.w.live {
+		t.Fatal("the window still orders for a dropped seat")
+	}
+	if got := r.n.batcher.Pending(); got != 1 {
+		t.Fatalf("%d requests pending after the window halted, want the one given back", got)
+	}
+}
+
+// A commit that waits on its PERSIST certificate (Pipeline=false here; every
+// reconfiguration block too) must not depend on the inbox being drained: the
+// shares it waits for come through the receive loop, which blocks on a full
+// inbox. A faulty member floods replica 0 with PROPOSEs — passed on
+// unvalidated — while each commit waits out a slow disk; every mint must
+// still be released, replica 0's replies included.
+func TestDriverReleasesCommitUnderInboxFlood(t *testing.T) {
+	c, minter := testCluster(t, 4, func(cfg *ClusterConfig) {
+		cfg.Pipeline = false
+		cfg.ConsensusTimeout = 5 * time.Second
+		cfg.DiskFactory = func() *storage.SimDisk { return &storage.SimDisk{SyncLatency: 50 * time.Millisecond} }
+	})
+	p := registeredClient(t, c, minter)
+	if err := c.Crash(3); err != nil { // free replica 3's address (f = 1 allows it)
+		t.Fatalf("crash: %v", err)
+	}
+	member := c.Net.Endpoint(3) // speaks to replica 0 as its peer 3
+	defer member.Close()
+
+	done := make(chan struct{})
+	flooded := make(chan struct{})
+	go func() {
+		defer close(flooded)
+		for sent := 0; sent < 40_000; sent += 500 { // ~100 per ms: a 4096 inbox fills inside one wait
+			for range 500 {
+				if member.Send(0, consensus.MsgPropose, []byte{0xff}) != nil {
+					return
+				}
+			}
+			select {
+			case <-done:
+				return
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+	}()
+	defer func() { close(done); <-flooded }()
+
+	const mints = 4
+	for nonce := uint64(1); nonce <= mints; nonce++ {
+		mint(t, p, nonce, 10)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Nodes[0].Node.lastReplyBlock.Load() < mints {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica 0 released %d of %d blocks", c.Nodes[0].Node.lastReplyBlock.Load(), mints)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A single replica is its own quorum: a proposal decides inside the step
+// that made it, and the commit — a checkpoint every 20 blocks on a synced
+// HDD log — runs inline right behind it. Under 32 closed-loop clients that
+// is the configuration bench/README.md's first finding saw stop committing
+// after its first checkpoint; every op must be answered.
+func TestSingleReplicaCheckpointsUnderLoad(t *testing.T) {
+	const clients, opsEach = 32, 60
+	keys := make([]*crypto.KeyPair, clients)
+	pubs := make([]crypto.PublicKey, clients)
+	for i := range keys {
+		keys[i] = crypto.SeededKeyPair("single-replica-minter", int64(i))
+		pubs[i] = keys[i].Public()
+	}
+	c, _ := testCluster(t, 1, func(cfg *ClusterConfig) {
+		cfg.CheckpointPeriod = 20
+		cfg.MaxBatch = 3 // ≥ 640 blocks whatever the batching: 32 checkpoints
+		cfg.DiskFactory = storage.HDDProfile
+		cfg.ConsensusTimeout = 2 * time.Second
+		cfg.AppFactory = func() Application { return coin.NewService(pubs) }
+		cfg.Minters = pubs
+	})
+	errs := make(chan error, clients)
+	for i := range keys {
+		p := coinClient(t, c, keys[i])
+		defer p.Close()
+		go func(key *crypto.KeyPair) {
+			failed := 0
+			for nonce := uint64(1); nonce <= opsEach; nonce++ {
+				tx, err := coin.NewMint(key, nonce, 1)
+				if err == nil {
+					_, err = p.Invoke(context.Background(), WrapAppOp(tx.Encode()))
+				}
+				if err != nil {
+					failed++
+				}
+			}
+			if failed > 0 {
+				errs <- fmt.Errorf("%d of %d mints failed", failed, opsEach)
+				return
+			}
+			errs <- nil
+		}(keys[i])
+	}
+	for range keys {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h := c.Nodes[0].Node.Ledger().Height(); h < 600 {
+		t.Fatalf("height %d after %d mints, want ≥ 600", h, clients*opsEach)
+	}
+}

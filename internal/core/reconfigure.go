@@ -27,9 +27,9 @@ func clonePermKeys(m map[int32]crypto.PublicKey) map[int32]crypto.PublicKey {
 // permanent keys, the new view, a fresh remove tracker (votes target a view
 // that no longer exists; keeping them would let a later vote complete a
 // quorum no other replica sees), and — when the change excludes this
-// member — retirement (paper §V-D): its engine stops and it stays only to
-// serve state transfer. A joiner replaying history it was never part of is
-// not a member of the prior view and is left alone.
+// member — retirement (paper §V-D): its consensus machine is dropped and it
+// stays only to serve state transfer. A joiner replaying history it was
+// never part of is not a member of the prior view and is left alone.
 func (n *Node) installView(u *blockchain.ViewUpdate) {
 	keys := make(map[int32]crypto.PublicKey, len(u.Keys))
 	for _, ck := range u.Keys {
@@ -37,31 +37,27 @@ func (n *Node) installView(u *blockchain.ViewUpdate) {
 	}
 	next := view.New(u.NewViewID, u.Members, keys)
 
-	var excluded *consensus.Engine
 	n.mu.Lock()
 	for i := range u.Joining {
 		n.permanentKeys[u.Joining[i].ID] = u.Joining[i].PermanentPub
 	}
-	wasMember := n.curView.Contains(n.cfg.Self) && !n.retired
+	excluded := n.curView.Contains(n.cfg.Self) && !n.retired && !next.Contains(n.cfg.Self)
 	n.curView = next
 	n.removeTracker = reconfig.NewRemoveTracker()
-	if wasMember && !next.Contains(n.cfg.Self) {
-		excluded, n.engine = n.engine, nil
-		n.retired = true
-	}
+	n.retired = n.retired || excluded
 	n.mu.Unlock()
-	if excluded != nil {
-		excluded.Stop()
+	if excluded {
+		n.seat(nil)
 	}
 }
 
 // reconcileEngine is the local half: bring this member's consensus key and
-// engine in line with the installed view. It runs on the ordering driver's
+// machine in line with the installed view. It runs on the ordering driver's
 // goroutine only: as its first act, right after a live reconfiguration block
 // (durable and PERSIST-certified under the old keys by then) and once per
 // state-transfer round that installed something — not per replayed block:
 // only the last view of a replayed range ever orders anything, and each
-// rotation erases a key (the forgetting protocol) and costs an engine start.
+// rotation erases a key (the forgetting protocol) and costs a new machine.
 // A member whose key is not in the view record — it was not part of the
 // reconfiguration quorum, or slept through the change — announces the fresh
 // one (paper §V-D).
@@ -69,18 +65,13 @@ func (n *Node) reconcileEngine() {
 	n.mu.Lock()
 	v := n.curView
 	member := v.Contains(n.cfg.Self) && !n.retired
-	eng := n.engine
 	n.mu.Unlock()
 	if !member {
 		return
 	}
 	cur, viewID := n.keys.Current()
 	if viewID != v.ID || cur == nil || cur.Erased() {
-		// Stop the old engine before rotating keys: it must not sign
-		// anything in the old view after the new one is installed.
-		if eng != nil {
-			eng.Stop()
-		}
+		n.seat(nil) // a key the store is about to erase signs nothing more
 		fresh, err := n.keys.Install(v.ID)
 		if err != nil {
 			return
@@ -100,9 +91,25 @@ func (n *Node) reconcileEngine() {
 			}
 		}
 	}
-	if eng == nil || viewID != v.ID {
-		n.startEngine()
+	if n.cons != nil {
+		return
 	}
+	ep := n.cfg.Transport
+	n.seat(consensus.NewMachine(consensus.Config{
+		Self:     n.cfg.Self,
+		View:     n.View(),
+		Signer:   cur,
+		Send:     func(to int32, typ uint16, p []byte) { _ = ep.Send(to, typ, p) }, //smartlint:allow errdrop consensus tolerates loss via retransmit and epoch change
+		Timeout:  n.cfg.ConsensusTimeout,
+		Validate: func(_ int64, value []byte) bool { return len(value) == 0 || smr.ValidBatchValue(value) },
+		// RequestValue is deliberately absent: batch handout stays with
+		// the ordering driver, which tracks every handed-out batch per
+		// instance and requeues it if the instance is abandoned (view
+		// drain, state transfer). A new leader elected mid-instance
+		// proposes the empty filler value instead; the pending work goes
+		// into the next window slots through the driver.
+		HasPending: func() bool { return n.batcher.Pending() > 0 },
+	}))
 }
 
 // onJoinAsk is a member's side of Fig. 5a step 1-2: evaluate the candidate
@@ -145,7 +152,8 @@ func (n *Node) onJoinAsk(m transport.Message) {
 }
 
 // onKeyAnnounce installs a late-announced consensus key for the current
-// view, both in the node's view and in the running engine.
+// view, in the node's view and — through the inbox — in the machine of that
+// view.
 func (n *Node) onKeyAnnounce(m transport.Message) {
 	ann, err := decodeKeyAnnounce(m.Payload)
 	if err != nil || ann.Key.Signer != m.From {
@@ -154,7 +162,6 @@ func (n *Node) onKeyAnnounce(m transport.Message) {
 	n.mu.Lock()
 	cur := n.curView
 	perm, known := n.permanentKeys[ann.Key.Signer]
-	eng := n.engine
 	n.mu.Unlock()
 	if !known || ann.Key.ViewID != cur.ID || !cur.Contains(ann.Key.Signer) {
 		return
@@ -165,9 +172,10 @@ func (n *Node) onKeyAnnounce(m transport.Message) {
 	n.mu.Lock()
 	n.curView = n.curView.WithKey(ann.Key.Signer, ann.Key.ConsensusPub)
 	n.mu.Unlock()
-	if eng != nil {
-		eng.UpdateKey(ann.Key.Signer, ann.Key.ConsensusPub)
-	}
+	id, pub := ann.Key.Signer, ann.Key.ConsensusPub
+	n.postInput(consInput{ann.Key.ViewID, func(now time.Time, m *consensus.Machine) ([]consensus.Decision, int64) {
+		return m.UpdateKey(now, id, pub)
+	}})
 }
 
 // RequestJoin drives a candidate's side of the join protocol (Fig. 5a):

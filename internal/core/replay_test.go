@@ -8,6 +8,7 @@ import (
 
 	"smartchain/internal/blockchain"
 	"smartchain/internal/coin"
+	"smartchain/internal/consensus"
 	"smartchain/internal/crypto"
 	"smartchain/internal/smr"
 	"smartchain/internal/storage"
@@ -97,16 +98,16 @@ func TestReplayMatchesLiveExecution(t *testing.T) {
 	for leader.nextInstance.Load() <= forged.Body.ConsensusID {
 		time.Sleep(time.Millisecond) // the floor moves right after the block becomes visible
 	}
-	slot := leader.nextInstance.Load()
-	leader.mu.Lock()
-	eng := leader.engine
-	leader.mu.Unlock()
+	slot, value := leader.nextInstance.Load(), again.Encode()
+	propose := func(now time.Time, m *consensus.Machine) ([]consensus.Decision, int64) {
+		return m.Propose(now, slot, value) // ignored until the slot is open, and once it has a proposal
+	}
 	height++
 	for deadline := time.Now().Add(10 * time.Second); live.Node.ledger.Height() < height; time.Sleep(20 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("re-proposed batch never decided")
 		}
-		eng.ProposeValue(slot, again.Encode()) // ignored until the slot is open, and once it has a proposal
+		leader.postInput(consInput{leader.View().ID, propose})
 	}
 	if err := c.WaitHeight(height, 10*time.Second); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -35,39 +36,41 @@ func waitViewID(t *testing.T, c *Cluster, id int64) {
 	}
 }
 
-// waitQuiescent blocks until every live replica's instance counter has
-// held still for a full observation window, then returns the counters.
+// waitQuiescent blocks until the cluster owes nothing: every live member's
+// batcher holds no request pending or handed out, and all live heights are
+// equal — on two samples in a row, with the same counters — then returns
+// the instance counters. Counters holding still prove nothing: an ordered
+// request still in a batcher commits whenever its turn comes.
 func waitQuiescent(t *testing.T, c *Cluster) map[int32]int64 {
 	t.Helper()
-	snapshot := func() map[int32]int64 {
+	sample := func() (map[int32]int64, bool) {
 		out := make(map[int32]int64)
+		quiet, height := true, int64(-1)
 		for id, cn := range c.Nodes {
 			if cn.Node == nil || cn.Node.Retired() {
 				continue
 			}
-			out[id] = cn.Node.Stats().Instances
+			n := cn.Node
+			h := n.ledger.Height()
+			if n.batcher.Pending() > 0 || n.batcher.Outstanding() > 0 || (height >= 0 && h != height) {
+				quiet = false
+			}
+			height, out[id] = h, n.Stats().Instances
 		}
-		return out
+		return out, quiet
 	}
 	deadline := time.Now().Add(20 * time.Second)
-	prev := snapshot()
+	prev, wasQuiet := sample()
 	for {
-		time.Sleep(250 * time.Millisecond)
-		cur := snapshot()
-		same := len(cur) == len(prev)
-		for id, v := range cur {
-			if prev[id] != v {
-				same = false
-				break
-			}
-		}
-		if same {
+		time.Sleep(50 * time.Millisecond)
+		cur, quiet := sample()
+		if wasQuiet && quiet && maps.Equal(prev, cur) {
 			return cur
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("cluster never quiesced")
 		}
-		prev = cur
+		prev, wasQuiet = cur, quiet
 	}
 }
 

@@ -12,18 +12,14 @@ import (
 // happen outside it, or the passage of time.
 type event struct {
 	kind eventKind
-	// gen names an engine: the node numbers the engines it starts (one per
-	// view it orders in), so a decision is matched to its window by number,
-	// not by pointer. evEngine, evDecision.
-	gen uint64
 	// floor is the commit floor the commit or round left behind. evCommitted,
 	// evSynced.
 	floor int64
-	// member: this replica orders through engine gen; leads: it leads that
-	// engine's regency — a hint, as old as the runtime's last look. evEngine.
+	// member: this replica orders through the new machine; leads: it leads
+	// the machine's regency. evEngine (member, leads), evLeader (leads).
 	member, leads bool
 	decision      consensus.Decision // evDecision
-	viewChanged   bool               // evCommitted, evSynced: it installed a new view: the engine is gone
+	replaced      bool               // evCommitted, evSynced: the machine was replaced or dropped
 	progressed    bool               // evSynced: the round installed or applied something
 	peers         []int32            // evSyncAsk: the donors to ask,
 	timeout       time.Duration      // and how long a round may take
@@ -32,8 +28,9 @@ type event struct {
 type eventKind uint8
 
 const (
-	evEngine    eventKind = iota + 1 // the live engine, or this replica's standing in it, changed
-	evDecision                       // engine gen decided an instance
+	evEngine    eventKind = iota + 1 // a new consensus machine, or none: this replica's seat changed
+	evLeader                         // the machine installed a regency: leadership may have moved
+	evDecision                       // the machine decided an instance
 	evWork                           // the request queue may hold work
 	evCommitted                      // the runtime finished the fxCommit in flight
 	evSyncAsk                        // a caller wants a state-transfer round (Start, SyncFromPeers)
@@ -54,8 +51,8 @@ type effect struct {
 type effectKind uint8
 
 const (
-	fxAdvance effectKind = iota + 1 // the live engine abandons every instance below inst
-	fxStart                         // the live engine starts slot inst, empty
+	fxAdvance effectKind = iota + 1 // the machine abandons every instance below inst
+	fxStart                         // the machine starts slot inst, empty
 	fxPropose                       // offer value to the started slot inst
 	fxCommit                        // run Algorithm 1 for decision, then step evCommitted
 	fxSync                          // begin one state-transfer round; evSynced ends it
@@ -74,7 +71,8 @@ type proposal struct {
 // path (Algorithm 1) strictly in instance order through a reorder buffer.
 // Like consensus.machine it starts no goroutine, reads no clock and touches
 // no channel or lock (smartlint's looptime holds it to that). It lives as
-// long as the node: engines come and go underneath it, told by generation.
+// long as the node: consensus machines come and go underneath it, each
+// announced by an evEngine right after the outcome that replaced the last.
 type window struct {
 	depth  int           // W ≥ 1; 1 is strictly sequential ordering
 	period time.Duration // a window that commits nothing this long re-syncs
@@ -87,17 +85,15 @@ type window struct {
 
 	out []effect // effects of the step in progress; reused across steps
 
-	gen   uint64 // the engine generation the last evEngine named
-	live  bool   // slots are open on engine gen
+	live  bool // slots are open on the machine the last evEngine announced
 	leads bool
 	// floor is the lowest instance not yet committed and advanced the floor
-	// the live engine was last told; slots [floor, nextStart) are started.
+	// the machine was last told; slots [floor, nextStart) are started.
 	floor, nextStart, advanced int64
 	// parked is the reorder buffer (decided, waiting for the floor), proposed
 	// the batch offered to each slot; a started slot in neither is empty.
 	parked   map[int64]consensus.Decision
 	proposed map[int64]proposal
-	early    []event   // decisions of a generation no evEngine has named yet
 	resyncAt time.Time // zero while no window is open
 	// syncing: an fxSync (round) is out and its evSynced is not in. Until then
 	// decisions only park and no second round begins: the one fact that keeps
@@ -128,8 +124,12 @@ func (w *window) step(now time.Time, ev event) []effect {
 	switch ev.kind {
 	case evEngine:
 		w.onEngine(now, ev)
+	case evLeader:
+		w.leads = ev.leads
 	case evDecision:
-		w.onDecision(ev)
+		if d := ev.decision; w.live && d.Instance >= w.floor {
+			w.parked[d.Instance] = d
+		}
 	case evSyncAsk:
 		// One that finds a round in flight waits for that round's outcome.
 		if !w.syncing {
@@ -142,20 +142,20 @@ func (w *window) step(now time.Time, ev event) []effect {
 			w.resyncAt = now.Add(w.period)
 		}
 		w.moveFloor(ev.floor)
-		if ev.viewChanged {
-			// The engine was replaced: what it decided beyond this block is
-			// void (on every replica: the reconfiguration commits first
-			// everywhere) and restarts under the next generation.
+		if ev.replaced {
+			// What the old machine decided beyond this block is void (on
+			// every replica: the reconfiguration commits first everywhere)
+			// and restarts under the machine the next evEngine announces.
 			w.halt()
 		}
 		if ev.kind == evCommitted {
 			break
 		}
 		// Rounds repeat while they make progress — the view moved on meanwhile —
-		// until the engine kept running holds the decision to commit next. One
-		// parked higher up is no exit: proposals sent before the engine could
+		// until the machine kept running holds the decision to commit next. One
+		// parked higher up is no exit: proposals sent before the machine could
 		// buffer them leave a hole under it that only a round closes. A window
-		// without a seat has no engine to hand over to: it never chains.
+		// without a seat has no machine to hand over to: it never chains.
 		_, handedOver := w.parked[w.floor]
 		w.syncing, begin = false, w.live && ev.progressed && !handedOver
 		if w.live && !begin {
@@ -192,40 +192,20 @@ func (w *window) step(now time.Time, ev event) []effect {
 // runtime must deliver an evTick no later.
 func (w *window) nextDeadline() time.Time { return w.resyncAt }
 
-// onEngine is the one engine hand-over. A new generation, or losing the
-// seat, ends the open window; a member without a window opens one at the
-// floor. The same generation again only refreshes the leadership hint.
+// onEngine is the one machine hand-over: whatever window was open belongs
+// to a machine that is gone, and a member opens one at the floor.
 func (w *window) onEngine(now time.Time, ev event) {
-	if ev.gen != w.gen || !ev.member {
-		w.halt()
-	}
-	w.gen, w.leads = ev.gen, ev.leads
-	if ev.member && !w.live {
+	w.halt()
+	w.leads = ev.leads
+	if ev.member {
 		w.live, w.nextStart, w.advanced = true, w.floor, 0
 		w.resyncAt = now.Add(w.period)
-	}
-	// Decisions that overtook this event land now, wait on, or are dropped.
-	early := w.early
-	w.early = nil
-	for _, e := range early {
-		w.onDecision(e)
-	}
-}
-
-// onDecision lands a decision in the reorder buffer. One from a replaced
-// engine, or for an instance already committed, is dropped.
-func (w *window) onDecision(ev event) {
-	switch d := ev.decision; {
-	case ev.gen > w.gen:
-		w.early = append(w.early, ev)
-	case ev.gen == w.gen && w.live && d.Instance >= w.floor:
-		w.parked[d.Instance] = d
 	}
 }
 
 // moveFloor settles every slot below floor, whatever moved it there: a
 // commit, or a state-transfer round — which can land anywhere, also inside
-// the open window, where stale engine instances below the floor could never
+// the open window, where stale machine instances below the floor could never
 // decide yet would keep gating the lowest-undecided timeout.
 func (w *window) moveFloor(floor int64) {
 	if floor <= w.floor {
@@ -263,7 +243,7 @@ func (w *window) giveBack(upTo int64) {
 	}
 }
 
-// halt abandons the open window: its engine is gone. The requests are
+// halt abandons the open window: its machine is gone. The requests are
 // queued at every other replica too, so returning them is a liveness
 // optimization, not a safety requirement.
 func (w *window) halt() {
@@ -272,7 +252,7 @@ func (w *window) halt() {
 	w.live, w.resyncAt = false, time.Time{}
 }
 
-// open slides the live engine's window up to the floor: instances below it
+// open slides the machine's window up to the floor: instances below it
 // are abandoned there, and slots start up to W above it. Slots always open
 // empty — fill is the only place a batch meets a slot.
 func (w *window) open() {
@@ -290,7 +270,7 @@ func (w *window) open() {
 // load-bearing: commits are in instance order, so a batch above an empty
 // slot cannot commit until that slot decides — and with every client
 // blocked on the batch, nothing fills the slot short of a progress timeout
-// deposing a healthy leader. The engine ignores a value for a slot that has
+// deposing a healthy leader. The machine ignores a value for a slot that has
 // decided (skipped here) or that this replica does not lead after all;
 // giveBack returns those requests once the slot settles. The batch is stamped
 // with the step's instant: the proposing leader's clock.

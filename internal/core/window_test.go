@@ -12,14 +12,16 @@ import (
 )
 
 // The window machine under virtual time: one goroutine, no sleeps. A fake
-// queue stands in for smr.Batcher, and the rig plays runtime and engine —
-// it performs every effect the way Node.drive does (a commit is answered
-// with evCommitted before anything else; a state-transfer round stays in
-// flight until the script ends it with synced) and checks on each one what
-// must hold for every path: no slot starts below the floor or twice, no
-// batch lands above an empty slot, a commit or a round's beginning is alone
-// and last, a commit is for the floor, and while a round is in flight
-// nothing commits and no second round begins.
+// queue stands in for smr.Batcher, and the rig plays runtime and consensus
+// machine — it performs every effect the way Node.drive does (a commit is
+// answered with evCommitted before anything else; a state-transfer round
+// stays in flight until the script ends it with synced; an outcome that
+// replaced the machine is followed by the evEngine that announces the next
+// seat) and checks on each one what must hold for every path: no slot
+// starts below the floor or twice on one machine, no batch lands above an
+// empty slot, a commit or a round's beginning is alone and last, a commit is
+// for the floor, and while a round is in flight nothing commits and no
+// second round begins.
 
 // fakeQueue is the injected request queue.
 type fakeQueue struct {
@@ -62,8 +64,10 @@ func testBatch(client int64, seq uint64, n int) smr.Batch {
 
 const testPeriod = 2 * time.Second
 
+// slotRef names a slot of one machine: the rig numbers the machines the
+// window is told about.
 type slotRef struct {
-	gen  uint64
+	seat int
 	inst int64
 }
 
@@ -75,6 +79,8 @@ type rig struct {
 	floor int64 // the runtime's commit floor (Node.nextInstance)
 	// viewChangeAt: committing this instance installs a new view.
 	viewChangeAt int64
+	seat         int  // the machines announced so far
+	owesEngine   bool // an outcome replaced the machine: evEngine comes next
 
 	started  map[slotRef]bool
 	placed   map[slotRef][]byte // the value offered to each slot
@@ -106,6 +112,15 @@ func (r *rig) step(ev event) (event, bool) {
 	var follow event
 	committed, last := false, false
 	r.kinds = r.kinds[:0]
+	if r.owesEngine && ev.kind != evEngine {
+		r.t.Fatalf("event %d between a replacing outcome and its evEngine", ev.kind)
+	}
+	switch {
+	case ev.kind == evEngine:
+		r.seat, r.owesEngine = r.seat+1, false
+	case (ev.kind == evCommitted || ev.kind == evSynced) && ev.replaced:
+		r.owesEngine = true
+	}
 	for _, fx := range r.w.step(r.now, ev) {
 		if last {
 			r.t.Fatalf("effect %d after the commit or sync of one step", fx.kind)
@@ -114,7 +129,7 @@ func (r *rig) step(ev event) (event, bool) {
 		if r.syncing && (fx.kind == fxCommit || fx.kind == fxSync) {
 			r.t.Fatalf("effect %d while a state-transfer round is in flight", fx.kind)
 		}
-		at := slotRef{r.w.gen, fx.inst}
+		at := slotRef{r.seat, fx.inst}
 		switch fx.kind {
 		case fxAdvance:
 			r.advances = append(r.advances, at)
@@ -137,7 +152,7 @@ func (r *rig) step(ev event) (event, bool) {
 			if d.Instance == r.floor { // else a state transfer got there first
 				r.commits = append(r.commits, d.Instance)
 				r.floor++
-				follow.viewChanged = d.Instance == r.viewChangeAt
+				follow.replaced = d.Instance == r.viewChangeAt
 			}
 			follow.floor = r.floor
 		case fxSync:
@@ -156,6 +171,16 @@ func (r *rig) synced(floor int64, progressed bool) {
 	r.run(event{kind: evSynced, floor: r.floor, progressed: progressed})
 }
 
+// syncedReplaced ends the round in flight with a new view installed: the
+// outcome, then the evEngine announcing the seat in it, as Node.settle
+// queues them.
+func (r *rig) syncedReplaced(floor int64, member, leads bool) {
+	r.t.Helper()
+	r.floor, r.syncing = max(r.floor, floor), false
+	r.run(event{kind: evSynced, floor: r.floor, progressed: true, replaced: true})
+	r.engine(member, leads)
+}
+
 // checkOffer: a batch may only go to a started, still empty slot with no
 // empty slot below it.
 func (r *rig) checkOffer(at slotRef) {
@@ -164,7 +189,7 @@ func (r *rig) checkOffer(at slotRef) {
 		r.t.Fatalf("batch offered to slot %d, which is not started or already holds one", at.inst)
 	}
 	for inst := r.w.floor; inst < at.inst; inst++ {
-		lower := slotRef{at.gen, inst}
+		lower := slotRef{at.seat, inst}
 		_, decided := r.w.parked[inst]
 		if _, taken := r.placed[lower]; r.started[lower] && !taken && !decided {
 			r.t.Fatalf("batch placed in slot %d above empty slot %d", at.inst, inst)
@@ -180,9 +205,16 @@ func (r *rig) run(ev event) {
 	}
 }
 
-func (r *rig) engine(gen uint64, member, leads bool) {
+// engine announces a new machine (member) or none.
+func (r *rig) engine(member, leads bool) {
 	r.t.Helper()
-	r.run(event{kind: evEngine, gen: gen, member: member, leads: leads})
+	r.run(event{kind: evEngine, member: member, leads: leads})
+}
+
+// leader says the machine installed a regency that this replica leads, or not.
+func (r *rig) leader(leads bool) {
+	r.t.Helper()
+	r.run(event{kind: evLeader, leads: leads})
 }
 
 func (r *rig) work(batches ...smr.Batch) {
@@ -191,26 +223,27 @@ func (r *rig) work(batches ...smr.Batch) {
 	r.run(event{kind: evWork})
 }
 
-func (r *rig) decide(gen uint64, inst int64, value []byte) {
+// decide has the machine decide slot inst on value.
+func (r *rig) decide(inst int64, value []byte) {
 	r.t.Helper()
-	r.run(event{kind: evDecision, gen: gen, decision: consensus.Decision{Instance: inst, Value: value}})
+	r.run(event{kind: evDecision, decision: consensus.Decision{Instance: inst, Value: value}})
 }
 
 // decideOwn decides slot inst on the value this replica offered it.
-func (r *rig) decideOwn(gen uint64, inst int64) {
+func (r *rig) decideOwn(inst int64) {
 	r.t.Helper()
-	v, ok := r.placed[slotRef{gen, inst}]
+	v, ok := r.placed[slotRef{r.seat, inst}]
 	if !ok {
 		r.t.Fatalf("slot %d holds no batch to decide", inst)
 	}
-	r.decide(gen, inst, v)
+	r.decide(inst, v)
 }
 
-// ofGen picks the slots of one generation out of an effect record.
-func ofGen(refs []slotRef, gen uint64) []int64 {
+// ofSeat picks the slots of one machine out of an effect record.
+func ofSeat(refs []slotRef, seat int) []int64 {
 	var insts []int64
 	for _, ref := range refs {
-		if ref.gen == gen {
+		if ref.seat == seat {
 			insts = append(insts, ref.inst)
 		}
 	}
@@ -255,7 +288,7 @@ func TestWindowLeaderCommitsInOrderUnderAnyDecisionOrder(t *testing.T) {
 	for seed := int64(0); seed < 64; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r := newRig(t, 8)
-		r.engine(1, true, true)
+		r.engine(true, true)
 		added := 0
 		for len(r.commits) < batches {
 			var undecided []int64
@@ -276,7 +309,7 @@ func TestWindowLeaderCommitsInOrderUnderAnyDecisionOrder(t *testing.T) {
 			if len(undecided) == 0 {
 				t.Fatalf("seed %d: stalled at floor %d with every offered batch decided", seed, r.floor)
 			}
-			r.decideOwn(1, undecided[rng.Intn(len(undecided))])
+			r.decideOwn(undecided[rng.Intn(len(undecided))])
 			if r.w.floor != r.floor || int(r.w.nextStart-r.w.floor) != 8 {
 				t.Fatalf("seed %d: window [%d,%d) at runtime floor %d, want 8 open slots", seed, r.w.floor, r.w.nextStart, r.floor)
 			}
@@ -300,11 +333,11 @@ func TestWindowLeaderCommitsInOrderUnderAnyDecisionOrder(t *testing.T) {
 // batch must go to the lowest empty slot and never to the new one.
 func TestWindowWorkArrivingMidStepGoesToLowestEmptySlot(t *testing.T) {
 	r := newRig(t, 8)
-	r.engine(1, true, true)
+	r.engine(true, true)
 	r.work(testBatch(1, 1, 1))
 	r.wantOffers(1) // slots 2..8 are open and empty
 
-	commit, ok := r.step(event{kind: evDecision, gen: 1, decision: consensus.Decision{Instance: 1, Value: r.placed[slotRef{1, 1}]}})
+	commit, ok := r.step(event{kind: evDecision, decision: consensus.Decision{Instance: 1, Value: r.placed[slotRef{1, 1}]}})
 	if !ok {
 		t.Fatal("the decision at the floor was not released")
 	}
@@ -323,7 +356,7 @@ func TestWindowWorkArrivingMidStepGoesToLowestEmptySlot(t *testing.T) {
 	if n := len(r.w.proposed[2].batch.Requests); n != 4 {
 		t.Fatalf("slot 2 holds %d requests, want the 4 that arrived mid-step", n)
 	}
-	r.decideOwn(1, 2)
+	r.decideOwn(2)
 	r.wantCommits(1, 2)
 }
 
@@ -331,67 +364,61 @@ func TestWindowWorkArrivingMidStepGoesToLowestEmptySlot(t *testing.T) {
 // the requests back exactly once; a slot that decided the batch never does.
 func TestWindowRequeuesOnlyWhatWasNotDecided(t *testing.T) {
 	r := newRig(t, 4)
-	r.engine(1, true, true)
+	r.engine(true, true)
 	a, b := testBatch(1, 1, 2), testBatch(2, 1, 3)
 	r.work(a, b)
 	r.wantOffers(1, 2)
 
-	r.decideOwn(1, 1)
-	r.decide(1, 2, nil) // a leader change decided the empty filler
+	r.decideOwn(1)
+	r.decide(2, nil) // a leader change decided the empty filler
 	r.wantCommits(1, 2)
 	r.wantRequeued(b)
 	// The requests went back to the front of the queue and into the next
 	// empty slot; decided there, they stay decided.
 	r.wantOffers(1, 2, 3)
-	r.decideOwn(1, 3)
+	r.decideOwn(3)
 	r.wantCommits(1, 2, 3)
 	r.wantRequeued(b) // b once, a never
 }
 
-// (d) A commit that changes the view ends the window: what the old engine
+// (d) A commit that changes the view ends the window: what the old machine
 // decided beyond it is void, what this replica offered beyond it returns to
-// the queue in instance order, and the slots restart at the new floor under
-// the next generation. A straggler of the old generation is ignored; a
-// decision of the new one that overtakes its evEngine is kept.
-func TestWindowViewChangeHandsOverByGeneration(t *testing.T) {
+// the queue in instance order, and the slots restart at the new floor on the
+// machine the next evEngine announces — the event right after the commit's
+// outcome (Node.settle; no decision of the old machine can follow: the
+// runtime voids whatever it queued).
+func TestWindowViewChangeHandsOverToNextMachine(t *testing.T) {
 	r := newRig(t, 4)
-	r.engine(1, true, true)
+	r.engine(true, true)
 	a, b, c, d := testBatch(1, 1, 1), testBatch(2, 1, 1), testBatch(3, 1, 2), testBatch(4, 1, 2)
 	r.work(a, b, c, d)
 	r.wantOffers(1, 2, 3, 4)
 
 	r.viewChangeAt = 2
-	r.decideOwn(1, 3) // parks behind 1 and 2
-	r.decideOwn(1, 2)
-	r.decideOwn(1, 1) // releases 1, then 2 — the reconfiguration
+	r.decideOwn(3) // parks behind 1 and 2
+	r.decideOwn(2)
+	r.decideOwn(1) // releases 1, then 2 — the reconfiguration
 	r.wantCommits(1, 2)
 	r.wantRequeued(c, d)
 	if r.w.live || len(r.w.parked) != 0 || len(r.w.proposed) != 0 {
 		t.Fatalf("window survived the view change: live=%v parked=%d proposed=%d", r.w.live, len(r.w.parked), len(r.w.proposed))
 	}
 
-	effects := len(r.starts) + len(r.offers) + len(r.advances)
-	r.decideOwn(1, 4)           // in flight from the replaced engine
-	r.decide(2, 3, []byte("x")) // the new engine is faster than its evEngine
-	r.run(event{kind: evWork})
-	if len(r.starts)+len(r.offers)+len(r.advances) != effects {
-		t.Fatal("effects without a live engine")
-	}
-	r.wantCommits(1, 2)
-
-	r.engine(2, true, true)
+	r.engine(true, false) // the new view's first leader is someone else
+	r.decide(3, []byte("x"))
+	r.leader(true) // until a regency makes this replica leader
 	r.wantCommits(1, 2, 3)
 	// Slots 3..6 open at the new floor; committing 3 slides the window to 7.
-	if got := ofGen(r.starts, 2); !slices.Equal(got, []int64{3, 4, 5, 6, 7}) {
-		t.Fatalf("new generation started %v, want 3..7", got)
+	if got := ofSeat(r.starts, 2); !slices.Equal(got, []int64{3, 4, 5, 6, 7}) {
+		t.Fatalf("new machine started %v, want 3..7", got)
 	}
-	if got := ofGen(r.advances, 2); !slices.Equal(got, []int64{3, 4}) {
-		t.Fatalf("new engine advanced to %v, want 3 then 4", got)
+	if got := ofSeat(r.advances, 2); !slices.Equal(got, []int64{3, 4}) {
+		t.Fatalf("new machine advanced to %v, want 3 then 4", got)
 	}
 	// c and d come back as one front-of-queue batch; slot 3 was decided
 	// before anything could be offered to it.
-	if got := ofGen(r.offers, 2); !slices.Equal(got, []int64{4}) {
-		t.Fatalf("requeued work offered to slots %v of the new generation, want 4", got)
+	if got := ofSeat(r.offers, 2); !slices.Equal(got, []int64{4}) {
+		t.Fatalf("requeued work offered to slots %v of the new machine, want 4", got)
 	}
 	r.wantRequeued(c, d)
 }
@@ -404,11 +431,11 @@ func TestWindowViewChangeHandsOverByGeneration(t *testing.T) {
 // but the machine assumes no outcome.
 func TestWindowFloorMovedFromOutside(t *testing.T) {
 	r := newRig(t, 8)
-	r.engine(1, true, true)
+	r.engine(true, true)
 	a, b, c := testBatch(1, 1, 1), testBatch(2, 1, 1), testBatch(3, 1, 1)
 	r.work(a, b, c)
 	r.wantOffers(1, 2, 3)
-	r.decideOwn(1, 2) // parked behind 1; the transfer replays it as decided
+	r.decideOwn(2) // parked behind 1; the transfer replays it as decided
 
 	advances := len(r.advances)
 	r.synced(3, false)
@@ -424,7 +451,7 @@ func TestWindowFloorMovedFromOutside(t *testing.T) {
 
 	// Slot 3 decides and is released, but a transfer reached 6 first.
 	r.floor = 6
-	r.decideOwn(1, 3)
+	r.decideOwn(3)
 	r.wantCommits()
 	r.wantRequeued(a, a) // slot 4's batch; c was decided as proposed
 	if r.w.floor != 6 || r.w.nextStart != 14 || r.advances[len(r.advances)-1] != (slotRef{1, 6}) {
@@ -440,13 +467,13 @@ func TestWindowResyncClock(t *testing.T) {
 	r := newRig(t, 4)
 	t0 := r.now
 	at := func(d time.Duration) { r.now = t0.Add(d) }
-	r.engine(1, true, false)
+	r.engine(true, false)
 	if got := r.w.nextDeadline(); !got.Equal(t0.Add(testPeriod)) {
 		t.Fatalf("first resync instant %v, want one period after the engine went live", got.Sub(t0))
 	}
 
 	at(time.Second)
-	r.decide(1, 2, nil) // parked: instance 1 is missing
+	r.decide(2, nil) // parked: instance 1 is missing
 	if got := r.w.nextDeadline(); !got.Equal(t0.Add(testPeriod)) {
 		t.Fatalf("a parked decision moved the resync instant to %v", got.Sub(t0))
 	}
@@ -481,7 +508,7 @@ func TestWindowResyncClock(t *testing.T) {
 	r.synced(r.floor, false)
 
 	at(3*testPeriod + time.Second)
-	r.decide(1, 1, nil) // closes the gap: 1 and 2 commit
+	r.decide(1, nil) // closes the gap: 1 and 2 commit
 	r.wantCommits(1, 2)
 	if got, want := r.w.nextDeadline(), r.now.Add(testPeriod); !got.Equal(want) {
 		t.Fatalf("resync instant %v after a commit, want %v", got.Sub(t0), want.Sub(t0))
@@ -493,9 +520,9 @@ func TestWindowResyncClock(t *testing.T) {
 // skipping one that has already decided.
 func TestWindowLeadershipGainedMidWindow(t *testing.T) {
 	r := newRig(t, 4)
-	r.engine(1, true, false)
+	r.engine(true, false)
 	r.q.ready = append(r.q.ready, testBatch(1, 1, 1), testBatch(2, 1, 1), testBatch(3, 1, 1), testBatch(4, 1, 1))
-	for _, ev := range []event{{kind: evWork}, {kind: evTick}, {kind: evDecision, gen: 1, decision: consensus.Decision{Instance: 3}}} {
+	for _, ev := range []event{{kind: evWork}, {kind: evTick}, {kind: evDecision, decision: consensus.Decision{Instance: 3}}} {
 		r.run(ev)
 	}
 	if r.q.asked != 0 || len(r.offers) != 0 {
@@ -503,27 +530,28 @@ func TestWindowLeadershipGainedMidWindow(t *testing.T) {
 	}
 
 	starts, advances := len(r.starts), len(r.advances)
-	r.engine(1, true, true) // a synchronization round made this replica leader
+	r.leader(true) // a synchronization round made this replica leader
 	r.wantOffers(1, 2, 4)
 	if len(r.starts) != starts || len(r.advances) != advances {
 		t.Fatal("a leadership change restarted the window")
 	}
 }
 
-// (h) Without a seat — no engine yet, or not a member — the machine does
-// nothing, whatever arrives; the evEngine that brings the seat opens the
-// whole window in the same step.
+// (h) Without a seat — no consensus machine yet, or not a member — the
+// window does nothing, whatever arrives; the evEngine that brings the seat
+// opens the whole window in the same step.
 func TestWindowIdleWithoutEngine(t *testing.T) {
 	r := newRig(t, 4)
 	r.q.busy = true
 	r.q.ready = append(r.q.ready, testBatch(1, 1, 1))
 	idle := []event{
 		{kind: evWork},
-		{kind: evEngine, gen: 0},
-		{kind: evDecision, gen: 0, decision: consensus.Decision{Instance: 1}},
+		{kind: evEngine},
+		{kind: evDecision, decision: consensus.Decision{Instance: 1}},
 		{kind: evSynced, floor: 5},
-		{kind: evEngine, gen: 1, leads: true}, // an engine, but no seat
-		{kind: evDecision, gen: 1, decision: consensus.Decision{Instance: 5}},
+		{kind: evEngine, leads: true}, // a machine, but no seat
+		{kind: evLeader, leads: true},
+		{kind: evDecision, decision: consensus.Decision{Instance: 5}},
 		{kind: evTick},
 	}
 	r.floor = 5
@@ -537,12 +565,12 @@ func TestWindowIdleWithoutEngine(t *testing.T) {
 		}
 	}
 
-	r.engine(2, true, true)
-	if want := []slotRef{{2, 5}, {2, 6}, {2, 7}, {2, 8}}; !slices.Equal(r.starts, want) || !slices.Equal(r.advances, []slotRef{{2, 5}}) {
+	r.engine(true, true)
+	if want := []slotRef{{1, 5}, {1, 6}, {1, 7}, {1, 8}}; !slices.Equal(r.starts, want) || !slices.Equal(r.advances, []slotRef{{1, 5}}) {
 		t.Fatalf("going live started %v after advancing %v, want %v after one advance to 5", r.starts, r.advances, want)
 	}
 	r.wantOffers(5)
-	if !bytes.Equal(r.placed[slotRef{2, 5}], r.w.proposed[5].enc) || r.w.nextDeadline().IsZero() {
+	if !bytes.Equal(r.placed[slotRef{1, 5}], r.w.proposed[5].enc) || r.w.nextDeadline().IsZero() {
 		t.Fatal("live window holds no proposal for slot 5 or no resync instant")
 	}
 }
@@ -553,7 +581,7 @@ func TestWindowIdleWithoutEngine(t *testing.T) {
 func TestWindowSameScriptSameProposals(t *testing.T) {
 	script := func() [][]byte {
 		r := newRig(t, 4)
-		r.engine(1, true, true)
+		r.engine(true, true)
 		var values [][]byte
 		for i := 1; i <= 6; i++ {
 			r.now = r.now.Add(time.Duration(i) * time.Millisecond)
@@ -561,7 +589,7 @@ func TestWindowSameScriptSameProposals(t *testing.T) {
 			b.Timestamp = 0 // as smr.Batcher hands it out
 			r.work(b)
 			if i%2 == 0 {
-				r.decideOwn(1, r.floor)
+				r.decideOwn(r.floor)
 			}
 		}
 		for _, at := range r.offers {
@@ -622,17 +650,17 @@ func TestWindowAskWithoutSeatRunsOneRound(t *testing.T) {
 // the test on either). The round's end releases what is parked.
 func TestWindowRoundInFlightHoldsCommitsAndRounds(t *testing.T) {
 	r := newRig(t, 4)
-	r.engine(1, true, true)
+	r.engine(true, true)
 	r.q.busy = true
 	r.work(testBatch(1, 1, 1), testBatch(2, 1, 1))
 	r.ask()
 	for i, ev := range []event{
-		{kind: evDecision, gen: 1, decision: consensus.Decision{Instance: 2, Value: r.placed[slotRef{1, 2}]}},
-		{kind: evDecision, gen: 1, decision: consensus.Decision{Instance: 1, Value: r.placed[slotRef{1, 1}]}},
+		{kind: evDecision, decision: consensus.Decision{Instance: 2, Value: r.placed[slotRef{1, 2}]}},
+		{kind: evDecision, decision: consensus.Decision{Instance: 1, Value: r.placed[slotRef{1, 1}]}},
 		{kind: evTick},
 		{kind: evSyncAsk, peers: []int32{2}, timeout: time.Second},
 		{kind: evWork},
-		{kind: evEngine, gen: 1, member: true},
+		{kind: evLeader}, // a regency deposed this replica meanwhile
 		{kind: evTick},
 	} {
 		r.now = r.now.Add(testPeriod) // every tick is past the resync instant
@@ -655,27 +683,27 @@ func TestWindowRoundInFlightHoldsCommitsAndRounds(t *testing.T) {
 
 // (l) Rounds repeat while they make progress, as one rule of the machine: a
 // live window told that its round installed something goes again in the same
-// step — after sliding the engine's window to the new floor, against the
-// donors and with the timeout of the round it follows — unless the engine it
-// kept running already holds the decision the commit path needs next. One
+// step — after sliding the machine's window to the new floor, against the
+// donors and with the timeout of the round it follows — unless the machine
+// it kept running already holds the decision the commit path needs next. One
 // parked above a hole is no such hand-over.
 func TestWindowChainsRoundsUntilEngineHandsOver(t *testing.T) {
 	r := newRig(t, 4)
-	r.engine(1, true, false)
+	r.engine(true, false)
 	r.ask()
 	r.synced(10, true) // slots 1..4 overtaken, nothing decided
 	r.wantKinds("a round that made progress, nothing parked", fxAdvance, fxStart, fxStart, fxStart, fxStart, fxSync)
 	if r.syncs != 2 || !slices.Equal(r.lastSync.peers, testDonors) || r.lastSync.timeout != 3*time.Second {
 		t.Fatalf("%d rounds, the last against %v for %v; want 2, the second like the first", r.syncs, r.lastSync.peers, r.lastSync.timeout)
 	}
-	if got := ofGen(r.starts, 1); !slices.Equal(got, []int64{1, 2, 3, 4, 10, 11, 12, 13}) {
+	if got := ofSeat(r.starts, 1); !slices.Equal(got, []int64{1, 2, 3, 4, 10, 11, 12, 13}) {
 		t.Fatalf("slots started %v, want the window reopened at 10", got)
 	}
 
-	r.decide(1, 13, nil) // the engine is live: it decides above the prefix being fetched
+	r.decide(13, nil) // the machine is live: it decides above the prefix being fetched
 	r.synced(12, true)
 	r.wantKinds("a hole under the parked decision", fxAdvance, fxStart, fxStart, fxSync)
-	r.decide(1, 12, nil)
+	r.decide(12, nil)
 	r.synced(12, false)
 	r.wantCommits(12, 13)
 	if r.syncs != 3 {
@@ -684,8 +712,8 @@ func TestWindowChainsRoundsUntilEngineHandsOver(t *testing.T) {
 
 	// The same outcome with the floor's decision in hand: commit, no round.
 	r.ask()
-	r.decide(1, 16, nil)
-	r.decide(1, 17, nil)
+	r.decide(16, nil)
+	r.decide(17, nil)
 	syncs := r.syncs
 	r.floor, r.syncing = 16, false // r.synced, one step at a time
 	follow, commit := r.step(event{kind: evSynced, floor: 16, progressed: true})
@@ -704,7 +732,7 @@ func TestWindowChainsRoundsUntilEngineHandsOver(t *testing.T) {
 // pushes the resync instant one period on: the next round is the clock's.
 func TestWindowRoundWithoutProgressNeverChains(t *testing.T) {
 	r := newRig(t, 4)
-	r.engine(1, true, false)
+	r.engine(true, false)
 	r.now = r.now.Add(time.Second)
 	r.ask()
 	r.now = r.now.Add(time.Second)
@@ -726,7 +754,7 @@ func TestWindowRoundWithoutProgressNeverChains(t *testing.T) {
 // are offered again and overtaken again.
 func TestWindowRoundGivesOvertakenBatchesBackOnce(t *testing.T) {
 	r := newRig(t, 4)
-	r.engine(1, true, true)
+	r.engine(true, true)
 	a, b, c := testBatch(1, 1, 1), testBatch(2, 1, 2), testBatch(3, 1, 1)
 	r.work(a, b, c)
 	r.wantOffers(1, 2, 3)
@@ -744,75 +772,72 @@ func TestWindowRoundGivesOvertakenBatchesBackOnce(t *testing.T) {
 }
 
 // FuzzWindowStep plays an arbitrary runtime against the machine: each script
-// byte pair is one thing that can happen around it — an engine replaced or
-// retired and the evEngine that says so (whenever the script gets to it), a
-// decision of the live engine for a slot it may hold, work, a tick, an ask,
-// the end of a round (asked for or not) anywhere at or above the floor, a
-// commit that changes the view. Whatever the script, the rig's checks hold
-// (a commit is for the floor and a commit or fxSync ends its step; none of
-// either while a round is in flight; no slot below the floor or twice; no
-// batch above an empty slot), commits are in instance order and once each,
-// and the buffers stay bounded: W parked, W proposed, W early per generation
-// the machine has not been told about.
+// byte pair is one thing that can happen around it — a decision of the
+// current consensus machine for a slot it may hold, a leadership change,
+// work, a tick, an ask, the end of a round (asked for or not) anywhere at or
+// above the floor — plain, or having installed a view, which replaces the
+// machine (or drops it: retired) — and a commit that changes the view. Every
+// replacement is followed by the evEngine announcing the next seat, as
+// Node.settle queues it. Whatever the script, the rig's checks hold (a
+// commit is for the floor and a commit or fxSync ends its step; none of
+// either while a round is in flight; no slot below the floor or twice on one
+// machine; no batch above an empty slot), commits are in instance order and
+// once each, and the buffers stay bounded: W parked, W proposed.
 func FuzzWindowStep(f *testing.F) {
 	// A leader fills its window, decides out of order, commits across a view change.
-	f.Add([]byte{1, 3, 0, 0, 3, 5, 3, 5, 3, 5, 2, 129, 2, 128, 8, 2, 2, 130, 0, 0, 2, 0, 3, 1})
+	f.Add([]byte{2, 3, 2, 5, 2, 5, 2, 5, 1, 129, 1, 128, 8, 1, 1, 130, 0, 1, 1, 0, 3, 1})
 	// A round with decisions parked under it, chained, handed over.
-	f.Add([]byte{1, 1, 0, 0, 5, 0, 2, 1, 2, 0, 4, 30, 5, 0, 6, 66, 2, 0, 6, 64, 6, 2, 4, 30, 7, 0, 4, 30})
-	// A candidate: rounds without a seat, then an engine.
-	f.Add([]byte{5, 0, 6, 75, 5, 0, 6, 11, 1, 1, 2, 0, 0, 0, 2, 0, 9, 0, 0, 0, 5, 0, 6, 65})
+	f.Add([]byte{4, 0, 1, 1, 1, 0, 3, 30, 4, 0, 5, 66, 1, 0, 5, 64, 7, 2, 3, 30, 6, 65, 3, 30})
+	// A candidate: rounds without a seat, then one that brings the seat.
+	f.Add([]byte{9, 0, 4, 0, 5, 75, 4, 0, 5, 11, 1, 1, 4, 0, 6, 3, 0, 1, 1, 0, 2, 9})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		const depth = 4
 		r := newRig(t, depth)
-		var (
-			gen     uint64 // the runtime's live engine; the machine may not know yet
-			member  bool
-			decided = make(map[slotRef]bool)
-			unnamed = make(map[uint64]int) // decisions of a generation before its evEngine
-			nextSeq uint64
-		)
-		replace := func(seat bool) { gen, member = gen+1, seat }
+		member, leads := true, false // the seat the next evEngine announces
+		decided := make(map[slotRef]bool)
+		var nextSeq uint64
+		r.engine(member, leads)
 		for ; len(script) >= 2; script = script[2:] {
 			op, arg := script[0]%10, script[1]
 			commits := len(r.commits)
 			switch op {
 			case 0:
-				r.run(event{kind: evEngine, gen: gen, member: member, leads: member && arg&1 == 1})
+				leads = arg&1 == 1
+				r.leader(leads)
 			case 1:
-				replace(arg&1 == 1)
-			case 2:
-				at := slotRef{gen, r.floor + int64(arg)%depth}
-				if !member || decided[at] || unnamed[gen] == depth {
-					break // an engine holds W slots, and decides each once
+				at := slotRef{r.seat, r.floor + int64(arg)%depth}
+				if !member || decided[at] {
+					break // a machine holds W slots, and decides each once
 				}
 				decided[at] = true
-				if gen != r.w.gen {
-					unnamed[gen]++
-				}
 				var value []byte
-				if arg&0x80 != 0 && gen == r.w.gen {
+				if arg&0x80 != 0 {
 					value = r.placed[at] // decided as proposed, if this replica proposed
 				}
-				r.decide(gen, at.inst, value)
-			case 3:
+				r.decide(at.inst, value)
+			case 2:
 				nextSeq++
 				r.work(testBatch(int64(arg%3), nextSeq, 1+int(arg)%3))
-			case 4:
+			case 3:
 				r.now = r.now.Add(time.Duration(arg) * 100 * time.Millisecond)
 				r.run(event{kind: evTick})
-			case 5:
+			case 4:
 				r.ask()
-			case 6:
+			case 5:
 				r.synced(r.floor+int64(arg)%12, arg&0x40 != 0)
+			case 6:
+				member, leads = arg&1 == 1, arg&2 != 0
+				r.syncedReplaced(r.floor+int64(arg)%12, member, leads)
 			case 7:
 				r.q.busy = !r.q.busy
 			case 8:
 				r.viewChangeAt = r.floor + int64(arg)%depth
 			case 9:
-				member = false // retired: the engine stops, its number stays
+				member = arg&1 == 1 // the seat the next view change brings
 			}
 			if n := len(r.commits); n > commits && r.commits[n-1] == r.viewChangeAt {
-				replace(arg&2 == 0)
+				leads = arg&2 == 0
+				r.engine(member, leads)
 			}
 			if !slices.IsSorted(r.commits) || len(slices.Compact(slices.Clone(r.commits))) != len(r.commits) {
 				t.Fatalf("commits out of order or twice: %v", r.commits)
@@ -820,8 +845,8 @@ func FuzzWindowStep(f *testing.F) {
 			if r.w.floor != r.floor {
 				t.Fatalf("the machine's floor is %d, the runtime's %d", r.w.floor, r.floor)
 			}
-			if p, o, e := len(r.w.parked), len(r.w.proposed), len(r.w.early); p > depth || o > depth || e > depth*int(gen-r.w.gen) {
-				t.Fatalf("buffers grew past the window: %d parked, %d proposed, %d early (W=%d, %d generations ahead)", p, o, e, depth, gen-r.w.gen)
+			if p, o := len(r.w.parked), len(r.w.proposed); p > depth || o > depth {
+				t.Fatalf("buffers grew past the window: %d parked, %d proposed (W=%d)", p, o, depth)
 			}
 		}
 	})

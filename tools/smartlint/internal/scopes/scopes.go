@@ -41,10 +41,12 @@ func MessageHandling(path string) bool {
 }
 
 // EventLoop reports whether path hosts consensus event-loop goroutines
-// whose call graphs must stay free of blocking operations (looptime).
-// internal/core is not one: its loops (the ordering driver's runtime, the
-// receive loop) block legitimately — on a commit, on a catch-up round's
-// Fetcher call.
+// whose call graphs must stay free of blocking operations (looptime): in
+// internal/consensus, (*Engine).loop, the goroutine form of the Machine
+// handle that the baselines and the benchmark's probe use. internal/core is
+// not one: its loops block legitimately — the ordering driver, which steps
+// the consensus machine itself, on a commit and on a catch-up round's
+// Fetcher call; the receive loop on a full inbox.
 func EventLoop(path string) bool {
 	switch path {
 	case "smartchain/internal/consensus":
@@ -57,8 +59,8 @@ func EventLoop(path string) bool {
 }
 
 // StepMachine names the types in path whose step method is the entry point
-// of a pure state machine (looptime's purity rule): consensus.machine;
-// core.window, the ordering driver under the engine, and core.tail, what a
+// of a pure state machine (looptime's purity rule): consensus.machine, the
+// protocol; core.window, the ordering driver above it, and core.tail, what a
 // block is owed after it; and catchup.machine, the state-transfer round,
 // which Pool steps under its lock on the ordering driver's goroutine (Begin,
 // Handle, Tick: no loop, channel or clock of its own). Empty means none.
@@ -75,6 +77,17 @@ func StepMachine(path string) []string {
 	}
 	if testbed(path) {
 		return []string{"machine"}
+	}
+	return nil
+}
+
+// StepHandle names the types in path every method of which is a purity root,
+// like a machine's step: consensus.Machine, the synchronous handle over
+// consensus.machine that the ordering driver steps (and Engine's loop
+// wraps). Empty means none.
+func StepHandle(path string) []string {
+	if path == "smartchain/internal/consensus" || testbed(path) {
+		return []string{"Machine"}
 	}
 	return nil
 }

@@ -7,12 +7,12 @@
 //
 // The loop goroutines are found by call-graph reachability from methods
 // named run or loop in the scoped packages (internal/consensus:
-// (*Engine).loop, which steps the protocol state machine and performs the
-// effects it returns). The graph covers direct calls and method calls resolved
-// by static type within the package, plus function literals defined in
-// reachable bodies — except literals handed to `go` statements or passed as
-// call arguments (timer callbacks, pool callbacks), which execute on other
-// goroutines.
+// (*Engine).loop, the goroutine form of the Machine handle kept for the
+// baselines and the benchmark's probe). The graph covers direct calls and
+// method calls resolved by static type within the package, plus function
+// literals defined in reachable bodies — except literals handed to `go`
+// statements or passed as call arguments (timer callbacks, pool callbacks),
+// which execute on other goroutines.
 //
 // Three things are flagged inside the reachable set:
 //
@@ -26,15 +26,16 @@
 //     lock across one turns backpressure into a pile-up.
 //
 // A second, stricter rule holds the state machines the runtimes step to
-// their contract: (*machine).step in internal/consensus, the protocol,
-// (*window).step in internal/core, the ordering driver above it,
-// (*tail).step beside it, what a block is owed once it is executed, and
-// (*machine).step in internal/catchup, the state-transfer round (the
-// blocking rule extends to neither core nor catchup: core's loops block
-// legitimately — on a commit, on a full queue, on a Fetcher call — and
-// catchup has no loop, the ordering driver steps its machine).
-// Everything reachable from such a step — function literals passed as
-// arguments included, they run inside the step — must be pure: no go
+// their contract: (*machine).step in internal/consensus, the protocol, and
+// every method of consensus.Machine, the synchronous handle over it that the
+// ordering driver in internal/core steps; (*window).step in internal/core,
+// the ordering driver, and (*tail).step beside it, what a block is owed once
+// it is executed; and (*machine).step in internal/catchup, the
+// state-transfer round (the blocking rule extends to neither core nor
+// catchup: core's loops block legitimately — on a commit, on a full queue,
+// on a Fetcher call — and catchup has no loop, the ordering driver steps its
+// machine). Everything reachable from such a root — function literals passed
+// as arguments included, they run inside the step — must be pure: no go
 // statement, no channel operation (send, receive, range, close) or select,
 // no call into package sync, and no clock or timer
 // (time.Now/Since/Until/Sleep/After/AfterFunc/NewTimer/NewTicker/Tick).
@@ -57,20 +58,20 @@ import (
 // Analyzer flags blocking operations reachable from consensus event loops.
 var Analyzer = &analysis.Analyzer{
 	Name: "looptime",
-	Doc:  "flags blocking calls (time.Sleep, bare channel sends, locks held across Send) reachable from consensus event-loop goroutines (run/loop methods), and any goroutine, channel, lock or clock use reachable from a state machine's step ((*machine).step in consensus and catchup, (*window).step and (*tail).step in core)",
+	Doc:  "flags blocking calls (time.Sleep, bare channel sends, locks held across Send) reachable from consensus event-loop goroutines (run/loop methods), and any goroutine, channel, lock or clock use reachable from a state machine's step ((*machine).step in consensus and catchup, every consensus.Machine method, (*window).step and (*tail).step in core)",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	loops, machines := scopes.EventLoop(pass.Pkg.Path()), scopes.StepMachine(pass.Pkg.Path())
-	if !loops && len(machines) == 0 {
+	loops, machines, handles := scopes.EventLoop(pass.Pkg.Path()), scopes.StepMachine(pass.Pkg.Path()), scopes.StepHandle(pass.Pkg.Path())
+	if !loops && len(machines) == 0 && len(handles) == 0 {
 		return nil, nil
 	}
 
 	// Map every package-level function object to its declaration.
 	decls := make(map[*types.Func]*ast.FuncDecl)
 	var roots []*types.Func
-	pureRoots := make(map[string][]*types.Func) // by machine type
+	pureRoots := make(map[string][]*types.Func) // by machine or handle type
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -86,7 +87,8 @@ func run(pass *analysis.Pass) (any, error) {
 			case fd.Recv == nil:
 			case loops && (fd.Name.Name == "run" || fd.Name.Name == "loop"):
 				roots = append(roots, fn)
-			case fd.Name.Name == "step" && slices.Contains(machines, recvNamed(fd)):
+			case fd.Name.Name == "step" && slices.Contains(machines, recvNamed(fd)),
+				slices.Contains(handles, recvNamed(fd)):
 				pureRoots[recvNamed(fd)] = append(pureRoots[recvNamed(fd)], fn)
 			}
 		}
@@ -95,9 +97,19 @@ func run(pass *analysis.Pass) (any, error) {
 	for fn := range reachable(pass, decls, roots, walkLoopCode) {
 		checkBody(pass, fn, decls[fn].Body)
 	}
-	for _, machine := range machines {
-		for fn := range reachable(pass, decls, pureRoots[machine], walkAll) {
-			checkPure(pass, machine, fn, decls[fn].Body)
+	// A handle reaches its machine's step: each function is checked once,
+	// named after the first root that reaches it.
+	checked := make(map[*types.Func]bool)
+	for _, typ := range append(machines, handles...) {
+		root := "(*" + typ + ").step"
+		if slices.Contains(handles, typ) {
+			root = "a (*" + typ + ") method"
+		}
+		for fn := range reachable(pass, decls, pureRoots[typ], walkAll) {
+			if !checked[fn] {
+				checked[fn] = true
+				checkPure(pass, root, fn, decls[fn].Body)
+			}
 		}
 	}
 	return nil, nil
@@ -289,9 +301,9 @@ var impureTimeFuncs = map[string]bool{
 }
 
 // checkPure flags everything the state machine's contract rules out.
-func checkPure(pass *analysis.Pass, machine string, fn *types.Func, body *ast.BlockStmt) {
+func checkPure(pass *analysis.Pass, root string, fn *types.Func, body *ast.BlockStmt) {
 	report := func(pos token.Pos, what string) {
-		pass.Reportf(pos, "%s in %s, reachable from (*%s).step: the state machine must stay goroutine-free, channel-free, lock-free and clock-free; return an effect and let the runtime do it", what, fn.Name(), machine)
+		pass.Reportf(pos, "%s in %s, reachable from %s: the state machine must stay goroutine-free, channel-free, lock-free and clock-free; return an effect and let the runtime do it", what, fn.Name(), root)
 	}
 	walkAll(body, func(n ast.Node) {
 		switch n := n.(type) {

@@ -151,3 +151,18 @@ func (m *machine) runtimeOnly() {
 	defer m.mu.Unlock()
 	_ = time.Now()
 }
+
+// ---- The handle rule: every method of Machine is a purity root ----
+
+// Machine is the synchronous handle over machine: its methods step it, and
+// what they reach is held to step's contract — machine.step itself is
+// reported once, from its own root.
+type Machine struct {
+	m *machine
+}
+
+func (h *Machine) Tick(now time.Time) []int { return h.m.step(now, 0) }
+
+func (h *Machine) Stamp() time.Time {
+	return time.Now() // want `time\.Now in Stamp, reachable from a \(\*Machine\) method`
+}
