@@ -269,10 +269,12 @@ type Node struct {
 	lastApplied appliedBatch
 
 	// The commit tail: the machine is tailLoop's alone, everyone else posts
-	// to tailCh; released wakes the one commit that can be waiting inline.
+	// to tailCh. held is the driver's block between commitDecision and
+	// closeCommit, past a step only while the tail owes released a token.
 	tail     *tail
 	tailCh   chan tailEvent
 	released chan struct{}
+	held     *blockchain.Block
 
 	// Reply view-tag cache (one signature per block, not per reply): readserve.go.
 	tagMu       sync.Mutex

@@ -41,11 +41,11 @@ type consInput struct {
 // driverLoop is the ordering driver's runtime: the window machine
 // (window.go) orders, the consensus machine agrees, and the loop turns what
 // happens around them into steps, one plain method per case. It alone owns
-// both machines, the clock and the one timer, every machine start, the
-// commit path and the catch-up round.
+// both machines, the clock (read once per case: the methods take now), the
+// one timer, every machine start, the commit path and the catch-up round.
 func (n *Node) driverLoop() {
 	defer n.loops.Done()
-	n.beginOrdering()
+	n.beginOrdering(time.Now())
 	// A tick that finds nothing due is harmless, so the timer is re-armed only
 	// for an instant earlier than the armed one: deadlines moving later cost nothing.
 	armed, timer := time.Now().Add(time.Hour), time.NewTimer(time.Hour) // armed: when it fires; zero once it has
@@ -61,28 +61,30 @@ func (n *Node) driverLoop() {
 		case <-n.stop:
 			return
 		case in := <-n.inbox:
-			n.onInput(in)
+			n.onInput(time.Now(), in)
 		case <-n.batcher.Ready():
-			n.drive(event{kind: evWork})
+			n.drive(time.Now(), event{kind: evWork})
 		case ask := <-n.syncAsks:
-			n.onAsk(ask)
+			n.onAsk(time.Now(), ask)
 		case resp := <-n.syncReplies:
-			n.onReply(resp)
+			n.onReply(time.Now(), resp)
+		case <-n.released:
+			n.onReleased(time.Now())
 		case <-timer.C:
 			armed = time.Time{}
-			n.onTimer()
+			n.onTimer(time.Now())
 		}
 	}
 }
 
 // beginOrdering is the driver's first act: the window at the floor recovery
 // left, and a member's consensus machine (what arrived earlier waits in the inbox).
-func (n *Node) beginOrdering() {
+func (n *Node) beginOrdering(now time.Time) {
 	period := max(4*n.cfg.ConsensusTimeout, 2*time.Second)
 	n.w = newWindow(n.cfg.PipelineDepth, period, n.nextInstance.Load(), n.batcher.TryNext, n.batcher.Requeue, n.batcherOrPeersBusy)
 	n.reconcileEngine()
 	n.reseated = false // no outcome to settle: the engine event goes alone
-	n.drive(n.engineEvent())
+	n.drive(now, n.engineEvent())
 }
 
 // deadlines are the instants the machines the driver steps want a tick at (zero: none).
@@ -93,19 +95,13 @@ func (n *Node) deadlines() []time.Time {
 	return []time.Time{n.w.nextDeadline(), n.source.NextDeadline(), n.cons.NextDeadline()}
 }
 
-// onInput steps the consensus machine for another goroutine, then the window.
-func (n *Node) onInput(in consInput) {
-	n.take(in)
-	n.drive()
-}
-
-// take steps the consensus machine with a queued input; its outputs join the
-// pending queue. Without a seat, or with the view it came in gone with its
-// machine, the input goes.
-func (n *Node) take(in consInput) {
+// onInput steps the consensus machine for another goroutine — an input
+// without a seat, or whose view went with its machine, goes — then the window.
+func (n *Node) onInput(now time.Time, in consInput) {
 	if n.cons != nil && in.view == n.View().ID {
-		n.stepped(in.step(time.Now(), n.cons))
+		n.stepped(in.step(now, n.cons))
 	}
+	n.drive(now)
 }
 
 // postInput queues a consensus step, waiting for room; after Stop a no-op.
@@ -123,48 +119,53 @@ func (n *Node) postMessage(view int64, in consensus.Input) {
 	}})
 }
 
-// onAsk takes an ask for state transfer, answered once no round is in flight.
-func (n *Node) onAsk(ask syncAsk) {
+// onAsk takes an ask for state transfer, answered once no round is in flight or owed.
+func (n *Node) onAsk(now time.Time, ask syncAsk) {
 	n.waiting = append(n.waiting, ask.done)
-	n.drive(ask.ev)
+	n.drive(now, ask.ev)
 }
 
 // onReply feeds a donor's reply to the catch-up round.
-func (n *Node) onReply(resp catchup.Response) {
-	if done, progressed, err := n.source.Handle(time.Now(), resp); done {
+func (n *Node) onReply(now time.Time, resp catchup.Response) {
+	if done, progressed, err := n.source.Handle(now, resp); done {
 		n.settle(n.synced(progressed, err))
-		n.drive()
+		n.drive(now)
 	}
 }
 
-// onTimer steps every consensus input already queued before the tick: a
-// commit can hold the driver past a progress deadline, and votes that
-// arrived meanwhile must count first, or the stall becomes a campaign.
-func (n *Node) onTimer() {
+// onReleased finishes the held commit: the tail has settled its block.
+func (n *Node) onReleased(now time.Time) {
+	n.settle(n.closeCommit(n.held.Body.ConsensusID))
+	n.drive(now)
+}
+
+// onTimer steps every consensus input already queued before the tick:
+// executing a block, a checkpoint or a catch-up apply can hold the driver
+// past a progress deadline, and votes that arrived meanwhile must count
+// first, or the stall becomes a campaign.
+func (n *Node) onTimer(now time.Time) {
 	for range len(n.inbox) {
-		n.onInput(<-n.inbox)
+		n.onInput(now, <-n.inbox)
 	}
-	now := time.Now()
 	if done, progressed, err := n.source.Tick(now); done {
 		n.settle(n.synced(progressed, err))
 	}
 	if n.cons != nil {
 		n.stepped(n.cons.Tick(now))
 	}
-	n.drive(event{kind: evTick})
+	n.drive(now, event{kind: evTick})
 }
 
 // drive steps the window through the pending events, evs last, performing
 // the effects. Window effects step the consensus machine and its outputs are
 // window events, so neither runs inside the other's effect list: an outcome
 // goes to the queue's front (settle), consensus outputs to its back
-// (stepped). Callers waiting for a round are told once none is in flight.
-func (n *Node) drive(evs ...event) {
+// (stepped). Callers waiting for a round are told once none is in flight or owed.
+func (n *Node) drive(now time.Time, evs ...event) {
 	n.pending = append(n.pending, evs...)
 	for len(n.pending) > 0 {
 		ev := n.pending[0]
 		n.pending = append(n.pending[:0], n.pending[1:]...)
-		now := time.Now()
 		for _, fx := range n.w.step(now, ev) {
 			if n.cons == nil && fx.kind != fxCommit && fx.kind != fxSync {
 				continue // a round replayed this replica's removal; its outcome tells the window
@@ -176,8 +177,10 @@ func (n *Node) drive(evs ...event) {
 				n.stepped(n.cons.Start(now, fx.inst, nil))
 			case fxPropose:
 				n.stepped(n.cons.Propose(now, fx.inst, fx.value))
-			case fxCommit:
-				n.settle(n.commit(fx.decision))
+			case fxCommit: // a held block's outcome is onReleased's to settle
+				if !n.commitDecision(fx.decision) {
+					n.settle(n.closeCommit(fx.decision.Instance))
+				}
 			case fxSync:
 				if fx.peers == nil {
 					fx.peers = n.View().Others(n.cfg.Self)
@@ -188,7 +191,7 @@ func (n *Node) drive(evs ...event) {
 			}
 		}
 	}
-	if !n.w.syncing {
+	if n.w.inFlight != fxSync && !n.w.asked {
 		for _, done := range n.waiting {
 			done <- n.syncErr // buffered: the caller may have left with the node stopping
 		}
@@ -237,13 +240,6 @@ func (n *Node) engineEvent() event {
 	return event{kind: evEngine, member: member, leads: member && n.View().Leader(0) == n.cfg.Self}
 }
 
-// commit releases one decision to Algorithm 1 and reports what became of it.
-func (n *Node) commit(d consensus.Decision) event {
-	n.commitDecision(d)
-	n.nextInstance.Store(d.Instance + 1) // a filler decision has no block to close
-	return event{kind: evCommitted, floor: d.Instance + 1}
-}
-
 // synced closes a round on the node's side and reports it to the machine.
 // Like a live reconfiguration block, a round that installed something is
 // followed by reconcileEngine: once per round, not per replayed block.
@@ -269,17 +265,17 @@ func (n *Node) batcherOrPeersBusy() bool {
 		n.ledger.Height() > n.lastReplyBlock.Load()
 }
 
-// commitDecision runs Algorithm 1 for one decided batch: apply it (the
-// transition shared with replay), then what only the live path does — build
-// the block, hand it to the logger and the tail (which owes the replies),
-// and, after a view update, reconcile keys and machine.
-func (n *Node) commitDecision(d consensus.Decision) {
+// commitDecision runs Algorithm 1 for one decided batch up to its wait: apply
+// it (the transition shared with replay), then what only the live path does —
+// build the block, leave it in held for closeCommit, hand it to the logger and
+// the tail (which owes the replies). It reports whether the block is held.
+func (n *Node) commitDecision(d consensus.Decision) bool {
 	if len(d.Value) == 0 {
-		return // leader-change filler decision: no block
+		return false // leader-change filler decision: no block
 	}
 	batch, err := smr.DecodeBatch(d.Value)
 	if err != nil {
-		return // validated at proposal time; cannot happen with correct quorum
+		return false // validated at proposal time; cannot happen with correct quorum
 	}
 	results, update, replies := n.applyBatch(n.ledger.Height()+1, d.Instance, d.Epoch, &batch)
 	n.executedTxs.Add(int64(len(batch.Requests)))
@@ -290,47 +286,47 @@ func (n *Node) commitDecision(d consensus.Decision) {
 	}
 	blk, err := n.ledger.BuildBlock(kind, d.Instance, d.Epoch, d.Value, d.Proof, results, update)
 	if err != nil {
-		return
+		return false
 	}
 	if err := n.ledger.Commit(&blk); err != nil {
-		return
+		return false
 	}
 	n.blocksBuilt.Add(1)
+	n.held = &blk
 
 	// Tell the tail what the block owes, hand the record to the logger and
-	// carry on: ordering overlaps storage (Algorithm 1). Two cases wait for
-	// the tail to settle the block first: the naive SMaRtCoin-on-BFT-SMaRt
-	// path (Table I) does everything inline — write, sync, (persist round,)
-	// reply — before the next instance; and a reconfiguration block is a
-	// barrier, certified under the OLD view's keys before the rotation erases
-	// them (logger and tail queue are FIFO: every earlier block is, too).
+	// carry on: ordering overlaps storage (Algorithm 1). Two cases hold the
+	// block until the tail has settled it: the naive SMaRtCoin-on-BFT-SMaRt
+	// path (Table I) does everything — write, sync, (persist round,) reply —
+	// before the next instance; and a reconfiguration block is a barrier,
+	// certified under the OLD view's keys before the rotation erases them
+	// (logger and tail queue are FIFO: every earlier block is, too).
 	number, wait := blk.Header.Number, !n.cfg.Pipeline || update != nil
 	n.post(tailEvent{kind: tevClosed, number: number, hash: blk.Header.Hash(), view: n.View(), replies: replies, wait: wait})
 	n.logger.Append(blockchain.EncodeBlockRecord(&blk), func(err error) {
 		n.post(tailEvent{kind: tevDurable, number: number, err: err})
 	})
-	// The inbox drains meanwhile (outputs queue behind this commit's outcome):
-	// the shares this waits for come through dispatch, which a full one blocks.
-	for wait {
-		select {
-		case <-n.released:
-			wait = false
-		case in := <-n.inbox:
-			n.take(in)
-		case <-n.stop:
-			return
+	return wait
+}
+
+// closeCommit is Algorithm 1 after the wait for the decision of instance:
+// close its block (held; nil: none), reconcile keys and machine after a view
+// update, write the checkpoint it marked, and report the new floor.
+func (n *Node) closeCommit(instance int64) event {
+	if b := n.held; b != nil {
+		n.held = nil
+		n.closeBlock(b)
+		if b.Body.Update != nil {
+			n.viewChanges.Add(1)
+			n.reconcileEngine()
+			n.post(tailEvent{kind: tevView, view: n.View()})
+		}
+		if n.ledger.LastCheckpoint() == b.Header.Number {
+			n.writeCheckpoint(b)
 		}
 	}
-
-	n.closeBlock(&blk)
-	if update != nil {
-		n.viewChanges.Add(1)
-		n.reconcileEngine()
-		n.post(tailEvent{kind: tevView, view: n.View()})
-	}
-	if n.ledger.LastCheckpoint() == blk.Header.Number {
-		n.writeCheckpoint(&blk)
-	}
+	n.nextInstance.Store(instance + 1) // a filler decision has no block to close
+	return event{kind: evCommitted, floor: instance + 1}
 }
 
 // applyBatch is the one transition of the replicated state above the

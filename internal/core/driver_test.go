@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -33,19 +34,22 @@ func (e *sendLog) Close() error                      { return nil }
 
 // driverRig is one un-started replica of a four-member view whose ordering
 // driver the test steps through its plain methods — no goroutine of its
-// own — and the other three members as bare consensus machines that talk to
-// each other in the test goroutine and to the replica only when the test
-// hands it what they sent.
+// own, and a virtual clock: every method is handed the rig's now — and the
+// other three members as bare consensus machines that talk to each other in
+// the test goroutine and to the replica only when the test hands it what
+// they sent. The replica has the logger and the commit tail Start would
+// build; the test tends the tail.
 type driverRig struct {
 	n      *Node
 	ep     *sendLog
+	now    time.Time
 	view   view.View
 	peers  map[int32]*consensus.Machine
 	flight []transport.Message
 	toNode []transport.Message // what the peers sent the replica, in order
 }
 
-func newDriverRig(t *testing.T, self int32, timeout time.Duration) *driverRig {
+func newDriverRig(t *testing.T, self int32, timeout time.Duration, pipeline bool) *driverRig {
 	t.Helper()
 	var replicas []blockchain.ReplicaInfo
 	perms, cons := map[int32]*crypto.KeyPair{}, map[int32]*crypto.KeyPair{}
@@ -53,15 +57,17 @@ func newDriverRig(t *testing.T, self int32, timeout time.Duration) *driverRig {
 		perms[id], cons[id] = crypto.SeededKeyPair("driver-rig/perm", int64(id)), crypto.SeededKeyPair("driver-rig/cons", int64(id))
 		replicas = append(replicas, blockchain.ReplicaInfo{ID: id, PermanentPub: perms[id].Public(), ConsensusPub: cons[id].Public()})
 	}
-	r := &driverRig{ep: &sendLog{id: self}, peers: map[int32]*consensus.Machine{}}
+	r := &driverRig{ep: &sendLog{id: self}, now: time.Unix(1_000_000, 0), peers: map[int32]*consensus.Machine{}}
 	n, err := NewNode(Config{
 		Self: self, Genesis: blockchain.Genesis{ChainID: "driver-rig", MaxBatchSize: 8, Replicas: replicas},
 		Permanent: perms[self], InitialConsensusKey: cons[self], Transport: r.ep,
-		App: coin.NewService(nil), Storage: smr.StorageMemory, Pipeline: true, ConsensusTimeout: timeout,
+		App: coin.NewService(nil), Storage: smr.StorageMemory, Pipeline: pipeline, ConsensusTimeout: timeout,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.logger = smr.NewDurableLogger(n.cfg.Log, n.cfg.Storage)
+	n.tail = newTail(n.cfg.Persistence == PersistenceStrong, n.cfg.Self, n.cfg.ReadParkTimeout, n.cfg.ReadParkLimit, n.ledger.Height(), n.View())
 	t.Cleanup(n.Stop)
 	r.n, r.view = n, n.View()
 	for id := range cons {
@@ -74,13 +80,21 @@ func newDriverRig(t *testing.T, self int32, timeout time.Duration) *driverRig {
 				r.flight = append(r.flight, transport.Message{From: from, To: to, Type: typ, Payload: p})
 			}})
 	}
-	n.beginOrdering()
+	n.beginOrdering(r.now)
+	// Offsets from the rig's instant: a method that read the wall clock would
+	// put them decades off.
+	if got, want := n.w.nextDeadline(), r.now.Add(max(4*timeout, 2*time.Second)); !got.Equal(want) {
+		t.Fatalf("resync instant %v, want %v", got, want)
+	}
+	if got, want := n.cons.NextDeadline(), r.now.Add(timeout); !got.Equal(want) {
+		t.Fatalf("first slot deadline %v, want %v", got, want)
+	}
 	return r
 }
 
 // settlePeers delivers what the peers send each other until nothing is in
 // flight, keeping what they send the replica.
-func (r *driverRig) settlePeers(now time.Time) {
+func (r *driverRig) settlePeers() {
 	for len(r.flight) > 0 {
 		m := r.flight[0]
 		r.flight = r.flight[1:]
@@ -88,7 +102,7 @@ func (r *driverRig) settlePeers(now time.Time) {
 			r.toNode = append(r.toNode, m)
 			continue
 		}
-		consensus.PreVerify(m, r.view, nil, func(in consensus.Input) { r.peers[m.To].Message(now, in) })
+		consensus.PreVerify(m, r.view, nil, func(in consensus.Input) { r.peers[m.To].Message(r.now, in) })
 	}
 }
 
@@ -106,23 +120,23 @@ func (r *driverRig) queue(typ uint16) int {
 	return queued
 }
 
-// The inbox-before-tick rule. A commit can hold the driver past a slot's
-// progress deadline; the votes that arrived meanwhile wait in the inbox, and
+// The inbox-before-tick rule. Executing a block, a checkpoint or a catch-up
+// apply can hold the driver past a slot's progress deadline; the votes that
+// arrived meanwhile wait in the inbox, and
 // when the timer fires they are stepped before the tick: the slot decides
 // and nothing campaigns. Stepping the tick first finds slot 1 due with a
 // proposal and broadcasts an EPOCH-STOP against a healthy leader.
 func TestDriverStepsQueuedVotesBeforeTick(t *testing.T) {
-	r := newDriverRig(t, 1, time.Nanosecond) // every deadline is due by the next step
-	now := time.Now()
-	r.peers[0].Start(now, 1, []byte{}) // the leader proposes an empty batch
-	r.peers[2].Start(now, 1, nil)
-	r.peers[3].Start(now, 1, nil)
-	r.settlePeers(now)
+	r := newDriverRig(t, 1, time.Nanosecond, true) // every deadline is due by the next step
+	r.peers[0].Start(r.now, 1, []byte{})           // the leader proposes an empty batch
+	r.peers[2].Start(r.now, 1, nil)
+	r.peers[3].Start(r.now, 1, nil)
+	r.settlePeers()
 
 	if r.queue(consensus.MsgPropose) != 1 {
 		t.Fatalf("the leader sent the replica no proposal: %v", r.toNode)
 	}
-	r.n.onInput(<-r.n.inbox) // adopted: the replica votes WRITE
+	r.n.onInput(r.now, <-r.n.inbox) // adopted: the replica votes WRITE
 	if w, a := r.queue(consensus.MsgWrite), r.queue(consensus.MsgAccept); w != 3 || a != 3 {
 		t.Fatalf("%d WRITEs and %d ACCEPTs queued, want the three peers' each", w, a)
 	}
@@ -130,7 +144,8 @@ func TestDriverStepsQueuedVotesBeforeTick(t *testing.T) {
 		t.Fatal("slot 1 decided before the timer fired")
 	}
 
-	r.n.onTimer()
+	r.now = r.now.Add(time.Millisecond)
+	r.n.onTimer(r.now)
 	for _, m := range r.ep.sent {
 		if m.Type == consensus.MsgEpochStop {
 			t.Fatal("an EPOCH-STOP left the replica: the tick was stepped before the queued votes")
@@ -150,16 +165,16 @@ func TestDriverStepsQueuedVotesBeforeTick(t *testing.T) {
 // 0 leads regency 0 — and its effects must go nowhere, not into a machine
 // that is gone; the outcome then halts the window and gives the batch back.
 func TestDriverSeatDroppedMidRoundStepsNoMachine(t *testing.T) {
-	r := newDriverRig(t, 0, time.Minute)
-	r.n.drive(event{kind: evSyncAsk, peers: []int32{1}, timeout: time.Minute})
-	if !r.n.w.syncing {
+	r := newDriverRig(t, 0, time.Minute, true)
+	r.n.drive(r.now, event{kind: evSyncAsk, peers: []int32{1}, timeout: time.Minute})
+	if r.n.w.inFlight != fxSync {
 		t.Fatal("no round in flight")
 	}
 	r.n.installView(&blockchain.ViewUpdate{NewViewID: 1, Members: []int32{1, 2, 3}})
 	if !r.n.batcher.Add(smr.Request{ClientID: 7, Seq: 1, Op: []byte{OpApp}}) {
 		t.Fatal("request refused")
 	}
-	r.n.drive(event{kind: evWork})
+	r.n.drive(r.now, event{kind: evWork})
 	for _, m := range r.ep.sent {
 		if m.Type >= consensus.MsgPropose && m.Type < 120 {
 			t.Fatalf("consensus message %d left a replica without a seat", m.Type)
@@ -167,7 +182,7 @@ func TestDriverSeatDroppedMidRoundStepsNoMachine(t *testing.T) {
 	}
 
 	r.n.settle(r.n.synced(false, nil)) // the round ends
-	r.n.drive()
+	r.n.drive(r.now)
 	if r.n.w.live {
 		t.Fatal("the window still orders for a dropped seat")
 	}
@@ -176,12 +191,108 @@ func TestDriverSeatDroppedMidRoundStepsNoMachine(t *testing.T) {
 	}
 }
 
-// A commit that waits on its PERSIST certificate (Pipeline=false here; every
-// reconfiguration block too) must not depend on the inbox being drained: the
-// shares it waits for come through the receive loop, which blocks on a full
-// inbox. A faulty member floods replica 0 with PROPOSEs — passed on
-// unvalidated — while each commit waits out a slow disk; every mint must
-// still be released, replica 0's replies included.
+// deliver hands the replica what the peers sent it, as dispatch does, and
+// steps each input as driverLoop's inbox case does.
+func (r *driverRig) deliver() {
+	for _, m := range r.toNode {
+		consensus.PreVerify(m, r.view, nil, func(in consensus.Input) { r.n.postMessage(r.view.ID, in) })
+	}
+	r.toNode = r.toNode[:0]
+	for len(r.n.inbox) > 0 {
+		r.n.onInput(r.now, <-r.n.inbox)
+	}
+}
+
+// sentFor reports whether the replica sent a consensus message for instance
+// inst (every per-instance message leads with its instance number).
+func (r *driverRig) sentFor(inst int64) bool {
+	for _, m := range r.ep.sent {
+		if m.Type >= consensus.MsgPropose && m.Type < 120 && len(m.Payload) >= 8 && int64(binary.BigEndian.Uint64(m.Payload)) == inst {
+			return true
+		}
+	}
+	return false
+}
+
+// The naive arm of Table I — execute, write, sync, reply, then the next
+// instance — with the commit held as window state, not as a wait: block 1
+// commits and is held while the driver keeps stepping what arrives. The
+// peers decide instance 2 meanwhile and the replica steps their votes, yet it
+// starts instance 2 only once the tail has released block 1, and a round
+// asked for during the hold begins after it. A commit that waited for the
+// tail's release inline would block this test's one goroutine for good.
+func TestDriverHeldCommitKeepsSteppingAndStaysSerial(t *testing.T) {
+	r := newDriverRig(t, 1, time.Minute, false)
+	batch := testBatch(7, 1, 1)
+	r.peers[0].Start(r.now, 1, batch.Encode())
+	r.peers[2].Start(r.now, 1, nil)
+	r.peers[3].Start(r.now, 1, nil)
+	r.settlePeers()
+	r.deliver()
+	if r.n.held == nil || r.n.ledger.Height() != 1 || r.n.nextInstance.Load() != 1 || r.n.w.inFlight != fxCommit {
+		t.Fatalf("block 1 not held: held %v, height %d, floor %d", r.n.held != nil, r.n.ledger.Height(), r.n.nextInstance.Load())
+	}
+
+	// During the hold: the peers decide instance 2 and the replica steps every
+	// vote (its machine buffers them: slot 2 is not started), and a caller asks
+	// for a round.
+	r.peers[0].Start(r.now, 2, []byte{})
+	r.peers[2].Start(r.now, 2, nil)
+	r.peers[3].Start(r.now, 2, nil)
+	r.settlePeers()
+	r.deliver()
+	done := make(chan error, 1)
+	r.n.onAsk(r.now, syncAsk{event{kind: evSyncAsk, peers: []int32{2}, timeout: time.Second}, done})
+	asked := func() bool {
+		for _, m := range r.ep.sent {
+			if m.Type == MsgEnvelopeReq {
+				return true
+			}
+		}
+		return false
+	}
+	if r.sentFor(2) || asked() || len(done) != 0 {
+		t.Fatalf("during the hold: instance 2 started %v, round begun %v, ask answered %v", r.sentFor(2), asked(), len(done) != 0)
+	}
+
+	for len(r.n.released) == 0 { // write, sync, reply
+		select {
+		case ev := <-r.n.tailCh:
+			r.n.tend(r.now, ev)
+		case <-time.After(10 * time.Second):
+			t.Fatal("the tail never released block 1")
+		}
+	}
+	if r.n.lastReplyBlock.Load() != 1 || r.sentFor(2) {
+		t.Fatalf("released: block 1 replied %v, instance 2 started %v; want replied, not started", r.n.lastReplyBlock.Load() == 1, r.sentFor(2))
+	}
+	<-r.n.released
+	r.n.onReleased(r.now)
+	if r.n.nextInstance.Load() != 2 || !r.sentFor(2) || !asked() || len(done) != 0 {
+		t.Fatalf("after the release: floor %d, instance 2 started %v, round begun %v, ask answered %v; want 2, started, begun, not yet",
+			r.n.nextInstance.Load(), r.sentFor(2), asked(), len(done) != 0)
+	}
+	if got, want := r.n.w.nextDeadline(), r.now.Add(4*time.Minute); !got.Equal(want) {
+		t.Fatalf("resync instant %v after the commit, want one period (4 min) on: %v", got, want)
+	}
+
+	// The round times out; the decision for instance 2, parked behind it,
+	// commits. Nothing was delivered since the hold: the votes stepped during
+	// it decided instance 2 the moment the slot started.
+	r.now = r.now.Add(time.Second)
+	r.n.onTimer(r.now)
+	if r.n.nextInstance.Load() != 3 || len(done) != 1 {
+		t.Fatalf("after the round: floor %d, ask answered %v; want 3 and answered", r.n.nextInstance.Load(), len(done) == 1)
+	}
+}
+
+// A held block (Pipeline=false here; every reconfiguration block too) must
+// not wedge the receive loop: whatever settles it in the tail — a PERSIST
+// share, say — comes through dispatch, which blocks on a full inbox, and the
+// driver keeps taking the inbox in its one inbox case while the block is
+// held. End to end: a faulty member floods replica 0 with PROPOSEs — passed
+// on unvalidated — while each held block waits out a slow disk; every mint
+// must still be released, replica 0's replies included.
 func TestDriverReleasesCommitUnderInboxFlood(t *testing.T) {
 	c, minter := testCluster(t, 4, func(cfg *ClusterConfig) {
 		cfg.Pipeline = false

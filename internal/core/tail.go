@@ -18,7 +18,7 @@ type tailEvent struct {
 	hash    crypto.Hash // tevClosed: the block's header hash
 	view    view.View   // tevClosed: the view that created the block; tevView: the one installed
 	replies []smr.Reply // tevClosed
-	wait    bool        // tevClosed: the commit blocks until tfxRelease
+	wait    bool        // tevClosed: the ordering driver holds the block until tfxRelease
 	err     error       // tevDurable: the append or its sync failed
 	share   persistMsg  // tevShare: Signer is the authenticated sender
 	req     smr.Request // tevRead: verified, its floor above the height the verifier saw
@@ -52,7 +52,7 @@ const (
 	tfxSign    tailEffectKind = iota + 1 // sign hash, send the share to the view, step it as tevShare
 	tfxCertify                           // attach cert to block number and log its record
 	tfxReply                             // block number's replies may leave
-	tfxRelease                           // wake the commit waiting on block number
+	tfxRelease                           // tell the ordering driver held block number is settled
 	tfxAnswer                            // serve req from local state
 	tfxBehind                            // tell req's client this replica is behind its floor
 )
@@ -119,7 +119,7 @@ func (t *tail) step(now time.Time, ev tailEvent) []tailEffect {
 			t.count(ev.number, b, &early[i])
 		}
 	case tevDurable:
-		// A failed write owes the clients nothing: only a waiting commit hears.
+		// A failed write owes the clients nothing: only a held block is released.
 		if b := t.open[ev.number]; b != nil && (ev.err != nil || !t.strong) {
 			t.settle(ev.number, b, ev.err == nil)
 		} else if b != nil {
@@ -191,7 +191,7 @@ func (t *tail) count(number int64, b *tailBlock, pm *persistMsg) {
 }
 
 // settle is the one exit of a block: its replies leave, or are dropped with
-// the write that failed, and a commit waiting on it carries on.
+// the write that failed, and a held block is released.
 func (t *tail) settle(number int64, b *tailBlock, reply bool) {
 	delete(t.open, number)
 	if reply {

@@ -358,14 +358,14 @@ func TestTailReplyNamesItsBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.tend(tailEvent{kind: tevClosed, number: number, replies: []smr.Reply{{ClientID: 70000}}})
+		n.tend(r.now, tailEvent{kind: tevClosed, number: number, replies: []smr.Reply{{ClientID: 70000}}})
 	}
-	n.tend(tailEvent{kind: tevDurable, number: 1})
+	n.tend(r.now, tailEvent{kind: tevDurable, number: 1})
 	if got := n.lastReplyBlock.Load(); got != 1 || !n.batcherOrPeersBusy() {
 		t.Fatalf("blocks 1..3 closed, 1 replied: last replied block %d, busy %v", got, n.batcherOrPeersBusy())
 	}
-	n.tend(tailEvent{kind: tevDurable, number: 3})
-	n.tend(tailEvent{kind: tevDurable, number: 2})
+	n.tend(r.now, tailEvent{kind: tevDurable, number: 3})
+	n.tend(r.now, tailEvent{kind: tevDurable, number: 2})
 	if got := n.lastReplyBlock.Load(); got != 3 || n.batcherOrPeersBusy() {
 		t.Fatalf("all replied, 3 before 2: last replied block %d, busy %v", got, n.batcherOrPeersBusy())
 	}

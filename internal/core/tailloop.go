@@ -26,10 +26,10 @@ func (n *Node) tailLoop() {
 		case <-n.stop:
 			return
 		case ev := <-n.tailCh:
-			n.tend(ev)
+			n.tend(time.Now(), ev)
 		case <-timer.C:
 			armed = false
-			n.tend(tailEvent{kind: tevTick})
+			n.tend(time.Now(), tailEvent{kind: tevTick})
 		}
 	}
 }
@@ -43,12 +43,12 @@ func (n *Node) post(ev tailEvent) {
 	}
 }
 
-// tend steps the tail and performs the effects; the share a tfxSign produces
-// is stepped before tend returns.
-func (n *Node) tend(ev tailEvent) {
+// tend steps the tail at instant now and performs the effects; the share a
+// tfxSign produces is stepped before tend returns.
+func (n *Node) tend(now time.Time, ev tailEvent) {
 	for again := true; again; {
 		again = false
-		for _, fx := range n.tail.step(time.Now(), ev) {
+		for _, fx := range n.tail.step(now, ev) {
 			switch fx.kind {
 			case tfxSign:
 				signer, viewID := n.keys.Current()
@@ -70,7 +70,7 @@ func (n *Node) tend(ev tailEvent) {
 			case tfxRelease:
 				select {
 				case n.released <- struct{}{}:
-				default: // the commit gave up at Stop and left the last token behind
+				default: // never full while the driver runs: it takes each token before it holds another block
 				}
 			case tfxAnswer:
 				n.answerUnordered(fx.req)

@@ -95,18 +95,19 @@ type window struct {
 	parked   map[int64]consensus.Decision
 	proposed map[int64]proposal
 	resyncAt time.Time // zero while no window is open
-	// syncing: an fxSync (round) is out and its evSynced is not in. Until then
-	// decisions only park and no second round begins: the one fact that keeps
-	// commits and state transfer out of each other's way.
-	syncing bool
-	round   effect
+	// inFlight is fxCommit or fxSync while that effect's outcome is out (zero:
+	// none). Until it is in, decisions only park and neither is emitted: the
+	// one fact that keeps commits and state transfer out of each other's way.
+	inFlight effectKind
+	round    effect // the newest round; asked: it is owed, to begin once nothing is out or due
+	asked    bool
 }
 
 // newWindow returns the machine for a replica that recovered up to floor.
 func newWindow(depth int, period time.Duration, floor int64, next func() (smr.Batch, bool), requeue func([]smr.Request), busy func() bool) *window {
 	return &window{
 		depth: depth, period: period, next: next, requeue: requeue, busy: busy,
-		floor: floor, nextStart: floor,
+		floor: floor, nextStart: floor, round: effect{kind: fxSync, timeout: time.Second},
 		parked:   make(map[int64]consensus.Decision),
 		proposed: make(map[int64]proposal),
 	}
@@ -115,12 +116,11 @@ func newWindow(depth int, period time.Duration, floor int64, next func() (smr.Ba
 // step applies one event at instant now. The returned effects alias a
 // buffer the next step overwrites: perform them before stepping again. At
 // most one is an fxCommit or an fxSync, always the last. The runtime answers
-// an fxCommit with evCommitted before any other event; an fxSync it answers
-// with evSynced whenever the round ends, and until then no step emits either.
+// each with its outcome — a commit at once, or later if it holds the block —
+// and until that is in, no step emits either.
 func (w *window) step(now time.Time, ev event) []effect {
 	clear(w.out) // drop the previous step's batch and decision references
 	w.out = w.out[:0]
-	begin := false // this step begins a round
 	switch ev.kind {
 	case evEngine:
 		w.onEngine(now, ev)
@@ -131,9 +131,10 @@ func (w *window) step(now time.Time, ev event) []effect {
 			w.parked[d.Instance] = d
 		}
 	case evSyncAsk:
-		// One that finds a round in flight waits for that round's outcome.
-		if !w.syncing {
-			w.round, begin = effect{kind: fxSync, peers: ev.peers, timeout: ev.timeout}, true
+		// One that finds a round in flight waits for that round's outcome;
+		// one that finds a commit out, for the commit's and then its own round.
+		if w.inFlight != fxSync {
+			w.round, w.asked = effect{kind: fxSync, peers: ev.peers, timeout: ev.timeout}, true
 		}
 	case evCommitted, evSynced:
 		if ev.kind == evCommitted && ev.floor > w.floor {
@@ -141,6 +142,7 @@ func (w *window) step(now time.Time, ev event) []effect {
 			// must not hold off the state transfer that would close it.
 			w.resyncAt = now.Add(w.period)
 		}
+		w.inFlight = 0
 		w.moveFloor(ev.floor)
 		if ev.replaced {
 			// What the old machine decided beyond this block is void (on
@@ -157,16 +159,16 @@ func (w *window) step(now time.Time, ev event) []effect {
 		// buffer them leave a hole under it that only a round closes. A window
 		// without a seat has no machine to hand over to: it never chains.
 		_, handedOver := w.parked[w.floor]
-		w.syncing, begin = false, w.live && ev.progressed && !handedOver
-		if w.live && !begin {
+		w.asked = w.live && ev.progressed && !handedOver
+		if w.live && !w.asked {
 			w.resyncAt = now.Add(w.period)
 		}
 	case evTick:
 		if w.live && !now.Before(w.resyncAt) {
 			// The view may have moved on without this replica — or be idle.
 			w.resyncAt = now.Add(w.period)
-			if !w.syncing && w.busy() {
-				w.round, begin = effect{kind: fxSync, timeout: time.Second}, true
+			if w.inFlight == 0 && w.busy() {
+				w.round, w.asked = effect{kind: fxSync, timeout: time.Second}, true
 			}
 		}
 	}
@@ -174,16 +176,16 @@ func (w *window) step(now time.Time, ev event) []effect {
 		w.open()
 		w.fill(now)
 	}
+	d, due := w.parked[w.floor]
 	switch {
-	case begin:
-		w.syncing = true
+	case w.inFlight != 0: // decisions park (at most W: only started slots decide)
+	case due:
+		// One at a time, assuming no outcome: evCommitted brings it.
+		w.inFlight = fxCommit
+		w.out = append(w.out, effect{kind: fxCommit, decision: d})
+	case w.asked && !ev.replaced: // a replacing outcome's evEngine comes first
+		w.inFlight, w.asked = fxSync, false
 		w.out = append(w.out, w.round)
-	case w.syncing: // decisions park (at most W: only started slots decide)
-	case w.live:
-		if d, ok := w.parked[w.floor]; ok {
-			// One at a time, assuming no outcome: evCommitted brings it.
-			w.out = append(w.out, effect{kind: fxCommit, decision: d})
-		}
 	}
 	return w.out
 }

@@ -14,14 +14,15 @@ import (
 // The window machine under virtual time: one goroutine, no sleeps. A fake
 // queue stands in for smr.Batcher, and the rig plays runtime and consensus
 // machine — it performs every effect the way Node.drive does (a commit is
-// answered with evCommitted before anything else; a state-transfer round
-// stays in flight until the script ends it with synced; an outcome that
-// replaced the machine is followed by the evEngine that announces the next
-// seat) and checks on each one what must hold for every path: no slot
-// starts below the floor or twice on one machine, no batch lands above an
-// empty slot, a commit or a round's beginning is alone and last, a commit is
-// for the floor, and while a round is in flight nothing commits and no
-// second round begins.
+// answered with evCommitted before anything else, unless the script holds
+// it — the naive arm, a reconfiguration block — until it releases it; a
+// state-transfer round stays in flight until the script ends it with synced;
+// an outcome that replaced the machine is followed by the evEngine that
+// announces the next seat) and checks on each one what must hold for every
+// path: no slot starts below the floor or twice on one machine, no batch
+// lands above an empty slot, a commit or a round's beginning is alone and
+// last, a commit is for the floor, and while an outcome is out nothing
+// commits and no round begins.
 
 // fakeQueue is the injected request queue.
 type fakeQueue struct {
@@ -89,7 +90,11 @@ type rig struct {
 	advances []slotRef
 	commits  []int64
 	syncs    int
-	syncing  bool         // an fxSync is out and the script has not ended it
+	// inFlight: an fxSync the script has not ended, or an fxCommit it holds
+	// (held is its decision); hold: commits are held, not answered at once.
+	inFlight effectKind
+	hold     bool
+	held     consensus.Decision
 	lastSync effect       // the newest fxSync
 	kinds    []effectKind // the effects of the newest step
 }
@@ -126,8 +131,8 @@ func (r *rig) step(ev event) (event, bool) {
 			r.t.Fatalf("effect %d after the commit or sync of one step", fx.kind)
 		}
 		r.kinds = append(r.kinds, fx.kind)
-		if r.syncing && (fx.kind == fxCommit || fx.kind == fxSync) {
-			r.t.Fatalf("effect %d while a state-transfer round is in flight", fx.kind)
+		if r.inFlight != 0 && (fx.kind == fxCommit || fx.kind == fxSync) {
+			r.t.Fatalf("effect %d while the outcome of effect %d is out", fx.kind, r.inFlight)
 		}
 		at := slotRef{r.seat, fx.inst}
 		switch fx.kind {
@@ -144,30 +149,47 @@ func (r *rig) step(ev event) (event, bool) {
 			r.placed[at] = fx.value
 			r.offers = append(r.offers, at)
 		case fxCommit:
-			d := fx.decision
-			if d.Instance != r.w.floor {
-				r.t.Fatalf("commit of %d released at floor %d", d.Instance, r.w.floor)
+			if fx.decision.Instance != r.w.floor {
+				r.t.Fatalf("commit of %d released at floor %d", fx.decision.Instance, r.w.floor)
 			}
-			follow, committed, last = event{kind: evCommitted}, true, true
-			if d.Instance == r.floor { // else a state transfer got there first
-				r.commits = append(r.commits, d.Instance)
-				r.floor++
-				follow.replaced = d.Instance == r.viewChangeAt
+			last = true
+			if r.hold {
+				r.inFlight, r.held = fxCommit, fx.decision
+				break
 			}
-			follow.floor = r.floor
+			follow, committed = r.committed(fx.decision), true
 		case fxSync:
 			r.syncs++
-			r.syncing, r.lastSync, last = true, fx, true
+			r.inFlight, r.lastSync, last = fxSync, fx, true
 		}
 	}
 	return follow, committed
+}
+
+// committed is the runtime's evCommitted for the commit of d.
+func (r *rig) committed(d consensus.Decision) event {
+	ev := event{kind: evCommitted}
+	if d.Instance == r.floor { // else a state transfer got there first
+		r.commits = append(r.commits, d.Instance)
+		r.floor++
+		ev.replaced = d.Instance == r.viewChangeAt
+	}
+	ev.floor = r.floor
+	return ev
+}
+
+// release answers the held commit, as Node.onReleased does.
+func (r *rig) release() {
+	r.t.Helper()
+	r.inFlight = 0
+	r.run(r.committed(r.held))
 }
 
 // synced ends the round in flight the way Node.synced does: the transfer
 // left the runtime's floor at floor.
 func (r *rig) synced(floor int64, progressed bool) {
 	r.t.Helper()
-	r.floor, r.syncing = max(r.floor, floor), false
+	r.floor, r.inFlight = max(r.floor, floor), 0
 	r.run(event{kind: evSynced, floor: r.floor, progressed: progressed})
 }
 
@@ -176,7 +198,7 @@ func (r *rig) synced(floor int64, progressed bool) {
 // queues them.
 func (r *rig) syncedReplaced(floor int64, member, leads bool) {
 	r.t.Helper()
-	r.floor, r.syncing = max(r.floor, floor), false
+	r.floor, r.inFlight = max(r.floor, floor), 0
 	r.run(event{kind: evSynced, floor: r.floor, progressed: true, replaced: true})
 	r.engine(member, leads)
 }
@@ -715,7 +737,7 @@ func TestWindowChainsRoundsUntilEngineHandsOver(t *testing.T) {
 	r.decide(16, nil)
 	r.decide(17, nil)
 	syncs := r.syncs
-	r.floor, r.syncing = 16, false // r.synced, one step at a time
+	r.floor, r.inFlight = 16, 0 // r.synced, one step at a time
 	follow, commit := r.step(event{kind: evSynced, floor: 16, progressed: true})
 	r.wantKinds("a round that reached the parked decision", fxAdvance, fxStart, fxStart, fxCommit)
 	if !commit || r.syncs != syncs {
@@ -771,18 +793,65 @@ func TestWindowRoundGivesOvertakenBatchesBackOnce(t *testing.T) {
 	r.wantRequeued(a, b, c, a, b)
 }
 
+// (o) A held commit — the naive arm's every block, a reconfiguration block —
+// is an outcome out like a round: decisions, work, ticks past the resync
+// instant and an ask all arrive before its evCommitted, and nothing commits
+// and no round begins (rig.step fails the test on either). The release
+// commits the next parked decision, then begins the round the ask left owed.
+func TestWindowHeldCommitHoldsCommitsAndRounds(t *testing.T) {
+	r := newRig(t, 4)
+	r.engine(true, true)
+	r.q.busy = true
+	r.work(testBatch(1, 1, 1), testBatch(2, 1, 1))
+	r.hold = true
+	r.decideOwn(1)
+	r.hold = false
+	if r.inFlight != fxCommit {
+		t.Fatal("the commit of 1 is not out")
+	}
+	r.q.ready = append(r.q.ready, testBatch(3, 1, 1))
+	for i, ev := range []event{
+		{kind: evDecision, decision: consensus.Decision{Instance: 2, Value: r.placed[slotRef{1, 2}]}},
+		{kind: evWork},
+		{kind: evTick},
+		{kind: evSyncAsk, peers: testDonors, timeout: 3 * time.Second},
+		{kind: evTick},
+	} {
+		r.now = r.now.Add(testPeriod) // every tick is past the resync instant
+		if _, commit := r.step(ev); commit {
+			t.Fatalf("event %d released a commit", i)
+		}
+	}
+	r.wantOffers(1, 2, 3)
+	if r.syncs != 0 || len(r.commits) != 0 {
+		t.Fatalf("%d rounds begun and %v committed during the hold, want none", r.syncs, r.commits)
+	}
+	if next := r.w.nextDeadline(); !next.After(r.now) {
+		t.Fatalf("resync instant %v is not ahead of the last tick: the runtime's timer would spin", next.Sub(r.now))
+	}
+	r.release()
+	r.wantCommits(1, 2)
+	r.wantKinds("the outcome of the commit after the release", fxAdvance, fxStart, fxSync)
+	if r.syncs != 1 || !slices.Equal(r.lastSync.peers, testDonors) || r.lastSync.timeout != 3*time.Second {
+		t.Fatalf("%d rounds, the last against %v for %v; want the ask's", r.syncs, r.lastSync.peers, r.lastSync.timeout)
+	}
+	r.synced(r.floor, false)
+}
+
 // FuzzWindowStep plays an arbitrary runtime against the machine: each script
 // byte pair is one thing that can happen around it — a decision of the
 // current consensus machine for a slot it may hold, a leadership change,
-// work, a tick, an ask, the end of a round (asked for or not) anywhere at or
-// above the floor — plain, or having installed a view, which replaces the
-// machine (or drops it: retired) — and a commit that changes the view. Every
-// replacement is followed by the evEngine announcing the next seat, as
-// Node.settle queues it. Whatever the script, the rig's checks hold (a
-// commit is for the floor and a commit or fxSync ends its step; none of
-// either while a round is in flight; no slot below the floor or twice on one
-// machine; no batch above an empty slot), commits are in instance order and
-// once each, and the buffers stay bounded: W parked, W proposed.
+// work, a tick, an ask, the end of a round (asked for or not, never while a
+// commit is held) anywhere at or above the floor — plain, or having
+// installed a view, which replaces the machine (or drops it: retired) — a
+// commit that changes the view, holding commits, and releasing the held
+// one. Every replacement is followed by the evEngine announcing the next
+// seat, as Node.settle queues it. Whatever the script, the rig's checks hold
+// (a commit is for the floor and a commit or fxSync ends its step; none of
+// either while an outcome is out; no slot below the floor or twice on one
+// machine; no batch above an empty slot), the machine and the rig agree on
+// what is out, commits are in instance order and once each, and the buffers
+// stay bounded: W parked, W proposed.
 func FuzzWindowStep(f *testing.F) {
 	// A leader fills its window, decides out of order, commits across a view change.
 	f.Add([]byte{2, 3, 2, 5, 2, 5, 2, 5, 1, 129, 1, 128, 8, 1, 1, 130, 0, 1, 1, 0, 3, 1})
@@ -790,6 +859,9 @@ func FuzzWindowStep(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 1, 0, 3, 30, 4, 0, 5, 66, 1, 0, 5, 64, 7, 2, 3, 30, 6, 65, 3, 30})
 	// A candidate: rounds without a seat, then one that brings the seat.
 	f.Add([]byte{9, 0, 4, 0, 5, 75, 4, 0, 5, 11, 1, 1, 4, 0, 6, 3, 0, 1, 1, 0, 2, 9})
+	// A held commit with a decision parked behind it, a tick and an ask: two
+	// releases, then the round.
+	f.Add([]byte{0, 1, 7, 0, 10, 1, 2, 3, 2, 5, 1, 128, 4, 0, 1, 129, 3, 30, 11, 0, 11, 0, 5, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		const depth = 4
 		r := newRig(t, depth)
@@ -798,7 +870,7 @@ func FuzzWindowStep(f *testing.F) {
 		var nextSeq uint64
 		r.engine(member, leads)
 		for ; len(script) >= 2; script = script[2:] {
-			op, arg := script[0]%10, script[1]
+			op, arg := script[0]%12, script[1]
 			commits := len(r.commits)
 			switch op {
 			case 0:
@@ -824,16 +896,26 @@ func FuzzWindowStep(f *testing.F) {
 			case 4:
 				r.ask()
 			case 5:
-				r.synced(r.floor+int64(arg)%12, arg&0x40 != 0)
+				if r.inFlight != fxCommit {
+					r.synced(r.floor+int64(arg)%12, arg&0x40 != 0)
+				}
 			case 6:
-				member, leads = arg&1 == 1, arg&2 != 0
-				r.syncedReplaced(r.floor+int64(arg)%12, member, leads)
+				if r.inFlight != fxCommit {
+					member, leads = arg&1 == 1, arg&2 != 0
+					r.syncedReplaced(r.floor+int64(arg)%12, member, leads)
+				}
 			case 7:
 				r.q.busy = !r.q.busy
 			case 8:
 				r.viewChangeAt = r.floor + int64(arg)%depth
 			case 9:
 				member = arg&1 == 1 // the seat the next view change brings
+			case 10:
+				r.hold = arg&1 == 1 // as Pipeline=false holds every block
+			case 11:
+				if r.inFlight == fxCommit {
+					r.release()
+				}
 			}
 			if n := len(r.commits); n > commits && r.commits[n-1] == r.viewChangeAt {
 				leads = arg&2 == 0
@@ -842,8 +924,8 @@ func FuzzWindowStep(f *testing.F) {
 			if !slices.IsSorted(r.commits) || len(slices.Compact(slices.Clone(r.commits))) != len(r.commits) {
 				t.Fatalf("commits out of order or twice: %v", r.commits)
 			}
-			if r.w.floor != r.floor {
-				t.Fatalf("the machine's floor is %d, the runtime's %d", r.w.floor, r.floor)
+			if r.w.floor != r.floor || r.w.inFlight != r.inFlight {
+				t.Fatalf("the machine's floor is %d with %d out, the runtime's %d with %d", r.w.floor, r.w.inFlight, r.floor, r.inFlight)
 			}
 			if p, o := len(r.w.parked), len(r.w.proposed); p > depth || o > depth {
 				t.Fatalf("buffers grew past the window: %d parked, %d proposed (W=%d)", p, o, depth)

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"crypto/tls"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"io"
@@ -512,15 +513,42 @@ func (t *TCPNetwork) forget(c net.Conn) {
 	}
 }
 
+// minBodyBuf is the smallest first buffer readBody allocates: a vote or a
+// small batch whose bytes have not all arrived still fits it at once.
+const minBodyBuf = 4 << 10
+
+// errFrameLength is a length header out of bounds: a protocol violation.
+var errFrameLength = errors.New("transport: frame length out of bounds")
+
+// readFrame reads, authenticates and decodes one length-prefixed frame. A
+// length out of bounds is errFrameLength, a bad MAC ErrAuthentication; any
+// other error is the connection's.
+func readFrame(br *bufio.Reader, mac hash.Hash) (Message, error) {
+	var lenBuf [4]byte
+	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+		return Message{}, err
+	}
+	n := binary.BigEndian.Uint32(lenBuf[:])
+	if n > maxFrameSize || n < frameHeaderLen+sha256.Size {
+		return Message{}, errFrameLength
+	}
+	buf, err := readBody(br, int(n))
+	if err != nil {
+		return Message{}, err
+	}
+	return decodeFrame(buf, mac)
+}
+
 // readBody reads an n-byte frame body into a buffer of its own. The length
 // header is unauthenticated, so the buffer grows with the bytes that arrive
-// (doubling from readBufSize): a sender holds at most twice what it has
-// actually sent, not the 96 MiB four bytes can claim. A body that fits the
-// first buffer — nearly every frame — is still one exact-size allocation.
-func readBody(r io.Reader, n int) ([]byte, error) {
-	buf := make([]byte, min(n, readBufSize))
+// (doubling from what is buffered already, or minBodyBuf): a sender holds at
+// most twice what it has actually sent, not the 96 MiB four bytes can claim.
+// A body that has arrived whole — nearly every frame — is still one
+// exact-size allocation.
+func readBody(br *bufio.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, max(br.Buffered(), minBodyBuf)))
 	for got := 0; ; {
-		m, err := io.ReadFull(r, buf[got:])
+		m, err := io.ReadFull(br, buf[got:])
 		if got += m; err != nil {
 			return nil, err
 		}
@@ -534,9 +562,9 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 }
 
 // readLoop authenticates and decodes frames off one inbound connection. The
-// length header is read into a reused buffer and the frame body into a
-// buffer whose payload section is handed to the receiver without another
-// copy (the body buffer is not reused, so aliasing is safe).
+// frame body is read into a buffer whose payload section is handed to the
+// receiver without another copy (the body buffer is not reused, so aliasing
+// is safe). A protocol violation or a failed authentication drops the link.
 func (t *TCPNetwork) readLoop(c net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -545,30 +573,23 @@ func (t *TCPNetwork) readLoop(c net.Conn) {
 	}()
 	br := bufio.NewReaderSize(c, readBufSize)
 	mac := hmac.New(sha256.New, t.secret)
-	var lenBuf [4]byte
 	// A connection is the way back to at most one client, the first to speak
 	// on it: frames claiming further IDs are delivered but open no link.
 	claimed := false
 	for {
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n > maxFrameSize || n < frameHeaderLen+sha256.Size {
+		m, err := readFrame(br, mac)
+		switch {
+		case errors.Is(err, errFrameLength):
 			t.protoFails.Add(1)
-			return // protocol violation: drop the link
-		}
-		buf, err := readBody(br, int(n))
-		if err != nil {
 			return
-		}
-		m, err := t.decodeFrame(buf, mac)
-		if err != nil {
+		case errors.Is(err, ErrAuthentication):
 			t.authFails.Add(1)
-			return // failed authentication: drop the link
+			return
+		case err != nil:
+			return
 		}
 		t.framesIn.Add(1)
-		t.bytesIn.Add(int64(4 + n))
+		t.bytesIn.Add(int64(4 + frameHeaderLen + len(m.Payload) + sha256.Size))
 		if !claimed && m.From >= ClientIDBase {
 			claimed = true
 			t.answerOver(c, m.From)
@@ -600,7 +621,7 @@ func (t *TCPNetwork) encodeFrame(m Message) []byte {
 // decodeFrame authenticates and parses a frame body (without the length
 // prefix). mac is the caller's reused HMAC state. The returned payload
 // aliases buf.
-func (t *TCPNetwork) decodeFrame(buf []byte, mac hash.Hash) (Message, error) {
+func decodeFrame(buf []byte, mac hash.Hash) (Message, error) {
 	bodyLen := len(buf) - sha256.Size
 	body, tag := buf[:bodyLen], buf[bodyLen:]
 	mac.Reset()

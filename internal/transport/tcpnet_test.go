@@ -22,8 +22,8 @@ import (
 	"time"
 )
 
-// codecNet builds a TCPNetwork shell good enough for encodeFrame/decodeFrame
-// (no listener, no goroutines).
+// codecNet builds a TCPNetwork shell good enough for encodeFrame (no
+// listener, no goroutines).
 func codecNet(id int32, secret string) *TCPNetwork {
 	return &TCPNetwork{id: id, secret: []byte(secret)}
 }
@@ -72,8 +72,7 @@ func TestTCPFrameCodecRoundTrip(t *testing.T) {
 			if tc.corrupt != nil {
 				tc.corrupt(frame)
 			}
-			dec := codecNet(9, "codec-secret")
-			m, err := dec.decodeFrame(frame[4:], newTestMAC("codec-secret"))
+			m, err := decodeFrame(frame[4:], newTestMAC("codec-secret"))
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("decode of corrupted frame must fail authentication")
@@ -96,8 +95,7 @@ func TestTCPFrameCodecRoundTrip(t *testing.T) {
 func TestTCPFrameCodecWrongSecret(t *testing.T) {
 	enc := codecNet(1, "secret-A")
 	frame := enc.encodeFrame(Message{From: 1, To: 2, Type: 5, Payload: []byte("x")})
-	dec := codecNet(2, "secret-B")
-	if _, err := dec.decodeFrame(frame[4:], newTestMAC("secret-B")); err == nil {
+	if _, err := decodeFrame(frame[4:], newTestMAC("secret-B")); err == nil {
 		t.Fatal("frame under the wrong secret must fail authentication")
 	}
 }

@@ -45,8 +45,9 @@ func MessageHandling(path string) bool {
 // internal/consensus, (*Engine).loop, the goroutine form of the Machine
 // handle that the baselines and the benchmark's probe use. internal/core is
 // not one: its loops block legitimately — the ordering driver, which steps
-// the consensus machine itself, on a commit and on a catch-up round's
-// Fetcher call; the receive loop on a full inbox.
+// the consensus machine itself, on a full tail queue, a checkpoint write and
+// a catch-up round's Fetcher call (a held block is window state, not a
+// wait); the receive loop on a full inbox.
 func EventLoop(path string) bool {
 	switch path {
 	case "smartchain/internal/consensus":

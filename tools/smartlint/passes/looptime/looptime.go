@@ -32,10 +32,11 @@
 // the ordering driver, and (*tail).step beside it, what a block is owed once
 // it is executed; and (*machine).step in internal/catchup, the
 // state-transfer round (the blocking rule extends to neither core nor
-// catchup: core's loops block legitimately — on a commit, on a full queue,
-// on a Fetcher call — and catchup has no loop, the ordering driver steps its
-// machine). Everything reachable from such a root — function literals passed
-// as arguments included, they run inside the step — must be pure: no go
+// catchup: core's loops block legitimately — on a full queue, on a
+// checkpoint write, on a Fetcher call — and catchup has no loop, the
+// ordering driver steps its machine). Everything reachable from such a root
+// — function literals passed as arguments included, they run inside the
+// step — must be pure: no go
 // statement, no channel operation (send, receive, range, close) or select,
 // no call into package sync, and no clock or timer
 // (time.Now/Since/Until/Sleep/After/AfterFunc/NewTimer/NewTicker/Tick).
