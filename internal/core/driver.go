@@ -81,7 +81,7 @@ func (n *Node) driverLoop() {
 // left, and a member's consensus machine (what arrived earlier waits in the inbox).
 func (n *Node) beginOrdering(now time.Time) {
 	period := max(4*n.cfg.ConsensusTimeout, 2*time.Second)
-	n.w = newWindow(n.cfg.PipelineDepth, period, n.nextInstance.Load(), n.batcher.TryNext, n.batcher.Requeue, n.batcherOrPeersBusy)
+	n.w = newWindow(n.cfg.PipelineDepth, period, n.nextInstance.Load(), n.batcher.Next, n.batcher.Requeue, n.batcherOrPeersBusy)
 	n.reconcileEngine()
 	n.reseated = false // no outcome to settle: the engine event goes alone
 	n.drive(now, n.engineEvent())

@@ -465,7 +465,8 @@ func (f nodeFetcher) ApplyBlocks(blocks []blockchain.Block) error {
 }
 
 // ReplayBlocks re-executes already-verified blocks and appends them to the
-// local log.
+// local log. Nothing waits on them: they become durable with the next live
+// block's sync (or at Close), and a crash before it only costs a refetch.
 func (f nodeFetcher) ReplayBlocks(blocks []blockchain.Block) error {
 	n := f.n
 	for i := range blocks {

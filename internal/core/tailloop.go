@@ -64,6 +64,7 @@ func (n *Node) tend(now time.Time, ev tailEvent) {
 				ev, again = tailEvent{kind: tevShare, share: pm}, true // a step signs at most one block
 			case tfxCertify:
 				_ = n.ledger.AttachCert(fx.number, fx.cert) //smartlint:allow errdrop asynchronous certificate write (Algorithm 1 line 34)
+				// No callback, so no sync of its own: the next block's sync covers it.
 				n.logger.Append(blockchain.EncodeCertRecord(fx.number, &fx.cert), nil)
 			case tfxReply:
 				n.sendReplies(fx.number, fx.replies)

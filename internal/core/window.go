@@ -59,11 +59,21 @@ const (
 )
 
 // proposal is a batch this replica offered to one instance, with its wire
-// encoding kept so a decided value is cheaply recognized as this batch.
+// encoding kept so a decided value is cheaply recognized as this batch, and
+// the instant of the step that offered it.
 type proposal struct {
 	batch smr.Batch
 	enc   []byte
+	at    time.Time
 }
+
+// The depth rule's two constants: a decision that took more than
+// depthSlack × the fastest of the last depthSamples propose→decide
+// latencies queued behind other instances.
+const (
+	depthSlack   = 2
+	depthSamples = 256
+)
 
 // window is the ordering driver as a deterministic state machine: it keeps
 // W = PipelineDepth consensus instances open above the commit floor, hands
@@ -76,12 +86,21 @@ type proposal struct {
 type window struct {
 	depth  int           // W ≥ 1; 1 is strictly sequential ordering
 	period time.Duration // a window that commits nothing this long re-syncs
-	// The request queue, injected: next hands out a batch if one is ready,
-	// requeue takes requests back at its front, busy reports whether the
-	// view still owes this replica anything.
-	next    func() (smr.Batch, bool)
+	// The request queue, injected: next hands out a batch if one is ready
+	// (full: only one of the queue's maximum size), requeue takes requests
+	// back at its front, busy reports whether the view still owes this
+	// replica anything.
+	next    func(full bool) (smr.Batch, bool)
 	requeue func([]smr.Request)
 	busy    func() bool
+
+	// d ∈ [1, depth] is the effective depth: once d own proposals are
+	// undecided, fill takes only full batches. lat is a ring of the last
+	// propose→decide latencies of own proposals, the newest at index
+	// samples-1 (mod depthSamples).
+	d       int
+	lat     [depthSamples]time.Duration
+	samples int
 
 	out []effect // effects of the step in progress; reused across steps
 
@@ -104,9 +123,9 @@ type window struct {
 }
 
 // newWindow returns the machine for a replica that recovered up to floor.
-func newWindow(depth int, period time.Duration, floor int64, next func() (smr.Batch, bool), requeue func([]smr.Request), busy func() bool) *window {
+func newWindow(depth int, period time.Duration, floor int64, next func(full bool) (smr.Batch, bool), requeue func([]smr.Request), busy func() bool) *window {
 	return &window{
-		depth: depth, period: period, next: next, requeue: requeue, busy: busy,
+		depth: depth, period: period, next: next, requeue: requeue, busy: busy, d: depth,
 		floor: floor, nextStart: floor, round: effect{kind: fxSync, timeout: time.Second},
 		parked:   make(map[int64]consensus.Decision),
 		proposed: make(map[int64]proposal),
@@ -125,9 +144,16 @@ func (w *window) step(now time.Time, ev event) []effect {
 	case evEngine:
 		w.onEngine(now, ev)
 	case evLeader:
+		if ev.leads && !w.leads {
+			w.resetDepth()
+		}
 		w.leads = ev.leads
 	case evDecision:
 		if d := ev.decision; w.live && d.Instance >= w.floor {
+			_, again := w.parked[d.Instance]
+			if p, own := w.proposed[d.Instance]; own && !again {
+				w.sample(now.Sub(p.at))
+			}
 			w.parked[d.Instance] = d
 		}
 	case evSyncAsk:
@@ -198,6 +224,7 @@ func (w *window) nextDeadline() time.Time { return w.resyncAt }
 // to a machine that is gone, and a member opens one at the floor.
 func (w *window) onEngine(now time.Time, ev event) {
 	w.halt()
+	w.resetDepth()
 	w.leads = ev.leads
 	if ev.member {
 		w.live, w.nextStart, w.advanced = true, w.floor, 0
@@ -276,19 +303,65 @@ func (w *window) open() {
 // decided (skipped here) or that this replica does not lead after all;
 // giveBack returns those requests once the slot settles. The batch is stamped
 // with the step's instant: the proposing leader's clock.
+//
+// Once d of this replica's proposals are undecided, a slot gets only a full
+// batch: a leader whose instances queue cuts few large blocks instead of
+// many small ones, and what is left in the queue grows until the next
+// decision steps the window. With none undecided any batch goes (d ≥ 1).
 func (w *window) fill(now time.Time) {
-	for inst := w.floor; w.leads && inst < w.nextStart; inst++ {
+	if !w.leads {
+		return
+	}
+	undecided := w.undecided()
+	for inst := w.floor; inst < w.nextStart; inst++ {
 		_, taken := w.proposed[inst]
 		if _, decided := w.parked[inst]; taken || decided {
 			continue
 		}
-		batch, ok := w.next()
+		batch, ok := w.next(undecided >= w.d)
 		if !ok {
 			return
 		}
 		batch.Timestamp = now.UnixNano()
 		enc := batch.Encode()
-		w.proposed[inst] = proposal{batch: batch, enc: enc}
+		w.proposed[inst] = proposal{batch: batch, enc: enc, at: now}
+		undecided++
 		w.out = append(w.out, effect{kind: fxPropose, inst: inst, value: enc})
 	}
+}
+
+// undecided counts this replica's proposals whose slot has not decided.
+func (w *window) undecided() int {
+	n := 0
+	for inst := range w.proposed {
+		if _, decided := w.parked[inst]; !decided {
+			n++
+		}
+	}
+	return n
+}
+
+// sample is the depth rule, fed one propose→decide latency of an own
+// proposal: d drops by one when it exceeds depthSlack × the fastest of the
+// last depthSamples — the instance waited behind others, not for the
+// network — and rises by one otherwise. A zero minimum (a decision inside
+// the step that proposed it, virtual time) never shrinks d.
+func (w *window) sample(lat time.Duration) {
+	w.lat[w.samples%depthSamples] = lat
+	w.samples++
+	fastest := lat
+	for _, l := range w.lat[:min(w.samples, depthSamples)] {
+		fastest = min(fastest, l)
+	}
+	if fastest > 0 && lat > depthSlack*fastest {
+		w.d = max(1, w.d-1)
+	} else {
+		w.d = min(w.depth, w.d+1)
+	}
+}
+
+// resetDepth returns d to W and empties the samples: a new machine or a new
+// leadership owes nothing to the latencies measured under the last one.
+func (w *window) resetDepth() {
+	w.d, w.samples = w.depth, 0
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -22,7 +23,9 @@ import (
 // path: no slot starts below the floor or twice on one machine, no batch
 // lands above an empty slot, a commit or a round's beginning is alone and
 // last, a commit is for the floor, and while an outcome is out nothing
-// commits and no round begins.
+// commits and no round begins. After each step it checks the depth rule: no
+// partial batch was offered while d own proposals were undecided, and no
+// batch is left in the queue beside an empty slot while none is undecided.
 
 // fakeQueue is the injected request queue.
 type fakeQueue struct {
@@ -31,21 +34,30 @@ type fakeQueue struct {
 	busy     bool
 	calls    int // next() calls in the current step
 	asked    int // next() calls ever
+	fulls    int // next(full) calls ever
 	// blind makes the first blind calls of a step find the queue empty: the
 	// work arrives while the step is running.
 	blind int
+	// max is the full batch size (0: every batch is full); a call for a full
+	// batch finds a shorter one at the front not ready.
+	max int
 }
 
-func (q *fakeQueue) next() (smr.Batch, bool) {
+func (q *fakeQueue) next(full bool) (smr.Batch, bool) {
 	q.calls++
 	q.asked++
-	if q.calls <= q.blind || len(q.ready) == 0 {
+	if full {
+		q.fulls++
+	}
+	if q.calls <= q.blind || len(q.ready) == 0 || full && !q.isFull(q.ready[0]) {
 		return smr.Batch{}, false
 	}
 	b := q.ready[0]
 	q.ready = q.ready[1:]
 	return b, true
 }
+
+func (q *fakeQueue) isFull(b smr.Batch) bool { return len(b.Requests) >= q.max }
 
 // requeue puts the requests back at the front as one batch, as the
 // batcher's front-of-queue merge would hand them out again.
@@ -115,6 +127,7 @@ func (r *rig) step(ev event) (event, bool) {
 	r.t.Helper()
 	r.q.calls = 0
 	var follow event
+	var offered []int64
 	committed, last := false, false
 	r.kinds = r.kinds[:0]
 	if r.owesEngine && ev.kind != evEngine {
@@ -148,6 +161,7 @@ func (r *rig) step(ev event) (event, bool) {
 			r.checkOffer(at)
 			r.placed[at] = fx.value
 			r.offers = append(r.offers, at)
+			offered = append(offered, fx.inst)
 		case fxCommit:
 			if fx.decision.Instance != r.w.floor {
 				r.t.Fatalf("commit of %d released at floor %d", fx.decision.Instance, r.w.floor)
@@ -163,7 +177,31 @@ func (r *rig) step(ev event) (event, bool) {
 			r.inFlight, r.lastSync, last = fxSync, fx, true
 		}
 	}
+	r.checkDepth(offered)
 	return follow, committed
+}
+
+// checkDepth holds the step that offered batches to the slots offered (in
+// effect order) to the depth rule. Each of them is still undecided, so the
+// k-th found undecided - (len(offered) - k) own proposals undecided before it.
+func (r *rig) checkDepth(offered []int64) {
+	r.t.Helper()
+	undecided := r.w.undecided()
+	for k, inst := range offered {
+		before := undecided - (len(offered) - k)
+		if !r.q.isFull(r.w.proposed[inst].batch) && before >= r.w.d {
+			r.t.Fatalf("partial batch offered to slot %d with %d own proposals undecided, d = %d", inst, before, r.w.d)
+		}
+	}
+	if !r.w.live || !r.w.leads || undecided > 0 || len(r.q.ready) == 0 || r.q.blind > 0 {
+		return
+	}
+	for inst := r.w.floor; inst < r.w.nextStart; inst++ {
+		_, taken := r.w.proposed[inst]
+		if _, decided := r.w.parked[inst]; !taken && !decided {
+			r.t.Fatalf("a batch held back beside empty slot %d with no own proposal undecided", inst)
+		}
+	}
 }
 
 // committed is the runtime's evCommitted for the commit of d.
@@ -838,20 +876,175 @@ func TestWindowHeldCommitHoldsCommitsAndRounds(t *testing.T) {
 	r.synced(r.floor, false)
 }
 
+// (p) The depth rule, one proposal in flight at a time: the first decision
+// sets the minimum, each one slower than twice it takes one off d, down to
+// 1, and each fast one gives one back, up to W.
+func TestWindowDepthFollowsDecisionLatency(t *testing.T) {
+	r := newRig(t, 4)
+	r.q.max = 4
+	r.engine(true, true)
+	for i, step := range []struct {
+		lat   time.Duration
+		wantD int
+	}{
+		{10 * time.Millisecond, 4}, // the minimum
+		{20 * time.Millisecond, 4}, // exactly twice it: not queued
+		{21 * time.Millisecond, 3},
+		{50 * time.Millisecond, 2},
+		{30 * time.Millisecond, 1},
+		{90 * time.Millisecond, 1}, // d never drops below 1
+		{12 * time.Millisecond, 2},
+		{8 * time.Millisecond, 3}, // a new minimum
+		{16 * time.Millisecond, 4},
+		{9 * time.Millisecond, 4}, // nor rises above W
+	} {
+		r.work(testBatch(int64(i+1), 1, 1))
+		r.now = r.now.Add(step.lat)
+		r.decideOwn(r.floor)
+		if r.w.d != step.wantD {
+			t.Fatalf("decision %d after %v: d = %d, want %d", i, step.lat, r.w.d, step.wantD)
+		}
+	}
+	r.wantOffers(1, 2, 3, 4, 5, 6, 7, 8, 9, 10) // nothing undecided when each arrives: never held
+}
+
+// slowDown has the rig's window decide n single-request batches, one at a
+// time, each slower than twice the first: d ends at max(1, W-n+1).
+func (r *rig) slowDown(n int) {
+	r.t.Helper()
+	for i := 0; i < n; i++ {
+		r.work(testBatch(int64(100+i), 1, 1))
+		r.now = r.now.Add(time.Duration(1+2*i) * 10 * time.Millisecond)
+		r.decideOwn(r.floor)
+	}
+}
+
+// (q) With d own proposals undecided a partial batch waits in the queue while
+// a full one goes at once; the wait ends with the decision that leaves fewer
+// than d undecided, and never lasts past the last one.
+func TestWindowHoldsPartialBatchesWhileDepthIsUndecided(t *testing.T) {
+	r := newRig(t, 4)
+	r.q.max = 4
+	r.engine(true, true)
+	r.slowDown(4)
+	if r.w.d != 1 {
+		t.Fatalf("d = %d after three slow decisions, want 1", r.w.d)
+	}
+	offers := len(r.offers)
+	a, b, full := testBatch(1, 1, 1), testBatch(2, 1, 2), testBatch(3, 1, 4)
+	r.work(a) // nothing undecided: a partial batch goes
+	r.work(b)
+	if len(r.offers) != offers+1 || len(r.q.ready) != 1 || r.q.fulls == 0 {
+		t.Fatalf("%d of 2 partial batches offered with d = 1 and one undecided, want 1", len(r.offers)-offers)
+	}
+	r.q.ready = append([]smr.Batch{full}, r.q.ready...)
+	r.run(event{kind: evWork})
+	if len(r.offers) != offers+2 || len(r.q.ready) != 1 {
+		t.Fatal("a full batch was held back")
+	}
+	aAt, fullAt := r.offers[offers].inst, r.offers[offers+1].inst
+	r.now = r.now.Add(time.Second)
+	r.decideOwn(aAt) // slow: d stays 1, and the full batch is undecided
+	if len(r.offers) != offers+2 {
+		t.Fatal("a partial batch offered beside an undecided full one at d = 1")
+	}
+	r.decideOwn(fullAt)
+	if len(r.offers) != offers+3 || len(r.q.ready) != 0 {
+		t.Fatal("the held batch was not offered once nothing was undecided")
+	}
+}
+
+// (r) A new machine and newly gained leadership each start the depth rule
+// over: d back at W, the samples forgotten.
+func TestWindowEngineAndLeadershipResetDepth(t *testing.T) {
+	r := newRig(t, 4)
+	r.q.max = 4
+	r.engine(true, true)
+	r.slowDown(4)
+	r.leader(true) // a regency this replica leads again: nothing gained
+	if r.w.d != 1 {
+		t.Fatalf("d = %d after a regency that kept the leader, want 1", r.w.d)
+	}
+	r.leader(false)
+	r.leader(true)
+	if r.w.d != 4 || r.w.samples != 0 {
+		t.Fatalf("gained leadership left d = %d with %d samples, want 4 and none", r.w.d, r.w.samples)
+	}
+	r.slowDown(4)
+	r.engine(true, false)
+	if r.w.d != 4 || r.w.samples != 0 {
+		t.Fatalf("a new machine left d = %d with %d samples, want 4 and none", r.w.d, r.w.samples)
+	}
+}
+
+// (s) Decisions inside the instant that proposed them — a one-replica view,
+// a virtual clock — leave a zero minimum, which never shrinks d however slow
+// the decisions after it: every step offers what is queued, as before the
+// depth rule.
+func TestWindowSameInstantDecisionsNeverShrinkDepth(t *testing.T) {
+	r := newRig(t, 4)
+	r.q.max = 4
+	r.engine(true, true)
+	for i := 0; i < 12; i++ {
+		r.work(testBatch(int64(i+1), 1, 1))
+		r.decideOwn(r.floor)
+	}
+	for i := 0; i < 8; i++ {
+		r.work(testBatch(int64(20+i), 1, 1), testBatch(int64(40+i), 1, 1))
+		r.now = r.now.Add(time.Duration(i+1) * time.Second)
+		r.decideOwn(r.floor)
+		r.decideOwn(r.floor)
+		if r.w.d != 4 {
+			t.Fatalf("d = %d after a slow decision under a zero minimum, want 4", r.w.d)
+		}
+	}
+	if r.q.fulls != 0 || len(r.q.ready) != 0 {
+		t.Fatalf("%d calls for a full batch, %d batches left queued; want none", r.q.fulls, len(r.q.ready))
+	}
+}
+
+// (t) W = 1 — and so the naive Pipeline=false arm, which forces it — offers
+// exactly what it offered before the depth rule: its one slot is empty only
+// when nothing of its own is undecided, so it never asks for a full batch.
+// Arbitrary scripts run against a queue that refuses partial batches to a
+// full-batch call and against one that never does (the old queue) must
+// produce the same offers, values and commits.
+func TestWindowDepthOneOffersAsBefore(t *testing.T) {
+	offers := 0
+	for seed := int64(0); seed < 200; seed++ {
+		script := make([]byte, 120)
+		rand.New(rand.NewSource(seed)).Read(script)
+		now, old := playWindowScript(t, 1, 3, script), playWindowScript(t, 1, 0, script)
+		if now.q.fulls != 0 {
+			t.Fatalf("seed %d: %d calls for a full batch at W = 1", seed, now.q.fulls)
+		}
+		if !slices.Equal(now.offers, old.offers) || !slices.Equal(now.commits, old.commits) ||
+			!maps.EqualFunc(now.placed, old.placed, bytes.Equal) {
+			t.Fatalf("seed %d: W = 1 offered %v and committed %v, before the depth rule %v and %v", seed, now.offers, now.commits, old.offers, old.commits)
+		}
+		offers += len(now.offers)
+	}
+	if offers < 200 {
+		t.Fatalf("%d offers in 200 scripts: the scripts barely lead", offers)
+	}
+}
+
 // FuzzWindowStep plays an arbitrary runtime against the machine: each script
 // byte pair is one thing that can happen around it — a decision of the
-// current consensus machine for a slot it may hold, a leadership change,
-// work, a tick, an ask, the end of a round (asked for or not, never while a
-// commit is held) anywhere at or above the floor — plain, or having
-// installed a view, which replaces the machine (or drops it: retired) — a
-// commit that changes the view, holding commits, and releasing the held
-// one. Every replacement is followed by the evEngine announcing the next
-// seat, as Node.settle queues it. Whatever the script, the rig's checks hold
-// (a commit is for the floor and a commit or fxSync ends its step; none of
-// either while an outcome is out; no slot below the floor or twice on one
-// machine; no batch above an empty slot), the machine and the rig agree on
-// what is out, commits are in instance order and once each, and the buffers
-// stay bounded: W parked, W proposed.
+// current consensus machine for a slot it may hold, some milliseconds after
+// the last event, a leadership change, work, a tick, an ask, the end of a
+// round (asked for or not, never while a commit is held) anywhere at or above
+// the floor — plain, or having installed a view, which replaces the machine
+// (or drops it: retired) — a commit that changes the view, holding commits,
+// and releasing the held one. Every replacement is followed by the evEngine
+// announcing the next seat, as Node.settle queues it. Whatever the script,
+// the rig's checks hold (a commit is for the floor and a commit or fxSync
+// ends its step; none of either while an outcome is out; no slot below the
+// floor or twice on one machine; no batch above an empty slot; no partial
+// batch offered while d own proposals are undecided; no batch held back
+// beside an empty slot while none is), the machine and the rig agree on what
+// is out, commits are in instance order and once each, and the buffers stay
+// bounded: W parked, W proposed.
 func FuzzWindowStep(f *testing.F) {
 	// A leader fills its window, decides out of order, commits across a view change.
 	f.Add([]byte{2, 3, 2, 5, 2, 5, 2, 5, 1, 129, 1, 128, 8, 1, 1, 130, 0, 1, 1, 0, 3, 1})
@@ -862,74 +1055,87 @@ func FuzzWindowStep(f *testing.F) {
 	// A held commit with a decision parked behind it, a tick and an ask: two
 	// releases, then the round.
 	f.Add([]byte{0, 1, 7, 0, 10, 1, 2, 3, 2, 5, 1, 128, 4, 0, 1, 129, 3, 30, 11, 0, 11, 0, 5, 0})
+	// A leader whose decisions slow down (4 ms, then 24, 44 and 45 ms after
+	// their proposals): d falls to 2, one more partial batch goes, the next
+	// two wait; d falls to 1, and a fast decision gives one back.
+	f.Add([]byte{0, 1, 2, 0, 2, 0, 2, 0, 2, 0, 1, 144, 1, 208, 1, 208, 2, 0, 2, 0, 2, 0, 1, 132, 1, 133, 2, 5})
 	f.Fuzz(func(t *testing.T, script []byte) {
-		const depth = 4
-		r := newRig(t, depth)
-		member, leads := true, false // the seat the next evEngine announces
-		decided := make(map[slotRef]bool)
-		var nextSeq uint64
-		r.engine(member, leads)
-		for ; len(script) >= 2; script = script[2:] {
-			op, arg := script[0]%12, script[1]
-			commits := len(r.commits)
-			switch op {
-			case 0:
-				leads = arg&1 == 1
-				r.leader(leads)
-			case 1:
-				at := slotRef{r.seat, r.floor + int64(arg)%depth}
-				if !member || decided[at] {
-					break // a machine holds W slots, and decides each once
-				}
-				decided[at] = true
-				var value []byte
-				if arg&0x80 != 0 {
-					value = r.placed[at] // decided as proposed, if this replica proposed
-				}
-				r.decide(at.inst, value)
-			case 2:
-				nextSeq++
-				r.work(testBatch(int64(arg%3), nextSeq, 1+int(arg)%3))
-			case 3:
-				r.now = r.now.Add(time.Duration(arg) * 100 * time.Millisecond)
-				r.run(event{kind: evTick})
-			case 4:
-				r.ask()
-			case 5:
-				if r.inFlight != fxCommit {
-					r.synced(r.floor+int64(arg)%12, arg&0x40 != 0)
-				}
-			case 6:
-				if r.inFlight != fxCommit {
-					member, leads = arg&1 == 1, arg&2 != 0
-					r.syncedReplaced(r.floor+int64(arg)%12, member, leads)
-				}
-			case 7:
-				r.q.busy = !r.q.busy
-			case 8:
-				r.viewChangeAt = r.floor + int64(arg)%depth
-			case 9:
-				member = arg&1 == 1 // the seat the next view change brings
-			case 10:
-				r.hold = arg&1 == 1 // as Pipeline=false holds every block
-			case 11:
-				if r.inFlight == fxCommit {
-					r.release()
-				}
+		playWindowScript(t, 4, 3, script)
+	})
+}
+
+// playWindowScript plays a FuzzWindowStep script against a W = depth window
+// whose queue calls a batch of fullSize requests full, and returns the rig.
+func playWindowScript(t *testing.T, depth, fullSize int, script []byte) *rig {
+	t.Helper()
+	r := newRig(t, depth)
+	r.q.max = fullSize
+	member, leads := true, false // the seat the next evEngine announces
+	decided := make(map[slotRef]bool)
+	var nextSeq uint64
+	r.engine(member, leads)
+	for ; len(script) >= 2; script = script[2:] {
+		op, arg := script[0]%12, script[1]
+		commits := len(r.commits)
+		switch op {
+		case 0:
+			leads = arg&1 == 1
+			r.leader(leads)
+		case 1:
+			at := slotRef{r.seat, r.floor + int64(arg)%int64(depth)}
+			if !member || decided[at] {
+				break // a machine holds W slots, and decides each once
 			}
-			if n := len(r.commits); n > commits && r.commits[n-1] == r.viewChangeAt {
-				leads = arg&2 == 0
-				r.engine(member, leads)
+			decided[at] = true
+			var value []byte
+			if arg&0x80 != 0 {
+				value = r.placed[at] // decided as proposed, if this replica proposed
 			}
-			if !slices.IsSorted(r.commits) || len(slices.Compact(slices.Clone(r.commits))) != len(r.commits) {
-				t.Fatalf("commits out of order or twice: %v", r.commits)
+			r.now = r.now.Add(time.Duration(arg>>2&0x1f) * time.Millisecond)
+			r.decide(at.inst, value)
+		case 2:
+			nextSeq++
+			r.work(testBatch(int64(arg%3), nextSeq, 1+int(arg)%3))
+		case 3:
+			r.now = r.now.Add(time.Duration(arg) * 100 * time.Millisecond)
+			r.run(event{kind: evTick})
+		case 4:
+			r.ask()
+		case 5:
+			if r.inFlight != fxCommit {
+				r.synced(r.floor+int64(arg)%12, arg&0x40 != 0)
 			}
-			if r.w.floor != r.floor || r.w.inFlight != r.inFlight {
-				t.Fatalf("the machine's floor is %d with %d out, the runtime's %d with %d", r.w.floor, r.w.inFlight, r.floor, r.inFlight)
+		case 6:
+			if r.inFlight != fxCommit {
+				member, leads = arg&1 == 1, arg&2 != 0
+				r.syncedReplaced(r.floor+int64(arg)%12, member, leads)
 			}
-			if p, o := len(r.w.parked), len(r.w.proposed); p > depth || o > depth {
-				t.Fatalf("buffers grew past the window: %d parked, %d proposed (W=%d)", p, o, depth)
+		case 7:
+			r.q.busy = !r.q.busy
+		case 8:
+			r.viewChangeAt = r.floor + int64(arg)%int64(depth)
+		case 9:
+			member = arg&1 == 1 // the seat the next view change brings
+		case 10:
+			r.hold = arg&1 == 1 // as Pipeline=false holds every block
+		case 11:
+			if r.inFlight == fxCommit {
+				r.release()
 			}
 		}
-	})
+		if n := len(r.commits); n > commits && r.commits[n-1] == r.viewChangeAt {
+			leads = arg&2 == 0
+			r.engine(member, leads)
+		}
+		if !slices.IsSorted(r.commits) || len(slices.Compact(slices.Clone(r.commits))) != len(r.commits) {
+			t.Fatalf("commits out of order or twice: %v", r.commits)
+		}
+		if r.w.floor != r.floor || r.w.inFlight != r.inFlight {
+			t.Fatalf("the machine's floor is %d with %d out, the runtime's %d with %d", r.w.floor, r.w.inFlight, r.floor, r.inFlight)
+		}
+		if p, o := len(r.w.parked), len(r.w.proposed); p > depth || o > depth {
+			t.Fatalf("buffers grew past the window: %d parked, %d proposed (W=%d)", p, o, depth)
+		}
+	}
+	return r
 }

@@ -13,7 +13,7 @@ import (
 // readiness channel so a driver can select on "work available" alongside
 // other events.
 //
-// A pipelined driver (ordering window W > 1) calls TryNext up to W times
+// A pipelined driver (ordering window W > 1) calls Next up to W times
 // before any of the handed-out batches executes; handed-out requests stay
 // in the dedupe set until MarkDelivered (committed) or Requeue (the
 // instance was abandoned), so no request can appear in two concurrent
@@ -183,10 +183,14 @@ func (b *Batcher) signalReady() {
 func (b *Batcher) Ready() <-chan struct{} { return b.ready }
 
 // TryNext returns a batch if any requests are pending, without blocking.
-func (b *Batcher) TryNext() (Batch, bool) {
+func (b *Batcher) TryNext() (Batch, bool) { return b.Next(false) }
+
+// Next is TryNext, except that with full set it hands out only a batch of
+// the maximum size and otherwise leaves the queue to grow.
+func (b *Batcher) Next(full bool) (Batch, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed || len(b.pending) == 0 {
+	if b.closed || len(b.pending) == 0 || full && len(b.pending) < b.maxBatch {
 		return Batch{}, false
 	}
 	n := min(len(b.pending), b.maxBatch)

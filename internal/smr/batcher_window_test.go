@@ -175,3 +175,28 @@ func TestBatcherRequeueAfterAbandonedInstance(t *testing.T) {
 		t.Fatal("no further batches expected")
 	}
 }
+
+// A call for a full batch leaves a short queue to grow, takes exactly the
+// maximum once there is that much, and hands nothing out for nothing.
+func TestBatcherNextFullOnly(t *testing.T) {
+	b := NewBatcher(4)
+	if _, ok := b.Next(true); ok {
+		t.Fatal("a full batch out of an empty queue")
+	}
+	for s := uint64(1); s <= 3; s++ {
+		b.Add(windowReq(1, s))
+	}
+	if _, ok := b.Next(true); ok || b.Pending() != 3 || b.Outstanding() != 0 {
+		t.Fatalf("a full batch out of 3 of 4 requests, or the queue touched: pending %d, outstanding %d", b.Pending(), b.Outstanding())
+	}
+	for s := uint64(4); s <= 6; s++ {
+		b.Add(windowReq(1, s))
+	}
+	full, ok := b.Next(true)
+	if !ok || len(full.Requests) != 4 || full.Requests[0].Seq != 1 {
+		t.Fatalf("full batch %v (ok %v), want requests 1..4", full.Requests, ok)
+	}
+	if rest, ok := b.Next(false); !ok || len(rest.Requests) != 2 {
+		t.Fatalf("partial batch %v (ok %v), want the 2 left", rest.Requests, ok)
+	}
+}

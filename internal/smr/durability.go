@@ -77,7 +77,8 @@ func NewDurableLogger(log storage.Log, mode StorageMode) *DurableLogger {
 // durable — immediately after the group sync in Sync/Async modes, or right
 // away in Memory mode. In StorageSync callers typically block on it before
 // replying; in StorageAsync they don't, which is the entire difference
-// between the two configurations.
+// between the two configurations. A record appended without onDurable
+// issues no sync: it becomes durable with the next record that has one.
 func (d *DurableLogger) Append(record []byte, onDurable func(error)) {
 	d.mu.Lock()
 	if d.closed {
@@ -94,33 +95,41 @@ func (d *DurableLogger) Append(record []byte, onDurable func(error)) {
 	d.mu.Unlock()
 }
 
-// run drains the queue: append every waiting record, one sync, notify all.
+// run drains the queue: append every queued record, one sync, notify all.
+// A group on which no record waits (no onDurable: a PERSIST certificate, a
+// block a state transfer replayed) is appended without a sync of its own.
+// The log is FIFO, so the next waited sync makes it durable along with
+// everything before it, and Close syncs whatever is left.
 func (d *DurableLogger) run() {
 	defer close(d.done)
+	unsynced := false // records appended since the last sync
 	for {
 		d.mu.Lock()
 		for len(d.queue) == 0 && !d.closed {
 			d.cond.Wait()
 		}
-		if len(d.queue) == 0 && d.closed {
-			d.mu.Unlock()
-			return
-		}
-		entries := d.queue
+		entries, closing := d.queue, d.closed // closed: nothing is queued after this
 		d.queue = nil
 		d.mu.Unlock()
 
 		var err error
+		waited := false
 		for _, e := range entries {
 			if appendErr := d.log.Append(e.data); appendErr != nil && err == nil {
 				err = appendErr
 			}
+			waited = waited || e.onDurable != nil
 		}
-		if err == nil && d.mode != StorageMemory {
+		unsynced = unsynced || len(entries) > 0
+		synced := err == nil && unsynced && (waited || closing) && d.mode != StorageMemory
+		if synced {
 			err = d.log.Sync()
+			unsynced = false
 		}
 		d.mu.Lock()
-		d.syncs++
+		if synced {
+			d.syncs++
+		}
 		d.records += int64(len(entries))
 		d.mu.Unlock()
 		for _, e := range entries {
@@ -128,11 +137,14 @@ func (d *DurableLogger) run() {
 				e.onDurable(err)
 			}
 		}
+		if closing {
+			return
+		}
 	}
 }
 
-// Stats returns (records logged, group syncs issued). records/syncs is the
-// group-commit amortization factor.
+// Stats returns (records logged, syncs issued: none in Memory mode).
+// records/syncs is the group-commit amortization factor.
 func (d *DurableLogger) Stats() (records, syncs int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -142,7 +154,8 @@ func (d *DurableLogger) Stats() (records, syncs int64) {
 // Mode returns the configured storage mode.
 func (d *DurableLogger) Mode() StorageMode { return d.mode }
 
-// Close drains remaining records and stops the logger goroutine.
+// Close drains remaining records, syncs what no sync has covered yet, and
+// stops the logger goroutine.
 func (d *DurableLogger) Close() {
 	d.mu.Lock()
 	if d.closed {

@@ -408,6 +408,85 @@ func TestDurableLoggerMemoryModeSkipsSync(t *testing.T) {
 	if time.Since(start) > 25*time.Millisecond {
 		t.Fatal("memory mode must not pay sync latency")
 	}
+	if records, syncs := d.Stats(); records != 1 || syncs != 0 {
+		t.Fatalf("memory mode counted %d syncs for %d records, want none", syncs, records)
+	}
+}
+
+// A group on which no record waits issues no sync: k unwaited appends and
+// then one waited block cost exactly one sync, a crash before that block
+// loses only the unwaited tail, and Close syncs what is left.
+func TestDurableLoggerUnwaitedRecordsRideTheNextSync(t *testing.T) {
+	disk := &storage.SimDisk{}
+	log := storage.NewSimLog(disk)
+	d := NewDurableLogger(log, StorageSync)
+	defer d.Close()
+	const k = 5
+	waited := func(rec byte) {
+		t.Helper()
+		done := make(chan error, 1)
+		d.Append([]byte{rec}, func(err error) { done <- err })
+		if err := <-done; err != nil {
+			t.Fatalf("durable callback: %v", err)
+		}
+	}
+	unwaited := func(from byte) {
+		for i := byte(0); i < k; i++ {
+			d.Append([]byte{from + i}, nil)
+		}
+	}
+	logged := func() [][]byte {
+		t.Helper()
+		entries, err := log.ReadAll()
+		if err != nil {
+			t.Fatalf("readall: %v", err)
+		}
+		return entries
+	}
+	appended := func(n int) { // the logger goroutine has taken every record
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); len(logged()) < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d records appended", len(logged()), n)
+			}
+		}
+	}
+	syncs := func() int64 {
+		_, n := disk.Stats()
+		return n
+	}
+
+	waited(0)
+	unwaited(1)
+	appended(1 + k)
+	if n := syncs(); n != 1 {
+		t.Fatalf("%d syncs after one waited record and %d unwaited ones, want 1", n, k)
+	}
+	log.Crash()
+	if got := logged(); len(got) != 1 || got[0][0] != 0 {
+		t.Fatalf("a crash left %v, want only the synced record", got)
+	}
+
+	unwaited(10)
+	waited(20)
+	if n := syncs(); n != 2 {
+		t.Fatalf("%d unwaited records and a waited one cost %d syncs, want 1", k, n-1)
+	}
+	log.Crash()
+	if got := logged(); len(got) != k+2 || got[1][0] != 10 || got[k+1][0] != 20 {
+		t.Fatalf("a crash after the waited sync left %v, want it and every record before it", got)
+	}
+
+	unwaited(30)
+	appended(2*k + 2)
+	d.Close()
+	log.Crash()
+	if n, got := syncs(), logged(); n != 3 || len(got) != 2*k+2 {
+		t.Fatalf("after Close and a crash: %d syncs, %d records; want 3 and %d", n, len(got), 2*k+2)
+	}
+	if records, n := d.Stats(); records != 3*k+2 || n != 3 {
+		t.Fatalf("logger counted %d records under %d syncs, want %d under 3", records, n, 3*k+2)
+	}
 }
 
 func TestDurableLoggerAppendAfterClose(t *testing.T) {
