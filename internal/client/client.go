@@ -111,6 +111,10 @@ type call struct {
 	digest    crypto.Hash // of the signed request; replies must echo it
 	unordered bool
 	quorum    int
+	// sent is when the payload last went out (register, a retransmit tick,
+	// a re-targeting at a new membership); the tick re-sends only calls
+	// that have waited a full retry interval since.
+	sent time.Time
 	// votes holds ONE vote per replica, its latest word: a replica that
 	// re-answers (a retransmitted read served from a newer block, a behind
 	// report after a park expired) moves its vote, so it can never count
@@ -242,11 +246,13 @@ func (p *Proxy) installMembersLocked(id int64, members []int32) [][]byte {
 	p.viewVotes = make(map[int32]crypto.Hash)
 	p.hashCacheOK = false
 
+	now := time.Now()
 	payloads := make([][]byte, 0, len(p.calls))
 	for _, c := range p.calls {
 		c.quorum = p.quorum
 		if c.unordered {
 			c.votes = make(map[int32]vote)
+			c.sent = now
 			payloads = append(payloads, c.payload)
 			continue
 		}
@@ -262,6 +268,7 @@ func (p *Proxy) installMembersLocked(id int64, members []int32) [][]byte {
 		if best, n := c.tally(); n >= c.quorum {
 			p.completeLocked(c, best)
 		} else {
+			c.sent = now
 			payloads = append(payloads, c.payload)
 		}
 	}
@@ -530,11 +537,13 @@ func (p *Proxy) onViewInfo(m transport.Message) {
 	p.resend(payloads, targets)
 }
 
-// retransmitLoop periodically rebroadcasts every in-flight request — one
-// shared ticker, not one timer per call, so thousands of outstanding
-// invocations cost one goroutine. Targets are re-read from the live
-// membership every tick, so calls follow the proxy across
-// reconfigurations. The tick also re-issues the view query while mismatch
+// retransmitLoop periodically rebroadcasts every in-flight request that has
+// gone a full retry interval without a send — one shared ticker, not one
+// timer per call, so thousands of outstanding invocations cost one
+// goroutine. A call sent just before a tick waits for the next one: every
+// copy costs each replica two signature checks before it is dropped as a
+// duplicate. Targets are re-read from the live membership every tick, so
+// calls follow the proxy across reconfigurations. The tick also re-issues the view query while mismatch
 // evidence is outstanding: the reply-driven trigger is edge-triggered and
 // its rate limiter can swallow the edge — and replicas never re-reply to
 // an executed request, so without this level-triggered retry a call whose
@@ -550,26 +559,34 @@ func (p *Proxy) retransmitLoop() {
 		case <-p.stop:
 			return
 		case <-t.C:
-			p.mu.Lock()
-			members := p.members
-			payloads := make([][]byte, 0, len(p.calls))
-			for _, c := range p.calls {
-				payloads = append(payloads, c.payload)
-			}
-			var query []int32
-			if len(p.mismatch) > p.f {
-				p.lastQuery = time.Now()
-				query = append([]int32(nil), members...)
-			}
-			p.mu.Unlock()
-			for _, payload := range payloads {
-				for _, m := range members {
-					_ = p.ep.Send(m, smr.MsgRequest, payload) //smartlint:allow errdrop retransmit tick; continued silence triggers another tick
-				}
-			}
-			p.sendViewQuery(query)
+			p.retransmit(time.Now())
 		}
 	}
+}
+
+// retransmit is one tick of retransmitLoop at time now.
+func (p *Proxy) retransmit(now time.Time) {
+	p.mu.Lock()
+	members := p.members
+	var payloads [][]byte
+	for _, c := range p.calls {
+		if now.Sub(c.sent) >= p.retry {
+			c.sent = now
+			payloads = append(payloads, c.payload)
+		}
+	}
+	var query []int32
+	if len(p.mismatch) > p.f {
+		p.lastQuery = now
+		query = append([]int32(nil), members...)
+	}
+	p.mu.Unlock()
+	for _, payload := range payloads {
+		for _, m := range members {
+			_ = p.ep.Send(m, smr.MsgRequest, payload) //smartlint:allow errdrop retransmit tick; continued silence triggers another tick
+		}
+	}
+	p.sendViewQuery(query)
 }
 
 // register signs a request and enters it into the demux table.
@@ -612,6 +629,7 @@ func (p *Proxy) register(op []byte, unordered bool) (*call, error) {
 		return nil, ErrClosed
 	}
 	c.quorum = p.quorum
+	c.sent = time.Now()
 	p.calls[seq] = c
 	members := p.members
 	p.mu.Unlock()

@@ -1,8 +1,12 @@
 package coin
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"smartchain/internal/codec"
 	"smartchain/internal/crypto"
@@ -323,28 +327,47 @@ func (s *Service) Restore(snapshot []byte) error {
 		return fmt.Errorf("coin restore: %w", d.Err())
 	}
 	// Decode straight into fresh shard maps and a fresh balance index; the
-	// live state is untouched until the whole snapshot has parsed.
+	// live state is untouched until the whole snapshot has parsed. Owner
+	// keys are interned, each with its running balance: the coins of one
+	// owner share one copy of its key, and the index is written once per
+	// owner, so the decode allocates per distinct owner, not per coin.
+	type ownerSum struct {
+		key crypto.PublicKey
+		sum uint64
+	}
+	owners := make(map[string]*ownerSum)
 	var utxos [stateShards]map[CoinID]Coin
-	var sums [stateShards]map[string]uint64
 	for i := range utxos {
 		utxos[i] = make(map[CoinID]Coin, nCoins/stateShards)
-		sums[i] = make(map[string]uint64)
 	}
 	for ; nCoins > 0 && d.Err() == nil; nCoins-- {
-		var c Coin
-		c.ID = d.Bytes32()
-		c.Owner = crypto.PublicKey(d.ReadBytesCopy())
-		c.Value = d.Uint64()
+		id := d.Bytes32()
+		raw := d.ReadBytes()
+		o := owners[string(raw)]
+		if o == nil {
+			o = &ownerSum{key: crypto.PublicKey(bytes.Clone(raw))}
+			owners[string(raw)] = o
+		}
+		c := Coin{ID: id, Owner: o.key, Value: d.Uint64()}
 		m := utxos[shardIndex(c.ID)]
 		if old, dup := m[c.ID]; dup {
 			// A repeated ID in a corrupt snapshot: the last entry wins.
-			addBalance(sums[balanceShardIndex(old.Owner)], old.Owner, -old.Value)
+			owners[string(old.Owner)].sum -= old.Value
 		}
 		m[c.ID] = c
-		addBalance(sums[balanceShardIndex(c.Owner)], c.Owner, c.Value)
+		o.sum += c.Value
 	}
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("coin restore: %w", err)
+	}
+	var sums [stateShards]map[string]uint64
+	for i := range sums {
+		sums[i] = make(map[string]uint64)
+	}
+	for key, o := range owners {
+		if o.sum != 0 {
+			sums[balanceShardIndex(o.key)][key] = o.sum
+		}
 	}
 
 	// Nothing else reaches the shards while execMu is held exclusively, so
@@ -362,32 +385,102 @@ func (s *Service) Restore(snapshot []byte) error {
 	return nil
 }
 
+// prepopPerWorker is the fewest coins Prepopulate hands one goroutine: below
+// 2×prepopPerWorker the whole build runs on the caller's.
+const prepopPerWorker = 4096
+
 // Prepopulate injects synthetic UTXOs directly into the state. The Fig. 7
 // experiment preloads millions of UTXOs to give the service a realistic
 // state size; doing that through MINT transactions would dominate setup
-// time without changing behaviour. It holds execMu exclusively, so it writes
-// the shard maps without their locks and credits the owner once.
+// time without changing behaviour. Coin i's ID is the hash of ("prepop", i,
+// owner), so the IDs, the UTXO set and the balances are a function of the
+// arguments alone, whatever the worker count. It holds execMu exclusively,
+// so it writes the shard maps without their locks and credits the owner
+// once. The build runs on min(GOMAXPROCS, count/prepopPerWorker) goroutines
+// in three phases: derive the IDs by index, insert them with each worker
+// the only writer of its own shards (each map sized for what it will hold),
+// then sum the workers' credits.
 func (s *Service) Prepopulate(owner crypto.PublicKey, count int, value uint64) []CoinID {
 	st := s.state
 	st.execMu.Lock()
 	defer st.execMu.Unlock()
-	ids := make([]CoinID, 0, count)
-	var credit uint64
-	for i := 0; i < count; i++ {
+	workers := max(1, min(runtime.GOMAXPROCS(0), count/prepopPerWorker))
+
+	ids := make([]CoinID, count)
+	fanOut(workers, func(w int) {
 		e := codec.NewEncoder(4 + len("prepop") + 4 + 4 + len(owner))
 		e.String("prepop")
-		e.Uint32(uint32(i))
+		at := e.Len()
+		e.Uint32(0)
 		e.WriteBytes(owner)
-		id := crypto.HashBytes(e.Bytes())
-		m := st.shards[shardIndex(id)].utxos
-		// The ID commits to the owner, so a coin already under it (the same
-		// owner prepopulated twice) is this owner's; a missing one reads 0.
-		credit += value - m[id].Value
-		m[id] = Coin{ID: id, Owner: owner, Value: value}
-		ids = append(ids, id)
+		msg := e.Bytes()
+		for i := count * w / workers; i < count*(w+1)/workers; i++ {
+			binary.BigEndian.PutUint32(msg[at:], uint32(i))
+			ids[i] = crypto.HashBytes(msg)
+		}
+	})
+
+	var adding [stateShards]int
+	for _, id := range ids {
+		adding[shardIndex(id)]++
+	}
+	credits := make([]uint64, workers)
+	fanOut(workers, func(w int) {
+		for i := w; i < stateShards; i += workers {
+			st.shards[i].utxos = presized(st.shards[i].utxos, adding[i])
+		}
+		var credit uint64
+		for _, id := range ids {
+			if shardIndex(id)%workers != w {
+				continue
+			}
+			m := st.shards[shardIndex(id)].utxos
+			// The ID commits to the owner, so a coin already under it (the
+			// same owner prepopulated twice) is this owner's; a missing one
+			// reads 0.
+			credit += value - m[id].Value
+			m[id] = Coin{ID: id, Owner: owner, Value: value}
+		}
+		credits[w] = credit
+	})
+	var credit uint64
+	for _, c := range credits {
+		credit += c
 	}
 	addBalance(st.balances[balanceShardIndex(owner)].sums, owner, credit)
 	return ids
+}
+
+// presized returns m, or a copy of it with room for adding more entries
+// when that at least doubles it: growing that far would move every entry
+// at least once anyway, and the copy spares the inserts every growth step.
+func presized(m map[CoinID]Coin, adding int) map[CoinID]Coin {
+	if adding == 0 || adding < len(m) {
+		return m
+	}
+	out := make(map[CoinID]Coin, len(m)+adding)
+	for id, c := range m {
+		out[id] = c
+	}
+	return out
+}
+
+// fanOut runs fn(0) … fn(workers-1) concurrently and returns when all have;
+// one worker runs on the caller's goroutine.
+func fanOut(workers int, fn func(w int)) {
+	if workers == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	wg.Wait()
 }
 
 // ParseResult decodes a result produced by ExecuteBatch into the status
