@@ -138,8 +138,7 @@ func (tx *Tx) OutputID(i int) CoinID {
 }
 
 // OutputIDs derives every output's coin ID, hashing the transaction once
-// (OutputID re-hashes per call; the execution hot path and the conflict
-// analyzer both need all of them).
+// (OutputID re-hashes per call; execution needs all of them).
 func (tx *Tx) OutputIDs() []CoinID {
 	h := tx.Hash()
 	ids := make([]CoinID, len(tx.Outputs))
@@ -196,9 +195,9 @@ func Decode(data []byte) (Tx, error) {
 // of two ≤ 256.
 const stateShards = 64
 
-// stateShard is one slice of the UTXO set with its own lock, so
-// transactions on disjoint coins (the only kind the parallel executor runs
-// concurrently) never contend on a global mutex.
+// stateShard is one slice of the UTXO set with its own lock. State.execMu
+// already keeps a batch apart from readers; the shard lock guards each map
+// access on its own, whether or not its caller holds the gate.
 type stateShard struct {
 	mu    sync.RWMutex
 	utxos map[CoinID]Coin
@@ -213,10 +212,10 @@ type balanceShard struct {
 // State is the SMaRtCoin service state: the UTXO set plus the minter list
 // (paper: "a table with the coins assigned to each address in memory and a
 // list of addresses authorized to create new coins"). The UTXO set is
-// sharded by coin ID so the conflict-aware parallel executor can apply
-// key-disjoint transactions concurrently; execMu gates whole-batch
-// execution against readers, so queries and snapshots observe only
-// block-boundary states — never a half-applied transaction.
+// sharded by coin ID; execMu gates whole-batch execution against readers —
+// a batch holds it exclusively, readers hold it shared — so queries and
+// snapshots observe only block-boundary states, never a half-applied
+// transaction.
 //
 // balances is the paper's per-address table: the sum (mod 2^64, exactly what
 // a scan of the set would add up) of every unspent coin of an owner,
@@ -227,7 +226,7 @@ type State struct {
 	// execMu is held exclusively for the duration of one batch application
 	// and shared by every reader entry point (queries, snapshots). Within a
 	// batch, in-batch ordered queries use the *Locked variants instead: the
-	// executor's strata guarantee they never race a conflicting writer.
+	// batch already holds the gate, and its requests run one at a time.
 	execMu sync.RWMutex
 
 	shards   [stateShards]stateShard
@@ -310,10 +309,8 @@ func addBalance(sums map[string]uint64, owner crypto.PublicKey, delta uint64) {
 	}
 }
 
-// adjustBalance is addBalance on the live index. Concurrent callers are the
-// executor's key-disjoint transactions: they never touch the same owner —
-// every owner whose coin set changes is a declared account-key write — but
-// may share a shard, hence the shard lock.
+// adjustBalance is addBalance on the live index, under the owner's shard
+// lock. Its callers run inside a batch, which holds execMu exclusively.
 func (s *State) adjustBalance(owner crypto.PublicKey, delta uint64) {
 	bs := &s.balances[balanceShardIndex(owner)]
 	bs.mu.Lock()
@@ -338,10 +335,9 @@ func (s *State) isMinter(addr crypto.PublicKey) bool {
 // that reaches Apply is assumed signature-valid; Apply enforces the
 // semantic rules (authorization, ownership, conservation).
 //
-// Concurrent Apply calls are safe only for transactions whose key sets
-// (input coins, created coins, touched owner accounts) are disjoint — the
-// guarantee the conflict-aware executor provides. Sequential callers get
-// the exact historical semantics.
+// Apply does not take the execution gate: Service.ExecuteBatch calls it
+// holding execMu exclusively, one transaction at a time. A direct caller
+// must likewise never run it concurrently with another Apply.
 func (s *State) Apply(tx *Tx) []byte {
 	switch tx.Type {
 	case TxMint:
@@ -416,9 +412,9 @@ func (s *State) Balance(addr crypto.PublicKey) uint64 {
 	return s.balanceLocked(addr)
 }
 
-// balanceLocked is Balance for in-batch ordered queries: the caller (the
-// batch executor) already holds execMu exclusively, and the strata schedule
-// guarantees no concurrently-running transaction touches addr's account.
+// balanceLocked is Balance for in-batch ordered queries: the caller
+// (ExecuteBatch) already holds execMu exclusively, so no transaction runs
+// concurrently.
 func (s *State) balanceLocked(addr crypto.PublicKey) uint64 {
 	bs := &s.balances[balanceShardIndex(addr)]
 	bs.mu.RLock()
@@ -471,8 +467,9 @@ func (s *State) UTXOCount() int {
 	return s.utxoCountLocked()
 }
 
-// utxoCountLocked is UTXOCount for in-batch ordered queries; the count
-// query is scheduled as a barrier, so no transaction runs concurrently.
+// utxoCountLocked is UTXOCount for in-batch ordered queries: the caller
+// (ExecuteBatch) already holds execMu exclusively, so no transaction runs
+// concurrently.
 func (s *State) utxoCountLocked() int {
 	n := 0
 	for i := range s.shards {

@@ -2,9 +2,12 @@ package coin
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"smartchain/internal/codec"
 	"smartchain/internal/crypto"
 	"smartchain/internal/smr"
 )
@@ -251,6 +254,26 @@ func TestTxEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOutputIDsMatchCreatedCoins pins OutputIDs (a transaction's created
+// coins, derived without executing it) to the IDs execution actually
+// creates.
+func TestOutputIDsMatchCreatedCoins(t *testing.T) {
+	s, m := newTestState()
+	tx, err := NewMint(m, 1, 10, 20, 30)
+	if err != nil {
+		t.Fatalf("mint: %v", err)
+	}
+	predicted := tx.OutputIDs()
+	res := s.Apply(&tx)
+	code, created, err := ParseResult(res)
+	if err != nil || code != ResultOK {
+		t.Fatalf("apply: code=%d err=%v", code, err)
+	}
+	if fmt.Sprint(predicted) != fmt.Sprint(created) {
+		t.Fatalf("OutputIDs diverge from created coins:\n  predicted %v\n  created   %v", predicted, created)
+	}
+}
+
 func TestRequestSizesMatchPaperBallpark(t *testing.T) {
 	// Paper §IV-B: MINT requests ≈180 B, SPEND ≈310 B (single input,
 	// single output). Our encodings should land within 2× of those.
@@ -361,6 +384,140 @@ func TestServiceExecuteBatch(t *testing.T) {
 	}
 }
 
+// TestOrderedQueryObservesPrefix proves an ordered query at batch position i
+// observes exactly the writes of positions < i — including writes of the
+// same batch.
+func TestOrderedQueryObservesPrefix(t *testing.T) {
+	m := minterKey(0)
+	alice := userKey(1)
+	svc := NewService([]crypto.PublicKey{m.Public()})
+
+	mintTx, err := NewMint(m, 1, 100)
+	if err != nil {
+		t.Fatalf("mint: %v", err)
+	}
+	coinID := mintTx.OutputIDs()[0]
+	spendTx, err := NewSpend(m, 2, []CoinID{coinID}, []Output{{Owner: alice.Public(), Value: 100}})
+	if err != nil {
+		t.Fatalf("spend: %v", err)
+	}
+
+	mkReq := func(seq uint64, op []byte, key *crypto.KeyPair) smr.Request {
+		req, err := smr.NewSignedRequest(7, seq, op, key)
+		if err != nil {
+			t.Fatalf("req: %v", err)
+		}
+		return req
+	}
+	batch := []smr.Request{
+		mkReq(1, EncodeBalanceQuery(alice.Public()), m), // 0: before any write → 0
+		mkReq(2, mintTx.Encode(), m),                    // 1: mint 100 to m
+		mkReq(3, EncodeBalanceQuery(alice.Public()), m), // 2: mint didn't pay alice → 0
+		mkReq(4, spendTx.Encode(), m),                   // 3: m → alice 100
+		mkReq(5, EncodeBalanceQuery(alice.Public()), m), // 4: observes the spend → 100
+		mkReq(6, EncodeUTXOCountQuery(), m),             // 5: 1 coin live
+	}
+	results := svc.ExecuteBatch(smr.BatchContext{}, batch)
+
+	wantBalance := func(i int, want uint64) {
+		t.Helper()
+		got, err := ParseUint64Result(results[i])
+		if err != nil {
+			t.Fatalf("result %d: %v", i, err)
+		}
+		if got != want {
+			t.Fatalf("query at position %d saw %d, want %d", i, got, want)
+		}
+	}
+	if results[1][0] != ResultOK || results[3][0] != ResultOK {
+		t.Fatalf("tx results: %d %d", results[1][0], results[3][0])
+	}
+	wantBalance(0, 0)
+	wantBalance(2, 0)
+	wantBalance(4, 100)
+	wantBalance(5, 1) // UTXO count after mint+spend
+}
+
+// TestExecuteBatchRaceStress runs batch execution concurrently with
+// snapshots, queries, and restores — the lock discipline (execution gate,
+// shard locks, minter lock) must hold under the race detector.
+func TestExecuteBatchRaceStress(t *testing.T) {
+	g := newBatchGen(42, 3)
+	svc := NewService(g.publics())
+
+	// Seed some state and capture a snapshot to restore mid-stream.
+	seedBatch := make([]smr.Request, 8)
+	for i := range seedBatch {
+		seedBatch[i] = g.genMint(t, i%3)
+	}
+	svc.ExecuteBatch(smr.BatchContext{}, seedBatch)
+	seedSnap := svc.Snapshot()
+
+	batches := make([][]smr.Request, 30)
+	for b := range batches {
+		reqs := make([]smr.Request, 16)
+		for i := range reqs {
+			reqs[i] = g.genRequest(t)
+		}
+		batches[b] = reqs
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // unordered queries against live state
+		defer wg.Done()
+		addr := g.issuers[0].Public()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			svc.State().Balance(addr)
+			svc.State().UTXOCount()
+			svc.ExecuteUnordered(smr.Request{Op: EncodeBalanceQuery(addr)})
+		}
+	}()
+	go func() { // snapshots (state transfer reads)
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if snap := svc.Snapshot(); len(snap) < 8 {
+				t.Error("short snapshot")
+				return
+			}
+		}
+	}()
+	go func() { // restores (incoming state transfer)
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := svc.Restore(seedSnap); err != nil {
+				t.Errorf("restore: %v", err)
+				return
+			}
+		}
+	}()
+
+	for _, reqs := range batches {
+		results := svc.ExecuteBatch(smr.BatchContext{}, reqs)
+		if len(results) != len(reqs) {
+			t.Fatalf("results: %d", len(results))
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
 func TestServiceVerifyOp(t *testing.T) {
 	m := minterKey(0)
 	svc := NewService([]crypto.PublicKey{m.Public()})
@@ -433,6 +590,44 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	if err := restored.Restore([]byte("garbage")); err == nil {
 		t.Fatal("garbage snapshot must not restore")
+	}
+}
+
+// TestRestoreRejectsCorruptCounts exercises the snapshot hardening: declared
+// element counts far beyond the actual buffer must be rejected up front (no
+// count-sized allocation), and a failed restore must leave state untouched.
+func TestRestoreRejectsCorruptCounts(t *testing.T) {
+	m := minterKey(0)
+	svc := NewService([]crypto.PublicKey{m.Public()})
+	mustMint(t, svc.State(), m, 1, 100, 200)
+	before := svc.Snapshot()
+
+	hugeCoins := func() []byte {
+		e := codec.NewEncoder(64)
+		e.Uint32(0)          // no minters
+		e.Uint32(1 << 30)    // a billion declared coins...
+		e.Uint64(0xdeadbeef) // ...backed by 8 bytes
+		return e.Bytes()
+	}()
+	hugeMinters := func() []byte {
+		e := codec.NewEncoder(8)
+		e.Uint32(1 << 30)
+		return e.Bytes()
+	}()
+	truncated := before[:len(before)-10]
+
+	for name, snap := range map[string][]byte{
+		"huge coin count":   hugeCoins,
+		"huge minter count": hugeMinters,
+		"truncated coins":   truncated,
+		"empty":             nil,
+	} {
+		if err := svc.Restore(snap); err == nil {
+			t.Fatalf("%s: restore must fail", name)
+		}
+	}
+	if !bytes.Equal(svc.Snapshot(), before) {
+		t.Fatal("failed restore must leave state untouched")
 	}
 }
 

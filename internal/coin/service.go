@@ -10,23 +10,15 @@ import (
 
 	"smartchain/internal/codec"
 	"smartchain/internal/crypto"
-	"smartchain/internal/exec"
 	"smartchain/internal/smr"
 )
 
 // Service adapts SMaRtCoin to the replicated-service interface consumed by
 // the SMARTCHAIN node (the BFT-SMaRt invoke/execute pattern, paper §IV-A):
 // batches of ordered requests in, deterministic per-request results out,
-// with snapshot/restore for checkpoints and state transfer. With
-// SetExecWorkers(n>1) the service executes non-conflicting transactions of
-// a batch in parallel through the conflict-aware executor while preserving
-// bit-identical results and post-state.
+// with snapshot/restore for checkpoints and state transfer.
 type Service struct {
 	state *State
-	// par is the conflict-aware parallel executor; nil means the exact
-	// legacy sequential path. Configured once, before the service starts
-	// executing (SetExecWorkers is not safe concurrently with ExecuteBatch).
-	par *exec.Executor
 }
 
 // NewService creates a coin service with the given authorized minters
@@ -38,70 +30,34 @@ func NewService(minters []crypto.PublicKey) *Service {
 // State exposes the underlying UTXO state for queries.
 func (s *Service) State() *State { return s.state }
 
-// SetExecWorkers configures the parallel execution worker bound. 1 (or
-// less) selects the exact legacy sequential path. Must be called before the
-// service starts executing batches.
-func (s *Service) SetExecWorkers(workers int) {
-	if workers > 1 {
-		s.par = exec.New(workers)
-	} else {
-		s.par = nil
-	}
-}
-
-// ExecWorkers reports the configured worker bound (1 = sequential).
-func (s *Service) ExecWorkers() int {
-	if s.par == nil {
-		return 1
-	}
-	return s.par.Workers()
-}
-
-// ExecStats snapshots the parallel executor's counters (zero when the
-// sequential path is configured).
-func (s *Service) ExecStats() exec.Stats {
-	if s.par == nil {
-		return exec.Stats{}
-	}
-	return s.par.Stats()
-}
-
-// ExecuteBatch executes each request operation in batch-order semantics and
+// ExecuteBatch executes the requests one after another in batch order and
 // returns one result per request. Requests whose operations fail to parse
 // yield a malformed result rather than aborting the batch: correct replicas
 // must stay in lockstep even on garbage input. The coin rules do not
 // consume the ordering context — SMaRtCoin state is a pure function of the
-// transaction sequence — so bc is accepted and ignored.
+// transaction sequence — so the BatchContext is accepted and ignored.
 //
 // The batch holds the state's execution gate exclusively, so unordered
-// queries and snapshots observe only block-boundary states. With a parallel
-// executor configured, non-conflicting transactions run concurrently; the
-// strata schedule keeps every conflicting pair (and every ordered query vs.
-// the writes before it) in sequence, so results and post-state are
-// bit-identical to the sequential path.
-func (s *Service) ExecuteBatch(bc smr.BatchContext, reqs []smr.Request) [][]byte {
+// queries and snapshots observe only block-boundary states.
+func (s *Service) ExecuteBatch(_ smr.BatchContext, reqs []smr.Request) [][]byte {
 	s.state.execMu.Lock()
 	defer s.state.execMu.Unlock()
-	if s.par != nil {
-		return s.par.Execute(bc, s, reqs)
-	}
 	results := make([][]byte, len(reqs))
 	for i := range reqs {
-		results[i] = s.ExecuteOne(bc, &reqs[i])
+		results[i] = s.executeLocked(&reqs[i])
 	}
 	return results
 }
 
-// ExecuteOne applies a single ordered request (exec.Application). Callers
-// must hold the state's execution gate (ExecuteBatch does); concurrent
-// calls are safe only for requests with disjoint declared key sets.
-func (s *Service) ExecuteOne(bc smr.BatchContext, req *smr.Request) []byte {
+// executeLocked applies a single ordered request. The caller holds the
+// state's execution gate exclusively (ExecuteBatch does).
+func (s *Service) executeLocked(req *smr.Request) []byte {
 	if IsQuery(req.Op) {
 		// An ordered read: the client's unordered read fell back to total
 		// order (read floor unserveable at a quorum). Queries are
 		// deterministic reads of the state as of this point in the
-		// sequence — the strata schedule places them after every earlier
-		// conflicting write and before every later one.
+		// sequence: every earlier request of the batch has applied, no
+		// later one has.
 		return s.executeQueryLocked(*req)
 	}
 	tx, err := Decode(req.Op)
@@ -115,51 +71,6 @@ func (s *Service) ExecuteOne(bc smr.BatchContext, req *smr.Request) []byte {
 		return []byte{ResultErrBadSignature}
 	}
 	return s.state.Apply(&tx)
-}
-
-// acctKey is the declared-conflict key of an owner account: balance queries
-// read it, transactions write it for every owner whose coin set changes.
-func acctKey(addr crypto.PublicKey) string { return "a" + string(addr) }
-
-// coinKey is the declared-conflict key of one UTXO.
-func coinKey(id CoinID) string { return "c" + string(id[:]) }
-
-// RequestKeys derives the read/write key set of one ordered request
-// (exec.Application): input coin IDs and created coin IDs as coin keys,
-// plus the issuer's and every output owner's account key (balance queries
-// read account keys). Requests whose result is a constant — undecodable
-// payloads, issuer/signer mismatches — declare the empty set. A UTXO-count
-// query reads the whole set, which cannot be enumerated, so it is a
-// barrier. Declared writes are a superset of actual mutations: a
-// transaction that fails validation mid-way writes nothing, which the
-// superset covers conservatively.
-func (s *Service) RequestKeys(req *smr.Request) exec.KeySet {
-	if IsQuery(req.Op) {
-		if req.Op[0] == QueryBalance {
-			return exec.KeySet{Reads: []string{acctKey(crypto.PublicKey(req.Op[1:]))}}
-		}
-		return exec.KeySet{Barrier: true}
-	}
-	tx, err := Decode(req.Op)
-	if err != nil {
-		return exec.KeySet{} // constant ResultErrMalformed
-	}
-	if !req.PubKey.Equal(tx.Issuer) {
-		return exec.KeySet{} // constant ResultErrBadSignature
-	}
-	writes := make([]string, 0, len(tx.Inputs)+2*len(tx.Outputs)+1)
-	for _, in := range tx.Inputs {
-		writes = append(writes, coinKey(in))
-	}
-	for i, id := range tx.OutputIDs() {
-		writes = append(writes, coinKey(id))
-		writes = append(writes, acctKey(tx.Outputs[i].Owner))
-	}
-	if tx.Type == TxSpend {
-		// Consumed inputs change the issuer's balance.
-		writes = append(writes, acctKey(tx.Issuer))
-	}
-	return exec.KeySet{Writes: writes}
 }
 
 // Read-only query operations, served over the consensus-free unordered
@@ -210,9 +121,7 @@ func uint64Result(v uint64) []byte {
 
 // executeQueryLocked answers a query from inside a batch execution: the
 // caller holds the state's execution gate exclusively, so the public query
-// entry points (which acquire it shared) would deadlock. The strata
-// schedule guarantees no concurrently-executing transaction conflicts with
-// the query's key set.
+// entry points (which acquire it shared) would deadlock.
 func (s *Service) executeQueryLocked(req smr.Request) []byte {
 	if len(req.Op) == 0 {
 		return []byte{ResultErrMalformed}

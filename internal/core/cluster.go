@@ -33,15 +33,6 @@ type ClusterConfig struct {
 	// SessionGCBlocks is the per-client executed-record GC horizon in
 	// blocks (0 disables), identical on every replica.
 	SessionGCBlocks int64
-	// ExecWorkers bounds the conflict-aware parallel execution pool on
-	// every replica (0 or 1 = exact sequential path). Determinism does NOT
-	// require replicas to agree on it — the strata schedule makes results
-	// identical at any worker count.
-	ExecWorkers int
-	// ExecWorkersFor overrides ExecWorkers per replica when set (the
-	// heterogeneous-workers determinism tests run replicas at different
-	// counts and assert bit-identical state).
-	ExecWorkersFor func(id int32) int
 	// ReadParkTimeout / ReadParkLimit mirror Config: the bound on parking
 	// unordered reads whose ReadFloor is ahead of the executed height.
 	ReadParkTimeout time.Duration
@@ -396,10 +387,6 @@ func (c *Cluster) newDisk() *storage.SimDisk {
 // startNode builds and starts the Node process for a ClusterNode.
 func (c *Cluster) startNode(cn *ClusterNode, initialKey *crypto.KeyPair, syncPeers []int32) error {
 	cn.App = c.cfg.AppFactory()
-	execWorkers := c.cfg.ExecWorkers
-	if c.cfg.ExecWorkersFor != nil {
-		execWorkers = c.cfg.ExecWorkersFor(cn.ID)
-	}
 	ep, err := c.endpoint(cn.ID)
 	if err != nil {
 		return err
@@ -423,7 +410,6 @@ func (c *Cluster) startNode(cn *ClusterNode, initialKey *crypto.KeyPair, syncPee
 		Pipeline:            c.cfg.Pipeline,
 		PipelineDepth:       c.cfg.PipelineDepth,
 		SessionGCBlocks:     c.cfg.SessionGCBlocks,
-		ExecWorkers:         execWorkers,
 		ReadParkTimeout:     c.cfg.ReadParkTimeout,
 		ReadParkLimit:       c.cfg.ReadParkLimit,
 		MaxBatch:            c.cfg.MaxBatch,

@@ -114,19 +114,6 @@ type UnorderedApplication interface {
 	ExecuteUnordered(req smr.Request) []byte
 }
 
-// ParallelApplication is the optional capability for conflict-aware
-// parallel execution of committed batches: an application that can bound
-// its execution worker pool. coin.Service implements it by running batches
-// through the internal/exec conflict analyzer and strata scheduler, which
-// guarantees replica-identical results at any worker count. Applications
-// without the capability (and any configuration with ExecWorkers ≤ 1) keep
-// the exact sequential execution path.
-type ParallelApplication interface {
-	// SetExecWorkers bounds the parallel execution pool; 1 (or less)
-	// selects the sequential path. Called once, before the node starts.
-	SetExecWorkers(workers int)
-}
-
 // Config parameterizes a node.
 type Config struct {
 	// Self is this replica's process ID.
@@ -180,11 +167,6 @@ type Config struct {
 	// ReadParkLimit bounds the park queue; overflow answers "behind"
 	// immediately. 0 = 256.
 	ReadParkLimit int
-	// ExecWorkers bounds the conflict-aware parallel execution pool applied
-	// to committed batches when the application implements
-	// ParallelApplication. 0 or 1 keeps the exact legacy sequential
-	// execution path (the A/B baseline and the bisection anchor).
-	ExecWorkers int
 	// MaxBatch caps requests per block; 0 uses the genesis value.
 	MaxBatch int
 	// ConsensusTimeout is the leader-progress timeout.
@@ -389,11 +371,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	n.nextInstance.Store(1)
 	n.regency.Store(-1)
-	if pa, ok := cfg.App.(ParallelApplication); ok {
-		// Also called for ExecWorkers ≤ 1 so a reused application instance
-		// (cluster restarts in tests) is reset to the sequential path.
-		pa.SetExecWorkers(cfg.ExecWorkers)
-	}
 	n.replies = newReplyCache()
 	n.batcher.SetSessionGC(cfg.SessionGCBlocks)
 	n.keys = reconfig.NewKeyStore(cfg.Self, cfg.Permanent, 0, cfg.InitialConsensusKey, nil)

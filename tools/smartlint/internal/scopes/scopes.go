@@ -14,13 +14,13 @@ func testbed(path string) bool {
 }
 
 // Deterministic reports whether path is a deterministic-execution package:
-// code that must produce bit-identical results on every replica (PR 6's
-// parallel-execution invariant). detexec applies package-wide here; outside
-// these packages it still covers the method bodies that feed replicated
-// state (ExecuteBatch/ExecuteOne, the node's block transition).
+// code that must produce bit-identical results on every replica. detexec
+// applies package-wide here; outside these packages it still covers the
+// method bodies that feed replicated state (ExecuteBatch, the node's block
+// transition).
 func Deterministic(path string) bool {
 	switch path {
-	case "smartchain/internal/exec", "smartchain/internal/coin":
+	case "smartchain/internal/coin":
 		return true
 	case "smartlint.test/detexec/node":
 		// The fixture for the method-scoped rule stands in for a package

@@ -1,16 +1,16 @@
-// Package detexec guards PR 6's core invariant: deterministic-execution
-// code must produce bit-identical results on every replica, so it may not
-// observe wall-clock time, draw from an unseeded global randomness source,
-// or let map iteration order leak into its outputs.
+// Package detexec guards replicated execution's core invariant:
+// deterministic-execution code must produce bit-identical results on every
+// replica, so it may not observe wall-clock time, draw from an unseeded
+// global randomness source, or let map iteration order leak into its
+// outputs.
 //
-// The rules apply package-wide inside the deterministic packages
-// (internal/exec, internal/coin) and, everywhere else, inside the method
-// bodies that feed replicated state: the application execution paths
-// (ExecuteBatch / ExecuteOne) and the node's block transition (applyBatch,
-// closeBlock, installView in internal/core), which live commit,
-// crash-recovery replay and catch-up replay all run and must run to the
-// same result. PR 6's determinism fuzzing can only sample these
-// properties; this pass enforces them at compile time.
+// The rules apply package-wide inside the deterministic package
+// (internal/coin) and, everywhere else, inside the method bodies that feed
+// replicated state: the application execution path (ExecuteBatch) and the
+// node's block transition (applyBatch, closeBlock, installView in
+// internal/core), which live commit, crash-recovery replay and catch-up
+// replay all run and must run to the same result. Tests can only sample
+// these properties; this pass enforces them at compile time.
 package detexec
 
 import (
@@ -32,11 +32,10 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // execMethods are the methods checked even outside the deterministic
-// packages: the application execution entry points and the node's block
+// packages: the application execution entry point and the node's block
 // transition.
 var execMethods = map[string]bool{
-	"ExecuteBatch": true, "ExecuteOne": true,
-	"applyBatch": true, "closeBlock": true, "installView": true,
+	"ExecuteBatch": true, "applyBatch": true, "closeBlock": true, "installView": true,
 }
 
 func run(pass *analysis.Pass) (any, error) {
