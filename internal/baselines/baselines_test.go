@@ -123,6 +123,39 @@ func TestDuraSMaRtGroupCommitsUnderLoad(t *testing.T) {
 	}
 }
 
+// TestDuraSMaRtSurvivesLeaderIsolation cuts the regency-0 leader off after
+// one commit: the survivors depose it in exactly one epoch change, and the
+// leader of the installed regency keeps the chain committing.
+func TestDuraSMaRtSurvivesLeaderIsolation(t *testing.T) {
+	c, minter := startCluster(t, KindDuraSMaRt, nil)
+	p := client.New(c.ClientEndpoint(), minter, c.Members(), client.WithTimeout(10*time.Second))
+	mint := func(n uint64) {
+		t.Helper()
+		tx, err := coin.NewMint(minter, n, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Invoke(context.Background(), tx.Encode())
+		if err != nil {
+			t.Fatalf("mint %d: %v", n, err)
+		}
+		if code, _, _ := coin.ParseResult(res); code != coin.ResultOK {
+			t.Fatalf("mint %d: code %d", n, code)
+		}
+	}
+	mint(1)
+	c.Net.Isolate(0)
+	for n := uint64(2); n <= 6; n++ {
+		mint(n)
+	}
+	c.Stop()
+	for i := 1; i < 4; i++ {
+		if got := c.replicas[i].regency; got != 1 {
+			t.Fatalf("replica %d at regency %d after losing its leader, want 1", i, got)
+		}
+	}
+}
+
 func TestTendermintCommitsWithDoubleWrite(t *testing.T) {
 	c, minter := startCluster(t, KindTendermint, func(cfg *ClusterConfig) {
 		cfg.GossipDelay = time.Millisecond

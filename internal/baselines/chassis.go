@@ -4,17 +4,19 @@
 // Fig. 6), and architecturally-faithful models of Tendermint and Hyperledger
 // Fabric (Table II).
 //
-// All three share a replica chassis: the same Byzantine consensus engine,
+// All three share a replica chassis: the same Byzantine consensus machine,
 // request batching, and signature verification as SMARTCHAIN — so measured
 // differences come from each system's commit discipline, not from a
-// different consensus implementation. What differs per system:
+// different consensus implementation. One leader holds each regency, as in
+// SMARTCHAIN. What differs per system:
 //
 //   - Dura-SMaRt: group-committed durable log written in parallel with
 //     execution; replies after both (external durability).
-//   - Tendermint-style: rotating leader every block, transactions reach
-//     replicas through gossip (extra hop), and the block is written
-//     synchronously both before and after execution (two fsyncs in the
-//     critical path, §VII-a).
+//   - Tendermint-style: transactions reach replicas through gossip (an
+//     ingest delay before a request becomes proposable), each block is
+//     written synchronously both before and after execution (two syncs in
+//     the critical path, §VII-a), and timeout_commit pauses the chain after
+//     every block.
 //   - Fabric-style: execute-order-validate — endorsement round trips before
 //     ordering, then sequential per-transaction validation (endorsement
 //     signature checks + MVCC) and a synchronous commit per block.
@@ -64,19 +66,27 @@ type ChassisConfig struct {
 	IngestDelay time.Duration
 }
 
-// Replica is one baseline replica process.
+// Replica is one baseline replica process, two goroutines: receiveLoop
+// admits requests and queues consensus frames in the inbox; driverLoop
+// alone steps the consensus machine, one instance at a time, and runs the
+// commit discipline on each decision.
 type Replica struct {
 	cfg      ChassisConfig
-	engine   *consensus.Engine
+	cons     *consensus.Machine
 	batcher  *smr.Batcher
 	verifier *smr.VerifierPool
+	inbox    chan consensus.Input
 
+	// Driver state: the instance being ordered, the installed regency (this
+	// replica leads it iff View.Leader(regency) == Self), and whether the
+	// instance began in that regency with no proposal from this replica yet.
 	nextInstance int64
-	executedTxs  int64
-	statsMu      sync.Mutex
+	regency      int64
+	wantsValue   bool
+
+	executedTxs atomic.Int64
 	// droppedSends counts protocol and reply sends the transport refused
-	// (peer down, queue full). Atomic: the consensus engine's send hook
-	// runs on engine goroutines while sendReplies runs on the driver.
+	// (peer down, queue full). Written on the driver, read from anywhere.
 	droppedSends atomic.Int64
 
 	stop     chan struct{}
@@ -97,13 +107,14 @@ func NewReplica(cfg ChassisConfig) *Replica {
 		cfg:          cfg,
 		batcher:      smr.NewBatcher(cfg.MaxBatch),
 		verifier:     smr.NewVerifierPool(cfg.Verify, 0),
+		inbox:        make(chan consensus.Input, 4096), // as the node's: the next instance's traffic waits out a blocking Commit here
 		nextInstance: 1,
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 		recvDone:     make(chan struct{}),
 	}
 	ep := cfg.Transport
-	r.engine = consensus.New(consensus.Config{
+	r.cons = consensus.NewMachine(consensus.Config{
 		Self:   cfg.Self,
 		View:   cfg.View,
 		Signer: cfg.Signer,
@@ -143,7 +154,6 @@ func (r *Replica) nextValue() ([]byte, bool) {
 
 // Start launches the replica's loops.
 func (r *Replica) Start() {
-	r.engine.Start()
 	go r.receiveLoop()
 	go r.driverLoop()
 }
@@ -153,7 +163,6 @@ func (r *Replica) Stop() {
 	r.stopOnce.Do(func() {
 		close(r.stop)
 		r.batcher.Close()
-		r.engine.Stop()
 		<-r.done
 		<-r.recvDone
 		r.verifier.Close()
@@ -162,9 +171,7 @@ func (r *Replica) Stop() {
 
 // ExecutedTxs returns the number of transactions executed so far.
 func (r *Replica) ExecutedTxs() int64 {
-	r.statsMu.Lock()
-	defer r.statsMu.Unlock()
-	return r.executedTxs
+	return r.executedTxs.Load()
 }
 
 // DroppedSends returns the number of outbound messages (protocol and
@@ -186,7 +193,7 @@ func (r *Replica) receiveLoop() {
 			switch {
 			case m.Type >= 100 && m.Type < 120:
 				if r.cfg.View.Contains(m.From) {
-					r.engine.HandleMessage(m)
+					consensus.PreVerify(m, r.cfg.View, nil, r.post)
 				}
 			case m.Type == msgRequest:
 				req, err := smr.DecodeRequest(m.Payload)
@@ -196,6 +203,15 @@ func (r *Replica) receiveLoop() {
 				r.admit(req)
 			}
 		}
+	}
+}
+
+// post queues a consensus input for the driver, waiting for room; after Stop
+// a no-op.
+func (r *Replica) post(in consensus.Input) {
+	select {
+	case r.inbox <- in:
+	case <-r.stop:
 	}
 }
 
@@ -225,51 +241,69 @@ func (r *Replica) admit(req smr.Request) {
 	}
 }
 
+// driverLoop is the replica's consensus runtime: it alone steps the machine,
+// reading the clock once per step, and re-arms its one timer only for a
+// deadline earlier than the armed one (a tick that finds nothing due is
+// harmless).
 func (r *Replica) driverLoop() {
 	defer close(r.done)
+	r.wantsValue = true
+	r.stepped(r.cons.Start(time.Now(), r.nextInstance, nil))
+	armed, timer := time.Now().Add(time.Hour), time.NewTimer(time.Hour) // armed: when it fires; zero once it has
+	defer timer.Stop()
 	for {
+		work := r.propose()
+		if next := r.cons.NextDeadline(); !next.IsZero() && (armed.IsZero() || next.Before(armed)) {
+			timer.Reset(time.Until(next))
+			armed = next
+		}
 		select {
 		case <-r.stop:
 			return
-		default:
+		case in := <-r.inbox:
+			r.stepped(r.cons.Message(time.Now(), in))
+		case <-work:
+		case <-timer.C:
+			armed = time.Time{}
+			r.stepped(r.cons.Tick(time.Now()))
+		}
+	}
+}
+
+// propose hands the current instance this replica's next batch while it
+// leads and owes one. It returns the channel that signals new work, nil
+// when no batch is wanted.
+func (r *Replica) propose() <-chan struct{} {
+	for r.wantsValue && r.cfg.View.Leader(r.regency) == r.cfg.Self {
+		value, ok := r.nextValue()
+		if !ok {
+			return r.batcher.Ready()
+		}
+		r.wantsValue = false
+		r.stepped(r.cons.Propose(time.Now(), r.nextInstance, value))
+	}
+	return nil
+}
+
+// stepped acts on what a consensus step returned: the regency it installed,
+// then each decision in order, committed before the next instance starts —
+// itself a step that may decide. decided aliases a buffer the next step
+// overwrites; every decision in it is handled before that step.
+func (r *Replica) stepped(decided []consensus.Decision, installed int64) {
+	for {
+		if installed > 0 {
+			// An instance begun before the round takes its value from the SYNC.
+			r.regency, r.wantsValue = installed, false
 		}
 		inst := r.nextInstance
-		r.engine.StartInstance(inst, nil)
-
-		proposed := false
-		for !proposed {
-			if r.engine.Leader() != r.cfg.Self {
-				break
-			}
-			if value, ok := r.nextValue(); ok {
-				r.engine.ProposeValue(inst, value)
-				proposed = true
-				break
-			}
-			select {
-			case <-r.stop:
-				return
-			case <-r.batcher.Ready():
-			case d, ok := <-r.engine.Decisions():
-				if !ok {
-					return
-				}
-				r.handleDecision(d)
-				proposed = true
-			}
-		}
-		if r.nextInstance != inst {
-			continue
-		}
-		select {
-		case <-r.stop:
-			return
-		case d, ok := <-r.engine.Decisions():
-			if !ok {
-				return
-			}
+		for _, d := range decided {
 			r.handleDecision(d)
 		}
+		if r.nextInstance == inst {
+			return
+		}
+		r.wantsValue = true
+		decided, installed = r.cons.Start(time.Now(), r.nextInstance, nil)
 	}
 }
 
@@ -286,9 +320,7 @@ func (r *Replica) handleDecision(d consensus.Decision) {
 		return
 	}
 	r.batcher.MarkDelivered(batch.Requests)
-	r.statsMu.Lock()
-	r.executedTxs += int64(len(batch.Requests))
-	r.statsMu.Unlock()
+	r.executedTxs.Add(int64(len(batch.Requests)))
 	r.cfg.Commit(d, batch, r.sendReplies)
 }
 

@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"sync"
 	"time"
 
 	"smartchain/internal/codec"
@@ -17,7 +16,7 @@ import (
 //  1. Execute: the client collects endorsements — speculative executions
 //     signed by E endorsing peers — before submitting (FabricEndorse).
 //  2. Order: the endorsed transaction goes through the (BFT) ordering
-//     service; the chassis reuses the same consensus engine.
+//     service; the chassis reuses the same consensus machine.
 //  3. Validate: on delivery, every peer re-checks each transaction's
 //     endorsement signatures *sequentially* and applies an MVCC read-set
 //     check; invalid or conflicting transactions are marked, the block is
@@ -40,7 +39,7 @@ type Fabric struct {
 	// Hyperledger Fabric", MASCOTS 2018). Default 1.5 ms.
 	validationCost time.Duration
 
-	mu     sync.Mutex
+	// height and mvcc are touched by commit only, on the driver goroutine.
 	height int64
 	// mvcc tracks the version of each state key (coin ID); a transaction
 	// reading a stale version is invalidated, like Fabric's rw-set check.
@@ -153,10 +152,8 @@ func DecodeEndorsedTx(data []byte) (EndorsedTx, error) {
 
 // commit implements the validate-and-commit phase.
 func (f *Fabric) commit(dec consensus.Decision, batch smr.Batch, send func([]smr.Reply)) {
-	f.mu.Lock()
 	f.height++
 	height := f.height
-	f.mu.Unlock()
 
 	results := make([][]byte, len(batch.Requests))
 	var validReqs []smr.Request
@@ -232,8 +229,6 @@ func (f *Fabric) validEndorsements(tx *EndorsedTx) bool {
 // versions. Transactions within one block conflict on shared keys exactly
 // like Fabric's serial validation would decide.
 func (f *Fabric) mvccConflict(tx *EndorsedTx, height int64) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	for _, k := range tx.ReadSet {
 		if f.mvcc[k] >= height {
 			return true // written earlier in this very block: stale read
@@ -243,11 +238,4 @@ func (f *Fabric) mvccConflict(tx *EndorsedTx, height int64) bool {
 		f.mvcc[k] = height
 	}
 	return false
-}
-
-// Height returns the number of committed blocks.
-func (f *Fabric) Height() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.height
 }

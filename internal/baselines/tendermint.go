@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"sync"
 	"time"
 
 	"smartchain/internal/codec"
@@ -12,11 +11,14 @@ import (
 )
 
 // Tendermint models the Tendermint commit discipline the paper compares
-// against (§VII-a): transactions propagate via gossip (modeled as an ingest
-// delay before a request becomes proposable), the proposer rotates, and
-// each block is written to stable storage synchronously both *before* and
-// *after* execution — "making it less efficient than SMARTCHAIN, without
-// further coordination between the replicas" — for weak persistence only.
+// against (§VII-a) by what it charges on top of the shared chassis:
+// transactions propagate via gossip (an ingest delay before a request
+// becomes proposable), each block is written to stable storage
+// synchronously both *before* and *after* execution — "making it less
+// efficient than SMARTCHAIN, without further coordination between the
+// replicas" — for weak persistence only, and timeout_commit pauses the
+// chain after every block. Like every chassis replica, one leader holds
+// each regency; the proposer does not rotate per block.
 type Tendermint struct {
 	replica *Replica
 	log     storage.Log
@@ -27,9 +29,7 @@ type Tendermint struct {
 	// 1 s). It is the dominant reason Tendermint's throughput sits an
 	// order of magnitude below SMARTCHAIN's in Table II.
 	commitInterval time.Duration
-	mu             sync.Mutex
-	height         int64
-	lastApp        crypto.Hash
+	height         int64 // committed blocks; commit runs on the driver goroutine only
 }
 
 // NewTendermint builds a Tendermint-style replica. The ingest delay models
@@ -41,9 +41,6 @@ func NewTendermint(cfg ChassisConfig, log storage.Log, app Executor) *Tendermint
 	tm.replica = NewReplica(cfg)
 	return tm
 }
-
-// SetCommitInterval overrides the modeled timeout_commit.
-func (t *Tendermint) SetCommitInterval(d time.Duration) { t.commitInterval = d }
 
 // Replica exposes the underlying chassis.
 func (t *Tendermint) Replica() *Replica { return t.replica }
@@ -58,10 +55,8 @@ func (t *Tendermint) Stop() { t.replica.Stop() }
 // execute, then state commit (sync), then replies — all in the critical
 // path; the next height cannot start earlier.
 func (t *Tendermint) commit(dec consensus.Decision, batch smr.Batch, send func([]smr.Reply)) {
-	t.mu.Lock()
 	t.height++
 	height := t.height
-	t.mu.Unlock()
 
 	// Write 1: the proposed block, before execution.
 	blockRec := codec.NewEncoder(32 + len(dec.Value))
@@ -79,9 +74,6 @@ func (t *Tendermint) commit(dec consensus.Decision, batch smr.Batch, send func([
 
 	// Write 2: the post-execution state commit (app hash + results).
 	appHash := crypto.MerkleRoot(results)
-	t.mu.Lock()
-	t.lastApp = appHash
-	t.mu.Unlock()
 	commitRec := codec.NewEncoder(64)
 	commitRec.String("commit")
 	commitRec.Int64(height)
@@ -100,11 +92,4 @@ func (t *Tendermint) commit(dec consensus.Decision, batch smr.Batch, send func([
 	if t.commitInterval > 0 {
 		time.Sleep(t.commitInterval)
 	}
-}
-
-// Height returns the number of committed blocks.
-func (t *Tendermint) Height() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.height
 }

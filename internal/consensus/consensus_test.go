@@ -12,297 +12,95 @@ import (
 	"smartchain/internal/view"
 )
 
-// harness wires n engines over a MemNetwork.
-type harness struct {
-	t       *testing.T
-	net     *transport.MemNetwork
-	view    view.View
-	keys    []*crypto.KeyPair
-	engines []*Engine
-	eps     []transport.Endpoint
-	stops   []chan struct{}
-}
-
-func newHarness(t *testing.T, n int, timeout time.Duration, validate func(int64, []byte) bool) *harness {
-	t.Helper()
-	h := &harness{t: t, net: transport.NewMemNetwork()}
-	members := make([]int32, n)
-	pubs := make(map[int32]crypto.PublicKey, n)
-	h.keys = make([]*crypto.KeyPair, n)
-	for i := 0; i < n; i++ {
-		members[i] = int32(i)
-		h.keys[i] = crypto.SeededKeyPair("consensus-test", int64(i))
-		pubs[int32(i)] = h.keys[i].Public()
-	}
-	h.view = view.New(0, members, pubs)
-	h.engines = make([]*Engine, n)
-	h.eps = make([]transport.Endpoint, n)
-	h.stops = make([]chan struct{}, n)
-	for i := 0; i < n; i++ {
-		ep := h.net.Endpoint(int32(i))
-		h.eps[i] = ep
-		cfg := Config{
-			Self:     int32(i),
-			View:     h.view,
-			Signer:   h.keys[i],
-			Send:     func(to int32, typ uint16, p []byte) { _ = ep.Send(to, typ, p) },
-			Timeout:  timeout,
-			Validate: validate,
-			RequestValue: func(int64) []byte {
-				return []byte("fallback")
-			},
-		}
-		eng := New(cfg)
-		h.engines[i] = eng
-		eng.Start()
-		stop := make(chan struct{})
-		h.stops[i] = stop
-		go func(ep transport.Endpoint, eng *Engine, stop chan struct{}) {
-			for {
-				select {
-				case m, ok := <-ep.Receive():
-					if !ok {
-						return
-					}
-					eng.HandleMessage(m)
-				case <-stop:
-					return
-				}
-			}
-		}(ep, eng, stop)
-	}
-	t.Cleanup(h.Close)
-	return h
-}
-
-func (h *harness) Close() {
-	for i, eng := range h.engines {
-		if eng != nil {
-			eng.Stop()
-		}
-		select {
-		case <-h.stops[i]:
-		default:
-			close(h.stops[i])
-		}
-		h.eps[i].Close()
-	}
-}
-
-// kill detaches replica i from the network and stops its engine.
-func (h *harness) kill(i int) {
-	h.engines[i].Stop()
-	close(h.stops[i])
-	h.net.Detach(int32(i))
-}
-
-func (h *harness) decideAll(instance int64, proposal []byte, except map[int]bool) map[int]Decision {
-	h.t.Helper()
-	leader := int(h.view.Leader(0))
-	for i, eng := range h.engines {
-		if except[i] {
-			continue
-		}
-		if i == leader {
-			eng.StartInstance(instance, proposal)
-		} else {
-			eng.StartInstance(instance, nil)
-		}
-	}
-	return h.collect(instance, except)
-}
-
-func (h *harness) collect(instance int64, except map[int]bool) map[int]Decision {
-	h.t.Helper()
-	out := make(map[int]Decision)
-	deadline := time.After(10 * time.Second)
-	for i, eng := range h.engines {
-		if except[i] {
-			continue
-		}
-		select {
-		case d := <-eng.Decisions():
-			if d.Instance != instance {
-				h.t.Fatalf("replica %d decided instance %d, want %d", i, d.Instance, instance)
-			}
-			out[i] = d
-		case <-deadline:
-			h.t.Fatalf("replica %d did not decide instance %d", i, instance)
-		}
-	}
-	return out
-}
-
-func TestNormalCaseDecision(t *testing.T) {
-	h := newHarness(t, 4, time.Second, nil)
-	value := []byte("batch-1")
-	decisions := h.decideAll(1, value, nil)
-	for i, d := range decisions {
-		if !bytes.Equal(d.Value, value) {
-			t.Fatalf("replica %d decided %q, want %q", i, d.Value, value)
-		}
-		if d.Epoch != 0 {
-			t.Fatalf("replica %d decided in epoch %d, want 0", i, d.Epoch)
-		}
-		if err := VerifyDecisionProof(h.view, d.Instance, d.Epoch, crypto.HashBytes(d.Value), &d.Proof, h.view.Quorum()); err != nil {
-			t.Fatalf("replica %d proof invalid: %v", i, err)
-		}
-	}
-}
-
 func TestSequenceOfInstances(t *testing.T) {
-	h := newHarness(t, 4, time.Second, nil)
-	for inst := int64(1); inst <= 5; inst++ {
-		value := []byte(fmt.Sprintf("batch-%d", inst))
-		decisions := h.decideAll(inst, value, nil)
-		for i, d := range decisions {
-			if !bytes.Equal(d.Value, value) {
-				t.Fatalf("instance %d replica %d: %q", inst, i, d.Value)
-			}
-		}
+	s := newSim(t, 1, 4, time.Second, nil)
+	for inst := int64(0); inst < 5; inst++ {
+		s.startAll(inst, []byte(fmt.Sprintf("batch-%d", inst)))
+		s.run(s.allDecided(inst + 1))
+	}
+	s.requireAgreement(5)
+	for inst := int64(0); inst < 5; inst++ {
+		s.requireDecided(inst, fmt.Sprintf("batch-%d", inst), 0)
 	}
 }
 
 func TestDecisionWithOneCrashedFollower(t *testing.T) {
-	h := newHarness(t, 4, time.Second, nil)
-	h.kill(3) // follower (leader of epoch 0 is member 0)
-	except := map[int]bool{3: true}
-	decisions := h.decideAll(1, []byte("minus-one"), except)
-	if len(decisions) != 3 {
-		t.Fatalf("got %d decisions", len(decisions))
-	}
+	s := newSim(t, 2, 4, time.Second, nil)
+	s.down[3] = true // a follower: the leader of epoch 0 is member 0
+	s.startAll(0, []byte("minus-one"))
+	s.run(s.allDecided(1))
+	s.requireAgreement(1)
+	s.requireDecided(0, "minus-one", 0)
 }
 
 func TestLeaderFailureTriggersSynchronization(t *testing.T) {
-	h := newHarness(t, 4, 150*time.Millisecond, nil)
-	h.kill(0) // epoch-0 leader is replica 0
-	except := map[int]bool{0: true}
-	for i, eng := range h.engines {
-		if except[i] {
-			continue
-		}
-		eng.StartInstance(1, nil) // nobody proposes: the dead leader should have
-	}
-	decisions := h.collect(1, except)
-	for i, d := range decisions {
-		if d.Epoch == 0 {
-			t.Fatalf("replica %d decided in epoch 0 despite dead leader", i)
-		}
-		// New leader had no certified value, so it proposed its fallback.
-		if !bytes.Equal(d.Value, []byte("fallback")) {
-			t.Fatalf("replica %d decided %q", i, d.Value)
-		}
-		if err := VerifyDecisionProof(h.view, d.Instance, d.Epoch, crypto.HashBytes(d.Value), &d.Proof, h.view.Quorum()); err != nil {
-			t.Fatalf("replica %d proof: %v", i, err)
-		}
-	}
-	// All correct replicas must agree.
-	var first Decision
-	got := false
-	for _, d := range decisions {
-		if !got {
-			first, got = d, true
-			continue
-		}
-		if !bytes.Equal(d.Value, first.Value) || d.Epoch != first.Epoch {
-			t.Fatalf("divergent decisions: %+v vs %+v", d, first)
-		}
-	}
-}
-
-func TestLeaderFailureAfterProposeKeepsValue(t *testing.T) {
-	// The leader proposes, the proposal spreads, and then the leader dies.
-	// If any replica assembled a write certificate, the synchronization
-	// phase must re-propose the SAME value (agreement across epochs).
-	h := newHarness(t, 4, 300*time.Millisecond, nil)
-	value := []byte("must-survive")
-	// Leader proposes to everyone, then we immediately kill it. The other
-	// three replicas can reach a write quorum among themselves.
-	for i, eng := range h.engines {
-		if i == 0 {
-			eng.StartInstance(1, value)
-		} else {
-			eng.StartInstance(1, nil)
-		}
-	}
-	time.Sleep(50 * time.Millisecond) // let the proposal and writes spread
-	h.kill(0)
-	decisions := h.collect(1, map[int]bool{0: true})
-	for i, d := range decisions {
-		if !bytes.Equal(d.Value, value) {
-			t.Fatalf("replica %d decided %q, want %q (value must survive leader change)", i, d.Value, value)
-		}
-	}
+	s := newSim(t, 3, 4, 150*time.Millisecond, nil)
+	s.down[0] = true // the epoch-0 leader
+	s.startAll(0, nil)
+	s.run(s.allDecided(1))
+	s.requireAgreement(1)
+	// The new leader had no certified value, so it proposed its fallback.
+	s.requireDecided(0, "fallback", 1)
 }
 
 func TestValidateRejectsProposal(t *testing.T) {
-	// All replicas reject the poisoned value; the leader's proposal dies
+	// Every follower rejects the poisoned value; the leader's proposal dies
 	// and a synchronization phase elects replica 1, which proposes its
 	// fallback.
 	validate := func(_ int64, v []byte) bool { return !bytes.Equal(v, []byte("poison")) }
-	h := newHarness(t, 4, 150*time.Millisecond, validate)
-	for i, eng := range h.engines {
-		if i == 0 {
-			eng.StartInstance(1, []byte("poison"))
-		} else {
-			eng.StartInstance(1, nil)
-		}
-	}
-	decisions := h.collect(1, map[int]bool{0: true})
-	for i, d := range decisions {
-		if bytes.Equal(d.Value, []byte("poison")) {
-			t.Fatalf("replica %d decided the rejected value", i)
-		}
-	}
-	_ = decisions
+	s := newSim(t, 4, 4, 150*time.Millisecond, validate)
+	s.startAll(0, []byte("poison"))
+	s.run(s.allDecided(1))
+	s.requireAgreement(1)
+	s.requireDecided(0, "fallback", 1)
 }
 
 func TestProofSignerAreViewMembers(t *testing.T) {
-	h := newHarness(t, 7, time.Second, nil)
-	decisions := h.decideAll(1, []byte("v"), nil)
-	for _, d := range decisions {
-		if d.Proof.Count() < h.view.Quorum() {
-			t.Fatalf("proof too small: %d", d.Proof.Count())
-		}
-		for _, s := range d.Proof.Signers() {
-			if !h.view.Contains(s) {
-				t.Fatalf("proof signer %d not in view", s)
+	s := newSim(t, 5, 7, time.Second, nil)
+	s.startAll(0, []byte("v"))
+	s.run(s.allDecided(1))
+	s.requireAgreement(1)
+	v := s.ms[0].cfg.View
+	for i := range s.ms {
+		proof := s.decided[i][0].Proof
+		for _, signer := range proof.Signers() {
+			if !v.Contains(signer) {
+				t.Fatalf("replica %d: proof signer %d not in view", i, signer)
 			}
 		}
 	}
 }
 
 func TestSevenReplicasTolerateTwoCrashes(t *testing.T) {
-	h := newHarness(t, 7, time.Second, nil)
-	h.kill(5)
-	h.kill(6)
-	except := map[int]bool{5: true, 6: true}
-	decisions := h.decideAll(1, []byte("n7f2"), except)
-	if len(decisions) != 5 {
-		t.Fatalf("got %d decisions", len(decisions))
-	}
+	s := newSim(t, 6, 7, time.Second, nil)
+	s.down[5], s.down[6] = true, true
+	s.startAll(0, []byte("n7f2"))
+	s.run(s.allDecided(1))
+	s.requireAgreement(1)
+	s.requireDecided(0, "n7f2", 0)
 }
 
 func TestVerifyDecisionProofRejections(t *testing.T) {
-	h := newHarness(t, 4, time.Second, nil)
-	decisions := h.decideAll(1, []byte("v"), nil)
-	d := decisions[0]
+	s := newSim(t, 7, 4, time.Second, nil)
+	s.startAll(0, []byte("v"))
+	s.run(s.allDecided(1))
+	v, d := s.ms[0].cfg.View, s.decided[0][0]
 	digest := crypto.HashBytes(d.Value)
 
-	if err := VerifyDecisionProof(h.view, d.Instance, d.Epoch, digest, nil, 3); err == nil {
+	if err := VerifyDecisionProof(v, d.Instance, d.Epoch, digest, nil, 3); err == nil {
 		t.Fatal("nil proof must fail")
 	}
-	if err := VerifyDecisionProof(h.view, d.Instance+1, d.Epoch, digest, &d.Proof, 3); err == nil {
+	if err := VerifyDecisionProof(v, d.Instance+1, d.Epoch, digest, &d.Proof, 3); err == nil {
 		t.Fatal("wrong instance must fail")
 	}
-	if err := VerifyDecisionProof(h.view, d.Instance, d.Epoch+1, digest, &d.Proof, 3); err == nil {
+	if err := VerifyDecisionProof(v, d.Instance, d.Epoch+1, digest, &d.Proof, 3); err == nil {
 		t.Fatal("wrong epoch must fail")
 	}
 	bad := crypto.HashBytes([]byte("other"))
-	if err := VerifyDecisionProof(h.view, d.Instance, d.Epoch, bad, &d.Proof, 3); err == nil {
+	if err := VerifyDecisionProof(v, d.Instance, d.Epoch, bad, &d.Proof, 3); err == nil {
 		t.Fatal("wrong digest must fail")
 	}
-	if err := VerifyDecisionProof(h.view, d.Instance, d.Epoch, digest, &d.Proof, d.Proof.Count()+1); err == nil {
+	if err := VerifyDecisionProof(v, d.Instance, d.Epoch, digest, &d.Proof, d.Proof.Count()+1); err == nil {
 		t.Fatal("higher quorum must fail")
 	}
 	// A proof from another key set must fail.
@@ -359,119 +157,109 @@ func TestMessageEncodingRoundTrips(t *testing.T) {
 }
 
 // TestRetiredStopFrameIsDropped delivers frames of the retired per-slot
-// STOP type (number 103, reserved) to running engines, from a member and
-// with member-shaped payloads: they must be dropped without a panic, a
+// STOP type (number 103, reserved) to every machine, from members and with
+// member-shaped payloads: they must be dropped without a panic, a
 // synchronization round or a regency change, and ordering carries on.
 func TestRetiredStopFrameIsDropped(t *testing.T) {
 	const retiredMsgStop uint16 = 103
 	if MsgAccept != 102 || MsgEpochStop != 104 || MsgDecided != 106 {
 		t.Fatalf("surviving message numbers moved: ACCEPT %d, EPOCH-STOP %d, DECIDED %d", MsgAccept, MsgEpochStop, MsgDecided)
 	}
-	h := newHarness(t, 4, time.Second, nil)
-	h.decideAll(1, []byte("first"), nil)
+	s := newSim(t, 8, 4, time.Second, nil)
+	s.startAll(0, []byte("first"))
+	s.run(s.allDecided(1))
 
-	// An old-format STOP body for the live instance 2: length-prefixed
+	// An old-format STOP body for the live instance 1: length-prefixed
 	// (instance, nextEpoch, voter, hasCert=false), then a signature.
 	body := codec.NewEncoder(32)
-	body.Int64(2)
+	body.Int64(1)
 	body.Int64(1)
 	body.Int32(1)
 	body.Bool(false)
 	frame := codec.NewEncoder(128)
 	frame.WriteBytes(body.Bytes())
-	frame.WriteBytes(h.keys[1].MustSign("smartchain/consensus/stop/v1", body.Bytes()))
-	for _, eng := range h.engines {
+	frame.WriteBytes(s.keys[1].MustSign("smartchain/consensus/stop/v1", body.Bytes()))
+	for i := range s.ms {
+		to := int32(i)
 		for from := int32(1); from <= 3; from++ {
-			eng.HandleMessage(transport.Message{From: from, Type: retiredMsgStop, Payload: frame.Bytes()})
+			s.post(to, event{kind: evMessage, msg: transport.Message{From: from, To: to, Type: retiredMsgStop, Payload: frame.Bytes()}})
 		}
-		eng.HandleMessage(transport.Message{From: 1, Type: retiredMsgStop, Payload: nil})
+		s.post(to, event{kind: evMessage, msg: transport.Message{From: 1, To: to, Type: retiredMsgStop}})
 	}
 
-	decisions := h.decideAll(2, []byte("second"), nil)
-	for i, d := range decisions {
-		if !bytes.Equal(d.Value, []byte("second")) || d.Epoch != 0 {
-			t.Fatalf("replica %d decided %q in epoch %d, want \"second\" in epoch 0", i, d.Value, d.Epoch)
-		}
-	}
-	for i, eng := range h.engines {
-		if eng.SyncRounds() != 0 || eng.Regency() != 0 {
-			t.Fatalf("replica %d: retired STOP frames moved it to regency %d after %d rounds",
-				i, eng.Regency(), eng.SyncRounds())
+	s.startAll(1, []byte("second"))
+	s.run(s.allDecided(2))
+	s.requireAgreement(2)
+	s.requireDecided(1, "second", 0)
+	for i, m := range s.ms {
+		if len(s.installs[i]) != 0 || m.regency != 0 {
+			t.Fatalf("replica %d: retired STOP frames moved it to regency %d after %d rounds", i, m.regency, len(s.installs[i]))
 		}
 	}
 }
 
 func TestEngineIgnoresForeignAndForgedVotes(t *testing.T) {
-	// A non-member, and a member forging another member's vote, must not
-	// contribute to quorums or crash the engine.
-	h := newHarness(t, 4, time.Second, nil)
-	intruderEp := h.net.Endpoint(99)
-	defer intruderEp.Close()
-
+	// A non-member's vote, and one forging a member's vote, must not
+	// contribute to quorums or crash the machine.
+	s := newSim(t, 9, 4, time.Second, nil)
 	digest := crypto.HashBytes([]byte("evil"))
 	intruderKey := crypto.SeededKeyPair("intruder", 99)
-	vm := voteMsg{Instance: 1, Epoch: 0, Digest: digest, Voter: 99, Sig: intruderKey.MustSign(ctxAccept, voteMessage(1, 0, digest))}
-	for i := 0; i < 4; i++ {
-		_ = intruderEp.Send(int32(i), MsgAccept, vm.encode())
-	}
-	// Member 99 impersonating member 2 (From mismatch).
-	vm2 := voteMsg{Instance: 1, Epoch: 0, Digest: digest, Voter: 2, Sig: make([]byte, crypto.SignatureSize)}
-	for i := 0; i < 4; i++ {
-		_ = intruderEp.Send(int32(i), MsgAccept, vm2.encode())
-	}
-	// Normal consensus still works afterwards.
-	decisions := h.decideAll(1, []byte("legit"), nil)
-	for i, d := range decisions {
-		if !bytes.Equal(d.Value, []byte("legit")) {
-			t.Fatalf("replica %d decided %q", i, d.Value)
+	foreign := voteMsg{Instance: 0, Epoch: 0, Digest: digest, Voter: 99, Sig: intruderKey.MustSign(ctxAccept, voteMessage(0, 0, digest))}
+	// Sender 99 impersonating member 2 (From mismatch).
+	forged := voteMsg{Instance: 0, Epoch: 0, Digest: digest, Voter: 2, Sig: make([]byte, crypto.SignatureSize)}
+	for i := range s.ms {
+		for _, vm := range []voteMsg{foreign, forged} {
+			s.post(int32(i), event{kind: evMessage, msg: transport.Message{From: 99, To: int32(i), Type: MsgAccept, Payload: vm.encode()}})
 		}
 	}
+	// Normal consensus still works alongside.
+	s.startAll(0, []byte("legit"))
+	s.run(s.allDecided(1))
+	s.requireAgreement(1)
+	s.requireDecided(0, "legit", 0)
 }
 
 func TestNonLeaderProposeIgnored(t *testing.T) {
-	h := newHarness(t, 4, time.Second, nil)
-	// Replica 2 (not leader of epoch 0) sends a PROPOSE.
-	rogueEp := h.net.Endpoint(50)
-	defer rogueEp.Close()
-	pm := proposeMsg{Instance: 1, Epoch: 0, Value: []byte("rogue")}
-	// Sent "from" endpoint 50 which is not leader; engines must ignore it.
-	for i := 0; i < 4; i++ {
-		_ = rogueEp.Send(int32(i), MsgPropose, pm.encode())
-	}
-	decisions := h.decideAll(1, []byte("legit"), nil)
-	for i, d := range decisions {
-		if !bytes.Equal(d.Value, []byte("legit")) {
-			t.Fatalf("replica %d decided rogue value %q", i, d.Value)
+	// Member 2 (not the leader of epoch 0) and non-member 50 send a PROPOSE
+	// to the started followers before the leader does; all must ignore both.
+	s := newSim(t, 10, 4, time.Second, nil)
+	pm := proposeMsg{Instance: 0, Epoch: 0, Value: []byte("rogue")}
+	for i := int32(1); i < 4; i++ {
+		s.step(i, event{kind: evStart, inst: 0})
+		for _, from := range []int32{2, 50} {
+			s.step(i, event{kind: evMessage, msg: transport.Message{From: from, To: i, Type: MsgPropose, Payload: pm.encode()}})
 		}
 	}
+	s.post(0, event{kind: evStart, inst: 0, value: []byte("legit")})
+	s.run(s.allDecided(1))
+	s.requireAgreement(1)
+	s.requireDecided(0, "legit", 0)
 }
 
 func TestBufferedFutureInstanceMessages(t *testing.T) {
-	// A replica that starts instance 2 late must still decide thanks to
+	// A replica that starts instance 1 late must still decide thanks to
 	// buffering of early-arriving messages.
-	h := newHarness(t, 4, time.Second, nil)
-	h.decideAll(1, []byte("first"), nil)
+	s := newSim(t, 11, 4, time.Second, nil)
+	s.startAll(0, []byte("first"))
+	s.run(s.allDecided(1))
 
-	// Start instance 2 on all but replica 3.
-	for i, eng := range h.engines {
-		if i == 3 {
-			continue
-		}
+	// Start instance 1 on all but replica 3, which buffers what it receives.
+	for i := int32(0); i < 3; i++ {
+		ev := event{kind: evStart, inst: 1}
 		if i == 0 {
-			eng.StartInstance(2, []byte("second"))
-		} else {
-			eng.StartInstance(2, nil)
+			ev.value = []byte("second")
 		}
+		s.post(i, ev)
 	}
-	h.collect(2, map[int]bool{3: true})
-	// Replica 3 starts late; buffered PROPOSE/WRITE/ACCEPT replay.
-	h.engines[3].StartInstance(2, nil)
-	select {
-	case d := <-h.engines[3].Decisions():
-		if d.Instance != 2 || !bytes.Equal(d.Value, []byte("second")) {
-			t.Fatalf("late replica decided %+v", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("late replica never decided instance 2")
+	s.run(func() bool {
+		return len(s.inflight) == 0 && len(s.decided[0]) == 2 && len(s.decided[1]) == 2 && len(s.decided[2]) == 2
+	})
+	if len(s.decided[3]) != 1 {
+		t.Fatal("replica 3 decided instance 1 before starting it")
 	}
+	// Replica 3 starts late; the buffered PROPOSE/WRITE/ACCEPT replay.
+	s.post(3, event{kind: evStart, inst: 1})
+	s.run(s.allDecided(2))
+	s.requireAgreement(2)
+	s.requireDecided(1, "second", 0)
 }

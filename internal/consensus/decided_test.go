@@ -10,15 +10,15 @@ import (
 )
 
 // fabricateDecided builds a decidedMsg whose proof is signed by the given
-// replicas of the harness view — the same fabrication the primed-chain
+// members of the sim's view — the same fabrication the primed-chain
 // harness uses, so the certificate verifies like a live one.
-func fabricateDecided(h *harness, instance, epoch int64, value []byte, signers []int) decidedMsg {
+func fabricateDecided(s *sim, instance, epoch int64, value []byte, signers []int) decidedMsg {
 	digest := crypto.HashBytes(value)
 	proof := crypto.Certificate{Digest: digest}
 	for _, i := range signers {
-		sig, err := SignAccept(h.keys[i], instance, epoch, digest)
+		sig, err := SignAccept(s.keys[i], instance, epoch, digest)
 		if err != nil {
-			h.t.Fatalf("sign accept: %v", err)
+			s.t.Fatalf("sign accept: %v", err)
 		}
 		proof.Add(crypto.Signature{Signer: int32(i), Sig: sig})
 	}
@@ -56,36 +56,30 @@ func TestDecidedMsgEncodingRoundTrips(t *testing.T) {
 // decide the instance with the certified value, exactly as an ACCEPT quorum
 // would have.
 func TestDecidedCertificateUnblocksReplica(t *testing.T) {
-	h := newHarness(t, 4, 5*time.Second, nil)
-	eng := h.engines[1] // follower: starting alone can never reach a quorum
-	eng.StartInstance(0, nil)
+	s := newSim(t, 12, 4, time.Second, nil)
+	s.step(1, event{kind: evStart, inst: 0}) // a follower: starting alone can never reach a quorum
+	deliver := func(dm decidedMsg) {
+		s.step(1, event{kind: evMessage, msg: transport.Message{From: 2, To: 1, Type: MsgDecided, Payload: dm.encode()}})
+	}
 
 	value := []byte("certified")
 	// Sub-quorum proof (2 of 4, need 3): must be ignored.
-	weak := fabricateDecided(h, 0, 0, value, []int{0, 2})
-	eng.HandleMessage(transport.Message{From: 2, To: 1, Type: MsgDecided, Payload: weak.encode()})
+	deliver(fabricateDecided(s, 0, 0, value, []int{0, 2}))
 	// Proof quorate but for a different value than it signs: must be ignored.
-	forged := fabricateDecided(h, 0, 0, []byte("other"), []int{0, 2, 3})
+	forged := fabricateDecided(s, 0, 0, []byte("other"), []int{0, 2, 3})
 	forged.Value = value
-	eng.HandleMessage(transport.Message{From: 2, To: 1, Type: MsgDecided, Payload: forged.encode()})
-	select {
-	case d := <-eng.Decisions():
-		t.Fatalf("replica decided %d from an invalid certificate", d.Instance)
-	case <-time.After(300 * time.Millisecond):
+	deliver(forged)
+	if d, ok := s.decided[1][0]; ok {
+		t.Fatalf("replica decided %q from an invalid certificate", d.Value)
 	}
 
-	good := fabricateDecided(h, 0, 0, value, []int{0, 2, 3})
-	eng.HandleMessage(transport.Message{From: 2, To: 1, Type: MsgDecided, Payload: good.encode()})
-	select {
-	case d := <-eng.Decisions():
-		if d.Instance != 0 || !bytes.Equal(d.Value, value) {
-			t.Fatalf("decided (%d, %q), want (0, %q)", d.Instance, d.Value, value)
-		}
-		if err := VerifyDecisionProof(h.view, 0, d.Epoch, crypto.HashBytes(d.Value), &d.Proof, 3); err != nil {
-			t.Fatalf("emitted decision proof does not verify: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("replica never adopted the decision certificate")
+	deliver(fabricateDecided(s, 0, 0, value, []int{0, 2, 3}))
+	d, ok := s.decided[1][0]
+	if !ok || !bytes.Equal(d.Value, value) {
+		t.Fatalf("decided %q (%v), want %q", d.Value, ok, value)
+	}
+	if err := VerifyDecisionProof(s.ms[1].cfg.View, 0, d.Epoch, crypto.HashBytes(d.Value), &d.Proof, 3); err != nil {
+		t.Fatalf("emitted decision proof does not verify: %v", err)
 	}
 }
 
@@ -94,53 +88,33 @@ func TestDecidedCertificateUnblocksReplica(t *testing.T) {
 // whose floor has moved past the instance — must answer with the retained
 // decision certificate instead of dropping the vote silently.
 func TestSubFloorTrafficTriggersDecidedRetransmit(t *testing.T) {
-	h := newHarness(t, 4, time.Second, nil)
+	s := newSim(t, 13, 4, time.Second, nil)
 	value := []byte("settled")
-	h.decideAll(0, value, nil)
-
-	// Stop replica 3's pump so the retransmission stays readable on its
-	// endpoint instead of being consumed by its engine.
-	close(h.stops[3])
-	h.stops[3] = make(chan struct{})
-	time.Sleep(20 * time.Millisecond)
+	s.startAll(0, value)
+	s.run(s.allDecided(1))
+	s.now = s.now.Add(time.Second) // past the per-peer rate limit (Timeout/4) of any answer the run drew
 
 	digest := crypto.HashBytes(value)
-	sig := h.keys[3].MustSign(ctxWrite, voteMessage(0, 0, digest))
-	stale := voteMsg{Instance: 0, Epoch: 0, Digest: digest, Voter: 3, Sig: sig}
-	h.engines[0].HandleMessage(transport.Message{From: 3, To: 0, Type: MsgWrite, Payload: stale.encode()})
-
-	// A straggler vote from the settled round may have armed the per-peer
-	// rate limiter (Timeout/4 = 250ms here) just before our stale WRITE,
-	// eating the one-shot answer. A genuinely stuck replica keeps
-	// re-sending its vote, so do the same past the rate-limit window.
-	resend := time.NewTicker(400 * time.Millisecond)
-	defer resend.Stop()
-
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case <-resend.C:
-			h.engines[0].HandleMessage(transport.Message{From: 3, To: 0, Type: MsgWrite, Payload: stale.encode()})
-		case m, ok := <-h.eps[3].Receive():
-			if !ok {
-				t.Fatal("endpoint closed before the retransmission arrived")
-			}
-			if m.Type != MsgDecided {
-				continue // late vote traffic from the settled round
-			}
-			dm, err := decodeDecided(m.Payload)
-			if err != nil {
-				t.Fatalf("decode retransmitted certificate: %v", err)
-			}
-			if dm.Instance != 0 || !bytes.Equal(dm.Value, value) {
-				t.Fatalf("retransmitted (%d, %q), want (0, %q)", dm.Instance, dm.Value, value)
-			}
-			if err := VerifyDecisionProof(h.view, 0, dm.Epoch, crypto.HashBytes(dm.Value), &dm.Proof, 3); err != nil {
-				t.Fatalf("retransmitted proof does not verify: %v", err)
-			}
-			return
-		case <-deadline:
-			t.Fatal("no MsgDecided retransmission for sub-floor traffic")
+	stale := voteMsg{Instance: 0, Epoch: 0, Digest: digest, Voter: 3, Sig: s.keys[3].MustSign(ctxWrite, voteMessage(0, 0, digest))}
+	var answers []decidedMsg
+	for _, fx := range s.ms[0].step(s.now, event{kind: evMessage, msg: transport.Message{From: 3, To: 0, Type: MsgWrite, Payload: stale.encode()}}) {
+		if fx.kind != fxSend || fx.typ != MsgDecided || fx.to != 3 {
+			continue
 		}
+		dm, err := decodeDecided(fx.payload)
+		if err != nil {
+			t.Fatalf("decode retransmitted certificate: %v", err)
+		}
+		answers = append(answers, dm)
+	}
+	if len(answers) != 1 {
+		t.Fatalf("the stale WRITE drew %d certificates, want 1", len(answers))
+	}
+	dm := answers[0]
+	if dm.Instance != 0 || !bytes.Equal(dm.Value, value) {
+		t.Fatalf("retransmitted (%d, %q), want (0, %q)", dm.Instance, dm.Value, value)
+	}
+	if err := VerifyDecisionProof(s.ms[0].cfg.View, 0, dm.Epoch, crypto.HashBytes(dm.Value), &dm.Proof, 3); err != nil {
+		t.Fatalf("retransmitted proof does not verify: %v", err)
 	}
 }

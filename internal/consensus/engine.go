@@ -2,7 +2,6 @@ package consensus
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"smartchain/internal/crypto"
@@ -169,20 +168,18 @@ func (h *Machine) apply(now time.Time, ev event) ([]Decision, int64) {
 	return h.decided, installed
 }
 
-// Engine is a Machine under a goroutine (the baselines' chassis and the
-// benchmark's probe use one): its methods post over a bounded channel, the
-// loop owns the clock and one timer, decisions come back on a channel, and
-// Leader, Regency and SyncRounds are mirrored for any goroutine.
+// Engine is a Machine under a goroutine, kept for its one caller, the
+// consensus probe in bench/probes.go; it goes once the probe steps a
+// Machine itself. Its methods post over a bounded channel, the loop owns the
+// clock and one timer, and decisions come back on a channel.
 type Engine struct {
-	h *Machine // its View is never updated: Leader reads it from any goroutine
+	h *Machine // its View is never updated: HandleMessage reads it from any goroutine
 
-	regency    atomic.Int64 // current epoch, mirrored for Leader()
-	syncRounds atomic.Int64 // synchronization rounds performed
-	events     chan event
-	decisions  chan Decision
-	stop       chan struct{}
-	stopOnce   sync.Once
-	done       chan struct{}
+	events    chan event
+	decisions chan Decision
+	stop      chan struct{}
+	stopOnce  sync.Once
+	done      chan struct{}
 }
 
 // New creates an engine. Start must be called to run it.
@@ -208,10 +205,8 @@ func (e *Engine) Stop() {
 	<-e.done
 }
 
-// Decisions returns the channel of decided instances. With a single live
-// instance decisions arrive in instance order; when a window of instances
-// runs concurrently (pipelined ordering) they may arrive out of order and
-// the consumer is responsible for reordering before commit.
+// Decisions returns the channel of decided instances, in the order the
+// machine decides them (not necessarily instance order with several live).
 func (e *Engine) Decisions() <-chan Decision { return e.decisions }
 
 // StartInstance posts Machine.Start.
@@ -223,27 +218,6 @@ func (e *Engine) StartInstance(i int64, value []byte) {
 func (e *Engine) AdvanceTo(i int64) {
 	e.enqueue(event{kind: evAdvance, inst: i})
 }
-
-// ProposeValue posts Machine.Propose.
-func (e *Engine) ProposeValue(i int64, value []byte) {
-	e.enqueue(event{kind: evPropose, inst: i, value: value})
-}
-
-// SyncRounds returns how many synchronization rounds this engine has run:
-// one leader failure costs exactly one round regardless of the window
-// depth. Safe from any goroutine.
-func (e *Engine) SyncRounds() int64 { return e.syncRounds.Load() }
-
-// Regency returns the currently installed epoch (a snapshot; safe from any
-// goroutine).
-func (e *Engine) Regency() int64 { return e.regency.Load() }
-
-// Leader returns the member leading the current epoch (regency). The value
-// is a snapshot: by the time the caller acts on it, a synchronization phase
-// may have moved leadership on — callers use it only as a hint. Safe from
-// any goroutine: it reads only the immutable membership and the mirrored
-// regency.
-func (e *Engine) Leader() int32 { return e.h.m.cfg.View.Leader(e.regency.Load()) }
 
 // HandleMessage feeds a consensus wire message into the engine. It is safe
 // to call from any goroutine.
@@ -281,11 +255,7 @@ func (e *Engine) loop() {
 			ev = event{kind: evTick}
 		}
 		now := time.Now()
-		decided, installed := e.h.apply(now, ev)
-		if installed > 0 {
-			e.regency.Store(installed)
-			e.syncRounds.Add(1)
-		}
+		decided, _ := e.h.apply(now, ev)
 		for _, d := range decided {
 			select {
 			case e.decisions <- d:

@@ -49,12 +49,15 @@ type simEvent struct {
 	ev event
 }
 
-func newSim(t *testing.T, seed int64) *sim {
-	keys, v := testView(4)
+// newSim builds n machines over one view with the given progress timeout
+// and Validate hook; a leader of a later regency with nothing locked
+// proposes "fallback".
+func newSim(t *testing.T, seed int64, n int, timeout time.Duration, validate func(int64, []byte) bool) *sim {
+	keys, v := testView(n)
 	s := &sim{t: t, rng: rand.New(rand.NewSource(seed)), now: time.Unix(1_000_000, 0), keys: keys,
 		down: map[int32]bool{}}
 	for i := range keys {
-		s.ms = append(s.ms, newMachine(Config{Self: int32(i), View: v, Signer: keys[i], Timeout: simTimeout,
+		s.ms = append(s.ms, newMachine(Config{Self: int32(i), View: v, Signer: keys[i], Timeout: timeout, Validate: validate,
 			RequestValue: func(int64) []byte { return []byte("fallback") }}))
 		s.decided = append(s.decided, map[int64]Decision{})
 		s.installs = append(s.installs, nil)
@@ -179,9 +182,19 @@ func (s *sim) requireAgreement(count int64) {
 	}
 }
 
+// requireDecided checks every live replica decided value for inst in epoch.
+func (s *sim) requireDecided(inst int64, value string, epoch int64) {
+	s.t.Helper()
+	for i := range s.ms {
+		if d, ok := s.decided[i][inst]; !s.down[int32(i)] && (!ok || string(d.Value) != value || d.Epoch != epoch) {
+			s.t.Fatalf("replica %d instance %d: decided %q in epoch %d (%v), want %q in epoch %d", i, inst, d.Value, d.Epoch, ok, value, epoch)
+		}
+	}
+}
+
 // (a) The normal case decides with a 2f+1 proof, in no virtual time.
 func TestMachineNormalCase(t *testing.T) {
-	s := newSim(t, 1)
+	s := newSim(t, 1, 4, simTimeout, nil)
 	start := s.now
 	s.startAll(0, []byte("v0"))
 	s.run(s.allDecided(1))
@@ -197,7 +210,7 @@ func TestMachineNormalCase(t *testing.T) {
 // (b) W=8 with a silent leader: one timeout, exactly one regency installed
 // per replica, and all eight slots decide.
 func TestMachineSilentLeaderDrainsWindowInOneRound(t *testing.T) {
-	s := newSim(t, 2)
+	s := newSim(t, 2, 4, simTimeout, nil)
 	start := s.now
 	s.down[0] = true
 	for inst := int64(0); inst < 8; inst++ {
@@ -221,7 +234,7 @@ func TestMachineSilentLeaderDrainsWindowInOneRound(t *testing.T) {
 // (c) A value with a write certificate survives the epoch change: every
 // ACCEPT is lost and the leader dies, yet the next leader re-proposes it.
 func TestMachineCertifiedValueSurvivesEpochChange(t *testing.T) {
-	s := newSim(t, 3)
+	s := newSim(t, 3, 4, simTimeout, nil)
 	s.drop = func(m transport.Message) bool { return m.Type == MsgAccept }
 	s.startAll(0, []byte("locked"))
 	s.run(func() bool {
@@ -245,7 +258,7 @@ func TestMachineCertifiedValueSurvivesEpochChange(t *testing.T) {
 // (d) A straggler sending traffic for a settled instance is answered with
 // the decision certificate once per Timeout/4, not once per message.
 func TestMachineDecidedRetransmitIsRateLimited(t *testing.T) {
-	s := newSim(t, 4)
+	s := newSim(t, 4, 4, simTimeout, nil)
 	s.startAll(0, []byte("v0"))
 	s.startAll(1, []byte("v1"))
 	s.run(s.allDecided(2))
@@ -284,7 +297,7 @@ func TestMachineDecidedRetransmitIsRateLimited(t *testing.T) {
 // through and stops at 4×Timeout: with every re-proposal lost, the
 // regencies install T, 2T, 4T, 4T, 4T apart.
 func TestMachineBackoffDoublesAndCaps(t *testing.T) {
-	s := newSim(t, 5)
+	s := newSim(t, 5, 4, simTimeout, nil)
 	start := s.now
 	s.drop = func(m transport.Message) bool { return m.Type == MsgPropose || m.Type == MsgEpochSync }
 	s.startAll(0, []byte("never arrives"))
@@ -304,7 +317,7 @@ func TestMachineBackoffDoublesAndCaps(t *testing.T) {
 // (f) A vote the runtime pre-verified against a key that has since been
 // rotated is verified again inline against the installed key.
 func TestMachineReverifiesVoteAfterKeyRotation(t *testing.T) {
-	s := newSim(t, 6)
+	s := newSim(t, 6, 4, simTimeout, nil)
 	m := s.ms[1]
 	value := []byte("v0")
 	digest := crypto.HashBytes(value)
@@ -339,7 +352,7 @@ func TestMachineReverifiesVoteAfterKeyRotation(t *testing.T) {
 // synchronization round.
 func TestMachineAnyDeliveryOrderSameDecision(t *testing.T) {
 	for seed := int64(0); seed < 64; seed++ {
-		s := newSim(t, seed)
+		s := newSim(t, seed, 4, simTimeout, nil)
 		s.startAll(0, []byte(fmt.Sprintf("v-%d", seed)))
 		s.run(s.allDecided(1))
 		s.run(func() bool { return len(s.inflight) == 0 }) // late votes must not decide again

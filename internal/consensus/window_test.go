@@ -1,106 +1,45 @@
 package consensus
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
 )
 
-// collectWindow drains count decisions from one engine, in whatever order
-// they arrive, asserting each instance decides exactly once.
-func collectWindow(t *testing.T, label string, eng *Engine, count int) map[int64]Decision {
-	t.Helper()
-	got := make(map[int64]Decision, count)
-	deadline := time.After(15 * time.Second)
-	for len(got) < count {
-		select {
-		case d := <-eng.Decisions():
-			if _, dup := got[d.Instance]; dup {
-				t.Fatalf("%s: instance %d decided twice", label, d.Instance)
-			}
-			got[d.Instance] = d
-		case <-deadline:
-			t.Fatalf("%s: only %d/%d decisions", label, len(got), count)
-		}
-	}
-	return got
-}
-
 func TestPipelinedWindowDecidesAllInstances(t *testing.T) {
 	// A full window of instances is live before any decision lands; every
 	// instance must decide with its proposed value on every replica.
-	h := newHarness(t, 4, time.Second, nil)
+	s := newSim(t, 18, 4, time.Second, nil)
 	const W = 8
-	values := make(map[int64][]byte, W)
-	for inst := int64(1); inst <= W; inst++ {
-		values[inst] = []byte(fmt.Sprintf("batch-%d", inst))
-		for i, eng := range h.engines {
-			if i == 0 {
-				eng.StartInstance(inst, values[inst])
-			} else {
-				eng.StartInstance(inst, nil)
-			}
-		}
+	for inst := int64(0); inst < W; inst++ {
+		s.startAll(inst, []byte(fmt.Sprintf("batch-%d", inst)))
 	}
-	for i, eng := range h.engines {
-		decisions := collectWindow(t, fmt.Sprintf("replica %d", i), eng, W)
-		for inst := int64(1); inst <= W; inst++ {
-			d, ok := decisions[inst]
-			if !ok {
-				t.Fatalf("replica %d missing instance %d", i, inst)
-			}
-			if !bytes.Equal(d.Value, values[inst]) {
-				t.Fatalf("replica %d instance %d decided %q, want %q", i, inst, d.Value, values[inst])
-			}
-		}
-	}
-}
-
-func TestPipelinedWindowLeaderFailureDrains(t *testing.T) {
-	// The epoch-0 leader dies with a window of instances open and no
-	// proposals out: every slot must still decide, each through its own
-	// synchronization phase, gated by the lowest-undecided rule.
-	h := newHarness(t, 4, 150*time.Millisecond, nil)
-	h.kill(0)
-	const W = 4
-	for inst := int64(1); inst <= W; inst++ {
-		for i, eng := range h.engines {
-			if i == 0 {
-				continue
-			}
-			eng.StartInstance(inst, nil)
-		}
-	}
-	for i, eng := range h.engines {
-		if i == 0 {
-			continue
-		}
-		decisions := collectWindow(t, fmt.Sprintf("replica %d", i), eng, W)
-		for inst := int64(1); inst <= W; inst++ {
-			d, ok := decisions[inst]
-			if !ok {
-				t.Fatalf("replica %d missing instance %d", i, inst)
-			}
-			if d.Epoch == 0 {
-				t.Fatalf("replica %d instance %d decided in epoch 0 despite dead leader", i, inst)
-			}
-		}
+	s.run(s.allDecided(W))
+	s.requireAgreement(W)
+	for inst := int64(0); inst < W; inst++ {
+		s.requireDecided(inst, fmt.Sprintf("batch-%d", inst), 0)
 	}
 }
 
 func TestAdvanceToAbandonsLowInstances(t *testing.T) {
-	// AdvanceTo is the state-transfer skip: the engine forgets everything
-	// below the new floor and keeps deciding from there.
-	h := newHarness(t, 4, time.Second, nil)
-	h.decideAll(1, []byte("one"), nil)
-	for _, eng := range h.engines {
-		eng.AdvanceTo(3) // instance 2 was installed via state transfer
+	// Advance is the state-transfer skip: the machine forgets everything
+	// below the new floor — here an instance nobody proposes, which would
+	// otherwise time out into a synchronization round — and keeps deciding
+	// from there.
+	s := newSim(t, 19, 4, time.Second, nil)
+	s.startAll(0, []byte("one"))
+	s.run(s.allDecided(1))
+	s.startAll(1, nil)
+	s.run(func() bool { return len(s.inflight) == 0 })
+	for i := range s.ms {
+		s.step(int32(i), event{kind: evAdvance, inst: 2}) // instance 1 was installed via state transfer
 	}
-	decisions := h.decideAll(3, []byte("three"), nil)
-	for i, d := range decisions {
-		if !bytes.Equal(d.Value, []byte("three")) {
-			t.Fatalf("replica %d decided %q after AdvanceTo", i, d.Value)
+	s.startAll(2, []byte("three"))
+	s.run(s.allDecided(2))
+	s.requireDecided(2, "three", 0)
+	for i, m := range s.ms {
+		if _, ok := s.decided[i][1]; ok || len(s.installs[i]) != 0 || m.floor != 3 {
+			t.Fatalf("replica %d: decided the abandoned instance %v, %d rounds, floor %d", i, ok, len(s.installs[i]), m.floor)
 		}
 	}
 }

@@ -43,7 +43,7 @@ func MessageHandling(path string) bool {
 // EventLoop reports whether path hosts consensus event-loop goroutines
 // whose call graphs must stay free of blocking operations (looptime): in
 // internal/consensus, (*Engine).loop, the goroutine form of the Machine
-// handle that the baselines and the benchmark's probe use. internal/core is
+// handle that only the benchmark's probe uses. internal/core is
 // not one: its loops block legitimately — the ordering driver, which steps
 // the consensus machine itself, on a full tail queue, a checkpoint write and
 // a catch-up round's Fetcher call (a held block is window state, not a

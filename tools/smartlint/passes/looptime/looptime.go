@@ -8,7 +8,7 @@
 // The loop goroutines are found by call-graph reachability from methods
 // named run or loop in the scoped packages (internal/consensus:
 // (*Engine).loop, the goroutine form of the Machine handle kept for the
-// baselines and the benchmark's probe). The graph covers direct calls and
+// benchmark's probe only). The graph covers direct calls and
 // method calls resolved by static type within the package, plus function
 // literals defined in reachable bodies — except literals handed to `go`
 // statements or passed as call arguments (timer callbacks, pool callbacks),
