@@ -18,14 +18,6 @@ func coinFactory(minter crypto.PublicKey) func() Executor {
 	}
 }
 
-func verifyCoinOp(req *smr.Request) bool {
-	tx, err := coin.Decode(req.Op)
-	if err != nil {
-		return false
-	}
-	return tx.VerifySig() == nil
-}
-
 func startCluster(t *testing.T, kind Kind, mutate func(*ClusterConfig)) (*Cluster, *crypto.KeyPair) {
 	t.Helper()
 	minter := crypto.SeededKeyPair("bl-minter", 0)
@@ -33,7 +25,7 @@ func startCluster(t *testing.T, kind Kind, mutate func(*ClusterConfig)) (*Cluste
 		Kind:       kind,
 		N:          4,
 		AppFactory: coinFactory(minter.Public()),
-		VerifyOp:   verifyCoinOp,
+		VerifyOp:   coin.NewService(nil).VerifyOp,
 		Verify:     smr.VerifyParallel,
 		Storage:    smr.StorageSync,
 		MaxBatch:   64,
@@ -80,7 +72,7 @@ func TestDuraSMaRtGroupCommitsUnderLoad(t *testing.T) {
 		Kind:        KindDuraSMaRt,
 		N:           4,
 		AppFactory:  coinFactory(minter.Public()),
-		VerifyOp:    verifyCoinOp,
+		VerifyOp:    coin.NewService(nil).VerifyOp,
 		Verify:      smr.VerifyParallel,
 		Storage:     smr.StorageSync,
 		DiskFactory: func() *storage.SimDisk { return disk },

@@ -57,7 +57,8 @@ type ChassisConfig struct {
 	Verify    smr.VerifyMode
 	MaxBatch  int
 	Timeout   time.Duration
-	// VerifyOp deeply verifies a request payload (application signature).
+	// VerifyOp is the application's admission check on a request whose
+	// signature verified; coin.Service's does no crypto.
 	VerifyOp func(*smr.Request) bool
 	// Commit is the system's commit discipline.
 	Commit CommitFunc

@@ -43,7 +43,8 @@ type ClusterConfig struct {
 	Kind       Kind
 	N          int
 	AppFactory func() Executor
-	// VerifyOp deeply verifies request payloads in the admission pool.
+	// VerifyOp is the application's admission check, run in the admission
+	// pool after the request signature; coin.Service's does no crypto.
 	VerifyOp func(*smr.Request) bool
 	Verify   smr.VerifyMode
 	Storage  smr.StorageMode

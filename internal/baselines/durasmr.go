@@ -78,25 +78,12 @@ func (d *DuraSMaRt) commit(dec consensus.Decision, batch smr.Batch, send func([]
 	// no blockchain, so the consensus instance doubles as the "block"
 	// coordinate of the ordering context.
 	bc := smr.NewBatchContext(dec.Instance, dec.Instance, dec.Epoch, &batch)
-	results := d.app.ExecuteBatch(bc, stripOps(batch.Requests))
+	results := d.app.ExecuteBatch(bc, batch.Requests)
 	wg.Wait()
 	if logErr != nil {
 		return
 	}
 	send(MakeReplies(d.replica.cfg.Self, batch, results))
-}
-
-// stripOps removes the core-layer op-kind prefix when present, so the same
-// client workload runs against baselines and SMARTCHAIN unchanged.
-func stripOps(reqs []smr.Request) []smr.Request {
-	out := make([]smr.Request, len(reqs))
-	copy(out, reqs)
-	for i := range out {
-		if len(out[i].Op) > 0 && out[i].Op[0] == 1 { // core.OpApp
-			out[i].Op = out[i].Op[1:]
-		}
-	}
-	return out
 }
 
 // encodeDuraRecord frames one decided batch with its proof for the log.

@@ -167,11 +167,7 @@ func (f *Fabric) commit(dec consensus.Decision, batch smr.Batch, send func([]smr
 		if f.validationCost > 0 {
 			time.Sleep(f.validationCost)
 		}
-		op := batch.Requests[i].Op
-		if len(op) > 0 && op[0] == 1 { // core.OpApp framing compatibility
-			op = op[1:]
-		}
-		tx, err := DecodeEndorsedTx(op)
+		tx, err := DecodeEndorsedTx(batch.Requests[i].Op)
 		if err != nil {
 			results[i] = []byte{FabricBadEndorsement}
 			continue

@@ -70,7 +70,7 @@ func (t *Tendermint) commit(dec consensus.Decision, batch smr.Batch, send func([
 		return
 	}
 
-	results := t.app.ExecuteBatch(smr.NewBatchContext(height, dec.Instance, dec.Epoch, &batch), stripOps(batch.Requests))
+	results := t.app.ExecuteBatch(smr.NewBatchContext(height, dec.Instance, dec.Epoch, &batch), batch.Requests)
 
 	// Write 2: the post-execution state commit (app hash + results).
 	appHash := crypto.MerkleRoot(results)

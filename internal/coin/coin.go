@@ -1,7 +1,12 @@
 // Package coin implements SMaRtCoin (paper §IV-A): a UTXO-model digital
 // coin service, the "simplest useful blockchain application". It supports
 // MINT (authorized addresses create coins) and SPEND (coin owners transfer
-// them), with every transaction signed by its issuer.
+// them). A transaction carries no signature of its own: its issuer signs the
+// request that carries it, and execution refuses a transaction whose issuer
+// is not that request's signer. One signature per request keeps a signed
+// one-output MINT request at 230 B and a single-input single-output SPEND
+// request at 262 B, in the ballpark the paper reports (~180 B and ~310 B;
+// TestRequestSizesMatchPaperBallpark).
 //
 // The service is deterministic: executing the same transaction sequence from
 // the same genesis state always yields the same state and results, which is
@@ -28,9 +33,6 @@ const (
 	TxSpend
 )
 
-// ContextTx is the signature domain for coin transactions.
-const ContextTx = "smartcoin/tx/v1"
-
 // Execution result codes, the first byte of every result.
 const (
 	ResultOK byte = iota + 1
@@ -43,11 +45,8 @@ const (
 	ResultErrDoubleSpend
 )
 
-// Errors surfaced by transaction construction and validation.
-var (
-	ErrMalformedTx = errors.New("coin: malformed transaction")
-	ErrBadTxSig    = errors.New("coin: invalid transaction signature")
-)
+// ErrMalformedTx is returned by Decode for bytes that are not a transaction.
+var ErrMalformedTx = errors.New("coin: malformed transaction")
 
 // CoinID uniquely identifies a coin: the hash of the transaction that
 // created it and the output index.
@@ -66,70 +65,36 @@ type Output struct {
 	Value uint64
 }
 
-// Tx is a SMaRtCoin transaction. Request/reply sizes intentionally land in
-// the ballpark the paper reports (~180 B MINT, ~310 B single-input
-// single-output SPEND requests).
+// Tx is a SMaRtCoin transaction. It is authorised by the signature on the
+// request that carries it, whose signer must be Issuer.
 type Tx struct {
 	Type    TxType
 	Issuer  crypto.PublicKey
 	Inputs  []CoinID // SPEND only
 	Outputs []Output
 	Nonce   uint64 // distinguishes otherwise-identical mints
-	Sig     []byte
 }
 
-func (tx *Tx) signedPortion() []byte {
-	e := codec.NewEncoder(64 + 40*len(tx.Inputs) + 48*len(tx.Outputs))
-	e.Byte(byte(tx.Type))
-	e.WriteBytes(tx.Issuer)
-	e.Uint32(uint32(len(tx.Inputs)))
-	for _, in := range tx.Inputs {
-		e.Bytes32(in)
-	}
-	e.Uint32(uint32(len(tx.Outputs)))
-	for _, out := range tx.Outputs {
-		e.WriteBytes(out.Owner)
-		e.Uint64(out.Value)
-	}
-	e.Uint64(tx.Nonce)
-	return e.Bytes()
-}
-
-// NewMint builds a signed MINT transaction creating outputs for the issuer.
+// NewMint builds a MINT transaction creating outputs for the issuer. The
+// issuer authorises it by signing the request that carries it.
 func NewMint(issuer *crypto.KeyPair, nonce uint64, values ...uint64) (Tx, error) {
 	tx := Tx{Type: TxMint, Issuer: issuer.Public(), Nonce: nonce}
 	for _, v := range values {
 		tx.Outputs = append(tx.Outputs, Output{Owner: issuer.Public(), Value: v})
 	}
-	return signTx(tx, issuer)
-}
-
-// NewSpend builds a signed SPEND transaction.
-func NewSpend(issuer *crypto.KeyPair, nonce uint64, inputs []CoinID, outputs []Output) (Tx, error) {
-	tx := Tx{Type: TxSpend, Issuer: issuer.Public(), Inputs: inputs, Outputs: outputs, Nonce: nonce}
-	return signTx(tx, issuer)
-}
-
-func signTx(tx Tx, key *crypto.KeyPair) (Tx, error) {
-	sig, err := key.Sign(ContextTx, tx.signedPortion())
-	if err != nil {
-		return Tx{}, fmt.Errorf("sign tx: %w", err)
-	}
-	tx.Sig = sig
 	return tx, nil
 }
 
-// VerifySig checks the transaction signature against the issuer key.
-func (tx *Tx) VerifySig() error {
-	if !crypto.Verify(tx.Issuer, ContextTx, tx.signedPortion(), tx.Sig) {
-		return ErrBadTxSig
-	}
-	return nil
+// NewSpend builds a SPEND transaction. The issuer authorises it by signing
+// the request that carries it.
+func NewSpend(issuer *crypto.KeyPair, nonce uint64, inputs []CoinID, outputs []Output) (Tx, error) {
+	return Tx{Type: TxSpend, Issuer: issuer.Public(), Inputs: inputs, Outputs: outputs, Nonce: nonce}, nil
 }
 
-// Hash returns the transaction identity (covers the signature).
+// Hash returns the transaction identity: the hash of its encoding, which
+// includes Issuer and Nonce, so otherwise-identical mints get distinct IDs.
 func (tx *Tx) Hash() crypto.Hash {
-	return crypto.HashBytes(tx.signedPortion(), tx.Sig)
+	return crypto.HashBytes(tx.Encode())
 }
 
 // OutputID derives the coin ID of output index i of this transaction.
@@ -155,23 +120,29 @@ func outputID(txHash crypto.Hash, i int) CoinID {
 	return crypto.HashBytes(e.Bytes())
 }
 
-// Encode serializes the transaction (the operation payload of a request).
+// Encode serializes the transaction (the operation payload of a request):
+// type, issuer, inputs, outputs, nonce. The first byte is the TxType, which
+// keeps every encoding apart from the query kind bytes.
 func (tx *Tx) Encode() []byte {
-	e := codec.NewEncoder(96 + 40*len(tx.Inputs) + 48*len(tx.Outputs))
-	e.WriteBytes(tx.signedPortion())
-	e.WriteBytes(tx.Sig)
+	e := codec.NewEncoder(64 + 40*len(tx.Inputs) + 48*len(tx.Outputs))
+	e.Byte(byte(tx.Type))
+	e.WriteBytes(tx.Issuer)
+	e.Uint32(uint32(len(tx.Inputs)))
+	for _, in := range tx.Inputs {
+		e.Bytes32(in)
+	}
+	e.Uint32(uint32(len(tx.Outputs)))
+	for _, out := range tx.Outputs {
+		e.WriteBytes(out.Owner)
+		e.Uint64(out.Value)
+	}
+	e.Uint64(tx.Nonce)
 	return e.Bytes()
 }
 
 // Decode parses an encoded transaction.
 func Decode(data []byte) (Tx, error) {
-	outer := codec.NewDecoder(data)
-	body := outer.ReadBytes()
-	sig := outer.ReadBytesCopy()
-	if err := outer.Finish(); err != nil {
-		return Tx{}, fmt.Errorf("%w: %v", ErrMalformedTx, err)
-	}
-	d := codec.NewDecoder(body)
+	d := codec.NewDecoder(data)
 	var tx Tx
 	tx.Type = TxType(d.Byte())
 	tx.Issuer = crypto.PublicKey(d.ReadBytesCopy())
@@ -186,7 +157,6 @@ func Decode(data []byte) (Tx, error) {
 	if tx.Type != TxMint && tx.Type != TxSpend {
 		return Tx{}, fmt.Errorf("%w: type %d", ErrMalformedTx, tx.Type)
 	}
-	tx.Sig = sig
 	return tx, nil
 }
 
@@ -330,10 +300,11 @@ func (s *State) isMinter(addr crypto.PublicKey) bool {
 
 // Apply executes one transaction, mutating the state, and returns the
 // result bytes stored in the block (result code, then created coin IDs).
-// Signature verification is NOT performed here: the SMR layer does it with
-// the configured strategy (sequential or parallel, Table I). A transaction
-// that reaches Apply is assumed signature-valid; Apply enforces the
-// semantic rules (authorization, ownership, conservation).
+// Signature verification is NOT performed here: the SMR layer checks the
+// request signature with the configured strategy (sequential or parallel,
+// Table I), and Service.executeLocked checks that the request's signer is
+// the issuer. Apply enforces the semantic rules (authorization, ownership,
+// conservation).
 //
 // Apply does not take the execution gate: Service.ExecuteBatch calls it
 // holding execMu exclusively, one transaction at a time. A direct caller

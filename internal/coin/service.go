@@ -64,9 +64,9 @@ func (s *Service) executeLocked(req *smr.Request) []byte {
 	if err != nil {
 		return []byte{ResultErrMalformed}
 	}
-	// The request signer must be the transaction issuer; otherwise a
-	// third party could replay someone's transaction under their own
-	// request envelope.
+	// The request signer must be the transaction issuer: the request
+	// signature is the only one a transaction has, so any other signer
+	// could spend the issuer's coins under their own request envelope.
 	if !req.PubKey.Equal(tx.Issuer) {
 		return []byte{ResultErrBadSignature}
 	}
@@ -93,8 +93,8 @@ func EncodeBalanceQuery(addr crypto.PublicKey) []byte {
 func EncodeUTXOCountQuery() []byte { return []byte{QueryUTXOCount} }
 
 // IsQuery reports whether op is a read-only query payload. The query kind
-// bytes are disjoint from transaction encodings, so the answer is
-// unambiguous.
+// bytes are disjoint from transaction encodings, whose first byte is the
+// TxType, so the answer is unambiguous.
 func IsQuery(op []byte) bool {
 	return len(op) > 0 && (op[0] == QueryBalance || op[0] == QueryUTXOCount)
 }
@@ -162,21 +162,19 @@ func (s *Service) ExecuteUnordered(req smr.Request) []byte {
 	}
 }
 
-// VerifyOp implements deep per-request verification used by the parallel
-// verification pool: beyond the request envelope signature, the embedded
-// transaction signature must verify. Queries carry no transaction — the
-// request envelope signature (checked by the smr layer) is all the
-// authentication a read needs, also when it arrives on the ordered path as
-// a read-floor fallback.
+// VerifyOp is the admission check behind the request signature, and does no
+// crypto: the op must be a query, or a transaction whose issuer signed the
+// request. That signature covers the whole encoded transaction and is the
+// only one a transaction has; the check admits nothing that executeLocked
+// would refuse for the wrong signer. A read needs no more than the request
+// signature, also when it arrives on the ordered path as a read-floor
+// fallback.
 func (s *Service) VerifyOp(req *smr.Request) bool {
 	if IsQuery(req.Op) {
 		return true
 	}
 	tx, err := Decode(req.Op)
-	if err != nil {
-		return false
-	}
-	return tx.VerifySig() == nil
+	return err == nil && req.PubKey.Equal(tx.Issuer)
 }
 
 // Snapshot serializes the full service state deterministically (UTXOs

@@ -99,8 +99,10 @@ type Application interface {
 	Snapshot() []byte
 	// Restore replaces the state with a snapshot.
 	Restore(snapshot []byte) error
-	// VerifyOp deeply verifies one request's operation (e.g. the embedded
-	// transaction signature); used by the verification pool.
+	// VerifyOp is the application's admission check on one request's
+	// operation, run after the request signature verified: by the
+	// verification pool, and in applyBatch under VerifySequential.
+	// coin.Service's does no crypto (the issuer must be the signer).
 	VerifyOp(req *smr.Request) bool
 }
 

@@ -405,12 +405,12 @@ func TestClusterRejectsForgedClientRequests(t *testing.T) {
 	c, minter := testCluster(t, 4, nil)
 	p := registeredClient(t, c, minter)
 
-	// A forged mint (tx signature broken) must never execute.
+	// A minter-issued MINT inside an envelope signed by another key must
+	// never execute: the request signature is the transaction's only one.
 	tx, err := coin.NewMint(minter, 1, 999)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx.Sig = make([]byte, crypto.SignatureSize)
 	forged := WrapAppOp(tx.Encode())
 	ep := c.ClientEndpoint()
 	evil := client.New(ep, crypto.SeededKeyPair("evil", 1), c.Members(), client.WithTimeout(time.Second))

@@ -81,10 +81,9 @@ func TestReplayMatchesLiveExecution(t *testing.T) {
 	awaitBlock("mint")
 
 	// A 999-coin MINT naming the minter as issuer and request signer, with
-	// garbage where both signatures belong.
+	// garbage where the request signature belongs.
 	forgedTx := coin.Tx{Type: coin.TxMint, Issuer: minter.Public(), Nonce: 99,
-		Outputs: []coin.Output{{Owner: crypto.SeededKeyPair("forger", 0).Public(), Value: 999}},
-		Sig:     bytes.Repeat([]byte{0x5a}, 64)}
+		Outputs: []coin.Output{{Owner: crypto.SeededKeyPair("forger", 0).Public(), Value: 999}}}
 	submitAll(c, smr.Request{ClientID: 1<<30 + 1, Seq: 1, Op: WrapAppOp(forgedTx.Encode()),
 		PubKey: minter.Public(), Sig: bytes.Repeat([]byte{0xa5}, 64)})
 	awaitBlock("forged mint")

@@ -92,14 +92,6 @@ func coinExecFactory(label string, clients int) func() baselines.Executor {
 	return func() baselines.Executor { return coin.NewService(minters) }
 }
 
-func verifyCoinOp(req *smr.Request) bool {
-	tx, err := coin.Decode(req.Op)
-	if err != nil {
-		return false
-	}
-	return tx.VerifySig() == nil
-}
-
 // runSmartChain measures one SMARTCHAIN configuration. depth is the
 // ordering window W (0 = node default).
 func runSmartChain(label string, n int, persistence core.Persistence, storageMode smr.StorageMode,
@@ -146,7 +138,7 @@ func runBaseline(label string, kind baselines.Kind, n int, storageMode smr.Stora
 		Kind:        kind,
 		N:           n,
 		AppFactory:  coinExecFactory(label, o.Clients),
-		VerifyOp:    verifyCoinOp,
+		VerifyOp:    coin.NewService(nil).VerifyOp,
 		Verify:      verify,
 		Storage:     storageMode,
 		DiskFactory: o.Disk,

@@ -106,12 +106,12 @@ func (p *VerifierPool) Submit(req Request, out func(Request, bool)) bool {
 }
 
 // VerifyBatch synchronously verifies all requests of a batch according to
-// the mode, returning per-request verdicts. Used on the delivery path for
-// batches proposed by other replicas. The checks are aggregated through a
-// crypto.BatchVerifier: the all-or-nothing Verify fast path covers the
-// overwhelmingly common all-honest batch, and a failed batch falls back to
-// per-item VerifyEach so one rotten signature cannot discard its honest
-// siblings.
+// the mode, returning per-request verdicts. No replica calls it: a follower
+// does not yet check the requests inside a proposal, and the benchmark's smr
+// probe (bench/probes.go) is its only caller. The checks are aggregated
+// through a crypto.BatchVerifier: the all-or-nothing Verify fast path covers
+// the common all-honest batch, and a failed batch falls back to per-item
+// VerifyEach so one rotten signature cannot discard its honest siblings.
 func (p *VerifierPool) VerifyBatch(reqs []Request) []bool {
 	verdicts := make([]bool, len(reqs))
 	if p.mode == VerifyNone {
