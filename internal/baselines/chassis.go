@@ -194,7 +194,7 @@ func (r *Replica) receiveLoop() {
 			switch {
 			case m.Type >= 100 && m.Type < 120:
 				if r.cfg.View.Contains(m.From) {
-					consensus.PreVerify(m, r.cfg.View, nil, r.post)
+					consensus.PreVerify(m, r.cfg.View, nil, nil, r.post)
 				}
 			case m.Type == msgRequest:
 				req, err := smr.DecodeRequest(m.Payload)

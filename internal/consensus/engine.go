@@ -81,8 +81,15 @@ type Input struct{ ev event }
 // there against v's key for the voter, deliver running on a pool worker.
 // The machine honors the result only while that key is still installed and
 // verifies inline otherwise (v may be stale; a nil or saturated pool saw
-// nothing). Votes overtaking other traffic is network reordering.
-func PreVerify(m transport.Message, v view.View, pool *crypto.VerifyPool, deliver func(Input)) {
+// nothing). A PROPOSE from the leader of its epoch in v is, with a pool,
+// vetted there by validate — the machine's own Config.Validate — and the
+// verdict travels in the Input; without one the machine validates inline.
+// Votes and proposals overtaking other traffic is network reordering.
+func PreVerify(m transport.Message, v view.View, pool *crypto.VerifyPool, validate func(int64, []byte) bool, deliver func(Input)) {
+	if m.Type == MsgPropose {
+		preValidate(m, v, pool, validate, deliver)
+		return
+	}
 	ph, ok := votePhase(m.Type)
 	if !ok {
 		deliver(Input{event{kind: evMessage, msg: m}})
@@ -105,6 +112,19 @@ func PreVerify(m transport.Message, v view.View, pool *crypto.VerifyPool, delive
 		}
 	}
 	deliver(Input{event{kind: evMessage, msg: m, vote: &vm}})
+}
+
+// preValidate is PreVerify for a PROPOSE.
+func preValidate(m transport.Message, v view.View, pool *crypto.VerifyPool, validate func(int64, []byte) bool, deliver func(Input)) {
+	if validate != nil {
+		if pm, err := decodePropose(m.Payload); err == nil && m.From == v.Leader(pm.Epoch) &&
+			pool.TryGo(func() {
+				deliver(Input{event{kind: evMessage, msg: m, vetted: true, valid: validate(pm.Instance, pm.Value)}})
+			}) {
+			return
+		}
+	}
+	deliver(Input{event{kind: evMessage, msg: m}})
 }
 
 // Message feeds one wire message, made ready by PreVerify.
@@ -222,7 +242,7 @@ func (e *Engine) AdvanceTo(i int64) {
 // HandleMessage feeds a consensus wire message into the engine. It is safe
 // to call from any goroutine.
 func (e *Engine) HandleMessage(m transport.Message) {
-	PreVerify(m, e.h.m.cfg.View, nil, func(in Input) { e.enqueue(in.ev) })
+	PreVerify(m, e.h.m.cfg.View, nil, nil, func(in Input) { e.enqueue(in.ev) })
 }
 
 func (e *Engine) enqueue(ev event) {

@@ -22,6 +22,9 @@ type event struct {
 	// is the public key its signature was verified against by the runtime.
 	vote    *voteMsg
 	votePub crypto.PublicKey
+	// vetted: the runtime ran Validate over this PROPOSE's value, with the
+	// verdict valid.
+	vetted, valid bool
 }
 
 type eventKind uint8
@@ -521,7 +524,7 @@ func (m *machine) handleMsg(ev event) {
 	s := m.st(inst)
 	switch msg.Type {
 	case MsgPropose:
-		m.onPropose(msg, s, inst)
+		m.onPropose(ev, s, inst)
 	case MsgDecided:
 		m.onDecided(msg, s, inst)
 	default:
@@ -530,8 +533,10 @@ func (m *machine) handleMsg(ev event) {
 	}
 }
 
-// onPropose validates and adopts a leader proposal.
-func (m *machine) onPropose(msg transport.Message, s *instState, inst int64) {
+// onPropose validates and adopts a leader proposal: by the runtime's verdict
+// when PreVerify vetted it, by Validate inline otherwise.
+func (m *machine) onPropose(ev event, s *instState, inst int64) {
+	msg := ev.msg
 	pm, err := decodePropose(msg.Payload)
 	if err != nil {
 		return
@@ -551,7 +556,11 @@ func (m *machine) onPropose(msg transport.Message, s *instState, inst int64) {
 	if s.proposal != nil {
 		return // already have a proposal for this epoch
 	}
-	if m.cfg.Validate != nil && !m.cfg.Validate(inst, pm.Value) {
+	valid := ev.valid
+	if !ev.vetted {
+		valid = m.cfg.Validate == nil || m.cfg.Validate(inst, pm.Value)
+	}
+	if !valid {
 		return
 	}
 	m.adopt(inst, s, pm.Value)

@@ -1,0 +1,144 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"smartchain/internal/coin"
+	"smartchain/internal/crypto"
+	"smartchain/internal/smr"
+)
+
+// A leader that puts a forged request into its own proposal gets no WRITE
+// quorum under VerifyParallel: the followers check every request of a
+// proposal before they vote. No correct replica executes it, the progress
+// timeout deposes the leader, and honest load keeps committing. The two
+// forgeries are a SPEND of the minter's coin whose envelope signature is
+// bad, and one whose envelope is validly signed by a thief, not the issuer.
+func TestLeaderCannotOrderForgedRequest(t *testing.T) {
+	thief := crypto.SeededKeyPair("thief", 1)
+	for _, tc := range []struct {
+		name  string
+		forge func(t *testing.T, spend coin.Tx, minter *crypto.KeyPair) smr.Request
+	}{
+		{"bad envelope signature", func(t *testing.T, spend coin.Tx, minter *crypto.KeyPair) smr.Request {
+			req, err := smr.NewSignedRequest(1<<30, 1, WrapAppOp(spend.Encode()), minter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Sig = bytes.Repeat([]byte{0xa5}, crypto.SignatureSize)
+			return req
+		}},
+		{"issuer is not the signer", func(t *testing.T, spend coin.Tx, _ *crypto.KeyPair) smr.Request {
+			req, err := smr.NewSignedRequest(1<<30, 1, WrapAppOp(spend.Encode()), thief)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return req
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, minter := testCluster(t, 4, nil)
+			p := registeredClient(t, c, minter)
+			coins := mint(t, p, 1, 100)
+			spend, err := coin.NewSpend(minter, 2, coins, []coin.Output{{Owner: thief.Public(), Value: 100}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			forged := tc.forge(t, spend, minter)
+
+			// The leader's part: the forged request goes straight into its
+			// queue, past the verification every correct leader does.
+			byzantine := c.Leader()
+			if !c.Nodes[byzantine].Node.batcher.Add(forged) {
+				t.Fatal("the leader's queue refused the forged request")
+			}
+			deadline := time.Now().Add(15 * time.Second)
+			for c.Leader() == byzantine {
+				if time.Now().After(deadline) {
+					t.Fatal("the leader that proposed a forged request was never deposed")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			mint(t, p, 3, 7) // honest load commits under the new leader
+			if err := c.WaitHeight(2, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+
+			changes := int64(0)
+			for id, cn := range c.Nodes {
+				state := cn.App.(*coin.Service).State()
+				if got := state.Balance(thief.Public()); got != 0 {
+					t.Errorf("replica %d executed the forged SPEND: thief holds %d", id, got)
+				}
+				if got := state.TotalSupply(); got != 107 {
+					t.Errorf("replica %d: supply %d, want 107", id, got)
+				}
+				changes = max(changes, cn.Node.Stats().EpochChanges)
+			}
+			if changes < 1 {
+				t.Fatalf("no epoch change deposed replica %d", byzantine)
+			}
+		})
+	}
+}
+
+// A client that floods followers alone with forged requests deposes nobody:
+// a follower holds them unverified, never more than MaxBatch, flushes them
+// when the set fills or a progress deadline asks whether work is pending,
+// and drops them all. Nothing forged executes.
+func TestForgedRequestFloodToFollowersDeposesNobody(t *testing.T) {
+	const maxBatch = 64
+	c, minter := testCluster(t, 4, func(cfg *ClusterConfig) { cfg.MaxBatch = maxBatch })
+	p := registeredClient(t, c, minter)
+	mint(t, p, 1, 10)
+
+	leader := c.Leader()
+	tx, err := coin.NewMint(minter, 99, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := WrapAppOp(tx.Encode())
+	ep := c.ClientEndpoint()
+	peak := 0
+	for seq := uint64(1); seq <= 10*maxBatch+maxBatch/2; seq++ {
+		forged := smr.Request{ClientID: int64(ep.ID()), Seq: seq, Op: op, PubKey: minter.Public(),
+			Sig: bytes.Repeat([]byte{byte(seq)}, crypto.SignatureSize)}
+		payload := forged.Encode()
+		for id, cn := range c.Nodes {
+			if id == leader {
+				continue
+			}
+			if err := ep.Send(id, MsgRequest, payload); err != nil {
+				t.Fatal(err)
+			}
+			peak = max(peak, cn.Node.unverified.size())
+		}
+	}
+	if peak > maxBatch {
+		t.Fatalf("a follower held %d unverified requests, MaxBatch is %d", peak, maxBatch)
+	}
+
+	mint(t, p, 2, 5) // honest load still commits
+	deadline := time.Now().Add(10 * time.Second)
+	for id, cn := range c.Nodes {
+		for cn.Node.unverified.size() > 0 { // a progress deadline flushes the rest
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %d still holds %d forged requests", id, cn.Node.unverified.size())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	for id, cn := range c.Nodes {
+		if got := cn.Node.Stats().EpochChanges; got != 0 {
+			t.Errorf("replica %d: %d epoch changes, want 0", id, got)
+		}
+		if got := cn.App.(*coin.Service).State().TotalSupply(); got != 15 {
+			t.Errorf("replica %d: supply %d, want 15 (a forged mint executed?)", id, got)
+		}
+		if got := cn.Node.batcher.Pending(); got != 0 {
+			t.Errorf("replica %d: %d requests pending", id, got)
+		}
+	}
+}

@@ -100,8 +100,9 @@ type Application interface {
 	// Restore replaces the state with a snapshot.
 	Restore(snapshot []byte) error
 	// VerifyOp is the application's admission check on one request's
-	// operation, run after the request signature verified: by the
-	// verification pool, and in applyBatch under VerifySequential.
+	// operation, run where the request signature is checked: by the
+	// leader's verification pool and a follower's proposal check or flush
+	// (admit.go), and in applyBatch under VerifySequential.
 	// coin.Service's does no crypto (the issuer must be the signer).
 	VerifyOp(req *smr.Request) bool
 }
@@ -208,6 +209,10 @@ type Node struct {
 	batcher  *smr.Batcher
 	verifier *smr.VerifierPool
 	votePool *crypto.VerifyPool
+	// unverified holds the ordered requests a replica that does not lead
+	// receives under VerifyParallel until a proposal, a commit or a flush
+	// takes them (admit.go).
+	unverified *unverifiedSet
 
 	// joinVotes intercepts protocol replies for in-flight join/leave flows
 	// (guarded by mu).
@@ -360,6 +365,7 @@ func NewNode(cfg Config) (*Node, error) {
 		// pool to one).
 		verifier:    smr.NewVerifierPool(cfg.Verify, 0),
 		votePool:    crypto.NewVerifyPool(0, 0),
+		unverified:  newUnverifiedSet(cfg.MaxBatch),
 		source:      catchup.NewPool(catchup.Config{PeerTimeout: cfg.CatchupPeerTimeout}),
 		syncReplies: make(chan catchup.Response, 256), // a full wave's replies from a few dozen donors
 		syncAsks:    make(chan syncAsk, 0),
@@ -501,7 +507,9 @@ func (n *Node) SubmitLocal(req smr.Request) {
 }
 
 // enqueueRequest verifies (per the configured strategy) and queues a
-// request for ordering.
+// request for ordering. Under VerifyParallel only the leader verifies on
+// arrival; a follower holds the request unverified (admit.go) and a full set
+// is flushed on the ordering driver.
 func (n *Node) enqueueRequest(req smr.Request) {
 	switch n.cfg.Verify {
 	case smr.VerifyNone, smr.VerifySequential:
@@ -509,18 +517,16 @@ func (n *Node) enqueueRequest(req smr.Request) {
 		// path (see applyBatch); queue as-is.
 		n.batcher.Add(req)
 	default:
+		if held, full := n.unverified.hold(req); held {
+			if full != nil {
+				n.postInput(consInput{flush: full})
+			}
+			return
+		}
 		n.verifier.Submit(req, func(r smr.Request, ok bool) {
-			if !ok {
-				return
+			if ok && n.admissible(&r) {
+				n.batcher.Add(r)
 			}
-			if len(r.Op) > 0 && r.Op[0] == OpApp {
-				unwrapped := r
-				unwrapped.Op = r.Op[1:]
-				if !n.app.VerifyOp(&unwrapped) {
-					return
-				}
-			}
-			n.batcher.Add(r)
 		})
 	}
 }
@@ -588,7 +594,7 @@ func (n *Node) dispatch(m transport.Message) {
 		v := n.curView
 		n.mu.Unlock()
 		if v.Contains(m.From) {
-			consensus.PreVerify(m, v, n.votePool, func(in consensus.Input) { n.postMessage(v.ID, in) })
+			consensus.PreVerify(m, v, n.votePool, n.validProposal, func(in consensus.Input) { n.postMessage(v.ID, in) })
 		}
 	case m.Type == MsgRequest:
 		req, err := smr.DecodeRequest(m.Payload)

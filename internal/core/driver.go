@@ -32,10 +32,12 @@ type syncAsk struct {
 }
 
 // consInput is a consensus step another goroutine queues for the driver — a
-// wire message, a late-announced key — for the machine of the view it came in.
+// wire message, a late-announced key — for the machine of the view it came
+// in; or, with flush set, a full set of unverified requests to flush.
 type consInput struct {
-	view int64
-	step func(now time.Time, m *consensus.Machine) ([]consensus.Decision, int64)
+	view  int64
+	step  func(now time.Time, m *consensus.Machine) ([]consensus.Decision, int64)
+	flush []smr.Request
 }
 
 // driverLoop is the ordering driver's runtime: the window machine
@@ -96,9 +98,12 @@ func (n *Node) deadlines() []time.Time {
 }
 
 // onInput steps the consensus machine for another goroutine — an input
-// without a seat, or whose view went with its machine, goes — then the window.
+// without a seat, or whose view went with its machine, goes — or flushes,
+// then the window.
 func (n *Node) onInput(now time.Time, in consInput) {
-	if n.cons != nil && in.view == n.View().ID {
+	if in.flush != nil {
+		n.admit(in.flush)
+	} else if n.cons != nil && in.view == n.View().ID {
 		n.stepped(in.step(now, n.cons))
 	}
 	n.drive(now)
@@ -114,7 +119,7 @@ func (n *Node) postInput(in consInput) {
 
 // postMessage queues a wire message PreVerify made ready, received in view.
 func (n *Node) postMessage(view int64, in consensus.Input) {
-	n.postInput(consInput{view, func(now time.Time, m *consensus.Machine) ([]consensus.Decision, int64) {
+	n.postInput(consInput{view: view, step: func(now time.Time, m *consensus.Machine) ([]consensus.Decision, int64) {
 		return m.Message(now, in)
 	}})
 }
@@ -166,6 +171,9 @@ func (n *Node) drive(now time.Time, evs ...event) {
 	for len(n.pending) > 0 {
 		ev := n.pending[0]
 		n.pending = append(n.pending[:0], n.pending[1:]...)
+		if ev.kind == evEngine || ev.kind == evLeader {
+			n.admit(n.unverified.lead(ev.leads)) // a replica that starts to lead flushes
+		}
 		for _, fx := range n.w.step(now, ev) {
 			if n.cons == nil && fx.kind != fxCommit && fx.kind != fxSync {
 				continue // a round replayed this replica's removal; its outcome tells the window
@@ -361,6 +369,7 @@ func (n *Node) applyBatch(number, instance, epoch int64, batch *smr.Batch) ([][]
 	// everywhere too.
 	fresh := n.batcher.Fresh(reqs)
 	n.batcher.MarkDeliveredAt(number, reqs)
+	n.unverified.drop(reqs)
 
 	results := make([][]byte, len(reqs))
 	sequential := n.cfg.Verify == smr.VerifySequential

@@ -62,6 +62,7 @@ func newDriverRig(t *testing.T, self int32, timeout time.Duration, pipeline bool
 		Self: self, Genesis: blockchain.Genesis{ChainID: "driver-rig", MaxBatchSize: 8, Replicas: replicas},
 		Permanent: perms[self], InitialConsensusKey: cons[self], Transport: r.ep,
 		App: coin.NewService(nil), Storage: smr.StorageMemory, Pipeline: pipeline, ConsensusTimeout: timeout,
+		Verify: smr.VerifyNone, // the peers propose unsigned requests
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func (r *driverRig) settlePeers() {
 			r.toNode = append(r.toNode, m)
 			continue
 		}
-		consensus.PreVerify(m, r.view, nil, func(in consensus.Input) { r.peers[m.To].Message(r.now, in) })
+		consensus.PreVerify(m, r.view, nil, nil, func(in consensus.Input) { r.peers[m.To].Message(r.now, in) })
 	}
 }
 
@@ -113,7 +114,7 @@ func (r *driverRig) queue(typ uint16) int {
 	queued := 0
 	for _, m := range r.toNode {
 		if m.Type == typ {
-			consensus.PreVerify(m, r.view, nil, func(in consensus.Input) { r.n.postMessage(r.view.ID, in) })
+			consensus.PreVerify(m, r.view, nil, nil, func(in consensus.Input) { r.n.postMessage(r.view.ID, in) })
 			queued++
 		}
 	}
@@ -195,7 +196,7 @@ func TestDriverSeatDroppedMidRoundStepsNoMachine(t *testing.T) {
 // steps each input as driverLoop's inbox case does.
 func (r *driverRig) deliver() {
 	for _, m := range r.toNode {
-		consensus.PreVerify(m, r.view, nil, func(in consensus.Input) { r.n.postMessage(r.view.ID, in) })
+		consensus.PreVerify(m, r.view, nil, nil, func(in consensus.Input) { r.n.postMessage(r.view.ID, in) })
 	}
 	r.toNode = r.toNode[:0]
 	for len(r.n.inbox) > 0 {

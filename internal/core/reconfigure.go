@@ -101,14 +101,20 @@ func (n *Node) reconcileEngine() {
 		Signer:   cur,
 		Send:     func(to int32, typ uint16, p []byte) { _ = ep.Send(to, typ, p) }, //smartlint:allow errdrop consensus tolerates loss via retransmit and epoch change
 		Timeout:  n.cfg.ConsensusTimeout,
-		Validate: func(_ int64, value []byte) bool { return len(value) == 0 || smr.ValidBatchValue(value) },
+		Validate: n.validProposal,
 		// RequestValue is deliberately absent: batch handout stays with
 		// the ordering driver, which tracks every handed-out batch per
 		// instance and requeues it if the instance is abandoned (view
 		// drain, state transfer). A new leader elected mid-instance
 		// proposes the empty filler value instead; the pending work goes
 		// into the next window slots through the driver.
-		HasPending: func() bool { return n.batcher.Pending() > 0 },
+		// Asked to answer a progress deadline: what is held unverified is
+		// flushed first, so a leader censoring a valid request is deposed
+		// and one that never saw a forged request is not.
+		HasPending: func() bool {
+			n.admit(n.unverified.take())
+			return n.batcher.Pending() > 0
+		},
 	}))
 }
 
@@ -173,7 +179,7 @@ func (n *Node) onKeyAnnounce(m transport.Message) {
 	n.curView = n.curView.WithKey(ann.Key.Signer, ann.Key.ConsensusPub)
 	n.mu.Unlock()
 	id, pub := ann.Key.Signer, ann.Key.ConsensusPub
-	n.postInput(consInput{ann.Key.ViewID, func(now time.Time, m *consensus.Machine) ([]consensus.Decision, int64) {
+	n.postInput(consInput{view: ann.Key.ViewID, step: func(now time.Time, m *consensus.Machine) ([]consensus.Decision, int64) {
 		return m.UpdateKey(now, id, pub)
 	}})
 }

@@ -106,7 +106,7 @@ func TestReplayMatchesLiveExecution(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("re-proposed batch never decided")
 		}
-		leader.postInput(consInput{leader.View().ID, propose})
+		leader.postInput(consInput{view: leader.View().ID, step: propose})
 	}
 	if err := c.WaitHeight(height, 10*time.Second); err != nil {
 		t.Fatal(err)

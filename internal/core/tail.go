@@ -21,6 +21,7 @@ type tailEvent struct {
 	wait    bool        // tevClosed: the ordering driver holds the block until tfxRelease
 	err     error       // tevDurable: the append or its sync failed
 	share   persistMsg  // tevShare: Signer is the authenticated sender
+	own     bool        // tevShare: the share tfxSign just produced, counted unverified
 	req     smr.Request // tevRead: verified, its floor above the height the verifier saw
 }
 
@@ -116,7 +117,7 @@ func (t *tail) step(now time.Time, ev tailEvent) []tailEffect {
 		early := t.early[ev.number]
 		t.raise(ev.number)
 		for i := range early {
-			t.count(ev.number, b, &early[i])
+			t.count(ev.number, b, &early[i], false)
 		}
 	case tevDurable:
 		// A failed write owes the clients nothing: only a held block is released.
@@ -128,7 +129,7 @@ func (t *tail) step(now time.Time, ev tailEvent) []tailEffect {
 		}
 	case tevShare:
 		if b := t.open[ev.share.Number]; b != nil {
-			t.count(ev.share.Number, b, &ev.share)
+			t.count(ev.share.Number, b, &ev.share, ev.own)
 		} else {
 			t.hold(ev.share)
 		}
@@ -174,12 +175,14 @@ func (t *tail) raise(height int64) {
 
 // count validates a share and completes the certificate at the quorum, this
 // replica's share included — and that is only taken once the block is durable.
-func (t *tail) count(number int64, b *tailBlock, pm *persistMsg) {
+// The share this replica just signed (own) is counted without a signature
+// check; every share from the network is verified.
+func (t *tail) count(number int64, b *tailBlock, pm *persistMsg, own bool) {
 	if !t.strong || pm.HeaderHash != b.hash || (pm.Signer == t.self && !b.durable) {
 		return // (a peer that built a different block: impossible for correct ones)
 	}
 	pub, member := b.view.PublicKeyOf(pm.Signer)
-	if !member || !crypto.Verify(pub, blockchain.ContextPersist, blockchain.PersistDigest(b.hash), pm.Sig) {
+	if !member || !own && !crypto.Verify(pub, blockchain.ContextPersist, blockchain.PersistDigest(b.hash), pm.Sig) {
 		return
 	}
 	b.cert.Add(crypto.Signature{Signer: pm.Signer, Sig: pm.Sig})

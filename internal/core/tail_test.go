@@ -78,7 +78,7 @@ func (r *tailRig) step(ev tailEvent) {
 			switch fx.kind {
 			case tfxSign:
 				r.signed++
-				pending = append(pending, tailEvent{kind: tevShare, share: r.shareOf(0, fx.number, fx.hash)})
+				pending = append(pending, tailEvent{kind: tevShare, share: r.shareOf(0, fx.number, fx.hash), own: true})
 				r.log = append(r.log, fmt.Sprint("sign ", fx.number))
 			case tfxCertify:
 				if !r.durable[fx.number] {
@@ -214,6 +214,30 @@ func TestTailStrongCertifiesAtQuorumWithOwnShare(t *testing.T) {
 	r.want("a late share")
 	if len(r.tl.open) != 0 {
 		t.Fatalf("%d blocks still open", len(r.tl.open))
+	}
+}
+
+// The share this replica just signed counts without a signature check;
+// one in its name from the network is checked like any other.
+func TestTailOwnShareCountsUnverified(t *testing.T) {
+	r := newTailRig(t, true)
+	r.tl.step(r.now, tailEvent{kind: tevClosed, number: 11, hash: tailHash(11), view: r.view})
+	if fx := r.tl.step(r.now, tailEvent{kind: tevDurable, number: 11}); len(fx) != 1 || fx[0].kind != tfxSign {
+		t.Fatalf("durable: effects %+v, want one tfxSign", fx)
+	}
+	junk := persistMsg{Number: 11, Signer: 0, HeaderHash: tailHash(11), Sig: make([]byte, crypto.SignatureSize)}
+	for _, ev := range []tailEvent{
+		{kind: tevShare, share: junk}, // from the network, in this replica's name
+		{kind: tevShare, share: r.shareOf(1, 11, tailHash(11))},
+		{kind: tevShare, share: r.shareOf(2, 11, tailHash(11))},
+	} {
+		if fx := r.tl.step(r.now, ev); len(fx) != 0 {
+			t.Fatalf("certified without this replica's own share: %+v", fx)
+		}
+	}
+	fx := r.tl.step(r.now, tailEvent{kind: tevShare, share: junk, own: true})
+	if len(fx) == 0 || fx[0].kind != tfxCertify {
+		t.Fatalf("own share: effects %+v, want the certificate", fx)
 	}
 }
 

@@ -61,7 +61,7 @@ func (n *Node) tend(now time.Time, ev tailEvent) {
 				for _, peer := range n.View().Others(n.cfg.Self) {
 					_ = n.cfg.Transport.Send(peer, MsgPersist, payload) //smartlint:allow errdrop persist proofs need only a quorum of responders; loss is tolerated
 				}
-				ev, again = tailEvent{kind: tevShare, share: pm}, true // a step signs at most one block
+				ev, again = tailEvent{kind: tevShare, share: pm, own: true}, true // a step signs at most one block
 			case tfxCertify:
 				_ = n.ledger.AttachCert(fx.number, fx.cert) //smartlint:allow errdrop asynchronous certificate write (Algorithm 1 line 34)
 				// No callback, so no sync of its own: the next block's sync covers it.

@@ -4,11 +4,14 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"smartchain/internal/crypto/internal/edwards25519"
 )
 
-// minParallelBatch is the batch size below which fan-out overhead exceeds
-// the win; smaller batches verify inline.
-const minParallelBatch = 4
+// minChunk is the fewest signatures one batch equation is given when a batch
+// is split across workers: below about 16 the shared doublings no longer pay
+// for a goroutine.
+const minChunk = 16
 
 // batchItem is one deferred verification.
 type batchItem struct {
@@ -18,14 +21,12 @@ type batchItem struct {
 	sig     []byte
 }
 
-// BatchVerifier accumulates signature checks and verifies them together,
-// in the style of ed25519consensus's VerifyBatch. Stdlib Ed25519 exposes no
-// cofactored multi-scalar batch equation (and this module deliberately has
-// zero dependencies), so the aggregation here is parallel fan-out across
-// cores rather than curve-level batching: Verify is the all-or-nothing fast
-// path, VerifyEach the per-item fallback that isolates bad signatures when
-// a batch fails. The API matches what a curve-level implementation would
-// expose, so swapping one in later is a local change.
+// BatchVerifier accumulates signature checks and verifies them together, in
+// the style of ed25519consensus's VerifyBatch: Verify decides the whole batch
+// by one cofactored batch equation per chunk (edwards25519.BatchEquation),
+// VerifyEach is the per-item fallback that isolates bad signatures when a
+// batch fails. Both decide by Verify's rule, so a signature's verdict never
+// depends on whether it was checked alone or beside others.
 //
 // A BatchVerifier is not safe for concurrent Add; verify methods are
 // internally parallel.
@@ -53,45 +54,61 @@ func (b *BatchVerifier) Len() int { return len(b.items) }
 // Reset empties the verifier, retaining capacity.
 func (b *BatchVerifier) Reset() { b.items = b.items[:0] }
 
-// Verify checks every deferred signature, fanning out across up to workers
-// goroutines (0 = GOMAXPROCS) with early abort on first failure. It is
-// all-or-nothing: false means at least one signature is invalid; use
-// VerifyEach to find out which.
+// Verify checks every deferred signature. The items are split into chunks of
+// at least minChunk across up to workers goroutines (0 = GOMAXPROCS), one
+// batch equation per chunk. It is all-or-nothing: false means at least one
+// signature is invalid; use VerifyEach to find out which.
 func (b *BatchVerifier) Verify(workers int) bool {
 	n := len(b.items)
-	if n == 0 {
+	switch n {
+	case 0:
 		return true
+	case 1:
+		return verifyItem(&b.items[0])
 	}
-	workers = clampWorkers(workers, n)
-	if workers == 1 || n < minParallelBatch {
-		for i := range b.items {
-			if !verifyItem(&b.items[i]) {
+	chunks := clampWorkers(workers, n/minChunk)
+	size := (n + chunks - 1) / chunks
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for lo := size; lo < n; lo += size {
+		wg.Add(1)
+		go func(items []batchItem) {
+			defer wg.Done()
+			if !verifyChunk(items) {
+				failed.Store(true)
+			}
+		}(b.items[lo:min(lo+size, n)])
+	}
+	ok := verifyChunk(b.items[:size])
+	wg.Wait()
+	return ok && !failed.Load()
+}
+
+// verifyChunk decides items by one batch equation. An item that does not
+// decode fails the chunk, as it fails Verify.
+func verifyChunk(items []batchItem) bool {
+	n := len(items)
+	A, R := make([]edwards25519.Point, n), make([]edwards25519.Point, n)
+	s, k := make([]edwards25519.Scalar, n), make([]edwards25519.Scalar, n)
+	for i := range items {
+		it := &items[i]
+		if !decodeSig(it.pub, it.context, it.msg, it.sig, &A[i], &s[i], &k[i]) {
+			return false
+		}
+		if _, err := R[i].SetBytes(it.sig[:32]); err != nil {
+			return false
+		}
+	}
+	ok, err := edwards25519.BatchEquation(A, R, s, k)
+	if err != nil { // no randomness to batch with: one at a time
+		for i := range items {
+			if !verifyItem(&items[i]) {
 				return false
 			}
 		}
 		return true
 	}
-	var failed atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if !verifyItem(&b.items[i]) {
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return !failed.Load()
+	return ok
 }
 
 // VerifyEach checks every deferred signature and reports per-item results
@@ -104,7 +121,7 @@ func (b *BatchVerifier) VerifyEach(workers int) []bool {
 		return out
 	}
 	workers = clampWorkers(workers, n)
-	if workers == 1 || n < minParallelBatch {
+	if workers == 1 {
 		for i := range b.items {
 			out[i] = verifyItem(&b.items[i])
 		}
@@ -146,23 +163,18 @@ func clampWorkers(workers, n int) int {
 	return workers
 }
 
-// verifyReq is one asynchronous verification job.
-type verifyReq struct {
-	item batchItem
-	done func(ok bool)
-}
-
-// VerifyPool is a bounded pool of verification workers for asynchronous
-// single-signature checks — the mechanism that takes vote verification off
-// the consensus event loop. TrySubmit never blocks: when the pool is
-// saturated (or closed) it reports false and the caller verifies inline,
-// so correctness never depends on the pool keeping up.
+// VerifyPool is a bounded pool of verification workers: asynchronous
+// single-signature checks and whole jobs (a proposal's requests), the
+// mechanism that takes vote and proposal verification off the consensus
+// event loop. TrySubmit and TryGo never block: when the pool is saturated (or
+// closed) they report false and the caller verifies inline, so correctness
+// never depends on the pool keeping up.
 type VerifyPool struct {
-	jobs chan verifyReq
+	jobs chan func()
 	wg   sync.WaitGroup
 
-	// mu orders TrySubmit's channel send against Close's channel close: a
-	// send holds the read lock, Close takes the write lock before closing.
+	// mu orders TryGo's channel send against Close's channel close: a send
+	// holds the read lock, Close takes the write lock before closing.
 	mu     sync.RWMutex
 	closed bool
 }
@@ -176,13 +188,13 @@ func NewVerifyPool(workers, queueDepth int) *VerifyPool {
 	if queueDepth <= 0 {
 		queueDepth = 1024
 	}
-	p := &VerifyPool{jobs: make(chan verifyReq, queueDepth)}
+	p := &VerifyPool{jobs: make(chan func(), queueDepth)}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer p.wg.Done()
-			for req := range p.jobs {
-				req.done(verifyItem(&req.item))
+			for job := range p.jobs {
+				job()
 			}
 		}()
 	}
@@ -193,6 +205,12 @@ func NewVerifyPool(workers, queueDepth int) *VerifyPool {
 // result. Returns false (and does not run done) when the pool is saturated
 // or closed — the caller's cue to verify synchronously.
 func (p *VerifyPool) TrySubmit(pub PublicKey, context string, msg, sig []byte, done func(ok bool)) bool {
+	return p.TryGo(func() { done(Verify(pub, context, msg, sig)) })
+}
+
+// TryGo queues job to run on a pool worker. Returns false (and does not run
+// job) when the pool is saturated or closed.
+func (p *VerifyPool) TryGo(job func()) bool {
 	if p == nil {
 		return false
 	}
@@ -202,7 +220,7 @@ func (p *VerifyPool) TrySubmit(pub PublicKey, context string, msg, sig []byte, d
 		return false
 	}
 	select {
-	case p.jobs <- verifyReq{item: batchItem{pub: pub, context: context, msg: msg, sig: sig}, done: done}:
+	case p.jobs <- job:
 		return true
 	default:
 		return false

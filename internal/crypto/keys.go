@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
+	"crypto/sha512"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
+
+	"smartchain/internal/crypto/internal/edwards25519"
 )
 
 // Signature and key sizes, fixed by Ed25519.
@@ -156,12 +159,58 @@ func KeyPairFromPrivate(b []byte) (*KeyPair, error) {
 	return &KeyPair{pub: pub, priv: priv}, nil
 }
 
-// Verify checks sig over msg under the domain-separation context against pub.
+// Verify checks sig over msg under the domain-separation context against pub
+// by the cofactored (ZIP-215) rule, the one BatchVerifier's batch equation
+// decides: s < ℓ, A and R decode (non-canonical encodings included), and
+// [8]([s]B − R − [k]A) = 0. It first computes R' = [s]B − [k]A, as stdlib
+// does, and accepts at once if R' encodes to the signature's R bytes; that
+// equation implies the cofactored one, so an honest signature costs what
+// stdlib's check costs. Only on a mismatch is R decoded and [8](R' − R) = 0
+// decided.
 func Verify(pub PublicKey, context string, msg, sig []byte) bool {
+	var A edwards25519.Point
+	var s, k edwards25519.Scalar
+	if !decodeSig(pub, context, msg, sig, &A, &s, &k) {
+		return false
+	}
+	var R edwards25519.Point
+	R.Negate(&A)
+	R.VarTimeDoubleScalarBaseMult(&k, &R, &s)
+	if bytes.Equal(R.Bytes(), sig[:32]) {
+		return true
+	}
+	var sigR edwards25519.Point
+	if _, err := sigR.SetBytes(sig[:32]); err != nil {
+		return false
+	}
+	R.Subtract(&R, &sigR)
+	R.Add(&R, &R)
+	R.Add(&R, &R)
+	R.Add(&R, &R)
+	return R.Equal(edwards25519.NewIdentityPoint()) == 1
+}
+
+// decodeSig reads what both verification forms need from one signature: the
+// key A, the scalar s (refused unless s < ℓ) and k = SHA-512(R ‖ A ‖ M) mod ℓ
+// over the sealed message.
+func decodeSig(pub PublicKey, context string, msg, sig []byte, A *edwards25519.Point, s, k *edwards25519.Scalar) bool {
 	if len(pub) != PublicKeySize || len(sig) != SignatureSize {
 		return false
 	}
-	return ed25519.Verify(ed25519.PublicKey(pub), sealed(context, msg), sig)
+	if _, err := A.SetBytes(pub); err != nil {
+		return false
+	}
+	if _, err := s.SetCanonicalBytes(sig[32:]); err != nil {
+		return false
+	}
+	h := sha512.New()
+	h.Write(sig[:32])
+	h.Write(pub)
+	h.Write(append([]byte{byte(len(context))}, context...)) // sealed(context, msg), without copying msg
+	h.Write(msg)
+	var digest [sha512.Size]byte
+	_, err := k.SetUniformBytes(h.Sum(digest[:0]))
+	return err == nil
 }
 
 // sealed prefixes msg with a length-delimited context string so signatures

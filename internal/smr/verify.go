@@ -16,7 +16,9 @@ type VerifyMode int
 
 const (
 	// VerifyParallel verifies request signatures in a worker pool before
-	// the request enters the pending queue. The default.
+	// the request enters the pending queue — at the leader; a follower
+	// checks a proposal's requests in one batch before it votes. The
+	// default.
 	VerifyParallel VerifyMode = iota + 1
 	// VerifySequential verifies inside the execution path, one request at
 	// a time (the naive strategy of Table I's left half).
@@ -58,6 +60,9 @@ type verifyJob struct {
 	out func(Request, bool)
 }
 
+// maxDrain is the most jobs one worker takes into one batch equation.
+const maxDrain = 64
+
 // NewVerifierPool starts a pool for the given mode. workers ≤ 0 picks a
 // default based on the mode. Close must be called to release the workers.
 func NewVerifierPool(mode VerifyMode, workers int) *VerifierPool {
@@ -71,7 +76,9 @@ func NewVerifierPool(mode VerifyMode, workers int) *VerifierPool {
 	p := &VerifierPool{
 		mode:    mode,
 		workers: workers,
-		jobs:    make(chan verifyJob, workers*4),
+		// Room for a burst of every client's window: a full queue blocks the
+		// dispatch goroutine that submits.
+		jobs:    make(chan verifyJob, 1024),
 		stopped: make(chan struct{}),
 	}
 	for i := 0; i < workers; i++ {
@@ -81,11 +88,35 @@ func NewVerifierPool(mode VerifyMode, workers int) *VerifierPool {
 	return p
 }
 
+// worker takes one job, then whatever else is queued without waiting (up to
+// maxDrain jobs), and decides them all in one batch equation.
 func (p *VerifierPool) worker() {
 	defer p.wg.Done()
+	jobs := make([]verifyJob, 0, maxDrain)
+	reqs := make([]Request, 0, maxDrain)
 	for job := range p.jobs {
-		ok := p.mode == VerifyNone || job.req.VerifySig() == nil
-		job.out(job.req, ok)
+		jobs = append(jobs[:0], job)
+	drain:
+		for len(jobs) < maxDrain {
+			select {
+			case j, ok := <-p.jobs:
+				if !ok {
+					break drain
+				}
+				jobs = append(jobs, j)
+			default:
+				break drain
+			}
+		}
+		reqs = reqs[:0]
+		for i := range jobs {
+			reqs = append(reqs, jobs[i].req)
+		}
+		for i, ok := range p.verify(reqs, 1) {
+			jobs[i].out(jobs[i].req, ok)
+		}
+		clear(jobs) // drop the callbacks and requests until the next burst
+		clear(reqs)
 	}
 }
 
@@ -105,36 +136,34 @@ func (p *VerifierPool) Submit(req Request, out func(Request, bool)) bool {
 	}
 }
 
-// VerifyBatch synchronously verifies all requests of a batch according to
-// the mode, returning per-request verdicts. No replica calls it: a follower
-// does not yet check the requests inside a proposal, and the benchmark's smr
-// probe (bench/probes.go) is its only caller. The checks are aggregated
-// through a crypto.BatchVerifier: the all-or-nothing Verify fast path covers
-// the common all-honest batch, and a failed batch falls back to per-item
-// VerifyEach so one rotten signature cannot discard its honest siblings.
+// VerifyBatch synchronously verifies the signatures of reqs according to the
+// mode, returning per-request verdicts, by the path the workers take: one
+// batch equation per chunk, spread over the pool's worker count. A replica
+// checks a proposal's requests and flushes the ones it held unverified
+// through it.
 func (p *VerifierPool) VerifyBatch(reqs []Request) []bool {
+	return p.verify(reqs, p.workers)
+}
+
+// verify decides reqs through a crypto.BatchVerifier on up to workers
+// goroutines: the all-or-nothing Verify covers the common all-honest batch,
+// and a failed batch falls back to per-item VerifyEach so one rotten
+// signature cannot discard its honest siblings. VerifyNone passes everything.
+func (p *VerifierPool) verify(reqs []Request, workers int) []bool {
 	verdicts := make([]bool, len(reqs))
-	if p.mode == VerifyNone {
-		for i := range verdicts {
-			verdicts[i] = true
+	if p.mode != VerifyNone {
+		bv := crypto.NewBatchVerifier(len(reqs))
+		for i := range reqs {
+			bv.Add(reqs[i].PubKey, ContextRequest, reqs[i].signedPortion(), reqs[i].Sig)
 		}
-		return verdicts
-	}
-	workers := p.workers
-	if p.mode == VerifySequential {
-		workers = 1
-	}
-	bv := crypto.NewBatchVerifier(len(reqs))
-	for i := range reqs {
-		bv.Add(reqs[i].PubKey, ContextRequest, reqs[i].signedPortion(), reqs[i].Sig)
-	}
-	if bv.Verify(workers) {
-		for i := range verdicts {
-			verdicts[i] = true
+		if !bv.Verify(workers) {
+			return bv.VerifyEach(workers)
 		}
-		return verdicts
 	}
-	return bv.VerifyEach(workers)
+	for i := range verdicts {
+		verdicts[i] = true
+	}
+	return verdicts
 }
 
 // Mode returns the pool's verification mode.

@@ -73,3 +73,35 @@ func TestVerifyBatchNoneModeSkipsChecks(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifierPoolDrainedBatchKeepsEachVerdict: a burst queued faster than
+// the workers take it is decided in drained batches, and every job still
+// gets its own verdict — the corrupted ones false, their siblings true.
+func TestVerifierPoolDrainedBatchKeepsEachVerdict(t *testing.T) {
+	const n = 200
+	pool := NewVerifierPool(VerifyParallel, 2)
+	defer pool.Close()
+	reqs := signedBatch(t, n)
+	for i := 0; i < n; i += 37 {
+		reqs[i] = corrupt(reqs[i])
+	}
+	verdicts := make(chan [2]uint64, n)
+	for i := range reqs {
+		if !pool.Submit(reqs[i], func(r Request, ok bool) {
+			v := uint64(0)
+			if ok {
+				v = 1
+			}
+			verdicts <- [2]uint64{r.Seq, v}
+		}) {
+			t.Fatal("open pool refused a job")
+		}
+	}
+	for k := 0; k < n; k++ {
+		v := <-verdicts
+		i := int(v[0]) - 1
+		if want := i%37 != 0; (v[1] == 1) != want {
+			t.Fatalf("request %d verdict %v, want %v", i, v[1] == 1, want)
+		}
+	}
+}
