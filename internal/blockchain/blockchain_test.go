@@ -2,6 +2,9 @@ package blockchain
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
 	"smartchain/internal/consensus"
@@ -305,35 +308,33 @@ func TestVerifyChainDetectsTampering(t *testing.T) {
 		}
 		return b
 	}
+	expect := func(t *testing.T, blocks []Block, opts VerifyOptions, want error) {
+		t.Helper()
+		if _, err := VerifyChain(blocks, opts); !errors.Is(err, want) {
+			t.Fatalf("VerifyChain: %v, want %v", err, want)
+		}
+	}
+	garbage := make([]byte, crypto.SignatureSize)
 
 	t.Run("forged transaction content", func(t *testing.T) {
 		b := build()
-		other := b.batch("forged", 2)
-		b.blocks[2].Body.BatchData = other
-		if _, err := VerifyChain(b.blocks, VerifyOptions{}); err == nil {
-			t.Fatal("forged batch must fail verification")
-		}
+		b.blocks[2].Body.BatchData = b.batch("forged", 2)
+		expect(t, b.blocks, VerifyOptions{}, ErrVerifyRoots)
 	})
 	t.Run("forged result", func(t *testing.T) {
 		b := build()
 		b.blocks[2].Body.Results[0] = []byte{0xFF}
-		if _, err := VerifyChain(b.blocks, VerifyOptions{}); err == nil {
-			t.Fatal("forged results must fail verification")
-		}
+		expect(t, b.blocks, VerifyOptions{}, ErrVerifyRoots)
 	})
 	t.Run("relinked header", func(t *testing.T) {
 		b := build()
 		b.blocks[2].Header.PrevHash = crypto.HashBytes([]byte("elsewhere"))
-		if _, err := VerifyChain(b.blocks, VerifyOptions{}); err == nil {
-			t.Fatal("broken linkage must fail verification")
-		}
+		expect(t, b.blocks, VerifyOptions{}, ErrVerifyLinkage)
 	})
 	t.Run("dropped middle block", func(t *testing.T) {
 		b := build()
 		chain := append([]Block{}, b.blocks[0], b.blocks[2], b.blocks[3])
-		if _, err := VerifyChain(chain, VerifyOptions{}); err == nil {
-			t.Fatal("gap must fail verification")
-		}
+		expect(t, chain, VerifyOptions{}, ErrVerifyLinkage)
 	})
 	t.Run("proof from wrong keys", func(t *testing.T) {
 		b := build()
@@ -345,16 +346,12 @@ func TestVerifyChainDetectsTampering(t *testing.T) {
 			forged.Add(crypto.Signature{Signer: i, Sig: evil.MustSign("smartchain/consensus/accept/v1", msg)})
 		}
 		b.blocks[2].Body.Proof = forged
-		if _, err := VerifyChain(b.blocks, VerifyOptions{}); err == nil {
-			t.Fatal("forged proof must fail verification")
-		}
+		expect(t, b.blocks, VerifyOptions{}, ErrVerifyProof)
 	})
 	t.Run("missing cert under RequireCerts", func(t *testing.T) {
 		b := build()
 		b.blocks[1].Cert = crypto.Certificate{}
-		if _, err := VerifyChain(b.blocks, VerifyOptions{RequireCerts: true}); err == nil {
-			t.Fatal("missing cert must fail under RequireCerts")
-		}
+		expect(t, b.blocks, VerifyOptions{RequireCerts: true}, ErrVerifyUncertifd)
 		// But passes without RequireCerts.
 		if _, err := VerifyChain(b.blocks, VerifyOptions{}); err != nil {
 			t.Fatalf("weak verification should pass: %v", err)
@@ -366,8 +363,44 @@ func TestVerifyChainDetectsTampering(t *testing.T) {
 		if _, err := VerifyChain(b.blocks, VerifyOptions{RequireCerts: true, AllowUncertifiedTail: 1}); err != nil {
 			t.Fatalf("uncertified tip should be tolerated: %v", err)
 		}
-		if _, err := VerifyChain(b.blocks, VerifyOptions{RequireCerts: true}); err == nil {
-			t.Fatal("uncertified tip must fail with no tail allowance")
+		expect(t, b.blocks, VerifyOptions{RequireCerts: true}, ErrVerifyUncertifd)
+	})
+	t.Run("cert with a garbage signature", func(t *testing.T) {
+		b := build()
+		b.blocks[2].Cert.Sigs[0].Sig = garbage
+		expect(t, b.blocks, VerifyOptions{}, ErrVerifyCert)
+	})
+	t.Run("cert quorum reached only by a repeated signer", func(t *testing.T) {
+		b := build()
+		cert := &b.blocks[2].Cert
+		cert.Sigs = append(cert.Sigs[:len(cert.Sigs)-1], cert.Sigs[0])
+		if cert.Count() != b.view.CertQuorum() {
+			t.Fatalf("premise: %d signatures, want %d", cert.Count(), b.view.CertQuorum())
+		}
+		expect(t, b.blocks, VerifyOptions{}, ErrVerifyCert)
+	})
+	// Proofs are checked on up to GOMAXPROCS goroutines: a long chain puts
+	// its last block on a worker other than the caller's.
+	long := func() *chainBuilder {
+		b := newChainBuilder(t, 4)
+		for i := 0; i < 4*runtime.GOMAXPROCS(0)+1; i++ {
+			b.addBlock("tx", 1)
+		}
+		return b
+	}
+	t.Run("long chain with a bad last proof", func(t *testing.T) {
+		b := long()
+		b.blocks[len(b.blocks)-1].Body.Proof.Sigs[0].Sig = garbage
+		expect(t, b.blocks, VerifyOptions{}, ErrVerifyProof)
+	})
+	t.Run("the lowest of two bad proofs is reported", func(t *testing.T) {
+		b := long()
+		b.blocks[2].Body.Proof.Sigs[0].Sig = garbage
+		b.blocks[len(b.blocks)-1].Body.Proof.Sigs[0].Sig = garbage
+		for range 20 {
+			if _, err := VerifyChain(b.blocks, VerifyOptions{}); !errors.Is(err, ErrVerifyProof) || !strings.Contains(err.Error(), "block 2:") {
+				t.Fatalf("VerifyChain: %v, want a proof error naming block 2", err)
+			}
 		}
 	})
 }
@@ -399,24 +432,24 @@ func TestVerifyChainRejectsBadUpdates(t *testing.T) {
 		b := newChainBuilder(t, 4)
 		blk := b.reconfigure([]int32{0, 1, 2, 3}, nil, false)
 		blk.Body.Update.Keys = blk.Body.Update.Keys[:1] // below n-f
-		if _, err := VerifyChain(b.blocks, VerifyOptions{}); err == nil {
-			t.Fatal("sub-quorum keys must fail")
+		if _, err := VerifyChain(b.blocks, VerifyOptions{}); !errors.Is(err, ErrVerifyUpdate) {
+			t.Fatalf("sub-quorum keys: %v, want %v", err, ErrVerifyUpdate)
 		}
 	})
 	t.Run("key certified for wrong view", func(t *testing.T) {
 		b := newChainBuilder(t, 4)
 		blk := b.reconfigure([]int32{0, 1, 2, 3}, nil, false)
 		blk.Body.Update.Keys[0].ViewID = 7
-		if _, err := VerifyChain(b.blocks, VerifyOptions{}); err == nil {
-			t.Fatal("wrong-view key must fail")
+		if _, err := VerifyChain(b.blocks, VerifyOptions{}); !errors.Is(err, ErrVerifyUpdate) {
+			t.Fatalf("wrong-view key: %v, want %v", err, ErrVerifyUpdate)
 		}
 	})
 	t.Run("key with forged certification", func(t *testing.T) {
 		b := newChainBuilder(t, 4)
 		blk := b.reconfigure([]int32{0, 1, 2, 3}, nil, false)
 		blk.Body.Update.Keys[0].PermanentSig = make([]byte, crypto.SignatureSize)
-		if _, err := VerifyChain(b.blocks, VerifyOptions{}); err == nil {
-			t.Fatal("forged key certification must fail")
+		if _, err := VerifyChain(b.blocks, VerifyOptions{}); !errors.Is(err, ErrVerifyUpdate) {
+			t.Fatalf("forged key certification: %v, want %v", err, ErrVerifyUpdate)
 		}
 	})
 }

@@ -114,6 +114,37 @@ func TestVerifyDecisionProofRejections(t *testing.T) {
 	}
 }
 
+// TestDecisionProofAndPersistCertificateDoNotMix: the same replicas sign
+// a block's decision proof (ACCEPTs over the instance/epoch/digest vote) and
+// its certificate (PERSISTs over the digest alone). A signature of one kind
+// never counts toward a certificate of the other.
+func TestDecisionProofAndPersistCertificateDoNotMix(t *testing.T) {
+	const ctxPersist = "smartchain/persist/v1" // blockchain.ContextPersist
+	s := newSim(t, 8, 4, time.Second, nil)
+	s.startAll(0, []byte("v"))
+	s.run(s.allDecided(1))
+	v, d := s.ms[0].cfg.View, s.decided[0][0]
+	digest := crypto.HashBytes(d.Value)
+
+	if got := d.Proof.CountValid(v, ctxAccept, digest, AcceptSignedMessage(d.Instance, d.Epoch, digest)); got < v.Quorum() {
+		t.Fatalf("premise: the proof counts %d ACCEPTs, want at least %d", got, v.Quorum())
+	}
+	if got := d.Proof.CountValid(v, ctxPersist, digest, digest[:]); got != 0 {
+		t.Fatalf("ACCEPT signatures count %d toward a PERSIST certificate, want 0", got)
+	}
+
+	persist := crypto.Certificate{Digest: digest}
+	for i, key := range s.keys {
+		persist.Add(crypto.Signature{Signer: int32(i), Sig: key.MustSign(ctxPersist, digest[:])})
+	}
+	if got := persist.CountValid(v, ctxPersist, digest, digest[:]); got != len(s.keys) {
+		t.Fatalf("premise: the certificate counts %d PERSISTs, want %d", got, len(s.keys))
+	}
+	if err := VerifyDecisionProof(v, d.Instance, d.Epoch, digest, &persist, 1); err == nil {
+		t.Fatal("PERSIST signatures passed as a decision proof")
+	}
+}
+
 func TestMessageEncodingRoundTrips(t *testing.T) {
 	key := crypto.SeededKeyPair("enc", 1)
 	digest := crypto.HashBytes([]byte("v"))

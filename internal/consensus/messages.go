@@ -65,10 +65,10 @@ func SignAccept(key *crypto.KeyPair, instance, epoch int64, digest crypto.Hash) 
 // makes a single replica's log trustworthy: every logged value carries the
 // cryptographic evidence that it was decided (paper Observation 2).
 //
-// Counting is tolerant: signatures from unknown signers (e.g. members whose
-// fresh keys were announced out-of-band rather than recorded on-chain),
-// duplicates, and invalid signatures are skipped rather than rejected —
-// garbage cannot help an adversary reach the quorum of valid signatures.
+// Counting is Certificate.CountValid's tolerant rule: signatures from
+// unknown signers (e.g. members whose fresh keys were announced out-of-band
+// rather than recorded on-chain), duplicates, and invalid signatures are
+// skipped rather than rejected.
 func VerifyDecisionProof(keys crypto.KeyResolver, instance, epoch int64, digest crypto.Hash, proof *crypto.Certificate, quorum int) error {
 	if proof == nil {
 		return fmt.Errorf("consensus: nil decision proof")
@@ -76,24 +76,7 @@ func VerifyDecisionProof(keys crypto.KeyResolver, instance, epoch int64, digest 
 	if proof.Digest != digest {
 		return fmt.Errorf("consensus: proof digest mismatch")
 	}
-	msg := AcceptSignedMessage(instance, epoch, digest)
-	seen := make(map[int32]bool, len(proof.Sigs))
-	valid := 0
-	for _, s := range proof.Sigs {
-		if seen[s.Signer] {
-			continue
-		}
-		pub, ok := keys.PublicKeyOf(s.Signer)
-		if !ok {
-			continue
-		}
-		if !crypto.Verify(pub, ctxAccept, msg, s.Sig) {
-			continue
-		}
-		seen[s.Signer] = true
-		valid++
-	}
-	if valid < quorum {
+	if valid := proof.CountValid(keys, ctxAccept, digest, AcceptSignedMessage(instance, epoch, digest)); valid < quorum {
 		return fmt.Errorf("consensus: proof has %d valid signatures, need %d", valid, quorum)
 	}
 	return nil

@@ -33,10 +33,6 @@ type ClusterConfig struct {
 	// SessionGCBlocks is the per-client executed-record GC horizon in
 	// blocks (0 disables), identical on every replica.
 	SessionGCBlocks int64
-	// ReadParkTimeout / ReadParkLimit mirror Config: the bound on parking
-	// unordered reads whose ReadFloor is ahead of the executed height.
-	ReadParkTimeout time.Duration
-	ReadParkLimit   int
 	// DiskFactory models each replica's storage device (nil = no device
 	// timing; storage is still crash-consistent).
 	DiskFactory func() *storage.SimDisk
@@ -410,8 +406,6 @@ func (c *Cluster) startNode(cn *ClusterNode, initialKey *crypto.KeyPair, syncPee
 		Pipeline:            c.cfg.Pipeline,
 		PipelineDepth:       c.cfg.PipelineDepth,
 		SessionGCBlocks:     c.cfg.SessionGCBlocks,
-		ReadParkTimeout:     c.cfg.ReadParkTimeout,
-		ReadParkLimit:       c.cfg.ReadParkLimit,
 		MaxBatch:            c.cfg.MaxBatch,
 		ConsensusTimeout:    c.cfg.ConsensusTimeout,
 		SyncPeers:           syncPeers,

@@ -163,13 +163,6 @@ type Config struct {
 	// (and from every checkpoint envelope, so replicas stay identical).
 	// 0 disables eviction — records then live for the process lifetime.
 	SessionGCBlocks int64
-	// ReadParkTimeout bounds how long an unordered read whose ReadFloor is
-	// above the executed height is parked before answering "behind" (the
-	// client then falls back to an ordered read). 0 = 1 s.
-	ReadParkTimeout time.Duration
-	// ReadParkLimit bounds the park queue; overflow answers "behind"
-	// immediately. 0 = 256.
-	ReadParkLimit int
 	// MaxBatch caps requests per block; 0 uses the genesis value.
 	MaxBatch int
 	// ConsensusTimeout is the leader-progress timeout.
@@ -330,12 +323,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.ConsensusTimeout <= 0 {
 		cfg.ConsensusTimeout = 500 * time.Millisecond
 	}
-	if cfg.ReadParkTimeout <= 0 {
-		cfg.ReadParkTimeout = DefaultReadParkTimeout
-	}
-	if cfg.ReadParkLimit <= 0 {
-		cfg.ReadParkLimit = DefaultReadParkLimit
-	}
 	if cfg.CatchupChunkBytes <= 0 {
 		cfg.CatchupChunkBytes = storage.DefaultChunkBytes
 	}
@@ -397,7 +384,7 @@ func (n *Node) Start() error {
 	}
 	n.logger = smr.NewDurableLogger(n.cfg.Log, n.cfg.Storage)
 	n.tail = newTail(n.cfg.Persistence == PersistenceStrong, n.cfg.Self,
-		n.cfg.ReadParkTimeout, n.cfg.ReadParkLimit, n.ledger.Height(), n.View())
+		DefaultReadParkTimeout, DefaultReadParkLimit, n.ledger.Height(), n.View())
 
 	n.loops.Add(4)
 	go n.tailLoop()

@@ -440,8 +440,8 @@ func TestConfigFieldBudget(t *testing.T) {
 		typ    reflect.Type
 		budget int
 	}{
-		{reflect.TypeOf(Config{}), 23},
-		{reflect.TypeOf(ClusterConfig{}), 24},
+		{reflect.TypeOf(Config{}), 21},
+		{reflect.TypeOf(ClusterConfig{}), 22},
 	} {
 		if n := c.typ.NumField(); n > c.budget {
 			t.Errorf("%s has %d fields, budget %d: justify the new field in DESIGN.md \"Knobs\" "+

@@ -68,7 +68,7 @@ func newDriverRig(t *testing.T, self int32, timeout time.Duration, pipeline bool
 		t.Fatal(err)
 	}
 	n.logger = smr.NewDurableLogger(n.cfg.Log, n.cfg.Storage)
-	n.tail = newTail(n.cfg.Persistence == PersistenceStrong, n.cfg.Self, n.cfg.ReadParkTimeout, n.cfg.ReadParkLimit, n.ledger.Height(), n.View())
+	n.tail = newTail(n.cfg.Persistence == PersistenceStrong, n.cfg.Self, DefaultReadParkTimeout, DefaultReadParkLimit, n.ledger.Height(), n.View())
 	t.Cleanup(n.Stop)
 	r.n, r.view = n, n.View()
 	for id := range cons {

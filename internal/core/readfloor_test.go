@@ -25,9 +25,8 @@ func newRawReadClient(t *testing.T, c *Cluster) *rawReadClient {
 	return &rawReadClient{ep: c.ClientEndpoint(), key: crypto.SeededKeyPair("raw-read", 7)}
 }
 
-// send issues one unordered balance query with the given floor to one
-// replica and returns immediately.
-func (r *rawReadClient) send(t *testing.T, to int32, floor int64, addr crypto.PublicKey) smr.Request {
+// sign builds one unordered balance query with the given floor.
+func (r *rawReadClient) sign(t *testing.T, floor int64, addr crypto.PublicKey) smr.Request {
 	t.Helper()
 	r.seq++
 	req, err := smr.NewSignedUnordered(int64(r.ep.ID()), r.seq, floor,
@@ -35,9 +34,22 @@ func (r *rawReadClient) send(t *testing.T, to int32, floor int64, addr crypto.Pu
 	if err != nil {
 		t.Fatalf("sign read: %v", err)
 	}
+	return req
+}
+
+// post sends req to one replica and returns immediately.
+func (r *rawReadClient) post(t *testing.T, to int32, req smr.Request) {
+	t.Helper()
 	if err := r.ep.Send(to, smr.MsgRequest, req.Encode()); err != nil {
 		t.Fatalf("send read: %v", err)
 	}
+}
+
+// send signs and posts one query.
+func (r *rawReadClient) send(t *testing.T, to int32, floor int64, addr crypto.PublicKey) smr.Request {
+	t.Helper()
+	req := r.sign(t, floor, addr)
+	r.post(t, to, req)
 	return req
 }
 
@@ -78,10 +90,13 @@ func (r *rawReadClient) await(t *testing.T, timeout time.Duration, reqs ...smr.R
 // at height H produces NO reply until the next block commits, then the
 // parked read is served from the post-commit state — the replica-side half
 // of read-your-writes.
+//
+// The park lasts DefaultReadParkTimeout (1 s): the pause plus one commit
+// must fit well inside it, so the pause is short. Parking, not the pause,
+// is what the reply's tag height and balance prove below: a read answered
+// before the commit would carry height h and balance 100.
 func TestReadFloorParksUntilCommit(t *testing.T) {
-	c, minter := testCluster(t, 4, func(cfg *ClusterConfig) {
-		cfg.ReadParkTimeout = 10 * time.Second // park must outlive the test's pause
-	})
+	c, minter := testCluster(t, 4, nil)
 	p := registeredClient(t, c, minter)
 	defer p.Close()
 
@@ -93,7 +108,7 @@ func TestReadFloorParksUntilCommit(t *testing.T) {
 
 	raw := newRawReadClient(t, c)
 	req := raw.send(t, 0, h+1, minter.Public())
-	if rep, ok := raw.await(t, 400*time.Millisecond, req); ok {
+	if rep, ok := raw.await(t, 150*time.Millisecond, req); ok {
 		t.Fatalf("read at floor %d answered while replica is at height %d: %+v", h+1, h, rep)
 	}
 
@@ -121,12 +136,10 @@ func TestReadFloorParksUntilCommit(t *testing.T) {
 }
 
 // TestReadFloorParkTimeoutAnswersBehind: a floor no commit will reach
-// expires after ReadParkTimeout with a ReplyFlagBehind reply — the signal
-// the client's ordered fallback keys on.
+// expires after DefaultReadParkTimeout with a ReplyFlagBehind reply — the
+// signal the client's ordered fallback keys on.
 func TestReadFloorParkTimeoutAnswersBehind(t *testing.T) {
-	c, minter := testCluster(t, 4, func(cfg *ClusterConfig) {
-		cfg.ReadParkTimeout = 200 * time.Millisecond
-	})
+	c, minter := testCluster(t, 4, nil)
 	p := registeredClient(t, c, minter)
 	defer p.Close()
 	mint(t, p, 1, 100)
@@ -147,32 +160,35 @@ func TestReadFloorParkTimeoutAnswersBehind(t *testing.T) {
 
 // TestReadFloorParkOverflowAnswersBehind: the park queue is bounded; a
 // full queue answers behind immediately instead of buffering without
-// limit.
+// limit. DefaultReadParkLimit+1 reads with an unreachable floor: until the
+// first of them could expire, exactly one is answered, behind.
 func TestReadFloorParkOverflowAnswersBehind(t *testing.T) {
-	c, minter := testCluster(t, 4, func(cfg *ClusterConfig) {
-		cfg.ReadParkTimeout = 10 * time.Second
-		cfg.ReadParkLimit = 2
-	})
+	c, minter := testCluster(t, 4, nil)
 	p := registeredClient(t, c, minter)
 	defer p.Close()
 	mint(t, p, 1, 100)
 
 	raw := newRawReadClient(t, c)
-	r1 := raw.send(t, 0, 1_000_000, minter.Public())
-	r2 := raw.send(t, 0, 1_000_000, minter.Public())
-	r3 := raw.send(t, 0, 1_000_000, minter.Public())
+	reqs := make([]smr.Request, DefaultReadParkLimit+1)
+	for i := range reqs {
+		reqs[i] = raw.sign(t, 1_000_000, minter.Public())
+	}
+	// No read parks before it is sent, so none expires before this.
+	expiry := time.Now().Add(DefaultReadParkTimeout)
+	for i := range reqs {
+		raw.post(t, 0, reqs[i])
+	}
 	// Requests are verified asynchronously, so WHICH read finds the queue
-	// full is not send order. The protocol fact: two park (no reply) and
-	// exactly one overflows and is answered behind promptly.
-	rep, ok := raw.await(t, 2*time.Second, r1, r2, r3)
-	if !ok || rep.Flags&smr.ReplyFlagBehind == 0 {
-		t.Fatalf("overflowing read not answered behind: ok=%v rep=%+v", ok, rep)
+	// full is not send order.
+	rep, ok := raw.await(t, time.Until(expiry), reqs...)
+	if !ok || !time.Now().Before(expiry) || rep.Flags&smr.ReplyFlagBehind == 0 {
+		t.Fatalf("overflowing read not answered behind before the parked ones expire: ok=%v rep=%+v", ok, rep)
 	}
 	if len(rep.Result) != 0 {
 		t.Fatalf("behind reply carries a result: %q", rep.Result)
 	}
-	if extra, ok := raw.await(t, 400*time.Millisecond, r1, r2, r3); ok {
-		t.Fatalf("a second read was answered while the park queue holds two: %+v", extra)
+	if extra, ok := raw.await(t, time.Until(expiry), reqs...); ok && time.Now().Before(expiry) {
+		t.Fatalf("a second read was answered while the park queue holds the rest: %+v", extra)
 	}
 }
 

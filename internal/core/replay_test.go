@@ -287,20 +287,18 @@ func TestReplayRejectsRecordContradictingExecution(t *testing.T) {
 		tampered := append([]blockchain.Block(nil), honest[:3]...)
 		tampered[2].Body.Update = &u
 		genesis := blockchain.GenesisBlock(&c.Genesis)
-		anchor := blockchain.RangeAnchor{
-			Hash:           genesis.Hash(),
-			LastCheckpoint: -1,
-			View:           c.Genesis.InitialView(),
-			Permanent:      c.Genesis.PermanentKeys(),
+		anchor, err := blockchain.GenesisAnchor(&genesis)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := blockchain.VerifyRange(anchor, tampered, 0); err != nil {
+		if _, err := blockchain.VerifyRange(anchor, tampered); err != nil {
 			t.Fatalf("premise: chain verification should accept the altered update: %v", err)
 		}
 
 		app := coin.NewService([]crypto.PublicKey{minter.Public()})
 		n := bareNode(t, c, storage.NewMemLog(), app)
 		f := nodeFetcher{n}
-		err := f.ApplyBlocks(tampered)
+		err = f.ApplyBlocks(tampered)
 		if err == nil || !strings.Contains(err.Error(), "block 3") || !strings.Contains(err.Error(), "view update") {
 			t.Fatalf("applying the altered range: %v, want a view-update mismatch naming block 3", err)
 		}
@@ -312,7 +310,7 @@ func TestReplayRejectsRecordContradictingExecution(t *testing.T) {
 		if err := f.ApplyBlocks(honest); err != nil {
 			t.Fatalf("honest range after the rejected one: %v", err)
 		}
-		after, err := blockchain.VerifyRange(anchor, honest, 0)
+		after, err := blockchain.VerifyRange(anchor, honest)
 		if err != nil {
 			t.Fatal(err)
 		}

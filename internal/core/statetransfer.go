@@ -397,7 +397,7 @@ func (f nodeFetcher) VerifyBlocks(env *catchup.Envelope, blocks []blockchain.Blo
 		View:           me.View,
 		Permanent:      me.PermKeys,
 	}
-	_, err = blockchain.VerifyRange(anchor, blocks, 0)
+	_, err = blockchain.VerifyRange(anchor, blocks)
 	return err
 }
 
@@ -458,7 +458,7 @@ func (f nodeFetcher) ApplyBlocks(blocks []blockchain.Block) error {
 		View:           v,
 		Permanent:      perms,
 	}
-	if _, err := blockchain.VerifyRange(anchor, blocks, 0); err != nil {
+	if _, err := blockchain.VerifyRange(anchor, blocks); err != nil {
 		return err
 	}
 	return f.ReplayBlocks(blocks)

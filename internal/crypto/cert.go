@@ -56,43 +56,17 @@ func (c *Certificate) Signers() []int32 {
 	return ids
 }
 
-// Verify checks that the certificate carries at least quorum valid signatures
-// from distinct signers over digest, each verifying under keys and context.
-func (c *Certificate) Verify(keys KeyResolver, context string, digest Hash, quorum int) error {
-	if c.Digest != digest {
-		return fmt.Errorf("%w: have %s want %s", ErrDigestMismatch, c.Digest.Short(), digest.Short())
-	}
-	seen := make(map[int32]bool, len(c.Sigs))
-	valid := 0
-	for _, s := range c.Sigs {
-		if seen[s.Signer] {
-			return fmt.Errorf("%w: signer %d", ErrDuplicateSigner, s.Signer)
-		}
-		seen[s.Signer] = true
-		pub, ok := keys.PublicKeyOf(s.Signer)
-		if !ok {
-			return fmt.Errorf("%w: signer %d", ErrUnknownSigner, s.Signer)
-		}
-		if !Verify(pub, context, digest[:], s.Sig) {
-			return fmt.Errorf("%w: signer %d", ErrBadSignature, s.Signer)
-		}
-		valid++
-	}
-	if valid < quorum {
-		return fmt.Errorf("%w: have %d need %d", ErrQuorumNotMet, valid, quorum)
-	}
-	return nil
-}
-
-// CountValid counts distinct signers whose signatures verify over digest
-// under keys and context, skipping (rather than rejecting) unknown signers,
-// duplicates, and invalid signatures. Chain verifiers use this tolerant
-// counting: a certificate needs a quorum of *valid* signatures, and extra
-// garbage cannot help an adversary. (Replicas that announced fresh keys
-// after a reconfiguration may contribute signatures a third-party verifier
-// cannot check; those are simply not counted — the paper's n−f recorded
-// keys guarantee a verifiable quorum exists.)
-func (c *Certificate) CountValid(keys KeyResolver, context string, digest Hash) int {
+// CountValid counts distinct signers whose signatures over msg verify under
+// keys and context, or returns 0 if the certificate is not for digest.
+// msg is what the certificate's kind signs for digest: the digest itself for
+// a block certificate, the (instance, epoch, digest) vote for a decision
+// proof. Unknown signers, duplicates and invalid signatures are skipped,
+// not rejected: a certificate needs a quorum of *valid* signatures, and
+// extra garbage cannot help an adversary. (Replicas that announced fresh
+// keys after a reconfiguration may contribute signatures a third-party
+// verifier cannot check; those are simply not counted — the paper's n−f
+// recorded keys guarantee a verifiable quorum exists.)
+func (c *Certificate) CountValid(keys KeyResolver, context string, digest Hash, msg []byte) int {
 	if c.Digest != digest {
 		return 0
 	}
@@ -103,10 +77,7 @@ func (c *Certificate) CountValid(keys KeyResolver, context string, digest Hash) 
 			continue
 		}
 		pub, ok := keys.PublicKeyOf(s.Signer)
-		if !ok {
-			continue
-		}
-		if !Verify(pub, context, digest[:], s.Sig) {
+		if !ok || !Verify(pub, context, msg, s.Sig) {
 			continue
 		}
 		seen[s.Signer] = true

@@ -21,14 +21,10 @@ const (
 	SeedSize       = ed25519.SeedSize
 )
 
-// Errors returned by signature and certificate verification.
+// Errors returned by key certification and signing.
 var (
-	ErrBadSignature    = errors.New("invalid signature")
-	ErrUnknownSigner   = errors.New("unknown signer")
-	ErrQuorumNotMet    = errors.New("certificate quorum not met")
-	ErrDigestMismatch  = errors.New("certificate digest mismatch")
-	ErrDuplicateSigner = errors.New("duplicate signer in certificate")
-	ErrKeyErased       = errors.New("private key has been erased")
+	ErrBadSignature = errors.New("invalid signature")
+	ErrKeyErased    = errors.New("private key has been erased")
 )
 
 // PublicKey is an Ed25519 public key identifying a process or a per-view

@@ -52,7 +52,11 @@ type VerifierPool struct {
 	workers int
 	jobs    chan verifyJob
 	wg      sync.WaitGroup
-	stopped chan struct{}
+
+	// mu orders Submit's channel send against Close's channel close: a send
+	// holds the read lock, Close takes the write lock before closing.
+	mu     sync.RWMutex
+	closed bool
 }
 
 type verifyJob struct {
@@ -78,8 +82,7 @@ func NewVerifierPool(mode VerifyMode, workers int) *VerifierPool {
 		workers: workers,
 		// Room for a burst of every client's window: a full queue blocks the
 		// dispatch goroutine that submits.
-		jobs:    make(chan verifyJob, 1024),
-		stopped: make(chan struct{}),
+		jobs: make(chan verifyJob, 1024),
 	}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
@@ -121,19 +124,17 @@ func (p *VerifierPool) worker() {
 }
 
 // Submit queues req for verification; out is called with the verdict from a
-// worker goroutine. Returns false if the pool is closed.
+// worker goroutine. Returns false if the pool is closed. A full queue blocks
+// until a worker takes a job; the workers keep draining while Close waits
+// for such a send.
 func (p *VerifierPool) Submit(req Request, out func(Request, bool)) bool {
-	select {
-	case <-p.stopped:
-		return false
-	default:
-	}
-	select {
-	case p.jobs <- verifyJob{req: req, out: out}:
-		return true
-	case <-p.stopped:
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.closed {
 		return false
 	}
+	p.jobs <- verifyJob{req: req, out: out}
+	return true
 }
 
 // VerifyBatch synchronously verifies the signatures of reqs according to the
@@ -171,12 +172,13 @@ func (p *VerifierPool) Mode() VerifyMode { return p.mode }
 
 // Close stops the workers. Pending jobs are completed first.
 func (p *VerifierPool) Close() {
-	select {
-	case <-p.stopped:
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
 		return
-	default:
 	}
-	close(p.stopped)
+	p.closed = true
+	p.mu.Unlock()
 	close(p.jobs)
 	p.wg.Wait()
 }

@@ -1,6 +1,8 @@
 package smr
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"smartchain/internal/crypto"
@@ -102,6 +104,37 @@ func TestVerifierPoolDrainedBatchKeepsEachVerdict(t *testing.T) {
 		i := int(v[0]) - 1
 		if want := i%37 != 0; (v[1] == 1) != want {
 			t.Fatalf("request %d verdict %v, want %v", i, v[1] == 1, want)
+		}
+	}
+}
+
+// TestVerifierPoolSubmitRacingClose: submissions racing Close (and a second
+// Close) neither panic nor lose a job — every Submit that reported true has
+// had its callback by the time Close returns.
+func TestVerifierPoolSubmitRacingClose(t *testing.T) {
+	for round := 0; round < 2000; round++ {
+		p := NewVerifierPool(VerifyNone, 1)
+		var accepted, done atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for p.Submit(Request{}, func(Request, bool) { done.Add(1) }) {
+					accepted.Add(1)
+				}
+			}()
+		}
+		closed := make(chan struct{})
+		go func() {
+			defer close(closed)
+			p.Close()
+		}()
+		p.Close()
+		<-closed
+		wg.Wait()
+		if a, d := accepted.Load(), done.Load(); a != d {
+			t.Fatalf("round %d: %d jobs accepted, %d completed by Close", round, a, d)
 		}
 	}
 }
