@@ -37,7 +37,7 @@ func run() error {
 	}
 	defer cluster.Stop()
 	// The proxy tracks the consortium's membership on its own: every reply
-	// piggybacks a signed view tag, and a quorum of tags disagreeing with
+	// piggybacks a view tag, and a quorum of tags disagreeing with
 	// the proxy's view triggers a view query. No SetMembers calls below —
 	// the client rides through both reconfigurations untouched.
 	proxy := smartchain.NewClient(cluster.ClientEndpoint(), minter, cluster.Members())

@@ -16,7 +16,7 @@
 //     without consuming a consensus instance; the reply quorum alone
 //     makes the result trustworthy (BFT-SMaRt's unordered requests).
 //
-// The proxy is self-healing: every reply piggybacks a signed view tag
+// The proxy is self-healing: every reply piggybacks a view tag
 // (view ID, epoch, membership hash, executed height), and when a quorum of
 // tags disagrees with the proxy's membership it fetches the installed view
 // with a view-query message, adopts it, and re-targets every in-flight

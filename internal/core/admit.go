@@ -128,7 +128,7 @@ func (n *Node) admit(reqs []smr.Request) {
 	}
 }
 
-// validProposal is the consensus Validate hook, run on a vote-pool worker
+// validProposal is the consensus Validate hook, run on a verification-pool worker
 // for a PROPOSE (consensus.PreVerify) and inline otherwise: the value must
 // decode as a batch of orderable requests, so a batch smuggling an unordered
 // request never gathers an honest vote quorum. Under VerifyParallel, where

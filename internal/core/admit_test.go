@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"smartchain/internal/coin"
+	"smartchain/internal/consensus"
 	"smartchain/internal/crypto"
 	"smartchain/internal/smr"
 )
@@ -140,5 +141,45 @@ func TestForgedRequestFloodToFollowersDeposesNobody(t *testing.T) {
 		if got := cn.Node.batcher.Pending(); got != 0 {
 			t.Errorf("replica %d: %d requests pending", id, got)
 		}
+	}
+}
+
+// The flood's protocol fact on the driver rig's virtual clock: a
+// VerifyParallel follower holding only forged requests reaches its progress
+// deadline, and the deadline's HasPending flushes them (admit) into a
+// batcher that stays empty — so it starts no epoch change, and its
+// unverified set ends up empty.
+func TestFollowerHoldingOnlyForgedRequestsStartsNoEpochChange(t *testing.T) {
+	const timeout = time.Second
+	r := newDriverRig(t, 1, timeout, true, smr.VerifyParallel) // replica 0 leads
+	minter := crypto.SeededKeyPair("flood", 1)
+	tx, err := coin.NewMint(minter, 99, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const forged = 5 // fewer than MaxBatch: no flush before the deadline
+	for seq := uint64(1); seq <= forged; seq++ {
+		r.n.enqueueRequest(smr.Request{ClientID: 7, Seq: seq, Op: WrapAppOp(tx.Encode()), PubKey: minter.Public(),
+			Sig: bytes.Repeat([]byte{byte(seq)}, crypto.SignatureSize)})
+	}
+	if got := r.n.unverified.size(); got != forged {
+		t.Fatalf("the follower holds %d unverified requests, want %d", got, forged)
+	}
+
+	r.now = r.now.Add(timeout + time.Millisecond) // past slot 1's progress deadline
+	r.n.onTimer(r.now)
+	for _, m := range r.ep.sent {
+		if m.Type == consensus.MsgEpochStop {
+			t.Fatal("an EPOCH-STOP left the follower: a forged request counted as pending work")
+		}
+	}
+	if got := r.n.Stats().EpochChanges; got != 0 {
+		t.Fatalf("%d regencies installed, want 0", got)
+	}
+	if got := r.n.unverified.size(); got != 0 {
+		t.Fatalf("%d requests still held unverified after the deadline", got)
+	}
+	if got := r.n.batcher.Pending(); got != 0 {
+		t.Fatalf("%d forged requests pending", got)
 	}
 }

@@ -200,8 +200,7 @@ type Node struct {
 	ledger   *blockchain.Ledger
 	logger   *smr.DurableLogger
 	batcher  *smr.Batcher
-	verifier *smr.VerifierPool
-	votePool *crypto.VerifyPool
+	verifier *smr.VerifierPool // the one verification pool: requests, reads, votes, proposals
 	// unverified holds the ordered requests a replica that does not lead
 	// receives under VerifyParallel until a proposal, a commit or a flush
 	// takes them (admit.go).
@@ -258,13 +257,10 @@ type Node struct {
 	released chan struct{}
 	held     *blockchain.Block
 
-	// Reply view-tag cache (one signature per block, not per reply): readserve.go.
+	// Reply view-tag membership-hash cache: readserve.go.
 	tagMu       sync.Mutex
 	tagHashView int64
 	tagHash     crypto.Hash
-	tagLast     smr.ViewTag
-	tagLastSig  []byte
-	tagSignWarn sync.Once
 	// replies is the BFT-SMaRt-style reply cache: retransmissions of
 	// executed requests are answered from it (replicas never re-order an
 	// executed request), fed by the live commit path and state-transfer
@@ -284,7 +280,6 @@ type Node struct {
 	lastReplyBlock atomic.Int64
 	unorderedReads atomic.Int64
 	stateTransfers atomic.Int64
-	tagSignFails   atomic.Int64
 }
 
 // Errors returned by node operations.
@@ -348,10 +343,8 @@ func NewNode(cfg Config) (*Node, error) {
 		removeTracker: reconfig.NewRemoveTracker(),
 		ledger:        blockchain.NewLedger(cfg.Genesis),
 		batcher:       smr.NewBatcher(cfg.MaxBatch),
-		// 0 workers = GOMAXPROCS (VerifySequential still pins the request
-		// pool to one).
+		// The one verification pool, GOMAXPROCS workers in every mode.
 		verifier:    smr.NewVerifierPool(cfg.Verify, 0),
-		votePool:    crypto.NewVerifyPool(0, 0),
 		unverified:  newUnverifiedSet(cfg.MaxBatch),
 		source:      catchup.NewPool(catchup.Config{PeerTimeout: cfg.CatchupPeerTimeout}),
 		syncReplies: make(chan catchup.Response, 256), // a full wave's replies from a few dozen donors
@@ -406,7 +399,6 @@ func (n *Node) Stop() {
 		n.batcher.Close()
 		n.loops.Wait() // tailLoop before the logger: its last callbacks find nobody to post to
 		n.verifier.Close()
-		n.votePool.Close()
 		if n.logger != nil {
 			n.logger.Close()
 		}
@@ -460,12 +452,6 @@ type Stats struct {
 	// state on this replica — the accounting that lets tests prove a
 	// stale-campaigner resync rejoined live ordering WITHOUT one.
 	StateTransfers int64
-	// TagSignFailures counts reply view-tag signing failures. Self-healing
-	// clients discard replies with missing/invalid tag signatures, so a
-	// replica whose permanent key breaks degrades into a silent
-	// non-contributor to every reply quorum — this counter is what makes
-	// that failure observable instead of invisible.
-	TagSignFailures int64
 	// Catchup reports what the state-transfer pool did: chunks and ranges
 	// fetched, donors used and banned, work reassigned, bytes moved.
 	Catchup catchup.Stats
@@ -474,16 +460,15 @@ type Stats struct {
 // Stats returns current counters.
 func (n *Node) Stats() Stats {
 	return Stats{
-		ExecutedTxs:     n.executedTxs.Load(),
-		Blocks:          n.blocksBuilt.Load(),
-		ViewChanges:     n.viewChanges.Load(),
-		EpochChanges:    n.epochChanges.Load(),
-		Height:          n.ledger.Height(),
-		UnorderedReads:  n.unorderedReads.Load(),
-		Instances:       n.nextInstance.Load() - 1,
-		StateTransfers:  n.stateTransfers.Load(),
-		TagSignFailures: n.tagSignFails.Load(),
-		Catchup:         n.source.Stats(),
+		ExecutedTxs:    n.executedTxs.Load(),
+		Blocks:         n.blocksBuilt.Load(),
+		ViewChanges:    n.viewChanges.Load(),
+		EpochChanges:   n.epochChanges.Load(),
+		Height:         n.ledger.Height(),
+		UnorderedReads: n.unorderedReads.Load(),
+		Instances:      n.nextInstance.Load() - 1,
+		StateTransfers: n.stateTransfers.Load(),
+		Catchup:        n.source.Stats(),
 	}
 }
 
@@ -550,11 +535,10 @@ func (n *Node) serveUnordered(req smr.Request) {
 			n.sendReadReply(&r, smr.ReplyFlagBehind, nil)
 		}
 	}
-	// Every mode goes through the verifier pool, whose workers implement
-	// the mode's semantics (VerifyNone passes, VerifySequential is one
-	// worker, VerifyParallel is a pool). Crucially, this moves signature
-	// checking AND the state read off the dispatch goroutine: a burst of
-	// reads must never head-of-line-block consensus messages behind it.
+	// Every mode goes through the verification pool (VerifyNone passes the
+	// signature). Crucially, this moves signature checking AND the state
+	// read off the dispatch goroutine: a burst of reads must never
+	// head-of-line-block consensus messages behind it.
 	n.verifier.Submit(req, exec)
 }
 
@@ -581,7 +565,7 @@ func (n *Node) dispatch(m transport.Message) {
 		v := n.curView
 		n.mu.Unlock()
 		if v.Contains(m.From) {
-			consensus.PreVerify(m, v, n.votePool, n.validProposal, func(in consensus.Input) { n.postMessage(v.ID, in) })
+			consensus.PreVerify(m, v, n.verifier.Pool(), n.validProposal, func(in consensus.Input) { n.postMessage(v.ID, in) })
 		}
 	case m.Type == MsgRequest:
 		req, err := smr.DecodeRequest(m.Payload)

@@ -460,15 +460,14 @@ func (n *Node) applyBatch(number, instance, epoch int64, batch *smr.Batch) ([][]
 		}
 	}
 
-	// One signed view tag covers every reply of the block: the tag is a
-	// function of (view, deciding epoch, height) only, so the per-reply
-	// marginal cost is a copy, not a signature. The view is the one the
-	// block was created in — a view update the block itself carries is
-	// installed by closeBlock, after the replies are built.
-	tag, tagSig := n.replyTag(epoch, number)
+	// One view tag covers every reply of the block: the tag is a function
+	// of (view, deciding epoch, height) only. The view is the one the block
+	// was created in — a view update the block itself carries is installed
+	// by closeBlock, after the replies are built.
+	tag := n.replyTag(epoch, number)
 	replies := make([]smr.Reply, len(reqs))
 	for i := range reqs {
-		replies[i] = n.newReply(&reqs[i], tag, tagSig, 0, results[i])
+		replies[i] = n.newReply(&reqs[i], tag, 0, results[i])
 	}
 	n.lastApplied = appliedBatch{number, instance, results, update, replies}
 	return results, update, replies

@@ -49,7 +49,7 @@ type driverRig struct {
 	toNode []transport.Message // what the peers sent the replica, in order
 }
 
-func newDriverRig(t *testing.T, self int32, timeout time.Duration, pipeline bool) *driverRig {
+func newDriverRig(t *testing.T, self int32, timeout time.Duration, pipeline bool, verify smr.VerifyMode) *driverRig {
 	t.Helper()
 	var replicas []blockchain.ReplicaInfo
 	perms, cons := map[int32]*crypto.KeyPair{}, map[int32]*crypto.KeyPair{}
@@ -62,7 +62,7 @@ func newDriverRig(t *testing.T, self int32, timeout time.Duration, pipeline bool
 		Self: self, Genesis: blockchain.Genesis{ChainID: "driver-rig", MaxBatchSize: 8, Replicas: replicas},
 		Permanent: perms[self], InitialConsensusKey: cons[self], Transport: r.ep,
 		App: coin.NewService(nil), Storage: smr.StorageMemory, Pipeline: pipeline, ConsensusTimeout: timeout,
-		Verify: smr.VerifyNone, // the peers propose unsigned requests
+		Verify: verify, // VerifyNone when the peers propose unsigned requests
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +108,8 @@ func (r *driverRig) settlePeers() {
 }
 
 // queue puts the peers' messages to the replica of type typ in its inbox —
-// as dispatch does, minus the vote pool, so they are there on return — and
-// reports how many.
+// as dispatch does, minus the verification pool, so they are there on
+// return — and reports how many.
 func (r *driverRig) queue(typ uint16) int {
 	queued := 0
 	for _, m := range r.toNode {
@@ -128,8 +128,8 @@ func (r *driverRig) queue(typ uint16) int {
 // and nothing campaigns. Stepping the tick first finds slot 1 due with a
 // proposal and broadcasts an EPOCH-STOP against a healthy leader.
 func TestDriverStepsQueuedVotesBeforeTick(t *testing.T) {
-	r := newDriverRig(t, 1, time.Nanosecond, true) // every deadline is due by the next step
-	r.peers[0].Start(r.now, 1, []byte{})           // the leader proposes an empty batch
+	r := newDriverRig(t, 1, time.Nanosecond, true, smr.VerifyNone) // every deadline is due by the next step
+	r.peers[0].Start(r.now, 1, []byte{})                           // the leader proposes an empty batch
 	r.peers[2].Start(r.now, 1, nil)
 	r.peers[3].Start(r.now, 1, nil)
 	r.settlePeers()
@@ -166,7 +166,7 @@ func TestDriverStepsQueuedVotesBeforeTick(t *testing.T) {
 // 0 leads regency 0 — and its effects must go nowhere, not into a machine
 // that is gone; the outcome then halts the window and gives the batch back.
 func TestDriverSeatDroppedMidRoundStepsNoMachine(t *testing.T) {
-	r := newDriverRig(t, 0, time.Minute, true)
+	r := newDriverRig(t, 0, time.Minute, true, smr.VerifyNone)
 	r.n.drive(r.now, event{kind: evSyncAsk, peers: []int32{1}, timeout: time.Minute})
 	if r.n.w.inFlight != fxSync {
 		t.Fatal("no round in flight")
@@ -223,7 +223,7 @@ func (r *driverRig) sentFor(inst int64) bool {
 // asked for during the hold begins after it. A commit that waited for the
 // tail's release inline would block this test's one goroutine for good.
 func TestDriverHeldCommitKeepsSteppingAndStaysSerial(t *testing.T) {
-	r := newDriverRig(t, 1, time.Minute, false)
+	r := newDriverRig(t, 1, time.Minute, false, smr.VerifyNone)
 	batch := testBatch(7, 1, 1)
 	r.peers[0].Start(r.now, 1, batch.Encode())
 	r.peers[2].Start(r.now, 1, nil)

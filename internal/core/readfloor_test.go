@@ -129,10 +129,6 @@ func TestReadFloorParksUntilCommit(t *testing.T) {
 	if rep.Tag.Height < h+1 {
 		t.Fatalf("served reply tagged height %d below floor %d", rep.Tag.Height, h+1)
 	}
-	// The tag is genuinely signed by the serving replica's permanent key.
-	if err := rep.Tag.Verify(0, c.Nodes[0].Permanent.Public(), rep.TagSig); err != nil {
-		t.Fatalf("reply tag signature: %v", err)
-	}
 }
 
 // TestReadFloorParkTimeoutAnswersBehind: a floor no commit will reach

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"os"
 	"time"
 
 	"smartchain/internal/smr"
@@ -17,12 +15,9 @@ const (
 	DefaultReadParkLimit   = 256
 )
 
-// replyTag assembles this replica's signed view tag for a reply at the
-// given (epoch, height). The signature covers only the tag (bound to the
-// replica ID), so it is cached and re-signed only when the view, epoch, or
-// height moves — one Ed25519 signature per committed block instead of one
-// per reply.
-func (n *Node) replyTag(epoch, height int64) (smr.ViewTag, []byte) {
+// replyTag assembles this replica's view tag for a reply at the given
+// (epoch, height). The membership hash is cached per view.
+func (n *Node) replyTag(epoch, height int64) smr.ViewTag {
 	n.mu.Lock()
 	v := n.curView
 	n.mu.Unlock()
@@ -33,36 +28,15 @@ func (n *Node) replyTag(epoch, height int64) (smr.ViewTag, []byte) {
 		n.tagHash = v.MembershipHash()
 		n.tagHashView = v.ID
 	}
-	tag := smr.ViewTag{ViewID: v.ID, Epoch: epoch, MemberHash: n.tagHash, Height: height}
-	if tag == n.tagLast && n.tagLastSig != nil {
-		return tag, n.tagLastSig
-	}
-	sig, err := tag.Sign(n.cfg.Self, n.cfg.Permanent)
-	if err != nil {
-		// A reply with a nil tag signature is discarded by every
-		// self-healing client, so a replica with a broken permanent key
-		// would silently stop contributing to reply quorums. Count every
-		// failure (Stats.TagSignFailures) and say so once on stderr so the
-		// degradation is observable.
-		n.tagSignFails.Add(1)
-		n.tagSignWarn.Do(func() {
-			fmt.Fprintf(os.Stderr,
-				"smartchain: replica %d cannot sign reply view tags (%v); its replies will be discarded by clients\n",
-				n.cfg.Self, err)
-		})
-		return tag, nil
-	}
-	n.tagLast = tag
-	n.tagLastSig = sig
-	return tag, sig
+	return smr.ViewTag{ViewID: v.ID, Epoch: epoch, MemberHash: n.tagHash, Height: height}
 }
 
-// newReply assembles this replica's reply to req under a signed view tag:
-// the one site that fills smr.Reply, for ordered, replayed and unordered
-// answers alike.
-func (n *Node) newReply(req *smr.Request, tag smr.ViewTag, tagSig []byte, flags uint8, result []byte) smr.Reply {
+// newReply assembles this replica's reply to req under a view tag: the one
+// site that fills smr.Reply, for ordered, replayed and unordered answers
+// alike.
+func (n *Node) newReply(req *smr.Request, tag smr.ViewTag, flags uint8, result []byte) smr.Reply {
 	return smr.Reply{ReplicaID: n.cfg.Self, ClientID: req.ClientID, Seq: req.Seq,
-		Digest: req.Digest(), Flags: flags, Tag: tag, TagSig: tagSig, Result: result}
+		Digest: req.Digest(), Flags: flags, Tag: tag, Result: result}
 }
 
 // sendReadReply answers an unordered read at the replica's current view,
@@ -70,8 +44,8 @@ func (n *Node) newReply(req *smr.Request, tag smr.ViewTag, tagSig []byte, flags 
 // ReplyFlagBehind and none. Loss is tolerated: a client that hears nothing,
 // or behind from a quorum, falls back to an ordered read.
 func (n *Node) sendReadReply(r *smr.Request, flags uint8, result []byte) {
-	tag, sig := n.replyTag(max(n.Regency(), 0), n.ledger.Height()) // regency 0 while no engine runs
-	rep := n.newReply(r, tag, sig, flags, result)
+	tag := n.replyTag(max(n.Regency(), 0), n.ledger.Height()) // regency 0 while no engine runs
+	rep := n.newReply(r, tag, flags, result)
 	_ = n.cfg.Transport.Send(int32(r.ClientID), MsgReply, rep.Encode()) //smartlint:allow errdrop unordered-read reply; client falls back to an ordered read
 }
 

@@ -214,7 +214,6 @@ func bareNode(t *testing.T, c *Cluster, log storage.Log, app Application) *Node 
 	t.Cleanup(func() {
 		n.logger.Close()
 		n.verifier.Close()
-		n.votePool.Close()
 		ep.Close()
 	})
 	return n

@@ -415,7 +415,6 @@ func tailNode(t *testing.T) *Node {
 	t.Cleanup(func() {
 		n.logger.Close()
 		n.verifier.Close()
-		n.votePool.Close()
 		ep.Close()
 	})
 	return n

@@ -163,24 +163,40 @@ func clampWorkers(workers, n int) int {
 	return workers
 }
 
-// VerifyPool is a bounded pool of verification workers: asynchronous
-// single-signature checks and whole jobs (a proposal's requests), the
-// mechanism that takes vote and proposal verification off the consensus
-// event loop. TrySubmit and TryGo never block: when the pool is saturated (or
-// closed) they report false and the caller verifies inline, so correctness
-// never depends on the pool keeping up.
+// VerifyPool is a replica's one pool of verification workers, the mechanism
+// that takes signature checks off the dispatch goroutine and the consensus
+// event loop. It runs two kinds of job: one signature check (Submit,
+// TrySubmit) and one whole job (Go, TryGo — a proposal's vetting, a read). A
+// worker takes one job and whatever else is queued, up to maxDrain, decides
+// every signature among them — votes and request envelopes alike — in one
+// batch equation, gives each its own verdict, then runs the whole jobs.
+// TrySubmit and TryGo never block: when the pool is saturated (or closed)
+// they report false and the caller verifies inline, so correctness never
+// depends on the pool keeping up.
 type VerifyPool struct {
-	jobs chan func()
+	jobs chan poolJob
 	wg   sync.WaitGroup
 
-	// mu orders TryGo's channel send against Close's channel close: a send
-	// holds the read lock, Close takes the write lock before closing.
+	// mu orders a send against Close's channel close: a send holds the read
+	// lock, Close takes the write lock before closing.
 	mu     sync.RWMutex
 	closed bool
 }
 
+// poolJob is a signature check (done set) or a whole job (run set).
+type poolJob struct {
+	item batchItem
+	done func(ok bool)
+	run  func()
+}
+
+// maxDrain is the most jobs one worker takes at once, so the most signatures
+// in one batch equation.
+const maxDrain = 64
+
 // NewVerifyPool starts workers goroutines (0 = GOMAXPROCS) draining a queue
-// of queueDepth jobs (0 = a default sized for a pipelined vote burst).
+// of queueDepth jobs (0 = a default sized for a burst of every client's
+// window or a pipelined vote burst).
 func NewVerifyPool(workers, queueDepth int) *VerifyPool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -188,29 +204,92 @@ func NewVerifyPool(workers, queueDepth int) *VerifyPool {
 	if queueDepth <= 0 {
 		queueDepth = 1024
 	}
-	p := &VerifyPool{jobs: make(chan func(), queueDepth)}
+	p := &VerifyPool{jobs: make(chan poolJob, queueDepth)}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		go func() {
-			defer p.wg.Done()
-			for job := range p.jobs {
-				job()
-			}
-		}()
+		go p.worker()
 	}
 	return p
 }
 
-// TrySubmit queues one verification; done runs on a pool worker with the
-// result. Returns false (and does not run done) when the pool is saturated
-// or closed — the caller's cue to verify synchronously.
-func (p *VerifyPool) TrySubmit(pub PublicKey, context string, msg, sig []byte, done func(ok bool)) bool {
-	return p.TryGo(func() { done(Verify(pub, context, msg, sig)) })
+// worker takes one job, then whatever else is queued without waiting, and
+// decides the signatures among them in one equation before it runs the rest.
+func (p *VerifyPool) worker() {
+	defer p.wg.Done()
+	bv := NewBatchVerifier(maxDrain)
+	done := make([]func(bool), 0, maxDrain)
+	var runs []func()
+	for job := range p.jobs {
+		for taken := 1; ; taken++ {
+			if job.run != nil {
+				runs = append(runs, job.run)
+			} else {
+				bv.items = append(bv.items, job.item)
+				done = append(done, job.done)
+			}
+			if taken == maxDrain || !p.poll(&job) {
+				break
+			}
+		}
+		if bv.Verify(1) {
+			for _, d := range done {
+				d(true)
+			}
+		} else {
+			for i, ok := range bv.VerifyEach(1) {
+				done[i](ok)
+			}
+		}
+		for _, run := range runs {
+			run()
+		}
+		clear(bv.items) // drop the messages and callbacks until the next burst
+		clear(done)
+		clear(runs)
+		bv.Reset()
+		done, runs = done[:0], runs[:0]
+	}
 }
 
-// TryGo queues job to run on a pool worker. Returns false (and does not run
-// job) when the pool is saturated or closed.
+// poll takes a queued job into job without waiting.
+func (p *VerifyPool) poll(job *poolJob) bool {
+	select {
+	case j, ok := <-p.jobs:
+		*job = j
+		return ok
+	default:
+		return false
+	}
+}
+
+// Submit queues one verification; done runs on a pool worker with the
+// result. A full queue blocks until a worker takes a job. Returns false (and
+// does not run done) when the pool is closed.
+func (p *VerifyPool) Submit(pub PublicKey, context string, msg, sig []byte, done func(ok bool)) bool {
+	return p.send(poolJob{item: batchItem{pub: pub, context: context, msg: msg, sig: sig}, done: done}, true)
+}
+
+// TrySubmit is Submit that never blocks: it also reports false when the
+// pool is saturated — the caller's cue to verify synchronously.
+func (p *VerifyPool) TrySubmit(pub PublicKey, context string, msg, sig []byte, done func(ok bool)) bool {
+	return p.send(poolJob{item: batchItem{pub: pub, context: context, msg: msg, sig: sig}, done: done}, false)
+}
+
+// Go queues job to run on a pool worker, waiting for room. Returns false
+// (and does not run job) when the pool is closed.
+func (p *VerifyPool) Go(job func()) bool {
+	return p.send(poolJob{run: job}, true)
+}
+
+// TryGo is Go that never blocks: it also reports false when the pool is
+// saturated.
 func (p *VerifyPool) TryGo(job func()) bool {
+	return p.send(poolJob{run: job}, false)
+}
+
+// send queues job, waiting for room if wait is set. The workers keep
+// draining while Close waits for such a send.
+func (p *VerifyPool) send(job poolJob, wait bool) bool {
 	if p == nil {
 		return false
 	}
@@ -218,6 +297,10 @@ func (p *VerifyPool) TryGo(job func()) bool {
 	defer p.mu.RUnlock()
 	if p.closed {
 		return false
+	}
+	if wait {
+		p.jobs <- job
+		return true
 	}
 	select {
 	case p.jobs <- job:

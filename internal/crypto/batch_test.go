@@ -3,6 +3,7 @@ package crypto
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -160,6 +161,74 @@ func TestVerifyPoolSaturationFallsBack(t *testing.T) {
 		t.Fatal("saturated pool must reject TrySubmit")
 	}
 	close(release)
+}
+
+// TestVerifyPoolDrainsMixedKinds pins the pool's one worker and queues
+// behind it votes and request envelopes — two signature contexts, one
+// corrupt signature of each — with a whole job among them. The worker drains
+// them together: every done gets its own verdict, all of them before the
+// whole job runs, and the whole job still runs.
+func TestVerifyPoolDrainsMixedKinds(t *testing.T) {
+	const (
+		voteCtx    = "smartchain/consensus/write/v1" // consensus' WRITE vote context
+		requestCtx = "smartchain/request/v1"         // smr.ContextRequest
+		n          = 16
+	)
+	p := NewVerifyPool(1, 2*n)
+	defer p.Close()
+	pinned, release := make(chan struct{}), make(chan struct{})
+	if !p.TryGo(func() {
+		close(pinned)
+		<-release
+	}) {
+		t.Fatal("pinning job rejected by an idle pool")
+	}
+	<-pinned
+
+	type verdict struct {
+		i  int
+		ok bool
+	}
+	verdicts := make(chan verdict, n)
+	var delivered atomic.Int64
+	bad := map[int]bool{3: true, n/2 + 4: true} // one vote, one request
+	ranAfter := make(chan int64, 1)
+	for i := 0; i < n; i++ {
+		if i == n/2 && !p.TryGo(func() { ranAfter <- delivered.Load() }) {
+			t.Fatal("whole job rejected")
+		}
+		ctx := voteCtx
+		if i >= n/2 {
+			ctx = requestCtx
+		}
+		pub, msg, sig := signedItem(t, int64(i), ctx)
+		if bad[i] {
+			sig = append([]byte(nil), sig...)
+			sig[0] ^= 0xff
+		}
+		submit := p.TrySubmit
+		if i%2 == 1 {
+			submit = p.Submit
+		}
+		i := i
+		if !submit(pub, ctx, msg, sig, func(ok bool) {
+			delivered.Add(1)
+			verdicts <- verdict{i, ok}
+		}) {
+			t.Fatalf("signature job %d rejected", i)
+		}
+	}
+	close(release)
+
+	for k := 0; k < n; k++ {
+		v := <-verdicts
+		if want := !bad[v.i]; v.ok != want {
+			t.Fatalf("job %d verdict %v, want %v", v.i, v.ok, want)
+		}
+	}
+	if got := <-ranAfter; got != n {
+		t.Fatalf("the whole job ran after %d of %d verdicts: not drained with them", got, n)
+	}
 }
 
 func TestVerifyPoolCloseSemantics(t *testing.T) {

@@ -18,7 +18,7 @@ func decoderTable(t testing.TB) []codectest.Row {
 	batch := Batch{Timestamp: 99, Requests: []Request{req, req}}
 	empty := Batch{Timestamp: 1}
 	reply := Reply{ReplicaID: 2, ClientID: 7, Seq: 3, Digest: req.Digest(), Tag: ViewTag{ViewID: 1, Height: 9},
-		TagSig: []byte("sig"), Result: []byte("ok")}
+		Result: []byte("ok")}
 	info := ViewInfo{ViewID: 4, Members: []int32{0, 1, 2, 3}}
 	// A timestamp (or view ID), then 2^24 elements declared and none carried.
 	bomb := codec.NewEncoder(12)

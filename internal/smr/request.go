@@ -17,9 +17,6 @@ import (
 // ContextRequest is the signature domain for client requests.
 const ContextRequest = "smartchain/request/v1"
 
-// ContextReplyTag is the signature domain for reply view tags.
-const ContextReplyTag = "smartchain/replytag/v1"
-
 // Wire message types of the client⇄replica request/reply contract. This is
 // the single authoritative definition: the client proxy, the SMARTCHAIN
 // node, and the baseline replicas all speak these values (they used to be
@@ -322,43 +319,15 @@ type ViewTag struct {
 	Height int64
 }
 
-// signedPortion binds the tag to its issuing replica. The signature is a
-// statement about the replica's view state, deliberately NOT bound to one
-// reply: it changes only when the view, epoch, or height moves, so replicas
-// sign once per block instead of once per reply. Replaying a replica's own
-// tag onto another of its replies asserts nothing new; what tampering must
-// not survive is a relay rewriting the membership hash or height.
-func (t *ViewTag) signedPortion(replica int32) []byte {
-	e := codec.NewEncoder(64)
-	e.Int32(replica)
-	e.Int64(t.ViewID)
-	e.Int64(t.Epoch)
-	e.Bytes32(t.MemberHash)
-	e.Int64(t.Height)
-	return e.Bytes()
-}
-
-// Sign produces the replica's signature over the tag.
-func (t *ViewTag) Sign(replica int32, key *crypto.KeyPair) ([]byte, error) {
-	return key.Sign(ContextReplyTag, t.signedPortion(replica))
-}
-
-// Verify checks a tag signature against the replica's public key.
-func (t *ViewTag) Verify(replica int32, pub crypto.PublicKey, sig []byte) error {
-	if !crypto.Verify(pub, ContextReplyTag, t.signedPortion(replica), sig) {
-		return ErrBadRequestSig
-	}
-	return nil
-}
-
 // Reply is a replica's response to one request. Digest echoes the hash of
 // the request being answered (covering its signature): a client matches
 // replies against the digest of the request IT signed, so a third party
 // cannot have replicas answer a victim's in-flight (ClientID, Seq) with
 // the result of an attacker-signed request — ClientID alone is a routing
-// address, not an identity. Tag carries the replica's signed view metadata;
-// a zero tag with empty TagSig marks a sender that does not implement view
-// piggybacking (the baseline replicas).
+// address, not an identity. Tag carries the replica's view metadata,
+// unsigned: a client trusts it as far as the link that delivered it and the
+// quorum it counts toward. A zero tag marks a sender that does not implement
+// view piggybacking (the baseline replicas).
 type Reply struct {
 	ReplicaID int32
 	ClientID  int64
@@ -366,13 +335,12 @@ type Reply struct {
 	Digest    crypto.Hash
 	Flags     uint8
 	Tag       ViewTag
-	TagSig    []byte
 	Result    []byte
 }
 
 // Encode serializes the reply.
 func (r *Reply) Encode() []byte {
-	e := codec.NewEncoder(128 + len(r.Result) + len(r.TagSig))
+	e := codec.NewEncoder(128 + len(r.Result))
 	e.Int32(r.ReplicaID)
 	e.Int64(r.ClientID)
 	e.Uint64(r.Seq)
@@ -382,7 +350,6 @@ func (r *Reply) Encode() []byte {
 	e.Int64(r.Tag.Epoch)
 	e.Bytes32(r.Tag.MemberHash)
 	e.Int64(r.Tag.Height)
-	e.WriteBytes(r.TagSig)
 	e.WriteBytes(r.Result)
 	return e.Bytes()
 }
@@ -400,7 +367,6 @@ func DecodeReply(data []byte) (Reply, error) {
 	r.Tag.Epoch = d.Int64()
 	r.Tag.MemberHash = d.Bytes32()
 	r.Tag.Height = d.Int64()
-	r.TagSig = d.ReadBytesCopy()
 	r.Result = d.ReadBytesCopy()
 	if err := d.Finish(); err != nil {
 		return Reply{}, fmt.Errorf("decode reply: %w", err)

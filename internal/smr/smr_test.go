@@ -197,33 +197,6 @@ func TestVerifierPoolSubmitAfterClose(t *testing.T) {
 	p.Close() // double close must be safe
 }
 
-func TestVerifierPoolParallelIsFaster(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	const n = 512
-	reqs := make([]Request, n)
-	for i := range reqs {
-		reqs[i] = signedReq(t, int64(i), 1, "op")
-	}
-	seq := NewVerifierPool(VerifySequential, 0)
-	defer seq.Close()
-	par := NewVerifierPool(VerifyParallel, 0)
-	defer par.Close()
-
-	start := time.Now()
-	seq.VerifyBatch(reqs)
-	seqTime := time.Since(start)
-	start = time.Now()
-	par.VerifyBatch(reqs)
-	parTime := time.Since(start)
-	// Table I shows >2× from parallel verification; with many cores we
-	// should comfortably see 1.5× even under CI noise.
-	if parTime*3/2 > seqTime {
-		t.Logf("warning: parallel %v vs sequential %v (machine contention?)", parTime, seqTime)
-	}
-}
-
 func TestBatcherBasics(t *testing.T) {
 	b := NewBatcher(2)
 	defer b.Close()

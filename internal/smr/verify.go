@@ -1,11 +1,6 @@
 package smr
 
-import (
-	"runtime"
-	"sync"
-
-	"smartchain/internal/crypto"
-)
+import "smartchain/internal/crypto"
 
 // VerifyMode selects the transaction-signature verification strategy of
 // Table I. Where verification happens determines whether it serializes with
@@ -42,85 +37,20 @@ func (m VerifyMode) String() string {
 	}
 }
 
-// VerifierPool verifies request signatures on a configurable number of
-// workers. In parallel mode the pool has ~GOMAXPROCS workers; sequential
-// mode is modeled as a pool of one worker, which preserves ordering
-// semantics while serializing the CPU cost exactly like verifying inside
-// the state machine would.
+// VerifierPool applies a verification mode to a crypto.VerifyPool, the
+// replica's one pool of verification workers: request envelopes queue there
+// beside consensus votes and drain with them into one batch equation. In
+// every mode a Submit leaves the submitting goroutine; only the check
+// differs (VerifyNone passes).
 type VerifierPool struct {
-	mode    VerifyMode
-	workers int
-	jobs    chan verifyJob
-	wg      sync.WaitGroup
-
-	// mu orders Submit's channel send against Close's channel close: a send
-	// holds the read lock, Close takes the write lock before closing.
-	mu     sync.RWMutex
-	closed bool
+	mode VerifyMode
+	pool *crypto.VerifyPool
 }
 
-type verifyJob struct {
-	req Request
-	out func(Request, bool)
-}
-
-// maxDrain is the most jobs one worker takes into one batch equation.
-const maxDrain = 64
-
-// NewVerifierPool starts a pool for the given mode. workers ≤ 0 picks a
-// default based on the mode. Close must be called to release the workers.
+// NewVerifierPool starts a pool for the given mode on workers goroutines
+// (≤ 0: GOMAXPROCS). Close must be called to release the workers.
 func NewVerifierPool(mode VerifyMode, workers int) *VerifierPool {
-	if mode == VerifySequential {
-		// Sequential mode is the serialized-CPU baseline; extra workers
-		// would change what it measures.
-		workers = 1
-	} else if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &VerifierPool{
-		mode:    mode,
-		workers: workers,
-		// Room for a burst of every client's window: a full queue blocks the
-		// dispatch goroutine that submits.
-		jobs: make(chan verifyJob, 1024),
-	}
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
-	return p
-}
-
-// worker takes one job, then whatever else is queued without waiting (up to
-// maxDrain jobs), and decides them all in one batch equation.
-func (p *VerifierPool) worker() {
-	defer p.wg.Done()
-	jobs := make([]verifyJob, 0, maxDrain)
-	reqs := make([]Request, 0, maxDrain)
-	for job := range p.jobs {
-		jobs = append(jobs[:0], job)
-	drain:
-		for len(jobs) < maxDrain {
-			select {
-			case j, ok := <-p.jobs:
-				if !ok {
-					break drain
-				}
-				jobs = append(jobs, j)
-			default:
-				break drain
-			}
-		}
-		reqs = reqs[:0]
-		for i := range jobs {
-			reqs = append(reqs, jobs[i].req)
-		}
-		for i, ok := range p.verify(reqs, 1) {
-			jobs[i].out(jobs[i].req, ok)
-		}
-		clear(jobs) // drop the callbacks and requests until the next burst
-		clear(reqs)
-	}
+	return &VerifierPool{mode: mode, pool: crypto.NewVerifyPool(workers, 0)}
 }
 
 // Submit queues req for verification; out is called with the verdict from a
@@ -128,37 +58,28 @@ func (p *VerifierPool) worker() {
 // until a worker takes a job; the workers keep draining while Close waits
 // for such a send.
 func (p *VerifierPool) Submit(req Request, out func(Request, bool)) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return false
+	if p.mode == VerifyNone {
+		return p.pool.Go(func() { out(req, true) })
 	}
-	p.jobs <- verifyJob{req: req, out: out}
-	return true
+	return p.pool.Submit(req.PubKey, ContextRequest, req.signedPortion(), req.Sig, func(ok bool) { out(req, ok) })
 }
 
 // VerifyBatch synchronously verifies the signatures of reqs according to the
-// mode, returning per-request verdicts, by the path the workers take: one
-// batch equation per chunk, spread over the pool's worker count. A replica
-// checks a proposal's requests and flushes the ones it held unverified
-// through it.
+// mode, returning per-request verdicts: one batch equation per chunk on up to
+// GOMAXPROCS goroutines, the all-or-nothing Verify covering the common
+// all-honest batch, and a failed batch falling back to per-item VerifyEach
+// so one rotten signature cannot discard its honest siblings. VerifyNone
+// passes everything. A replica checks a proposal's requests and flushes the
+// ones it held unverified through it.
 func (p *VerifierPool) VerifyBatch(reqs []Request) []bool {
-	return p.verify(reqs, p.workers)
-}
-
-// verify decides reqs through a crypto.BatchVerifier on up to workers
-// goroutines: the all-or-nothing Verify covers the common all-honest batch,
-// and a failed batch falls back to per-item VerifyEach so one rotten
-// signature cannot discard its honest siblings. VerifyNone passes everything.
-func (p *VerifierPool) verify(reqs []Request, workers int) []bool {
 	verdicts := make([]bool, len(reqs))
 	if p.mode != VerifyNone {
 		bv := crypto.NewBatchVerifier(len(reqs))
 		for i := range reqs {
 			bv.Add(reqs[i].PubKey, ContextRequest, reqs[i].signedPortion(), reqs[i].Sig)
 		}
-		if !bv.Verify(workers) {
-			return bv.VerifyEach(workers)
+		if !bv.Verify(0) {
+			return bv.VerifyEach(0)
 		}
 	}
 	for i := range verdicts {
@@ -167,18 +88,12 @@ func (p *VerifierPool) verify(reqs []Request, workers int) []bool {
 	return verdicts
 }
 
+// Pool is the crypto pool underneath, for the replica's other signature
+// checks: consensus votes and proposal vetting.
+func (p *VerifierPool) Pool() *crypto.VerifyPool { return p.pool }
+
 // Mode returns the pool's verification mode.
 func (p *VerifierPool) Mode() VerifyMode { return p.mode }
 
 // Close stops the workers. Pending jobs are completed first.
-func (p *VerifierPool) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	p.mu.Unlock()
-	close(p.jobs)
-	p.wg.Wait()
-}
+func (p *VerifierPool) Close() { p.pool.Close() }
