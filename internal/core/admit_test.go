@@ -183,3 +183,31 @@ func TestFollowerHoldingOnlyForgedRequestsStartsNoEpochChange(t *testing.T) {
 		t.Fatalf("%d forged requests pending", got)
 	}
 }
+
+// A follower's batch equation gives all the requests one client key signed a
+// single key term, so the natural attack on it is a transplanted signature: a
+// request carrying a valid signature by the same key over a sibling request.
+// A proposal of 32 requests from one client holding one such signature is
+// refused; the 32 honest requests are accepted.
+func TestFollowerRefusesTransplantedSignatureFromOneClient(t *testing.T) {
+	r := newDriverRig(t, 1, time.Second, true, smr.VerifyParallel) // replica 0 leads
+	client := crypto.SeededKeyPair("one-client", 1)
+	honest := make([]smr.Request, 32)
+	for i := range honest {
+		tx, err := coin.NewMint(client, uint64(i), 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if honest[i], err = smr.NewSignedRequest(7, uint64(i+1), WrapAppOp(tx.Encode()), client); err != nil {
+			t.Fatal(err)
+		}
+	}
+	transplanted := append([]smr.Request(nil), honest...)
+	transplanted[13].Sig = honest[14].Sig
+	if r.n.validProposal(1, (&smr.Batch{Timestamp: 1, Requests: transplanted}).Encode()) {
+		t.Fatal("a proposal holding a sibling's signature was accepted")
+	}
+	if !r.n.validProposal(1, (&smr.Batch{Timestamp: 1, Requests: honest}).Encode()) {
+		t.Fatal("the honest proposal was refused")
+	}
+}

@@ -23,10 +23,12 @@ type batchItem struct {
 
 // BatchVerifier accumulates signature checks and verifies them together, in
 // the style of ed25519consensus's VerifyBatch: Verify decides the whole batch
-// by one cofactored batch equation per chunk (edwards25519.BatchEquation),
-// VerifyEach is the per-item fallback that isolates bad signatures when a
-// batch fails. Both decide by Verify's rule, so a signature's verdict never
-// depends on whether it was checked alone or beside others.
+// by one cofactored batch equation per chunk (edwards25519.BatchEquation, in
+// which the signatures of one key share one term, so a chunk costs less the
+// fewer keys signed it), VerifyEach is the per-item fallback that isolates
+// bad signatures when a batch fails. Both decide by Verify's rule, so a
+// signature's verdict never depends on whether it was checked alone or
+// beside others.
 //
 // A BatchVerifier is not safe for concurrent Add; verify methods are
 // internally parallel.
@@ -84,22 +86,37 @@ func (b *BatchVerifier) Verify(workers int) bool {
 	return ok && !failed.Load()
 }
 
-// verifyChunk decides items by one batch equation. An item that does not
-// decode fails the chunk, as it fails Verify.
+// verifyChunk decides items by one batch equation. Items are grouped by the
+// key's 32 bytes, so each distinct encoding is decoded once and is one term
+// of the equation; two encodings of one point stay two terms, which decides
+// the same. An item that does not decode fails the chunk, as it fails Verify.
 func verifyChunk(items []batchItem) bool {
 	n := len(items)
-	A, R := make([]edwards25519.Point, n), make([]edwards25519.Point, n)
+	A, owner := make([]edwards25519.Point, 0, n), make([]int, n)
+	keys := make(map[[PublicKeySize]byte]int, n)
+	R := make([]edwards25519.Point, n)
 	s, k := make([]edwards25519.Scalar, n), make([]edwards25519.Scalar, n)
 	for i := range items {
 		it := &items[i]
-		if !decodeSig(it.pub, it.context, it.msg, it.sig, &A[i], &s[i], &k[i]) {
+		if !sigScalars(it.pub, it.context, it.msg, it.sig, &s[i], &k[i]) {
 			return false
 		}
+		key := [PublicKeySize]byte(it.pub) // sigScalars checked the length
+		j, seen := keys[key]
+		if !seen {
+			j = len(A)
+			A = A[:j+1]
+			if _, err := A[j].SetBytes(it.pub); err != nil {
+				return false
+			}
+			keys[key] = j
+		}
+		owner[i] = j
 		if _, err := R[i].SetBytes(it.sig[:32]); err != nil {
 			return false
 		}
 	}
-	ok, err := edwards25519.BatchEquation(A, R, s, k)
+	ok, err := edwards25519.BatchEquation(A, owner, R, s, k)
 	if err != nil { // no randomness to batch with: one at a time
 		for i := range items {
 			if !verifyItem(&items[i]) {

@@ -75,6 +75,98 @@ func TestBatchVerifierSingleBadSignature(t *testing.T) {
 	}
 }
 
+// decidesAsVerify checks that a BatchVerifier over items decides exactly as
+// per-item Verify does, in one equation and split across workers: Verify is
+// every item's verdict and'ed, VerifyEach is the verdicts themselves. It
+// returns the per-item verdicts.
+func decidesAsVerify(t *testing.T, items []batchItem) []bool {
+	t.Helper()
+	want, all := make([]bool, len(items)), true
+	bv := NewBatchVerifier(len(items))
+	for i, it := range items {
+		want[i] = Verify(it.pub, it.context, it.msg, it.sig)
+		all = all && want[i]
+		bv.Add(it.pub, it.context, it.msg, it.sig)
+	}
+	for _, workers := range []int{1, 4} {
+		if got := bv.Verify(workers); got != all {
+			t.Fatalf("workers=%d: batch verdict %v, Verify's %v", workers, got, all)
+		}
+		for i, ok := range bv.VerifyEach(workers) {
+			if ok != want[i] {
+				t.Fatalf("workers=%d: item %d verdict %v, Verify's %v", workers, i, ok, want[i])
+			}
+		}
+	}
+	return want
+}
+
+// oneKeyItems signs n distinct messages with one key.
+func oneKeyItems(n int) []batchItem {
+	kp := SeededKeyPair("merged", 1)
+	items := make([]batchItem, n)
+	for i := range items {
+		msg := []byte(fmt.Sprintf("merged-%d", i))
+		items[i] = batchItem{pub: kp.Public(), context: "ctx", msg: msg, sig: kp.MustSign("ctx", msg)}
+	}
+	return items
+}
+
+// TestBatchVerifierMergedKeyTerms: the signatures of one key share one term
+// of the batch equation, and every batch still decides as per-item Verify.
+func TestBatchVerifierMergedKeyTerms(t *testing.T) {
+	t.Run("one key, one flipped message bit", func(t *testing.T) {
+		const bad = 37
+		items := oneKeyItems(64)
+		items[bad].msg = append([]byte(nil), items[bad].msg...)
+		items[bad].msg[3] ^= 0x10
+		for i, ok := range decidesAsVerify(t, items) {
+			if ok != (i != bad) {
+				t.Fatalf("item %d: Verify says %v", i, ok)
+			}
+		}
+	})
+	t.Run("one key, messages swapped", func(t *testing.T) {
+		items := oneKeyItems(2)
+		items[0].msg, items[1].msg = items[1].msg, items[0].msg
+		for i, ok := range decidesAsVerify(t, items) {
+			if ok {
+				t.Fatalf("item %d: a signature over its sibling's message verifies", i)
+			}
+		}
+	})
+	t.Run("one point, two encodings", func(t *testing.T) {
+		items := oneKeyItems(16)
+		zero := make([]byte, 32)
+		for _, a := range []string{smallOrder[0], nonCanonical[1]} { // the identity, canonical and not
+			for _, r := range smallOrder[:4] {
+				items = append(items, batchItem{pub: unhex(t, a), context: "ctx", msg: []byte("edge"),
+					sig: append(unhex(t, r), zero...)})
+			}
+		}
+		for i, ok := range decidesAsVerify(t, items) {
+			if !ok {
+				t.Fatalf("item %d refused", i)
+			}
+		}
+	})
+	t.Run("all keys distinct", func(t *testing.T) {
+		const bad = 9
+		items := make([]batchItem, 32)
+		for i := range items {
+			pub, msg, sig := signedItem(t, int64(i), "ctx")
+			items[i] = batchItem{pub: pub, context: "ctx", msg: msg, sig: sig}
+		}
+		items[bad].sig = append([]byte(nil), items[bad].sig...)
+		items[bad].sig[40] ^= 1
+		for i, ok := range decidesAsVerify(t, items) {
+			if ok != (i != bad) {
+				t.Fatalf("item %d: Verify says %v", i, ok)
+			}
+		}
+	})
+}
+
 func TestBatchVerifierContextSeparation(t *testing.T) {
 	bv := NewBatchVerifier(1)
 	pub, msg, sig := signedItem(t, 1, "phase-a")

@@ -69,31 +69,38 @@ func (v *Point) varTimeMultiScalarMult(b *Scalar, scalars []Scalar, points []*Po
 	return v
 }
 
-// BatchEquation reports whether the n signature equations [sᵢ]B = Rᵢ + [kᵢ]Aᵢ
-// hold up to the cofactor, all at once, by checking
+// BatchEquation reports whether the n signature equations
+// [sᵢ]B = Rᵢ + [kᵢ]A_owner[i] hold up to the cofactor, all at once, by checking
 //
-//	[8]([−Σ zᵢsᵢ]B + Σ [zᵢ]Rᵢ + Σ [zᵢkᵢ]Aᵢ) = 0
+//	[8]([−Σ zᵢsᵢ]B + Σ [zᵢ]Rᵢ + Σⱼ [Σ_{owner[i]=j} zᵢkᵢ]Aⱼ) = 0
 //
-// for fresh uniformly random 128-bit zᵢ from crypto/rand. If every equation
-// holds the sum is 0; if one does not, it is 0 with probability 2⁻¹²⁸. Terms
-// that share a point are not merged. An error means no randomness was had
+// for fresh uniformly random 128-bit zᵢ from crypto/rand. A holds the m keys
+// and owner[i] the index in A of the key that signed signature i, so the
+// signatures of one key share one term: the multiplication runs over n + m + 1
+// points instead of 2n + 1, and the sum is the one a term [zᵢkᵢ]Aᵢ per
+// signature would make. If every equation holds the sum is 0; if one does
+// not, it is 0 with probability 2⁻¹²⁸. An error means no randomness was had
 // and nothing was checked.
 //
 // Execution time depends on the inputs.
-func BatchEquation(A, R []Point, s, k []Scalar) (bool, error) {
-	n := len(A)
+func BatchEquation(A []Point, owner []int, R []Point, s, k []Scalar) (bool, error) {
+	n := len(R)
 	z := make([]byte, 16*n)
 	if _, err := rand.Read(z); err != nil {
 		return false, err
 	}
-	scalars := make([]Scalar, 2*n)
-	points := make([]*Point, 2*n)
+	scalars := make([]Scalar, n+len(A))
+	points := make([]*Point, n+len(A))
+	for j := range A {
+		points[n+j] = &A[j]
+	}
 	var b Scalar
 	for i := 0; i < n; i++ {
 		zi := scalars[i].setShortBytes(z[16*i : 16*i+16])
-		scalars[n+i].Multiply(zi, &k[i])
+		a := &scalars[n+owner[i]]
+		a.MultiplyAdd(zi, &k[i], a)
 		b.MultiplyAdd(zi, &s[i], &b)
-		points[i], points[n+i] = &R[i], &A[i]
+		points[i] = &R[i]
 	}
 	b.Negate(&b)
 	sum := new(Point).varTimeMultiScalarMult(&b, scalars, points)

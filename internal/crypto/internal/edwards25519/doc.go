@@ -24,5 +24,6 @@
 //     but amd64 (and amd64 under -tags purego) runs the generic field code;
 //   - batch.go is new: varTimeMultiScalarMult (Straus's method, modelled on
 //     VarTimeDoubleScalarBaseMult) and BatchEquation, the cofactored batch
-//     check with 128-bit random coefficients from crypto/rand.
+//     check with 128-bit random coefficients from crypto/rand, in which the
+//     signatures of one key share that key's term.
 package edwards25519

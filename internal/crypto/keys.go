@@ -186,14 +186,22 @@ func Verify(pub PublicKey, context string, msg, sig []byte) bool {
 	return R.Equal(edwards25519.NewIdentityPoint()) == 1
 }
 
-// decodeSig reads what both verification forms need from one signature: the
-// key A, the scalar s (refused unless s < ℓ) and k = SHA-512(R ‖ A ‖ M) mod ℓ
-// over the sealed message.
+// decodeSig reads what a single check needs from one signature: the key A
+// and sigScalars' s and k.
 func decodeSig(pub PublicKey, context string, msg, sig []byte, A *edwards25519.Point, s, k *edwards25519.Scalar) bool {
-	if len(pub) != PublicKeySize || len(sig) != SignatureSize {
+	if !sigScalars(pub, context, msg, sig, s, k) {
 		return false
 	}
-	if _, err := A.SetBytes(pub); err != nil {
+	_, err := A.SetBytes(pub)
+	return err == nil
+}
+
+// sigScalars reads the per-signature part of a check, all of it but decoding
+// the key: the scalar s (refused unless s < ℓ) and k = SHA-512(R ‖ A ‖ M) mod
+// ℓ over the sealed message. A batch decodes each key once for all the
+// signatures it made.
+func sigScalars(pub PublicKey, context string, msg, sig []byte, s, k *edwards25519.Scalar) bool {
+	if len(pub) != PublicKeySize || len(sig) != SignatureSize {
 		return false
 	}
 	if _, err := s.SetCanonicalBytes(sig[32:]); err != nil {

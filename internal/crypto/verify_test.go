@@ -45,16 +45,22 @@ func unhex(t testing.TB, s string) []byte {
 }
 
 // batchVerdicts is what BatchVerifier decides about (pub, msg, sig): alone
-// in a batch equation of its own, and among honest siblings.
+// in a batch equation of its own, and among honest siblings. The siblings
+// include a signature by the fuzz seed key, and the item is there twice, so
+// a key the item shares with one of them goes through a merged term.
 func batchVerdicts(t testing.TB, pub, msg, sig []byte) (alone, among bool) {
 	t.Helper()
 	alone = verifyChunk([]batchItem{{pub: pub, context: "ctx", msg: msg, sig: sig}})
-	bv := NewBatchVerifier(4)
+	bv := NewBatchVerifier(6)
 	for i := int64(0); i < 3; i++ {
 		kp := SeededKeyPair("sibling", i)
 		m := []byte(fmt.Sprintf("sibling-%d", i))
 		bv.Add(kp.Public(), "ctx", m, kp.MustSign("ctx", m))
 	}
+	seed := SeededKeyPair("fuzz", 1)
+	m := []byte("fuzz sibling")
+	bv.Add(seed.Public(), "ctx", m, seed.MustSign("ctx", m))
+	bv.Add(pub, "ctx", msg, sig)
 	bv.Add(pub, "ctx", msg, sig)
 	return alone, bv.Verify(1)
 }
@@ -170,11 +176,13 @@ func BenchmarkVerify(b *testing.B) {
 			verdictSink = Verify(kp.Public(), "ctx", msg, sig)
 		}
 	})
-	for _, n := range []int{16, 32, 64, 128} {
-		b.Run(fmt.Sprintf("batch%d", n), func(b *testing.B) {
-			bv := NewBatchVerifier(n)
-			for i := 0; i < n; i++ {
-				k := SeededKeyPair("bench", int64(i%2))
+	// Signatures by one key share a term of the equation: keys=n is the
+	// no-merge worst case.
+	for _, c := range []struct{ n, keys int }{{16, 2}, {32, 2}, {64, 1}, {64, 2}, {64, 64}, {128, 2}} {
+		b.Run(fmt.Sprintf("batch%d/keys=%d", c.n, c.keys), func(b *testing.B) {
+			bv := NewBatchVerifier(c.n)
+			for i := 0; i < c.n; i++ {
+				k := SeededKeyPair("bench", int64(i%c.keys))
 				m := []byte(fmt.Sprintf("benchmark %d", i))
 				bv.Add(k.Public(), "ctx", m, k.MustSign("ctx", m))
 			}
@@ -184,7 +192,7 @@ func BenchmarkVerify(b *testing.B) {
 					b.Fatal("honest batch refused")
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "µs/sig")
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*c.n), "µs/sig")
 		})
 	}
 }
