@@ -170,7 +170,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.TCPWire {
 		c.Fabric = transport.NewTCPFabric([]byte("smartchain/" + cfg.ChainID))
 		if cfg.NetLatency > 0 {
-			c.Fabric.SetDelay(&transport.DelayDist{Base: cfg.NetLatency})
+			c.Fabric.SetDelay(cfg.NetLatency)
 		}
 	}
 

@@ -170,7 +170,7 @@ func TestPipelineLeaderIsolationEpochChange(t *testing.T) {
 
 	// Cut the leader off mid-pipeline: its window slots are open, some with
 	// proposals in flight.
-	c.Net.Isolate(0)
+	iso := c.Net.Isolate(0)
 
 	// Progress now requires a synchronization phase per open slot; the
 	// client quorum (3 of 4) is exactly the three reachable replicas.
@@ -196,9 +196,9 @@ func TestPipelineLeaderIsolationEpochChange(t *testing.T) {
 		t.Fatalf("chain lost transactions: %d < 8", sum.Transactions)
 	}
 
-	// Heal; fresh traffic wakes the laggard's re-sync gate and the isolated
-	// ex-leader catches up via state transfer.
-	c.Net.Heal()
+	// Lift the isolation; fresh traffic wakes the laggard's re-sync gate
+	// and the isolated ex-leader catches up via state transfer.
+	c.Net.RemoveFilter(iso)
 	mint(t, p, 9, 10)
 	target := c.Nodes[1].Node.Ledger().Height()
 	if err := c.WaitHeight(target, 30*time.Second); err != nil {
@@ -362,7 +362,7 @@ func TestCrashRecoveryDuringNewRegency(t *testing.T) {
 	}
 
 	// Kill the leader mid-window: the survivors drain via one epoch change.
-	c.Net.Isolate(0)
+	iso := c.Net.Isolate(0)
 	for i := uint64(4); i <= 6; i++ {
 		mint(t, p, i, 10)
 	}
@@ -389,8 +389,8 @@ func TestCrashRecoveryDuringNewRegency(t *testing.T) {
 		}
 	}
 
-	// Heal the ex-leader; everyone converges.
-	c.Net.Heal()
+	// Lift the ex-leader's isolation; everyone converges.
+	c.Net.RemoveFilter(iso)
 	mint(t, p, 9, 10)
 	target := c.Nodes[1].Node.Ledger().Height()
 	if err := c.WaitHeight(target, 30*time.Second); err != nil {
@@ -429,7 +429,7 @@ func TestReconfigurationAcrossEpochChangeBoundary(t *testing.T) {
 		mint(t, p, i, 10)
 	}
 
-	c.Net.Isolate(0)
+	iso := c.Net.Isolate(0)
 	for i := uint64(3); i <= 5; i++ {
 		mint(t, p, i, 10)
 	}
@@ -458,7 +458,7 @@ func TestReconfigurationAcrossEpochChangeBoundary(t *testing.T) {
 		}
 	}
 
-	c.Net.Heal()
+	c.Net.RemoveFilter(iso)
 	mint(t, p, 7, 10)
 	target := c.Nodes[1].Node.Ledger().Height()
 	if err := c.WaitHeight(target, 30*time.Second); err != nil {

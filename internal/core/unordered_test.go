@@ -166,8 +166,8 @@ func TestUnorderedReadDuringLeaderChange(t *testing.T) {
 
 	// Isolate the view-0 leader; the survivors' progress timers will fire
 	// and run the synchronization phase while we read.
-	c.Net.Isolate(0)
-	defer c.Net.Heal()
+	iso := c.Net.Isolate(0)
+	defer c.Net.RemoveFilter(iso)
 
 	rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()

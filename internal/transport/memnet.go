@@ -14,15 +14,12 @@ type MemNetwork struct {
 	mu        sync.RWMutex
 	endpoints map[int32]*memEndpoint
 
-	latency   time.Duration
-	dropRate  float64
-	rng       *rand.Rand
-	rngMu     sync.Mutex
-	partition map[int32]int // process → partition group; 0 = default group
-	isolated  map[int32]bool
+	latency time.Duration
+	rng     *rand.Rand // samples JitterNormal link delays
+	rngMu   sync.Mutex
 
-	// filters is the composable drop-predicate stack (targeted fault
-	// injection): a message is dropped if ANY active filter says so, so
+	// filters is the composable drop-predicate stack, the network's one way
+	// to lose a message: it is dropped if ANY active filter says so, so
 	// overlapping chaos scenarios stack instead of clobbering each other.
 	// filterList is the immutable snapshot deliver reads (rebuilt on every
 	// Add/Remove, so the hot path never iterates a mutating map).
@@ -57,8 +54,6 @@ type JitterKind uint8
 const (
 	// JitterNone delivers after exactly Base.
 	JitterNone JitterKind = iota
-	// JitterUniform samples uniformly from [Base-Jitter, Base+Jitter].
-	JitterUniform
 	// JitterNormal samples a normal distribution with mean Base and
 	// standard deviation Jitter.
 	JitterNormal
@@ -76,12 +71,7 @@ type DelayDist struct {
 // can pin the distribution deterministically).
 func (d DelayDist) Sample(rng *rand.Rand) time.Duration {
 	out := d.Base
-	switch d.Kind {
-	case JitterUniform:
-		if d.Jitter > 0 {
-			out += time.Duration(rng.Int63n(int64(2*d.Jitter)+1)) - d.Jitter
-		}
-	case JitterNormal:
+	if d.Kind == JitterNormal {
 		out += time.Duration(rng.NormFloat64() * float64(d.Jitter))
 	}
 	if out < 0 {
@@ -98,15 +88,6 @@ func WithLatency(d time.Duration) MemOption {
 	return func(n *MemNetwork) { n.latency = d }
 }
 
-// WithDropRate drops each message independently with probability p, using a
-// deterministic seed so failing tests replay.
-func WithDropRate(p float64, seed int64) MemOption {
-	return func(n *MemNetwork) {
-		n.dropRate = p
-		n.rng = rand.New(rand.NewSource(seed))
-	}
-}
-
 // WithBandwidth models each sender's uplink at bytesPerSec (0 = infinite).
 func WithBandwidth(bytesPerSec float64) MemOption {
 	return func(n *MemNetwork) { n.bandwidth = bytesPerSec }
@@ -116,8 +97,6 @@ func WithBandwidth(bytesPerSec float64) MemOption {
 func NewMemNetwork(opts ...MemOption) *MemNetwork {
 	n := &MemNetwork{
 		endpoints:  make(map[int32]*memEndpoint),
-		partition:  make(map[int32]int),
-		isolated:   make(map[int32]bool),
 		busyUntil:  make(map[int32]time.Time),
 		filters:    make(map[FilterID]func(Message) bool),
 		linkDelays: make(map[[2]int32]DelayDist),
@@ -157,31 +136,10 @@ func (n *MemNetwork) Detach(id int32) {
 	}
 }
 
-// SetLatency changes the one-way delivery delay at runtime.
-func (n *MemNetwork) SetLatency(d time.Duration) {
-	n.mu.Lock()
-	n.latency = d
-	n.mu.Unlock()
-}
-
-// Partition splits processes into groups; messages only flow within a group.
-// Processes not mentioned stay in group 0.
-func (n *MemNetwork) Partition(groups ...[]int32) {
-	n.mu.Lock()
-	n.partition = make(map[int32]int)
-	for gi, g := range groups {
-		for _, id := range g {
-			n.partition[id] = gi + 1
-		}
-	}
-	n.mu.Unlock()
-}
-
-// Isolate cuts all traffic to and from id without detaching it.
-func (n *MemNetwork) Isolate(id int32) {
-	n.mu.Lock()
-	n.isolated[id] = true
-	n.mu.Unlock()
+// Isolate cuts all traffic to and from id without detaching it: one filter
+// on the stack, lifted with RemoveFilter.
+func (n *MemNetwork) Isolate(id int32) FilterID {
+	return n.AddFilter(func(m Message) bool { return m.From == id || m.To == id })
 }
 
 // AddFilter pushes a targeted drop predicate onto the filter stack: every
@@ -190,8 +148,7 @@ func (n *MemNetwork) Isolate(id int32) {
 // (e.g. the EPOCH-SYNC certificate to one replica) the way a flaky link
 // would, which coarse partitions cannot express — and because filters
 // stack, overlapping fault scenarios compose instead of clobbering each
-// other. The returned ID removes exactly this filter; Heal leaves the
-// stack in place.
+// other. The returned ID removes exactly this filter.
 func (n *MemNetwork) AddFilter(f func(Message) bool) FilterID {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -253,43 +210,21 @@ func (n *MemNetwork) delayFor(from, to int32) DelayDist {
 	return DelayDist{Base: n.latency}
 }
 
-// Heal removes all partitions and isolations.
-func (n *MemNetwork) Heal() {
-	n.mu.Lock()
-	n.partition = make(map[int32]int)
-	n.isolated = make(map[int32]bool)
-	n.mu.Unlock()
-}
-
 // deliver routes a message, applying faults. Returns advisory error.
 func (n *MemNetwork) deliver(m Message) error {
 	n.mu.RLock()
 	dst, ok := n.endpoints[m.To]
 	dist := n.delayFor(m.From, m.To)
 	bandwidth := n.bandwidth
-	blocked := n.isolated[m.From] || n.isolated[m.To] ||
-		n.partition[m.From] != n.partition[m.To]
-	drop := n.dropRate
 	filters := n.filterList
 	n.mu.RUnlock()
 
 	if !ok {
 		return ErrUnknownDest
 	}
-	if blocked {
-		return nil // silently dropped, like a real partition
-	}
 	for _, f := range filters {
 		if f(m) {
-			return nil // targeted loss, indistinguishable from the wire eating it
-		}
-	}
-	if drop > 0 {
-		n.rngMu.Lock()
-		lost := n.rng.Float64() < drop
-		n.rngMu.Unlock()
-		if lost {
-			return nil
+			return nil // lost, indistinguishable from the wire eating it
 		}
 	}
 	delay := dist.Base

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"time"
 )
 
 // TCPFabric stands up a deployment of TCPNetworks on loopback and keeps
@@ -19,7 +20,7 @@ type TCPFabric struct {
 	mu    sync.Mutex
 	nets  map[int32]*TCPNetwork
 	addrs map[int32]string
-	delay *DelayDist
+	delay time.Duration
 }
 
 // NewTCPFabric creates an empty fabric. opts apply to every endpoint it
@@ -50,9 +51,7 @@ func (f *TCPFabric) Endpoint(id int32) (*TCPNetwork, error) {
 	if err != nil {
 		return nil, err
 	}
-	if f.delay != nil {
-		n.SetDelay(f.delay)
-	}
+	n.SetDelay(f.delay)
 	addr := n.Addr()
 	for _, other := range f.nets {
 		other.AddPeer(id, addr)
@@ -62,17 +61,12 @@ func (f *TCPFabric) Endpoint(id int32) (*TCPNetwork, error) {
 	return n, nil
 }
 
-// SetDelay applies a delivery-delay distribution to every current and
-// future endpoint (nil clears it) — loopback-as-WAN for experiments.
-func (f *TCPFabric) SetDelay(d *DelayDist) {
+// SetDelay applies a fixed one-way delay to every current and future
+// endpoint (0 clears it) — loopback-as-WAN for experiments.
+func (f *TCPFabric) SetDelay(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if d == nil {
-		f.delay = nil
-	} else {
-		cp := *d
-		f.delay = &cp
-	}
+	f.delay = d
 	for _, n := range f.nets {
 		n.SetDelay(d)
 	}

@@ -4,15 +4,14 @@ import (
 	"bufio"
 	"crypto/hmac"
 	"crypto/sha256"
-	"crypto/tls"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
 	"io"
+	"log"
 	"math/rand"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,8 +45,6 @@ type tcpOptions struct {
 	dialTimeout time.Duration
 	backoffMin  time.Duration
 	backoffMax  time.Duration
-	tlsClient   *tls.Config
-	tlsServer   *tls.Config
 	logf        func(format string, args ...any)
 }
 
@@ -87,18 +84,6 @@ func WithBackoff(minimum, maximum time.Duration) TCPOption {
 	}
 }
 
-// WithTCPTLS layers TLS under the HMAC frames: client dials with clientCfg,
-// the listener wraps accepted connections with serverCfg. Either may be nil
-// to leave that direction plaintext (e.g. a client-only process needs no
-// server config). Frame HMACs stay on regardless — TLS encrypts the link,
-// the deployment secret still authenticates membership.
-func WithTCPTLS(clientCfg, serverCfg *tls.Config) TCPOption {
-	return func(o *tcpOptions) {
-		o.tlsClient = clientCfg
-		o.tlsServer = serverCfg
-	}
-}
-
 // withLogf redirects peer-transition logging (tests capture it).
 func withLogf(logf func(string, ...any)) TCPOption {
 	return func(o *tcpOptions) { o.logf = logf }
@@ -118,8 +103,6 @@ type TCPPeerStats struct {
 	// DropsConnDown counts frames abandoned because the connection died
 	// mid-write (the wire may or may not have carried them).
 	DropsConnDown int64
-	// DropsInjected counts frames discarded by the loss-injection hook.
-	DropsInjected int64
 	// Dials / DialFailures / Reconnects count connection attempts, their
 	// failures, and successful re-establishments after a drop.
 	Dials        int64
@@ -136,7 +119,7 @@ type TCPPeerStats struct {
 
 // Drops sums every drop cause on the link.
 func (s TCPPeerStats) Drops() int64 {
-	return s.DropsQueueFull + s.DropsConnDown + s.DropsInjected
+	return s.DropsQueueFull + s.DropsConnDown
 }
 
 // TCPStats is a snapshot of a TCPNetwork's counters.
@@ -188,14 +171,9 @@ type TCPNetwork struct {
 	inbound map[net.Conn]bool   // connections with a reader, closed on shutdown
 	quit    chan struct{}       // closed (under mu) by Close
 
-	// Fault-injection hooks (guarded by mu): per-destination delivery
-	// delay and loss, plus network-wide defaults, so the chaos and harness
-	// layers can shape a loopback deployment like a WAN.
-	defaultDelay DelayDist
-	linkDelay    map[int32]DelayDist
-	defaultLoss  float64
-	linkLoss     map[int32]float64
-	lossRng      *rand.Rand
+	// delay holds every outbound frame back by a fixed one-way latency
+	// (guarded by mu), so a loopback deployment behaves like a LAN or WAN.
+	delay time.Duration
 
 	framesIn   atomic.Int64
 	bytesIn    atomic.Int64
@@ -221,30 +199,22 @@ func NewTCPNetwork(id int32, addr string, secret []byte, peers map[int32]string,
 		opt(&o)
 	}
 	if o.logf == nil {
-		o.logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
+		o.logf = log.Printf
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("listen %s: %w", addr, err)
 	}
-	if o.tlsServer != nil {
-		ln = tls.NewListener(ln, o.tlsServer)
-	}
 	t := &TCPNetwork{
-		id:        id,
-		secret:    append([]byte(nil), secret...),
-		ln:        ln,
-		opts:      o,
-		peers:     make(map[int32]string, len(peers)),
-		links:     make(map[int32]*peerLink),
-		inbound:   make(map[net.Conn]bool),
-		linkDelay: make(map[int32]DelayDist),
-		linkLoss:  make(map[int32]float64),
-		lossRng:   rand.New(rand.NewSource(int64(id)*7919 + 1)),
-		quit:      make(chan struct{}),
-		out:       make(chan Message, 1024),
+		id:      id,
+		secret:  append([]byte(nil), secret...),
+		ln:      ln,
+		opts:    o,
+		peers:   make(map[int32]string, len(peers)),
+		links:   make(map[int32]*peerLink),
+		inbound: make(map[net.Conn]bool),
+		quit:    make(chan struct{}),
+		out:     make(chan Message, 1024),
 	}
 	for pid, a := range peers {
 		t.peers[pid] = a
@@ -271,50 +241,11 @@ func (t *TCPNetwork) ID() int32 { return t.id }
 // Receive implements Endpoint.
 func (t *TCPNetwork) Receive() <-chan Message { return t.out }
 
-// SetDelay installs (or, with nil, removes) a delivery-delay distribution
-// applied to every outbound frame — the loopback equivalent of WAN latency.
-// Per-destination rules from SetLinkDelay take precedence.
-func (t *TCPNetwork) SetDelay(d *DelayDist) {
+// SetDelay holds every outbound frame back by d (0 removes the delay) —
+// the loopback equivalent of a fixed one-way link latency.
+func (t *TCPNetwork) SetDelay(d time.Duration) {
 	t.mu.Lock()
-	if d == nil {
-		t.defaultDelay = DelayDist{}
-	} else {
-		t.defaultDelay = *d
-	}
-	t.mu.Unlock()
-}
-
-// SetLinkDelay installs (or, with nil, removes) a delivery-delay
-// distribution for the outbound link to one destination.
-func (t *TCPNetwork) SetLinkDelay(to int32, d *DelayDist) {
-	t.mu.Lock()
-	if d == nil {
-		delete(t.linkDelay, to)
-	} else {
-		t.linkDelay[to] = *d
-	}
-	t.mu.Unlock()
-}
-
-// SetLoss drops each outbound frame independently with probability p
-// (0 disables), seeded for replayable experiments. Per-destination rates
-// from SetLinkLoss take precedence.
-func (t *TCPNetwork) SetLoss(p float64, seed int64) {
-	t.mu.Lock()
-	t.defaultLoss = p
-	t.lossRng = rand.New(rand.NewSource(seed))
-	t.mu.Unlock()
-}
-
-// SetLinkLoss sets the loss probability of the outbound link to one
-// destination (negative removes the rule).
-func (t *TCPNetwork) SetLinkLoss(to int32, p float64) {
-	t.mu.Lock()
-	if p < 0 {
-		delete(t.linkLoss, to)
-	} else {
-		t.linkLoss[to] = p
-	}
+	t.delay = d
 	t.mu.Unlock()
 }
 
@@ -340,14 +271,9 @@ func (t *TCPNetwork) Send(to int32, typ uint16, payload []byte) error {
 		link = newPeerLink(t, to, nil)
 		t.links[to] = link
 	}
-	// Resolve injection hooks under the same lock.
-	delay, lost := t.injectLocked(to, frameHeaderLen+len(payload))
+	delay := t.delay
 	t.mu.Unlock()
 
-	if lost {
-		link.dropsInjected.Add(1)
-		return nil
-	}
 	frame := t.encodeFrame(Message{From: t.id, To: to, Type: typ, Payload: payload})
 	if delay > 0 {
 		time.AfterFunc(delay, func() { link.enqueue(frame) })
@@ -355,26 +281,6 @@ func (t *TCPNetwork) Send(to int32, typ uint16, payload []byte) error {
 	}
 	link.enqueue(frame)
 	return nil
-}
-
-// injectLocked samples the delay/loss hooks for one outbound frame. Caller
-// holds t.mu.
-func (t *TCPNetwork) injectLocked(to int32, _ int) (time.Duration, bool) {
-	p, ok := t.linkLoss[to]
-	if !ok {
-		p = t.defaultLoss
-	}
-	if p > 0 && t.lossRng.Float64() < p {
-		return 0, true
-	}
-	d, ok := t.linkDelay[to]
-	if !ok {
-		d = t.defaultDelay
-	}
-	if d.Base == 0 && d.Jitter == 0 {
-		return 0, false
-	}
-	return d.Sample(t.lossRng), false
 }
 
 // Stats snapshots the network's counters.
@@ -652,23 +558,23 @@ type peerLink struct {
 	closed bool
 	up     bool
 
+	stop       chan struct{} // closed once, by close: wakes a backoff wait
 	writerDone chan struct{}
 
-	enqueued      atomic.Int64
-	sent          atomic.Int64
-	sentBytes     atomic.Int64
-	dropsFull     atomic.Int64
-	dropsConn     atomic.Int64
-	dropsInjected atomic.Int64
-	dials         atomic.Int64
-	dialFails     atomic.Int64
-	reconnects    atomic.Int64
-	writes        atomic.Int64
-	flushes       atomic.Int64
+	enqueued   atomic.Int64
+	sent       atomic.Int64
+	sentBytes  atomic.Int64
+	dropsFull  atomic.Int64
+	dropsConn  atomic.Int64
+	dials      atomic.Int64
+	dialFails  atomic.Int64
+	reconnects atomic.Int64
+	writes     atomic.Int64
+	flushes    atomic.Int64
 }
 
 func newPeerLink(t *TCPNetwork, id int32, back net.Conn) *peerLink {
-	l := &peerLink{net: t, id: id, back: back, up: back != nil, writerDone: make(chan struct{})}
+	l := &peerLink{net: t, id: id, back: back, up: back != nil, stop: make(chan struct{}), writerDone: make(chan struct{})}
 	l.cond = sync.NewCond(&l.mu)
 	go l.writerLoop()
 	return l
@@ -684,7 +590,6 @@ func (l *peerLink) stats() TCPPeerStats {
 		SentBytes:      l.sentBytes.Load(),
 		DropsQueueFull: l.dropsFull.Load(),
 		DropsConnDown:  l.dropsConn.Load(),
-		DropsInjected:  l.dropsInjected.Load(),
 		Dials:          l.dials.Load(),
 		DialFailures:   l.dialFails.Load(),
 		Reconnects:     l.reconnects.Load(),
@@ -745,6 +650,9 @@ func (l *peerLink) tryDequeue() (frame []byte, ok bool) {
 
 func (l *peerLink) close() {
 	l.mu.Lock()
+	if !l.closed {
+		close(l.stop)
+	}
 	l.closed = true
 	l.queue = nil
 	l.cond.Broadcast()
@@ -859,24 +767,19 @@ func (l *peerLink) dial() (net.Conn, error) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownDest, l.id)
 	}
 	l.dials.Add(1)
-	d := net.Dialer{Timeout: l.net.opts.dialTimeout}
-	if cfg := l.net.opts.tlsClient; cfg != nil {
-		return tls.DialWithDialer(&d, "tcp", addr, cfg)
-	}
-	return d.Dial("tcp", addr)
+	return net.DialTimeout("tcp", addr, l.net.opts.dialTimeout)
 }
 
 // sleep waits for d unless the link closes first.
 func (l *peerLink) sleep(d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for !l.closed && time.Now().Before(deadline) {
-		l.mu.Unlock()
-		time.Sleep(5 * time.Millisecond)
-		l.mu.Lock()
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return true
+	case <-l.stop:
+		return false
 	}
-	return !l.closed
 }
 
 // jittered spreads d by ±50% so reconnect storms decorrelate.

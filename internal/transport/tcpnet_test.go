@@ -2,18 +2,11 @@ package transport
 
 import (
 	"bytes"
-	"crypto/ecdsa"
-	"crypto/elliptic"
 	"crypto/hmac"
-	crand "crypto/rand"
 	"crypto/sha256"
-	"crypto/tls"
-	"crypto/x509"
-	"crypto/x509/pkix"
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"math/big"
 	"net"
 	"runtime"
 	"strings"
@@ -437,141 +430,38 @@ func TestTCPReconnectUnderLoad(t *testing.T) {
 	}
 }
 
-func TestTCPLossInjection(t *testing.T) {
-	secret := []byte("s")
-	b, err := NewTCPNetwork(2, "127.0.0.1:0", secret, nil)
-	if err != nil {
-		t.Fatalf("listen b: %v", err)
-	}
-	defer b.Close()
-	a, err := NewTCPNetwork(1, "127.0.0.1:0", secret, map[int32]string{2: b.Addr()})
-	if err != nil {
-		t.Fatalf("listen a: %v", err)
-	}
-	defer a.Close()
-
-	a.SetLinkLoss(2, 1.0)
-	const n = 20
-	for i := 0; i < n; i++ {
-		if err := a.Send(2, 0, []byte("lost")); err != nil {
-			t.Fatalf("send: %v", err)
-		}
-	}
-	expectNone(t, b, 100*time.Millisecond)
-	if got := a.Stats().Peers[2].DropsInjected; got != n {
-		t.Fatalf("DropsInjected = %d, want %d", got, n)
-	}
-
-	// Clearing the rule restores delivery.
-	a.SetLinkLoss(2, -1)
-	if err := a.Send(2, 7, []byte("through")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	if m := recvOne(t, b, 2*time.Second); m.Type != 7 {
-		t.Fatalf("bad message after clearing loss: %+v", m)
-	}
-}
-
 func TestTCPDelayInjection(t *testing.T) {
-	secret := []byte("s")
-	b, err := NewTCPNetwork(2, "127.0.0.1:0", secret, nil)
+	// The delay is set on the empty fabric, before any endpoint exists, the
+	// way Cluster applies NetLatency: endpoints created later inherit it.
+	f := NewTCPFabric([]byte("s"))
+	defer f.Close()
+	f.SetDelay(60 * time.Millisecond)
+	a, err := f.Endpoint(1)
 	if err != nil {
-		t.Fatalf("listen b: %v", err)
+		t.Fatalf("endpoint a: %v", err)
 	}
-	defer b.Close()
-	a, err := NewTCPNetwork(1, "127.0.0.1:0", secret, map[int32]string{2: b.Addr()})
+	b, err := f.Endpoint(2)
 	if err != nil {
-		t.Fatalf("listen a: %v", err)
+		t.Fatalf("endpoint b: %v", err)
 	}
-	defer a.Close()
 
 	// Prime the connection so dial time does not pollute the measurement.
 	_ = a.Send(2, 0, nil)
 	recvOne(t, b, 2*time.Second)
 
-	a.SetLinkDelay(2, &DelayDist{Base: 60 * time.Millisecond})
 	start := time.Now()
 	_ = a.Send(2, 1, nil)
 	recvOne(t, b, 2*time.Second)
 	if d := time.Since(start); d < 40*time.Millisecond {
-		t.Fatalf("injected delay not applied: delivered in %v", d)
+		t.Fatalf("fabric delay not applied: delivered in %v", d)
 	}
 
-	a.SetLinkDelay(2, nil)
+	f.SetDelay(0)
 	start = time.Now()
 	_ = a.Send(2, 2, nil)
 	recvOne(t, b, 2*time.Second)
-	if d := time.Since(start); d > 40*time.Millisecond {
+	if d := time.Since(start); d >= 40*time.Millisecond {
 		t.Fatalf("cleared delay still applied: %v", d)
-	}
-}
-
-// selfSignedTLS builds a throwaway CA-less server certificate for 127.0.0.1
-// and the matching client config.
-func selfSignedTLS(t *testing.T) (clientCfg, serverCfg *tls.Config) {
-	t.Helper()
-	key, err := ecdsa.GenerateKey(elliptic.P256(), crand.Reader)
-	if err != nil {
-		t.Fatalf("generate key: %v", err)
-	}
-	tmpl := x509.Certificate{
-		SerialNumber:          big.NewInt(1),
-		Subject:               pkix.Name{CommonName: "tcpnet-test"},
-		NotBefore:             time.Now().Add(-time.Hour),
-		NotAfter:              time.Now().Add(time.Hour),
-		KeyUsage:              x509.KeyUsageDigitalSignature | x509.KeyUsageCertSign,
-		ExtKeyUsage:           []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth},
-		BasicConstraintsValid: true,
-		IsCA:                  true,
-		IPAddresses:           []net.IP{net.ParseIP("127.0.0.1")},
-	}
-	der, err := x509.CreateCertificate(crand.Reader, &tmpl, &tmpl, &key.PublicKey, key)
-	if err != nil {
-		t.Fatalf("create certificate: %v", err)
-	}
-	cert, err := x509.ParseCertificate(der)
-	if err != nil {
-		t.Fatalf("parse certificate: %v", err)
-	}
-	pool := x509.NewCertPool()
-	pool.AddCert(cert)
-	serverCfg = &tls.Config{
-		Certificates: []tls.Certificate{{Certificate: [][]byte{der}, PrivateKey: key}},
-		MinVersion:   tls.VersionTLS12,
-	}
-	clientCfg = &tls.Config{RootCAs: pool, MinVersion: tls.VersionTLS12}
-	return clientCfg, serverCfg
-}
-
-func TestTCPTLSRoundTrip(t *testing.T) {
-	clientCfg, serverCfg := selfSignedTLS(t)
-	secret := []byte("tls-secret")
-	a, err := NewTCPNetwork(1, "127.0.0.1:0", secret, nil, WithTCPTLS(clientCfg, serverCfg))
-	if err != nil {
-		t.Fatalf("listen a: %v", err)
-	}
-	defer a.Close()
-	b, err := NewTCPNetwork(2, "127.0.0.1:0", secret, nil, WithTCPTLS(clientCfg, serverCfg))
-	if err != nil {
-		t.Fatalf("listen b: %v", err)
-	}
-	defer b.Close()
-	a.AddPeer(2, b.Addr())
-	b.AddPeer(1, a.Addr())
-
-	if err := a.Send(2, 21, []byte("over tls")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	m := recvOne(t, b, 5*time.Second)
-	if m.From != 1 || m.Type != 21 || string(m.Payload) != "over tls" {
-		t.Fatalf("bad message: %+v", m)
-	}
-	if err := b.Send(1, 22, []byte("tls pong")); err != nil {
-		t.Fatalf("reply: %v", err)
-	}
-	m = recvOne(t, a, 5*time.Second)
-	if m.From != 2 || m.Type != 22 || string(m.Payload) != "tls pong" {
-		t.Fatalf("bad reply: %+v", m)
 	}
 }
 

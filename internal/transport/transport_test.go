@@ -119,50 +119,25 @@ func TestMemNetworkDetachAndReattach(t *testing.T) {
 	}
 }
 
-func TestMemNetworkIsolateAndHeal(t *testing.T) {
+func TestMemNetworkIsolate(t *testing.T) {
 	net := NewMemNetwork()
 	a := net.Endpoint(1)
 	b := net.Endpoint(2)
 	defer a.Close()
 	defer b.Close()
 
-	net.Isolate(2)
+	iso := net.Isolate(2)
 	if err := a.Send(2, 0, nil); err != nil {
 		t.Fatalf("send to isolated node should be silently dropped, got %v", err)
 	}
 	expectNone(t, b, 50*time.Millisecond)
 
-	net.Heal()
+	net.RemoveFilter(iso)
 	if err := a.Send(2, 1, nil); err != nil {
-		t.Fatalf("send after heal: %v", err)
+		t.Fatalf("send after lifting isolation: %v", err)
 	}
 	if m := recvOne(t, b, time.Second); m.Type != 1 {
-		t.Fatalf("bad message after heal: %+v", m)
-	}
-}
-
-func TestMemNetworkPartition(t *testing.T) {
-	net := NewMemNetwork()
-	eps := make([]Endpoint, 4)
-	for i := range eps {
-		eps[i] = net.Endpoint(int32(i))
-		defer eps[i].Close()
-	}
-	net.Partition([]int32{0, 1}, []int32{2, 3})
-
-	if err := eps[0].Send(1, 1, nil); err != nil {
-		t.Fatalf("intra-partition send: %v", err)
-	}
-	if m := recvOne(t, eps[1], time.Second); m.Type != 1 {
-		t.Fatalf("bad intra-partition message: %+v", m)
-	}
-	_ = eps[0].Send(2, 2, nil)
-	expectNone(t, eps[2], 50*time.Millisecond)
-
-	net.Heal()
-	_ = eps[0].Send(2, 3, nil)
-	if m := recvOne(t, eps[2], time.Second); m.Type != 3 {
-		t.Fatalf("bad message after heal: %+v", m)
+		t.Fatalf("bad message after lifting isolation: %+v", m)
 	}
 }
 
@@ -179,19 +154,6 @@ func TestMemNetworkLatency(t *testing.T) {
 	if d := time.Since(start); d < 25*time.Millisecond {
 		t.Fatalf("latency not applied: delivered in %v", d)
 	}
-}
-
-func TestMemNetworkDropRate(t *testing.T) {
-	net := NewMemNetwork(WithDropRate(1.0, 42))
-	a := net.Endpoint(1)
-	b := net.Endpoint(2)
-	defer a.Close()
-	defer b.Close()
-
-	for i := 0; i < 10; i++ {
-		_ = a.Send(2, 0, nil)
-	}
-	expectNone(t, b, 50*time.Millisecond)
 }
 
 func TestMemNetworkSendAfterCloseFails(t *testing.T) {
@@ -373,6 +335,31 @@ func TestMemNetworkFilterStackComposes(t *testing.T) {
 	net.RemoveFilter(to3) // double-remove is harmless
 	_ = a.Send(3, 0, nil)
 	recvOne(t, c, time.Second)
+
+	// An isolation is one more filter on the same stack: lifting it leaves
+	// a targeted filter's drops in force, and lifting the filter leaves the
+	// isolation's.
+	iso := net.Isolate(2)
+	to3 = net.AddFilter(func(m Message) bool { return m.To == 3 })
+	_ = a.Send(2, 0, nil)
+	_ = a.Send(3, 0, nil)
+	expectNone(t, b, 50*time.Millisecond)
+	expectNone(t, c, 50*time.Millisecond)
+	net.RemoveFilter(iso)
+	_ = a.Send(2, 0, nil)
+	_ = a.Send(3, 0, nil)
+	recvOne(t, b, time.Second)
+	expectNone(t, c, 50*time.Millisecond)
+
+	iso = net.Isolate(2)
+	net.RemoveFilter(to3)
+	_ = c.Send(2, 0, nil)
+	_ = b.Send(1, 0, nil)
+	_ = a.Send(3, 0, nil)
+	expectNone(t, b, 50*time.Millisecond)
+	expectNone(t, a, 50*time.Millisecond)
+	recvOne(t, c, time.Second)
+	net.RemoveFilter(iso)
 }
 
 func TestDelayDistSampling(t *testing.T) {
@@ -383,23 +370,6 @@ func TestDelayDistSampling(t *testing.T) {
 		if got := fixed.Sample(rng); got != 5*time.Millisecond {
 			t.Fatalf("JitterNone sample %v, want exactly Base", got)
 		}
-	}
-
-	uni := DelayDist{Base: 20 * time.Millisecond, Jitter: 10 * time.Millisecond, Kind: JitterUniform}
-	varied := false
-	var prev time.Duration = -1
-	for i := 0; i < 200; i++ {
-		got := uni.Sample(rng)
-		if got < 10*time.Millisecond || got > 30*time.Millisecond {
-			t.Fatalf("uniform sample %v outside [Base-Jitter, Base+Jitter]", got)
-		}
-		if prev >= 0 && got != prev {
-			varied = true
-		}
-		prev = got
-	}
-	if !varied {
-		t.Fatal("uniform jitter never varied")
 	}
 
 	// A wide normal must clamp at zero, never deliver into the past.
