@@ -8,6 +8,8 @@ package main
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -74,7 +76,11 @@ func run() error {
 			}
 			values = append(values, v)
 		}
-		tx, err := coin.NewMint(key, nonce(), values...)
+		n, err := nonce()
+		if err != nil {
+			return err
+		}
+		tx, err := coin.NewMint(key, n, values...)
 		if err != nil {
 			return err
 		}
@@ -101,7 +107,11 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("bad value: %v", err)
 		}
-		tx, err := coin.NewSpend(key, nonce(), []coin.CoinID{crypto.HashFromBytes(raw)},
+		n, err := nonce()
+		if err != nil {
+			return err
+		}
+		tx, err := coin.NewSpend(key, n, []coin.CoinID{crypto.HashFromBytes(raw)},
 			[]coin.Output{{Owner: key.Public(), Value: value}})
 		if err != nil {
 			return err
@@ -135,17 +145,15 @@ func run() error {
 	return nil
 }
 
-// nonce derives a fresh transaction nonce from the wall clock; good enough
-// for a CLI (replays within the same nanosecond are not a CLI use case).
-func nonce() uint64 {
+// nonce draws a random transaction nonce. It is what tells two otherwise
+// identical mints apart (their coin IDs hash it), so a failed draw is an
+// error, never a zero nonce.
+func nonce() (uint64, error) {
 	var b [8]byte
-	f, err := os.Open("/dev/urandom")
-	if err == nil {
-		_, _ = f.Read(b[:])
-		f.Close()
+	if _, err := rand.Read(b[:]); err != nil {
+		return 0, fmt.Errorf("drawing a nonce: %w", err)
 	}
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
+	return binary.BigEndian.Uint64(b[:]), nil
 }
 
 type peerPair struct {

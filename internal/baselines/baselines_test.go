@@ -275,3 +275,18 @@ func TestKindStrings(t *testing.T) {
 		t.Fatal("kind strings")
 	}
 }
+
+// ExecutedTxs sums executed transactions across replicas (divided by N it
+// approximates committed transactions).
+func (c *Cluster) ExecutedTxs() int64 {
+	var sum int64
+	for _, r := range c.replicas {
+		sum += r.ExecutedTxs()
+	}
+	return sum
+}
+
+// ExecutedTxs returns the number of transactions executed so far.
+func (r *Replica) ExecutedTxs() int64 {
+	return r.executedTxs.Load()
+}

@@ -170,11 +170,6 @@ func (r *Replica) Stop() {
 	})
 }
 
-// ExecutedTxs returns the number of transactions executed so far.
-func (r *Replica) ExecutedTxs() int64 {
-	return r.executedTxs.Load()
-}
-
 // DroppedSends returns the number of outbound messages (protocol and
 // client replies) the transport refused to accept.
 func (r *Replica) DroppedSends() int64 {

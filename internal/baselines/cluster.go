@@ -170,16 +170,6 @@ func (c *Cluster) ClientEndpoint() transport.Endpoint {
 	return c.Net.Endpoint(atomic.AddInt32(&c.nextClientID, 1) - 1)
 }
 
-// ExecutedTxs sums executed transactions across replicas (divided by N it
-// approximates committed transactions).
-func (c *Cluster) ExecutedTxs() int64 {
-	var sum int64
-	for _, r := range c.replicas {
-		sum += r.ExecutedTxs()
-	}
-	return sum
-}
-
 // DroppedSends sums transport-refused sends across replicas. Nonzero
 // values mean the baseline measurement ran degraded (lost protocol
 // messages or client replies) and should be reported next to throughput.

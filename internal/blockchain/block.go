@@ -131,19 +131,6 @@ func (u *ViewUpdate) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeViewUpdate parses an encoded view update.
-func DecodeViewUpdate(data []byte) (ViewUpdate, error) {
-	d := codec.NewDecoder(data)
-	u, err := decodeViewUpdateFrom(d)
-	if err != nil {
-		return ViewUpdate{}, err
-	}
-	if err := d.Finish(); err != nil {
-		return ViewUpdate{}, fmt.Errorf("decode view update: %w", err)
-	}
-	return u, nil
-}
-
 func decodeViewUpdateFrom(d *codec.Decoder) (ViewUpdate, error) {
 	var u ViewUpdate
 	u.NewViewID = d.Int64()
@@ -240,12 +227,6 @@ type Block struct {
 
 // Hash returns the block's identity (its header hash).
 func (b *Block) Hash() crypto.Hash { return b.Header.Hash() }
-
-// Certified reports whether the block carries at least quorum certificate
-// signatures. Signature validity is checked by VerifyChain, not here.
-func (b *Block) Certified(quorum int) bool {
-	return b.Cert.Count() >= quorum
-}
 
 // Encode serializes the full block.
 func (b *Block) Encode() []byte {

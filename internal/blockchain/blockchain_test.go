@@ -3,10 +3,12 @@ package blockchain
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
+	"smartchain/internal/codec"
 	"smartchain/internal/consensus"
 	"smartchain/internal/crypto"
 	"smartchain/internal/smr"
@@ -654,4 +656,17 @@ func TestAttachCert(t *testing.T) {
 	if !ok || got.Cert.Count() != fresh.Count() {
 		t.Fatal("cert not attached to cache")
 	}
+}
+
+// DecodeViewUpdate parses an encoded view update.
+func DecodeViewUpdate(data []byte) (ViewUpdate, error) {
+	d := codec.NewDecoder(data)
+	u, err := decodeViewUpdateFrom(d)
+	if err != nil {
+		return ViewUpdate{}, err
+	}
+	if err := d.Finish(); err != nil {
+		return ViewUpdate{}, fmt.Errorf("decode view update: %w", err)
+	}
+	return u, nil
 }

@@ -149,13 +149,6 @@ func RecoverLedger(records [][]byte) (*Ledger, []Block, error) {
 	return l, valid, nil
 }
 
-// Genesis returns the genesis content.
-func (l *Ledger) Genesis() Genesis {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.genesis
-}
-
 // Height returns the number of the last block.
 func (l *Ledger) Height() int64 {
 	l.mu.Lock()
@@ -322,6 +315,8 @@ func (l *Ledger) CachedRange(from, to int64) ([]Block, bool) {
 }
 
 // CachedBlock returns the cached block with the given number, if present.
+//
+//smartlint:allow structure core's replay, fault and read tests inspect one committed block
 func (l *Ledger) CachedBlock(number int64) (Block, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

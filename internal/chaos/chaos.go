@@ -117,17 +117,6 @@ type Schedule struct {
 	Steps []Step
 }
 
-// End is the offset at which the last step has applied and cleared.
-func (s Schedule) End() time.Duration {
-	var end time.Duration
-	for _, st := range s.Steps {
-		if t := st.At + st.Dur; t > end {
-			end = t
-		}
-	}
-	return end
-}
-
 func (s Schedule) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "schedule seed=%d steps=%d\n", s.Seed, len(s.Steps))

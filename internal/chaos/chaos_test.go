@@ -262,3 +262,14 @@ func TestByzantineEquivocateForksProposal(t *testing.T) {
 		t.Fatalf("Equivocations() = %d, want 1", n)
 	}
 }
+
+// End is the offset at which the last step has applied and cleared.
+func (s Schedule) End() time.Duration {
+	var end time.Duration
+	for _, st := range s.Steps {
+		if t := st.At + st.Dur; t > end {
+			end = t
+		}
+	}
+	return end
+}

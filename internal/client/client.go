@@ -316,9 +316,6 @@ func (p *Proxy) resend(payloads [][]byte, members []int32) {
 // ID returns the client's process ID.
 func (p *Proxy) ID() int64 { return p.id }
 
-// PublicKey returns the client's public key.
-func (p *Proxy) PublicKey() crypto.PublicKey { return p.key.Public() }
-
 // Members returns the membership the proxy currently targets (primarily
 // for tests asserting self-healing view discovery).
 func (p *Proxy) Members() []int32 {
@@ -331,6 +328,8 @@ func (p *Proxy) Members() []int32 {
 
 // ViewID returns the view number the proxy has confirmed (-1 before any
 // reply taught it one).
+//
+//smartlint:allow structure core's self-healing test asserts the view the proxy adopted
 func (p *Proxy) ViewID() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -339,6 +338,8 @@ func (p *Proxy) ViewID() int64 {
 
 // ReadFloor returns the current session read floor (the highest executed
 // height observed in reply view tags).
+//
+//smartlint:allow structure core's read-your-writes test asserts the floor a write's replies taught
 func (p *Proxy) ReadFloor() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -762,11 +763,4 @@ func (p *Proxy) InvokeUnorderedAsync(ctx context.Context, op []byte) *Future {
 		close(f.done)
 	}()
 	return f
-}
-
-// InvokeOrdered is Invoke for callers that only care that the operation
-// committed, discarding the result.
-func (p *Proxy) InvokeOrdered(ctx context.Context, op []byte) error {
-	_, err := p.Invoke(ctx, op)
-	return err
 }

@@ -22,6 +22,8 @@ type Row struct {
 }
 
 // Of builds the row for one decode/encode pair.
+//
+//smartlint:allow structure test hook: every package's decoders_test.go builds its table with it
 func Of[M any](name string, decode func([]byte) (M, error), encode func(*M) []byte) Row {
 	return Row{name: name, check: func(t testing.TB, data []byte) bool {
 		return fuzzDecoder(t, data, decode, encode)
@@ -31,6 +33,8 @@ func Of[M any](name string, decode func([]byte) (M, error), encode func(*M) []by
 // Seeds returns the row with its seeds: valid are encodings the decoder must
 // accept, hostile inputs it must refuse (e.g. a few bytes declaring a huge
 // list).
+//
+//smartlint:allow structure test hook: every package's decoders_test.go seeds its rows with it
 func (r Row) Seeds(valid, hostile [][]byte) Row {
 	r.valid, r.hostile = valid, hostile
 	return r
@@ -42,6 +46,8 @@ func (r Row) Check(t testing.TB, data []byte) bool { return r.check(t, data) }
 
 // Contract checks every row on its own seeds: the valid ones are accepted,
 // the hostile ones refused, all within the allocation bound.
+//
+//smartlint:allow structure test hook: each package's TestDecodersContract runs its table through it
 func Contract(t *testing.T, table []Row) {
 	for _, r := range table {
 		t.Run(r.name, func(t *testing.T) {
@@ -61,6 +67,8 @@ func Contract(t *testing.T, table []Row) {
 
 // Fuzz is the table's single fuzz target: the first input byte picks the
 // row, the rest is that decoder's input.
+//
+//smartlint:allow structure test hook: each package's FuzzDecoders target is this function
 func Fuzz(f *testing.F, table []Row) {
 	for i, r := range table {
 		for _, seeds := range [][][]byte{r.valid, r.hostile} {

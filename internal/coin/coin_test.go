@@ -3,6 +3,7 @@ package coin
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -641,3 +642,27 @@ func TestParseResultErrors(t *testing.T) {
 		t.Fatalf("bare code: %d %d %v", code, len(coins), err)
 	}
 }
+
+// CoinsOf returns the coins owned by addr, sorted by ID for determinism.
+func (s *State) CoinsOf(addr crypto.PublicKey) []Coin {
+	s.execMu.RLock()
+	defer s.execMu.RUnlock()
+	var out []Coin
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for _, c := range sh.utxos {
+			if c.Owner.Equal(addr) {
+				out = append(out, c)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	sort.Slice(out, func(i, j int) bool {
+		return compareHash(out[i].ID, out[j].ID) < 0
+	})
+	return out
+}
+
+// EncodeUTXOCountQuery frames a UTXO-count query.
+func EncodeUTXOCountQuery() []byte { return []byte{QueryUTXOCount} }

@@ -89,9 +89,6 @@ func EncodeBalanceQuery(addr crypto.PublicKey) []byte {
 	return append([]byte{QueryBalance}, addr...)
 }
 
-// EncodeUTXOCountQuery frames a UTXO-count query.
-func EncodeUTXOCountQuery() []byte { return []byte{QueryUTXOCount} }
-
 // IsQuery reports whether op is a read-only query payload. The query kind
 // bytes are disjoint from transaction encodings, whose first byte is the
 // TxType, so the answer is unambiguous.

@@ -63,9 +63,9 @@ func TestProofSignerAreViewMembers(t *testing.T) {
 	v := s.ms[0].cfg.View
 	for i := range s.ms {
 		proof := s.decided[i][0].Proof
-		for _, signer := range proof.Signers() {
-			if !v.Contains(signer) {
-				t.Fatalf("replica %d: proof signer %d not in view", i, signer)
+		for _, sig := range proof.Sigs {
+			if !v.Contains(sig.Signer) {
+				t.Fatalf("replica %d: proof signer %d not in view", i, sig.Signer)
 			}
 		}
 	}

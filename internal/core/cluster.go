@@ -555,45 +555,6 @@ func (c *Cluster) Leave(id int32, timeout time.Duration) error {
 	return nil
 }
 
-// Exclude drives the removal of target: every other member submits its
-// remove vote.
-func (c *Cluster) Exclude(target int32, timeout time.Duration) error {
-	if _, ok := c.Nodes[target]; !ok {
-		return fmt.Errorf("core: unknown replica %d", target)
-	}
-	for id, cn := range c.Nodes {
-		if id == target || cn.crashed || cn.Node == nil || cn.Node.Retired() {
-			continue
-		}
-		if err := cn.Node.VoteRemove(target); err != nil {
-			return err
-		}
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		// The target may be crashed/Byzantine and never observe its own
-		// exclusion; what matters is the view of the remaining members.
-		others := 0
-		excluded := 0
-		for id, cn := range c.Nodes {
-			if id == target || cn.crashed || cn.Node == nil {
-				continue
-			}
-			others++
-			if !cn.Node.View().Contains(target) {
-				excluded++
-			}
-		}
-		if others > 0 && excluded == others {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: exclusion of %d not installed within %v", target, timeout)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
 // ClientEndpoint creates a fresh client endpoint with a unique ID. Safe
 // for concurrent use: load generators spin up client fleets from many
 // goroutines at once.

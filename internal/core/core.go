@@ -472,12 +472,6 @@ func (n *Node) Stats() Stats {
 	}
 }
 
-// SubmitLocal injects a request as if received from the network (useful for
-// tests and for a replica submitting its own reconfiguration transactions).
-func (n *Node) SubmitLocal(req smr.Request) {
-	n.enqueueRequest(req)
-}
-
 // enqueueRequest verifies (per the configured strategy) and queues a
 // request for ordering. Under VerifyParallel only the leader verifies on
 // arrival; a follower holds the request unverified (admit.go) and a full set

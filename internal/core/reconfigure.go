@@ -358,6 +358,8 @@ func (n *Node) RequestLeave(timeout time.Duration) error {
 // VoteRemove submits this member's exclusion vote for target as an ordered
 // transaction (Fig. 5b). When n−f members have done so, the view change
 // executes on all replicas.
+//
+//smartlint:allow structure the Fig. 5b exclusion vote: no shipped surface issues one yet, core's exclusion tests do
 func (n *Node) VoteRemove(target int32) error {
 	n.mu.Lock()
 	cur := n.curView

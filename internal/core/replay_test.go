@@ -321,3 +321,8 @@ func TestReplayRejectsRecordContradictingExecution(t *testing.T) {
 		}
 	})
 }
+
+// SubmitLocal injects a request as if received from the network.
+func (n *Node) SubmitLocal(req smr.Request) {
+	n.enqueueRequest(req)
+}

@@ -2,7 +2,6 @@ package crypto
 
 import (
 	"fmt"
-	"sort"
 
 	"smartchain/internal/codec"
 )
@@ -46,16 +45,6 @@ func (c *Certificate) Count() int {
 	return len(c.Sigs)
 }
 
-// Signers returns the sorted list of signer IDs.
-func (c *Certificate) Signers() []int32 {
-	ids := make([]int32, 0, len(c.Sigs))
-	for _, s := range c.Sigs {
-		ids = append(ids, s.Signer)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // CountValid counts distinct signers whose signatures over msg verify under
 // keys and context, or returns 0 if the certificate is not for digest.
 // msg is what the certificate's kind signs for digest: the digest itself for
@@ -85,42 +74,6 @@ func (c *Certificate) CountValid(keys KeyResolver, context string, digest Hash, 
 	}
 	return valid
 }
-
-// KeyRing is a mutable KeyResolver backed by a map. It is safe for
-// concurrent use by readers only after construction; protocol layers that
-// mutate key sets (reconfiguration) build a fresh ring per view.
-type KeyRing struct {
-	keys map[int32]PublicKey
-}
-
-// NewKeyRing builds a resolver from the given ID→key mapping. The map is
-// copied.
-func NewKeyRing(keys map[int32]PublicKey) *KeyRing {
-	m := make(map[int32]PublicKey, len(keys))
-	for id, k := range keys {
-		m[id] = k
-	}
-	return &KeyRing{keys: m}
-}
-
-// PublicKeyOf implements KeyResolver.
-func (r *KeyRing) PublicKeyOf(id int32) (PublicKey, bool) {
-	k, ok := r.keys[id]
-	return k, ok
-}
-
-// Set associates id with key. Not safe for use concurrent with resolution.
-func (r *KeyRing) Set(id int32, key PublicKey) {
-	if r.keys == nil {
-		r.keys = make(map[int32]PublicKey)
-	}
-	r.keys[id] = key
-}
-
-// Len returns the number of keys in the ring.
-func (r *KeyRing) Len() int { return len(r.keys) }
-
-var _ KeyResolver = (*KeyRing)(nil)
 
 // EncodeInto serializes the certificate (digest, then signer/signature
 // pairs) into e. The format is shared by all certificate-bearing wire

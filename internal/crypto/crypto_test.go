@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -353,3 +354,47 @@ func TestKeyRing(t *testing.T) {
 		t.Fatalf("len: got %d want 1", r.Len())
 	}
 }
+
+// Signers returns the sorted list of signer IDs.
+func (c *Certificate) Signers() []int32 {
+	ids := make([]int32, 0, len(c.Sigs))
+	for _, s := range c.Sigs {
+		ids = append(ids, s.Signer)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// KeyRing is a map-backed KeyResolver for the certificate tests.
+type KeyRing struct {
+	keys map[int32]PublicKey
+}
+
+// NewKeyRing builds a resolver from the given ID→key mapping. The map is
+// copied.
+func NewKeyRing(keys map[int32]PublicKey) *KeyRing {
+	m := make(map[int32]PublicKey, len(keys))
+	for id, k := range keys {
+		m[id] = k
+	}
+	return &KeyRing{keys: m}
+}
+
+// PublicKeyOf implements KeyResolver.
+func (r *KeyRing) PublicKeyOf(id int32) (PublicKey, bool) {
+	k, ok := r.keys[id]
+	return k, ok
+}
+
+// Set associates id with key. Not safe for use concurrent with resolution.
+func (r *KeyRing) Set(id int32, key PublicKey) {
+	if r.keys == nil {
+		r.keys = make(map[int32]PublicKey)
+	}
+	r.keys[id] = key
+}
+
+// Len returns the number of keys in the ring.
+func (r *KeyRing) Len() int { return len(r.keys) }
+
+var _ KeyResolver = (*KeyRing)(nil)

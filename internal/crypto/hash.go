@@ -40,11 +40,6 @@ func (h Hash) String() string {
 	return hex.EncodeToString(h[:])
 }
 
-// Short returns the first 8 hex characters, for log readability.
-func (h Hash) Short() string {
-	return hex.EncodeToString(h[:4])
-}
-
 // HashFromBytes copies b into a Hash. It returns the zero hash if b does not
 // have exactly HashSize bytes.
 func HashFromBytes(b []byte) Hash {

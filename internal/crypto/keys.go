@@ -36,11 +36,6 @@ func (p PublicKey) Equal(o PublicKey) bool {
 	return bytes.Equal(p, o)
 }
 
-// Fingerprint returns the hash of the public key, usable as a stable address.
-func (p PublicKey) Fingerprint() Hash {
-	return HashBytes(p)
-}
-
 // KeyPair is an Ed25519 key pair. The private half is kept unexported so it
 // can only be used through Sign, and so Erase can destroy it (the
 // "forgetting" protocol of the reconfiguration layer, paper §V-D).

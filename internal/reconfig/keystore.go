@@ -42,9 +42,6 @@ func NewKeyStore(self int32, permanent *crypto.KeyPair, viewID int64, initial *c
 	}
 }
 
-// Permanent returns the replica's permanent key pair.
-func (k *KeyStore) Permanent() *crypto.KeyPair { return k.permanent }
-
 // Current returns the consensus key for the installed view and that view's
 // ID.
 func (k *KeyStore) Current() (*crypto.KeyPair, int64) {

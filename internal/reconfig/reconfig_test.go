@@ -262,12 +262,13 @@ func TestBuildUpdateLeave(t *testing.T) {
 	if len(u.Keys) < nv.JoinQuorum() {
 		t.Fatalf("keys %d below new-view quorum %d", len(u.Keys), nv.JoinQuorum())
 	}
-	// Round-trip through the blockchain encoding.
-	decoded, err := blockchain.DecodeViewUpdate(u.Encode())
+	// Round-trip through the blockchain encoding, inside a block body.
+	blk := blockchain.Block{Body: blockchain.Body{Update: u}}
+	decoded, err := blockchain.DecodeBlock(blk.Encode())
 	if err != nil {
 		t.Fatalf("decode update: %v", err)
 	}
-	if decoded.NewViewID != u.NewViewID {
+	if decoded.Body.Update == nil || decoded.Body.Update.NewViewID != u.NewViewID {
 		t.Fatal("update round trip")
 	}
 }
@@ -503,4 +504,10 @@ func TestKeyStoreStalePreparedKeysErased(t *testing.T) {
 	if _, err := ks.PrepareFor(2); err == nil {
 		t.Fatal("preparing for installed view must fail")
 	}
+}
+
+// Pending returns the number of distinct voters advocating target's
+// exclusion.
+func (t *RemoveTracker) Pending(target int32) int {
+	return len(t.votes[target])
 }

@@ -172,9 +172,3 @@ func (t *RemoveTracker) Votes() []RemoveVote {
 	})
 	return out
 }
-
-// Pending returns the number of distinct voters advocating target's
-// exclusion.
-func (t *RemoveTracker) Pending(target int32) int {
-	return len(t.votes[target])
-}

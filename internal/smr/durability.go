@@ -143,14 +143,6 @@ func (d *DurableLogger) run() {
 	}
 }
 
-// Stats returns (records logged, syncs issued: none in Memory mode).
-// records/syncs is the group-commit amortization factor.
-func (d *DurableLogger) Stats() (records, syncs int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.records, d.syncs
-}
-
 // Mode returns the configured storage mode.
 func (d *DurableLogger) Mode() StorageMode { return d.mode }
 

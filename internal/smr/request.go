@@ -259,11 +259,6 @@ func DecodeBatch(data []byte) (Batch, error) {
 	return b, nil
 }
 
-// Digest hashes the encoded batch.
-func (b *Batch) Digest() crypto.Hash {
-	return crypto.HashBytes(b.Encode())
-}
-
 // BatchContext is the ordering context handed to the application alongside
 // each executed batch (the analogue of BFT-SMaRt's MessageContext): which
 // block the batch lands in, which consensus instance and epoch decided it,

@@ -501,3 +501,16 @@ func TestModeStrings(t *testing.T) {
 		t.Fatal("StorageMode strings")
 	}
 }
+
+// Stats returns (records logged, syncs issued: none in Memory mode).
+// records/syncs is the group-commit amortization factor.
+func (d *DurableLogger) Stats() (records, syncs int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.records, d.syncs
+}
+
+// Digest hashes the encoded batch.
+func (b *Batch) Digest() crypto.Hash {
+	return crypto.HashBytes(b.Encode())
+}

@@ -140,6 +140,8 @@ func (l *FileLog) Close() error {
 // CorruptTail flips a byte near the end of the durable file, simulating a
 // torn write for crash-recovery tests. offsetFromEnd counts backwards from
 // the file end.
+//
+//smartlint:allow structure test hook: the torn-write recovery tests damage the file through the open log
 func (l *FileLog) CorruptTail(offsetFromEnd int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

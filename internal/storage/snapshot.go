@@ -65,12 +65,6 @@ func (e *SnapEnvelope) VerifyChunk(i int, data []byte) bool {
 	return sha256.Sum256(data) == e.Chunks[i]
 }
 
-// Root returns a digest over the full envelope encoding (including Meta): a
-// single fingerprint that commits to the chunk digest chain.
-func (e *SnapEnvelope) Root() [32]byte {
-	return sha256.Sum256(e.Encode())
-}
-
 // Validate checks internal consistency: the chunk count must match the
 // declared total size and chunk size.
 func (e *SnapEnvelope) Validate() error {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -427,4 +428,10 @@ func TestSnapEnvelopeRoundTrip(t *testing.T) {
 	if _, err := DecodeSnapEnvelope(bad.Encode()); err == nil {
 		t.Fatal("decode accepted inconsistent chunk count")
 	}
+}
+
+// Root returns a digest over the full envelope encoding (including Meta): a
+// single fingerprint that commits to the chunk digest chain.
+func (e *SnapEnvelope) Root() [32]byte {
+	return sha256.Sum256(e.Encode())
 }

@@ -138,6 +138,8 @@ func (n *MemNetwork) Detach(id int32) {
 
 // Isolate cuts all traffic to and from id without detaching it: one filter
 // on the stack, lifted with RemoveFilter.
+//
+//smartlint:allow structure test hook: core's, baselines' and transport's fault tests cut one replica off
 func (n *MemNetwork) Isolate(id int32) FilterID {
 	return n.AddFilter(func(m Message) bool { return m.From == id || m.To == id })
 }

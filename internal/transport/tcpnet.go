@@ -27,7 +27,9 @@ const frameHeaderLen = 10
 // Defaults for the per-peer send queue and the reconnect backoff. The queue
 // depth is counted in frames: deep enough to ride out a reconnect under a
 // pipelined ordering window, shallow enough that a dead peer cannot pin
-// unbounded memory.
+// unbounded memory. Reconnect attempts start at the backoff minimum and
+// double up to its maximum, with ±50% jitter so a cluster restarting
+// together does not reconnect in lockstep.
 const (
 	DefaultQueueDepth     = 4096
 	defaultDialTimeout    = 2 * time.Second
@@ -50,39 +52,6 @@ type tcpOptions struct {
 
 // TCPOption configures a TCPNetwork.
 type TCPOption func(*tcpOptions)
-
-// WithQueueDepth bounds the per-peer send queue (frames). depth ≤ 0 keeps
-// the default.
-func WithQueueDepth(depth int) TCPOption {
-	return func(o *tcpOptions) {
-		if depth > 0 {
-			o.queueDepth = depth
-		}
-	}
-}
-
-// WithDialTimeout bounds one dial attempt.
-func WithDialTimeout(d time.Duration) TCPOption {
-	return func(o *tcpOptions) {
-		if d > 0 {
-			o.dialTimeout = d
-		}
-	}
-}
-
-// WithBackoff sets the reconnect backoff range: attempts start at min and
-// double up to max, with ±50% jitter so a cluster restarting together does
-// not reconnect in lockstep.
-func WithBackoff(minimum, maximum time.Duration) TCPOption {
-	return func(o *tcpOptions) {
-		if minimum > 0 {
-			o.backoffMin = minimum
-		}
-		if maximum >= o.backoffMin {
-			o.backoffMax = maximum
-		}
-	}
-}
 
 // withLogf redirects peer-transition logging (tests capture it).
 func withLogf(logf func(string, ...any)) TCPOption {

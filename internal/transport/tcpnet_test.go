@@ -235,9 +235,9 @@ func deadAddr(t *testing.T) string {
 func TestTCPQueueDropOldestAccounting(t *testing.T) {
 	a, err := NewTCPNetwork(1, "127.0.0.1:0", []byte("s"),
 		map[int32]string{2: deadAddr(t)},
-		WithQueueDepth(4),
-		WithBackoff(100*time.Millisecond, 100*time.Millisecond),
-		WithDialTimeout(50*time.Millisecond),
+		withQueueDepth(4),
+		withBackoff(100*time.Millisecond, 100*time.Millisecond),
+		withDialTimeout(50*time.Millisecond),
 		withLogf(func(string, ...any) {}))
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -356,8 +356,8 @@ func TestTCPReconnectUnderLoad(t *testing.T) {
 	addr := b1.Addr()
 	a, err := NewTCPNetwork(1, "127.0.0.1:0", secret,
 		map[int32]string{2: addr},
-		WithBackoff(10*time.Millisecond, 50*time.Millisecond),
-		WithDialTimeout(200*time.Millisecond),
+		withBackoff(10*time.Millisecond, 50*time.Millisecond),
+		withDialTimeout(200*time.Millisecond),
 		withLogf(logf))
 	if err != nil {
 		t.Fatalf("listen a: %v", err)
@@ -596,8 +596,8 @@ func TestTCPFabricDirectoryAndLateJoin(t *testing.T) {
 
 func TestTCPFabricDetachKeepsDirectory(t *testing.T) {
 	f := NewTCPFabric([]byte("fabric-secret"),
-		WithBackoff(10*time.Millisecond, 50*time.Millisecond),
-		WithDialTimeout(200*time.Millisecond),
+		withBackoff(10*time.Millisecond, 50*time.Millisecond),
+		withDialTimeout(200*time.Millisecond),
 		withLogf(func(string, ...any) {}))
 	defer f.Close()
 
@@ -643,4 +643,19 @@ func TestTCPFabricDetachKeepsDirectory(t *testing.T) {
 			return
 		}
 	}
+}
+
+// withQueueDepth bounds the per-peer send queue (frames).
+func withQueueDepth(depth int) TCPOption {
+	return func(o *tcpOptions) { o.queueDepth = depth }
+}
+
+// withDialTimeout bounds one dial attempt.
+func withDialTimeout(d time.Duration) TCPOption {
+	return func(o *tcpOptions) { o.dialTimeout = d }
+}
+
+// withBackoff sets the reconnect backoff range.
+func withBackoff(minimum, maximum time.Duration) TCPOption {
+	return func(o *tcpOptions) { o.backoffMin, o.backoffMax = minimum, maximum }
 }

@@ -51,12 +51,3 @@ type Endpoint interface {
 	// Close detaches the endpoint. Pending inbound messages are discarded.
 	Close() error
 }
-
-// Multicast sends the same payload to every destination in dests via ep.
-// Per-destination errors are ignored: the fair-links model permits loss and
-// the protocols above tolerate it.
-func Multicast(ep Endpoint, dests []int32, typ uint16, payload []byte) {
-	for _, d := range dests {
-		_ = ep.Send(d, typ, payload) //smartlint:allow errdrop fair-links model permits loss; protocols above tolerate it
-	}
-}

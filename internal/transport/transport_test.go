@@ -197,24 +197,6 @@ func TestMemNetworkConcurrentSenders(t *testing.T) {
 	wg.Wait()
 }
 
-func TestMulticast(t *testing.T) {
-	net := NewMemNetwork()
-	a := net.Endpoint(1)
-	b := net.Endpoint(2)
-	c := net.Endpoint(3)
-	defer a.Close()
-	defer b.Close()
-	defer c.Close()
-
-	Multicast(a, []int32{2, 3}, 9, []byte("x"))
-	if m := recvOne(t, b, time.Second); m.Type != 9 {
-		t.Fatalf("b: %+v", m)
-	}
-	if m := recvOne(t, c, time.Second); m.Type != 9 {
-		t.Fatalf("c: %+v", m)
-	}
-}
-
 func TestTCPNetworkRoundTrip(t *testing.T) {
 	secret := []byte("deployment-secret")
 	a, err := NewTCPNetwork(1, "127.0.0.1:0", secret, nil)

@@ -107,21 +107,35 @@ func collectWants(t *testing.T, pkg *load.Package) map[string][]*want {
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-				for _, pat := range splitPatterns(text) {
-					unq, err := unquote(pat)
-					if err != nil {
-						t.Fatalf("%s: bad want pattern %s: %v", pos, pat, err)
-					}
-					re, err := regexp.Compile(unq)
-					if err != nil {
-						t.Fatalf("%s: bad want regexp %s: %v", pos, pat, err)
-					}
+				res, err := Patterns(text)
+				if err != nil {
+					t.Fatalf("%s: %v", pos, err)
+				}
+				for _, re := range res {
 					wants[key] = append(wants[key], &want{re: re})
 				}
 			}
 		}
 	}
 	return wants
+}
+
+// Patterns compiles the backquoted or quoted regular expressions that
+// follow "want " in an expectation comment.
+func Patterns(text string) ([]*regexp.Regexp, error) {
+	var out []*regexp.Regexp
+	for _, pat := range splitPatterns(text) {
+		unq, err := unquote(pat)
+		if err != nil {
+			return nil, fmt.Errorf("bad want pattern %s: %v", pat, err)
+		}
+		re, err := regexp.Compile(unq)
+		if err != nil {
+			return nil, fmt.Errorf("bad want regexp %s: %v", pat, err)
+		}
+		out = append(out, re)
+	}
+	return out, nil
 }
 
 // splitPatterns splits `"a" "b"` / “ `a` `b` “ into quoted tokens.

@@ -7,7 +7,10 @@
 // resulting gc export data feeds a go/importer lookup function, so only the
 // target packages themselves are parsed and type-checked from source. Test
 // files are excluded by construction (GoFiles never contains _test.go
-// files), which is exactly the scope smartlint's invariants apply to.
+// files), which is exactly the scope smartlint's invariants apply to; their
+// paths are recorded for the checks that read tests as text (structure's
+// name bans and test references), and a package with test files only is
+// kept for them.
 package load
 
 import (
@@ -28,8 +31,10 @@ import (
 
 // Package is one parsed, type-checked target package.
 type Package struct {
-	Path      string // import path
-	Dir       string // directory holding the source files
+	Path      string   // import path
+	Module    string   // path of the module that holds the package
+	Dir       string   // directory holding the source files
+	TestFiles []string // absolute paths of the package's _test.go files, not parsed
 	Fset      *token.FileSet
 	Files     []*ast.File // parsed GoFiles, with comments
 	Types     *types.Package
@@ -44,13 +49,16 @@ type listError struct {
 
 // listPackage mirrors the subset of `go list -json` output the loader uses.
 type listPackage struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	Standard   bool
-	DepOnly    bool
-	Error      *listError
+	ImportPath   string
+	Dir          string
+	Export       string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Module       *struct{ Path string }
+	Standard     bool
+	DepOnly      bool
+	Error        *listError
 }
 
 // Load resolves patterns relative to dir (the analyzed module's root) and
@@ -112,8 +120,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 	var pkgs []*Package
 	for _, p := range roots {
-		if len(p.GoFiles) == 0 {
-			continue
+		if len(p.GoFiles)+len(p.TestGoFiles)+len(p.XTestGoFiles) == 0 {
+			continue // a test-only package is kept for its test files
 		}
 		var files []*ast.File
 		for _, name := range p.GoFiles {
@@ -135,9 +143,19 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
+		var tests []string
+		for _, name := range append(p.TestGoFiles, p.XTestGoFiles...) {
+			tests = append(tests, filepath.Join(p.Dir, name))
+		}
+		var module string
+		if p.Module != nil {
+			module = p.Module.Path
+		}
 		pkgs = append(pkgs, &Package{
 			Path:      p.ImportPath,
+			Module:    module,
 			Dir:       p.Dir,
+			TestFiles: tests,
 			Fset:      fset,
 			Files:     files,
 			Types:     tpkg,

@@ -1,0 +1,22 @@
+// Package core reads a list by hand and builds a second pool.
+package core
+
+import (
+	"fixture/internal/codec"
+	"fixture/internal/crypto"
+)
+
+// Decode reads a list without (*codec.Decoder).Count.
+func Decode(d *codec.Decoder) int {
+	n := d.Uint32() // want `internal/codec.Decoder.Uint32 referenced from ./internal/core`
+	total := 0
+	for i := uint32(0); i < n; i++ { // want `uint32 counter loop in ./internal/core/core.go`
+		total++
+	}
+	if crypto.NewVerifyPool() == nil { // want `internal/crypto.NewVerifyPool has 2 non-test references, at most 1`
+		return 0
+	}
+	return total
+}
+
+func fuzzDecoder() {} // want `fuzzDecoder appears in ./internal/core`
