@@ -7,50 +7,42 @@ import (
 	"smartchain/internal/smr"
 )
 
-// unverifiedSet holds the ordered requests a replica that does not lead has
-// received under VerifyParallel and not verified, keyed by digest and never
-// more than max: the batcher holds verified requests only (DESIGN.md
-// "Batched signature verification"). Each request leaves in exactly one of
-// these ways: a proposal that passes names it (claim: into the batcher), it
-// commits (drop), or a flush takes everything — the set reaches max (hold),
-// this replica starts to lead (lead), a progress deadline asks for pending
-// work (take). A flush verifies on the ordering driver and queues what holds.
+// unverifiedSet holds the ordered requests a replica has received under
+// VerifyParallel and not verified, keyed by digest and never more than max:
+// the batcher holds verified requests only (DESIGN.md "Who verifies an
+// ordered request"). Each request leaves in exactly one of these ways: a
+// proposal that passes names it (claim: into the batcher), it commits
+// (drop), or a flush takes everything — the set reaches max (hold), the
+// leader cuts a batch (take, in the window's next), a progress deadline asks
+// for pending work (take). A flush verifies on the ordering driver and queues
+// what holds. The set is not the batcher's queue: that one keeps one request
+// per (client, sequence), so a forged copy under a victim's identity would
+// shadow the honest request, where two digests are two entries here.
 type unverifiedSet struct {
-	mu      sync.Mutex
-	max     int
-	leading bool
-	reqs    map[crypto.Hash]smr.Request
+	mu    sync.Mutex
+	max   int
+	reqs  map[crypto.Hash]smr.Request
+	ready chan struct{} // one coalesced wake per hold: the leader has work to cut
 }
 
 func newUnverifiedSet(max int) *unverifiedSet {
-	return &unverifiedSet{max: max, reqs: make(map[crypto.Hash]smr.Request)}
+	return &unverifiedSet{max: max, reqs: make(map[crypto.Hash]smr.Request), ready: make(chan struct{}, 1)}
 }
 
-// hold keeps req unless this replica leads (held false: verify it now). When
-// the set reaches max it hands everything back as full, to be flushed.
-func (u *unverifiedSet) hold(req smr.Request) (held bool, full []smr.Request) {
+// hold keeps req and wakes the ordering driver. When the set reaches max it
+// hands everything back as full, to be flushed.
+func (u *unverifiedSet) hold(req smr.Request) (full []smr.Request) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if u.leading {
-		return false, nil
-	}
 	u.reqs[req.Digest()] = req
 	if len(u.reqs) >= u.max {
 		full = u.takeLocked()
 	}
-	return true, full
-}
-
-// lead records whether this replica leads; one that starts to takes
-// everything held, to be flushed.
-func (u *unverifiedSet) lead(leads bool) []smr.Request {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.leading = leads
-	if !leads {
-		return nil
+	select {
+	case u.ready <- struct{}{}:
+	default:
 	}
-	return u.takeLocked()
+	return full
 }
 
 // take empties the set, for a flush.
@@ -116,7 +108,8 @@ func (n *Node) admissible(r *smr.Request) bool {
 }
 
 // admit verifies requests that waited unverified and queues the ones that
-// hold: a flush, run on the ordering driver.
+// hold: a flush, run on the ordering driver. The leader runs one before each
+// cut (beginOrdering's next): its proposal passes the check its followers make.
 func (n *Node) admit(reqs []smr.Request) {
 	if len(reqs) == 0 {
 		return
@@ -132,12 +125,13 @@ func (n *Node) admit(reqs []smr.Request) {
 // for a PROPOSE (consensus.PreVerify) and inline otherwise: the value must
 // decode as a batch of orderable requests, so a batch smuggling an unordered
 // request never gathers an honest vote quorum. Under VerifyParallel, where
-// no follower verified them on arrival, every request envelope must also
+// no replica verified them on arrival, every request envelope must also
 // hold — all of them in one batch equation — and every application
 // operation pass Application.VerifyOp: a leader that orders a forged request
 // gets no WRITE quorum and is deposed by the progress timeout. The requests
 // of a proposal that passes are verified, and the ones held unverified move
-// to the batcher, so a follower that later leads still holds them.
+// to the batcher, so a follower that later leads proposes them without a
+// second check.
 func (n *Node) validProposal(_ int64, value []byte) bool {
 	if len(value) == 0 {
 		return true

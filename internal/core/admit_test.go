@@ -211,3 +211,154 @@ func TestFollowerRefusesTransplantedSignatureFromOneClient(t *testing.T) {
 		t.Fatal("the honest proposal was refused")
 	}
 }
+
+// The leader verifies what it proposes the way a follower does, in one batch
+// equation per cut, and nothing on arrival: replica 0 leads under
+// VerifyParallel and receives 10 × MaxBatch forged requests, each claiming
+// an honest client's identity and sequence number ahead of the honest signed
+// request (a queue keyed by client and sequence would keep the forgery and
+// refuse the real one), interleaved with the honest requests. It never holds
+// more than MaxBatch unverified, every honest request commits, nothing
+// forged does, and nobody campaigns.
+func TestLeaderFloodedWithForgedRequestsCommitsEveryHonestOne(t *testing.T) {
+	const timeout = time.Minute
+	r := newDriverRig(t, 0, timeout, true, smr.VerifyParallel)
+	maxBatch := r.n.cfg.MaxBatch
+	client := crypto.SeededKeyPair("leader-flood", 1)
+	forgedOp := WrapAppOp(func() []byte {
+		tx, err := coin.NewMint(client, 1<<20, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tx.Encode()
+	}())
+	var honest, forged []smr.Request
+	for seq := uint64(1); seq <= uint64(10*maxBatch); seq++ {
+		fake := smr.Request{ClientID: 7, Seq: seq, Op: forgedOp, PubKey: client.Public(),
+			Sig: bytes.Repeat([]byte{byte(seq)}, crypto.SignatureSize)}
+		forged = append(forged, fake)
+		r.n.enqueueRequest(fake)
+		if seq%4 == 0 {
+			tx, err := coin.NewMint(client, seq, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, err := smr.NewSignedRequest(7, seq, WrapAppOp(tx.Encode()), client)
+			if err != nil {
+				t.Fatal(err)
+			}
+			honest = append(honest, req)
+			r.n.enqueueRequest(req)
+		}
+		if got := r.n.unverified.size(); got > maxBatch {
+			t.Fatalf("the leader holds %d unverified requests, MaxBatch is %d", got, maxBatch)
+		}
+		if seq%12 == 0 { // the driver steps between bursts: some flushes are the set's, some a cut's
+			r.run()
+		}
+	}
+	r.run()
+
+	r.now = r.now.Add(timeout + time.Millisecond) // past every progress deadline
+	r.n.onTimer(r.now)
+	r.run()
+	committed := r.committed(t)
+	for _, req := range honest {
+		if !committed[req.Digest()] {
+			t.Errorf("honest request %d never committed", req.Seq)
+		}
+	}
+	for _, req := range forged {
+		if committed[req.Digest()] {
+			t.Errorf("forged request %d committed", req.Seq)
+		}
+	}
+	for _, m := range r.ep.sent {
+		if m.Type == consensus.MsgEpochStop {
+			t.Fatal("an EPOCH-STOP left the leader")
+		}
+	}
+	if got := r.n.Stats().EpochChanges; got != 0 {
+		t.Fatalf("%d regencies installed, want 0", got)
+	}
+	if held, pending := r.n.unverified.size(), r.n.batcher.Pending(); held != 0 || pending != 0 {
+		t.Fatalf("%d requests held unverified and %d pending at the end, want none", held, pending)
+	}
+}
+
+// A follower's held requests that a passing PROPOSE names are verified by
+// that check: they leave the unverified set for the batcher. When a regency
+// change then makes the follower the leader, its first cut proposes them
+// straight from the batcher — the flush before it runs over an empty set, so
+// nothing is verified twice — and they commit.
+func TestFollowerThatLeadsProposesClaimedRequestsWithoutReverifying(t *testing.T) {
+	const timeout = time.Minute
+	r := newDriverRig(t, 1, timeout, true, smr.VerifyParallel) // replica 0 leads regency 0, replica 1 regency 1
+	client := crypto.SeededKeyPair("claimed", 1)
+	reqs := make([]smr.Request, 3)
+	for i := range reqs {
+		tx, err := coin.NewMint(client, uint64(i), 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reqs[i], err = smr.NewSignedRequest(7, uint64(i+1), WrapAppOp(tx.Encode()), client); err != nil {
+			t.Fatal(err)
+		}
+		r.n.enqueueRequest(reqs[i])
+	}
+
+	// Replica 0 proposes them to replica 1 alone and falls silent.
+	r.peers[0].Start(r.now, 1, (&smr.Batch{Timestamp: 1, Requests: reqs}).Encode())
+	r.peers[2].Start(r.now, 1, nil)
+	r.peers[3].Start(r.now, 1, nil)
+	r.started = 1
+	for _, m := range r.flight {
+		if m.From == 0 && m.To == 1 && m.Type == consensus.MsgPropose {
+			r.toNode = append(r.toNode, m)
+		}
+	}
+	r.flight = nil
+	r.down = map[int32]bool{0: true}
+	r.deliver()
+	if held, pending := r.n.unverified.size(), r.n.batcher.Pending(); held != 0 || pending != len(reqs) {
+		t.Fatalf("after the PROPOSE passed: %d held unverified, %d pending; want 0 and %d", held, pending, len(reqs))
+	}
+
+	type cut struct {
+		held  int
+		batch smr.Batch
+	}
+	var cuts []cut
+	next := r.n.w.next
+	r.n.w.next = func(full bool) (smr.Batch, bool) {
+		held := r.n.unverified.size()
+		batch, ok := next(full)
+		if ok {
+			cuts = append(cuts, cut{held, batch})
+		}
+		return batch, ok
+	}
+	r.now = r.now.Add(timeout + time.Millisecond) // slot 1's deadline on replica 1 and both live peers
+	r.n.onTimer(r.now)
+	r.peers[2].Tick(r.now)
+	r.peers[3].Tick(r.now)
+	r.run()
+	if got := r.n.Regency(); got != 1 || r.n.Leader() != 1 {
+		t.Fatalf("regency %d led by %d, want replica 1 leading regency 1", got, r.n.Leader())
+	}
+	if len(cuts) == 0 {
+		t.Fatal("the new leader cut no batch")
+	}
+	if cuts[0].held != 0 {
+		t.Fatalf("the new leader's first cut flushed %d held requests, want an empty set", cuts[0].held)
+	}
+	if got := len(cuts[0].batch.Requests); got != len(reqs) {
+		t.Fatalf("the first cut carries %d requests, want the %d claimed", got, len(reqs))
+	}
+	committed := r.committed(t)
+	for _, req := range reqs {
+		if !committed[req.Digest()] {
+			t.Errorf("claimed request %d never committed", req.Seq)
+		}
+	}
+}

@@ -100,9 +100,10 @@ type Application interface {
 	// Restore replaces the state with a snapshot.
 	Restore(snapshot []byte) error
 	// VerifyOp is the application's admission check on one request's
-	// operation, run where the request signature is checked: by the
-	// leader's verification pool and a follower's proposal check or flush
-	// (admit.go), and in applyBatch under VerifySequential.
+	// operation, run where the request signature is checked: in a flush of
+	// the unverified set (the leader's before every cut among them) and a
+	// follower's proposal check (admit.go), and in applyBatch under
+	// VerifySequential.
 	// coin.Service's does no crypto (the issuer must be the signer).
 	VerifyOp(req *smr.Request) bool
 }
@@ -136,8 +137,6 @@ type Config struct {
 	Snapshots storage.SnapshotStore
 	// App is the replicated service.
 	App Application
-	// Policy admits or rejects join candidates. Nil means admit all.
-	Policy reconfig.Policy
 	// Persistence selects the weak or strong variant.
 	Persistence Persistence
 	// Storage selects sync/async/memory ledger writes.
@@ -186,9 +185,8 @@ type Config struct {
 
 // Node is one SMARTCHAIN replica.
 type Node struct {
-	cfg    Config
-	app    Application
-	policy reconfig.Policy
+	cfg Config
+	app Application
 
 	mu            sync.Mutex
 	curView       view.View
@@ -200,10 +198,10 @@ type Node struct {
 	ledger   *blockchain.Ledger
 	logger   *smr.DurableLogger
 	batcher  *smr.Batcher
-	verifier *smr.VerifierPool // the one verification pool: requests, reads, votes, proposals
-	// unverified holds the ordered requests a replica that does not lead
-	// receives under VerifyParallel until a proposal, a commit or a flush
-	// takes them (admit.go).
+	verifier *smr.VerifierPool // the one verification pool: reads, votes, proposals
+	// unverified holds the ordered requests this replica receives under
+	// VerifyParallel until a proposal, a commit or a flush takes them
+	// (admit.go); the leader flushes it before every cut.
 	unverified *unverifiedSet
 
 	// joinVotes intercepts protocol replies for in-flight join/leave flows
@@ -321,10 +319,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.CatchupChunkBytes <= 0 {
 		cfg.CatchupChunkBytes = storage.DefaultChunkBytes
 	}
-	policy := cfg.Policy
-	if policy == nil {
-		policy = reconfig.AdmitAll()
-	}
 	if cfg.PipelineDepth <= 0 {
 		cfg.PipelineDepth = DefaultPipelineDepth
 	}
@@ -337,7 +331,6 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:           cfg,
 		app:           cfg.App,
-		policy:        policy,
 		permanentKeys: cfg.Genesis.PermanentKeys(),
 		curView:       cfg.Genesis.InitialView(),
 		removeTracker: reconfig.NewRemoveTracker(),
@@ -472,28 +465,18 @@ func (n *Node) Stats() Stats {
 	}
 }
 
-// enqueueRequest verifies (per the configured strategy) and queues a
-// request for ordering. Under VerifyParallel only the leader verifies on
-// arrival; a follower holds the request unverified (admit.go) and a full set
-// is flushed on the ordering driver.
+// enqueueRequest queues an ordered request. Under VerifyParallel it waits
+// unverified (admit.go) until a proposal, a commit or a flush takes it, the
+// leader's flush before each cut among them; a set that fills is flushed on
+// the ordering driver. VerifySequential verifies inside applyBatch, and
+// VerifyNone not at all: both queue the request as is.
 func (n *Node) enqueueRequest(req smr.Request) {
-	switch n.cfg.Verify {
-	case smr.VerifyNone, smr.VerifySequential:
-		// Sequential strategy: verification happens inside the execution
-		// path (see applyBatch); queue as-is.
+	if n.cfg.Verify != smr.VerifyParallel {
 		n.batcher.Add(req)
-	default:
-		if held, full := n.unverified.hold(req); held {
-			if full != nil {
-				n.postInput(consInput{flush: full})
-			}
-			return
-		}
-		n.verifier.Submit(req, func(r smr.Request, ok bool) {
-			if ok && n.admissible(&r) {
-				n.batcher.Add(r)
-			}
-		})
+		return
+	}
+	if full := n.unverified.hold(req); full != nil {
+		n.postInput(consInput{flush: full})
 	}
 }
 

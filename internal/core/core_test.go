@@ -441,7 +441,7 @@ func TestConfigFieldBudget(t *testing.T) {
 		typ    reflect.Type
 		budget int
 	}{
-		{reflect.TypeOf(Config{}), 21},
+		{reflect.TypeOf(Config{}), 20},
 		{reflect.TypeOf(ClusterConfig{}), 22},
 	} {
 		if n := c.typ.NumField(); n > c.budget {

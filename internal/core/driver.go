@@ -66,6 +66,8 @@ func (n *Node) driverLoop() {
 			n.onInput(time.Now(), in)
 		case <-n.batcher.Ready():
 			n.drive(time.Now(), event{kind: evWork})
+		case <-n.unverified.ready:
+			n.drive(time.Now(), event{kind: evWork})
 		case ask := <-n.syncAsks:
 			n.onAsk(time.Now(), ask)
 		case resp := <-n.syncReplies:
@@ -83,7 +85,18 @@ func (n *Node) driverLoop() {
 // left, and a member's consensus machine (what arrived earlier waits in the inbox).
 func (n *Node) beginOrdering(now time.Time) {
 	period := max(4*n.cfg.ConsensusTimeout, 2*time.Second)
-	n.w = newWindow(n.cfg.PipelineDepth, period, n.nextInstance.Load(), n.batcher.Next, n.batcher.Requeue, n.batcherOrPeersBusy)
+	// The leader's batch source: flush, then cut, so it proposes verified
+	// requests only. A cut the depth rule would refuse (full, and not enough
+	// requests for one) flushes nothing: what is held waits to be checked in
+	// the equation of the cut that takes it.
+	next := func(full bool) (smr.Batch, bool) {
+		if full && n.batcher.Pending()+n.unverified.size() < n.cfg.MaxBatch {
+			return smr.Batch{}, false
+		}
+		n.admit(n.unverified.take())
+		return n.batcher.Next(full)
+	}
+	n.w = newWindow(n.cfg.PipelineDepth, period, n.nextInstance.Load(), next, n.batcher.Requeue, n.batcherOrPeersBusy)
 	n.reconcileEngine()
 	n.reseated = false // no outcome to settle: the engine event goes alone
 	n.drive(now, n.engineEvent())
@@ -171,9 +184,6 @@ func (n *Node) drive(now time.Time, evs ...event) {
 	for len(n.pending) > 0 {
 		ev := n.pending[0]
 		n.pending = append(n.pending[:0], n.pending[1:]...)
-		if ev.kind == evEngine || ev.kind == evLeader {
-			n.admit(n.unverified.lead(ev.leads)) // a replica that starts to lead flushes
-		}
 		for _, fx := range n.w.step(now, ev) {
 			if n.cons == nil && fx.kind != fxCommit && fx.kind != fxSync {
 				continue // a round replayed this replica's removal; its outcome tells the window
@@ -420,7 +430,7 @@ func (n *Node) applyBatch(number, instance, epoch int64, batch *smr.Batch) ([][]
 				results[i] = resultReconfigError
 				continue
 			}
-			u, err := cert.BuildUpdate(cur, permKeys, n.policy)
+			u, err := cert.BuildUpdate(cur, permKeys, reconfig.AdmitAll())
 			if err != nil {
 				results[i] = resultReconfigError
 				continue

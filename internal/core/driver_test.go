@@ -47,6 +47,11 @@ type driverRig struct {
 	peers  map[int32]*consensus.Machine
 	flight []transport.Message
 	toNode []transport.Message // what the peers sent the replica, in order
+	// For run: the replica's sends already routed, the highest instance the
+	// peers started, and the peers cut off (nothing reaches or leaves them).
+	routed  int
+	started int64
+	down    map[int32]bool
 }
 
 func newDriverRig(t *testing.T, self int32, timeout time.Duration, pipeline bool, verify smr.VerifyMode) *driverRig {
@@ -99,6 +104,9 @@ func (r *driverRig) settlePeers() {
 	for len(r.flight) > 0 {
 		m := r.flight[0]
 		r.flight = r.flight[1:]
+		if r.down[m.From] || r.down[m.To] {
+			continue
+		}
 		if m.To == r.n.cfg.Self {
 			r.toNode = append(r.toNode, m)
 			continue
@@ -202,6 +210,61 @@ func (r *driverRig) deliver() {
 	for len(r.n.inbox) > 0 {
 		r.n.onInput(r.now, <-r.n.inbox)
 	}
+}
+
+// run steps the replica as driverLoop does on what is queued — the inbox
+// first, then a wake from the unverified set or the batcher — and carries
+// consensus messages between it and the peers until none is in flight. The
+// peers start every instance the replica's window has opened.
+func (r *driverRig) run() {
+	for moved := true; moved; {
+		moved = len(r.n.inbox) > 0
+		for len(r.n.inbox) > 0 {
+			r.n.onInput(r.now, <-r.n.inbox)
+		}
+		select {
+		case <-r.n.unverified.ready:
+			r.n.drive(r.now, event{kind: evWork})
+			moved = true
+		case <-r.n.batcher.Ready():
+			r.n.drive(r.now, event{kind: evWork})
+			moved = true
+		default:
+		}
+		for ; r.started < r.n.w.nextStart-1; r.started++ {
+			for id, p := range r.peers {
+				if !r.down[id] {
+					p.Start(r.now, r.started+1, nil)
+				}
+			}
+		}
+		for ; r.routed < len(r.ep.sent); r.routed++ {
+			if m := r.ep.sent[r.routed]; r.peers[m.To] != nil && m.Type >= consensus.MsgPropose && m.Type < 120 {
+				r.flight = append(r.flight, m)
+			}
+		}
+		r.settlePeers()
+		if len(r.toNode) > 0 {
+			r.deliver()
+			moved = true
+		}
+	}
+}
+
+// committed is every request in the replica's blocks since its last checkpoint.
+func (r *driverRig) committed(t *testing.T) map[crypto.Hash]bool {
+	t.Helper()
+	out := make(map[crypto.Hash]bool)
+	for _, b := range r.n.ledger.CachedBlocks() {
+		batch, err := b.Body.Batch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range batch.Requests {
+			out[batch.Requests[i].Digest()] = true
+		}
+	}
+	return out
 }
 
 // sentFor reports whether the replica sent a consensus message for instance

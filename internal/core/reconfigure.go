@@ -118,9 +118,10 @@ func (n *Node) reconcileEngine() {
 	}))
 }
 
-// onJoinAsk is a member's side of Fig. 5a step 1-2: evaluate the candidate
-// against the application policy and reply with a signed vote carrying our
-// fresh certified consensus key for the next view. The same message doubles
+// onJoinAsk is a member's side of Fig. 5a step 1-2: admit the candidate —
+// every member admits every join (reconfig.AdmitAll, which applyBatch builds
+// the ordered certificate against) — and reply with a signed vote carrying
+// our fresh certified consensus key for the next view. The same message doubles
 // as a leave request when the "candidate" is a current member asking to
 // depart: members always vote for voluntary leaves (the alternative is a
 // member held hostage in the consortium).
@@ -142,9 +143,6 @@ func (n *Node) onJoinAsk(m transport.Message) {
 	leaving := cur.Contains(req.Candidate)
 	if leaving && req.Candidate != m.From {
 		return // only the leaver itself may ask for its departure
-	}
-	if !leaving && !n.policy.Admit(&req) {
-		return // silently decline; the candidate needs n−f other votes
 	}
 	nk, err := n.keys.PrepareFor(req.NextViewID)
 	if err != nil {

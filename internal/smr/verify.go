@@ -5,15 +5,15 @@ import "smartchain/internal/crypto"
 // VerifyMode selects the transaction-signature verification strategy of
 // Table I. Where verification happens determines whether it serializes with
 // execution (sequential, inside the state machine) or exploits multiple
-// cores (parallel, in a verification pool before ordering — BFT-SMaRt's
-// "message verification pool of threads").
+// cores (parallel, before ordering — BFT-SMaRt's "message verification pool
+// of threads", here batch equations split across the cores).
 type VerifyMode int
 
 const (
-	// VerifyParallel verifies request signatures in a worker pool before
-	// the request enters the pending queue — at the leader; a follower
-	// checks a proposal's requests in one batch before it votes. The
-	// default.
+	// VerifyParallel verifies request signatures before ordering, in
+	// batch equations split across the cores: a leader checks the requests
+	// it cuts into a proposal, a follower a proposal's requests before it
+	// votes. The default.
 	VerifyParallel VerifyMode = iota + 1
 	// VerifySequential verifies inside the execution path, one request at
 	// a time (the naive strategy of Table I's left half).

@@ -16,9 +16,8 @@
 //   - strong (0-Persistence) and weak (1-Persistence) durability variants —
 //     under the strong variant, every transaction whose client saw a reply
 //     quorum survives even a simultaneous crash of all replicas;
-//   - a decentralized reconfiguration protocol with application-defined
-//     admission policies and per-view consensus-key rotation, which
-//     prevents removed-and-later-compromised members from forking the
+//   - a decentralized reconfiguration protocol with per-view
+//     consensus-key rotation, which prevents removed-and-later-compromised members from forking the
 //     chain.
 //
 // The facade re-exports the platform's main entry points; the
@@ -56,7 +55,6 @@ import (
 	"smartchain/internal/coin"
 	"smartchain/internal/core"
 	"smartchain/internal/crypto"
-	"smartchain/internal/reconfig"
 	"smartchain/internal/smr"
 	"smartchain/internal/storage"
 	"smartchain/internal/transport"
@@ -139,8 +137,6 @@ type (
 	PublicKey = crypto.PublicKey
 	// View is one installed consortium configuration.
 	View = view.View
-	// JoinPolicy is the application-defined admission criterion.
-	JoinPolicy = reconfig.Policy
 )
 
 // Collaborative catch-up (multi-peer pipelined state transfer).

@@ -1,9 +1,11 @@
-// Package core reads a list by hand and builds a second pool.
+// Package core reads a list by hand, builds a second pool and verifies an
+// ordered request on arrival beside the read path.
 package core
 
 import (
 	"fixture/internal/codec"
 	"fixture/internal/crypto"
+	"fixture/internal/smr"
 )
 
 // Decode reads a list without (*codec.Decoder).Count.
@@ -20,3 +22,13 @@ func Decode(d *codec.Decoder) int {
 }
 
 func fuzzDecoder() {} // want `fuzzDecoder appears in ./internal/core`
+
+// enqueue verifies an ordered request on arrival.
+func enqueue(p *smr.VerifierPool, req []byte) {
+	p.Submit(req) // want `internal/smr.VerifierPool.Submit has 2 non-test references from ./internal/core, at most 1`
+}
+
+// serveUnordered verifies a read on arrival: the one Submit the row allows.
+func serveUnordered(p *smr.VerifierPool, req []byte) {
+	p.Submit(req) // want `VerifierPool.Submit has 2 non-test references`
+}
