@@ -555,7 +555,7 @@ func TestForkPreventionByKeyRotation(t *testing.T) {
 
 func TestRecordRoundTripAndRecovery(t *testing.T) {
 	b := newChainBuilder(t, 4)
-	log := storage.NewMemLog()
+	log := storage.NewSimLog(nil)
 	// Write genesis + 3 blocks, with certs as separate records (like the
 	// strong variant's staged writes).
 	gb := b.blocks[0]
@@ -598,7 +598,7 @@ func TestRecordRoundTripAndRecovery(t *testing.T) {
 
 func TestRecoverLedgerTruncatesAtBrokenLink(t *testing.T) {
 	b := newChainBuilder(t, 4)
-	log := storage.NewMemLog()
+	log := storage.NewSimLog(nil)
 	gb := b.blocks[0]
 	log.Append(EncodeBlockRecord(&gb))
 	blk1 := b.addBlock("one", 1)

@@ -314,10 +314,13 @@ func (p *Proxy) resend(payloads [][]byte, members []int32) {
 }
 
 // ID returns the client's process ID.
+//
+//smartlint:allow structure test hook: core's cluster tests key their client signing keys by proxy ID
 func (p *Proxy) ID() int64 { return p.id }
 
-// Members returns the membership the proxy currently targets (primarily
-// for tests asserting self-healing view discovery).
+// Members returns the membership the proxy currently targets.
+//
+//smartlint:allow structure test hook: the self-healing tests in client and core assert the view the proxy discovered
 func (p *Proxy) Members() []int32 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -663,10 +666,6 @@ type Future struct {
 	result []byte
 	err    error
 }
-
-// Done returns a channel closed when the invocation completed (with a
-// result or an error). Select on it to pump many futures at once.
-func (f *Future) Done() <-chan struct{} { return f.done }
 
 // Result blocks until the invocation completes and returns its outcome.
 func (f *Future) Result() ([]byte, error) {

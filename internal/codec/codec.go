@@ -65,9 +65,6 @@ func (e *Encoder) Uint32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf
 // Int32 appends v as 4 big-endian bytes (two's complement).
 func (e *Encoder) Int32(v int32) { e.Uint32(uint32(v)) }
 
-// Uint16 appends v as 2 big-endian bytes.
-func (e *Encoder) Uint16(v uint16) { e.buf = binary.BigEndian.AppendUint16(e.buf, v) }
-
 // Byte appends a single byte.
 func (e *Encoder) Byte(v byte) { e.buf = append(e.buf, v) }
 
@@ -170,15 +167,6 @@ func (d *Decoder) Uint32() uint32 {
 
 // Int32 reads 4 big-endian bytes as a signed integer.
 func (d *Decoder) Int32() int32 { return int32(d.Uint32()) }
-
-// Uint16 reads 2 big-endian bytes.
-func (d *Decoder) Uint16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
 
 // Byte reads a single byte.
 func (d *Decoder) Byte() byte {

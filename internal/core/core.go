@@ -296,7 +296,7 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, errors.New("core: config requires a transport endpoint")
 	}
 	if cfg.Log == nil {
-		cfg.Log = storage.NewMemLog()
+		cfg.Log = storage.NewSimLog(nil)
 	}
 	if cfg.Snapshots == nil {
 		cfg.Snapshots = storage.NewMemSnapshotStore(nil)

@@ -254,7 +254,7 @@ func TestReplayRejectsRecordContradictingExecution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		log := storage.NewMemLog()
+		log := storage.NewSimLog(nil)
 		for _, rec := range records {
 			if err := log.Append(rec); err != nil {
 				t.Fatal(err)
@@ -295,7 +295,7 @@ func TestReplayRejectsRecordContradictingExecution(t *testing.T) {
 		}
 
 		app := coin.NewService([]crypto.PublicKey{minter.Public()})
-		n := bareNode(t, c, storage.NewMemLog(), app)
+		n := bareNode(t, c, storage.NewSimLog(nil), app)
 		f := nodeFetcher{n}
 		err = f.ApplyBlocks(tampered)
 		if err == nil || !strings.Contains(err.Error(), "block 3") || !strings.Contains(err.Error(), "view update") {

@@ -50,9 +50,6 @@ func (b *BatchVerifier) Add(pub PublicKey, context string, msg, sig []byte) {
 	b.items = append(b.items, batchItem{pub: pub, context: context, msg: msg, sig: sig})
 }
 
-// Len reports the number of deferred checks.
-func (b *BatchVerifier) Len() int { return len(b.items) }
-
 // Reset empties the verifier, retaining capacity.
 func (b *BatchVerifier) Reset() { b.items = b.items[:0] }
 

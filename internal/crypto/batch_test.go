@@ -369,3 +369,6 @@ func TestVerifyPoolConcurrentSubmitClose(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// Len reports the number of deferred checks.
+func (b *BatchVerifier) Len() int { return len(b.items) }

@@ -11,14 +11,16 @@ import (
 type StorageMode int
 
 const (
-	// StorageSync makes replies wait for the record to be fsynced
-	// (synchronous writes: the Sy configurations; with the blockchain layer
-	// this yields 0-/1-Persistence depending on the variant).
+	// StorageSync makes replies wait for the record's fsync (synchronous
+	// writes: the Sy configurations; with the blockchain layer this yields
+	// 0-/1-Persistence depending on the variant).
 	StorageSync StorageMode = iota + 1
-	// StorageAsync writes in the background; a crash may lose a small
-	// suffix (λ-Persistence).
+	// StorageAsync makes replies wait for the record's append only, with the
+	// fsync behind it: a crash loses at most what was appended since the
+	// last sync (λ-Persistence).
 	StorageAsync
-	// StorageMemory keeps the log in memory only (∞-Persistence).
+	// StorageMemory makes replies wait for the append and never fsyncs: the
+	// log lives in memory only (∞-Persistence).
 	StorageMemory
 )
 
@@ -40,8 +42,8 @@ func (m StorageMode) String() string {
 // are appended by the delivery thread and synced by a dedicated logger
 // goroutine that drains *everything* queued before issuing one fsync, so a
 // burst of k batches pays ≈1 sync. The onDurable callback of each record
-// fires once its durability point has been reached, which is what gates
-// client replies in synchronous modes.
+// fires once the mode's durability point has been reached, which is what
+// gates client replies.
 type DurableLogger struct {
 	log  storage.Log
 	mode StorageMode
@@ -73,12 +75,12 @@ func NewDurableLogger(log storage.Log, mode StorageMode) *DurableLogger {
 	return d
 }
 
-// Append queues one record. onDurable (optional) fires when the record is
-// durable — immediately after the group sync in Sync/Async modes, or right
-// away in Memory mode. In StorageSync callers typically block on it before
-// replying; in StorageAsync they don't, which is the entire difference
-// between the two configurations. A record appended without onDurable
-// issues no sync: it becomes durable with the next record that has one.
+// Append queues one record. onDurable (optional) fires at the mode's
+// durability point: after the group's sync in StorageSync, after the
+// group's append and before its sync in StorageAsync, and after the append
+// in StorageMemory, which never syncs. Callers reply from it. A record
+// appended without onDurable issues no sync: it becomes durable with the
+// next record that has one.
 func (d *DurableLogger) Append(record []byte, onDurable func(error)) {
 	d.mu.Lock()
 	if d.closed {
@@ -95,7 +97,8 @@ func (d *DurableLogger) Append(record []byte, onDurable func(error)) {
 	d.mu.Unlock()
 }
 
-// run drains the queue: append every queued record, one sync, notify all.
+// run drains the queue: append every queued record, one sync, and notify
+// all at the mode's durability point.
 // A group on which no record waits (no onDurable: a PERSIST certificate, a
 // block a state transfer replayed) is appended without a sync of its own.
 // The log is FIFO, so the next waited sync makes it durable along with
@@ -122,20 +125,23 @@ func (d *DurableLogger) run() {
 		}
 		unsynced = unsynced || len(entries) > 0
 		synced := err == nil && unsynced && (waited || closing) && d.mode != StorageMemory
-		if synced {
-			err = d.log.Sync()
-			unsynced = false
-		}
 		d.mu.Lock()
 		if synced {
 			d.syncs++
 		}
 		d.records += int64(len(entries))
 		d.mu.Unlock()
-		for _, e := range entries {
-			if e.onDurable != nil {
-				e.onDurable(err)
-			}
+		// Sync mode waits for the group's sync; Async and Memory are done
+		// once the group is appended, Async with the sync still behind it.
+		if d.mode != StorageSync {
+			notify(entries, err)
+		}
+		if synced {
+			err = d.log.Sync()
+			unsynced = false
+		}
+		if d.mode == StorageSync {
+			notify(entries, err)
 		}
 		if closing {
 			return
@@ -143,8 +149,14 @@ func (d *DurableLogger) run() {
 	}
 }
 
-// Mode returns the configured storage mode.
-func (d *DurableLogger) Mode() StorageMode { return d.mode }
+// notify runs each entry's onDurable, if it has one, with err.
+func notify(entries []durableEntry, err error) {
+	for _, e := range entries {
+		if e.onDurable != nil {
+			e.onDurable(err)
+		}
+	}
+}
 
 // Close drains remaining records, syncs what no sync has covered yet, and
 // stops the logger goroutine.

@@ -462,8 +462,82 @@ func TestDurableLoggerUnwaitedRecordsRideTheNextSync(t *testing.T) {
 	}
 }
 
+// gatedLog is a SimLog whose Sync announces itself on entered and then
+// blocks until release is closed.
+type gatedLog struct {
+	*storage.SimLog
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (l *gatedLog) Sync() error {
+	l.entered <- struct{}{}
+	<-l.release
+	return l.SimLog.Sync()
+}
+
+// Each mode fires onDurable at its own durability point: Sync after the
+// group's sync, Async once the group is appended while its sync is still
+// blocked, Memory with no sync at all. A crash after Close keeps the record
+// exactly when a sync ran.
+func TestDurableLoggerModesFireAtTheirDurabilityPoint(t *testing.T) {
+	for _, tc := range []struct {
+		mode         StorageMode
+		waitsForSync bool
+		syncs        bool
+	}{
+		{StorageSync, true, true},
+		{StorageAsync, false, true},
+		{StorageMemory, false, false},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			log := &gatedLog{SimLog: storage.NewSimLog(nil), entered: make(chan struct{}, 4), release: make(chan struct{})}
+			d := NewDurableLogger(log, tc.mode)
+			fired := make(chan error, 1)
+			d.Append([]byte("x"), func(err error) { fired <- err })
+			if tc.syncs {
+				select {
+				case <-log.entered:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s: Sync never called", tc.mode)
+				}
+			}
+			if tc.waitsForSync {
+				select {
+				case <-fired:
+					t.Fatalf("%s: onDurable fired while Sync was blocked", tc.mode)
+				case <-time.After(50 * time.Millisecond):
+				}
+			} else {
+				select {
+				case err := <-fired:
+					if err != nil {
+						t.Fatalf("%s: onDurable: %v", tc.mode, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s: onDurable waits for Sync", tc.mode)
+				}
+			}
+			close(log.release)
+			if tc.waitsForSync {
+				if err := <-fired; err != nil {
+					t.Fatalf("%s: onDurable: %v", tc.mode, err)
+				}
+			}
+			d.Close()
+			if n := len(log.entered); n != 0 {
+				t.Fatalf("%s: %d more syncs after the first", tc.mode, n)
+			}
+			log.Crash()
+			if got, _ := log.ReadAll(); (len(got) == 1) != tc.syncs {
+				t.Fatalf("%s: a crash after Close left %d records", tc.mode, len(got))
+			}
+		})
+	}
+}
+
 func TestDurableLoggerAppendAfterClose(t *testing.T) {
-	d := NewDurableLogger(storage.NewMemLog(), StorageSync)
+	d := NewDurableLogger(storage.NewSimLog(nil), StorageSync)
 	d.Close()
 	got := make(chan error, 1)
 	d.Append([]byte("x"), func(err error) { got <- err })

@@ -92,8 +92,5 @@ func (p *VerifierPool) VerifyBatch(reqs []Request) []bool {
 // checks: consensus votes and proposal vetting.
 func (p *VerifierPool) Pool() *crypto.VerifyPool { return p.pool }
 
-// Mode returns the pool's verification mode.
-func (p *VerifierPool) Mode() VerifyMode { return p.mode }
-
 // Close stops the workers. Pending jobs are completed first.
 func (p *VerifierPool) Close() { p.pool.Close() }

@@ -22,7 +22,6 @@ type FileLog struct {
 	mu     sync.Mutex
 	f      *os.File
 	buf    []byte
-	size   int64 // durable + buffered bytes
 	closed bool
 }
 
@@ -32,16 +31,11 @@ func OpenFileLog(path string) (*FileLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("open log %s: %w", path, err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("stat log %s: %w", path, err)
-	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("seek log %s: %w", path, err)
 	}
-	return &FileLog{f: f, size: st.Size()}, nil
+	return &FileLog{f: f}, nil
 }
 
 // Append implements Log.
@@ -52,7 +46,6 @@ func (l *FileLog) Append(record []byte) error {
 		return ErrClosed
 	}
 	l.buf = appendRecord(l.buf, record)
-	l.size += int64(recHeaderSize + len(record))
 	return nil
 }
 
@@ -98,31 +91,6 @@ func (l *FileLog) ReadAll() ([][]byte, error) {
 	}
 	records, _ := parseRecords(data)
 	return records, nil
-}
-
-// Truncate implements Log.
-func (l *FileLog) Truncate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	l.buf = l.buf[:0]
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("truncate log: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("seek log: %w", err)
-	}
-	l.size = 0
-	return l.f.Sync()
-}
-
-// Size implements Log.
-func (l *FileLog) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
 }
 
 // Close implements Log. Buffered unsynced records are discarded, as a crash

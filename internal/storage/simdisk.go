@@ -86,7 +86,6 @@ type SimLog struct {
 	mu      sync.Mutex
 	durable [][]byte
 	pending [][]byte
-	size    int64
 	closed  bool
 }
 
@@ -106,7 +105,6 @@ func (l *SimLog) Append(record []byte) error {
 	r := make([]byte, len(record))
 	copy(r, record)
 	l.pending = append(l.pending, r)
-	l.size += int64(len(r))
 	if l.disk != nil {
 		l.disk.Write(len(r))
 	}
@@ -148,25 +146,6 @@ func (l *SimLog) ReadAll() ([][]byte, error) {
 	return out, nil
 }
 
-// Truncate implements Log.
-func (l *SimLog) Truncate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	l.durable, l.pending = nil, nil
-	l.size = 0
-	return nil
-}
-
-// Size implements Log.
-func (l *SimLog) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
-}
-
 // Close implements Log.
 func (l *SimLog) Close() error {
 	l.mu.Lock()
@@ -180,12 +159,7 @@ func (l *SimLog) Close() error {
 func (l *SimLog) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var lost int64
-	for _, r := range l.pending {
-		lost += int64(len(r))
-	}
 	l.pending = nil
-	l.size -= lost
 	l.closed = false
 }
 

@@ -228,7 +228,7 @@ func LoadSnapshot(s SnapshotStore) (lastBlock int64, meta, state []byte, err err
 	return env.LastBlock, env.Meta, state, nil
 }
 
-// MemSnapshotStore keeps the snapshot in memory (used with MemLog/SimLog).
+// MemSnapshotStore keeps the snapshot in memory (used with SimLog).
 type MemSnapshotStore struct {
 	mu     sync.Mutex
 	has    bool

@@ -9,16 +9,13 @@
 //  3. a crash may tear the last, unsynced record, which recovery must
 //     detect and discard.
 //
-// Three Log implementations are provided: FileLog (real files, real fsync),
-// SimLog (in-memory contents with a parameterized device-time model used by
-// the benchmark harness to reproduce the paper's HDD testbed), and MemLog
-// (no durability; the ∞-Persistence configuration).
+// Two Log implementations are provided: FileLog (real files, real fsync)
+// and SimLog (in-memory contents with a parameterized device-time model used
+// by the benchmark harness to reproduce the paper's HDD testbed; with no
+// device its syncs are free, and it is a node's default log).
 package storage
 
-import (
-	"errors"
-	"sync"
-)
+import "errors"
 
 // Errors reported by logs.
 var (
@@ -40,91 +37,7 @@ type Log interface {
 	// Implementations discard a torn tail (a record cut short by a crash)
 	// rather than failing.
 	ReadAll() ([][]byte, error)
-	// Truncate discards all records (used when a snapshot supersedes the
-	// log prefix in non-blockchain deployments).
-	Truncate() error
-	// Size returns the current byte size of the log, including buffered
-	// writes.
-	Size() int64
 	// Close releases resources. Buffered unsynced records may be lost,
 	// exactly as in a crash.
 	Close() error
 }
-
-// MemLog is an in-memory Log with no durability: contents vanish with the
-// process. It models the paper's memory-only, ∞-Persistence configuration
-// and doubles as a fast test double.
-type MemLog struct {
-	mu      sync.Mutex
-	records [][]byte
-	size    int64
-	closed  bool
-}
-
-// NewMemLog returns an empty in-memory log.
-func NewMemLog() *MemLog { return &MemLog{} }
-
-// Append implements Log.
-func (l *MemLog) Append(record []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	r := make([]byte, len(record))
-	copy(r, record)
-	l.records = append(l.records, r)
-	l.size += int64(len(r))
-	return nil
-}
-
-// Sync implements Log. It is a no-op: memory is never durable.
-func (l *MemLog) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-// ReadAll implements Log.
-func (l *MemLog) ReadAll() ([][]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil, ErrClosed
-	}
-	out := make([][]byte, len(l.records))
-	copy(out, l.records)
-	return out, nil
-}
-
-// Truncate implements Log.
-func (l *MemLog) Truncate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	l.records = nil
-	l.size = 0
-	return nil
-}
-
-// Size implements Log.
-func (l *MemLog) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
-}
-
-// Close implements Log.
-func (l *MemLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.closed = true
-	return nil
-}
-
-var _ Log = (*MemLog)(nil)

@@ -33,22 +33,8 @@ func testLogRoundTrip(t *testing.T, l Log) {
 			t.Fatalf("record %d: got %q want %q", i, got[i], records[i])
 		}
 	}
-	if l.Size() <= 0 {
-		t.Fatal("size must be positive")
-	}
-	if err := l.Truncate(); err != nil {
-		t.Fatalf("truncate: %v", err)
-	}
-	got, err = l.ReadAll()
-	if err != nil {
-		t.Fatalf("readall after truncate: %v", err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("truncate left %d records", len(got))
-	}
 }
 
-func TestMemLogRoundTrip(t *testing.T) { testLogRoundTrip(t, NewMemLog()) }
 func TestSimLogRoundTrip(t *testing.T) { testLogRoundTrip(t, NewSimLog(nil)) }
 func TestFileLogRoundTrip(t *testing.T) {
 	l, err := OpenFileLog(filepath.Join(t.TempDir(), "log"))
@@ -61,7 +47,6 @@ func TestFileLogRoundTrip(t *testing.T) {
 
 func TestLogClosedErrors(t *testing.T) {
 	logs := map[string]Log{
-		"mem": NewMemLog(),
 		"sim": NewSimLog(nil),
 	}
 	fl, err := OpenFileLog(filepath.Join(t.TempDir(), "log"))

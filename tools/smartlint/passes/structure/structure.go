@@ -128,7 +128,7 @@ var Rows = []Row{
 // Check runs rows over pkgs: every non-test package of the program, the
 // module rooted at module first and any second roots after it.
 func Check(module string, pkgs []*load.Package, rows []Row) ([]Finding, error) {
-	p := &program{module: module, pkgs: pkgs, ifaces: make(map[string]bool)}
+	p := &program{module: module, pkgs: pkgs, ifaces: make(map[string][]*types.Interface)}
 	if err := p.index(); err != nil {
 		return nil, err
 	}
@@ -162,9 +162,9 @@ type program struct {
 	pkgs   []*load.Package
 	sites  []site
 	files  []file
-	refs   map[key]int     // non-test references
-	ifaces map[string]bool // method names some interface declares
-	known  map[key]bool    // every object the program or its imports declare
+	refs   map[key]int                   // non-test references
+	ifaces map[string][]*types.Interface // by method name, the interfaces declaring it
+	known  map[key]bool                  // every object the program or its imports declare
 }
 
 // rel names path relative to the module root when it lies inside it.
@@ -301,8 +301,36 @@ func (p *program) testSites(fset *token.FileSet, f *ast.File, from string) {
 
 func (p *program) addIface(iface *types.Interface) {
 	for i := 0; i < iface.NumMethods(); i++ {
-		p.ifaces[iface.Method(i).Name()] = true
+		name := iface.Method(i).Name()
+		p.ifaces[name] = append(p.ifaces[name], iface)
 	}
+}
+
+// implements reports whether fn's receiver has, by name, every method of
+// some interface that declares fn: then fn is reached through that
+// interface. Names, not types.Implements: each package is checked against
+// export data, so one interface or method type is a different object in
+// every importer.
+func (p *program) implements(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if _, ok := recv.(*types.Pointer); !ok {
+		recv = types.NewPointer(recv)
+	}
+	ms := types.NewMethodSet(recv)
+	has := make(map[string]bool, ms.Len())
+	for i := 0; i < ms.Len(); i++ {
+		has[ms.At(i).Obj().Name()] = true
+	}
+	for _, iface := range p.ifaces[fn.Name()] {
+		all := true
+		for i := 0; i < iface.NumMethods() && all; i++ {
+			all = has[iface.Method(i).Name()]
+		}
+		if all {
+			return true
+		}
+	}
+	return false
 }
 
 // names calls visit for every name in f, from its syntax alone, so
@@ -522,8 +550,9 @@ func constructs(pkg *load.Package, f *ast.File, c Construct) []construct {
 
 // testOnly is form (d): an exported function or method under internal/
 // (the edwards25519 copy excluded) that no non-test code in the program
-// references. A method some interface declares is exempt: it is reached
-// through the interface.
+// references. A method is exempt when its receiver has every method of an
+// interface that declares it: it is reached through the interface. Sharing
+// a name with an interface the receiver does not implement exempts nothing.
 func (p *program) testOnly(r Row) []Finding {
 	var out []Finding
 	for _, pkg := range p.pkgs {
@@ -537,8 +566,9 @@ func (p *program) testOnly(r Row) []Finding {
 				if !ok || !fd.Name.IsExported() {
 					continue
 				}
-				k := keyOf(pkg.TypesInfo.Defs[fd.Name])
-				if p.refs[k] > 0 || k.recv != "" && p.ifaces[k.name] {
+				obj := pkg.TypesInfo.Defs[fd.Name]
+				k := keyOf(obj)
+				if p.refs[k] > 0 || k.recv != "" && p.implements(obj.(*types.Func)) {
 					continue
 				}
 				name := Obj{Pkg: pkg.Types.Name(), Recv: k.recv, Name: k.name}

@@ -31,5 +31,16 @@ func (english) Greet() string { return "hello" }
 // Shout has no caller, and no interface declares it.
 func (english) Shout() string { return "HELLO" } // want `hooks.english.Shout is exported but no non-test code references it`
 
+// Moder shares the name Mode with pool's method, and nothing more.
+type Moder interface {
+	Mode() int
+	Reset()
+}
+
+type pool struct{}
+
+// Mode has no caller. Moder declares the name, but pool is no Moder.
+func (pool) Mode() int { return 0 } // want `hooks.pool.Mode is exported but no non-test code references it`
+
 // NewGreeter returns a Greeter.
 func NewGreeter() Greeter { return english{} }
