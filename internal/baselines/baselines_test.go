@@ -7,9 +7,12 @@ import (
 
 	"smartchain/internal/client"
 	"smartchain/internal/coin"
+	"smartchain/internal/consensus"
 	"smartchain/internal/crypto"
 	"smartchain/internal/smr"
 	"smartchain/internal/storage"
+	"smartchain/internal/transport"
+	"smartchain/internal/view"
 )
 
 func coinFactory(minter crypto.PublicKey) func() Executor {
@@ -289,4 +292,29 @@ func (c *Cluster) ExecutedTxs() int64 {
 // ExecutedTxs returns the number of transactions executed so far.
 func (r *Replica) ExecutedTxs() int64 {
 	return r.executedTxs.Load()
+}
+
+// A reply to a client that has detached is no dropped send — a closed load
+// generator leaves replies to its last requests behind on every run — but a
+// vote to a replica that has detached still is.
+func TestDroppedSendsSkipRepliesToDetachedClients(t *testing.T) {
+	net := transport.NewMemNetwork()
+	ep := net.Endpoint(0)
+	defer ep.Close()
+	r := NewReplica(ChassisConfig{Self: 0, View: view.New(0, []int32{0, 1}, nil), Transport: ep, Verify: smr.VerifyNone})
+	defer r.verifier.Close()
+	const client = 100
+	net.Endpoint(1)
+	net.Endpoint(client)
+	net.Detach(1)
+	net.Detach(client)
+
+	r.sendReplies([]smr.Reply{{ReplicaID: 0, ClientID: client, Seq: 1}})
+	if n := r.DroppedSends(); n != 0 {
+		t.Fatalf("a reply to a detached client counted %d dropped sends, want 0", n)
+	}
+	r.send(1, consensus.MsgAccept, []byte("vote"))
+	if n := r.DroppedSends(); n != 1 {
+		t.Fatalf("a vote to a detached replica counted %d dropped sends, want 1", n)
+	}
 }

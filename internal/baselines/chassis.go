@@ -23,6 +23,7 @@
 package baselines
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,8 +87,8 @@ type Replica struct {
 	wantsValue   bool
 
 	executedTxs atomic.Int64
-	// droppedSends counts protocol and reply sends the transport refused
-	// (peer down, queue full). Written on the driver, read from anywhere.
+	// droppedSends counts the sends send refused. Written on the driver,
+	// read from anywhere.
 	droppedSends atomic.Int64
 
 	stop     chan struct{}
@@ -114,18 +115,11 @@ func NewReplica(cfg ChassisConfig) *Replica {
 		done:         make(chan struct{}),
 		recvDone:     make(chan struct{}),
 	}
-	ep := cfg.Transport
 	r.cons = consensus.NewMachine(consensus.Config{
-		Self:   cfg.Self,
-		View:   cfg.View,
-		Signer: cfg.Signer,
-		Send: func(to int32, typ uint16, p []byte) {
-			// Consensus tolerates message loss (retransmit + view change),
-			// but a silent drop skews baseline measurements — count it.
-			if err := ep.Send(to, typ, p); err != nil {
-				r.droppedSends.Add(1)
-			}
-		},
+		Self:    cfg.Self,
+		View:    cfg.View,
+		Signer:  cfg.Signer,
+		Send:    r.send,
 		Timeout: cfg.Timeout,
 		Validate: func(_ int64, value []byte) bool {
 			if len(value) == 0 {
@@ -171,9 +165,23 @@ func (r *Replica) Stop() {
 }
 
 // DroppedSends returns the number of outbound messages (protocol and
-// client replies) the transport refused to accept.
+// client replies) the transport refused to accept, less the replies to
+// clients that had already gone.
 func (r *Replica) DroppedSends() int64 {
 	return r.droppedSends.Load()
+}
+
+// send hands one message to the transport and counts a refusal. Consensus
+// tolerates message loss (retransmit + view change) and a client retransmits
+// a lost reply, but a silent drop skews baseline measurements. A reply
+// refused because its client has detached (ErrUnknownDest: a closed load
+// generator whose requests were still in flight) is not a drop: nobody was
+// left to lose it.
+func (r *Replica) send(to int32, typ uint16, payload []byte) {
+	err := r.cfg.Transport.Send(to, typ, payload)
+	if err != nil && (typ != msgReply || !errors.Is(err, transport.ErrUnknownDest)) {
+		r.droppedSends.Add(1)
+	}
 }
 
 func (r *Replica) receiveLoop() {
@@ -322,11 +330,7 @@ func (r *Replica) handleDecision(d consensus.Decision) {
 
 func (r *Replica) sendReplies(replies []smr.Reply) {
 	for i := range replies {
-		// A lost reply is recovered by client retransmission, but the drop
-		// still inflates measured latency — count it so runs can report it.
-		if err := r.cfg.Transport.Send(int32(replies[i].ClientID), msgReply, replies[i].Encode()); err != nil {
-			r.droppedSends.Add(1)
-		}
+		r.send(int32(replies[i].ClientID), msgReply, replies[i].Encode())
 	}
 }
 

@@ -17,16 +17,18 @@
 // caps, demotes peers that time out, permanently bans peers that serve
 // chunks failing their quorum-agreed digests, and reassigns their work.
 //
-// Trust model: the envelope describing the snapshot (height, block hash,
-// chunk digest chain) is accepted only when f+1 of the asked peers offer
-// byte-identical envelopes, so at least one correct replica vouches for
-// it. Individual chunks are then verifiable alone (SHA-256 against the
-// envelope), and fetched block ranges are verified against consensus
-// decision proofs before any byte reaches the application — a snapshot is
-// never restored before its envelope is bound to a committed block header.
+// Trust model: the envelope describing the snapshot (height, chunk digest
+// chain, and the Fetcher's metadata — core's carries the block hash) is
+// accepted only when f+1 of the asked peers offer byte-identical
+// envelopes, so at least one correct replica vouches for it. Individual
+// chunks are then verifiable alone (SHA-256 against the envelope), and
+// fetched block ranges are verified against consensus decision proofs
+// before any byte reaches the application — a snapshot is never restored
+// before its envelope is bound to a committed block header.
 package catchup
 
 import (
+	"fmt"
 	"time"
 
 	"smartchain/internal/blockchain"
@@ -91,58 +93,21 @@ type Stats struct {
 	BytesPerSec float64
 }
 
-// Envelope describes a snapshot offer: which block the state covers, the
-// header hash of that block, and the chunk digest chain. Tip additionally
-// reports the donor's current chain height; it is per-donor and therefore
-// excluded from Fingerprint.
+// Envelope is a donor's snapshot offer: the chunked snapshot it holds and
+// its current chain height. Snap.LastBlock is the block the state covers;
+// that block's header hash lives in Snap.Meta, opaque coordination metadata
+// the Fetcher understands (core's recovery envelope: view, watermarks,
+// consensus position). Tip is per-donor and therefore excluded from
+// Fingerprint.
 type Envelope struct {
-	Height    int64
-	BlockHash crypto.Hash
-	// Snap carries the chunk layout and digests; Snap.Meta is opaque
-	// coordination metadata the Fetcher understands (core's recovery
-	// envelope: view, watermarks, consensus position).
 	Snap storage.SnapEnvelope
 	Tip  int64
 }
 
-// Fingerprint hashes every field except Tip: the value f+1 donors must
-// agree on before the envelope is trusted.
+// Fingerprint hashes the snapshot envelope, Meta included: the value f+1
+// donors must agree on before the envelope is trusted.
 func (e *Envelope) Fingerprint() crypto.Hash {
-	enc := codec.NewEncoder(64)
-	enc.Int64(e.Height)
-	enc.Bytes32([32]byte(e.BlockHash))
-	enc.WriteBytes(e.Snap.Encode())
-	return crypto.HashBytes(enc.Bytes())
-}
-
-// Encode serializes the envelope for the wire.
-func (e *Envelope) Encode() []byte {
-	snap := e.Snap.Encode()
-	enc := codec.NewEncoder(8 + 32 + 4 + len(snap) + 8)
-	enc.Int64(e.Height)
-	enc.Bytes32([32]byte(e.BlockHash))
-	enc.WriteBytes(snap)
-	enc.Int64(e.Tip)
-	return enc.Bytes()
-}
-
-// DecodeEnvelope parses an Encode()d envelope.
-func DecodeEnvelope(data []byte) (*Envelope, error) {
-	d := codec.NewDecoder(data)
-	var e Envelope
-	e.Height = d.Int64()
-	e.BlockHash = crypto.Hash(d.Bytes32())
-	snapRaw := d.ReadBytes()
-	e.Tip = d.Int64()
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	snap, err := storage.DecodeSnapEnvelope(snapRaw)
-	if err != nil {
-		return nil, err
-	}
-	e.Snap = snap
-	return &e, nil
+	return crypto.HashBytes(e.Snap.Encode())
 }
 
 // Kind discriminates Response payloads.
@@ -155,23 +120,84 @@ const (
 	KindRange
 )
 
-// Response is one donor reply, already decoded from the wire by the
-// Fetcher owner and handed to the Pool's Handle.
+// Response is one donor reply. The Fetcher's owner decodes it from the wire
+// with DecodeResponse and hands it to the Pool's Handle.
 type Response struct {
-	Peer int32
-	Kind Kind
+	Peer int32 // the sender: the frame's, never encoded
+	Kind Kind  // the frame's type, never encoded
 
 	// KindEnvelope carries the donor's snapshot offer.
 	Envelope *Envelope
 
-	// KindChunk: chunk Index of the snapshot covering block Height.
+	// KindChunk: chunk Index of the snapshot covering block Height. Empty
+	// Data means the donor does not hold it; the work goes elsewhere.
 	Height int64
 	Index  int
 	Data   []byte
 
-	// KindRange: blocks From..(From+len(Blocks)-1).
+	// KindRange: blocks From..(From+len(Blocks)-1). No Blocks means the
+	// donor no longer holds the range.
 	From   int64
 	Blocks []blockchain.Block
+}
+
+// Encode serializes the fields of the reply's Kind.
+func (r *Response) Encode() []byte {
+	switch r.Kind {
+	case KindEnvelope:
+		snap := r.Envelope.Snap.Encode()
+		e := codec.NewEncoder(len(snap) + 8)
+		e.Raw(snap)
+		e.Int64(r.Envelope.Tip)
+		return e.Bytes()
+	case KindChunk:
+		e := codec.NewEncoder(16 + len(r.Data))
+		e.Int64(r.Height)
+		e.Int32(int32(r.Index))
+		e.WriteBytes(r.Data)
+		return e.Bytes()
+	}
+	e := codec.NewEncoder(64)
+	e.Int64(r.From)
+	e.Uint32(uint32(len(r.Blocks)))
+	for i := range r.Blocks {
+		e.WriteBytes(r.Blocks[i].Encode())
+	}
+	return e.Bytes()
+}
+
+// DecodeResponse parses an Encode()d reply of the given kind; the caller
+// sets Peer.
+func DecodeResponse(kind Kind, data []byte) (Response, error) {
+	d := codec.NewDecoder(data)
+	r := Response{Kind: kind}
+	switch kind {
+	case KindEnvelope:
+		snap, err := storage.DecodeSnapEnvelopeFrom(d)
+		if err != nil {
+			return Response{}, err
+		}
+		r.Envelope = &Envelope{Snap: snap, Tip: d.Int64()}
+	case KindChunk:
+		r.Height = d.Int64()
+		r.Index = int(d.Int32())
+		r.Data = d.ReadBytesCopy()
+	case KindRange:
+		r.From = d.Int64()
+		for nb := d.Count(4); nb > 0; nb-- { // each a length-prefixed block
+			b, err := blockchain.DecodeBlock(d.ReadBytes())
+			if err != nil {
+				return Response{}, err
+			}
+			r.Blocks = append(r.Blocks, b)
+		}
+	default:
+		return Response{}, fmt.Errorf("catchup: unknown reply kind %d", kind)
+	}
+	if err := d.Finish(); err != nil {
+		return Response{}, fmt.Errorf("decode catchup reply: %w", err)
+	}
+	return r, nil
 }
 
 // Fetcher is the mechanism the Pool drives: transport sends, verification
@@ -198,8 +224,9 @@ type Fetcher interface {
 	RequestRange(peer int32, from, to int64) error
 
 	// VerifyBlocks checks that blocks extend the envelope's block (hash
-	// linkage from env.BlockHash at env.Height) with valid consensus
-	// decision proofs under the envelope's view, without touching state.
+	// linkage from the block Snap.LastBlock, whose hash Snap.Meta records)
+	// with valid consensus decision proofs under the envelope's view,
+	// without touching state.
 	VerifyBlocks(env *Envelope, blocks []blockchain.Block) error
 	// InstallSnapshot digest-verifies state against the envelope and
 	// restores it into the application and ledger position.

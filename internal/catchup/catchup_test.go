@@ -25,7 +25,7 @@ type fakeWorld struct {
 	// canonical truth
 	env    *Envelope
 	state  []byte
-	blocks []blockchain.Block // numbers env.Height+1 .. tip
+	blocks []blockchain.Block // numbers env.Snap.LastBlock+1 .. tip
 
 	donors map[int32]*fakeDonor
 
@@ -61,12 +61,7 @@ func newFakeWorld(snapHeight, tip int64, donors int) *fakeWorld {
 	}
 	snap := storage.BuildEnvelope(snapHeight, []byte("meta"), state, 1024)
 	w := &fakeWorld{
-		env: &Envelope{
-			Height:    snapHeight,
-			BlockHash: crypto.HashBytes([]byte("canonical")),
-			Snap:      snap,
-			Tip:       tip,
-		},
+		env:         &Envelope{Snap: snap, Tip: tip},
 		state:       state,
 		blocks:      fakeChain(snapHeight+1, tip),
 		donors:      make(map[int32]*fakeDonor),
@@ -128,7 +123,7 @@ func (w *fakeWorld) RequestChunk(peer int32, height int64, index int) error {
 		return nil
 	}
 	env, state := w.donorEnv(d)
-	if height != env.Height {
+	if height != env.Snap.LastBlock {
 		return nil
 	}
 	var data []byte
@@ -169,7 +164,7 @@ func (w *fakeWorld) VerifyBlocks(env *Envelope, blocks []blockchain.Block) error
 		return errors.New("fake: envelope does not match committed chain")
 	}
 	for i, b := range blocks {
-		if b.Header.Number != env.Height+1+int64(i) {
+		if b.Header.Number != env.Snap.LastBlock+1+int64(i) {
 			return errors.New("fake: range does not extend envelope")
 		}
 	}
@@ -190,7 +185,7 @@ func (w *fakeWorld) InstallSnapshot(env *Envelope, state []byte) error {
 	defer w.mu.Unlock()
 	w.installed++
 	w.restored = append([]byte(nil), state...)
-	w.height = env.Height
+	w.height = env.Snap.LastBlock
 	return nil
 }
 
@@ -351,12 +346,7 @@ func TestPoolForgedEnvelopeNeverInstalled(t *testing.T) {
 	// run on it.
 	w := newFakeWorld(100, 160, 4)
 	forgedState := make([]byte, 2048)
-	forged := &Envelope{
-		Height:    500,
-		BlockHash: crypto.HashBytes([]byte("forged")),
-		Snap:      storage.BuildEnvelope(500, []byte("meta"), forgedState, 1024),
-		Tip:       560,
-	}
+	forged := &Envelope{Snap: storage.BuildEnvelope(500, []byte("forged meta"), forgedState, 1024), Tip: 560}
 	for _, d := range w.donors {
 		d.forgedEnv = forged
 		d.forgedState = forgedState
@@ -411,5 +401,21 @@ func TestSingleDonorSnapshotOnlyRefused(t *testing.T) {
 	}
 	if w.installed != 0 {
 		t.Fatal("installed a snapshot nothing vouches for")
+	}
+}
+
+// TestEnvelopeFingerprint: the fingerprint covers the snapshot's block hash,
+// which only the metadata carries, and leaves out the donor's own Tip.
+func TestEnvelopeFingerprint(t *testing.T) {
+	state := bytes.Repeat([]byte{7}, 3000)
+	offer := func(block string, tip int64) *Envelope {
+		meta := crypto.HashBytes([]byte(block)) // core's meta holds the block hash
+		return &Envelope{Snap: storage.BuildEnvelope(100, meta[:], state, 1024), Tip: tip}
+	}
+	if offer("a", 160).Fingerprint() == offer("b", 160).Fingerprint() {
+		t.Fatal("offers of different block hashes share a fingerprint")
+	}
+	if offer("a", 160).Fingerprint() != offer("a", 200).Fingerprint() {
+		t.Fatal("offers that differ only in Tip have different fingerprints")
 	}
 }

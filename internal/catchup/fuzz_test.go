@@ -11,29 +11,26 @@ import (
 	"smartchain/internal/storage"
 )
 
-// envelopeBomb is a 76-byte MsgEnvelopeRep whose 24-byte snapshot-envelope
-// header declares 2^20 chunk digests and carries none: 32 MiB to any
-// decoder that allocates before it reads.
+// envelopeBomb is a 32-byte MsgEnvelopeRep: a 24-byte snapshot-envelope
+// header declaring 2^20 chunk digests and carrying none, then the tip. 32 MiB
+// to any decoder that allocates before it reads.
 func envelopeBomb() []byte {
-	snap := codec.NewEncoder(24)
-	snap.Int64(7)
-	snap.Int32(1)
-	snap.Int64(1 << 20)
-	snap.Uint32(1 << 20)
-	e := codec.NewEncoder(76)
+	e := codec.NewEncoder(32)
 	e.Int64(7)
-	e.Bytes32([32]byte{})
-	e.WriteBytes(snap.Bytes())
+	e.Int32(1)
+	e.Int64(1 << 20)
+	e.Uint32(1 << 20)
 	e.Int64(9)
 	return e.Bytes()
 }
 
 // FuzzDecodeEnvelope covers the two decoders a MsgEnvelopeRep from any
-// sender reaches: the catch-up envelope and the snapshot envelope inside.
+// sender reaches: the reply codec and the snapshot envelope it opens with.
 func FuzzDecodeEnvelope(f *testing.F) {
-	f.Add(newFakeWorld(100, 160, 4).env.Encode())
+	f.Add((&Response{Kind: KindEnvelope, Envelope: newFakeWorld(100, 160, 4).env}).Encode())
 	f.Add(envelopeBomb())
-	outer := codectest.Of("DecodeEnvelope", DecodeEnvelope, func(e **Envelope) []byte { return (*e).Encode() })
+	outer := codectest.Of("DecodeResponse", func(data []byte) (Response, error) { return DecodeResponse(KindEnvelope, data) },
+		(*Response).Encode)
 	inner := codectest.Of("DecodeSnapEnvelope", storage.DecodeSnapEnvelope, (*storage.SnapEnvelope).Encode)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		outer.Check(t, data)
@@ -56,7 +53,7 @@ func FuzzCatchupStep(f *testing.F) {
 	// Two forged offers reach quorum first; bare snapshot, nothing to bind it to.
 	f.Add([]byte{0, 4, 0, 5, 4, 20, 1, 0, 1, 1, 1, 0})
 	forged := newFakeWorld(100, 160, 4)
-	forged.env.BlockHash = crypto.HashBytes([]byte("forged"))
+	forged.env.Snap.Meta = []byte("forged meta")
 	f.Fuzz(func(t *testing.T, script []byte) {
 		r := newRig(t, newFakeWorld(100, 160, 4), testConfig())
 		r.start(0)
@@ -117,7 +114,7 @@ func FuzzCatchupStep(f *testing.F) {
 				if planned = len(r.m.items); planned > 3+8 {
 					t.Fatalf("the plan holds %d items", planned)
 				}
-				binding = r.m.itemAt(KindRange, r.m.env.Height+1) != nil
+				binding = r.m.itemAt(KindRange, r.m.env.Snap.LastBlock+1) != nil
 			}
 			if len(r.m.items) != planned {
 				t.Fatalf("work list grew from %d to %d items", planned, len(r.m.items))

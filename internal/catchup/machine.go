@@ -260,19 +260,19 @@ func (m *machine) onEnvelope(resp Response) {
 func (m *machine) plan() {
 	won, target := m.best()
 	env := won.env
-	target = max(target, env.Height)
-	m.wantSnap = env.Height > m.have
+	target = max(target, env.Snap.LastBlock)
+	m.wantSnap = env.Snap.LastBlock > m.have
 	switch {
 	case !m.wantSnap && target <= m.have:
 		m.finish(nil) // already caught up
 		return
-	case m.wantSnap && target == env.Height && m.need < 2:
+	case m.wantSnap && target == env.Snap.LastBlock && m.need < 2:
 		// One donor, no block beyond the snapshot to check it against: refuse.
 		m.finish(errors.New("catchup: unverifiable single-donor snapshot offer"))
 		return
 	}
 	m.phase, m.env, m.fp = phaseFetch, env, won.fp
-	m.cursor = max(m.have, env.Height)
+	m.cursor = max(m.have, env.Snap.LastBlock)
 	if m.wantSnap {
 		for i := range env.Snap.Chunks {
 			m.items = append(m.items, &item{kind: KindChunk, key: int64(i)})
@@ -308,7 +308,7 @@ func (m *machine) best() (won *offer, target int64) {
 // onChunk checks a chunk against the quorum-agreed digest on arrival; one of
 // another snapshot, or that this peer does not owe, is ignored.
 func (m *machine) onChunk(resp Response) {
-	if m.phase != phaseFetch || resp.Height != m.env.Height {
+	if m.phase != phaseFetch || resp.Height != m.env.Snap.LastBlock {
 		return
 	}
 	it := m.itemAt(KindChunk, int64(resp.Index))
@@ -461,7 +461,7 @@ func (m *machine) assign() {
 		it.state, it.peer, it.deadline = itemInFlight, d.id, m.now.Add(m.cfg.PeerTimeout)
 		d.inflight++
 		m.out = append(m.out, effect{kind: fxRequest, peer: d.id, what: it.kind,
-			height: m.env.Height, index: int(it.key), from: it.key, to: it.to})
+			height: m.env.Snap.LastBlock, index: int(it.key), from: it.key, to: it.to})
 	}
 }
 
@@ -482,9 +482,9 @@ func (m *machine) nextLocal() bool {
 	var fx effect
 	if m.wantSnap && !m.installed {
 		// Before Restore the first range past the snapshot must extend
-		// env.BlockHash with valid proofs. (With no such range the envelope
+		// the snapshot's block with valid proofs. (With no such range the envelope
 		// quorum, need ≥ 2, is the binding: plan refuses anything less.)
-		first := m.itemAt(KindRange, m.env.Height+1)
+		first := m.itemAt(KindRange, m.env.Snap.LastBlock+1)
 		switch {
 		case !m.all(KindChunk, itemDone), first != nil && first.state != itemDone:
 			return false // wait for the last chunk, or the evidence range

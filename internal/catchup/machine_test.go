@@ -37,7 +37,7 @@ func (s strictWorld) VerifyBlocks(env *Envelope, blocks []blockchain.Block) erro
 		return err
 	}
 	for _, b := range blocks {
-		if i := int(b.Header.Number - s.env.Height - 1); i >= len(s.blocks) || s.blocks[i].Header != b.Header {
+		if i := int(b.Header.Number - s.env.Snap.LastBlock - 1); i >= len(s.blocks) || s.blocks[i].Header != b.Header {
 			return errors.New("fake: decision proof does not cover this header")
 		}
 	}
@@ -330,7 +330,7 @@ func TestMachineGraceWindow(t *testing.T) {
 		r.at(5 * time.Millisecond)
 		r.offer(2, r.w.env, 160)
 		r.offer(3, r.w.env, 160)
-		if r.m.phase != phaseFetch || r.m.env.Height != 150 || len(r.m.donors) != 2 {
+		if r.m.phase != phaseFetch || r.m.env.Snap.LastBlock != 150 || len(r.m.donors) != 2 {
 			t.Fatalf("phase %d: want the round fetching the snapshot at 150 from its two donors", r.m.phase)
 		}
 		r.serveAll()

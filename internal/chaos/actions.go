@@ -74,39 +74,6 @@ func (a *OneWayAction) Clear(env *Env) error {
 	return nil
 }
 
-// IsolateAction cuts all traffic to and from one replica (both directions,
-// clients included) without killing the process — the classic leader-kill
-// scenario where the machine is up but unreachable. TargetLeader resolves
-// the victim at Apply time through env.Leader.
-type IsolateAction struct {
-	ID           int32
-	TargetLeader bool
-
-	victim int32
-	id     transport.FilterID
-}
-
-func (a *IsolateAction) Name() string {
-	if a.TargetLeader {
-		return "isolate(leader)"
-	}
-	return fmt.Sprintf("isolate(%d)", a.ID)
-}
-
-func (a *IsolateAction) Apply(env *Env) error {
-	a.victim = resolveTarget(env, a.ID, a.TargetLeader)
-	victim := a.victim
-	a.id = env.Net.AddFilter(func(m transport.Message) bool {
-		return m.From == victim || m.To == victim
-	})
-	return nil
-}
-
-func (a *IsolateAction) Clear(env *Env) error {
-	env.Net.RemoveFilter(a.id)
-	return nil
-}
-
 // LossAction drops messages on the selected links independently with
 // probability Rate, from its own seeded RNG (replayable). Empty From/To
 // match every sender/receiver.
@@ -282,20 +249,6 @@ func (a *LeaveAction) Apply(env *Env) error {
 }
 
 func (a *LeaveAction) Clear(env *Env) error { return nil }
-
-// FuncAction runs an arbitrary callback at its step's offset — schedules
-// use it for mid-fault probes (record a height, assert a stall) without
-// abandoning the schedule abstraction.
-type FuncAction struct {
-	Label string
-	Do    func(env *Env) error
-}
-
-func (a *FuncAction) Name() string { return a.Label }
-
-func (a *FuncAction) Apply(env *Env) error { return a.Do(env) }
-
-func (a *FuncAction) Clear(env *Env) error { return nil }
 
 // resolveTarget picks the action's victim: the current leader when asked
 // (and resolvable), the literal ID otherwise.

@@ -273,3 +273,17 @@ func (s Schedule) End() time.Duration {
 	}
 	return end
 }
+
+// FuncAction runs an arbitrary callback at its step's offset — schedules
+// use it for mid-fault probes (record a height, assert a stall) without
+// abandoning the schedule abstraction.
+type FuncAction struct {
+	Label string
+	Do    func(env *Env) error
+}
+
+func (a *FuncAction) Name() string { return a.Label }
+
+func (a *FuncAction) Apply(env *Env) error { return a.Do(env) }
+
+func (a *FuncAction) Clear(env *Env) error { return nil }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"smartchain/internal/blockchain"
+	"smartchain/internal/catchup"
 	"smartchain/internal/codec"
 	"smartchain/internal/codec/codectest"
 	"smartchain/internal/coin"
@@ -45,24 +46,32 @@ func mintSpec(t *testing.T, minter *crypto.KeyPair, blocks, snapshotAt int64, tx
 	}
 }
 
+// withChunkBytes lowers the checkpoint chunk size for one test, so a small
+// primed state spreads over several chunks and donors. Call it before the
+// cluster starts: the cluster stops before the size is restored.
+func withChunkBytes(t *testing.T, n int) {
+	old := checkpointChunkBytes
+	checkpointChunkBytes = n
+	t.Cleanup(func() { checkpointChunkBytes = old })
+}
+
 func catchupCluster(t *testing.T, blocks, snapshotAt int64, mutate func(*ClusterConfig)) (*Cluster, *crypto.KeyPair) {
 	t.Helper()
 	minter := crypto.SeededKeyPair("catchup-minter", 0)
 	cfg := ClusterConfig{
-		N:                 5,
-		AppFactory:        func() Application { return coin.NewService([]crypto.PublicKey{minter.Public()}) },
-		Persistence:       PersistenceStrong,
-		Storage:           smr.StorageSync,
-		Verify:            smr.VerifyParallel,
-		Pipeline:          true,
-		CheckpointPeriod:  0,
-		MaxBatch:          64,
-		Minters:           []crypto.PublicKey{minter.Public()},
-		ConsensusTimeout:  250 * time.Millisecond,
-		ChainID:           "catchup-test",
-		Prime:             mintSpec(t, minter, blocks, snapshotAt, 4),
-		Deferred:          []int32{4},
-		CatchupChunkBytes: 4096,
+		N:                5,
+		AppFactory:       func() Application { return coin.NewService([]crypto.PublicKey{minter.Public()}) },
+		Persistence:      PersistenceStrong,
+		Storage:          smr.StorageSync,
+		Verify:           smr.VerifyParallel,
+		Pipeline:         true,
+		CheckpointPeriod: 0,
+		MaxBatch:         64,
+		Minters:          []crypto.PublicKey{minter.Public()},
+		ConsensusTimeout: 250 * time.Millisecond,
+		ChainID:          "catchup-test",
+		Prime:            mintSpec(t, minter, blocks, snapshotAt, 4),
+		Deferred:         []int32{4},
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -100,6 +109,7 @@ func syncUntil(t *testing.T, n *Node, peers []int32, height int64, deadline time
 // state must be bit-identical to the donors'.
 func TestClusterCatchupUnderDonorFaults(t *testing.T) {
 	const blocks, snapAt = 300, 240
+	withChunkBytes(t, 4096)
 	c, minter := catchupCluster(t, blocks, snapAt, func(cfg *ClusterConfig) {
 		cfg.CatchupPeerTimeout = 150 * time.Millisecond
 	})
@@ -198,9 +208,8 @@ func TestClusterCatchupUnderDonorFaults(t *testing.T) {
 // of collaborative transfer.
 func TestClusterCatchupMultiDonorSpread(t *testing.T) {
 	const blocks, snapAt = 200, 160
-	c, _ := catchupCluster(t, blocks, snapAt, func(cfg *ClusterConfig) {
-		cfg.CatchupChunkBytes = 2048
-	})
+	withChunkBytes(t, 2048)
+	c, _ := catchupCluster(t, blocks, snapAt, nil)
 	if err := c.StartDeferred(4, nil); err != nil {
 		t.Fatalf("start deferred: %v", err)
 	}
@@ -262,10 +271,11 @@ func TestRetiredStateTransferFramesDropped(t *testing.T) {
 	}
 }
 
-// FuzzDecodeCatchupWire covers the four catch-up frames core decodes itself
-// (the envelope reply is catchup.FuzzDecodeEnvelope's): the two requests the
-// donor side reads off any sender, and the two replies the dispatch goroutine
-// decodes for the ordering driver. Each under the contract of codectest.
+// FuzzDecodeCatchupWire covers the four catch-up frames of the chunk and
+// range paths (the envelope reply is catchup.FuzzDecodeEnvelope's): the two
+// requests the donor side reads off any sender, and the two replies the
+// dispatch goroutine decodes for the ordering driver. Each under the contract
+// of codectest.
 func FuzzDecodeCatchupWire(f *testing.F) {
 	blocks := make([]blockchain.Block, 3)
 	for i := range blocks {
@@ -278,9 +288,9 @@ func FuzzDecodeCatchupWire(f *testing.F) {
 	}
 	f.Add((&chunkReq{Height: 240, Index: 3}).encode())
 	f.Add((&rangeReq{From: 241, To: 304}).encode())
-	f.Add((&chunkRep{Height: 240, Index: 3, Data: bytes.Repeat([]byte{7}, 300)}).encode())
-	f.Add((&rangeRep{From: 1, Blocks: blocks}).encode())
-	f.Add((&rangeRep{From: 1}).encode())
+	f.Add((&catchup.Response{Kind: catchup.KindChunk, Height: 240, Index: 3, Data: bytes.Repeat([]byte{7}, 300)}).Encode())
+	f.Add((&catchup.Response{Kind: catchup.KindRange, From: 1, Blocks: blocks}).Encode())
+	f.Add((&catchup.Response{Kind: catchup.KindRange, From: 1}).Encode())
 	// 2^20 blocks declared, none carried; and one block whose body declares
 	// 2^20 results and carries none (24 MiB to a loop that reads on past the
 	// end of its input — what this target found in blockchain's body decoder).
@@ -301,12 +311,17 @@ func FuzzDecodeCatchupWire(f *testing.F) {
 	rows := []codectest.Row{
 		codectest.Of("decodeChunkReq", decodeChunkReq, (*chunkReq).encode),
 		codectest.Of("decodeRangeReq", decodeRangeReq, (*rangeReq).encode),
-		codectest.Of("decodeChunkRep", decodeChunkRep, (*chunkRep).encode),
-		codectest.Of("decodeRangeRep", decodeRangeRep, (*rangeRep).encode),
+		codectest.Of("DecodeResponse(KindChunk)", replyDecoder(catchup.KindChunk), (*catchup.Response).Encode),
+		codectest.Of("DecodeResponse(KindRange)", replyDecoder(catchup.KindRange), (*catchup.Response).Encode),
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, row := range rows {
 			row.Check(t, data)
 		}
 	})
+}
+
+// replyDecoder is catchup.DecodeResponse for replies of one kind.
+func replyDecoder(kind catchup.Kind) func([]byte) (catchup.Response, error) {
+	return func(data []byte) (catchup.Response, error) { return catchup.DecodeResponse(kind, data) }
 }

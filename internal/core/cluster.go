@@ -52,8 +52,7 @@ type ClusterConfig struct {
 	NetBandwidth float64
 	// ChainID names the deployment.
 	ChainID string
-	// CatchupChunkBytes / CatchupPeerTimeout mirror Config (0 = defaults).
-	CatchupChunkBytes  int
+	// CatchupPeerTimeout mirrors Config (0 = default).
 	CatchupPeerTimeout time.Duration
 	// Prime fabricates a pre-committed chain and installs it into every
 	// non-deferred replica's storage before start, so catch-up scenarios
@@ -71,10 +70,9 @@ type ClusterConfig struct {
 	// consensus.
 	WrapEndpoint func(id int32, ep transport.Endpoint) transport.Endpoint
 	// TCPWire runs the deployment over real loopback TCP (a TCPFabric of
-	// HMAC-authenticated TCPNetworks) instead of the in-memory transport:
-	// the A/B dimension behind `benchrunner -net {mem,tcp}`. NetLatency maps
-	// to per-frame delivery delay; NetBandwidth and MemNetwork-based fault
-	// filters are not modeled over TCP.
+	// HMAC-authenticated TCPNetworks) instead of the in-memory transport.
+	// NetLatency maps to per-frame delivery delay; NetBandwidth and
+	// MemNetwork-based fault filters are not modeled over TCP.
 	TCPWire bool
 }
 
@@ -305,7 +303,6 @@ func (c *Cluster) fabricate(spec *ChainSpec) (*primedChain, error) {
 		if b == spec.SnapshotAt {
 			ledger.MarkCheckpoint(b)
 			env := snapshotEnvelope{
-				Height:       b,
 				Instance:     b + 1,
 				BlockHash:    blk.Header.Hash(),
 				LastReconfig: 0,
@@ -335,11 +332,7 @@ func (c *Cluster) primeStorage(cn *ClusterNode, pc *primedChain) error {
 	if err := cn.Log.Sync(); err != nil {
 		return err
 	}
-	cb := c.cfg.CatchupChunkBytes
-	if cb <= 0 {
-		cb = storage.DefaultChunkBytes
-	}
-	return storage.SaveSnapshot(cn.Snapshots, pc.snapHeight, pc.snapMeta, pc.snapState, cb)
+	return storage.SaveSnapshot(cn.Snapshots, pc.snapHeight, pc.snapMeta, pc.snapState, checkpointChunkBytes)
 }
 
 // StartDeferred brings a deferred replica online. With syncPeers set, Start
@@ -409,7 +402,6 @@ func (c *Cluster) startNode(cn *ClusterNode, initialKey *crypto.KeyPair, syncPee
 		MaxBatch:            c.cfg.MaxBatch,
 		ConsensusTimeout:    c.cfg.ConsensusTimeout,
 		SyncPeers:           syncPeers,
-		CatchupChunkBytes:   c.cfg.CatchupChunkBytes,
 		CatchupPeerTimeout:  c.cfg.CatchupPeerTimeout,
 	})
 	if err != nil {

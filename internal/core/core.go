@@ -34,11 +34,11 @@ const (
 	MsgReply                = smr.MsgReply   // replica → client: encoded smr.Reply
 	MsgPersist       uint16 = 210            // PERSIST phase signature share
 	MsgEnvelopeReq   uint16 = 222            // catch-up: snapshot envelope + tip query
-	MsgEnvelopeRep   uint16 = 223            // catch-up: encoded catchup.Envelope
+	MsgEnvelopeRep   uint16 = 223            // catch-up: catchup.Response of KindEnvelope
 	MsgChunkReq      uint16 = 224            // catch-up: one snapshot chunk by (height, index)
-	MsgChunkRep      uint16 = 225            // catch-up: chunk bytes
+	MsgChunkRep      uint16 = 225            // catch-up: catchup.Response of KindChunk
 	MsgBlockRangeReq uint16 = 226            // catch-up: committed blocks from..to
-	MsgBlockRangeRep uint16 = 227            // catch-up: encoded block range
+	MsgBlockRangeRep uint16 = 227            // catch-up: catchup.Response of KindRange
 	MsgJoinAsk       uint16 = 230            // candidate → member: reconfig.JoinRequest
 	MsgJoinVote      uint16 = 231            // member → candidate: reconfig.Vote
 	MsgKeyAnnounce   uint16 = 232            // fresh consensus key after a view change
@@ -173,10 +173,6 @@ type Config struct {
 	// member's engine is live by then — for state transfer from these peers and
 	// wait for the outcome (recovering replicas and join candidates).
 	SyncPeers []int32
-	// CatchupChunkBytes is the snapshot chunk size for checkpoints taken by
-	// this node (0 = storage.DefaultChunkBytes). All replicas must agree, or
-	// their envelopes fingerprint differently and chunks do not compose.
-	CatchupChunkBytes int
 	// CatchupPeerTimeout is how long a donor may sit on a catch-up request
 	// before the work is reassigned and the donor demoted (0 = catchup
 	// default, 1s).
@@ -315,9 +311,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if cfg.ConsensusTimeout <= 0 {
 		cfg.ConsensusTimeout = 500 * time.Millisecond
-	}
-	if cfg.CatchupChunkBytes <= 0 {
-		cfg.CatchupChunkBytes = storage.DefaultChunkBytes
 	}
 	if cfg.PipelineDepth <= 0 {
 		cfg.PipelineDepth = DefaultPipelineDepth

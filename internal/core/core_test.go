@@ -441,8 +441,8 @@ func TestConfigFieldBudget(t *testing.T) {
 		typ    reflect.Type
 		budget int
 	}{
-		{reflect.TypeOf(Config{}), 20},
-		{reflect.TypeOf(ClusterConfig{}), 22},
+		{reflect.TypeOf(Config{}), 19},
+		{reflect.TypeOf(ClusterConfig{}), 21},
 	} {
 		if n := c.typ.NumField(); n > c.budget {
 			t.Errorf("%s has %d fields, budget %d: justify the new field in DESIGN.md \"Knobs\" "+

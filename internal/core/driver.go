@@ -430,7 +430,7 @@ func (n *Node) applyBatch(number, instance, epoch int64, batch *smr.Batch) ([][]
 				results[i] = resultReconfigError
 				continue
 			}
-			u, err := cert.BuildUpdate(cur, permKeys, reconfig.AdmitAll())
+			u, err := cert.BuildUpdate(cur, permKeys)
 			if err != nil {
 				results[i] = resultReconfigError
 				continue
@@ -523,17 +523,22 @@ func (n *Node) sendReplies(number int64, replies []smr.Reply) {
 	}
 }
 
+// checkpointChunkBytes is the size checkpoints split the application state
+// at. Every replica chunks alike, so their stored envelopes (and therefore
+// catch-up fingerprints) are byte-identical; tests lower it to spread a
+// small state over several chunks.
+var checkpointChunkBytes = storage.DefaultChunkBytes
+
 // writeCheckpoint stores the service snapshot for the checkpoint closeBlock
 // just marked at b (Algorithm 1 lines 49-54). It runs synchronously in the
 // driver: the paper's Fig. 7 shows exactly this throughput dip during
 // checkpoints. The store write is chunked: the metadata envelope plus the
-// application state split at CatchupChunkBytes, each chunk digest-addressed
-// so catch-up peers can fetch and verify them independently. All replicas
-// chunk at the same configured size, so their stored envelopes (and
-// therefore catch-up fingerprints) are byte-identical.
+// application state split at checkpointChunkBytes, each chunk
+// digest-addressed so catch-up peers can fetch and verify them
+// independently.
 func (n *Node) writeCheckpoint(b *blockchain.Block) {
 	env := n.envelopeAt(b)
-	_ = n.saveSnapshot(env.Height, env.encode(), n.app.Snapshot(), n.cfg.CatchupChunkBytes) //smartlint:allow errdrop best-effort checkpoint; recovery and donors fall back to the previous one plus the log
+	_ = n.saveSnapshot(b.Header.Number, env.encode(), n.app.Snapshot(), checkpointChunkBytes) //smartlint:allow errdrop best-effort checkpoint; recovery and donors fall back to the previous one plus the log
 }
 
 // saveSnapshot replaces the stored service snapshot, whole: donor reads
@@ -553,7 +558,6 @@ func (n *Node) envelopeAt(b *blockchain.Block) snapshotEnvelope {
 	tracker := n.removeTracker
 	n.mu.Unlock()
 	return snapshotEnvelope{
-		Height: b.Header.Number,
 		// The checkpointed block's consensus coordinate, NOT the live
 		// floor: every replica checkpointing this height writes the same
 		// instance, keeping envelopes a pure function of the chain prefix.

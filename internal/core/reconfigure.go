@@ -119,8 +119,8 @@ func (n *Node) reconcileEngine() {
 }
 
 // onJoinAsk is a member's side of Fig. 5a step 1-2: admit the candidate —
-// every member admits every join (reconfig.AdmitAll, which applyBatch builds
-// the ordered certificate against) — and reply with a signed vote carrying
+// every member admits every join, and so does the ordered certificate's
+// check in applyBatch — and reply with a signed vote carrying
 // our fresh certified consensus key for the next view. The same message doubles
 // as a leave request when the "candidate" is a current member asking to
 // depart: members always vote for voluntary leaves (the alternative is a

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"smartchain/internal/catchup"
 	"smartchain/internal/storage"
 )
 
@@ -74,7 +75,7 @@ func TestDonorMidCheckpointServesNoUnwrittenChunk(t *testing.T) {
 		t.Helper()
 		select {
 		case m := <-asker.Receive():
-			rep, err := decodeChunkRep(m.Payload)
+			rep, err := catchup.DecodeResponse(catchup.KindChunk, m.Payload)
 			if err != nil || m.Type != MsgChunkRep {
 				t.Fatalf("reply type %d: %v", m.Type, err)
 			}

@@ -29,19 +29,14 @@ func (n *Node) recoverLocal() error {
 	n.loadConsensusKey()
 
 	var base *snapshotEnvelope
-	var baseState []byte
-	lastBlock, meta, state, err := storage.LoadSnapshot(n.cfg.Snapshots)
+	lastBlock, meta, baseState, err := storage.LoadSnapshot(n.cfg.Snapshots)
 	switch {
 	case err == nil:
 		env, err := decodeSnapshotEnvelope(meta)
 		if err != nil {
 			return fmt.Errorf("snapshot envelope: %w", err)
 		}
-		if env.Height != lastBlock {
-			return fmt.Errorf("core: snapshot metadata height %d != stored %d", env.Height, lastBlock)
-		}
 		base = &env
-		baseState = state
 	case errors.Is(err, storage.ErrNoSnapshot), errors.Is(err, storage.ErrCorrupted):
 		// No checkpoint yet, or a torn or bit-rotted one, which is treated as
 		// absent: the block log is the durability anchor and replays the full
@@ -82,7 +77,7 @@ func (n *Node) recoverLocal() error {
 				return fmt.Errorf("restore app: %w", err)
 			}
 		}
-		n.installEnvelope(base)
+		n.installEnvelope(lastBlock, base)
 	} else {
 		// No snapshot: the log must start at genesis.
 		if len(blocks) == 0 || blocks[0].Header.Number != 0 {
@@ -106,11 +101,11 @@ func (n *Node) recoverLocal() error {
 }
 
 // installEnvelope positions ledger, view, instance counter, and the
-// executed watermark at a snapshot point. The commit floor only moves
-// forward: a snapshot can never rewind instances this replica already
+// executed watermark at the snapshot of block height. The commit floor only
+// moves forward: a snapshot can never rewind instances this replica already
 // released from the reorder buffer.
-func (n *Node) installEnvelope(env *snapshotEnvelope) {
-	n.ledger = blockchain.NewLedgerAt(n.cfg.Genesis, env.Height, env.BlockHash, env.LastReconfig, env.Height)
+func (n *Node) installEnvelope(height int64, env *snapshotEnvelope) {
+	n.ledger = blockchain.NewLedgerAt(n.cfg.Genesis, height, env.BlockHash, env.LastReconfig, height)
 	n.batcher.RestoreWatermarks(env.Watermarks)
 	if env.Instance > n.nextInstance.Load() {
 		n.nextInstance.Store(env.Instance)
@@ -239,12 +234,11 @@ func (n *Node) catchupServer() {
 }
 
 // genesisEnvelope is the synthetic genesis-level recovery envelope a donor
-// offers when it holds no usable checkpoint: the receiver replays from
-// block 1 on the initial application state.
+// offers when it holds no checkpoint: the receiver replays from block 1 on
+// the initial application state.
 func (n *Node) genesisEnvelope() snapshotEnvelope {
 	gb := blockchain.GenesisBlock(&n.cfg.Genesis)
 	return snapshotEnvelope{
-		Height:       0,
 		Instance:     1,
 		BlockHash:    gb.Hash(),
 		LastReconfig: 0,
@@ -256,21 +250,13 @@ func (n *Node) genesisEnvelope() snapshotEnvelope {
 // serveEnvelope answers with this donor's snapshot envelope and chain tip —
 // the pool's discovery unit, a few hundred bytes regardless of state size.
 func (n *Node) serveEnvelope(m transport.Message) {
-	var env catchup.Envelope
-	if snap, err := n.cfg.Snapshots.LoadEnvelope(); err == nil {
-		if me, err := decodeSnapshotEnvelope(snap.Meta); err == nil && me.Height == snap.LastBlock {
-			env = catchup.Envelope{Height: me.Height, BlockHash: me.BlockHash, Snap: snap}
-		}
-	}
-	if env.Snap.Meta == nil {
+	snap, err := n.cfg.Snapshots.LoadEnvelope()
+	if err != nil {
 		me := n.genesisEnvelope()
-		env = catchup.Envelope{ // at height 0
-			BlockHash: me.BlockHash,
-			Snap:      storage.SnapEnvelope{ChunkBytes: int32(n.cfg.CatchupChunkBytes), Meta: me.encode()},
-		}
+		snap = storage.SnapEnvelope{Meta: me.encode()} // at height 0, no state
 	}
-	env.Tip = n.ledger.Height()
-	_ = n.cfg.Transport.Send(m.From, MsgEnvelopeRep, env.Encode()) //smartlint:allow errdrop donor reply; the requester re-requests on timeout
+	rep := catchup.Response{Kind: catchup.KindEnvelope, Envelope: &catchup.Envelope{Snap: snap, Tip: n.ledger.Height()}}
+	_ = n.cfg.Transport.Send(m.From, MsgEnvelopeRep, rep.Encode()) //smartlint:allow errdrop donor reply; the requester re-requests on timeout
 }
 
 // serveChunk answers one snapshot chunk straight from the chunk-addressed
@@ -287,7 +273,7 @@ func (n *Node) serveChunk(m transport.Message) {
 	if err != nil {
 		return
 	}
-	rep := chunkRep{Height: req.Height, Index: req.Index}
+	rep := catchup.Response{Kind: catchup.KindChunk, Height: req.Height, Index: int(req.Index)}
 	n.snapMu.Lock()
 	if env, err := n.cfg.Snapshots.LoadEnvelope(); err == nil && env.LastBlock == req.Height {
 		if data, err := n.cfg.Snapshots.ReadChunk(int(req.Index)); err == nil {
@@ -295,7 +281,7 @@ func (n *Node) serveChunk(m transport.Message) {
 		}
 	}
 	n.snapMu.Unlock()
-	_ = n.cfg.Transport.Send(m.From, MsgChunkRep, rep.encode()) //smartlint:allow errdrop donor reply; the requester re-requests on timeout
+	_ = n.cfg.Transport.Send(m.From, MsgChunkRep, rep.Encode()) //smartlint:allow errdrop donor reply; the requester re-requests on timeout
 }
 
 // maxRangeServe caps one block-range reply; larger asks are ignored.
@@ -308,33 +294,28 @@ func (n *Node) serveRange(m transport.Message) {
 	if err != nil || req.To < req.From || req.To-req.From+1 > maxRangeServe {
 		return
 	}
-	rep := rangeRep{From: req.From}
+	rep := catchup.Response{Kind: catchup.KindRange, From: req.From}
 	if blocks, ok := n.ledger.CachedRange(req.From, req.To); ok {
 		rep.Blocks = blocks
 	}
-	_ = n.cfg.Transport.Send(m.From, MsgBlockRangeRep, rep.encode()) //smartlint:allow errdrop donor reply; the requester re-requests on timeout
+	_ = n.cfg.Transport.Send(m.From, MsgBlockRangeRep, rep.Encode()) //smartlint:allow errdrop donor reply; the requester re-requests on timeout
 }
 
 // onCatchupReply decodes a donor reply and posts it to the ordering driver,
 // which steps the round. Runs on the dispatch goroutine and never blocks.
 func (n *Node) onCatchupReply(m transport.Message) {
-	resp, err := catchup.Response{Peer: m.From}, error(nil)
+	kind := catchup.KindEnvelope
 	switch m.Type {
-	case MsgEnvelopeRep:
-		resp.Kind = catchup.KindEnvelope
-		resp.Envelope, err = catchup.DecodeEnvelope(m.Payload)
 	case MsgChunkRep:
-		var rep chunkRep
-		rep, err = decodeChunkRep(m.Payload)
-		resp.Kind, resp.Height, resp.Index, resp.Data = catchup.KindChunk, rep.Height, int(rep.Index), rep.Data
+		kind = catchup.KindChunk
 	case MsgBlockRangeRep:
-		var rep rangeRep
-		rep, err = decodeRangeRep(m.Payload)
-		resp.Kind, resp.From, resp.Blocks = catchup.KindRange, rep.From, rep.Blocks
+		kind = catchup.KindRange
 	}
+	resp, err := catchup.DecodeResponse(kind, m.Payload)
 	if err != nil {
 		return
 	}
+	resp.Peer = m.From
 	select {
 	case n.syncReplies <- resp:
 	default: // full: the round re-requests on timeout
@@ -366,34 +347,20 @@ func (f nodeFetcher) RequestRange(peer int32, from, to int64) error {
 	return f.n.cfg.Transport.Send(peer, MsgBlockRangeReq, req.encode())
 }
 
-// fetchedMeta decodes and cross-checks the core metadata embedded in a
-// catch-up envelope: the donor-supplied Meta must agree with the envelope's
-// own height and block hash, or the offer is internally inconsistent.
-func fetchedMeta(env *catchup.Envelope) (snapshotEnvelope, error) {
-	me, err := decodeSnapshotEnvelope(env.Snap.Meta)
-	if err != nil {
-		return snapshotEnvelope{}, fmt.Errorf("core: envelope metadata: %w", err)
-	}
-	if me.Height != env.Height || me.BlockHash != env.BlockHash || env.Snap.LastBlock != env.Height {
-		return snapshotEnvelope{}, errors.New("core: envelope metadata mismatch")
-	}
-	return me, nil
-}
-
 // VerifyBlocks checks that blocks extend the envelope's block: hash linkage
-// from env.BlockHash plus consensus decision proofs under the envelope's
-// view. No state is touched — this is what binds a snapshot offer to the
-// committed chain BEFORE InstallSnapshot may run.
+// from the block hash in its metadata plus consensus decision proofs under
+// the envelope's view. No state is touched — this is what binds a snapshot
+// offer to the committed chain BEFORE InstallSnapshot may run.
 func (f nodeFetcher) VerifyBlocks(env *catchup.Envelope, blocks []blockchain.Block) error {
-	me, err := fetchedMeta(env)
+	me, err := decodeSnapshotEnvelope(env.Snap.Meta)
 	if err != nil {
 		return err
 	}
 	anchor := blockchain.RangeAnchor{
-		Number:         me.Height,
+		Number:         env.Snap.LastBlock,
 		Hash:           me.BlockHash,
 		LastReconfig:   me.LastReconfig,
-		LastCheckpoint: me.Height,
+		LastCheckpoint: env.Snap.LastBlock,
 		View:           me.View,
 		Permanent:      me.PermKeys,
 	}
@@ -408,11 +375,11 @@ func (f nodeFetcher) VerifyBlocks(env *catchup.Envelope, blocks []blockchain.Blo
 // byte-identical chunks onward.
 func (f nodeFetcher) InstallSnapshot(env *catchup.Envelope, state []byte) error {
 	n := f.n
-	me, err := fetchedMeta(env)
+	me, err := decodeSnapshotEnvelope(env.Snap.Meta)
 	if err != nil {
 		return err
 	}
-	if env.Height <= n.ledger.Height() {
+	if env.Snap.LastBlock <= n.ledger.Height() {
 		return nil // raced past it; nothing to do
 	}
 	if int64(len(state)) != env.Snap.TotalBytes {
@@ -432,8 +399,8 @@ func (f nodeFetcher) InstallSnapshot(env *catchup.Envelope, state []byte) error 
 			return fmt.Errorf("restore fetched state: %w", err)
 		}
 	}
-	n.installEnvelope(&me)
-	return n.saveSnapshot(env.Height, env.Snap.Meta, state, int(env.Snap.ChunkBytes))
+	n.installEnvelope(env.Snap.LastBlock, &me)
+	return n.saveSnapshot(env.Snap.LastBlock, env.Snap.Meta, state, int(env.Snap.ChunkBytes))
 }
 
 // ApplyBlocks verifies a fetched range against this replica's own tip

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"smartchain/internal/blockchain"
 	"smartchain/internal/codec"
 	"smartchain/internal/crypto"
 	"smartchain/internal/reconfig"
@@ -86,8 +85,9 @@ func decodeView(data []byte) (view.View, error) {
 // The application state itself does NOT live here — it rides in the
 // chunk-addressed SnapshotStore payload (and, during catch-up, in
 // individually verifiable chunks), with this envelope as the store's Meta.
+// The covered block's number is the store envelope's LastBlock; its header
+// hash is BlockHash.
 type snapshotEnvelope struct {
-	Height int64 // last block covered
 	// Instance is the next consensus instance after the checkpoint (the
 	// covered block's ConsensusID + 1, a pure function of the chain
 	// prefix). Restoring replicas position their commit floor here: block
@@ -100,12 +100,12 @@ type snapshotEnvelope struct {
 	LastReconfig int64
 	View         view.View
 	PermKeys     map[int32]crypto.PublicKey
-	// Watermarks is the per-client executed-sequence record at Height
+	// Watermarks is the per-client executed-sequence record at the block
 	// (contiguous low watermark plus the out-of-order executed set):
 	// replaying blocks after the snapshot must skip exactly the duplicate
 	// ordered requests the live execution skipped.
 	Watermarks map[int64]smr.Watermark
-	// RemoveVotes is the view's pending exclusion votes at Height, sorted by
+	// RemoveVotes is the view's pending exclusion votes at the block, sorted by
 	// (target, voter): replicated state like Watermarks — a replica resuming
 	// here must reach the remove quorum on the same later vote as the rest.
 	RemoveVotes []reconfig.RemoveVote
@@ -113,7 +113,6 @@ type snapshotEnvelope struct {
 
 func (s *snapshotEnvelope) encode() []byte {
 	e := codec.NewEncoder(256)
-	e.Int64(s.Height)
 	e.Int64(s.Instance)
 	e.Bytes32(s.BlockHash)
 	e.Int64(s.LastReconfig)
@@ -144,7 +143,6 @@ func (s *snapshotEnvelope) encode() []byte {
 func decodeSnapshotEnvelope(data []byte) (snapshotEnvelope, error) {
 	d := codec.NewDecoder(data)
 	var s snapshotEnvelope
-	s.Height = d.Int64()
 	s.Instance = d.Int64()
 	s.BlockHash = d.Bytes32()
 	s.LastReconfig = d.Int64()
@@ -217,34 +215,6 @@ func decodeChunkReq(data []byte) (chunkReq, error) {
 	return r, nil
 }
 
-// chunkRep answers a chunkReq. Empty Data means the donor does not hold
-// that snapshot (or chunk); the requester reassigns the work elsewhere.
-type chunkRep struct {
-	Height int64
-	Index  int32
-	Data   []byte
-}
-
-func (r *chunkRep) encode() []byte {
-	e := codec.NewEncoder(16 + len(r.Data))
-	e.Int64(r.Height)
-	e.Int32(r.Index)
-	e.WriteBytes(r.Data)
-	return e.Bytes()
-}
-
-func decodeChunkRep(data []byte) (chunkRep, error) {
-	d := codec.NewDecoder(data)
-	var r chunkRep
-	r.Height = d.Int64()
-	r.Index = d.Int32()
-	r.Data = d.ReadBytesCopy()
-	if err := d.Finish(); err != nil {
-		return chunkRep{}, fmt.Errorf("decode chunk rep: %w", err)
-	}
-	return r, nil
-}
-
 // rangeReq asks a donor for committed blocks From..To inclusive.
 type rangeReq struct {
 	From int64
@@ -265,40 +235,6 @@ func decodeRangeReq(data []byte) (rangeReq, error) {
 	r.To = d.Int64()
 	if err := d.Finish(); err != nil {
 		return rangeReq{}, fmt.Errorf("decode range req: %w", err)
-	}
-	return r, nil
-}
-
-// rangeRep answers a rangeReq. Empty Blocks means the donor's cache no
-// longer holds the range; the requester reassigns the work elsewhere.
-type rangeRep struct {
-	From   int64
-	Blocks []blockchain.Block
-}
-
-func (r *rangeRep) encode() []byte {
-	e := codec.NewEncoder(64)
-	e.Int64(r.From)
-	e.Uint32(uint32(len(r.Blocks)))
-	for i := range r.Blocks {
-		e.WriteBytes(r.Blocks[i].Encode())
-	}
-	return e.Bytes()
-}
-
-func decodeRangeRep(data []byte) (rangeRep, error) {
-	d := codec.NewDecoder(data)
-	var r rangeRep
-	r.From = d.Int64()
-	for nb := d.Count(4); nb > 0; nb-- { // each a length-prefixed block
-		b, err := blockchain.DecodeBlock(d.ReadBytes())
-		if err != nil {
-			return rangeRep{}, err
-		}
-		r.Blocks = append(r.Blocks, b)
-	}
-	if err := d.Finish(); err != nil {
-		return rangeRep{}, fmt.Errorf("decode range rep: %w", err)
 	}
 	return r, nil
 }

@@ -34,32 +34,12 @@ var (
 	ErrAlreadyMember = errors.New("reconfig: candidate already a member")
 	ErrWrongView     = errors.New("reconfig: request targets a different view")
 	ErrFewVotes      = errors.New("reconfig: not enough votes")
-	ErrPolicyDenied  = errors.New("reconfig: admission policy denied the request")
 )
-
-// Policy is the application-defined admission criterion (paper §V-A2: "the
-// criteria by which nodes are allowed to join should be specified by the
-// blockchain application" — e.g. certification by an authority,
-// proof-of-work, or a stake). Policies must be deterministic: every correct
-// replica re-evaluates them on the ordered reconfiguration transaction.
-type Policy interface {
-	// Admit decides whether the candidate may join.
-	Admit(req *JoinRequest) bool
-}
-
-// PolicyFunc adapts a function to the Policy interface.
-type PolicyFunc func(req *JoinRequest) bool
-
-// Admit implements Policy.
-func (f PolicyFunc) Admit(req *JoinRequest) bool { return f(req) }
-
-// AdmitAll accepts every candidate (test and demo deployments).
-func AdmitAll() Policy { return PolicyFunc(func(*JoinRequest) bool { return true }) }
 
 // JoinRequest is a candidate's application to join the consortium
 // (Fig. 5a step 1). It carries the candidate's permanent identity, its
-// certified consensus key for the view it wants to join, and opaque
-// application evidence for the admission policy.
+// certified consensus key for the view it wants to join, and an opaque
+// application payload that the signature covers and no member interprets.
 type JoinRequest struct {
 	Candidate    int32
 	PermanentPub crypto.PublicKey
@@ -310,12 +290,12 @@ func DecodeCertificate(data []byte) (Certificate, error) {
 // Validation rules (paper §V-D):
 //   - the request signature and embedded key certification verify;
 //   - the target view is exactly cur.ID+1;
-//   - joins: candidate not a member, and policy admits it;
+//   - joins: candidate not a member;
 //     leaves: candidate is a member (and is the request author);
 //   - ≥ cur.JoinQuorum() (= n−f) votes from distinct current members (for
 //     leaves, members other than the leaver), each binding this request;
 //   - every vote's fresh key certifies under the voter's permanent key.
-func (c *Certificate) BuildUpdate(cur view.View, permanent map[int32]crypto.PublicKey, policy Policy) (*blockchain.ViewUpdate, error) {
+func (c *Certificate) BuildUpdate(cur view.View, permanent map[int32]crypto.PublicKey) (*blockchain.ViewUpdate, error) {
 	req := &c.Request
 	if err := req.Verify(); err != nil {
 		return nil, err
@@ -330,9 +310,6 @@ func (c *Certificate) BuildUpdate(cur view.View, permanent map[int32]crypto.Publ
 		}
 		if known, ok := permanent[req.Candidate]; ok && !known.Equal(req.PermanentPub) {
 			return nil, fmt.Errorf("reconfig: candidate %d identity conflict", req.Candidate)
-		}
-		if policy != nil && !policy.Admit(req) {
-			return nil, ErrPolicyDenied
 		}
 	case ChangeLeave:
 		if !cur.Contains(req.Candidate) {

@@ -146,7 +146,7 @@ func TestCertificateEncodeDecode(t *testing.T) {
 func TestBuildUpdateJoin(t *testing.T) {
 	f := newFixture(t, 4)
 	cert := f.joinCert(4, []int32{0, 1, 2}) // n−f = 3 votes
-	u, err := cert.BuildUpdate(f.view, f.permPubs, AdmitAll())
+	u, err := cert.BuildUpdate(f.view, f.permPubs)
 	if err != nil {
 		t.Fatalf("build update: %v", err)
 	}
@@ -166,23 +166,15 @@ func TestBuildUpdateRejections(t *testing.T) {
 	t.Run("too few votes", func(t *testing.T) {
 		f := newFixture(t, 4)
 		cert := f.joinCert(4, []int32{0, 1})
-		if _, err := cert.BuildUpdate(f.view, f.permPubs, AdmitAll()); err == nil {
+		if _, err := cert.BuildUpdate(f.view, f.permPubs); err == nil {
 			t.Fatal("2 votes must not suffice (need 3)")
-		}
-	})
-	t.Run("policy denies", func(t *testing.T) {
-		f := newFixture(t, 4)
-		cert := f.joinCert(4, []int32{0, 1, 2})
-		deny := PolicyFunc(func(*JoinRequest) bool { return false })
-		if _, err := cert.BuildUpdate(f.view, f.permPubs, deny); err == nil {
-			t.Fatal("denied policy must fail")
 		}
 	})
 	t.Run("candidate already member", func(t *testing.T) {
 		f := newFixture(t, 4)
 		cert := f.joinCert(4, []int32{0, 1, 2})
 		cert.Request.Candidate = 2 // breaks the signature too, but check kind of error
-		if _, err := cert.BuildUpdate(f.view, f.permPubs, AdmitAll()); err == nil {
+		if _, err := cert.BuildUpdate(f.view, f.permPubs); err == nil {
 			t.Fatal("member candidate must fail")
 		}
 	})
@@ -190,7 +182,7 @@ func TestBuildUpdateRejections(t *testing.T) {
 		f := newFixture(t, 4)
 		cert := f.joinCert(4, []int32{0, 1})
 		cert.Votes = append(cert.Votes, cert.Votes[0])
-		if _, err := cert.BuildUpdate(f.view, f.permPubs, AdmitAll()); err == nil {
+		if _, err := cert.BuildUpdate(f.view, f.permPubs); err == nil {
 			t.Fatal("duplicate votes must not reach quorum")
 		}
 	})
@@ -207,7 +199,7 @@ func TestBuildUpdateRejections(t *testing.T) {
 			t.Fatalf("vote: %v", err)
 		}
 		cert.Votes[2] = v
-		if _, err := cert.BuildUpdate(f.view, f.permPubs, AdmitAll()); err == nil {
+		if _, err := cert.BuildUpdate(f.view, f.permPubs); err == nil {
 			t.Fatal("non-member vote must fail")
 		}
 	})
@@ -215,7 +207,7 @@ func TestBuildUpdateRejections(t *testing.T) {
 		f := newFixture(t, 4)
 		cert := f.joinCert(4, []int32{0, 1, 2})
 		stale := view.New(5, f.view.Members, f.view.ConsensusKeys)
-		if _, err := cert.BuildUpdate(stale, f.permPubs, AdmitAll()); err == nil {
+		if _, err := cert.BuildUpdate(stale, f.permPubs); err == nil {
 			t.Fatal("stale view target must fail")
 		}
 	})
@@ -245,7 +237,7 @@ func TestBuildUpdateLeave(t *testing.T) {
 		}
 		cert.Votes = append(cert.Votes, v)
 	}
-	u, err := cert.BuildUpdate(f.view, f.permPubs, nil)
+	u, err := cert.BuildUpdate(f.view, f.permPubs)
 	if err != nil {
 		t.Fatalf("build update: %v", err)
 	}
@@ -292,7 +284,7 @@ func TestLeaveVoteFromLeaverRejected(t *testing.T) {
 		}
 		cert.Votes = append(cert.Votes, v)
 	}
-	if _, err := cert.BuildUpdate(f.view, f.permPubs, nil); err == nil {
+	if _, err := cert.BuildUpdate(f.view, f.permPubs); err == nil {
 		t.Fatal("leaver's own vote must be rejected")
 	}
 }

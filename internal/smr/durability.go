@@ -48,12 +48,10 @@ type DurableLogger struct {
 	log  storage.Log
 	mode StorageMode
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []durableEntry
-	closed  bool
-	syncs   int64
-	records int64
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  []durableEntry
+	closed bool
 
 	done chan struct{}
 }
@@ -125,12 +123,6 @@ func (d *DurableLogger) run() {
 		}
 		unsynced = unsynced || len(entries) > 0
 		synced := err == nil && unsynced && (waited || closing) && d.mode != StorageMemory
-		d.mu.Lock()
-		if synced {
-			d.syncs++
-		}
-		d.records += int64(len(entries))
-		d.mu.Unlock()
 		// Sync mode waits for the group's sync; Async and Memory are done
 		// once the group is appended, Async with the sync still behind it.
 		if d.mode != StorageSync {

@@ -322,8 +322,24 @@ func TestBatcherRequeuePreservesOrder(t *testing.T) {
 	}
 }
 
+// countingLog counts the Append and Sync calls that reach a log.
+type countingLog struct {
+	storage.Log
+	appends, syncs atomic.Int64
+}
+
+func (l *countingLog) Append(record []byte) error {
+	l.appends.Add(1)
+	return l.Log.Append(record)
+}
+
+func (l *countingLog) Sync() error {
+	l.syncs.Add(1)
+	return l.Log.Sync()
+}
+
 func TestDurableLoggerGroupCommit(t *testing.T) {
-	log := storage.NewSimLog(nil)
+	log := &countingLog{Log: storage.NewSimLog(nil)}
 	d := NewDurableLogger(log, StorageSync)
 
 	const n = 50
@@ -338,7 +354,7 @@ func TestDurableLoggerGroupCommit(t *testing.T) {
 		})
 	}
 	wg.Wait()
-	records, syncs := d.Stats()
+	records, syncs := log.appends.Load(), log.syncs.Load()
 	if records != n {
 		t.Fatalf("records: %d", records)
 	}
@@ -363,7 +379,7 @@ func TestDurableLoggerGroupCommit(t *testing.T) {
 
 func TestDurableLoggerMemoryModeSkipsSync(t *testing.T) {
 	disk := &storage.SimDisk{SyncLatency: 50 * time.Millisecond}
-	log := storage.NewSimLog(disk)
+	log := &countingLog{Log: storage.NewSimLog(disk)}
 	d := NewDurableLogger(log, StorageMemory)
 	defer d.Close()
 
@@ -381,7 +397,7 @@ func TestDurableLoggerMemoryModeSkipsSync(t *testing.T) {
 	if time.Since(start) > 25*time.Millisecond {
 		t.Fatal("memory mode must not pay sync latency")
 	}
-	if records, syncs := d.Stats(); records != 1 || syncs != 0 {
+	if records, syncs := log.appends.Load(), log.syncs.Load(); records != 1 || syncs != 0 {
 		t.Fatalf("memory mode counted %d syncs for %d records, want none", syncs, records)
 	}
 }
@@ -391,7 +407,8 @@ func TestDurableLoggerMemoryModeSkipsSync(t *testing.T) {
 // loses only the unwaited tail, and Close syncs what is left.
 func TestDurableLoggerUnwaitedRecordsRideTheNextSync(t *testing.T) {
 	disk := &storage.SimDisk{}
-	log := storage.NewSimLog(disk)
+	sim := storage.NewSimLog(disk)
+	log := &countingLog{Log: sim}
 	d := NewDurableLogger(log, StorageSync)
 	defer d.Close()
 	const k = 5
@@ -435,7 +452,7 @@ func TestDurableLoggerUnwaitedRecordsRideTheNextSync(t *testing.T) {
 	if n := syncs(); n != 1 {
 		t.Fatalf("%d syncs after one waited record and %d unwaited ones, want 1", n, k)
 	}
-	log.Crash()
+	sim.Crash()
 	if got := logged(); len(got) != 1 || got[0][0] != 0 {
 		t.Fatalf("a crash left %v, want only the synced record", got)
 	}
@@ -445,7 +462,7 @@ func TestDurableLoggerUnwaitedRecordsRideTheNextSync(t *testing.T) {
 	if n := syncs(); n != 2 {
 		t.Fatalf("%d unwaited records and a waited one cost %d syncs, want 1", k, n-1)
 	}
-	log.Crash()
+	sim.Crash()
 	if got := logged(); len(got) != k+2 || got[1][0] != 10 || got[k+1][0] != 20 {
 		t.Fatalf("a crash after the waited sync left %v, want it and every record before it", got)
 	}
@@ -453,11 +470,11 @@ func TestDurableLoggerUnwaitedRecordsRideTheNextSync(t *testing.T) {
 	unwaited(30)
 	appended(2*k + 2)
 	d.Close()
-	log.Crash()
+	sim.Crash()
 	if n, got := syncs(), logged(); n != 3 || len(got) != 2*k+2 {
 		t.Fatalf("after Close and a crash: %d syncs, %d records; want 3 and %d", n, len(got), 2*k+2)
 	}
-	if records, n := d.Stats(); records != 3*k+2 || n != 3 {
+	if records, n := log.appends.Load(), log.syncs.Load(); records != 3*k+2 || n != 3 {
 		t.Fatalf("logger counted %d records under %d syncs, want %d under 3", records, n, 3*k+2)
 	}
 }
@@ -574,14 +591,6 @@ func TestModeStrings(t *testing.T) {
 		StorageMemory.String() != "memory" || StorageMode(0).String() != "unknown" {
 		t.Fatal("StorageMode strings")
 	}
-}
-
-// Stats returns (records logged, syncs issued: none in Memory mode).
-// records/syncs is the group-commit amortization factor.
-func (d *DurableLogger) Stats() (records, syncs int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.records, d.syncs
 }
 
 // Digest hashes the encoded batch.
