@@ -1,8 +1,9 @@
 // benchrunner reproduces the paper's evaluation (§VI) — Tables I–II,
-// Figs. 6–8 and the pipeline ablation behind them — and runs the seeded
-// chaos campaign. It prints the same rows/series the paper reports.
-// Protocol facts live in `go test ./...`; "did this change regress
-// anything" is `bash bench/run.sh`.
+// Figs. 6–8 and the pipeline ablation behind them. It prints the same
+// rows/series the paper reports. Protocol facts live in `go test ./...`,
+// the safety gate among them (the whole-replica simulation in
+// internal/core); "did this change regress anything" is
+// `bash bench/run.sh`.
 //
 // Usage:
 //
@@ -12,14 +13,12 @@
 //	benchrunner -exp fig7              # Figure 7 timeline
 //	benchrunner -exp fig8              # Figure 8 replica-update times
 //	benchrunner -exp ablate            # pipeline ablation
-//	benchrunner -exp chaos             # seeded fault schedule under load, invariant-gated
 //	benchrunner -exp all
 //
 // -paper scales clients and measurement windows up toward the paper's
 // methodology (2400 clients; slower but sharper numbers). -windows sets
 // the ordering-window sweep the Fig. 6 rows cover. -json writes every
-// measured row to a JSON file (the CI workflow uploads the chaos reports,
-// so a red seed is replayable).
+// measured row to a JSON file.
 package main
 
 import (
@@ -37,17 +36,14 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|fig6|table2|fig7|fig8|ablate|chaos|all")
-		clients    = flag.Int("clients", 240, "closed-loop clients")
-		measure    = flag.Duration("measure", 2*time.Second, "measured window per configuration")
-		warmup     = flag.Duration("warmup", 500*time.Millisecond, "warmup before measuring")
-		paper      = flag.Bool("paper", false, "paper-scale run (2400 clients, 10s windows)")
-		ssd        = flag.Bool("ssd", false, "use the SSD device profile instead of the paper's HDD")
-		windows    = flag.String("windows", "1,8", "comma-separated ordering windows W for the fig6 sweep")
-		chaosSeed  = flag.Int64("chaos-seed", 1, "schedule seed for -exp chaos (same seed = same fault timeline)")
-		chaosDur   = flag.Duration("chaos-duration", 15*time.Second, "fault window for -exp chaos")
-		chaosChurn = flag.Bool("chaos-churn", false, "interleave membership churn into the -exp chaos schedule")
-		jsonPath   = flag.String("json", "", "write all measured rows to this JSON file")
+		exp      = flag.String("exp", "all", "experiment: table1|fig6|table2|fig7|fig8|ablate|all")
+		clients  = flag.Int("clients", 240, "closed-loop clients")
+		measure  = flag.Duration("measure", 2*time.Second, "measured window per configuration")
+		warmup   = flag.Duration("warmup", 500*time.Millisecond, "warmup before measuring")
+		paper    = flag.Bool("paper", false, "paper-scale run (2400 clients, 10s windows)")
+		ssd      = flag.Bool("ssd", false, "use the SSD device profile instead of the paper's HDD")
+		windows  = flag.String("windows", "1,8", "comma-separated ordering windows W for the fig6 sweep")
+		jsonPath = flag.String("json", "", "write all measured rows to this JSON file")
 	)
 	flag.Parse()
 
@@ -71,13 +67,10 @@ func main() {
 		opts.Disk = storage.SSDProfile
 	}
 
-	chaosOpts := harness.ChaosOptions{Seed: *chaosSeed, Duration: *chaosDur, Churn: *chaosChurn}
-
 	report := make(map[string]any)
-	runErr := run(*exp, opts, *paper, chaosOpts, report)
+	runErr := run(*exp, opts, *paper, report)
 	if *jsonPath != "" && len(report) > 0 {
-		// Persist whatever completed even when a later experiment failed:
-		// the CI artifact should carry the partial trajectory too.
+		// Persist whatever completed even when a later experiment failed.
 		if err := writeReport(*jsonPath, report); err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner: write json:", err)
 			if runErr == nil {
@@ -117,7 +110,7 @@ func parseWindows(s string) ([]int, error) {
 	return out, nil
 }
 
-func run(exp string, opts harness.ExpOptions, paper bool, chaosOpts harness.ChaosOptions, report map[string]any) error {
+func run(exp string, opts harness.ExpOptions, paper bool, report map[string]any) error {
 	all := exp == "all"
 	ran := false
 	if all || exp == "table1" {
@@ -204,42 +197,6 @@ func run(exp string, opts harness.ExpOptions, paper bool, chaosOpts harness.Chao
 		}
 		report["ablate"] = rows
 		printRows(rows)
-	}
-	if all || exp == "chaos" {
-		ran = true
-		fmt.Printf("== Chaos: seeded fault schedule under load (seed=%d, %s window) ==\n",
-			chaosOpts.Seed, chaosOpts.Duration)
-		rep, err := harness.Chaos(chaosOpts)
-		report["chaos"] = rep
-		if err != nil {
-			return err
-		}
-		// Goodput-under-adversity timeline with fault-event markers.
-		evIdx := 0
-		for _, s := range rep.Timeline {
-			marker := ""
-			for evIdx < len(rep.Events) && rep.Events[evIdx].T <= s.T {
-				if marker != "" {
-					marker += "; "
-				}
-				marker += fmt.Sprintf("%s %s", rep.Events[evIdx].Kind, rep.Events[evIdx].Name)
-				evIdx++
-			}
-			if marker != "" {
-				marker = "   <-- " + marker
-			}
-			fmt.Printf("  t=%6.2fs  %8.0f tx/s%s\n", s.T.Seconds(), s.TxPerSec, marker)
-		}
-		fmt.Printf("  confirmed=%d errors=%d chain-txs=%d height=%d epoch-changes=%d equivocations=%d survivors=%d\n",
-			rep.Confirmed, rep.Errors, rep.ChainTxs, rep.FinalHeight, rep.EpochChanges, rep.Equivocations, rep.Survivors)
-		// Invariant gate: any violation hard-fails the run (CI catches it).
-		if len(rep.Violations) > 0 {
-			for _, v := range rep.Violations {
-				fmt.Printf("  VIOLATION: %s\n", v)
-			}
-			return fmt.Errorf("chaos: %d invariant violation(s) on seed %d", len(rep.Violations), rep.Seed)
-		}
-		fmt.Println("  invariants: all green")
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", exp)

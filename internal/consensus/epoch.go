@@ -135,6 +135,9 @@ func (m *machine) maybeInstall(next int64) {
 	for _, sm := range stops {
 		justif = append(justif, sm)
 	}
+	// In voter order: the certificate is a function of the votes, not of how
+	// a map happens to iterate.
+	sort.Slice(justif, func(a, b int) bool { return justif[a].Voter < justif[b].Voter })
 	m.installRegency(next) // GCs epochStops[next]; justif captured above
 	if m.cfg.View.Leader(next) != m.cfg.Self {
 		return

@@ -371,8 +371,12 @@ func (m *machine) adopt(i int64, s *instState, value []byte) {
 }
 
 // cast signs this replica's vote for the slot's current (epoch, digest),
-// records it locally and broadcasts it.
+// records it locally and broadcasts it — unless it has campaigned past the
+// slot's epoch.
 func (m *machine) cast(i int64, s *instState, ph phase) {
+	if m.stopped(s.epoch) {
+		return
+	}
 	sig := m.cfg.Signer.MustSign(phaseWire[ph].ctx, voteMessage(i, s.epoch, s.digest))
 	if sig == nil {
 		return
@@ -395,6 +399,7 @@ func (m *machine) progress(i int64, s *instState) {
 			for voter, sig := range votes {
 				cert.Sigs = append(cert.Sigs, crypto.Signature{Signer: voter, Sig: sig})
 			}
+			sortSigs(cert.Sigs)
 			if s.myWriteCert == nil || cert.Epoch > s.myWriteCert.Epoch {
 				s.myWriteCert = cert
 				s.myCertValue = s.proposal
@@ -408,8 +413,16 @@ func (m *machine) progress(i int64, s *instState) {
 		for voter, sig := range votes {
 			proof.Add(crypto.Signature{Signer: voter, Sig: sig})
 		}
+		sortSigs(proof.Sigs)
 		m.decide(i, s, s.epoch, s.proposal, proof)
 	}
+}
+
+// sortSigs puts a certificate's signatures in signer order: the votes sit
+// in a map, and what a replica sends must be a function of the votes, not
+// of how the map happens to iterate.
+func sortSigs(sigs []crypto.Signature) {
+	sort.Slice(sigs, func(a, b int) bool { return sigs[a].Signer < sigs[b].Signer })
 }
 
 // decide settles slot i on value, whose quorum proof (over proof.Digest)
@@ -622,6 +635,20 @@ func (m *machine) voteVerified(vm *voteMsg, prePub crypto.PublicKey, ph phase, i
 		return true
 	}
 	return crypto.Verify(pub, phaseWire[ph].ctx, voteMessage(inst, vm.Epoch, vm.Digest), vm.Sig)
+}
+
+// stopped reports whether this replica sent an EPOCH-STOP for a regency
+// above epoch. From that vote on it casts nothing in epoch: its stop carries
+// the claims it held when it voted, and a WRITE or ACCEPT cast after it could
+// complete a decision in epoch that the next leader's certificate, built from
+// a quorum of such stops, does not carry — and re-proposes over.
+func (m *machine) stopped(epoch int64) bool {
+	for next, stops := range m.epochStops {
+		if _, voted := stops[m.cfg.Self]; voted && next > epoch {
+			return true
+		}
+	}
+	return false
 }
 
 // echoVotes sends this replica's own WRITE (and ACCEPT, if cast) for

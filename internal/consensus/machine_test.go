@@ -364,3 +364,31 @@ func TestMachineAnyDeliveryOrderSameDecision(t *testing.T) {
 		}
 	}
 }
+
+// A replica that sent its EPOCH-STOP for the next regency casts no vote in
+// the one it stopped: its stop carries the claims it held when it voted, and
+// a WRITE cast after it could complete a quorum the next leader's
+// certificate, built from such stops, does not see.
+func TestMachineCastsNoVoteAfterItsStop(t *testing.T) {
+	s := newSim(t, 1, 4, simTimeout, nil)
+	s.step(1, event{kind: evStart, inst: 0})
+	s.now = s.ms[1].nextDeadline()
+	s.step(1, event{kind: evTick})
+	stops := 0
+	for _, e := range s.inflight {
+		if e.ev.msg.Type == MsgEpochStop {
+			stops++
+		}
+	}
+	if stops != 3 {
+		t.Fatalf("%d EPOCH-STOPs in flight after the deadline, want one to each peer", stops)
+	}
+	s.inflight = nil
+	late := proposeMsg{Instance: 0, Epoch: 0, Value: []byte("late")}
+	s.step(1, event{kind: evMessage, msg: transport.Message{From: 0, To: 1, Type: MsgPropose, Payload: late.encode()}})
+	for _, e := range s.inflight {
+		if e.ev.msg.Type == MsgWrite || e.ev.msg.Type == MsgAccept {
+			t.Fatalf("replica 1 voted (type %d) in regency 0 after its stop for regency 1", e.ev.msg.Type)
+		}
+	}
+}

@@ -115,10 +115,12 @@ func decodePropose(data []byte) (proposeMsg, error) {
 // keeping instance and epoch intact. Proposals carry no
 // leader signature — their authenticity rests on the authenticated link —
 // so only the leader itself can equivocate, which is exactly what the
-// chaos subsystem's Byzantine engine wrapper models: the same (instance,
-// epoch) proposed with different values to different peers. Quorum
-// intersection makes such a split undecidable, forcing the correct
-// replicas through an epoch change instead of diverging.
+// whole-replica simulation's Byzantine leader does: the same (instance,
+// epoch) proposed with different values to different peers, or a forged
+// batch to all. Quorum intersection makes such a split undecidable, forcing
+// the correct replicas through an epoch change instead of diverging.
+//
+//smartlint:allow structure test hook: core's whole-replica simulation forks and forges a Byzantine leader's PROPOSE with it
 func ForkProposalValue(payload, value []byte) ([]byte, error) {
 	pm, err := decodePropose(payload)
 	if err != nil {

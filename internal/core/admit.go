@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
+	"slices"
 	"sync"
 
 	"smartchain/internal/crypto"
@@ -61,6 +64,15 @@ func (u *unverifiedSet) takeLocked() []smr.Request {
 		out = append(out, r)
 	}
 	clear(u.reqs)
+	// In client and sequence order (digest on a tie): the batch a flush
+	// feeds is a function of the requests held, not of how the map iterates.
+	slices.SortFunc(out, func(a, b smr.Request) int {
+		if c := cmp.Or(cmp.Compare(a.ClientID, b.ClientID), cmp.Compare(a.Seq, b.Seq)); c != 0 {
+			return c
+		}
+		da, db := a.Digest(), b.Digest()
+		return bytes.Compare(da[:], db[:])
+	})
 	return out
 }
 

@@ -65,9 +65,8 @@ type ClusterConfig struct {
 	// later catch up via StartDeferred.
 	Deferred []int32
 	// WrapEndpoint, when set, wraps every replica's transport endpoint at
-	// start (and re-start: Recover and Join pass through it too). The chaos
-	// subsystem uses it to interpose its Byzantine engine wrapper below
-	// consensus.
+	// start (and re-start: Recover and Join pass through it too). The
+	// benchmark uses it to count and time what each replica sends.
 	WrapEndpoint func(id int32, ep transport.Endpoint) transport.Endpoint
 	// TCPWire runs the deployment over real loopback TCP (a TCPFabric of
 	// HMAC-authenticated TCPNetworks) instead of the in-memory transport.
@@ -577,6 +576,8 @@ func (c *Cluster) Stop() {
 }
 
 // WaitHeight blocks until every live member reaches at least height h.
+//
+//smartlint:allow structure test hook: core's fault and catch-up tests and the facade's test wait for convergence with it
 func (c *Cluster) WaitHeight(h int64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {

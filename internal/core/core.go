@@ -192,7 +192,7 @@ type Node struct {
 	retired       bool
 
 	ledger   *blockchain.Ledger
-	logger   *smr.DurableLogger
+	logger   recordLogger
 	batcher  *smr.Batcher
 	verifier *smr.VerifierPool // the one verification pool: reads, votes, proposals
 	// unverified holds the ordered requests this replica receives under
@@ -351,6 +351,14 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
+// recordLogger is the commit path's log writer: Append queues a record and
+// calls onDurable (if any) at the storage mode's durability point.
+// *smr.DurableLogger is the one shipped implementation.
+type recordLogger interface {
+	Append(record []byte, onDurable func(error))
+	Close()
+}
+
 // Start brings the node online: recover local state (snapshot + chain log),
 // start the logger and the node's loops — the ordering driver among them,
 // whose first act seats a member's consensus machine (consensus messages
@@ -358,13 +366,9 @@ func NewNode(cfg Config) (*Node, error) {
 // then asks it for state transfer and returns once that has run its course.
 func (n *Node) Start() error {
 	n.startedAt = time.Now()
-	if err := n.recoverLocal(); err != nil {
-		return fmt.Errorf("recover: %w", err)
+	if err := n.build(smr.NewDurableLogger(n.cfg.Log, n.cfg.Storage)); err != nil {
+		return err
 	}
-	n.logger = smr.NewDurableLogger(n.cfg.Log, n.cfg.Storage)
-	n.tail = newTail(n.cfg.Persistence == PersistenceStrong, n.cfg.Self,
-		DefaultReadParkTimeout, DefaultReadParkLimit, n.ledger.Height(), n.View())
-
 	n.loops.Add(4)
 	go n.tailLoop()
 	go n.receiveLoop()
@@ -374,6 +378,20 @@ func (n *Node) Start() error {
 	if len(n.cfg.SyncPeers) > 0 {
 		_ = n.SyncFromPeers(n.cfg.SyncPeers, 2*time.Second) //smartlint:allow errdrop best effort: a lone recovering replica must still come up
 	}
+	return nil
+}
+
+// build is Start short of its goroutines: recover local state, take logger
+// as the commit path's log writer and open the commit tail at the recovered
+// height. A failed recovery closes logger.
+func (n *Node) build(logger recordLogger) error {
+	if err := n.recoverLocal(); err != nil {
+		logger.Close()
+		return fmt.Errorf("recover: %w", err)
+	}
+	n.logger = logger
+	n.tail = newTail(n.cfg.Persistence == PersistenceStrong, n.cfg.Self,
+		DefaultReadParkTimeout, DefaultReadParkLimit, n.ledger.Height(), n.View())
 	return nil
 }
 
@@ -406,8 +424,8 @@ func (n *Node) Ledger() *blockchain.Ledger { return n.ledger }
 func (n *Node) Regency() int64 { return n.regency.Load() }
 
 // Leader reports the consensus leader of this node's current regency, or
-// -1 without a seat. Leader-targeted chaos actions resolve their victim
-// through it.
+// -1 without a seat. Cluster.Leader and the whole-replica simulation's
+// leader-targeted faults resolve their victim through it.
 func (n *Node) Leader() int32 { return n.View().Leader(n.regency.Load()) }
 
 // Retired reports whether the node has been reconfigured out of the

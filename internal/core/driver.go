@@ -370,6 +370,27 @@ func (n *Node) applyBatch(number, instance, epoch int64, batch *smr.Batch) ([][]
 		return a.results, a.update, a.replies
 	}
 	reqs := batch.Requests
+	results := make([][]byte, len(reqs))
+	sequential := n.cfg.Verify == smr.VerifySequential
+	// Sequential strategy (Table I left half): verify inside the execution
+	// path, one at a time. The verdict is part of the block's results, so
+	// replay repeats it. A request whose signature fails did not execute: it
+	// is left out of the executed record, or a forged copy ordered first
+	// would burn the sequence number of the request it copies.
+	signed := reqs
+	if sequential {
+		signed = nil
+		var forged []smr.Request
+		for i := range reqs {
+			if reqs[i].VerifySig() != nil {
+				results[i] = resultBadSignature
+				forged = append(forged, reqs[i])
+			} else {
+				signed = append(signed, reqs[i])
+			}
+		}
+		n.batcher.Discard(forged)
+	}
 	// With a pipelined window a request can be ordered twice (a
 	// leader-change re-proposal plus a fresh slot); the executed watermark
 	// — a deterministic function of the committed prefix — filters the
@@ -377,12 +398,9 @@ func (n *Node) applyBatch(number, instance, epoch int64, batch *smr.Batch) ([][]
 	// drives the per-client session GC (idle executed records evict after
 	// Config.SessionGCBlocks), so eviction is block-driven and identical
 	// everywhere too.
-	fresh := n.batcher.Fresh(reqs)
-	n.batcher.MarkDeliveredAt(number, reqs)
+	fresh := n.batcher.Fresh(signed)
+	n.batcher.MarkDeliveredAt(number, signed)
 	n.unverified.drop(reqs)
-
-	results := make([][]byte, len(reqs))
-	sequential := n.cfg.Verify == smr.VerifySequential
 	appReqs := make([]smr.Request, 0, len(reqs))
 	appIdx := make([]int, 0, len(reqs))
 	var update *blockchain.ViewUpdate
@@ -393,17 +411,13 @@ func (n *Node) applyBatch(number, instance, epoch int64, batch *smr.Batch) ([][]
 	tracker := n.removeTracker
 	n.mu.Unlock()
 
-	for i := range reqs {
+	for i, f := 0, 0; i < len(reqs); i++ {
 		req := &reqs[i]
-		if !fresh[i] {
-			results[i] = resultDuplicate
-			continue
+		if results[i] != nil {
+			continue // its signature failed
 		}
-		// Sequential strategy (Table I left half): verify inside the
-		// execution path, one at a time. The verdict is part of the block's
-		// results, so replay repeats it.
-		if sequential && req.VerifySig() != nil {
-			results[i] = resultBadSignature
+		if f++; !fresh[f-1] {
+			results[i] = resultDuplicate
 			continue
 		}
 		if len(req.Op) == 0 {

@@ -72,8 +72,9 @@ func newDriverRig(t *testing.T, self int32, timeout time.Duration, pipeline bool
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.logger = smr.NewDurableLogger(n.cfg.Log, n.cfg.Storage)
-	n.tail = newTail(n.cfg.Persistence == PersistenceStrong, n.cfg.Self, DefaultReadParkTimeout, DefaultReadParkLimit, n.ledger.Height(), n.View())
+	if err := n.build(smr.NewDurableLogger(n.cfg.Log, n.cfg.Storage)); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(n.Stop)
 	r.n, r.view = n, n.View()
 	for id := range cons {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"smartchain/internal/blockchain"
-	"smartchain/internal/chaos"
 	"smartchain/internal/coin"
 	"smartchain/internal/crypto"
 	"smartchain/internal/smr"
@@ -210,98 +209,11 @@ func TestPipelineLeaderIsolationEpochChange(t *testing.T) {
 	}
 }
 
-// TestStaleCampaignerResyncsWithoutStateTransfer is the headline-bugfix
-// gate: replica 3 suffers a one-way partition (it can send, but hears no
-// consensus traffic) exactly while the others replace the dead epoch-0
-// leader. Its EPOCH-STOP helps {1,2} install regency 1, but it misses the
-// EPOCH-SYNC — the pre-fix behavior left it campaigning for an epoch the
-// view had already installed, idle until the NEXT epoch change or a
-// state-transfer resync. With the fix, the regency-1 leader answers the
-// stale campaign by re-sending its retained self-certifying SYNC
-// certificate: the healed replica must rejoin live ordering with NO state
-// transfer and NO additional epoch change, and the stalled window (whose
-// progress needs its votes — only 3 of 4 replicas are reachable) must
-// commit.
-func TestStaleCampaignerResyncsWithoutStateTransfer(t *testing.T) {
-	c, minter := testCluster(t, 4, func(cfg *ClusterConfig) {
-		cfg.PipelineDepth = 8
-		cfg.Persistence = PersistenceWeak
-		cfg.ConsensusTimeout = 600 * time.Millisecond
-	})
-	p := registeredClient(t, c, minter)
-	defer p.Close()
-	for i := uint64(1); i <= 2; i++ {
-		mint(t, p, i, 10)
-	}
-
-	// One-way partition: replica 3 keeps sending (its stop reaches the
-	// campaign) but receives no consensus traffic (it will miss the SYNC).
-	deaf3 := c.Net.AddFilter(func(m transport.Message) bool {
-		return m.To == 3 && m.Type >= 100 && m.Type < 120
-	})
-	c.Net.Isolate(0) // and the epoch-0 leader dies
-
-	// This mint needs an epoch change and, eventually, replica 3's votes:
-	// the reachable quorum is exactly {1,2,3}.
-	tx3, err := coin.NewMint(minter, 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fut := p.InvokeAsync(context.Background(), WrapAppOp(tx3.Encode()))
-
-	// Wait for regency 1 to install at the connected majority — the SYNC
-	// broadcast happens inside that install, so by now replica 3's copy is
-	// provably lost.
-	deadline := time.Now().Add(20 * time.Second)
-	for c.Nodes[1].Node.Stats().EpochChanges < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("epoch change never installed at the majority")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := c.Nodes[3].Node.Stats().EpochChanges; got != 0 {
-		t.Fatalf("one-way-partitioned replica installed %d epochs; expected to be the stale campaigner", got)
-	}
-
-	// Heal the link. Replica 3's next campaign re-broadcast is now STALE
-	// (regency 1 is installed); the leader's certificate re-send must pull
-	// it into regency 1 and the window must drain with its votes.
-	c.Net.RemoveFilter(deaf3)
-	res, err := fut.Result()
-	if err != nil {
-		t.Fatalf("stalled window never committed after the stale-campaigner resync: %v", err)
-	}
-	if code, _, err := coin.ParseResult(res); err != nil || code != coin.ResultOK {
-		t.Fatalf("mint through resynced window: code=%d err=%v", code, err)
-	}
-	mint(t, p, 4, 10) // live ordering, again with 3's votes required
-
-	for _, id := range []int32{1, 2, 3} {
-		svc := c.Nodes[id].App.(*coin.Service)
-		if got := svc.State().Balance(minter.Public()); got != 40 {
-			t.Fatalf("replica %d balance after resync: %d, want 40", id, got)
-		}
-	}
-	// The heart of the fix: no state transfer and exactly ONE epoch change
-	// anywhere — the stale campaigner converged on the installed regency
-	// instead of forcing a new one or a snapshot copy.
-	if st := c.Nodes[3].Node.Stats().StateTransfers; st != 0 {
-		t.Fatalf("healed replica used %d state transfers; resync should need none", st)
-	}
-	for _, id := range []int32{1, 2, 3} {
-		if got := c.Nodes[id].Node.Stats().EpochChanges; got != 1 {
-			t.Fatalf("replica %d ran %d epoch changes, want exactly 1", id, got)
-		}
-	}
-}
-
 // TestPartitionedMinorityCatchesUpViaStateTransfer partitions one follower
 // away while the majority (and the client) keep committing a pipelined
 // workload; after healing, the minority replica recovers the missed suffix
-// through state transfer. The partition is a chaos schedule rather than an
-// ad-hoc filter: the same PartitionAction a generated campaign would play,
-// held (Dur == 0) until the test heals it by clearing the action — so the
-// scenario is expressible as data and composes with any other fault.
+// through state transfer. The partition is one filter on the network's
+// drop-filter stack, lifted to heal.
 func TestPartitionedMinorityCatchesUpViaStateTransfer(t *testing.T) {
 	c, minter := testCluster(t, 4, func(cfg *ClusterConfig) {
 		cfg.PipelineDepth = 8
@@ -311,16 +223,7 @@ func TestPartitionedMinorityCatchesUpViaStateTransfer(t *testing.T) {
 	mint(t, p, 1, 10)
 
 	// Split replica 3 from the majority; the client stays with the majority.
-	part := &chaos.PartitionAction{Groups: [][]int32{{0, 1, 2, int32(p.ID())}, {3}}}
-	env := &chaos.Env{Net: c.Net}
-	events := chaos.Run(context.Background(), env, chaos.Schedule{
-		Steps: []chaos.Step{{Action: part}}, // At 0, Dur 0: apply now, hold
-	})
-	for _, ev := range events {
-		if ev.Kind == chaos.EventError {
-			t.Fatalf("schedule failed: %v", ev)
-		}
-	}
+	part := c.Net.AddFilter(func(m transport.Message) bool { return (m.From == 3) != (m.To == 3) })
 
 	for i := uint64(2); i <= 6; i++ {
 		mint(t, p, i, 10)
@@ -329,9 +232,7 @@ func TestPartitionedMinorityCatchesUpViaStateTransfer(t *testing.T) {
 		t.Fatalf("partitioned replica advanced to height %d", h)
 	}
 
-	if err := part.Clear(env); err != nil { // heal
-		t.Fatal(err)
-	}
+	c.Net.RemoveFilter(part) // heal
 	// Fresh traffic reaches the healed replica, arming its re-sync path.
 	mint(t, p, 7, 10)
 	target := c.Nodes[0].Node.Ledger().Height()

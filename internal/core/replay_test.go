@@ -267,7 +267,7 @@ func TestReplayRejectsRecordContradictingExecution(t *testing.T) {
 		if h := n.ledger.Height(); h != 1 {
 			t.Fatalf("recovered to height %d, want 1 (the prefix before the first MINT block)", h)
 		}
-		err = n.replayBlock(&honest[1])
+		_, err = n.replayBlock(&honest[1])
 		if err == nil || !strings.Contains(err.Error(), "block 2") || !strings.Contains(err.Error(), "results") {
 			t.Fatalf("replaying the MINT block: %v, want a results mismatch naming block 2", err)
 		}

@@ -91,11 +91,13 @@ func (n *Node) recoverLocal() error {
 		if blocks[i].Header.Number <= n.ledger.Height() {
 			continue
 		}
-		if err := n.replayBlock(&blocks[i]); err != nil {
+		replies, err := n.replayBlock(&blocks[i])
+		if err != nil {
 			// A torn or unlinked tail, or a record re-execution contradicts:
 			// stop at the durable prefix before it.
 			break
 		}
+		n.cacheReplies(replies) // the block came from the local log: durable
 	}
 	return nil
 }
@@ -128,39 +130,54 @@ func (n *Node) installEnvelope(height int64, env *snapshotEnvelope) {
 // no hash covers Body.Update, so a donor (or a log written by a differently
 // configured application) can record either wrongly. A mismatch is an error
 // naming the block, and the block stays out of the ledger and the log.
-func (n *Node) replayBlock(b *blockchain.Block) error {
+//
+// It returns the replies the caller puts in the reply cache (not on the
+// wire) once the block's record is durable here: a replica that catches up
+// by replay never sent these replies live, yet its clients' quorums may
+// NEED it — the live executors of a post-reconfiguration block can number
+// fewer than a reply quorum. Retransmissions hit the cache and get answered
+// as if this replica had executed the block live (BFT-SMaRt keeps its reply
+// store inside transferred state for exactly this reason; we rebuild it from
+// the blocks instead). Like a live reply, a cached one waits for the
+// variant's durability point: under the strong variant it is nil unless the
+// block carries a valid PERSIST certificate.
+func (n *Node) replayBlock(b *blockchain.Block) ([]smr.Reply, error) {
 	// Linkage before anything executes: a torn or unlinked tail stops here.
 	if n.ledger.NextHeader(b.Header.TxRoot, b.Header.ResultsRoot) != b.Header {
-		return fmt.Errorf("%w: block %d after height %d", blockchain.ErrBadLinkage, b.Header.Number, n.ledger.Height())
+		return nil, fmt.Errorf("%w: block %d after height %d", blockchain.ErrBadLinkage, b.Header.Number, n.ledger.Height())
 	}
 	batch, err := b.Body.Batch()
 	if err != nil {
-		return fmt.Errorf("core: block %d: %w", b.Header.Number, err)
+		return nil, fmt.Errorf("core: block %d: %w", b.Header.Number, err)
 	}
 	results, update, replies := n.applyBatch(b.Header.Number, b.Body.ConsensusID, b.Body.Epoch, &batch)
 	if blockchain.ResultsRootOf(results) != b.Header.ResultsRoot || !slices.EqualFunc(results, b.Body.Results, bytes.Equal) {
-		return fmt.Errorf("core: block %d: recorded results do not match re-execution", b.Header.Number)
+		return nil, fmt.Errorf("core: block %d: recorded results do not match re-execution", b.Header.Number)
 	}
 	rec := b.Body.Update
 	if (rec != nil) != (b.Body.Kind == blockchain.KindReconfig) || (rec != nil) != (update != nil) ||
 		(rec != nil && !bytes.Equal(rec.Encode(), update.Encode())) {
-		return fmt.Errorf("core: block %d: recorded view update does not match re-execution", b.Header.Number)
+		return nil, fmt.Errorf("core: block %d: recorded view update does not match re-execution", b.Header.Number)
 	}
 	if err := n.ledger.Commit(b); err != nil {
-		return err
+		return nil, err
 	}
-	// Feed the reply cache (not the wire): a replica that catches up by
-	// replay never sent these replies live, yet its clients' quorums may
-	// NEED it — the live executors of a post-reconfiguration block can
-	// number fewer than a reply quorum. Retransmissions hit the cache and
-	// get answered as if this replica had executed the block live
-	// (BFT-SMaRt keeps its reply store inside transferred state for exactly
-	// this reason; we rebuild it from the blocks instead).
+	if n.cfg.Persistence == PersistenceStrong {
+		hh, created := b.Header.Hash(), n.View()
+		if b.Cert.CountValid(created, blockchain.ContextPersist, hh, blockchain.PersistDigest(hh)) < created.CertQuorum() {
+			replies = nil
+		}
+	}
+	n.closeBlock(b)
+	return replies, nil
+}
+
+// cacheReplies puts the replies of a replayed block whose record is durable
+// in the reply cache.
+func (n *Node) cacheReplies(replies []smr.Reply) {
 	for i := range replies {
 		n.replies.store(&replies[i], replies[i].Encode())
 	}
-	n.closeBlock(b)
-	return nil
 }
 
 // consensusKeyRecord persists the current consensus key locally.
@@ -432,8 +449,9 @@ func (f nodeFetcher) ApplyBlocks(blocks []blockchain.Block) error {
 }
 
 // ReplayBlocks re-executes already-verified blocks and appends them to the
-// local log. Nothing waits on them: they become durable with the next live
-// block's sync (or at Close), and a crash before it only costs a refetch.
+// local log. Only their cached replies wait on the record: a crash before it
+// is durable costs a refetch, and a retransmission answered from the cache
+// before it would be a reply from a block a full crash can still lose.
 func (f nodeFetcher) ReplayBlocks(blocks []blockchain.Block) error {
 	n := f.n
 	for i := range blocks {
@@ -441,10 +459,19 @@ func (f nodeFetcher) ReplayBlocks(blocks []blockchain.Block) error {
 		if b.Header.Number <= n.ledger.Height() {
 			continue
 		}
-		if err := n.replayBlock(b); err != nil {
+		replies, err := n.replayBlock(b)
+		if err != nil {
 			return fmt.Errorf("replay fetched block %d: %w", b.Header.Number, err)
 		}
-		n.logger.Append(blockchain.EncodeBlockRecord(b), nil)
+		var cache func(error)
+		if len(replies) > 0 {
+			cache = func(err error) {
+				if err == nil {
+					n.cacheReplies(replies)
+				}
+			}
+		}
+		n.logger.Append(blockchain.EncodeBlockRecord(b), cache)
 	}
 	return nil
 }

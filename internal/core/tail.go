@@ -34,7 +34,7 @@ const (
 	tevView                             // a view was installed
 	tevHeight                           // state transfer moved the executed height
 	tevRead                             // an unordered read whose floor is not reached
-	tevTick                             // time passed: a parked read may be overdue
+	tevTick                             // time passed: a parked read may be overdue, a share due again
 )
 
 // tailEffect is one output of a step, performed by the runtime in order.
@@ -45,6 +45,8 @@ type tailEffect struct {
 	cert    crypto.Certificate // tfxCertify
 	replies []smr.Reply        // tfxReply
 	req     smr.Request        // tfxAnswer, tfxBehind
+	to      int32              // tfxShare: the peer, or -1 for every other member
+	share   persistMsg         // tfxShare
 }
 
 type tailEffectKind uint8
@@ -56,12 +58,32 @@ const (
 	tfxRelease                           // tell the ordering driver held block number is settled
 	tfxAnswer                            // serve req from local state
 	tfxBehind                            // tell req's client this replica is behind its floor
+	tfxShare                             // send this replica's share again, to one peer or to the view
 )
 
 // Shares for a block not closed here yet are kept shareWindow blocks ahead
 // (the consensus machine's futureWindow), and per block only shareGuests from
 // outside the latest known view: room for a view not installed here yet.
 const shareWindow, shareGuests = 64, 4
+
+// shareResend is how long a block may wait for the certificate, this
+// replica's share counted, before the share goes out again. A share is sent
+// once, and a lost one was never repeated: a replica whose peers' shares
+// were lost — under a partition, say — held the block for good. Now a
+// replica answers a share of a block it settled with its own share (kept
+// shareWindow blocks) when the share comes at least half a shareResend after
+// its own, so the late last share of an ordinary block costs nothing, and at
+// most once per half shareResend to one peer, so two replicas that both
+// settled the block do not answer each other forever.
+const shareResend = time.Second
+
+// ownShare is this replica's share of a block, when it was counted, and when
+// it last answered each peer with it.
+type ownShare struct {
+	pm       persistMsg
+	at       time.Time
+	answered map[int32]time.Time
+}
 
 // tailBlock is a closed block whose replies are still owed.
 type tailBlock struct {
@@ -98,11 +120,16 @@ type tail struct {
 	open   map[int64]*tailBlock
 	early  map[int64][]persistMsg // per block not closed yet, one share per claimed signer
 	reads  []parkedRead           // in arrival order, which is expiry order
+	// mine is this replica's share of every block it counted one for, kept
+	// shareWindow blocks below the height; resendAt is when the open blocks
+	// holding one send it again (zero: none does).
+	mine     map[int64]*ownShare
+	resendAt time.Time
 }
 
 func newTail(strong bool, self int32, parkTimeout time.Duration, parkLimit int, height int64, v view.View) *tail {
 	return &tail{strong: strong, self: self, parkTimeout: parkTimeout, parkLimit: parkLimit, height: height, view: v,
-		open: make(map[int64]*tailBlock), early: make(map[int64][]persistMsg)}
+		open: make(map[int64]*tailBlock), early: make(map[int64][]persistMsg), mine: make(map[int64]*ownShare)}
 }
 
 // step applies one event at instant now. The returned effects alias a
@@ -117,7 +144,7 @@ func (t *tail) step(now time.Time, ev tailEvent) []tailEffect {
 		early := t.early[ev.number]
 		t.raise(ev.number)
 		for i := range early {
-			t.count(ev.number, b, &early[i], false)
+			t.count(now, ev.number, b, &early[i], false)
 		}
 	case tevDurable:
 		// A failed write owes the clients nothing: only a held block is released.
@@ -129,7 +156,9 @@ func (t *tail) step(now time.Time, ev tailEvent) []tailEffect {
 		}
 	case tevShare:
 		if b := t.open[ev.share.Number]; b != nil {
-			t.count(ev.share.Number, b, &ev.share, ev.own)
+			t.count(now, ev.share.Number, b, &ev.share, ev.own)
+		} else if mine := t.mine[ev.share.Number]; mine != nil {
+			t.answer(now, mine, ev.share.Signer)
 		} else {
 			t.hold(ev.share)
 		}
@@ -140,6 +169,7 @@ func (t *tail) step(now time.Time, ev tailEvent) []tailEffect {
 	case tevRead:
 		t.onRead(now, ev.req)
 	}
+	t.resend(now)
 	due := 0
 	for ; due < len(t.reads) && !now.Before(t.reads[due].expiry); due++ {
 		t.out = append(t.out, tailEffect{kind: tfxBehind, req: t.reads[due].req})
@@ -148,13 +178,57 @@ func (t *tail) step(now time.Time, ev tailEvent) []tailEffect {
 	return t.out
 }
 
-// nextDeadline is the earliest park expiry (zero while nothing is parked):
-// the runtime must deliver a tevTick no later.
-func (t *tail) nextDeadline() (expiry time.Time) {
-	if len(t.reads) > 0 {
-		expiry = t.reads[0].expiry
+// nextDeadline is the earliest park expiry or share resend (zero while
+// neither is due): the runtime must deliver a tevTick no later.
+func (t *tail) nextDeadline() time.Time {
+	if len(t.reads) > 0 && (t.resendAt.IsZero() || t.reads[0].expiry.Before(t.resendAt)) {
+		return t.reads[0].expiry
 	}
-	return expiry
+	return t.resendAt
+}
+
+// resend sends this replica's share of every open block holding one again,
+// lowest block first, once resendAt is due, and keeps resendAt one
+// shareResend ahead while such a block is open.
+func (t *tail) resend(now time.Time) {
+	waiting := false
+	for _, b := range t.open {
+		waiting = waiting || b.own
+	}
+	switch {
+	case !waiting:
+		t.resendAt = time.Time{}
+	case t.resendAt.IsZero():
+		t.resendAt = now.Add(shareResend)
+	case !now.Before(t.resendAt):
+		var due []int64
+		for number, b := range t.open {
+			if b.own {
+				due = append(due, number)
+			}
+		}
+		slices.Sort(due)
+		for _, number := range due {
+			t.out = append(t.out, tailEffect{kind: tfxShare, to: -1, share: t.mine[number].pm})
+		}
+		t.resendAt = now.Add(shareResend)
+	}
+}
+
+// answer sends this replica's share of a block it settled to the peer whose
+// share of it arrived, if the rules on shareResend allow.
+func (t *tail) answer(now time.Time, mine *ownShare, peer int32) {
+	if peer == t.self || !t.view.Contains(peer) || now.Sub(mine.at) < shareResend/2 {
+		return
+	}
+	if last, ok := mine.answered[peer]; ok && now.Sub(last) < shareResend/2 {
+		return
+	}
+	if mine.answered == nil {
+		mine.answered = make(map[int32]time.Time)
+	}
+	mine.answered[peer] = now
+	t.out = append(t.out, tailEffect{kind: tfxShare, to: peer, share: mine.pm})
 }
 
 // raise moves the height: shares held for blocks at or below it are too late
@@ -165,6 +239,7 @@ func (t *tail) raise(height int64) {
 	}
 	t.height = height
 	maps.DeleteFunc(t.early, func(number int64, _ []persistMsg) bool { return number <= height })
+	maps.DeleteFunc(t.mine, func(number int64, _ *ownShare) bool { return number <= height-shareWindow })
 	t.reads = slices.DeleteFunc(t.reads, func(p parkedRead) bool {
 		if p.req.ReadFloor <= height {
 			t.out = append(t.out, tailEffect{kind: tfxAnswer, req: p.req})
@@ -177,7 +252,7 @@ func (t *tail) raise(height int64) {
 // replica's share included — and that is only taken once the block is durable.
 // The share this replica just signed (own) is counted without a signature
 // check; every share from the network is verified.
-func (t *tail) count(number int64, b *tailBlock, pm *persistMsg, own bool) {
+func (t *tail) count(now time.Time, number int64, b *tailBlock, pm *persistMsg, own bool) {
 	if !t.strong || pm.HeaderHash != b.hash || (pm.Signer == t.self && !b.durable) {
 		return // (a peer that built a different block: impossible for correct ones)
 	}
@@ -186,7 +261,9 @@ func (t *tail) count(number int64, b *tailBlock, pm *persistMsg, own bool) {
 		return
 	}
 	b.cert.Add(crypto.Signature{Signer: pm.Signer, Sig: pm.Sig})
-	b.own = b.own || pm.Signer == t.self
+	if pm.Signer == t.self {
+		b.own, t.mine[number] = true, &ownShare{pm: *pm, at: now}
+	}
 	if b.own && b.cert.Count() >= b.view.CertQuorum() {
 		t.out = append(t.out, tailEffect{kind: tfxCertify, number: number, cert: b.cert})
 		t.settle(number, b, true)

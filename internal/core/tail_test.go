@@ -101,6 +101,8 @@ func (r *tailRig) step(ev tailEvent) {
 				r.log = append(r.log, fmt.Sprint("answer ", fx.req.Seq))
 			case tfxBehind:
 				r.log = append(r.log, fmt.Sprint("behind ", fx.req.Seq))
+			case tfxShare:
+				r.log = append(r.log, fmt.Sprint("share ", fx.share.Number, " to ", fx.to))
 			}
 		}
 	}
@@ -167,6 +169,42 @@ func (r *tailRig) share(signer int32, number int64) {
 func (r *tailRig) read(seq uint64, floor int64) {
 	r.t.Helper()
 	r.step(tailEvent{kind: tevRead, req: smr.Request{ClientID: 70000, Seq: seq, ReadFloor: floor}})
+}
+
+// (i) Lost shares. A block waiting for its certificate with this replica's
+// share counted sends the share to the view again every shareResend. A
+// replica that settled a block answers a share that comes at least half a
+// shareResend after its own with its own, once per half shareResend per
+// peer; the late last share of an ordinary block gets no answer.
+func TestTailResendsAndAnswersShares(t *testing.T) {
+	r := newTailRig(t, true)
+	r.closed(11, r.view, false)
+	r.durableAt(11)
+	r.want("durable", "sign 11")
+	if got, want := r.tl.nextDeadline(), r.now.Add(shareResend); !got.Equal(want) {
+		t.Fatalf("deadline %v, want the resend at %v", got, want)
+	}
+	r.now = r.now.Add(shareResend)
+	r.step(tailEvent{kind: tevTick})
+	r.want("a resend period without the certificate", "share 11 to -1")
+	r.share(1, 11)
+	r.share(2, 11)
+	r.want("the quorum", "certify 11", "reply 11")
+	if !r.tl.nextDeadline().IsZero() {
+		t.Fatal("a resend deadline with no block waiting")
+	}
+
+	r.closed(12, r.view, false)
+	r.durableAt(12)
+	r.share(1, 12)
+	r.share(2, 12)
+	r.share(3, 12)
+	r.want("an ordinary block, its last share late", "sign 12", "certify 12", "reply 12")
+	r.now = r.now.Add(shareResend / 2)
+	r.share(3, 12)
+	r.want("replica 3 sends its share again", "share 12 to 3")
+	r.share(3, 12)
+	r.want("and again at once")
 }
 
 // (a) Weak persistence: the durable record is all a reply waits for.

@@ -57,11 +57,10 @@ func (n *Node) tend(now time.Time, ev tailEvent) {
 					continue // key rotated away mid-flight; the new view re-certifies
 				}
 				pm := persistMsg{Number: fx.number, ViewID: viewID, Signer: n.cfg.Self, HeaderHash: fx.hash, Sig: sig}
-				payload := pm.encode()
-				for _, peer := range n.View().Others(n.cfg.Self) {
-					_ = n.cfg.Transport.Send(peer, MsgPersist, payload) //smartlint:allow errdrop persist proofs need only a quorum of responders; loss is tolerated
-				}
+				n.sendShare(-1, pm)
 				ev, again = tailEvent{kind: tevShare, share: pm, own: true}, true // a step signs at most one block
+			case tfxShare:
+				n.sendShare(fx.to, fx.share)
 			case tfxCertify:
 				_ = n.ledger.AttachCert(fx.number, fx.cert) //smartlint:allow errdrop asynchronous certificate write (Algorithm 1 line 34)
 				// No callback, so no sync of its own: the next block's sync covers it.
@@ -79,5 +78,18 @@ func (n *Node) tend(now time.Time, ev tailEvent) {
 				n.sendReadReply(&fx.req, smr.ReplyFlagBehind, nil)
 			}
 		}
+	}
+}
+
+// sendShare sends a PERSIST share to peer, or to every other member of the
+// view when peer is -1.
+func (n *Node) sendShare(peer int32, pm persistMsg) {
+	payload := pm.encode()
+	peers := []int32{peer}
+	if peer < 0 {
+		peers = n.View().Others(n.cfg.Self)
+	}
+	for _, p := range peers {
+		_ = n.cfg.Transport.Send(p, MsgPersist, payload) //smartlint:allow errdrop a lost share is sent again while its block waits for the certificate
 	}
 }

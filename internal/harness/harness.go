@@ -1,5 +1,5 @@
 // Package harness reproduces the paper's evaluation (§VI: Tables I–II,
-// Figs. 6–8) and runs the seeded chaos campaign: closed-loop client fleets
+// Figs. 6–8): closed-loop client fleets
 // over an in-process deployment, interval throughput measurement, and the
 // paper's methodology (§VI-A) of discarding the highest-variance intervals
 // before averaging. Protocol facts are asserted by the packages' own tests

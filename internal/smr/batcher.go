@@ -3,6 +3,8 @@ package smr
 import (
 	"sort"
 	"sync"
+
+	"smartchain/internal/crypto"
 )
 
 // Batcher accumulates verified client requests and hands out batches of at
@@ -261,6 +263,42 @@ func (b *Batcher) MarkDeliveredAt(height int64, reqs []Request) {
 	}
 	b.pending = kept
 	b.gcExecutedLocked(height)
+}
+
+// Discard releases the dedupe slots of ordered requests that did not execute
+// because their signature failed (VerifySequential checks it inside
+// execution) and drops their queued copies. Unlike MarkDelivered it leaves
+// the executed record alone: the request a forgery copied — same sender
+// identity, same sequence number, another operation — can still be ordered.
+// A slot an honest queued copy holds stays taken.
+func (b *Batcher) Discard(reqs []Request) {
+	if len(reqs) == 0 {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	forged := make(map[crypto.Hash]bool, len(reqs))
+	for i := range reqs {
+		forged[reqs[i].Digest()] = true
+		delete(b.handed, dedupeKey{reqs[i].Ident(), reqs[i].Seq})
+	}
+	queued := make(map[dedupeKey]bool, len(b.pending))
+	kept := b.pending[:0]
+	for _, p := range b.pending {
+		if !forged[p.Digest()] {
+			kept = append(kept, p)
+			queued[dedupeKey{p.Ident(), p.Seq}] = true
+		}
+	}
+	for i := len(kept); i < len(b.pending); i++ {
+		b.pending[i] = Request{}
+	}
+	b.pending = kept
+	for i := range reqs {
+		if k := (dedupeKey{reqs[i].Ident(), reqs[i].Seq}); !queued[k] {
+			delete(b.inFlight, k)
+		}
+	}
 }
 
 // SetSessionGC configures the per-client session GC horizon in blocks

@@ -257,6 +257,31 @@ func TestBatcherMarkDeliveredPurgesPendingCopies(t *testing.T) {
 	}
 }
 
+// A forged copy of a request — same identity and sequence number, another
+// operation under the honest signature — that took the dedupe slot and then
+// failed its signature check is discarded: the slot and its queued copy go,
+// the executed record stays as it was, and the honest request is ordered.
+func TestBatcherDiscardFreesTheSlotAForgeryTook(t *testing.T) {
+	b := NewBatcher(10)
+	defer b.Close()
+	honest := signedReq(t, 5, 1, "x")
+	forged := honest
+	forged.Op = []byte("y")
+	if !b.Add(forged) || b.Add(honest) {
+		t.Fatal("the forged copy should hold the slot and shut the honest request out")
+	}
+	b.Discard([]Request{forged})
+	if b.Pending() != 0 {
+		t.Fatalf("%d requests queued after the discard, want the forged copy gone", b.Pending())
+	}
+	if fresh := b.Fresh([]Request{honest}); !fresh[0] {
+		t.Fatal("the discard marked the sequence number executed")
+	}
+	if !b.Add(honest) {
+		t.Fatal("the honest request is still shut out")
+	}
+}
+
 func TestBatcherReadySignal(t *testing.T) {
 	b := NewBatcher(10)
 	defer b.Close()

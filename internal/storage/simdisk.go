@@ -52,17 +52,21 @@ func (d *SimDisk) Sync() {
 	d.pending = 0
 	d.synced += n
 	d.syncs++
-	lat := d.SyncLatency
-	bw := d.BytesPerSecond
 	d.mu.Unlock()
 
-	dur := lat
-	if bw > 0 {
-		dur += time.Duration(float64(n) / bw * float64(time.Second))
-	}
-	if dur > 0 {
+	if dur := d.cost(n); dur > 0 {
 		time.Sleep(dur)
 	}
+}
+
+// cost is the modeled device time of one sync covering n bytes: the fixed
+// latency plus n at the sequential bandwidth.
+func (d *SimDisk) cost(n int64) time.Duration {
+	dur := d.SyncLatency
+	if d.BytesPerSecond > 0 {
+		dur += time.Duration(float64(n) / d.BytesPerSecond * float64(time.Second))
+	}
+	return dur
 }
 
 // Stats returns (bytes made durable, number of syncs).

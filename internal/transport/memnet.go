@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -15,21 +14,15 @@ type MemNetwork struct {
 	endpoints map[int32]*memEndpoint
 
 	latency time.Duration
-	rng     *rand.Rand // samples JitterNormal link delays
-	rngMu   sync.Mutex
 
 	// filters is the composable drop-predicate stack, the network's one way
 	// to lose a message: it is dropped if ANY active filter says so, so
-	// overlapping chaos scenarios stack instead of clobbering each other.
+	// overlapping faults stack instead of clobbering each other.
 	// filterList is the immutable snapshot deliver reads (rebuilt on every
 	// Add/Remove, so the hot path never iterates a mutating map).
 	filters      map[FilterID]func(Message) bool
 	filterList   []func(Message) bool
 	nextFilterID FilterID
-
-	// linkDelays overrides the delivery-delay distribution per directed
-	// link; AnyProcess wildcards one (or both) ends.
-	linkDelays map[[2]int32]DelayDist
 
 	// bandwidth models each sender's uplink in bytes/s (0 = infinite):
 	// messages serialize onto the sender's link, so one donor pushing a
@@ -43,42 +36,6 @@ type MemNetwork struct {
 // FilterID names one installed drop filter so it can be removed without
 // disturbing the others on the stack.
 type FilterID int64
-
-// AnyProcess is the wildcard process ID for per-link delay rules: a rule
-// keyed on (AnyProcess, to) applies to every sender, and symmetrically.
-const AnyProcess int32 = -1 << 31
-
-// JitterKind selects the shape of a delivery-delay distribution.
-type JitterKind uint8
-
-const (
-	// JitterNone delivers after exactly Base.
-	JitterNone JitterKind = iota
-	// JitterNormal samples a normal distribution with mean Base and
-	// standard deviation Jitter.
-	JitterNormal
-)
-
-// DelayDist is a one-way delivery-delay distribution. Samples are clamped
-// to ≥ 0 so a wide jitter can never deliver into the past.
-type DelayDist struct {
-	Base   time.Duration
-	Jitter time.Duration
-	Kind   JitterKind
-}
-
-// Sample draws one delay from the distribution using rng (exposed so tests
-// can pin the distribution deterministically).
-func (d DelayDist) Sample(rng *rand.Rand) time.Duration {
-	out := d.Base
-	if d.Kind == JitterNormal {
-		out += time.Duration(rng.NormFloat64() * float64(d.Jitter))
-	}
-	if out < 0 {
-		out = 0
-	}
-	return out
-}
 
 // MemOption configures a MemNetwork.
 type MemOption func(*MemNetwork)
@@ -96,11 +53,9 @@ func WithBandwidth(bytesPerSec float64) MemOption {
 // NewMemNetwork creates an empty in-process network.
 func NewMemNetwork(opts ...MemOption) *MemNetwork {
 	n := &MemNetwork{
-		endpoints:  make(map[int32]*memEndpoint),
-		busyUntil:  make(map[int32]time.Time),
-		filters:    make(map[FilterID]func(Message) bool),
-		linkDelays: make(map[[2]int32]DelayDist),
-		rng:        rand.New(rand.NewSource(1)),
+		endpoints: make(map[int32]*memEndpoint),
+		busyUntil: make(map[int32]time.Time),
+		filters:   make(map[FilterID]func(Message) bool),
 	}
 	for _, o := range opts {
 		o(n)
@@ -163,6 +118,8 @@ func (n *MemNetwork) AddFilter(f func(Message) bool) FilterID {
 
 // RemoveFilter pops one filter off the stack. Unknown IDs are ignored
 // (removing twice is harmless).
+//
+//smartlint:allow structure test hook: core's and transport's fault tests heal a partition or an isolation with it
 func (n *MemNetwork) RemoveFilter(id FilterID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -184,39 +141,11 @@ func (n *MemNetwork) rebuildFilterList() {
 	n.filterList = list
 }
 
-// SetLinkDelay installs (or, with nil, removes) a delivery-delay
-// distribution for the directed link from→to, overriding the network-wide
-// latency/jitter. Either end may be AnyProcess; more specific rules win:
-// (from,to) ≻ (from,*) ≻ (*,to) ≻ (*,*).
-func (n *MemNetwork) SetLinkDelay(from, to int32, d *DelayDist) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	key := [2]int32{from, to}
-	if d == nil {
-		delete(n.linkDelays, key)
-		return
-	}
-	n.linkDelays[key] = *d
-}
-
-// delayFor resolves the delay distribution for one message. Caller holds
-// n.mu (read).
-func (n *MemNetwork) delayFor(from, to int32) DelayDist {
-	if len(n.linkDelays) > 0 {
-		for _, key := range [4][2]int32{{from, to}, {from, AnyProcess}, {AnyProcess, to}, {AnyProcess, AnyProcess}} {
-			if d, ok := n.linkDelays[key]; ok {
-				return d
-			}
-		}
-	}
-	return DelayDist{Base: n.latency}
-}
-
 // deliver routes a message, applying faults. Returns advisory error.
 func (n *MemNetwork) deliver(m Message) error {
 	n.mu.RLock()
 	dst, ok := n.endpoints[m.To]
-	dist := n.delayFor(m.From, m.To)
+	delay := n.latency
 	bandwidth := n.bandwidth
 	filters := n.filterList
 	n.mu.RUnlock()
@@ -228,12 +157,6 @@ func (n *MemNetwork) deliver(m Message) error {
 		if f(m) {
 			return nil // lost, indistinguishable from the wire eating it
 		}
-	}
-	delay := dist.Base
-	if dist.Kind != JitterNone {
-		n.rngMu.Lock()
-		delay = dist.Sample(n.rng)
-		n.rngMu.Unlock()
 	}
 	if bandwidth > 0 {
 		// Serialize the message onto the sender's uplink: it transmits only

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -342,75 +341,4 @@ func TestMemNetworkFilterStackComposes(t *testing.T) {
 	expectNone(t, a, 50*time.Millisecond)
 	recvOne(t, c, time.Second)
 	net.RemoveFilter(iso)
-}
-
-func TestDelayDistSampling(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-
-	fixed := DelayDist{Base: 5 * time.Millisecond}
-	for i := 0; i < 10; i++ {
-		if got := fixed.Sample(rng); got != 5*time.Millisecond {
-			t.Fatalf("JitterNone sample %v, want exactly Base", got)
-		}
-	}
-
-	// A wide normal must clamp at zero, never deliver into the past.
-	norm := DelayDist{Base: time.Millisecond, Jitter: 50 * time.Millisecond, Kind: JitterNormal}
-	clamped := false
-	for i := 0; i < 500; i++ {
-		got := norm.Sample(rng)
-		if got < 0 {
-			t.Fatalf("normal sample %v negative", got)
-		}
-		if got == 0 {
-			clamped = true
-		}
-	}
-	if !clamped {
-		t.Fatal("wide normal never clamped to zero (suspicious distribution)")
-	}
-}
-
-func TestMemNetworkPerLinkDelay(t *testing.T) {
-	net := NewMemNetwork()
-	a := net.Endpoint(1)
-	b := net.Endpoint(2)
-	c := net.Endpoint(3)
-	defer a.Close()
-	defer b.Close()
-	defer c.Close()
-
-	// Wildcard rule: everything INTO 2 takes ≥ 40 ms; other links are
-	// untouched.
-	net.SetLinkDelay(AnyProcess, 2, &DelayDist{Base: 60 * time.Millisecond})
-	start := time.Now()
-	_ = a.Send(3, 0, nil)
-	recvOne(t, c, time.Second)
-	if d := time.Since(start); d > 40*time.Millisecond {
-		t.Fatalf("undelayed link took %v", d)
-	}
-	start = time.Now()
-	_ = a.Send(2, 0, nil)
-	recvOne(t, b, time.Second)
-	if d := time.Since(start); d < 40*time.Millisecond {
-		t.Fatalf("delayed link took only %v, want ≥ 40ms of the 60ms base", d)
-	}
-
-	// The exact-pair rule beats the wildcard, and removal restores the
-	// fast path.
-	net.SetLinkDelay(1, 2, &DelayDist{Base: 0})
-	start = time.Now()
-	_ = a.Send(2, 0, nil)
-	recvOne(t, b, time.Second)
-	if d := time.Since(start); d > 40*time.Millisecond {
-		t.Fatalf("exact-pair override ignored: %v", d)
-	}
-	net.SetLinkDelay(1, 2, nil)
-	net.SetLinkDelay(AnyProcess, 2, nil)
-	start = time.Now()
-	_ = a.Send(2, 0, nil)
-	recvOne(t, b, time.Second)
-	if d := time.Since(start); d > 40*time.Millisecond {
-		t.Fatalf("cleared link still delayed: %v", d)
-	}
 }
