@@ -147,8 +147,9 @@ func (r *Replica) nextValue() ([]byte, bool) {
 	return batch.Encode(), true
 }
 
-// Start launches the replica's loops.
+// Start launches the replica's verification workers and loops.
 func (r *Replica) Start() {
+	r.verifier.Start()
 	go r.receiveLoop()
 	go r.driverLoop()
 }

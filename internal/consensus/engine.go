@@ -76,40 +76,26 @@ func NewMachine(cfg Config) *Machine {
 type Input struct{ ev event }
 
 // PreVerify makes a consensus wire message an Input and hands it to
-// deliver. A WRITE or ACCEPT vote is decoded first (a malformed one, or one
-// not its sender's, is dropped) and, with a pool, its signature checked
-// there against v's key for the voter, deliver running on a pool worker.
-// The machine honors the result only while that key is still installed and
-// verifies inline otherwise (v may be stale; a nil or saturated pool saw
-// nothing). A PROPOSE from the leader of its epoch in v is, with a pool,
-// vetted there by validate — the machine's own Config.Validate — and the
-// verdict travels in the Input; without one the machine validates inline.
-// Votes and proposals overtaking other traffic is network reordering.
+// deliver. A WRITE or ACCEPT vote is decoded (a malformed one, or one not its
+// sender's, is dropped) and delivered at once: the machine holds it and
+// checks its signature when it can complete a quorum, together with the
+// others that do (DESIGN.md "Votes are checked at quorum time"). A PROPOSE
+// from the leader of its epoch in v is, with a pool, vetted there by
+// validate — the machine's own Config.Validate — and the verdict travels in
+// the Input; without a pool, or with a saturated one, the machine validates
+// inline. Proposals overtaking other traffic is network reordering.
 func PreVerify(m transport.Message, v view.View, pool *crypto.VerifyPool, validate func(int64, []byte) bool, deliver func(Input)) {
 	if m.Type == MsgPropose {
 		preValidate(m, v, pool, validate, deliver)
 		return
 	}
-	ph, ok := votePhase(m.Type)
-	if !ok {
+	if _, ok := votePhase(m.Type); !ok {
 		deliver(Input{event{kind: evMessage, msg: m}})
 		return
 	}
 	vm, err := decodeVote(m.Payload)
 	if err != nil || vm.Voter != m.From {
-		return // malformed either way; drop without burning a verify
-	}
-	if pub, ok := v.PublicKeyOf(vm.Voter); ok {
-		submitted := pool.TrySubmit(pub, phaseWire[ph].ctx, voteMessage(vm.Instance, vm.Epoch, vm.Digest), vm.Sig, func(ok bool) {
-			in := Input{event{kind: evMessage, msg: m, vote: &vm}}
-			if ok {
-				in.ev.votePub = pub
-			}
-			deliver(in)
-		})
-		if submitted {
-			return
-		}
+		return // malformed either way
 	}
 	deliver(Input{event{kind: evMessage, msg: m, vote: &vm}})
 }

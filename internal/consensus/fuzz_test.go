@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -70,37 +71,64 @@ func FuzzDecodeEpochSync(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { row.Check(t, data) })
 }
 
-// FuzzMachineStep feeds one arbitrary frame (twice: the replay takes the
-// dedup paths) to a follower with eight open slots. Without a quorum of
-// keys no frame may decide anything, and the state an outsider can make
-// the machine hold stays inside the started window plus futureWindow.
+// frame is one frame of a FuzzMachineStep script: sender, wire type offset
+// from MsgPropose, a two-byte length and the payload.
+func frame(from, typ uint8, payload []byte) []byte {
+	return append([]byte{from, typ, byte(len(payload) >> 8), byte(len(payload))}, payload...)
+}
+
+// FuzzMachineStep feeds a script of arbitrary frames, each twice (the replay
+// takes the dedup paths), to a follower with eight open slots. The seeds'
+// ACCEPT signatures are one member's, so no script may decide anything; the
+// state an outsider can make the machine hold stays inside the started
+// window plus futureWindow, and it holds at most one unchecked vote per
+// slot, phase and member.
 func FuzzMachineStep(f *testing.F) {
 	propose, vote, decided, stop, sync := fuzzSeeds()
-	f.Add(uint8(0), uint8(0), propose.encode())
-	f.Add(uint8(2), uint8(1), vote.encode())
-	f.Add(uint8(2), uint8(2), vote.encode())
-	f.Add(uint8(3), uint8(6), decided.encode())
-	f.Add(uint8(2), uint8(4), stop.encode())
-	f.Add(uint8(1), uint8(5), sync.encode())
-	f.Add(uint8(0), uint8(3), []byte("the retired per-slot STOP"))
+	forged := vote
+	forged.Sig = append([]byte(nil), vote.Sig...)
+	forged.Sig[0] ^= 1
+	f.Add(frame(0, 0, propose.encode()))
+	f.Add(frame(2, 1, vote.encode()))
+	f.Add(frame(2, 2, vote.encode()))
+	f.Add(frame(3, 6, decided.encode()))
+	f.Add(frame(2, 4, stop.encode()))
+	f.Add(frame(1, 5, sync.encode()))
+	f.Add(frame(0, 3, []byte("the retired per-slot STOP")))
+	f.Add(slices.Concat(frame(2, 1, forged.encode()), frame(2, 1, vote.encode()), frame(0, 0, propose.encode())))
+	f.Add(slices.Concat(frame(0, 0, propose.encode()), frame(2, 1, forged.encode()), frame(2, 1, vote.encode()),
+		frame(2, 2, forged.encode()), frame(2, 4, stop.encode())))
 	keys, v := testView(4)
 	const started = 8
-	f.Fuzz(func(t *testing.T, from, typ uint8, payload []byte) {
+	f.Fuzz(func(t *testing.T, script []byte) {
 		m := newMachine(Config{Self: 1, View: v, Signer: keys[1], Timeout: time.Second})
 		now := time.Unix(1_000_000, 0)
 		for inst := int64(0); inst < started; inst++ {
 			m.step(now, event{kind: evStart, inst: inst})
 		}
-		msg := transport.Message{From: int32(from % 5), To: 1, Type: MsgPropose + uint16(typ%8), Payload: payload}
-		for replay := 0; replay < 2; replay++ {
-			for _, fx := range m.step(now, event{kind: evMessage, msg: msg}) {
-				if fx.kind == fxDecide {
-					t.Fatalf("frame type %d from %d decided instance %d", msg.Type, msg.From, fx.decision.Instance)
+		for len(script) >= 4 {
+			n := min(int(script[2])<<8|int(script[3]), len(script)-4)
+			msg := transport.Message{From: int32(script[0] % 5), To: 1, Type: MsgPropose + uint16(script[1]%8), Payload: script[4 : 4+n]}
+			script = script[4+n:]
+			for replay := 0; replay < 2; replay++ {
+				for _, fx := range m.step(now, event{kind: evMessage, msg: msg}) {
+					if fx.kind == fxDecide {
+						t.Fatalf("frame type %d from %d decided instance %d", msg.Type, msg.From, fx.decision.Instance)
+					}
 				}
 			}
-		}
-		if len(m.states) > started || len(m.buffered) > futureWindow {
-			t.Fatalf("one frame grew the machine to %d states and %d buffered instances", len(m.states), len(m.buffered))
+			if len(m.states) > started || len(m.buffered) > futureWindow {
+				t.Fatalf("the script grew the machine to %d states and %d buffered instances", len(m.states), len(m.buffered))
+			}
+			for inst, st := range m.states {
+				for ph := range st.held {
+					for voter, vm := range st.held[ph] {
+						if vm.Voter != voter || !v.Contains(voter) {
+							t.Fatalf("slot %d phase %d holds a vote of %d under member %d", inst, ph, vm.Voter, voter)
+						}
+					}
+				}
+			}
 		}
 	})
 }

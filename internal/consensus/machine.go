@@ -1,7 +1,9 @@
 package consensus
 
 import (
+	"bytes"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"time"
 
@@ -18,10 +20,7 @@ type event struct {
 	value []byte            // evStart, evPropose
 	keyID int32             // evUpdateKey
 	key   crypto.PublicKey  // evUpdateKey
-	// vote carries a pre-decoded WRITE/ACCEPT vote; votePub, when non-nil,
-	// is the public key its signature was verified against by the runtime.
-	vote    *voteMsg
-	votePub crypto.PublicKey
+	vote  *voteMsg          // a WRITE/ACCEPT vote PreVerify decoded, its signature not checked
 	// vetted: the runtime ran Validate over this PROPOSE's value, with the
 	// verdict valid.
 	vetted, valid bool
@@ -93,8 +92,13 @@ type instState struct {
 	// slot is not waiting on one (not started by the driver yet, or decided).
 	deadline time.Time
 
-	// votes: phase → epoch → digest → voter → signature.
+	// votes: phase → epoch → digest → voter → signature, every one checked
+	// (or this replica's own).
 	votes [2]map[int64]map[crypto.Hash]map[int32][]byte
+	// held: phase → voter → a vote not checked yet, at most one per voter.
+	// Held votes are checked when they can complete the slot's quorum
+	// (quorate), so a vote the quorum does not need costs no check.
+	held [2]map[int32]voteMsg
 	// myWriteCert is the strongest write certificate this replica
 	// assembled (evidence a value may have been decided).
 	myWriteCert *writeCert
@@ -270,7 +274,7 @@ func (m *machine) expire() {
 		s.deadline = m.now.Add(s.timeout)
 		// Idle system: no proposal, no votes, no stop campaign, and nothing
 		// pending locally — wait again instead of churning through leaders.
-		idle := s.proposal == nil && len(s.votes[phaseWrite]) == 0 && len(m.epochStops) == 0
+		idle := s.proposal == nil && len(s.votes[phaseWrite]) == 0 && len(s.held[phaseWrite]) == 0 && len(m.epochStops) == 0
 		if idle && m.cfg.HasPending != nil && !m.cfg.HasPending() {
 			continue
 		}
@@ -307,6 +311,7 @@ func (m *machine) st(i int64) *instState {
 		s = &instState{baseEpoch: m.regency, epoch: m.regency, timeout: m.cfg.Timeout}
 		for ph := range s.votes {
 			s.votes[ph] = make(map[int64]map[crypto.Hash]map[int32][]byte)
+			s.held[ph] = make(map[int32]voteMsg)
 		}
 		m.states[i] = s
 	}
@@ -393,29 +398,75 @@ func (m *machine) progress(i int64, s *instState) {
 		return
 	}
 	// WRITE quorum → assemble write certificate, vote ACCEPT.
-	if s.sent[phaseWrite] && !s.sent[phaseAccept] {
-		if votes := s.votes[phaseWrite][s.epoch][s.digest]; len(votes) >= m.quorum {
-			cert := &writeCert{Instance: i, Epoch: s.epoch, Digest: s.digest}
-			for voter, sig := range votes {
-				cert.Sigs = append(cert.Sigs, crypto.Signature{Signer: voter, Sig: sig})
-			}
-			sortSigs(cert.Sigs)
-			if s.myWriteCert == nil || cert.Epoch > s.myWriteCert.Epoch {
-				s.myWriteCert = cert
-				s.myCertValue = s.proposal
-			}
-			m.cast(i, s, phaseAccept)
+	if s.sent[phaseWrite] && !s.sent[phaseAccept] && m.quorate(i, s, phaseWrite) {
+		cert := &writeCert{Instance: i, Epoch: s.epoch, Digest: s.digest}
+		for voter, sig := range s.votes[phaseWrite][s.epoch][s.digest] {
+			cert.Sigs = append(cert.Sigs, crypto.Signature{Signer: voter, Sig: sig})
 		}
+		sortSigs(cert.Sigs)
+		if s.myWriteCert == nil || cert.Epoch > s.myWriteCert.Epoch {
+			s.myWriteCert = cert
+			s.myCertValue = s.proposal
+		}
+		m.cast(i, s, phaseAccept)
 	}
 	// ACCEPT quorum → decide.
-	if votes := s.votes[phaseAccept][s.epoch][s.digest]; len(votes) >= m.quorum {
+	if m.quorate(i, s, phaseAccept) {
 		proof := crypto.Certificate{Digest: s.digest}
-		for voter, sig := range votes {
+		for voter, sig := range s.votes[phaseAccept][s.epoch][s.digest] {
 			proof.Add(crypto.Signature{Signer: voter, Sig: sig})
 		}
 		sortSigs(proof.Sigs)
 		m.decide(i, s, s.epoch, s.proposal, proof)
 	}
+}
+
+// quorate reports whether the checked votes of phase ph for the slot's
+// (epoch, digest) reach the quorum. When they fall short but the held ones
+// can complete it, the held ones are checked first, against the keys
+// installed now, in voter order and in one batch equation; only a failed
+// equation checks them one by one. Valid ones are recorded, and every one
+// checked leaves the held set. Held votes that can no longer count — an
+// epoch the slot has left, another digest than the adopted one — are
+// dropped unchecked.
+func (m *machine) quorate(i int64, s *instState, ph phase) bool {
+	checked := len(s.votes[ph][s.epoch][s.digest])
+	if checked >= m.quorum {
+		return true
+	}
+	var voters []int32
+	for voter, vm := range s.held[ph] {
+		switch {
+		case s.stale(vm):
+			delete(s.held[ph], voter)
+		case vm.Epoch == s.epoch && vm.Digest == s.digest:
+			voters = append(voters, voter)
+		}
+	}
+	if checked+len(voters) < m.quorum {
+		return false
+	}
+	slices.Sort(voters)
+	msg := voteMessage(i, s.epoch, s.digest)
+	bv := crypto.NewBatchVerifier(len(voters))
+	for _, voter := range voters {
+		pub, _ := m.cfg.View.PublicKeyOf(voter) // members only are held; a nil key fails its check
+		bv.Add(pub, phaseWire[ph].ctx, msg, s.held[ph][voter].Sig)
+	}
+	for k, ok := range bv.Verdicts(1) {
+		if ok {
+			s.record(ph, s.held[ph][voters[k]])
+		}
+		delete(s.held[ph], voters[k])
+	}
+	return len(s.votes[ph][s.epoch][s.digest]) >= m.quorum
+}
+
+// stale reports whether a held vote can no longer count in this slot: its
+// epoch is behind the slot's, or it is for the slot's epoch and another
+// digest than the adopted proposal's.
+func (s *instState) stale(vm voteMsg) bool {
+	return vm.Epoch < s.epoch || vm.Epoch == s.epoch && s.proposal != nil && vm.Digest != s.digest
 }
 
 // sortSigs puts a certificate's signatures in signer order: the votes sit
@@ -579,7 +630,12 @@ func (m *machine) onPropose(ev event, s *instState, inst int64) {
 	m.adopt(inst, s, pm.Value)
 }
 
-// onVote records a WRITE or ACCEPT vote and re-checks the quorums.
+// onVote holds a WRITE or ACCEPT vote and re-checks the quorums, which check
+// the held votes that complete them (quorate). Two votes are checked at once
+// instead: one that arrives after its quorum formed here, which counts for
+// nothing but the echo to a late joiner, and a second, different signature
+// from a voter already held, which may be the honest vote a forged copy in
+// its name tries to shadow.
 func (m *machine) onVote(ev event, s *instState, inst int64, ph phase) {
 	var vm voteMsg
 	if ev.vote != nil {
@@ -590,7 +646,7 @@ func (m *machine) onVote(ev event, s *instState, inst int64, ph phase) {
 			return
 		}
 	}
-	if vm.Voter != ev.msg.From || !m.cfg.View.Contains(vm.Voter) || vm.Epoch < s.epoch {
+	if vm.Voter != ev.msg.From || !m.cfg.View.Contains(vm.Voter) || vm.Epoch < s.epoch || len(vm.Sig) != crypto.SignatureSize {
 		return
 	}
 	// late: a WRITE matching the value this replica already moved past, in
@@ -605,36 +661,43 @@ func (m *machine) onVote(ev event, s *instState, inst int64, ph phase) {
 		return
 	}
 	if _, dup := s.votes[ph][vm.Epoch][vm.Digest][vm.Voter]; dup {
-		return // before the signature check: a replayed vote costs nothing
+		return // a replayed vote costs nothing
 	}
-	if !m.voteVerified(&vm, ev.votePub, ph, inst) {
+	held, holding := s.held[ph][vm.Voter]
+	if holding && s.stale(held) {
+		delete(s.held[ph], vm.Voter)
+		holding = false
+	}
+	same := holding && held.Epoch == vm.Epoch && held.Digest == vm.Digest
+	if same && bytes.Equal(held.Sig, vm.Sig) {
 		return
 	}
-	s.record(ph, vm)
+	if holding || late && (wasDecided || s.sent[phaseAccept]) {
+		if !m.validVote(inst, ph, &vm) {
+			return
+		}
+		if same {
+			delete(s.held[ph], vm.Voter)
+		}
+		s.record(ph, vm)
+	} else {
+		s.held[ph][vm.Voter] = vm
+	}
 	m.progress(inst, s)
 	// Checked AFTER progress: the write that completes our quorum is often
 	// the late joiner's own — it has ours recorded nowhere, and without the
-	// echo both sides would hold a partial quorum forever.
-	if late && (wasDecided || s.sent[phaseAccept]) {
+	// echo both sides would hold a partial quorum forever. Only a checked
+	// vote is answered.
+	if _, counted := s.votes[ph][vm.Epoch][vm.Digest][vm.Voter]; counted && late && (wasDecided || s.sent[phaseAccept]) {
 		m.echoVotes(vm.Voter, inst, s)
 	}
 }
 
-// voteVerified settles one vote's signature: a vote positively pre-verified
-// (prePub non-nil) against the key still installed for its voter — and
-// covering the instance it was dispatched to — is accepted as-is; anything
-// else (no pool, pool spill-over, a key rotated since, failed
-// pre-verification) is verified inline. Safety therefore never rests on the
-// pre-verification pool.
-func (m *machine) voteVerified(vm *voteMsg, prePub crypto.PublicKey, ph phase, inst int64) bool {
+// validVote checks one vote's signature against the key installed for its
+// voter now.
+func (m *machine) validVote(inst int64, ph phase, vm *voteMsg) bool {
 	pub, ok := m.cfg.View.PublicKeyOf(vm.Voter)
-	if !ok {
-		return false
-	}
-	if prePub != nil && vm.Instance == inst && pub.Equal(prePub) {
-		return true
-	}
-	return crypto.Verify(pub, phaseWire[ph].ctx, voteMessage(inst, vm.Epoch, vm.Digest), vm.Sig)
+	return ok && crypto.Verify(pub, phaseWire[ph].ctx, voteMessage(inst, vm.Epoch, vm.Digest), vm.Sig)
 }
 
 // stopped reports whether this replica sent an EPOCH-STOP for a regency

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -314,36 +315,158 @@ func TestMachineBackoffDoublesAndCaps(t *testing.T) {
 	}
 }
 
-// (f) A vote the runtime pre-verified against a key that has since been
-// rotated is verified again inline against the installed key.
-func TestMachineReverifiesVoteAfterKeyRotation(t *testing.T) {
+// voteFrom is voter's WRITE or ACCEPT for (inst, epoch 0, digest), signed
+// by signer, as the wire delivers it to replica 1.
+func voteFrom(typ uint16, voter int32, signer *crypto.KeyPair, inst int64, digest crypto.Hash) event {
+	ph, _ := votePhase(typ)
+	vm := voteMsg{Instance: inst, Digest: digest, Voter: voter, Sig: signer.MustSign(phaseWire[ph].ctx, voteMessage(inst, 0, digest))}
+	return event{kind: evMessage, msg: transport.Message{From: voter, To: 1, Type: typ, Payload: vm.encode()}}
+}
+
+// corrupted is ev with one bit of its vote's signature flipped.
+func corrupted(ev event) event {
+	vm, _ := decodeVote(ev.msg.Payload)
+	vm.Sig = bytes.Clone(vm.Sig)
+	vm.Sig[0] ^= 1
+	ev.msg.Payload = vm.encode()
+	return ev
+}
+
+// follower is replica 1 of a fresh sim with instance 0 started and the
+// leader's proposal of value adopted: its own WRITE is cast, and it has
+// nothing else.
+func follower(t *testing.T, value []byte) (*sim, *machine, crypto.Hash) {
 	s := newSim(t, 6, 4, simTimeout, nil)
 	m := s.ms[1]
-	value := []byte("v0")
-	digest := crypto.HashBytes(value)
 	pm := proposeMsg{Instance: 0, Value: value}
 	m.step(s.now, event{kind: evStart, inst: 0})
 	m.step(s.now, event{kind: evMessage, msg: transport.Message{From: 0, To: 1, Type: MsgPropose, Payload: pm.encode()}})
+	return s, m, crypto.HashBytes(value)
+}
 
-	oldKey, newKey := s.keys[2], crypto.SeededKeyPair("consensus-test-rotated", 2)
-	m.step(s.now, event{kind: evUpdateKey, keyID: 2, key: newKey.Public()})
-	vote := func(signer *crypto.KeyPair) event {
-		vm := voteMsg{Instance: 0, Digest: digest, Voter: 2, Sig: signer.MustSign(ctxWrite, voteMessage(0, 0, digest))}
-		// The hint claims the signature checked out under the OLD key.
-		return event{kind: evMessage, vote: &vm, votePub: oldKey.Public(),
-			msg: transport.Message{From: 2, To: 1, Type: MsgWrite, Payload: vm.encode()}}
+// counted reports whether voter's vote of phase ph counts in slot 0.
+func counted(m *machine, ph phase, digest crypto.Hash, voter int32) bool {
+	_, ok := m.states[0].votes[ph][0][digest][voter]
+	return ok
+}
+
+// stepFx steps m and returns the wire types it sends and whether it decided.
+func stepFx(m *machine, now time.Time, ev event) (sent []uint16, decided bool) {
+	for _, fx := range m.step(now, ev) {
+		switch fx.kind {
+		case fxSend, fxBroadcast:
+			sent = append(sent, fx.typ)
+		case fxDecide:
+			decided = true
+		}
 	}
-	recorded := func() bool {
-		_, ok := m.states[0].votes[phaseWrite][0][digest][2]
-		return ok
+	return sent, decided
+}
+
+// (f) A held vote is checked against the key installed when it can complete
+// the quorum: one signed with a key rotated out meanwhile never counts, and
+// one signed with the key installed by then does.
+func TestMachineReverifiesVoteAfterKeyRotation(t *testing.T) {
+	oldKey, newKey := crypto.SeededKeyPair("consensus-test", 2), crypto.SeededKeyPair("consensus-test-rotated", 2)
+	for _, tc := range []struct {
+		name   string
+		signer *crypto.KeyPair
+		counts bool
+	}{{"rotated-out key", oldKey, false}, {"installed key", newKey, true}} {
+		s, m, digest := follower(t, []byte("v0"))
+		m.step(s.now, voteFrom(MsgWrite, 2, tc.signer, 0, digest)) // held: one short of the quorum
+		if counted(m, phaseWrite, digest, 2) {
+			t.Fatalf("%s: a vote counted before the quorum it completes", tc.name)
+		}
+		m.step(s.now, event{kind: evUpdateKey, keyID: 2, key: newKey.Public()})
+		m.step(s.now, voteFrom(MsgWrite, 3, s.keys[3], 0, digest)) // completes the quorum
+		if counted(m, phaseWrite, digest, 2) != tc.counts || !counted(m, phaseWrite, digest, 3) {
+			t.Fatalf("%s: voter 2 counted %v (want %v), voter 3 counted %v", tc.name,
+				counted(m, phaseWrite, digest, 2), tc.counts, counted(m, phaseWrite, digest, 3))
+		}
+		if m.states[0].sent[phaseAccept] != tc.counts {
+			t.Fatalf("%s: ACCEPT cast %v, want %v", tc.name, m.states[0].sent[phaseAccept], tc.counts)
+		}
 	}
-	m.step(s.now, vote(oldKey))
-	if recorded() {
-		t.Fatal("a vote signed with the rotated-out key was accepted on its stale pre-verification")
+}
+
+// A vote that arrives after its quorum formed is never checked into the
+// slot — a corrupt one never counts — and a vote the quorum did not need
+// costs no check at all.
+func TestMachineCorruptVoteAfterQuorumNeverCounts(t *testing.T) {
+	s, m, digest := follower(t, []byte("v0"))
+	m.step(s.now, voteFrom(MsgWrite, 0, s.keys[0], 0, digest))
+	m.step(s.now, voteFrom(MsgWrite, 2, s.keys[2], 0, digest))
+	if !m.states[0].sent[phaseAccept] {
+		t.Fatal("no ACCEPT after a WRITE quorum")
 	}
-	m.step(s.now, vote(newKey))
-	if !recorded() {
-		t.Fatal("a vote signed with the installed key was rejected because its pre-verification hint was stale")
+	m.step(s.now, corrupted(voteFrom(MsgWrite, 3, s.keys[3], 0, digest)))
+	if counted(m, phaseWrite, digest, 3) {
+		t.Fatal("a corrupt WRITE arriving after its quorum was recorded")
+	}
+	if _, held := m.states[0].held[phaseWrite][3]; !held {
+		t.Fatal("a WRITE the quorum did not need was checked: it left the held set")
+	}
+	m.step(s.now, voteFrom(MsgAccept, 0, s.keys[0], 0, digest))
+	if _, decided := stepFx(m, s.now, voteFrom(MsgAccept, 2, s.keys[2], 0, digest)); !decided {
+		t.Fatal("no decision on an ACCEPT quorum")
+	}
+	m.step(s.now, corrupted(voteFrom(MsgAccept, 3, s.keys[3], 0, digest)))
+	if d := s.ms[1].decidedTail[0]; d == nil || len(d.Proof.Sigs) != 3 {
+		t.Fatalf("decision proof %+v, want the three ACCEPTs of the quorum", d)
+	}
+}
+
+// A corrupt vote inside the quorum's equation fails it; the per-vote
+// fallback isolates it, the honest votes beside it count, and the slot
+// decides on the next valid vote without waiting for a timeout.
+func TestMachineCorruptVoteInQuorumIsIsolated(t *testing.T) {
+	s, m, digest := follower(t, []byte("v0"))
+	m.step(s.now, corrupted(voteFrom(MsgWrite, 0, s.keys[0], 0, digest)))
+	m.step(s.now, voteFrom(MsgWrite, 2, s.keys[2], 0, digest)) // the equation: 0 (corrupt) and 2
+	if counted(m, phaseWrite, digest, 0) || !counted(m, phaseWrite, digest, 2) || m.states[0].sent[phaseAccept] {
+		t.Fatalf("after the failed equation: 0 counted %v, 2 counted %v, ACCEPT cast %v (want false, true, false)",
+			counted(m, phaseWrite, digest, 0), counted(m, phaseWrite, digest, 2), m.states[0].sent[phaseAccept])
+	}
+	if len(m.states[0].held[phaseWrite]) != 0 {
+		t.Fatalf("%d WRITEs still held after their check", len(m.states[0].held[phaseWrite]))
+	}
+	if sent, _ := stepFx(m, s.now, voteFrom(MsgWrite, 3, s.keys[3], 0, digest)); !slices.Contains(sent, MsgAccept) {
+		t.Fatalf("the next valid WRITE sent %v, want the ACCEPT", sent)
+	}
+	m.step(s.now, corrupted(voteFrom(MsgAccept, 2, s.keys[2], 0, digest)))
+	m.step(s.now, voteFrom(MsgAccept, 3, s.keys[3], 0, digest))
+	if _, decided := stepFx(m, s.now, voteFrom(MsgAccept, 0, s.keys[0], 0, digest)); !decided {
+		t.Fatal("no decision on the next valid ACCEPT")
+	}
+	if !m.nextDeadline().IsZero() {
+		t.Fatal("the decided slot still waits on a deadline")
+	}
+}
+
+// A forged WRITE in voter 2's name that arrives before voter 2's honest one
+// cannot shadow it: the second, different signature is checked at once, and
+// every replica decides in epoch 0 whatever the delivery order. Replica 3 is
+// down, so replica 1's quorum needs voter 2.
+func TestMachineForgedVoteDoesNotShadowHonestOne(t *testing.T) {
+	for seed := int64(0); seed < 16; seed++ {
+		s := newSim(t, seed, 4, simTimeout, nil)
+		s.down[3] = true
+		value := []byte("v0")
+		forged := corrupted(voteFrom(MsgWrite, 2, s.keys[2], 0, crypto.HashBytes(value)))
+		s.step(1, event{kind: evStart, inst: 0})
+		s.step(1, forged)
+		if len(s.ms[1].states[0].held[phaseWrite]) != 1 {
+			t.Fatalf("seed %d: the forged WRITE was not held", seed)
+		}
+		s.startAll(0, value)
+		s.run(s.allDecided(1))
+		s.requireAgreement(1)
+		for i := range s.ms {
+			if len(s.installs[i]) != 0 || s.decided[i][0].Epoch != 0 {
+				t.Fatalf("seed %d: replica %d needed a synchronization round", seed, i)
+			}
+		}
 	}
 }
 

@@ -194,7 +194,7 @@ type Node struct {
 	ledger   *blockchain.Ledger
 	logger   recordLogger
 	batcher  *smr.Batcher
-	verifier *smr.VerifierPool // the one verification pool: reads, votes, proposals
+	verifier *smr.VerifierPool // the one verification pool: reads, proposals
 	// unverified holds the ordered requests this replica receives under
 	// VerifyParallel until a proposal, a commit or a flush takes them
 	// (admit.go); the leader flushes it before every cut.
@@ -329,7 +329,8 @@ func NewNode(cfg Config) (*Node, error) {
 		removeTracker: reconfig.NewRemoveTracker(),
 		ledger:        blockchain.NewLedger(cfg.Genesis),
 		batcher:       smr.NewBatcher(cfg.MaxBatch),
-		// The one verification pool, GOMAXPROCS workers in every mode.
+		// The one verification pool, GOMAXPROCS workers in every mode,
+		// started by Start: a node that is only built owns no goroutine.
 		verifier:    smr.NewVerifierPool(cfg.Verify, 0),
 		unverified:  newUnverifiedSet(cfg.MaxBatch),
 		source:      catchup.NewPool(catchup.Config{PeerTimeout: cfg.CatchupPeerTimeout}),
@@ -360,15 +361,17 @@ type recordLogger interface {
 }
 
 // Start brings the node online: recover local state (snapshot + chain log),
-// start the logger and the node's loops — the ordering driver among them,
-// whose first act seats a member's consensus machine (consensus messages
-// that arrive before it wait in the inbox). When SyncPeers is set, Start
-// then asks it for state transfer and returns once that has run its course.
+// start the logger, the verification workers and the node's loops — the
+// ordering driver among them, whose first act seats a member's consensus
+// machine (consensus messages that arrive before it wait in the inbox). When
+// SyncPeers is set, Start then asks it for state transfer and returns once
+// that has run its course.
 func (n *Node) Start() error {
 	n.startedAt = time.Now()
 	if err := n.build(smr.NewDurableLogger(n.cfg.Log, n.cfg.Storage)); err != nil {
 		return err
 	}
+	n.verifier.Start()
 	n.loops.Add(4)
 	go n.tailLoop()
 	go n.receiveLoop()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"maps"
 	"slices"
 	"time"
@@ -89,8 +90,11 @@ type ownShare struct {
 type tailBlock struct {
 	tailEvent // the tevClosed that opened it: its view is whose shares certify it
 	cert      crypto.Certificate
-	durable   bool // its own record is synced: this replica's share may count
-	own       bool // this replica's share is in cert
+	// held are the members' shares not checked yet, one per signer: they are
+	// checked when they can complete the certificate (count).
+	held    map[int32]persistMsg
+	durable bool // its own record is synced: this replica's share may count
+	own     bool // this replica's share is in cert
 }
 
 // parkedRead is a verified read waiting for its ReadFloor; the dedup scan compares cached digests.
@@ -121,8 +125,9 @@ type tail struct {
 	early  map[int64][]persistMsg // per block not closed yet, one share per claimed signer
 	reads  []parkedRead           // in arrival order, which is expiry order
 	// mine is this replica's share of every block it counted one for, kept
-	// shareWindow blocks below the height; resendAt is when the open blocks
-	// holding one send it again (zero: none does).
+	// while the block is open and shareWindow blocks below the height;
+	// resendAt is when the open blocks holding one send it again (zero: none
+	// does).
 	mine     map[int64]*ownShare
 	resendAt time.Time
 }
@@ -139,7 +144,7 @@ func (t *tail) step(now time.Time, ev tailEvent) []tailEffect {
 	t.out = t.out[:0]
 	switch ev.kind {
 	case tevClosed:
-		b := &tailBlock{tailEvent: ev, cert: crypto.Certificate{Digest: ev.hash}}
+		b := &tailBlock{tailEvent: ev, cert: crypto.Certificate{Digest: ev.hash}, held: make(map[int32]persistMsg)}
 		t.open[ev.number] = b
 		early := t.early[ev.number]
 		t.raise(ev.number)
@@ -239,7 +244,7 @@ func (t *tail) raise(height int64) {
 	}
 	t.height = height
 	maps.DeleteFunc(t.early, func(number int64, _ []persistMsg) bool { return number <= height })
-	maps.DeleteFunc(t.mine, func(number int64, _ *ownShare) bool { return number <= height-shareWindow })
+	maps.DeleteFunc(t.mine, func(number int64, _ *ownShare) bool { return number <= height-shareWindow && t.open[number] == nil })
 	t.reads = slices.DeleteFunc(t.reads, func(p parkedRead) bool {
 		if p.req.ReadFloor <= height {
 			t.out = append(t.out, tailEffect{kind: tfxAnswer, req: p.req})
@@ -248,23 +253,63 @@ func (t *tail) raise(height int64) {
 	})
 }
 
-// count validates a share and completes the certificate at the quorum, this
-// replica's share included — and that is only taken once the block is durable.
-// The share this replica just signed (own) is counted without a signature
-// check; every share from the network is verified.
+// count takes a share and completes the certificate at the quorum, this
+// replica's share included — and that is only taken once the block is
+// durable. The share this replica just signed (own) counts without a
+// signature check, and one in its name from the network never does. A
+// member's share is held unchecked until the held shares can complete the
+// certificate; then they are checked in signer order and in one batch
+// equation, and only a failed equation checks them one by one. A second,
+// different share from a held signer is checked at once: a forged copy
+// cannot shadow the honest share.
 func (t *tail) count(now time.Time, number int64, b *tailBlock, pm *persistMsg, own bool) {
-	if !t.strong || pm.HeaderHash != b.hash || (pm.Signer == t.self && !b.durable) {
+	if !t.strong || pm.HeaderHash != b.hash || pm.Signer == t.self && !(own && b.durable) {
 		return // (a peer that built a different block: impossible for correct ones)
 	}
 	pub, member := b.view.PublicKeyOf(pm.Signer)
-	if !member || !own && !crypto.Verify(pub, blockchain.ContextPersist, blockchain.PersistDigest(b.hash), pm.Sig) {
+	if !member || len(pm.Sig) != crypto.SignatureSize || slices.ContainsFunc(b.cert.Sigs, func(s crypto.Signature) bool { return s.Signer == pm.Signer }) {
 		return
 	}
-	b.cert.Add(crypto.Signature{Signer: pm.Signer, Sig: pm.Sig})
-	if pm.Signer == t.self {
+	digest := blockchain.PersistDigest(b.hash)
+	held, holding := b.held[pm.Signer]
+	switch {
+	case own:
+		b.cert.Add(crypto.Signature{Signer: pm.Signer, Sig: pm.Sig})
 		b.own, t.mine[number] = true, &ownShare{pm: *pm, at: now}
+	case holding && bytes.Equal(held.Sig, pm.Sig):
+		return
+	case holding:
+		if !crypto.Verify(pub, blockchain.ContextPersist, digest, pm.Sig) {
+			return
+		}
+		delete(b.held, pm.Signer)
+		b.cert.Add(crypto.Signature{Signer: pm.Signer, Sig: pm.Sig})
+	default:
+		b.held[pm.Signer] = *pm
 	}
-	if b.own && b.cert.Count() >= b.view.CertQuorum() {
+	quorum := b.view.CertQuorum()
+	if !b.own || b.cert.Count()+len(b.held) < quorum {
+		return
+	}
+	if b.cert.Count() < quorum {
+		signers := make([]int32, 0, len(b.held))
+		for signer := range b.held {
+			signers = append(signers, signer)
+		}
+		slices.Sort(signers)
+		bv := crypto.NewBatchVerifier(len(signers))
+		for _, signer := range signers {
+			pub, _ := b.view.PublicKeyOf(signer)
+			bv.Add(pub, blockchain.ContextPersist, digest, b.held[signer].Sig)
+		}
+		for k, ok := range bv.Verdicts(1) {
+			if ok {
+				b.cert.Add(crypto.Signature{Signer: signers[k], Sig: b.held[signers[k]].Sig})
+			}
+		}
+		clear(b.held)
+	}
+	if b.cert.Count() >= quorum {
 		t.out = append(t.out, tailEffect{kind: tfxCertify, number: number, cert: b.cert})
 		t.settle(number, b, true)
 	}

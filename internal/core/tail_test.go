@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -111,7 +112,8 @@ func (r *tailRig) step(ev tailEvent) {
 
 // checkBound is admission property (i): whatever arrives, early shares are
 // held for at most shareWindow blocks above the height, one per claimed
-// signer, members of the latest view plus shareGuests strangers.
+// signer, members of the latest view plus shareGuests strangers; an open
+// block holds at most one unchecked share per peer of its view.
 func (r *tailRig) checkBound() {
 	r.t.Helper()
 	if len(r.tl.early) > shareWindow {
@@ -120,6 +122,13 @@ func (r *tailRig) checkBound() {
 	for number, held := range r.tl.early {
 		if number <= r.tl.height || number > r.tl.height+shareWindow || len(held) > r.tl.view.N()+shareGuests {
 			r.t.Fatalf("%d shares held for block %d at height %d", len(held), number, r.tl.height)
+		}
+	}
+	for number, b := range r.tl.open {
+		for signer, pm := range b.held {
+			if pm.Signer != signer || !b.view.Contains(signer) || signer == r.tl.self {
+				r.t.Fatalf("block %d holds a share of %d under signer %d", number, pm.Signer, signer)
+			}
 		}
 	}
 	if len(r.tl.reads) > tailLimit {
@@ -221,6 +230,24 @@ func TestTailWeakRepliesOnceDurable(t *testing.T) {
 	r.closed(12, r.view, true)
 	r.durableAt(12)
 	r.want("durable, inline", "reply 12", "release 12")
+}
+
+// State transfer may raise the height more than shareWindow blocks past a
+// block still waiting for its certificate: the block keeps its own share and
+// keeps sending it. (At the parent the share was dropped with the height and
+// the next resend dereferenced it: a panic.)
+func TestTailHeightPastOpenBlockKeepsItsShare(t *testing.T) {
+	r := newTailRig(t, true)
+	r.closed(11, r.view, false)
+	r.durableAt(11)
+	r.step(tailEvent{kind: tevHeight, number: 11 + 2*shareWindow})
+	r.want("signed, then passed by state transfer", "sign 11")
+	r.now = r.now.Add(shareResend)
+	r.step(tailEvent{kind: tevTick})
+	r.want("a resend due", "share 11 to -1")
+	r.share(1, 11)
+	r.share(2, 11)
+	r.want("the quorum", "certify 11", "reply 11")
 }
 
 // (b) Strong persistence: a certificate of CertQuorum shares, this replica's
@@ -463,6 +490,37 @@ func tailNode(t *testing.T) *Node {
 	return n
 }
 
+// nopLogger is a commit-path log writer that writes nothing.
+type nopLogger struct{}
+
+func (nopLogger) Append([]byte, func(error)) {}
+func (nopLogger) Close()                     {}
+
+// NewNode and build start no goroutine — the verification workers start with
+// Start — so a node that is only built, as the whole-replica simulation builds
+// its replicas, owns none; and Stop takes such a node down.
+func TestBuiltNodeOwnsNoGoroutine(t *testing.T) {
+	perm, cons := crypto.SeededKeyPair("built-node/perm", 0), crypto.SeededKeyPair("built-node/cons", 0)
+	ep := transport.NewMemNetwork().Endpoint(0)
+	defer ep.Close()
+	before := runtime.NumGoroutine()
+	n, err := NewNode(Config{
+		Genesis: blockchain.Genesis{ChainID: "built-node", MaxBatchSize: 8,
+			Replicas: []blockchain.ReplicaInfo{{ID: 0, PermanentPub: perm.Public(), ConsensusPub: cons.Public()}}},
+		Permanent: perm, InitialConsensusKey: cons, Transport: ep, App: coin.NewService(nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.build(nopLogger{}); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("NewNode and build started %d goroutines", after-before)
+	}
+	n.Stop()
+}
+
 // (h, admission ii) One member's junk for a block not closed here yet — at
 // the parent, 64 copies filled the block's buffer — and a crowd of strangers
 // displace no honest member's share.
@@ -548,31 +606,36 @@ func FuzzDecodePersistMsg(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { row.Check(t, data) })
 }
 
-// FuzzTailStep plays a script of arbitrary shares, reads and ticks around
-// three blocks that close in order and turn durable only when the script
-// says so. The rig's step checks the rest: no certificate and no reply for a
+// FuzzTailStep plays a script of arbitrary shares (genuine or with a corrupt
+// signature), reads and ticks around three blocks that close in order and
+// turn durable only when the script says so. The rig's step checks the rest: no certificate and no reply for a
 // block without its own durable record, no block replied twice, no panic,
 // and never more state than admission property (i) allows.
 func FuzzTailStep(f *testing.F) {
 	f.Add([]byte{0, 11, 4, 11, 1, 0x1b, 1, 0x2b, 2, 13, 3, 1})
 	f.Add([]byte{1, 0x1c, 1, 0x2c, 1, 0x3c, 0, 11, 0, 12, 4, 12, 4, 11})
 	f.Add([]byte{1, 0x0b, 1, 0xfb, 2, 200, 2, 200, 3, 255, 5, 12})
+	f.Add([]byte{0, 10, 4, 11, 6, 0x1b, 1, 0x2b, 1, 0x1b, 6, 0x3b, 1, 0x3b})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		r := newTailRig(t, true)
 		closed := int64(tailBase)
 		for i := 0; i+1 < len(script); i += 2 {
 			arg := script[i+1]
-			switch script[i] % 6 {
+			switch script[i] % 7 {
 			case 0: // the next block closes (at most three)
 				if closed < tailBase+3 {
 					closed++
 					r.closed(closed, r.view, arg&1 == 1)
 				}
-			case 1: // a share: signer in the high nibble, block in the low
+			case 1, 6: // a share: signer in the high nibble, block in the low
 				signer, number := int32(arg>>4), int64(arg&0x0f)
 				pm := r.shareOf(signer, number, tailHash(number))
 				if arg&0x80 != 0 {
 					pm.Signer = 0 // in this replica's name, under another key
+				}
+				if script[i]%7 == 6 {
+					pm.Sig = slices.Clone(pm.Sig)
+					pm.Sig[0] ^= 1
 				}
 				r.step(tailEvent{kind: tevShare, share: pm})
 			case 2:

@@ -125,6 +125,21 @@ func verifyChunk(items []batchItem) bool {
 	return ok
 }
 
+// Verdicts decides every deferred signature: true for all of them when Verify
+// passes, the per-item VerifyEach only when it fails. A quorum's votes and a
+// certificate's signatures are checked this way, so a signature costs its
+// share of one equation unless a bad one is among them.
+func (b *BatchVerifier) Verdicts(workers int) []bool {
+	if !b.Verify(workers) {
+		return b.VerifyEach(workers)
+	}
+	out := make([]bool, len(b.items))
+	for i := range out {
+		out[i] = true
+	}
+	return out
+}
+
 // VerifyEach checks every deferred signature and reports per-item results
 // (no early abort). This is the fallback path after a failed Verify: one
 // rotten signature in a request batch must not discard its honest siblings.
@@ -179,14 +194,13 @@ func clampWorkers(workers, n int) int {
 
 // VerifyPool is a replica's one pool of verification workers, the mechanism
 // that takes signature checks off the dispatch goroutine and the consensus
-// event loop. It runs two kinds of job: one signature check (Submit,
-// TrySubmit) and one whole job (Go, TryGo — a proposal's vetting, a read). A
-// worker takes one job and whatever else is queued, up to maxDrain, decides
-// every signature among them — votes and request envelopes alike — in one
-// batch equation, gives each its own verdict, then runs the whole jobs.
-// TrySubmit and TryGo never block: when the pool is saturated (or closed)
-// they report false and the caller verifies inline, so correctness never
-// depends on the pool keeping up.
+// event loop. It runs two kinds of job: one signature check (Submit — a
+// request envelope) and one whole job (Go, TryGo — a proposal's vetting, a
+// read). A worker takes one job and whatever else is queued, up to maxDrain,
+// decides every signature among them in one batch equation, gives each its
+// own verdict, then runs the whole jobs. TryGo never blocks: when the pool is
+// saturated (or closed) it reports false and the caller runs the job inline,
+// so correctness never depends on the pool keeping up.
 type VerifyPool struct {
 	jobs chan poolJob
 	wg   sync.WaitGroup
@@ -210,7 +224,7 @@ const maxDrain = 64
 
 // NewVerifyPool starts workers goroutines (0 = GOMAXPROCS) draining a queue
 // of queueDepth jobs (0 = a default sized for a burst of every client's
-// window or a pipelined vote burst).
+// window).
 func NewVerifyPool(workers, queueDepth int) *VerifyPool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -245,14 +259,8 @@ func (p *VerifyPool) worker() {
 				break
 			}
 		}
-		if bv.Verify(1) {
-			for _, d := range done {
-				d(true)
-			}
-		} else {
-			for i, ok := range bv.VerifyEach(1) {
-				done[i](ok)
-			}
+		for i, ok := range bv.Verdicts(1) {
+			done[i](ok)
 		}
 		for _, run := range runs {
 			run()
@@ -281,12 +289,6 @@ func (p *VerifyPool) poll(job *poolJob) bool {
 // does not run done) when the pool is closed.
 func (p *VerifyPool) Submit(pub PublicKey, context string, msg, sig []byte, done func(ok bool)) bool {
 	return p.send(poolJob{item: batchItem{pub: pub, context: context, msg: msg, sig: sig}, done: done}, true)
-}
-
-// TrySubmit is Submit that never blocks: it also reports false when the
-// pool is saturated — the caller's cue to verify synchronously.
-func (p *VerifyPool) TrySubmit(pub PublicKey, context string, msg, sig []byte, done func(ok bool)) bool {
-	return p.send(poolJob{item: batchItem{pub: pub, context: context, msg: msg, sig: sig}, done: done}, false)
 }
 
 // Go queues job to run on a pool worker, waiting for room. Returns false

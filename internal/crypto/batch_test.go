@@ -210,7 +210,7 @@ func TestVerifyPoolVerdicts(t *testing.T) {
 			sig[0] ^= 0xff
 		}
 		i := i
-		if !p.TrySubmit(pub, "pool", msg, sig, func(ok bool) {
+		if !p.Submit(pub, "pool", msg, sig, func(ok bool) {
 			results <- struct {
 				i  int
 				ok bool
@@ -228,7 +228,7 @@ func TestVerifyPoolVerdicts(t *testing.T) {
 }
 
 // TestVerifyPoolSaturationFallsBack pins the pool's one worker and fills its
-// one queue slot: the next TrySubmit must report false (caller verifies
+// one queue slot: the next TryGo must report false (caller runs the job
 // inline) instead of blocking the submitter.
 func TestVerifyPoolSaturationFallsBack(t *testing.T) {
 	p := NewVerifyPool(1, 1)
@@ -237,33 +237,33 @@ func TestVerifyPoolSaturationFallsBack(t *testing.T) {
 	pub, msg, sig := signedItem(t, 1, "pool")
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	if !p.TrySubmit(pub, "pool", msg, sig, func(bool) {
+	if !p.Submit(pub, "pool", msg, sig, func(bool) {
 		close(blocked)
 		<-release
 	}) {
 		t.Fatal("first submit rejected")
 	}
 	<-blocked // worker is now pinned inside done()
-	if !p.TrySubmit(pub, "pool", msg, sig, func(bool) {}) {
-		t.Fatal("second submit should occupy the queue slot")
+	if !p.TryGo(func() {}) {
+		t.Fatal("a whole job should occupy the queue slot")
 	}
-	if p.TrySubmit(pub, "pool", msg, sig, func(bool) {
-		t.Error("overflow submit must not run its callback")
+	if p.TryGo(func() {
+		t.Error("overflow job must not run")
 	}) {
-		t.Fatal("saturated pool must reject TrySubmit")
+		t.Fatal("saturated pool must reject TryGo")
 	}
 	close(release)
 }
 
 // TestVerifyPoolDrainsMixedKinds pins the pool's one worker and queues
-// behind it votes and request envelopes — two signature contexts, one
-// corrupt signature of each — with a whole job among them. The worker drains
-// them together: every done gets its own verdict, all of them before the
-// whole job runs, and the whole job still runs.
+// behind it signature jobs under two contexts, one corrupt signature under
+// each, with a whole job among them. The worker drains them together: every
+// done gets its own verdict, all of them before the whole job runs, and the
+// whole job still runs.
 func TestVerifyPoolDrainsMixedKinds(t *testing.T) {
 	const (
-		voteCtx    = "smartchain/consensus/write/v1" // consensus' WRITE vote context
-		requestCtx = "smartchain/request/v1"         // smr.ContextRequest
+		otherCtx   = "smartchain/other/v1"
+		requestCtx = "smartchain/request/v1" // smr.ContextRequest
 		n          = 16
 	)
 	p := NewVerifyPool(1, 2*n)
@@ -283,13 +283,13 @@ func TestVerifyPoolDrainsMixedKinds(t *testing.T) {
 	}
 	verdicts := make(chan verdict, n)
 	var delivered atomic.Int64
-	bad := map[int]bool{3: true, n/2 + 4: true} // one vote, one request
+	bad := map[int]bool{3: true, n/2 + 4: true} // one under each context
 	ranAfter := make(chan int64, 1)
 	for i := 0; i < n; i++ {
 		if i == n/2 && !p.TryGo(func() { ranAfter <- delivered.Load() }) {
 			t.Fatal("whole job rejected")
 		}
-		ctx := voteCtx
+		ctx := otherCtx
 		if i >= n/2 {
 			ctx = requestCtx
 		}
@@ -298,12 +298,8 @@ func TestVerifyPoolDrainsMixedKinds(t *testing.T) {
 			sig = append([]byte(nil), sig...)
 			sig[0] ^= 0xff
 		}
-		submit := p.TrySubmit
-		if i%2 == 1 {
-			submit = p.Submit
-		}
 		i := i
-		if !submit(pub, ctx, msg, sig, func(ok bool) {
+		if !p.Submit(pub, ctx, msg, sig, func(ok bool) {
 			delivered.Add(1)
 			verdicts <- verdict{i, ok}
 		}) {
@@ -328,23 +324,26 @@ func TestVerifyPoolCloseSemantics(t *testing.T) {
 	pub, msg, sig := signedItem(t, 1, "pool")
 
 	got := make(chan bool, 1)
-	if !p.TrySubmit(pub, "pool", msg, sig, func(ok bool) { got <- ok }) {
+	if !p.Submit(pub, "pool", msg, sig, func(ok bool) { got <- ok }) {
 		t.Fatal("submit rejected")
 	}
 	p.Close() // queued jobs still complete
 	if ok := <-got; !ok {
 		t.Fatal("queued job lost its verdict across Close")
 	}
-	if p.TrySubmit(pub, "pool", msg, sig, func(bool) {
+	if p.Submit(pub, "pool", msg, sig, func(bool) {
 		t.Error("callback after Close")
 	}) {
-		t.Fatal("TrySubmit after Close must report false")
+		t.Fatal("Submit after Close must report false")
+	}
+	if p.TryGo(func() { t.Error("job after Close") }) {
+		t.Fatal("TryGo after Close must report false")
 	}
 	p.Close() // idempotent
 
 	var nilPool *VerifyPool
-	if nilPool.TrySubmit(pub, "pool", msg, sig, func(bool) {}) {
-		t.Fatal("nil pool must reject TrySubmit")
+	if nilPool.Submit(pub, "pool", msg, sig, func(bool) {}) || nilPool.TryGo(func() {}) {
+		t.Fatal("nil pool must reject Submit and TryGo")
 	}
 	nilPool.Close() // no-op
 }
@@ -361,7 +360,11 @@ func TestVerifyPoolConcurrentSubmitClose(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 50; i++ {
-					p.TrySubmit(pub, "pool", msg, sig, func(bool) {})
+					if i%2 == 0 {
+						p.Submit(pub, "pool", msg, sig, func(bool) {})
+					} else {
+						p.TryGo(func() {})
+					}
 				}
 			}()
 		}

@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bytes"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -182,6 +183,97 @@ func TestCertificateRejectsDuplicatesAndForgeries(t *testing.T) {
 	unknown.Add(Signature{Signer: 99, Sig: sig})
 	if got := unknown.CountValid(ring, "c", digest, digest[:]); got != 0 {
 		t.Fatalf("an unknown signer counts %d, want 0", got)
+	}
+}
+
+// countSingly is CountValid's rule one signature at a time: the reference
+// the batched count must agree with.
+func countSingly(c *Certificate, keys KeyResolver, context string, digest Hash, msg []byte) int {
+	if c.Digest != digest {
+		return 0
+	}
+	seen := make(map[int32]bool, len(c.Sigs))
+	for _, s := range c.Sigs {
+		if pub, ok := keys.PublicKeyOf(s.Signer); ok && !seen[s.Signer] && Verify(pub, context, msg, s.Sig) {
+			seen[s.Signer] = true
+		}
+	}
+	return len(seen)
+}
+
+// CountValid decides by one batch equation and checks singly only when it
+// fails; on certificates with duplicates, unknown signers, a wrong digest and
+// zero to two bad signatures it counts what the single checks count.
+func TestCountValidAgreesWithSingleChecks(t *testing.T) {
+	keys := make(map[int32]PublicKey, 4)
+	pairs := make([]*KeyPair, 4)
+	for i := range pairs {
+		pairs[i] = SeededKeyPair("count-valid", int64(i))
+		keys[int32(i)] = pairs[i].Public()
+	}
+	ring := NewKeyRing(keys)
+	digest := HashBytes([]byte("block"))
+	good := func(i int32) Signature { return Signature{Signer: i, Sig: pairs[i].MustSign("persist", digest[:])} }
+	bad := func(i int32) Signature {
+		s := good(i)
+		s.Sig[0] ^= 1
+		return s
+	}
+	stranger := Signature{Signer: 99, Sig: pairs[0].MustSign("persist", digest[:])}
+	borrowed := Signature{Signer: 1, Sig: good(2).Sig} // 1 claims 2's signature
+	short := Signature{Signer: 3, Sig: good(3).Sig[:10]}
+	cases := []struct {
+		name string
+		sigs []Signature
+		want int
+	}{
+		{"empty", nil, 0},
+		{"quorum", []Signature{good(0), good(1), good(2)}, 3},
+		{"all four", []Signature{good(3), good(1), good(0), good(2)}, 4},
+		{"one bad", []Signature{good(0), bad(1), good(2), good(3)}, 3},
+		{"two bad", []Signature{bad(0), good(1), bad(2), good(3)}, 2},
+		{"all bad", []Signature{bad(0), bad(1), bad(2)}, 0},
+		{"duplicate", []Signature{good(0), good(0), good(1)}, 2},
+		{"bad then good of one signer", []Signature{bad(0), good(0), good(1)}, 2},
+		{"good then bad of one signer", []Signature{good(0), bad(0), good(1)}, 2},
+		{"unknown signer", []Signature{good(0), stranger, good(1)}, 2},
+		{"borrowed signature", []Signature{good(0), borrowed, good(2)}, 2},
+		{"short signature", []Signature{good(0), short, good(1)}, 2},
+	}
+	for _, tc := range cases {
+		cert := Certificate{Digest: digest, Sigs: tc.sigs}
+		if got, ref := cert.CountValid(ring, "persist", digest, digest[:]), countSingly(&cert, ring, "persist", digest, digest[:]); got != tc.want || ref != tc.want {
+			t.Fatalf("%s: CountValid %d, single checks %d, want %d", tc.name, got, ref, tc.want)
+		}
+		other := HashBytes([]byte("another block"))
+		if got := cert.CountValid(ring, "persist", other, other[:]); got != 0 {
+			t.Fatalf("%s: for a wrong digest CountValid %d, want 0", tc.name, got)
+		}
+	}
+	// Seeded mixes of every kind above, up to two bad signatures each.
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		var cert Certificate
+		cert.Digest = digest
+		nbad := 0
+		for k := rng.Intn(7); k >= 0; k-- {
+			i := int32(rng.Intn(4))
+			switch r := rng.Intn(6); {
+			case r == 0 && nbad < 2:
+				cert.Sigs = append(cert.Sigs, bad(i))
+				nbad++
+			case r == 1:
+				cert.Sigs = append(cert.Sigs, stranger)
+			case r == 2 && nbad < 2:
+				cert.Sigs = append(cert.Sigs, borrowed)
+				nbad++
+			default:
+				cert.Sigs = append(cert.Sigs, good(i))
+			}
+		}
+		if got, ref := cert.CountValid(ring, "persist", digest, digest[:]), countSingly(&cert, ring, "persist", digest, digest[:]); got != ref {
+			t.Fatalf("round %d: CountValid %d, single checks %d, certificate %+v", round, got, ref, cert.Sigs)
+		}
 	}
 }
 

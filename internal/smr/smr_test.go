@@ -161,6 +161,7 @@ func TestVerifierPoolModes(t *testing.T) {
 
 func TestVerifierPoolSubmitAsync(t *testing.T) {
 	p := NewVerifierPool(VerifyParallel, 4)
+	p.Start()
 	defer p.Close()
 	const n = 64
 	var accepted atomic.Int64
@@ -190,6 +191,7 @@ func TestVerifierPoolSubmitAsync(t *testing.T) {
 
 func TestVerifierPoolSubmitAfterClose(t *testing.T) {
 	p := NewVerifierPool(VerifyNone, 1)
+	p.Start()
 	p.Close()
 	if p.Submit(Request{}, func(Request, bool) {}) {
 		t.Fatal("submit after close must fail")

@@ -38,25 +38,31 @@ func (m VerifyMode) String() string {
 }
 
 // VerifierPool applies a verification mode to a crypto.VerifyPool, the
-// replica's one pool of verification workers: request envelopes queue there
-// beside consensus votes and drain with them into one batch equation. In
-// every mode a Submit leaves the submitting goroutine; only the check
-// differs (VerifyNone passes).
+// replica's one pool of verification workers: request envelopes and reads
+// queue there and drain into one batch equation. In every mode a Submit
+// leaves the submitting goroutine; only the check differs (VerifyNone
+// passes).
 type VerifierPool struct {
-	mode VerifyMode
-	pool *crypto.VerifyPool
+	mode    VerifyMode
+	workers int
+	pool    *crypto.VerifyPool // nil until Start
 }
 
-// NewVerifierPool starts a pool for the given mode on workers goroutines
-// (≤ 0: GOMAXPROCS). Close must be called to release the workers.
+// NewVerifierPool returns the verifier for the given mode. It starts no
+// goroutine: VerifyBatch runs on the caller's, and Submit needs the workers
+// Start launches.
 func NewVerifierPool(mode VerifyMode, workers int) *VerifierPool {
-	return &VerifierPool{mode: mode, pool: crypto.NewVerifyPool(workers, 0)}
+	return &VerifierPool{mode: mode, workers: workers}
 }
+
+// Start launches the pool's workers goroutines (≤ 0: GOMAXPROCS). Close must
+// be called to release them.
+func (p *VerifierPool) Start() { p.pool = crypto.NewVerifyPool(p.workers, 0) }
 
 // Submit queues req for verification; out is called with the verdict from a
-// worker goroutine. Returns false if the pool is closed. A full queue blocks
-// until a worker takes a job; the workers keep draining while Close waits
-// for such a send.
+// worker goroutine. Returns false if the pool is not started or closed. A
+// full queue blocks until a worker takes a job; the workers keep draining
+// while Close waits for such a send.
 func (p *VerifierPool) Submit(req Request, out func(Request, bool)) bool {
 	if p.mode == VerifyNone {
 		return p.pool.Go(func() { out(req, true) })
@@ -72,25 +78,23 @@ func (p *VerifierPool) Submit(req Request, out func(Request, bool)) bool {
 // passes everything. A replica checks a proposal's requests and flushes the
 // ones it held unverified through it.
 func (p *VerifierPool) VerifyBatch(reqs []Request) []bool {
-	verdicts := make([]bool, len(reqs))
-	if p.mode != VerifyNone {
-		bv := crypto.NewBatchVerifier(len(reqs))
-		for i := range reqs {
-			bv.Add(reqs[i].PubKey, ContextRequest, reqs[i].signedPortion(), reqs[i].Sig)
+	if p.mode == VerifyNone {
+		verdicts := make([]bool, len(reqs))
+		for i := range verdicts {
+			verdicts[i] = true
 		}
-		if !bv.Verify(0) {
-			return bv.VerifyEach(0)
-		}
+		return verdicts
 	}
-	for i := range verdicts {
-		verdicts[i] = true
+	bv := crypto.NewBatchVerifier(len(reqs))
+	for i := range reqs {
+		bv.Add(reqs[i].PubKey, ContextRequest, reqs[i].signedPortion(), reqs[i].Sig)
 	}
-	return verdicts
+	return bv.Verdicts(0)
 }
 
-// Pool is the crypto pool underneath, for the replica's other signature
-// checks: consensus votes and proposal vetting.
+// Pool is the crypto pool underneath (nil until Start), for the replica's
+// other off-loop work: proposal vetting.
 func (p *VerifierPool) Pool() *crypto.VerifyPool { return p.pool }
 
-// Close stops the workers. Pending jobs are completed first.
+// Close stops the workers, if started. Pending jobs are completed first.
 func (p *VerifierPool) Close() { p.pool.Close() }

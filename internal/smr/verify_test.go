@@ -82,6 +82,7 @@ func TestVerifyBatchNoneModeSkipsChecks(t *testing.T) {
 func TestVerifierPoolDrainedBatchKeepsEachVerdict(t *testing.T) {
 	const n = 200
 	pool := NewVerifierPool(VerifyParallel, 2)
+	pool.Start()
 	defer pool.Close()
 	reqs := signedBatch(t, n)
 	for i := 0; i < n; i += 37 {
@@ -114,6 +115,7 @@ func TestVerifierPoolDrainedBatchKeepsEachVerdict(t *testing.T) {
 func TestVerifierPoolSubmitRacingClose(t *testing.T) {
 	for round := 0; round < 2000; round++ {
 		p := NewVerifierPool(VerifyNone, 1)
+		p.Start()
 		var accepted, done atomic.Int64
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
